@@ -13,7 +13,6 @@ from .cdkernel import (
     check_abc,
     check_cd_formula,
     check_projection,
-    check_projection_dual,
     check_reproduction,
     kernel_eval,
 )
@@ -24,18 +23,12 @@ from .families import (
     check_biorthogonality,
     check_orthogonality,
     extract_families,
+    pairing_matrix,
     validate_degree_structure,
 )
 from .gaussborel import Factorization, factorize, invert_unitriangular
 from .measures import Discrete, MeasureMatrix, MomentTable, RectDensity, measure_from_json
-from .moments import (
-    MomentTruncation,
-    ShiftTruncation,
-    apply_shift_to_monomials,
-    assemble_moments,
-    check_hankel_symmetry,
-    shift_operator,
-)
+from .moments import MomentTruncation, assemble_moments
 from .rational import as_rat, format_rat, parse_rat, rat
 from .recurrence import (
     RecurrenceTruncation,
@@ -77,9 +70,7 @@ __all__ = [
     "PolyMatrix",
     "RecurrenceTruncation",
     "RectDensity",
-    "ShiftTruncation",
     "SingularMatrix",
-    "apply_shift_to_monomials",
     "as_rat",
     "assemble_moments",
     "build_recurrence",
@@ -88,10 +79,8 @@ __all__ = [
     "check_biorthogonality",
     "check_cd_formula",
     "check_dual_form",
-    "check_hankel_symmetry",
     "check_orthogonality",
     "check_projection",
-    "check_projection_dual",
     "check_recurrence_matrix",
     "check_recurrences",
     "check_reproduction",
@@ -107,13 +96,13 @@ __all__ = [
     "n_minus_big",
     "n_plus",
     "pair_of",
+    "pairing_matrix",
     "parse_rat",
     "pos_of",
     "rat",
     "recurrence_n_max",
     "required_depth",
     "shift_monomial",
-    "shift_operator",
     "validate_band",
     "validate_degree_structure",
 ]

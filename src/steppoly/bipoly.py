@@ -235,6 +235,9 @@ class PolyMatrix:
     def __iter__(self) -> Iterator[list[BiPoly]]:
         return iter(self.entries)
 
+    def transpose(self) -> "PolyMatrix":
+        return PolyMatrix([list(col) for col in zip(*self.entries)])
+
     def eval_at(self, x1, x2) -> list[list[object]]:
         return [[e.eval(x1, x2) for e in row] for row in self.entries]
 

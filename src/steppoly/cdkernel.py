@@ -13,12 +13,13 @@ from __future__ import annotations
 
 from .bipoly import PolyMatrix
 from .errors import DepthError
-from .families import FamilyA, FamilyB, integrate_pair
-from .linalg import gauss_jordan_inverse, matmul
+from .families import Family, FamilyA, FamilyB, integrate_pair
+from .linalg import gauss_jordan_inverse, matmul, transpose
 from .measures import MeasureMatrix
 from .moments import assemble_moments, monomial_value
 from .rational import as_rat, rat
 from .recurrence import RecurrenceTruncation
+from .report import CheckReport, Violation
 from .stepline import n_minus_big, n_plus
 
 
@@ -29,8 +30,8 @@ def kernel_eval(A: FamilyA, B: FamilyB, n: int, x: tuple, y: tuple) -> list[list
     p, q = A.p, B.q
     out = [[rat(0) for _ in range(q)] for _ in range(p)]
     for i in range(n + 1):
-        a_i = A.eval_col(i, *x)
-        b_i = B.eval_row(i, *y)
+        a_i = A.eval(i, *x)
+        b_i = B.eval(i, *y)
         for a_idx in range(p):
             if a_i[a_idx] == 0:
                 continue
@@ -90,66 +91,76 @@ def cd_blocks(T: RecurrenceTruncation, A: FamilyA, B: FamilyB, n: int, k: int) -
     return CDBlocks(T, A, B, n)
 
 
-def check_cd_formula(blocks: CDBlocks, x: tuple, y: tuple) -> bool:
-    """Exact CD identity at one point pair, as p x q matrices."""
+def _point(x: tuple) -> str:
+    return f"({x[0]}, {x[1]})"
+
+
+def check_cd_formula(blocks: CDBlocks, point_pairs: list) -> CheckReport:
+    """Exact CD identity at every point pair, as p x q matrices."""
     A, B, n, k = blocks.A, blocks.B, blocks.n, blocks.k
     p, q = blocks.p, blocks.q
-    xk = as_rat(x[0] if k == 1 else x[1])
-    yk = as_rat(y[0] if k == 1 else y[1])
-    kern = kernel_eval(A, B, n, x, y)
-    lhs = [[(xk - yk) * kern[a][b] for b in range(q)] for a in range(p)]
+    rep = CheckReport(f"cd_T{k}")
+    for x, y in point_pairs:
+        xk = as_rat(x[0] if k == 1 else x[1])
+        yk = as_rat(y[0] if k == 1 else y[1])
+        kern = kernel_eval(A, B, n, x, y)
+        lhs = [[(xk - yk) * kern[a][b] for b in range(q)] for a in range(p)]
 
-    a_gt = [A.eval_col(m, *x) for m in blocks.tgt_rows]   # |tgt_rows| vectors of length p
-    b_n = [B.eval_row(c, *y) for c in blocks.tgt_cols]    # |tgt_cols| vectors of length q
-    a_n = [A.eval_col(m, *x) for m in blocks.src_rows]
-    b_gt = [B.eval_row(c, *y) for c in blocks.src_cols]
+        a_gt = [A.eval(m, *x) for m in blocks.tgt_rows]   # |tgt_rows| vectors of length p
+        b_n = [B.eval(c, *y) for c in blocks.tgt_cols]    # |tgt_cols| vectors of length q
+        a_n = [A.eval(m, *x) for m in blocks.src_rows]
+        b_gt = [B.eval(c, *y) for c in blocks.src_cols]
 
-    rhs = [[rat(0) for _ in range(q)] for _ in range(p)]
-    for ri, row in enumerate(blocks.r_tgt):
-        for ci, t in enumerate(row):
-            if t == 0:
-                continue
-            for a_idx in range(p):
-                va = a_gt[ri][a_idx]
-                if va == 0:
-                    continue
-                for b_idx in range(q):
-                    rhs[a_idx][b_idx] += va * t * b_n[ci][b_idx]
-    for ri, row in enumerate(blocks.r_src):
-        for ci, t in enumerate(row):
-            if t == 0:
-                continue
-            for a_idx in range(p):
-                va = a_n[ri][a_idx]
-                if va == 0:
-                    continue
-                for b_idx in range(q):
-                    rhs[a_idx][b_idx] -= va * t * b_gt[ci][b_idx]
-    return lhs == rhs
+        rhs = [[rat(0) for _ in range(q)] for _ in range(p)]
+        for a_vals, block, b_vals, sign in ((a_gt, blocks.r_tgt, b_n, 1),
+                                            (a_n, blocks.r_src, b_gt, -1)):
+            for ri, row in enumerate(block):
+                for ci, t in enumerate(row):
+                    if t == 0:
+                        continue
+                    t = sign * t
+                    for a_idx in range(p):
+                        va = a_vals[ri][a_idx]
+                        if va == 0:
+                            continue
+                        for b_idx in range(q):
+                            rhs[a_idx][b_idx] += va * t * b_vals[ci][b_idx]
+        if lhs != rhs:
+            rep.violations.append(
+                Violation("cd", (k, n, _point(x), _point(y)), "(x_k - y_k) K^[n] != block sum")
+            )
+        rep.checked += 1
+    return rep
 
 
-def check_abc(mm: MeasureMatrix, A: FamilyA, B: FamilyB, n: int, x: tuple, y: tuple) -> bool:
-    """Kernel via families equals the inverse-moment form, exactly.
+def _monomials_t(r: int, n: int, x: tuple) -> list[list]:
+    """X^T_[r](x) truncated to r x (n+1): scalar row m of X_[r] is the monomial
+    at position m // r in unit slot m % r."""
+    out = [[rat(0) for _ in range(n + 1)] for _ in range(r)]
+    for m in range(n + 1):
+        K, slot = divmod(m, r)
+        out[slot][m] = monomial_value(K, *x)
+    return out
+
+
+def check_abc(mm: MeasureMatrix, A: FamilyA, B: FamilyB, n: int, point_pairs: list) -> CheckReport:
+    """Kernel via families equals the inverse-moment form at every point pair, exactly.
 
     The monomial vector truncations keep the first n+1 scalar entries; the
     moment truncation inverse comes from pivoted Gauss-Jordan, independent of
-    the unpivoted factorization route.
+    the unpivoted factorization route, and is computed once for all pairs.
     """
     p, q = mm.p, mm.q
-    M = assemble_moments(mm, n + 1)
-    M_inv = gauss_jordan_inverse(M.data)
-    # X^T_[p](x) truncated: p x (n+1); scalar row m of X_[p] is the monomial
-    # at position m // p in unit slot m % p.
-    xt = [[rat(0) for _ in range(n + 1)] for _ in range(p)]
-    for m in range(n + 1):
-        K, slot = divmod(m, p)
-        xt[slot][m] = monomial_value(K, *x)
-    xq = [[rat(0) for _ in range(q)] for _ in range(n + 1)]
-    for m in range(n + 1):
-        K, slot = divmod(m, q)
-        xq[m][slot] = monomial_value(K, *y)
-    rhs = matmul(matmul(xt, M_inv), xq)
-    return kernel_eval(A, B, n, x, y) == rhs
+    M_inv = gauss_jordan_inverse(assemble_moments(mm, n + 1).data)
+    rep = CheckReport("abc")
+    for x, y in point_pairs:
+        rhs = matmul(matmul(_monomials_t(p, n, x), M_inv), transpose(_monomials_t(q, n, y)))
+        if kernel_eval(A, B, n, x, y) != rhs:
+            rep.violations.append(
+                Violation("abc", (n, _point(x), _point(y)), "K^[n] != X^T M^-1 X")
+            )
+        rep.checked += 1
+    return rep
 
 
 _DEFAULT_SPOT_PAIRS = [
@@ -159,30 +170,22 @@ _DEFAULT_SPOT_PAIRS = [
 ]
 
 
-def check_reproduction(A: FamilyA, B: FamilyB, mm: MeasureMatrix, n: int,
-                       point_pairs: list | None = None) -> bool:
+def check_reproduction(A: FamilyA, B: FamilyB, gram: list[list], n: int,
+                       point_pairs: list | None = None) -> CheckReport:
     """Kernel reproduces itself under the measure pairing.
 
-    Verifies the middle identity (the pairing of B_i against A_j is the
-    (n+1)-identity, expanded through the moment oracle), then spot-checks the
-    full double-integral expansion at a few point pairs.
+    gram is the pairing matrix of the two families (families.pairing_matrix).
+    The double integral of K^[n](x, .) dmu K^[n](., y), expanded through its
+    leading (n+1) corner, must equal K^[n](x, y) at each point pair.  That the
+    corner is the identity is check_biorthogonality's job, not this one's.
     """
-    if n >= min(len(A), len(B)):
+    if n >= min(len(A), len(B), len(gram)):
         raise DepthError(f"reproduction index {n} outside family range", required=n + 1)
-    q, p = mm.q, mm.p
-    gram = [[rat(0) for _ in range(n + 1)] for _ in range(n + 1)]
-    for i in range(n + 1):
-        for j in range(n + 1):
-            val = rat(0)
-            for b_idx in range(q):
-                for a_idx in range(p):
-                    val += integrate_pair(mm, B.poly(i, b_idx), b_idx, a_idx, A.poly(j, a_idx))
-            gram[i][j] = val
-            if val != (1 if i == j else 0):
-                return False
+    p, q = A.p, B.q
+    rep = CheckReport("reproduction")
     for x, y in point_pairs or _DEFAULT_SPOT_PAIRS:
-        a_x = [A.eval_col(i, *x) for i in range(n + 1)]
-        b_y = [B.eval_row(j, *y) for j in range(n + 1)]
+        a_x = [A.eval(i, *x) for i in range(n + 1)]
+        b_y = [B.eval(j, *y) for j in range(n + 1)]
         out = [[rat(0) for _ in range(q)] for _ in range(p)]
         for i in range(n + 1):
             for j in range(n + 1):
@@ -193,8 +196,11 @@ def check_reproduction(A: FamilyA, B: FamilyB, mm: MeasureMatrix, n: int,
                     for b_idx in range(q):
                         out[a_idx][b_idx] += a_x[i][a_idx] * g * b_y[j][b_idx]
         if out != kernel_eval(A, B, n, x, y):
-            return False
-    return True
+            rep.violations.append(
+                Violation("reproduction", (n, _point(x), _point(y)), "kernel not reproduced")
+            )
+        rep.checked += 1
+    return rep
 
 
 def is_monic_of_grlex_degree(P: PolyMatrix, I: int) -> bool:
@@ -216,13 +222,15 @@ def _projection_threshold(I: int, r: int) -> int:
     return I * r + r - 1
 
 
-def check_projection(A: FamilyA, B: FamilyB, mm: MeasureMatrix, n: int,
-                     P: PolyMatrix, points: list | None = None) -> bool:
+def check_projection(A: Family, B: Family, mm: MeasureMatrix, n: int,
+                     P: PolyMatrix, points: list | None = None) -> CheckReport:
     """Integral of K^[n](x, .) against dmu P recovers P(x), above the threshold.
 
     P must be a monic p x p matrix polynomial of grlex-degree I with
     n >= I*p + p - 1; calls below the threshold are precondition errors, not
-    identity failures.
+    identity failures.  The dual direction, the integral of P dmu K^[n](., y)
+    recovering P(y), is this check on the transposed problem:
+    check_projection(B, A, mm.transpose(), n, P.transpose()).
     """
     q, p = mm.q, mm.p
     if P.rows != p or P.cols != p:
@@ -247,56 +255,21 @@ def check_projection(A: FamilyA, B: FamilyB, mm: MeasureMatrix, n: int,
                     val += integrate_pair(mm, B.poly(i, b_idx), b_idx, a_idx, P[a_idx, a1])
             row.append(val)
         inner.append(row)
+    rep = CheckReport("projection")
     pts = points or [(rat(1, 2), rat(1, 3)), (rat(-1, 4), rat(2, 5)), (rat(1), rat(-1)),
                      (rat(-2, 3), rat(-1, 5)), (rat(3, 7), rat(5, 8))]
     for x in pts:
-        a_x = [A.eval_col(i, *x) for i in range(n + 1)]
+        a_x = [A.eval(i, *x) for i in range(n + 1)]
         for a0 in range(p):
             for a1 in range(p):
                 got = rat(0)
                 for i in range(n + 1):
                     if a_x[i][a0] != 0 and inner[i][a1] != 0:
                         got += a_x[i][a0] * inner[i][a1]
-                if got != P[a0, a1].eval(*x):
-                    return False
-    return True
-
-
-def check_projection_dual(A: FamilyA, B: FamilyB, mm: MeasureMatrix, n: int,
-                          P: PolyMatrix, points: list | None = None) -> bool:
-    """Dual direction: integral of P dmu K^[n](., y) recovers P(y)."""
-    q, p = mm.q, mm.p
-    if P.rows != q or P.cols != q:
-        raise ValueError(f"dual projection needs a {q} x {q} matrix polynomial")
-    I = P.grlex_pos_max()
-    if not is_monic_of_grlex_degree(P, I):
-        raise ValueError("P is not monic of a definite grlex degree")
-    if n < _projection_threshold(I, q):
-        raise ValueError(
-            f"n={n} below dual projection threshold {_projection_threshold(I, q)} for I={I}"
-        )
-    if n >= min(len(A), len(B)):
-        raise DepthError(f"projection index {n} outside family range", required=n + 1)
-    inner = []
-    for i in range(n + 1):
-        row = []
-        for b0 in range(q):
-            val = rat(0)
-            for b_idx in range(q):
-                for a_idx in range(p):
-                    val += integrate_pair(mm, P[b0, b_idx], b_idx, a_idx, A.poly(i, a_idx))
-            row.append(val)
-        inner.append(row)
-    pts = points or [(rat(1, 2), rat(1, 3)), (rat(-1, 4), rat(2, 5)), (rat(1), rat(-1)),
-                     (rat(-2, 3), rat(-1, 5)), (rat(3, 7), rat(5, 8))]
-    for y in pts:
-        b_y = [B.eval_row(i, *y) for i in range(n + 1)]
-        for b0 in range(q):
-            for b1 in range(q):
-                got = rat(0)
-                for i in range(n + 1):
-                    if inner[i][b0] != 0 and b_y[i][b1] != 0:
-                        got += inner[i][b0] * b_y[i][b1]
-                if got != P[b0, b1].eval(*y):
-                    return False
-    return True
+                want = P[a0, a1].eval(*x)
+                if got != want:
+                    rep.violations.append(
+                        Violation("projection", (n, a0, a1, _point(x)), f"{got} != P(x) = {want}")
+                    )
+                rep.checked += 1
+    return rep

@@ -12,47 +12,43 @@ exactly zero.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from .bipoly import BiPoly
 from .gaussborel import Factorization
 from .measures import MeasureMatrix
 from .rational import ZERO, rat
+from .report import CheckReport, Violation
 from .stepline import pair_of
 
 
-class FamilyB:
+class Family:
+    """Members n = 0, 1, ... of one family, each a list of BiPoly components."""
+
+    members: list[list[BiPoly]]
+
+    def __len__(self) -> int:
+        return len(self.members)
+
+    def poly(self, n: int, idx: int) -> BiPoly:
+        return self.members[n][idx]
+
+    def eval(self, n: int, x1, x2) -> list:
+        return [pol.eval(x1, x2) for pol in self.members[n]]
+
+
+class FamilyB(Family):
     """Rows of B: for each n a q-tuple of BiPoly."""
 
     def __init__(self, q: int, rows: list[list[BiPoly]]):
         self.q = q
-        self.rows = rows
-
-    def __len__(self) -> int:
-        return len(self.rows)
-
-    def poly(self, n: int, b_idx: int) -> BiPoly:
-        return self.rows[n][b_idx]
-
-    def eval_row(self, n: int, x1, x2) -> list:
-        return [pol.eval(x1, x2) for pol in self.rows[n]]
+        self.rows = self.members = rows
 
 
-class FamilyA:
+class FamilyA(Family):
     """Columns of A: for each n a p-tuple of BiPoly."""
 
     def __init__(self, p: int, cols: list[list[BiPoly]]):
         self.p = p
-        self.cols = cols
-
-    def __len__(self) -> int:
-        return len(self.cols)
-
-    def poly(self, n: int, a_idx: int) -> BiPoly:
-        return self.cols[n][a_idx]
-
-    def eval_col(self, n: int, x1, x2) -> list:
-        return [pol.eval(x1, x2) for pol in self.cols[n]]
+        self.cols = self.members = cols
 
 
 def extract_families(F: Factorization, q: int, p: int) -> tuple[FamilyA, FamilyB]:
@@ -96,25 +92,6 @@ def degree_bound(n: int, comp_idx: int, r: int) -> int:
     return (n - comp_idx) // r if n >= comp_idx else -1
 
 
-@dataclass
-class Violation:
-    check: str
-    where: tuple
-    detail: str
-
-
-@dataclass
-class CheckReport:
-    name: str
-    violations: list[Violation] = field(default_factory=list)
-    checked: int = 0
-    skipped: list[str] = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-
 def validate_degree_structure(A: FamilyA, B: FamilyB, q: int, p: int) -> CheckReport:
     """Degree bounds for every component, equality and monicity on the diagonal.
 
@@ -123,34 +100,19 @@ def validate_degree_structure(A: FamilyA, B: FamilyB, q: int, p: int) -> CheckRe
     with equality and leading coefficient exactly 1 when n = M p + a.
     """
     rep = CheckReport("degree")
-    for n in range(len(B)):
-        for b_idx in range(q):
-            bound = degree_bound(n, b_idx, q)
-            pol = B.poly(n, b_idx)
-            if pol.grlex_pos > bound:
-                rep.violations.append(
-                    Violation("degree", ("B", n, b_idx), f"grlex_pos {pol.grlex_pos} > bound {bound}")
-                )
-            if n % q == b_idx:
-                if pol.grlex_pos != bound or pol.leading_coeff() == 0:
-                    rep.violations.append(
-                        Violation("degree", ("B", n, b_idx), "diagonal leading coefficient missing")
-                    )
-            rep.checked += 1
-    for n in range(len(A)):
-        for a_idx in range(p):
-            bound = degree_bound(n, a_idx, p)
-            pol = A.poly(n, a_idx)
-            if pol.grlex_pos > bound:
-                rep.violations.append(
-                    Violation("degree", ("A", n, a_idx), f"grlex_pos {pol.grlex_pos} > bound {bound}")
-                )
-            if n % p == a_idx:
-                if pol.grlex_pos != bound or pol.leading_coeff() != 1:
-                    rep.violations.append(
-                        Violation("degree", ("A", n, a_idx), "diagonal entry not monic at its bound")
-                    )
-            rep.checked += 1
+    for label, fam, r, monic in (("B", B, q, False), ("A", A, p, True)):
+        for n in range(len(fam)):
+            for idx in range(r):
+                bound = degree_bound(n, idx, r)
+                pol = fam.poly(n, idx)
+                if pol.grlex_pos > bound:
+                    rep.violations.append(Violation(
+                        "degree", (label, n, idx), f"grlex_pos {pol.grlex_pos} > bound {bound}"))
+                lead = pol.leading_coeff()
+                if n % r == idx and (pol.grlex_pos != bound or lead == 0 or monic and lead != 1):
+                    rep.violations.append(Violation(
+                        "degree", (label, n, idx), f"diagonal leading coefficient {lead} at bound {bound}"))
+                rep.checked += 1
     return rep
 
 
@@ -169,54 +131,49 @@ def integrate_pair(mm: MeasureMatrix, left: BiPoly, b_idx: int, a_idx: int, righ
 def check_orthogonality(A: FamilyA, B: FamilyB, mm: MeasureMatrix) -> CheckReport:
     """Both one-sided orthogonality systems, expanded through the moment oracle.
 
-    A side: sum over a of the integral of monomial_K against (b, a) times
-    A_n^(a) vanishes whenever K q + b < n.  B side: sum over b of the integral
-    of B_n^(b) against (b, a) times monomial_K vanishes whenever K p + a < n.
+    B side: sum over b of the integral of B_n^(b) against (b, a) times
+    monomial_K vanishes whenever K p + a < n.  A side: sum over a of the
+    integral of monomial_K against (b, a) times A_n^(a) vanishes whenever
+    K q + b < n, which is the B side of the transposed measure matrix.
     """
-    q, p = mm.q, mm.p
     rep = CheckReport("orthogonality")
-    for n in range(len(A)):
-        for b_idx in range(q):
-            K = 0
-            while K * q + b_idx < n:
-                mono = BiPoly.monomial(K)
-                resid = rat(0)
-                for a_idx in range(p):
-                    resid += integrate_pair(mm, mono, b_idx, a_idx, A.poly(n, a_idx))
-                if resid != 0:
-                    rep.violations.append(
-                        Violation("orthogonality", ("A", n, b_idx, K), f"residual {resid}")
-                    )
-                rep.checked += 1
-                K += 1
-    for n in range(len(B)):
-        for a_idx in range(p):
-            K = 0
-            while K * p + a_idx < n:
-                mono = BiPoly.monomial(K)
-                resid = rat(0)
-                for b_idx in range(q):
-                    resid += integrate_pair(mm, B.poly(n, b_idx), b_idx, a_idx, mono)
-                if resid != 0:
-                    rep.violations.append(
-                        Violation("orthogonality", ("B", n, a_idx, K), f"residual {resid}")
-                    )
-                rep.checked += 1
-                K += 1
+    for label, fam, grid in (("A", A, mm.transpose()), ("B", B, mm)):
+        for n in range(len(fam)):
+            for a_idx in range(grid.p):
+                K = 0
+                while K * grid.p + a_idx < n:
+                    mono = BiPoly.monomial(K)
+                    resid = rat(0)
+                    for b_idx in range(grid.q):
+                        resid += integrate_pair(grid, fam.poly(n, b_idx), b_idx, a_idx, mono)
+                    if resid != 0:
+                        rep.violations.append(
+                            Violation("orthogonality", (label, n, a_idx, K), f"residual {resid}")
+                        )
+                    rep.checked += 1
+                    K += 1
     return rep
 
 
-def check_biorthogonality(A: FamilyA, B: FamilyB, mm: MeasureMatrix) -> CheckReport:
-    """Pairing of the families against the measure matrix is exactly the identity."""
+def pairing_matrix(A: FamilyA, B: FamilyB, mm: MeasureMatrix) -> list[list]:
+    """Entry (m, n) is the pairing of B_m against A_n under the measure matrix."""
     q, p = mm.q, mm.p
-    rep = CheckReport("biorthogonality")
     count = min(len(A), len(B))
-    for m in range(count):
-        for n in range(count):
-            val = rat(0)
-            for b_idx in range(q):
-                for a_idx in range(p):
-                    val += integrate_pair(mm, B.poly(m, b_idx), b_idx, a_idx, A.poly(n, a_idx))
+    return [
+        [
+            sum((integrate_pair(mm, B.poly(m, b_idx), b_idx, a_idx, A.poly(n, a_idx))
+                 for b_idx in range(q) for a_idx in range(p)), ZERO)
+            for n in range(count)
+        ]
+        for m in range(count)
+    ]
+
+
+def check_biorthogonality(gram: list[list]) -> CheckReport:
+    """The pairing matrix of the two families is exactly the identity."""
+    rep = CheckReport("biorthogonality")
+    for m, row in enumerate(gram):
+        for n, val in enumerate(row):
             expected = rat(1) if m == n else ZERO
             if val != expected:
                 rep.violations.append(

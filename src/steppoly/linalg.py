@@ -31,12 +31,6 @@ def matmul(a: list[list], b: list[list]) -> list[list]:
     return out
 
 
-def mat_eq(a: list[list], b: list[list]) -> bool:
-    if len(a) != len(b) or any(len(r) != len(s) for r, s in zip(a, b)):
-        return False
-    return all(x == y for r, s in zip(a, b) for x, y in zip(r, s))
-
-
 def corner(a: list[list], n: int) -> list[list]:
     """Leading principal n x n submatrix."""
     return [row[:n] for row in a[:n]]
@@ -66,9 +60,3 @@ def gauss_jordan_inverse(a: list[list]) -> list[list]:
                 f = work[r][col]
                 work[r] = [v - f * w for v, w in zip(work[r], work[col])]
     return [row[n:] for row in work]
-
-
-def solve(a: list[list], rhs: list) -> list:
-    """Exact solve of a square system via the Gauss-Jordan inverse."""
-    inv = gauss_jordan_inverse(a)
-    return [sum((x * y for x, y in zip(row, rhs)), ZERO) for row in inv]

@@ -164,6 +164,10 @@ class MeasureMatrix:
     def entry(self, b_idx: int, a_idx: int):
         return self.entries[b_idx][a_idx]
 
+    def transpose(self) -> "MeasureMatrix":
+        """The p x q grid whose entry (a, b) is entry (b, a) of this one."""
+        return MeasureMatrix(self.p, self.q, [list(col) for col in zip(*self.entries)])
+
     def moment_block(self, I: int, K: int) -> list[list]:
         """q x p block of moments with exponents combined from positions I and K."""
         i, j, _ = pair_of(I)

@@ -1,18 +1,20 @@
-"""Scalar truncations of the moment matrix and the shift operators.
+"""Scalar truncations of the moment matrix and their Hankel symmetry.
 
 The semi-infinite moment matrix has q x p blocks indexed by step-line
 positions; its scalar entry (m, n) is the moment of the measure at grid slot
 (m mod q, n mod p) with exponents combined from positions m // q and n // p.
-The shift operator Lambda_{[r];k} realizes multiplication by x_k on the
-monomial vector X_{[r]}; it has a single 1 per row, at column n_plus(n, r, k).
+The shift operator Lambda_{[r];k}, which realizes multiplication by x_k on the
+monomial vector X_{[r]}, has a single 1 per row, at column n_plus(n, r, k);
+the Hankel symmetry Lambda_{[q];k} M = M Lambda^T_{[p];k} is read off that.
 """
 
 from __future__ import annotations
 
 from .errors import DepthError
 from .measures import MeasureMatrix
-from .rational import as_rat, rat
-from .stepline import in_complement_J, n_plus, pair_of
+from .rational import as_rat
+from .report import CheckReport, Violation
+from .stepline import n_plus, pair_of
 
 
 class MomentTruncation:
@@ -57,34 +59,6 @@ def assemble_moments(mm: MeasureMatrix, depth: int) -> MomentTruncation:
     return MomentTruncation(depth, q, p, data)
 
 
-class ShiftTruncation:
-    """Finite window of Lambda_{[r];k}: one 1 per row, at (n, n_plus(n, r, k))."""
-
-    __slots__ = ("r", "k", "rows", "ones")
-
-    def __init__(self, r: int, k: int, rows: int):
-        self.r = r
-        self.k = k
-        self.rows = rows
-        self.ones = [(n, n_plus(n, r, k)) for n in range(rows)]
-
-    @property
-    def col_count(self) -> int:
-        return self.ones[-1][1] + 1 if self.ones else 0
-
-    def to_dense(self, cols: int | None = None) -> list[list]:
-        cols = self.col_count if cols is None else cols
-        out = [[rat(0) for _ in range(cols)] for _ in range(self.rows)]
-        for n, target in self.ones:
-            if target < cols:
-                out[n][target] = rat(1)
-        return out
-
-
-def shift_operator(r: int, k: int, row_count: int) -> ShiftTruncation:
-    return ShiftTruncation(r, k, row_count)
-
-
 def hankel_window(depth: int, q: int, p: int, k: int) -> tuple[int, int]:
     """Largest (m_count, n_count) where both sides of the Hankel identity are determined."""
     m_count = 0
@@ -121,32 +95,21 @@ def hankel_mismatches(M: MomentTruncation, k: int) -> list[tuple[int, int, objec
     return bad
 
 
-def check_hankel_symmetry(M: MomentTruncation, k: int) -> bool:
-    return not hankel_mismatches(M, k)
-
-
-def apply_shift_to_monomials(r: int, k: int, x1, x2, count: int) -> list:
-    """First `count` scalar rows of Lambda_{[r];k} X_{[r]}(x).
-
-    Row n of X_{[r]} carries the monomial at step-line position n // r (the
-    identity blocks make the scalar check sufficient), so the shifted row n is
-    the monomial at position n_plus(n, r, k) // r.
-    """
-    a, b = as_rat(x1), as_rat(x2)
-
-    def mono(pos: int):
-        i, j, _ = pair_of(pos)
-        return a ** (i - j) * b ** j
-
-    return [mono(n_plus(n, r, k) // r) for n in range(count)]
+def check_hankel(M: MomentTruncation, k: int) -> CheckReport:
+    """Hankel symmetry for x_k on the determined window; skipped when the window is empty."""
+    rep = CheckReport(f"hankel_k{k}")
+    try:
+        bad = hankel_mismatches(M, k)
+    except DepthError as exc:
+        rep.skipped.append(str(exc))
+        return rep
+    m_count, n_count = hankel_window(M.depth, M.q, M.p, k)
+    rep.checked = m_count * n_count
+    rep.violations = [Violation("hankel", (k, m, n), f"{lhs} != {rhs}") for m, n, lhs, rhs in bad]
+    return rep
 
 
 def monomial_value(pos: int, x1, x2):
     """Value of the monomial at a step-line position."""
     i, j, _ = pair_of(pos)
     return as_rat(x1) ** (i - j) * as_rat(x2) ** j
-
-
-def shift_ones_in_complement(r: int, k: int, row_count: int) -> bool:
-    """Cross-module consistency: every 1 of the shift operator lands outside J."""
-    return all(in_complement_J(target, r, k) for _, target in shift_operator(r, k, row_count).ones)

@@ -19,7 +19,7 @@ try:
     def rat(num=0, den=1):
         return _mpq(num, den)
 
-except ImportError:  # pragma: no cover
+except ImportError:
     QType = Fraction
 
     def rat(num=0, den=1):

@@ -18,10 +18,13 @@ is what makes both relations exact.
 
 from __future__ import annotations
 
+from .bipoly import BiPoly
 from .errors import DepthError
-from .families import CheckReport, FamilyA, FamilyB, Violation
+from .families import Family, FamilyA, FamilyB
 from .gaussborel import Factorization
+from .linalg import transpose
 from .rational import rat
+from .report import CheckReport, Violation
 from .stepline import in_complement_J, n_minus_big, n_plus
 
 
@@ -49,6 +52,12 @@ class RecurrenceTruncation:
     def __getitem__(self, mn: tuple[int, int]):
         m, n = mn
         return self.data[m][n]
+
+    def conjugate(self) -> list[list]:
+        """R_k = H^-1 T_k H: entry (m, n) is T_k[m][n] * H_n / H_m."""
+        H = self.H
+        return [[t * H[n] / H[m] if t != 0 else t for n, t in enumerate(row)]
+                for m, row in enumerate(self.data)]
 
     def row_band(self, n: int) -> tuple[int, int]:
         """[first, last] columns that may be nonzero in row n."""
@@ -120,11 +129,18 @@ def dual_recurrence(F: Factorization, q: int, p: int, k: int, target_size: int) 
     return out
 
 
-def check_dual_form(T: RecurrenceTruncation, F: Factorization) -> bool:
+def check_dual_form(T: RecurrenceTruncation, F: Factorization) -> CheckReport:
+    """T_k from the primal form agrees entrywise with the dual form."""
     dual = dual_recurrence(F, T.q, T.p, T.k, T.size)
-    return all(
-        T.data[m][n] == dual[m][n] for m in range(T.size) for n in range(T.size)
-    )
+    rep = CheckReport(f"dual_T{T.k}")
+    for m in range(T.size):
+        for n in range(T.size):
+            if T.data[m][n] != dual[m][n]:
+                rep.violations.append(
+                    Violation("dual", (T.k, m, n), f"primal {T.data[m][n]} != dual {dual[m][n]}")
+                )
+            rep.checked += 1
+    return rep
 
 
 def validate_band(T: RecurrenceTruncation) -> CheckReport:
@@ -191,6 +207,16 @@ def recurrence_n_max(T: RecurrenceTruncation, a_count: int, b_count: int) -> int
         n += 1
 
 
+def _relations(T: RecurrenceTruncation, A: Family, B: Family) -> tuple:
+    """Both relations of R_k as (label, family, band of n, coefficient rows).
+
+    x_k B_n is row n of R_k applied to the B rows; x_k A_n is column n of R_k,
+    that is row n of its transpose, applied to the A columns.
+    """
+    R = T.conjugate()
+    return ("B", B, T.row_band, R), ("A", A, T.col_band, transpose(R))
+
+
 def check_recurrences(
     T: RecurrenceTruncation, A: FamilyA, B: FamilyB, points: list[tuple]
 ) -> CheckReport:
@@ -200,45 +226,30 @@ def check_recurrences(
     over the band descriptors, and validate_band separately certifies that
     everything outside the band vanishes.
     """
-    k, q, p, H = T.k, T.q, T.p, T.H
+    k = T.k
     rep = CheckReport(f"recurrence_T{k}")
     n_max = recurrence_n_max(T, len(A), len(B))
     if n_max == 0:
         rep.skipped.append("window too small for any recurrence row")
         return rep
+    relations = _relations(T, A, B)
     for x1, x2 in points:
         xk = x1 if k == 1 else x2
-        b_vals = [B.eval_row(n, x1, x2) for n in range(max(n_plus(m, q, k) for m in range(n_max)) + 1)]
-        a_vals = [A.eval_col(n, x1, x2) for n in range(max(n_plus(m, p, k) for m in range(n_max)) + 1)]
-        for n in range(n_max):
-            top_b = n_plus(n, q, k)
-            lo_b = n_minus_big(n, p, k)
-            top_a = n_plus(n, p, k)
-            lo_a = n_minus_big(n, q, k)
-            for b_idx in range(q):
-                rhs = (H[top_b] / H[n]) * b_vals[top_b][b_idx]
-                for i in range(lo_b, top_b):
-                    t = T.data[n][i]
-                    if t != 0:
-                        rhs += t * (H[i] / H[n]) * b_vals[i][b_idx]
-                if xk * b_vals[n][b_idx] != rhs:
-                    rep.violations.append(
-                        Violation("recurrence", (k, "B", n, b_idx, str(x1), str(x2)),
-                                  f"residual {xk * b_vals[n][b_idx] - rhs}")
-                    )
-                rep.checked += 1
-            for a_idx in range(p):
-                rhs = a_vals[top_a][a_idx]
-                for i in range(lo_a, top_a):
-                    t = T.data[i][n]
-                    if t != 0:
-                        rhs += t * (H[n] / H[i]) * a_vals[i][a_idx]
-                if xk * a_vals[n][a_idx] != rhs:
-                    rep.violations.append(
-                        Violation("recurrence", (k, "A", n, a_idx, str(x1), str(x2)),
-                                  f"residual {xk * a_vals[n][a_idx] - rhs}")
-                    )
-                rep.checked += 1
+        for label, fam, band, R in relations:
+            vals = [fam.eval(i, x1, x2) for i in range(max(band(m)[1] for m in range(n_max)) + 1)]
+            for n in range(n_max):
+                lo, top = band(n)
+                for idx, v in enumerate(vals[n]):
+                    rhs = rat(0)
+                    for i in range(lo, top + 1):
+                        if R[n][i] != 0:
+                            rhs += R[n][i] * vals[i][idx]
+                    if xk * v != rhs:
+                        rep.violations.append(
+                            Violation("recurrence", (k, label, n, idx, str(x1), str(x2)),
+                                      f"residual {xk * v - rhs}")
+                        )
+                    rep.checked += 1
     return rep
 
 
@@ -249,36 +260,20 @@ def check_recurrence_matrix(T: RecurrenceTruncation, A: FamilyA, B: FamilyB) -> 
     and column n applied to the A columns must equal x_k * A_n; checked on
     every row/column whose band is inside the truncation.
     """
-    k, q, p, H = T.k, T.q, T.p, T.H
+    k = T.k
     rep = CheckReport(f"recurrence_matrix_T{k}")
     n_max = recurrence_n_max(T, len(A), len(B))
-    for n in range(n_max):
-        top_b = n_plus(n, q, k)
-        lo_b = n_minus_big(n, p, k)
-        for b_idx in range(q):
-            want = B.poly(n, b_idx).mul_by_variable(k)
-            got = B.poly(top_b, b_idx).mul_scalar(H[top_b] / H[n])
-            for i in range(lo_b, top_b):
-                t = T.data[n][i]
-                if t != 0:
-                    got = got.add(B.poly(i, b_idx).mul_scalar(t * H[i] / H[n]))
-            if want != got:
-                rep.violations.append(
-                    Violation("recurrence_matrix", (k, "B", n, b_idx), "coefficient mismatch")
-                )
-            rep.checked += 1
-        top_a = n_plus(n, p, k)
-        lo_a = n_minus_big(n, q, k)
-        for a_idx in range(p):
-            want = A.poly(n, a_idx).mul_by_variable(k)
-            got = A.poly(top_a, a_idx)
-            for i in range(lo_a, top_a):
-                t = T.data[i][n]
-                if t != 0:
-                    got = got.add(A.poly(i, a_idx).mul_scalar(t * H[n] / H[i]))
-            if want != got:
-                rep.violations.append(
-                    Violation("recurrence_matrix", (k, "A", n, a_idx), "coefficient mismatch")
-                )
-            rep.checked += 1
+    for label, fam, band, R in _relations(T, A, B):
+        for n in range(n_max):
+            lo, top = band(n)
+            for idx, pol in enumerate(fam.members[n]):
+                got = BiPoly.zero()
+                for i in range(lo, top + 1):
+                    if R[n][i] != 0:
+                        got = got.add(fam.poly(i, idx).mul_scalar(R[n][i]))
+                if pol.mul_by_variable(k) != got:
+                    rep.violations.append(
+                        Violation("recurrence_matrix", (k, label, n, idx), "coefficient mismatch")
+                    )
+                rep.checked += 1
     return rep

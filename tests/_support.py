@@ -29,8 +29,10 @@ from steppoly import (
 )
 from steppoly.bipoly import BiPoly
 from steppoly.errors import Breakdown
-from steppoly.linalg import corner, solve, transpose
+from steppoly.linalg import corner, gauss_jordan_inverse, transpose
 from steppoly.moments import MomentTruncation
+from steppoly.rational import ZERO, as_rat
+from steppoly.stepline import in_complement_J, n_plus
 
 SHAPES = [(1, 1), (1, 2), (2, 1), (2, 2), (2, 3)]
 
@@ -180,3 +182,67 @@ def grid_values(count: int) -> list:
             vals.append(rat(-v, 2))
         v += 1
     return vals[:count]
+
+
+# ---- dense and shift-operator oracles used only by the tests ------------
+
+
+def mat_eq(a: list[list], b: list[list]) -> bool:
+    if len(a) != len(b) or any(len(r) != len(s) for r, s in zip(a, b)):
+        return False
+    return all(x == y for r, s in zip(a, b) for x, y in zip(r, s))
+
+
+def solve(a: list[list], rhs: list) -> list:
+    """Exact solve of a square system via the Gauss-Jordan inverse."""
+    inv = gauss_jordan_inverse(a)
+    return [sum((x * y for x, y in zip(row, rhs)), ZERO) for row in inv]
+
+
+class ShiftTruncation:
+    """Finite window of Lambda_{[r];k}: one 1 per row, at (n, n_plus(n, r, k))."""
+
+    __slots__ = ("r", "k", "rows", "ones")
+
+    def __init__(self, r: int, k: int, rows: int):
+        self.r = r
+        self.k = k
+        self.rows = rows
+        self.ones = [(n, n_plus(n, r, k)) for n in range(rows)]
+
+    @property
+    def col_count(self) -> int:
+        return self.ones[-1][1] + 1 if self.ones else 0
+
+    def to_dense(self, cols: int | None = None) -> list[list]:
+        cols = self.col_count if cols is None else cols
+        out = [[rat(0) for _ in range(cols)] for _ in range(self.rows)]
+        for n, target in self.ones:
+            if target < cols:
+                out[n][target] = rat(1)
+        return out
+
+
+def shift_operator(r: int, k: int, row_count: int) -> ShiftTruncation:
+    return ShiftTruncation(r, k, row_count)
+
+
+def apply_shift_to_monomials(r: int, k: int, x1, x2, count: int) -> list:
+    """First `count` scalar rows of Lambda_{[r];k} X_{[r]}(x).
+
+    Row n of X_{[r]} carries the monomial at step-line position n // r (the
+    identity blocks make the scalar check sufficient), so the shifted row n is
+    the monomial at position n_plus(n, r, k) // r.
+    """
+    a, b = as_rat(x1), as_rat(x2)
+
+    def mono(pos: int):
+        i, j, _ = pair_of(pos)
+        return a ** (i - j) * b ** j
+
+    return [mono(n_plus(n, r, k) // r) for n in range(count)]
+
+
+def shift_ones_in_complement(r: int, k: int, row_count: int) -> bool:
+    """Cross-module consistency: every 1 of the shift operator lands outside J."""
+    return all(in_complement_J(target, r, k) for _, target in shift_operator(r, k, row_count).ones)

@@ -13,6 +13,8 @@ from pathlib import Path
 import pytest
 
 from steppoly import (
+    FamilyA,
+    FamilyB,
     assemble_moments,
     build_recurrence,
     cd_blocks,
@@ -20,10 +22,8 @@ from steppoly import (
     check_biorthogonality,
     check_cd_formula,
     check_dual_form,
-    check_hankel_symmetry,
     check_orthogonality,
     check_projection,
-    check_projection_dual,
     check_recurrence_matrix,
     check_recurrences,
     check_reproduction,
@@ -32,6 +32,7 @@ from steppoly import (
     n_minus_big,
     n_plus,
     pair_of,
+    pairing_matrix,
     pos_of,
     rat,
     recurrence_n_max,
@@ -42,13 +43,16 @@ from steppoly import (
 from steppoly.cli import main, seeded_monic_matrix, seeded_point
 from steppoly.errors import Breakdown
 from steppoly.families import degree_bound
-from steppoly.linalg import corner, mat_eq
+from steppoly.linalg import corner
 from steppoly.measures import MeasureMatrix, MomentTable
+from steppoly.moments import hankel_mismatches
+from steppoly.report import CheckReport, Violation
 
 from _support import (
     SHAPES,
     build_system,
     grid_values,
+    mat_eq,
     mixed_mm,
     solve_a_col,
     solve_b_row,
@@ -147,7 +151,7 @@ def test_criterion_3_orthogonality_and_oracle():
         system = build_system(q, p, 20, seed=301)
         rep = check_orthogonality(system.A, system.B, system.mm)
         assert rep.ok and rep.checked > 0, (q, p, rep.violations[:1])
-        rep = check_biorthogonality(system.A, system.B, system.mm)
+        rep = check_biorthogonality(pairing_matrix(system.A, system.B, system.mm))
         assert rep.ok and rep.checked == 400, (q, p, rep.violations[:1])
 
     for q, p in SHAPES:
@@ -188,9 +192,9 @@ def test_criterion_5_recurrence():
     for q, p in SHAPES:
         system = build_system(q, p, required_depth(window, q, p), seed=501)
         for k in (1, 2):
-            assert check_hankel_symmetry(system.M, k), (q, p, k)
+            assert not hankel_mismatches(system.M, k), (q, p, k)
             T = build_recurrence(system.F, q, p, k, window)
-            assert check_dual_form(T, system.F), (q, p, k)
+            assert check_dual_form(T, system.F).ok, (q, p, k)
             band = validate_band(T)
             assert band.ok, (q, p, k, band.violations[:1])
             assert recurrence_n_max(T, len(system.A.cols), len(system.B.rows)) >= 15
@@ -227,8 +231,8 @@ def test_criterion_6_cd_abc_reproduction_projection():
         xs = [(a, b) for a in grid_values(dx1 + 2) for b in grid_values(dx2 + 2)]
         ys = [(a, b) for a in grid_values(dy1 + 2) for b in grid_values(dy2 + 2)]
 
-        a_cache = {x: [system.A.eval_col(i, *x) for i in range(lim_a)] for x in xs}
-        b_cache = {y: [system.B.eval_row(i, *y) for i in range(lim_b)] for y in ys}
+        a_cache = {x: [system.A.eval(i, *x) for i in range(lim_a)] for x in xs}
+        b_cache = {y: [system.B.eval(i, *y) for i in range(lim_b)] for y in ys}
         blocks_kn = {
             (k, n): cd_blocks(T[k], system.A, system.B, n, k)
             for k in (1, 2)
@@ -268,24 +272,27 @@ def test_criterion_6_cd_abc_reproduction_projection():
         sample = [(xs[0], ys[-1]), (xs[-1], ys[0]), (xs[len(xs) // 2], ys[len(ys) // 2])]
         for k in (1, 2):
             blocks = cd_blocks(T[k], system.A, system.B, 3, k)
-            for x, y in sample:
-                assert check_cd_formula(blocks, x, y)
+            rep = check_cd_formula(blocks, sample)
+            assert rep.ok and rep.checked == len(sample)
 
         rng = random.Random(602)
         pairs = [(seeded_point(rng), seeded_point(rng)) for _ in range(10)]
         for n in range(n_top + 1):
-            for x, y in pairs:
-                assert check_abc(system.mm, system.A, system.B, n, x, y), (q, p, n)
+            rep = check_abc(system.mm, system.A, system.B, n, pairs)
+            assert rep.ok and rep.checked == len(pairs), (q, p, n)
 
-        assert check_reproduction(system.A, system.B, system.mm, n_top)
+        window_a = FamilyA(p, system.A.cols[: n_top + 1])
+        gram = pairing_matrix(window_a, FamilyB(q, system.B.rows[: n_top + 1]), system.mm)
+        assert check_biorthogonality(gram).ok
+        assert check_reproduction(system.A, system.B, gram, n_top).ok
 
         for I in (1, 2, 3):
             P = seeded_monic_matrix(rng, p, I)
-            assert check_projection(system.A, system.B, system.mm, I * p + p - 1, P)
+            assert check_projection(system.A, system.B, system.mm, I * p + p - 1, P).ok
             P_dual = seeded_monic_matrix(rng, q, I)
-            assert check_projection_dual(
-                system.A, system.B, system.mm, I * q + q - 1, P_dual
-            )
+            assert check_projection(
+                system.B, system.A, system.mm.transpose(), I * q + q - 1, P_dual.transpose()
+            ).ok
 
     assert time.perf_counter() - start < 180.0
 
@@ -365,7 +372,8 @@ def test_criterion_8_cli_contract(tmp_path, monkeypatch):
     import steppoly.cli as cli_mod
 
     with monkeypatch.context() as mp:
-        mp.setattr(cli_mod, "check_dual_form", lambda *a, **k: False)
+        mp.setattr(cli_mod, "check_dual_form",
+                   lambda *a, **k: CheckReport("dual", [Violation("dual", (), "forced")], 1))
         assert main(["verify", "--config", str(cfg)]) == 1
 
     broken = tmp_path / "broken.json"

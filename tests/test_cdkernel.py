@@ -8,11 +8,11 @@ from steppoly import (
     check_abc,
     check_cd_formula,
     check_projection,
-    check_projection_dual,
     check_reproduction,
     kernel_eval,
     n_minus_big,
     n_plus,
+    pairing_matrix,
     rat,
     recurrence_n_max,
     required_depth,
@@ -101,21 +101,23 @@ class TestCDFormula:
                 n_max = recurrence_n_max(T[k], len(system.A.cols), len(system.B.rows))
                 for n in range(n_max):
                     blocks = cd_blocks(T[k], system.A, system.B, n, k)
-                    assert check_cd_formula(blocks, X, Y), (q, p, k, n)
+                    assert check_cd_formula(blocks, [(X, Y)]).ok, (q, p, k, n)
 
     def test_small_grid(self):
         system, T = system_with_T(1, 2, 10, seed=88)
         blocks = cd_blocks(T[1], system.A, system.B, 3, 1)
         vals = grid_values(4)
-        for x1 in vals:
-            for y2 in vals:
-                assert check_cd_formula(blocks, (x1, rat(1, 3)), (rat(-1, 2), y2))
+        pairs = [((x1, rat(1, 3)), (rat(-1, 2), y2)) for x1 in vals for y2 in vals]
+        rep = check_cd_formula(blocks, pairs)
+        assert rep.ok and rep.checked == len(pairs), rep.violations[:1]
 
     def test_detects_wrong_families(self):
         system, T = system_with_T(1, 1, 10, seed=89)
         other = build_system(1, 1, system.depth, seed=90)
         blocks = cd_blocks(T[1], other.A, other.B, 2, 1)
-        assert not check_cd_formula(blocks, X, Y)
+        rep = check_cd_formula(blocks, [(X, Y)])
+        assert not rep.ok
+        assert rep.violations[0].where[:2] == (1, 2)
 
 
 class TestABC:
@@ -123,24 +125,27 @@ class TestABC:
         for q, p in SHAPES:
             system = build_system(q, p, 10, seed=91)
             for n in range(7):
-                assert check_abc(system.mm, system.A, system.B, n, X, Y), (q, p, n)
+                assert check_abc(system.mm, system.A, system.B, n, [(X, Y)]).ok, (q, p, n)
 
     def test_detects_foreign_moments(self):
         system = build_system(1, 1, 8, seed=92)
         other = build_system(1, 1, 8, seed=93)
-        assert not check_abc(other.mm, system.A, system.B, 4, X, Y)
+        rep = check_abc(other.mm, system.A, system.B, 4, [(X, Y), (Y, X)])
+        assert rep.checked == 2 and len(rep.violations) == 2
 
 
 class TestReproduction:
     def test_exact_on_random_systems(self):
         for q, p in SHAPES:
             system = build_system(q, p, 10, seed=94)
-            assert check_reproduction(system.A, system.B, system.mm, 7), (q, p)
+            gram = pairing_matrix(system.A, system.B, system.mm)
+            assert check_reproduction(system.A, system.B, gram, 7).ok, (q, p)
 
     def test_detects_foreign_families(self):
         system = build_system(2, 1, 10, seed=95)
         other = build_system(2, 1, 10, seed=96)
-        assert not check_reproduction(other.A, system.B, system.mm, 7)
+        gram = pairing_matrix(other.A, system.B, system.mm)
+        assert not check_reproduction(other.A, system.B, gram, 7).ok
 
 
 def monic_matrix(dim: int, lead_pos: int) -> PolyMatrix:
@@ -159,17 +164,20 @@ class TestProjection:
         for q, p in SHAPES:
             system = build_system(q, p, 14, seed=97)
             I = 2
-            assert check_projection(system.A, system.B, system.mm, I * p + p - 1, monic_matrix(p, I))
-            assert check_projection_dual(
-                system.A, system.B, system.mm, I * q + q - 1, monic_matrix(q, I)
-            )
+            assert check_projection(
+                system.A, system.B, system.mm, I * p + p - 1, monic_matrix(p, I)
+            ).ok
+            assert check_projection(
+                system.B, system.A, system.mm.transpose(), I * q + q - 1,
+                monic_matrix(q, I).transpose(),
+            ).ok
 
     def test_below_threshold_is_an_error_not_a_failure(self):
         system = build_system(1, 2, 14, seed=98)
         with pytest.raises(ValueError):
             check_projection(system.A, system.B, system.mm, 4, monic_matrix(2, 2))
         with pytest.raises(ValueError):
-            check_projection_dual(system.A, system.B, system.mm, 1, monic_matrix(1, 2))
+            check_projection(system.B, system.A, system.mm.transpose(), 1, monic_matrix(1, 2))
 
     def test_shape_and_monicity_guards(self):
         system = build_system(1, 2, 10, seed=99)
@@ -177,7 +185,7 @@ class TestProjection:
             check_projection(system.A, system.B, system.mm, 7, monic_matrix(1, 2))
         bad = PolyMatrix([[BiPoly({2: rat(3)})]])  # leading coefficient not 1
         with pytest.raises(ValueError):
-            check_projection_dual(system.A, system.B, system.mm, 7, bad)
+            check_projection(system.B, system.A, system.mm.transpose(), 7, bad)
 
     def test_family_range_guard(self):
         system = build_system(1, 1, 6, seed=100)
@@ -187,7 +195,15 @@ class TestProjection:
     def test_detects_foreign_families(self):
         system = build_system(1, 1, 12, seed=101)
         other = build_system(1, 1, 12, seed=102)
-        assert not check_projection(other.A, other.B, system.mm, 7, monic_matrix(1, 2))
+        assert not check_projection(other.A, other.B, system.mm, 7, monic_matrix(1, 2)).ok
+
+    def test_dual_detects_foreign_families(self):
+        system = build_system(1, 2, 14, seed=103)
+        other = build_system(1, 2, 14, seed=104)
+        P = monic_matrix(1, 2).transpose()
+        assert check_projection(system.B, system.A, system.mm.transpose(), 7, P).ok
+        rep = check_projection(other.B, other.A, system.mm.transpose(), 7, P)
+        assert not rep.ok and rep.checked > 0
 
 
 class TestMonicPredicate:

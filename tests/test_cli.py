@@ -15,6 +15,7 @@ import steppoly
 from steppoly import build_recurrence, kernel_eval, parse_rat, rat, required_depth
 from steppoly.bipoly import BiPoly
 from steppoly.cli import CHECK_NAMES, main
+from steppoly.report import CheckReport, Violation
 
 from _support import build_system, table_mm
 
@@ -28,6 +29,14 @@ def good_config(tmp_path, q=1, p=2, depth=DEPTH, seed=3, **extra):
     obj.update({"schema_version": 1, "depth": depth, "seed": seed})
     obj.update(extra)
     path = tmp_path / "config.json"
+    path.write_text(json.dumps(obj))
+    return path
+
+
+def write_config(tmp_path, name, q, p, depth, cell):
+    obj = {"schema_version": 1, "q": q, "p": p, "depth": depth,
+           "measures": [[cell] * p for _ in range(q)]}
+    path = tmp_path / name
     path.write_text(json.dumps(obj))
     return path
 
@@ -91,12 +100,33 @@ class TestVerify:
         import steppoly.cli as cli_mod
 
         cfg = good_config(tmp_path)
-        monkeypatch.setattr(cli_mod, "check_reproduction", lambda *a, **k: False)
+        monkeypatch.setattr(
+            cli_mod, "check_reproduction",
+            lambda *a, **k: CheckReport("reproduction", [Violation("reproduction", (5,), "forced")], 1),
+        )
         assert main(["verify", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
         report = json.loads((tmp_path / "o" / "report.json").read_text())
         statuses = {c["name"]: c["status"] for c in report["checks"]}
         assert statuses["reproduction"] == "fail"
         assert report["summary"]["fail"] == 1
+        details = {c["name"]: c["details"] for c in report["checks"]}
+        assert details["reproduction"] == "1 violation(s); first at (5,): forced"
+
+    def test_vacuous_checks_are_skipped(self, tmp_path, capsys):
+        # at depth 1 with (q, p) = (1, 1) four checks have no relation to verify
+        cell = {"type": "rect", "box": ["-1", "1", "-1", "1"], "density": {"0": "1"}}
+        cfg = write_config(tmp_path, "depth1.json", 1, 1, 1, cell)
+        assert main(["verify", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
+        report = json.loads((tmp_path / "o" / "report.json").read_text())
+        outcomes = {c["name"]: c for c in report["checks"]}
+        vacuous = {"orthogonality", "band", "recurrence", "cd"}
+        for name in vacuous:
+            assert outcomes[name]["status"] == "skipped", name
+            assert outcomes[name]["details"], name
+        for name in set(CHECK_NAMES) - vacuous:
+            assert outcomes[name]["status"] == "pass", name
+        assert report["summary"] == {"pass": 7, "fail": 0, "skipped": 4}
+        assert "cd: SKIPPED (" in capsys.readouterr().out
 
     def test_breakdown_exits_two(self, tmp_path, capsys):
         cfg = breakdown_config(tmp_path)
@@ -135,6 +165,14 @@ class TestConfigErrors:
     def test_bad_eval_point(self, tmp_path):
         cfg = good_config(tmp_path, eval_points=[["1/2"]])
         assert main(["verify", "--config", str(cfg)]) == 3
+
+    def test_table_too_shallow_for_depth(self, tmp_path, capsys):
+        cell = {"type": "table", "max_total_deg": 2,
+                "moments": {"0,0": "1", "1,0": "1/2", "0,1": "1/3", "2,0": "1", "0,2": "2"}}
+        cfg = write_config(tmp_path, "shallow.json", 1, 1, 3, cell)
+        assert main(["verify", "--config", str(cfg)]) == 3
+        assert "moment (3,0) exceeds declared max_total_deg=2" in capsys.readouterr().err
+        assert main(["compute", "--config", str(cfg), "--out", str(tmp_path / "x")]) == 3
 
     def test_usage_error_folds_to_three(self):
         assert main(["frobnicate"]) == 3

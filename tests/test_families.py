@@ -12,6 +12,7 @@ from steppoly import (
     check_orthogonality,
     extract_families,
     factorize,
+    pairing_matrix,
     rat,
     validate_degree_structure,
 )
@@ -115,14 +116,14 @@ class TestBiorthogonality:
     def test_exact_duality(self):
         for q, p in SHAPES:
             system = build_system(q, p, 10, seed=47)
-            rep = check_biorthogonality(system.A, system.B, system.mm)
+            rep = check_biorthogonality(pairing_matrix(system.A, system.B, system.mm))
             assert rep.ok, (q, p, rep.violations[:1])
             assert rep.checked == 100
 
     def test_detects_scaling_error(self):
         system = build_system(1, 1, 8, seed=48)
         rows = [[poly.mul_scalar(rat(2)) for poly in row] for row in system.B.rows]
-        rep = check_biorthogonality(system.A, FamilyB(1, rows), system.mm)
+        rep = check_biorthogonality(pairing_matrix(system.A, FamilyB(1, rows), system.mm))
         assert not rep.ok
 
 

@@ -6,17 +6,9 @@ from hypothesis import strategies as st
 
 from steppoly import factorize, invert_unitriangular, rat
 from steppoly.errors import Breakdown, SingularMatrix
-from steppoly.linalg import (
-    corner,
-    gauss_jordan_inverse,
-    identity,
-    mat_eq,
-    matmul,
-    solve,
-    transpose,
-)
+from steppoly.linalg import corner, gauss_jordan_inverse, identity, matmul, transpose
 
-from _support import SHAPES, build_system
+from _support import SHAPES, build_system, mat_eq, solve
 
 rationals = st.builds(rat, st.integers(-9, 9), st.integers(1, 5))
 nonzero = st.builds(rat, st.integers(1, 9), st.integers(1, 5))

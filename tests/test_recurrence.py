@@ -130,8 +130,18 @@ class TestDualForm:
             system = build_system(q, p, required_depth(D, q, p), seed=66)
             for k in (1, 2):
                 T = build_recurrence(system.F, q, p, k, D)
-                assert check_dual_form(T, system.F), (q, p, k)
+                assert check_dual_form(T, system.F).ok, (q, p, k)
                 assert dual_recurrence(system.F, q, p, k, D) == T.data
+
+    def test_planted_mismatch_located(self):
+        system = build_system(2, 3, required_depth(8, 2, 3), seed=66)
+        T = build_recurrence(system.F, 2, 3, 2, 8)
+        data = [row[:] for row in T.data]
+        data[5][3] += rat(1, 7)
+        bad = RecurrenceTruncation(T.k, T.q, T.p, T.size, data, T.H)
+        rep = check_dual_form(bad, system.F)
+        assert [v.where for v in rep.violations] == [(2, 5, 3)]
+        assert rep.checked == 64
 
 
 class TestRelations:
