@@ -26,7 +26,7 @@ from .families import (
     pairing_matrix,
     validate_degree_structure,
 )
-from .gaussborel import Factorization, factorize, invert_unitriangular
+from .gaussborel import Factorization, factorize
 from .measures import Discrete, MeasureMatrix, MomentTable, RectDensity, measure_from_json
 from .moments import MomentTruncation, assemble_moments
 from .rational import as_rat, format_rat, parse_rat, rat
@@ -90,7 +90,6 @@ __all__ = [
     "floor_f",
     "format_rat",
     "in_complement_J",
-    "invert_unitriangular",
     "kernel_eval",
     "measure_from_json",
     "n_minus_big",

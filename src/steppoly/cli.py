@@ -34,7 +34,7 @@ from .cdkernel import (
     check_reproduction,
     kernel_eval,
 )
-from .errors import Breakdown, ConfigError
+from .errors import Breakdown, ConfigError, DepthError
 from .families import (
     FamilyA,
     FamilyB,
@@ -569,6 +569,9 @@ def main(argv: list[str] | None = None) -> int:
     except Breakdown as exc:
         print(f"factorization breakdown at index {exc.index}", file=sys.stderr)
         return 2
+    except DepthError as exc:
+        print(f"depth error: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

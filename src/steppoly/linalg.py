@@ -6,17 +6,6 @@ from .errors import SingularMatrix
 from .rational import ZERO, as_rat, rat
 
 
-def zeros(rows: int, cols: int) -> list[list]:
-    return [[rat(0) for _ in range(cols)] for _ in range(rows)]
-
-
-def identity(n: int) -> list[list]:
-    out = zeros(n, n)
-    for i in range(n):
-        out[i][i] = rat(1)
-    return out
-
-
 def transpose(a: list[list]) -> list[list]:
     return [list(col) for col in zip(*a)]
 

@@ -29,7 +29,7 @@ from steppoly import (
 )
 from steppoly.bipoly import BiPoly
 from steppoly.errors import Breakdown
-from steppoly.linalg import corner, gauss_jordan_inverse, transpose
+from steppoly.linalg import corner, gauss_jordan_inverse, matmul, transpose
 from steppoly.moments import MomentTruncation
 from steppoly.rational import ZERO, as_rat
 from steppoly.stepline import in_complement_J, n_plus
@@ -185,6 +185,33 @@ def grid_values(count: int) -> list:
 
 
 # ---- dense and shift-operator oracles used only by the tests ------------
+
+
+def identity(n: int) -> list[list]:
+    return [[rat(1) if r == c else rat(0) for c in range(n)] for r in range(n)]
+
+
+def invert_unitriangular(T: list[list]) -> list[list]:
+    """Exact inverse of a lower unitriangular matrix by forward substitution."""
+    n = len(T)
+    for i, row in enumerate(T):
+        if len(row) != n or row[i] != 1:
+            raise ValueError("matrix is not lower unitriangular")
+    inv = identity(n)
+    for j in range(n):
+        for i in range(j + 1, n):
+            acc = rat(0)
+            for m in range(j, i):
+                if T[i][m] != 0 and inv[m][j] != 0:
+                    acc += T[i][m] * inv[m][j]
+            inv[i][j] = -acc
+    return inv
+
+
+def reconstruct(F: Factorization) -> list[list]:
+    """S^-1 diag(H) Sbar^-T from the stored inverses, for comparison against the truncation."""
+    hsbar_t = [[F.H[i] * v for v in row] for i, row in enumerate(transpose(F.Sbar_inv))]
+    return matmul(F.S_inv, hsbar_t)
 
 
 def mat_eq(a: list[list], b: list[list]) -> bool:

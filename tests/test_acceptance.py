@@ -52,8 +52,10 @@ from _support import (
     SHAPES,
     build_system,
     grid_values,
+    invert_unitriangular,
     mat_eq,
     mixed_mm,
+    reconstruct,
     solve_a_col,
     solve_b_row,
 )
@@ -126,7 +128,9 @@ def test_criterion_2_factorization_suite():
                 except Breakdown:
                     tries += 1
                     assert tries < 6, f"too many degenerate draws at {(q, p, seed)}"
-            assert mat_eq(F.reconstruct(), M.data), (q, p, seed)
+            assert mat_eq(reconstruct(F), M.data), (q, p, seed)
+            assert F.S_inv == invert_unitriangular(F.S), (q, p, seed)
+            assert F.Sbar_inv == invert_unitriangular(F.Sbar), (q, p, seed)
             for d in range(1, extended):
                 Fd = factorize(corner(M.data, d))
                 assert Fd.S == corner(F.S, d)

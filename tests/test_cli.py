@@ -15,6 +15,7 @@ import steppoly
 from steppoly import build_recurrence, kernel_eval, parse_rat, rat, required_depth
 from steppoly.bipoly import BiPoly
 from steppoly.cli import CHECK_NAMES, main
+from steppoly.errors import DepthError
 from steppoly.report import CheckReport, Violation
 
 from _support import build_system, table_mm
@@ -244,6 +245,17 @@ class TestCompute:
     def test_breakdown_exits_two(self, tmp_path):
         cfg = breakdown_config(tmp_path)
         assert main(["compute", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+
+    def test_depth_error_exits_three(self, tmp_path, monkeypatch, capsys):
+        import steppoly.cli as cli_mod
+
+        def shallow(M):
+            raise DepthError("factorization depth 2 < 5 needed", required=5)
+
+        monkeypatch.setattr(cli_mod, "factorize", shallow)
+        cfg = good_config(tmp_path)
+        assert main(["compute", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 3
+        assert "depth error: factorization depth 2 < 5 needed" in capsys.readouterr().err
 
 
 class TestKernel:

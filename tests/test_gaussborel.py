@@ -4,11 +4,20 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from steppoly import factorize, invert_unitriangular, rat
+from steppoly import factorize, rat
 from steppoly.errors import Breakdown, SingularMatrix
-from steppoly.linalg import corner, gauss_jordan_inverse, identity, matmul, transpose
+from steppoly.linalg import corner, gauss_jordan_inverse, matmul, transpose
+from steppoly.rational import QType
 
-from _support import SHAPES, build_system, mat_eq, solve
+from _support import (
+    SHAPES,
+    build_system,
+    identity,
+    invert_unitriangular,
+    mat_eq,
+    reconstruct,
+    solve,
+)
 
 rationals = st.builds(rat, st.integers(-9, 9), st.integers(1, 5))
 nonzero = st.builds(rat, st.integers(1, 9), st.integers(1, 5))
@@ -27,6 +36,12 @@ def planted_factors(draw):
             U[c][r] = draw(rationals)
     H = [draw(nonzero) * draw(signs) for _ in range(n)]
     return L, H, U
+
+
+def all_rational(F):
+    """Every entry of every factor is a backend rational, never a raw int."""
+    mats = (F.S, F.Sbar, F.S_inv, F.Sbar_inv, [F.H])
+    return all(type(v) is QType for m in mats for row in m for v in row)
 
 
 def assemble(L, H, U):
@@ -53,7 +68,7 @@ class TestFactorize:
         assert F.H == [rat(2), rat(1, 2)]
         assert F.S == [[rat(1), rat(0)], [rat(-1, 2), rat(1)]]
         assert F.Sbar == [[rat(1), rat(0)], [rat(-1, 2), rat(1)]]
-        assert mat_eq(F.reconstruct(), [[rat(2), rat(1)], [rat(1), rat(1)]])
+        assert mat_eq(reconstruct(F), [[rat(2), rat(1)], [rat(1), rat(1)]])
 
     def test_breakdown_on_zero_leading_entry(self):
         with pytest.raises(Breakdown) as exc:
@@ -65,6 +80,16 @@ class TestFactorize:
             factorize([[rat(1), rat(2)], [rat(3), rat(6)]])
         assert exc.value.index == 1
 
+    @given(planted_factors(), st.data())
+    def test_breakdown_at_planted_zero_pivot(self, factors, data):
+        # the leading minor of size j+1 is H_0 ... H_j, so the first zero H_k is the breakdown
+        L, H, U = factors
+        k = data.draw(st.integers(0, len(H) - 1))
+        H[k] = rat(0)
+        with pytest.raises(Breakdown) as exc:
+            factorize(assemble(L, H, U))
+        assert exc.value.index == k
+
     @given(planted_factors())
     def test_recovers_planted_factors(self, factors):
         L, H, U = factors
@@ -72,7 +97,20 @@ class TestFactorize:
         assert F.H == H
         assert mat_eq(F.S_inv, L)
         assert mat_eq(F.Sbar_inv, transpose(U))
-        assert mat_eq(F.reconstruct(), assemble(L, H, U))
+        assert mat_eq(F.S, invert_unitriangular(L))
+        assert mat_eq(F.Sbar, invert_unitriangular(transpose(U)))
+        assert mat_eq(reconstruct(F), assemble(L, H, U))
+        assert all_rational(F)
+
+    def test_factor_types_and_stored_inverses(self):
+        F = build_system(2, 3, 20, seed=34).F
+        assert all_rational(F)
+        assert mat_eq(F.S_inv, invert_unitriangular(F.S))
+        assert mat_eq(F.Sbar_inv, invert_unitriangular(F.Sbar))
+        for d in range(F.depth + 1):
+            Fc = F.corner(d)
+            assert Fc.S_inv == corner(F.S_inv, d)
+            assert Fc.Sbar_inv == corner(F.Sbar_inv, d)
 
     @given(planted_factors())
     def test_triangular_shapes(self, factors):
@@ -97,7 +135,7 @@ class TestFactorize:
     def test_reconstruction_on_random_systems(self):
         for q, p in SHAPES:
             system = build_system(q, p, 12, seed=32)
-            assert mat_eq(system.F.reconstruct(), system.M.data), (q, p)
+            assert mat_eq(reconstruct(system.F), system.M.data), (q, p)
 
     def test_symmetric_moment_matrix_gives_equal_factors(self):
         system = build_system(1, 1, 14, seed=33)
