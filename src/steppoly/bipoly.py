@@ -202,7 +202,10 @@ class BiPoly:
 
     @staticmethod
     def from_json(obj: Mapping[str, str]) -> "BiPoly":
-        return BiPoly({int(K): parse_rat(v) for K, v in obj.items()})
+        coeffs = {int(K): parse_rat(v) for K, v in obj.items()}
+        if any(K < 0 for K in coeffs):
+            raise ValueError(f"negative monomial position in {sorted(coeffs)}")
+        return BiPoly(coeffs)
 
 
 class PolyMatrix:

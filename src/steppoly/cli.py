@@ -84,18 +84,19 @@ class RunConfig:
         mm = MeasureMatrix.from_json(obj)
         try:
             depth = int(obj.get("depth", 1))
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise ConfigError(f"bad depth: {exc}") from exc
         if depth < 1:
             raise ConfigError(f"depth must be >= 1, got {depth}")
         checks = obj.get("checks", list(CHECK_NAMES))
         if not isinstance(checks, list) or not all(isinstance(c, str) for c in checks):
             raise ConfigError("checks must be a list of names")
-        for c in checks:
-            if c not in CHECK_NAMES:
-                raise ConfigError(f"unknown check {c!r}; known: {', '.join(CHECK_NAMES)}")
+        require_known_checks(checks)
+        entries = obj.get("eval_points", [])
+        if not isinstance(entries, list):
+            raise ConfigError("eval_points must be a list of pairs")
         points = []
-        for entry in obj.get("eval_points", []):
+        for entry in entries:
             if not isinstance(entry, (list, tuple)) or len(entry) != 2:
                 raise ConfigError(f"eval point must be a pair, got {entry!r}")
             try:
@@ -104,7 +105,7 @@ class RunConfig:
                 raise ConfigError(f"bad eval point {entry!r}: {exc}") from exc
         try:
             seed = int(obj.get("seed", 0))
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise ConfigError(f"bad seed: {exc}") from exc
         output = obj.get("output")
         if output is not None and not isinstance(output, str):
@@ -206,15 +207,18 @@ def _dump_json(obj: dict) -> str:
     return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 
+def extended_depth(config: RunConfig) -> int:
+    """Factorization depth of a run: deep enough for T_1 and T_2 on the depth window."""
+    return max(required_depth(config.depth, config.q, config.p), config.depth)
+
+
 class Workspace:
     """Everything computed for one config at one depth."""
 
     def __init__(self, config: RunConfig):
         self.config = config
         self.depth = config.depth
-        self.extended_depth = max(
-            required_depth(config.depth, config.q, config.p), config.depth
-        )
+        self.extended_depth = extended_depth(config)
         self.M = assemble_moments(config.measures, self.extended_depth)
         self.F = factorize(self.M)
         self.A, self.B = extract_families(self.F, config.q, config.p)
@@ -295,6 +299,12 @@ CHECKS = {
 CHECK_NAMES = list(CHECKS)
 
 
+def require_known_checks(names: list[str]) -> None:
+    for c in names:
+        if c not in CHECK_NAMES:
+            raise ConfigError(f"unknown check {c!r}; known: {', '.join(CHECK_NAMES)}")
+
+
 def _violation_summary(violations: list) -> str:
     first = violations[0]
     return f"{len(violations)} violation(s); first at {first.where}: {first.detail}"
@@ -335,7 +345,7 @@ def run(config: RunConfig) -> Report:
         return Report(
             status="breakdown",
             depth=config.depth,
-            extended_depth=max(required_depth(config.depth, config.q, config.p), config.depth),
+            extended_depth=extended_depth(config),
             seed=config.seed,
             q=config.q,
             p=config.p,
@@ -361,6 +371,21 @@ def _matrix_to_strings(data: list[list]) -> list[list[str]]:
     return [[format_rat(v) for v in row] for row in data]
 
 
+# The matrix each matrix export kind reads; exports show its depth x depth corner.
+EXPORT_MATRICES = {
+    "S": lambda ws: ws.F.S,
+    "Sbar": lambda ws: ws.F.Sbar,
+    "T1": lambda ws: ws.T[1].data,
+    "T2": lambda ws: ws.T[2].data,
+    "moments": lambda ws: ws.M.data,
+}
+
+
+def _export_entries(ws: Workspace, what: str) -> list[list[str]]:
+    D = ws.depth
+    return _matrix_to_strings([row[:D] for row in EXPORT_MATRICES[what](ws)[:D]])
+
+
 def export_json(ws: Workspace, what: str) -> str:
     if what not in EXPORT_KINDS:
         raise ConfigError(f"unknown export kind {what!r}")
@@ -368,15 +393,6 @@ def export_json(ws: Workspace, what: str) -> str:
     D = ws.depth
     if what == "H":
         obj["values"] = [format_rat(h) for h in ws.F.H[:D]]
-    elif what == "S":
-        obj["entries"] = _matrix_to_strings([row[:D] for row in ws.F.S[:D]])
-    elif what == "Sbar":
-        obj["entries"] = _matrix_to_strings([row[:D] for row in ws.F.Sbar[:D]])
-    elif what in ("T1", "T2"):
-        k = 1 if what == "T1" else 2
-        obj["entries"] = _matrix_to_strings(ws.T[k].data)
-    elif what == "moments":
-        obj["entries"] = _matrix_to_strings([row[:D] for row in ws.M.data[:D]])
     elif what == "families":
         obj["q"] = ws.config.q
         obj["p"] = ws.config.p
@@ -386,7 +402,8 @@ def export_json(ws: Workspace, what: str) -> str:
         obj["B"] = [
             [poly.to_json() for poly in ws.B.rows[n]] for n in range(D)
         ]
-    if "entries" in obj:
+    else:
+        obj["entries"] = _export_entries(ws, what)
         obj["rows"] = len(obj["entries"])
         obj["cols"] = len(obj["entries"][0]) if obj["entries"] else 0
     return _dump_json(obj)
@@ -400,15 +417,7 @@ def export_csv(ws: Workspace, what: str, render_decimal: bool = False) -> str:
     if what == "H":
         rows = [[format_rat(h) for h in ws.F.H[: ws.depth]]]
     else:
-        data = {
-            "S": ws.F.S,
-            "Sbar": ws.F.Sbar,
-            "T1": ws.T[1].data,
-            "T2": ws.T[2].data,
-            "moments": ws.M.data,
-        }[what]
-        D = ws.depth
-        rows = _matrix_to_strings([row[:D] for row in data[:D]])
+        rows = _export_entries(ws, what)
     for row in rows:
         if render_decimal:
             dec = [f"{float(parse_rat(v)):.12g}" for v in row]
@@ -442,11 +451,7 @@ def _cmd_compute(args) -> int:
             raise ConfigError("--depth must be >= 1")
         config.depth = args.depth
     t0 = time.perf_counter()
-    try:
-        ws = Workspace(config)
-    except Breakdown as exc:
-        print(f"factorization breakdown at index {exc.index}", file=sys.stderr)
-        return 2
+    ws = Workspace(config)
     out_dir = Path(args.out or config.output or ".")
     written = write_exports(ws, out_dir, args.render_decimal)
     print(f"wrote {len(written)} files to {out_dir}", file=sys.stderr)
@@ -458,9 +463,7 @@ def _cmd_verify(args) -> int:
     config = load_config(args.config)
     if args.checks:
         names = [c.strip() for c in args.checks.split(",") if c.strip()]
-        for c in names:
-            if c not in CHECK_NAMES:
-                raise ConfigError(f"unknown check {c!r}; known: {', '.join(CHECK_NAMES)}")
+        require_known_checks(names)
         config.checks = names
     if args.seed is not None:
         config.seed = args.seed
@@ -497,12 +500,7 @@ def _cmd_kernel(args) -> int:
         raise ConfigError(f"bad point: {exc}") from exc
     if len(x) != 2 or len(y) != 2:
         raise ConfigError("points need exactly two coordinates")
-    M = assemble_moments(config.measures, n + 1)
-    try:
-        F = factorize(M)
-    except Breakdown as exc:
-        print(f"factorization breakdown at index {exc.index}", file=sys.stderr)
-        return 2
+    F = factorize(assemble_moments(config.measures, n + 1))
     A, B = extract_families(F, config.q, config.p)
     value = kernel_eval(A, B, n, x, y)
     obj = {

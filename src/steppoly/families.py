@@ -51,37 +51,21 @@ class FamilyA(Family):
         self.cols = self.members = cols
 
 
+def _members(rows: list[list], r: int, coeff) -> list[list[BiPoly]]:
+    """Member n has r components; component i takes its coefficient at monomial
+    position K from column K*r + i of rows[n], as coeff(n, entry)."""
+    return [
+        [BiPoly({K: coeff(n, c) for K, c in enumerate(row[i:n + 1:r]) if c != 0})
+         for i in range(r)]
+        for n, row in enumerate(rows)
+    ]
+
+
 def extract_families(F: Factorization, q: int, p: int) -> tuple[FamilyA, FamilyB]:
     """Read both families off the factorization of a depth-D truncation."""
-    D = F.depth
-    b_rows = []
-    for n in range(D):
-        hn = F.H[n]
-        comps = []
-        for b_idx in range(q):
-            coeffs = {}
-            K = 0
-            while K * q + b_idx <= n:
-                c = F.S[n][K * q + b_idx]
-                if c != 0:
-                    coeffs[K] = c / hn
-                K += 1
-            comps.append(BiPoly(coeffs))
-        b_rows.append(comps)
-    a_cols = []
-    for n in range(D):
-        comps = []
-        for a_idx in range(p):
-            coeffs = {}
-            K = 0
-            while K * p + a_idx <= n:
-                c = F.Sbar[n][K * p + a_idx]
-                if c != 0:
-                    coeffs[K] = c
-                K += 1
-            comps.append(BiPoly(coeffs))
-        a_cols.append(comps)
-    return FamilyA(p, a_cols), FamilyB(q, b_rows)
+    H = F.H
+    return (FamilyA(p, _members(F.Sbar, p, lambda n, c: c)),
+            FamilyB(q, _members(F.S, q, lambda n, c: c / H[n])))
 
 
 def degree_bound(n: int, comp_idx: int, r: int) -> int:

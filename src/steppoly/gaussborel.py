@@ -55,6 +55,10 @@ class Factorization:
             corner(self.S_inv, d), corner(self.Sbar_inv, d),
         )
 
+    def transpose(self) -> "Factorization":
+        """The factorization M^T = Sbar^-1 H S^-T: the same factors, roles swapped."""
+        return Factorization(self.depth, self.Sbar, self.S, self.H, self.Sbar_inv, self.S_inv)
+
 
 def _unit_lower(D: int, entry) -> list[list]:
     """D x D unit lower triangular matrix with entry(n, c) below the diagonal."""

@@ -140,7 +140,7 @@ def measure_from_json(obj: Mapping) -> object:
                 s, t = key.split(",")
                 moments[(int(s), int(t))] = parse_rat(v)
             return MomentTable(int(obj["max_total_deg"]), moments)
-    except (KeyError, ValueError, TypeError) as exc:
+    except (KeyError, ValueError, TypeError, AttributeError, OverflowError) as exc:
         raise ConfigError(f"bad measure spec ({kind}): {exc}") from exc
     raise ConfigError(f"unknown measure type {kind!r}")
 
@@ -191,7 +191,7 @@ class MeasureMatrix:
         try:
             q, p = int(obj["q"]), int(obj["p"])
             grid = obj["measures"]
-        except (KeyError, ValueError, TypeError) as exc:
+        except (KeyError, ValueError, TypeError, OverflowError) as exc:
             raise ConfigError(f"bad measure matrix: {exc}") from exc
         if not isinstance(grid, Sequence) or len(grid) != q:
             raise ConfigError(f"measure grid shape must be {q} x {p}")

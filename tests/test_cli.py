@@ -10,12 +10,15 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import steppoly
 from steppoly import build_recurrence, kernel_eval, parse_rat, rat, required_depth
 from steppoly.bipoly import BiPoly
-from steppoly.cli import CHECK_NAMES, main
-from steppoly.errors import DepthError
+from steppoly.cli import CHECK_NAMES, RunConfig, main
+from steppoly.errors import ConfigError, DepthError
+from steppoly.measures import measure_from_json
 from steppoly.report import CheckReport, Violation
 
 from _support import build_system, table_mm
@@ -175,6 +178,29 @@ class TestConfigErrors:
         assert "moment (3,0) exceeds declared max_total_deg=2" in capsys.readouterr().err
         assert main(["compute", "--config", str(cfg), "--out", str(tmp_path / "x")]) == 3
 
+    @pytest.mark.parametrize("extra, message", [
+        ({"eval_points": 5}, "eval_points must be a list of pairs"),
+        ({"measures": [[{"type": "table", "max_total_deg": 4, "moments": ["0,0"]}]]},
+         "bad measure spec (table)"),
+        ({"measures": [[{"type": "rect", "box": ["0", "1", "0", "1"], "density": ["1"]}]]},
+         "bad measure spec (rect)"),
+        ({"measures": [[{"type": "rect", "box": ["0", "1", "0", "1"], "density": {"-1": "1"}}]]},
+         "bad measure spec (rect): negative monomial position"),
+        ({"depth": float("inf")}, "bad depth"),
+        ({"seed": float("inf")}, "bad seed"),
+        ({"q": float("inf")}, "bad measure matrix"),
+        ({"measures": [[{"type": "table", "max_total_deg": float("inf"), "moments": {}}]]},
+         "bad measure spec (table)"),
+    ])
+    def test_malformed_values_exit_three(self, tmp_path, capsys, extra, message):
+        obj = {"schema_version": 1, "q": 1, "p": 1, "depth": 2,
+               "measures": [[{"type": "table", "max_total_deg": 4, "moments": {"0,0": "1"}}]]}
+        obj.update(extra)
+        path = tmp_path / "malformed.json"
+        path.write_text(json.dumps(obj))
+        assert main(["verify", "--config", str(path)]) == 3
+        assert f"config error: {message}" in capsys.readouterr().err
+
     def test_usage_error_folds_to_three(self):
         assert main(["frobnicate"]) == 3
         assert main([]) == 3
@@ -242,9 +268,10 @@ class TestCompute:
         assert len(row) == 2 * DEPTH
         assert abs(float(row[DEPTH]) - float(parse_rat(row[0]))) < 1e-9
 
-    def test_breakdown_exits_two(self, tmp_path):
+    def test_breakdown_exits_two(self, tmp_path, capsys):
         cfg = breakdown_config(tmp_path)
         assert main(["compute", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        assert "factorization breakdown at index 1" in capsys.readouterr().err
 
     def test_depth_error_exits_three(self, tmp_path, monkeypatch, capsys):
         import steppoly.cli as cli_mod
@@ -278,12 +305,85 @@ class TestKernel:
         printed = capsys.readouterr().out
         assert (out / "kernel.json").read_text() == printed
 
+    def test_breakdown_exits_two(self, tmp_path, capsys):
+        cfg = breakdown_config(tmp_path)
+        assert main(["kernel", "--config", str(cfg), "--n", "1",
+                     "--x", "0,0", "--y", "1,1"]) == 2
+        captured = capsys.readouterr()
+        assert "factorization breakdown at index 1" in captured.err
+        assert captured.out == ""
+
     def test_bad_point_exits_three(self, tmp_path):
         cfg = good_config(tmp_path)
         assert main(["kernel", "--config", str(cfg), "--n", "2",
                      "--x", "1/2", "--y", "0,0"]) == 3
         assert main(["kernel", "--config", str(cfg), "--n", "-1",
                      "--x", "0,0", "--y", "0,0"]) == 3
+
+
+json_scalars = (
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6)
+    | st.sampled_from(["1", "-3/7", "0", "2/0", " 5 ", "1,0", "0,2", "x", float("inf")])
+)
+json_values = st.recursive(
+    json_scalars,
+    lambda inner: (st.lists(inner, max_size=4)
+                   | st.dictionaries(st.text(max_size=3), inner, max_size=3)),
+    max_leaves=8,
+)
+measure_specs = st.fixed_dictionaries(
+    {"type": st.sampled_from(["discrete", "rect", "table"]) | json_values},
+    optional={
+        "atoms": st.lists(st.fixed_dictionaries({}, optional={
+            "x": json_scalars, "y": json_scalars, "w": json_scalars}), max_size=3) | json_values,
+        "box": st.lists(json_scalars, min_size=3, max_size=5) | json_values,
+        "density": st.dictionaries(json_scalars.map(str), json_scalars, max_size=3) | json_values,
+        "moments": st.dictionaries(json_scalars.map(str), json_scalars, max_size=3) | json_values,
+        "max_total_deg": st.integers(-2, 6) | json_values,
+    },
+)
+VALID_CELLS = [
+    {"type": "table", "max_total_deg": 4, "moments": {"0,0": "1", "1,0": "1/2"}},
+    {"type": "rect", "box": ["-1", "1", "0", "2"], "density": {"0": "1", "2": "1/3"}},
+    {"type": "discrete", "atoms": [{"x": "1/2", "y": "-1", "w": "3"}]},
+]
+CONFIG_KEYS = ["schema_version", "q", "p", "measures", "depth", "checks", "eval_points",
+               "seed", "output"]
+
+
+@st.composite
+def run_configs(draw):
+    """A valid config with one key or one measure cell given an arbitrary value."""
+    q, p = draw(st.integers(1, 2)), draw(st.integers(1, 2))
+    grid = [[draw(st.sampled_from(VALID_CELLS)) for _ in range(p)] for _ in range(q)]
+    obj = {"schema_version": 1, "q": q, "p": p, "measures": grid}
+    target = draw(st.sampled_from(CONFIG_KEYS + ["cell"]))
+    if target == "cell":
+        grid[-1][-1] = draw(measure_specs | json_scalars | json_values)
+    else:
+        obj[target] = draw(json_scalars | json_values)
+    return obj
+
+
+def parses_or_config_error(parse, obj):
+    try:
+        parse(obj)
+    except ConfigError:
+        pass
+
+
+class TestConfigFuzz:
+    """Any JSON value either parses or raises ConfigError, never another exception."""
+
+    @settings(max_examples=300)
+    @given(measure_specs | json_values)
+    def test_measure_from_json(self, obj):
+        parses_or_config_error(measure_from_json, obj)
+
+    @settings(max_examples=300)
+    @given(run_configs() | json_values)
+    def test_run_config_from_json(self, obj):
+        parses_or_config_error(RunConfig.from_json, obj)
 
 
 def declared_entry_point(name):

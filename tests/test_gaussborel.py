@@ -137,6 +137,14 @@ class TestFactorize:
             system = build_system(q, p, 12, seed=32)
             assert mat_eq(reconstruct(system.F), system.M.data), (q, p)
 
+    def test_transpose_is_factorization_of_transpose(self):
+        # M^T = Sbar^-1 H S^-T, so the dual recurrence may read F.transpose()
+        for q, p in SHAPES:
+            system = build_system(q, p, 12, seed=32)
+            F, Ft = system.F.transpose(), factorize(transpose(system.M.data))
+            assert (Ft.depth, Ft.S, Ft.Sbar, Ft.H, Ft.S_inv, Ft.Sbar_inv) == (
+                F.depth, F.S, F.Sbar, F.H, F.S_inv, F.Sbar_inv), (q, p)
+
     def test_symmetric_moment_matrix_gives_equal_factors(self):
         system = build_system(1, 1, 14, seed=33)
         assert system.F.S == system.F.Sbar

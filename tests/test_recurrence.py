@@ -1,5 +1,7 @@
 """Recurrence matrices: band shape, dual agreement, and the relations themselves."""
 
+from collections import Counter
+
 import pytest
 
 from steppoly import (
@@ -11,6 +13,8 @@ from steppoly import (
     check_recurrence_matrix,
     check_recurrences,
     factorize,
+    in_complement_J,
+    n_minus_big,
     n_plus,
     rat,
     recurrence_n_max,
@@ -19,7 +23,8 @@ from steppoly import (
 )
 from steppoly.bipoly import BiPoly
 from steppoly.errors import DepthError
-from steppoly.recurrence import RecurrenceTruncation, dual_recurrence
+from steppoly.linalg import transpose
+from steppoly.recurrence import RecurrenceTruncation
 
 from _support import SHAPES, build_system
 
@@ -78,7 +83,83 @@ class TestLebesgueAnchor:
             assert T.data[n][n_plus(n, 1, 1)] == 1
 
 
+def row_relations(T: RecurrenceTruncation) -> Counter:
+    """(entry, expected value) of every row relation: zeros, trailing 1s, boxed H-ratios."""
+    D, out = T.size, Counter()
+    for n in range(D):
+        first, last = T.row_band(n)
+        out.update(((n, c), 0) for c in range(D) if c < first or c > last)
+        if last < D:
+            out[(n, last), 1] += 1
+        if in_complement_J(n, T.p, T.k):
+            out[(n, first), ("H", n, first)] += 1
+    return out
+
+
+def col_relations(T: RecurrenceTruncation) -> Counter:
+    """The same for columns: zeros, leading 1s off J_{q;k}, trailing H_last / H_n."""
+    D, out = T.size, Counter()
+    for n in range(D):
+        first, last = T.col_band(n)
+        out.update(((r, n), 0) for r in range(D) if r < first or r > last)
+        if in_complement_J(n, T.q, T.k) and first < D:
+            out[(first, n), 1] += 1
+        if last < D:
+            out[(last, n), ("H", last, n)] += 1
+    return out
+
+
+def planted(T: RecurrenceTruncation, m: int, n: int, value) -> RecurrenceTruncation:
+    data = [row[:] for row in T.data]
+    data[m][n] = value
+    return RecurrenceTruncation(T.k, T.q, T.p, T.size, data, T.H)
+
+
 class TestBandStructure:
+    def test_column_relations_are_row_relations(self):
+        # validate_band checks rows only; this is the index map that makes the
+        # column relations the same entries with the same expected values
+        for q, p in SHAPES:
+            for k in (1, 2):
+                for D in range(1, 31):
+                    T = RecurrenceTruncation(k, q, p, D, [], [])
+                    outside_rows = {e for (e, want) in row_relations(T) if want == 0}
+                    outside_cols = {e for (e, want) in col_relations(T) if want == 0}
+                    assert outside_rows == outside_cols, (q, p, k, D)
+                    for n in range(D):
+                        last = n_plus(n, p, k)
+                        if last < D:
+                            assert in_complement_J(last, p, k), (q, p, k, n)
+                            assert T.row_band(last)[0] == n, (q, p, k, n)
+                        first = n_minus_big(n, q, k)
+                        if in_complement_J(n, q, k) and first < D:
+                            assert T.row_band(first)[1] == n, (q, p, k, n)
+                    assert row_relations(T) == col_relations(T), (q, p, k, D)
+
+    def test_planted_column_errors_reported_once(self):
+        D = 12
+        for q, p in SHAPES:
+            system = build_system(q, p, required_depth(D, q, p), seed=62)
+            for k in (1, 2):
+                T = build_recurrence(system.F, q, p, k, D)
+                entries = []
+                for n in range(D):
+                    last = n_plus(n, p, k)
+                    if last < D:  # trailing column H-ratio
+                        entries.append((last, n, T.data[last][n] + rat(1, 5)))
+                    first = n_minus_big(n, q, k)
+                    if in_complement_J(n, q, k) and first < D:  # leading column 1
+                        entries.append((first, n, rat(3)))
+                    lo, hi = T.row_band(n)
+                    outside = [c for c in range(D) if c < lo or c > hi]
+                    if outside:
+                        entries.append((n, outside[0], rat(1, 9)))
+                assert entries
+                for m, n, value in entries:
+                    rep = validate_band(planted(T, m, n, value))
+                    assert [v.where for v in rep.violations] == [(k, m, n)], (q, p, k, m, n)
+                    assert rep.checked == validate_band(T).checked
+
     def test_validate_on_random_systems(self):
         for q, p in SHAPES:
             D = 12
@@ -131,7 +212,8 @@ class TestDualForm:
             for k in (1, 2):
                 T = build_recurrence(system.F, q, p, k, D)
                 assert check_dual_form(T, system.F).ok, (q, p, k)
-                assert dual_recurrence(system.F, q, p, k, D) == T.data
+                dual = build_recurrence(system.F.transpose(), p, q, k, D)
+                assert dual.data == transpose(T.conjugate()), (q, p, k)
 
     def test_planted_mismatch_located(self):
         system = build_system(2, 3, required_depth(8, 2, 3), seed=66)
