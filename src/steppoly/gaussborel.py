@@ -22,47 +22,73 @@ exact integers.  With Delta_n the n x n leading minor of Mi (Delta_0 = 1):
 
 One lcm per row rather than one for the whole truncation keeps the minors
 small: scaling by a single den multiplies Delta_n by den^n.
+
+Factorization keeps S, Sbar and H as rationals, and next to them the integers
+of the elimination, in the fraction-free LU form of Nakos, Turner and Williams
+(ACM SIGSAM Bull. 31, 1997) and of Zhou and Jeffrey (Front. Comput. Sci. China
+2, 2008): the minors Delta, and per side an IntegerSide (scale, L, L_inv) with
+
+    factor[n][c]    = L[n][c] scale_c / (Delta_n scale_n),
+    inverse[i][k]   = L_inv[i][k] scale_k / (Delta_{k+1} scale_i)
+
+for c <= n and k <= i.  On the S side the scale is r, L the rows of the right
+identity block (diagonal Delta_n) and L_inv the lower rows of Mi (diagonal
+Delta_{i+1}); on the Sbar side the scale is all ones, L the columns of the
+lower identity block and L_inv the upper part of Mi, read as rows.  The
+recurrence matrices are built from these integers; the rational inverses are
+never formed.
 """
 
 from __future__ import annotations
 
 from math import lcm
+from typing import NamedTuple
 
 from .errors import Breakdown
-from .linalg import corner
 from .moments import MomentTruncation
 from .rational import ONE, ZERO, as_rat, rat
 
 
-class Factorization:
-    """Factors of one truncation: S, Sbar (unit lower), the diagonal H, and the
-    inverses S^-1 and Sbar^-1 (unit lower) that the elimination yields with them."""
+class IntegerSide(NamedTuple):
+    """Integer numerators of one unit lower factor and of its inverse.
 
-    __slots__ = ("depth", "S", "Sbar", "H", "S_inv", "Sbar_inv")
+    Rows are stored up to and including the diagonal; see the module docstring
+    for how scale and the minors turn them into the rational entries.
+    """
+
+    scale: list[int]
+    L: list[list[int]]
+    L_inv: list[list[int]]
+
+
+class Factorization:
+    """Factors of one truncation: S, Sbar (unit lower) and the diagonal H, plus
+    the elimination's minors and one IntegerSide each for S and Sbar."""
+
+    __slots__ = ("depth", "S", "Sbar", "H", "minors", "S_int", "Sbar_int")
 
     def __init__(self, depth: int, S: list[list], Sbar: list[list], H: list,
-                 S_inv: list[list], Sbar_inv: list[list]):
+                 minors: list[int], S_int: IntegerSide, Sbar_int: IntegerSide):
         self.depth = depth
         self.S = S
         self.Sbar = Sbar
         self.H = H
-        self.S_inv = S_inv
-        self.Sbar_inv = Sbar_inv
-
-    def corner(self, d: int) -> "Factorization":
-        return Factorization(
-            d, corner(self.S, d), corner(self.Sbar, d), self.H[:d],
-            corner(self.S_inv, d), corner(self.Sbar_inv, d),
-        )
+        self.minors = minors
+        self.S_int = S_int
+        self.Sbar_int = Sbar_int
 
     def transpose(self) -> "Factorization":
         """The factorization M^T = Sbar^-1 H S^-T: the same factors, roles swapped."""
-        return Factorization(self.depth, self.Sbar, self.S, self.H, self.Sbar_inv, self.S_inv)
+        return Factorization(self.depth, self.Sbar, self.S, self.H, self.minors,
+                             self.Sbar_int, self.S_int)
 
 
-def _unit_lower(D: int, entry) -> list[list]:
-    """D x D unit lower triangular matrix with entry(n, c) below the diagonal."""
-    return [[entry(n, c) for c in range(n)] + [ONE] + [ZERO] * (D - 1 - n) for n in range(D)]
+def _unit_lower(minors: list[int], side: IntegerSide) -> list[list]:
+    """The rational unit lower factor whose numerators side stores."""
+    s, L, _ = side
+    D = len(s)
+    return [[rat(L[n][c] * s[c], minors[n] * s[n]) for c in range(n)] + [ONE] + [ZERO] * (D - 1 - n)
+            for n in range(D)]
 
 
 def factorize(M: MomentTruncation | list[list]) -> Factorization:
@@ -85,18 +111,23 @@ def factorize(M: MomentTruncation | list[list]) -> Factorization:
         if piv == 0:
             raise Breakdown(k)
         minors.append(piv)
-        tail_k, e_k, f_k = row_k[k + 1:], E[k] + [prev], F[k] + [prev]
+        E[k].append(prev)
+        F[k].append(prev)
+        tail_k, e_k, f_k = row_k[k + 1:], E[k], F[k]
         for i in range(k + 1, D):
             row_i = Mi[i]
             a, b = row_i[k], row_k[i]
             row_i[k + 1:] = [(piv * x - a * y) // prev for x, y in zip(row_i[k + 1:], tail_k)]
             E[i][:k + 1] = [(piv * x - a * y) // prev for x, y in zip(E[i], e_k)]
             F[i][:k + 1] = [(piv * x - b * y) // prev for x, y in zip(F[i], f_k)]
+    S_int = IntegerSide(r, E, [row[:i + 1] for i, row in enumerate(Mi)])
+    Sbar_int = IntegerSide([1] * D, F, [[Mi[k][i] for k in range(i + 1)] for i in range(D)])
     return Factorization(
         D,
-        S=_unit_lower(D, lambda n, c: rat(E[n][c] * r[c], minors[n] * r[n])),
-        Sbar=_unit_lower(D, lambda n, c: rat(F[n][c], minors[n])),
+        S=_unit_lower(minors, S_int),
+        Sbar=_unit_lower(minors, Sbar_int),
         H=[rat(minors[n + 1], minors[n] * r[n]) for n in range(D)],
-        S_inv=_unit_lower(D, lambda i, k: rat(Mi[i][k] * r[k], minors[k + 1] * r[i])),
-        Sbar_inv=_unit_lower(D, lambda i, k: rat(Mi[k][i], minors[k + 1])),
+        minors=minors,
+        S_int=S_int,
+        Sbar_int=Sbar_int,
     )

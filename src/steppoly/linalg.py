@@ -20,11 +20,6 @@ def matmul(a: list[list], b: list[list]) -> list[list]:
     return out
 
 
-def corner(a: list[list], n: int) -> list[list]:
-    """Leading principal n x n submatrix."""
-    return [row[:n] for row in a[:n]]
-
-
 def gauss_jordan_inverse(a: list[list]) -> list[list]:
     """Exact inverse by Gauss-Jordan elimination with partial pivoting.
 

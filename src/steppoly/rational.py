@@ -47,6 +47,8 @@ def parse_rat(text: str):
 
 def format_rat(value) -> str:
     """Canonical "num/den" (or "num") string in lowest terms."""
+    if type(value) is QType:  # already in lowest terms
+        return str(value)
     return str(rat(value))
 
 

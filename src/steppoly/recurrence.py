@@ -22,12 +22,15 @@ is what makes both relations exact.
 
 from __future__ import annotations
 
+from bisect import bisect_left
+from math import lcm
+
 from .bipoly import BiPoly
 from .errors import DepthError
 from .families import Family, FamilyA, FamilyB
 from .gaussborel import Factorization
 from .linalg import transpose
-from .rational import rat
+from .rational import ZERO, rat
 from .report import CheckReport, Violation
 from .stepline import in_complement_J, n_minus_big, n_plus
 
@@ -75,8 +78,14 @@ class RecurrenceTruncation:
 def build_recurrence(F: Factorization, q: int, p: int, k: int, target_size: int) -> RecurrenceTruncation:
     """T_k on a target_size window from the primal form S Lambda_{[q];k} S^-1.
 
-    Entry (m, n) = sum over c <= m of S[m][c] * S^-1[n_plus(c, q, k)][n]; the
-    factorization must be deep enough that every shifted index stays inside.
+    Entry (m, n) = sum over c <= m of S[m][c] * S^-1[i][n] with i = n_plus(c, q, k);
+    the factorization must be deep enough that every shifted index stays inside.
+    The sum runs over the integers F.S_int = (r, E, Mi) and the minors Delta
+    (the fraction-free LU form of Nakos, Turner and Williams, ACM SIGSAM
+    Bull. 31, 1997, and of Zhou and Jeffrey, Front. Comput. Sci. China 2,
+    2008).  With L = lcm(r), each entry is one integer inner sum and one rat():
+
+        T[m][n] = r_n sum_c E[m][c] r_c (L / r_i) Mi[i][n] / (Delta_m r_m Delta_{n+1} L)
     """
     need = max(n_plus(target_size - 1, q, k), n_plus(target_size - 1, p, k)) + 1
     if F.depth < need:
@@ -85,20 +94,21 @@ def build_recurrence(F: Factorization, q: int, p: int, k: int, target_size: int)
             f"{target_size}; extend to required_depth = {required_depth(target_size, q, p)}",
             required=required_depth(target_size, q, p),
         )
-    S, S_inv = F.S, F.S_inv
+    (r, E, Mi), minors = F.S_int, F.minors
+    big_l = lcm(*r)
+    shifted = [n_plus(c, q, k) for c in range(target_size)]
+    weight = [r[c] * (big_l // r[i]) for c, i in enumerate(shifted)]
+    # S^-1 is lower triangular and shifted increasing: column n meets row
+    # shifted[c] only from c = first[n] on
+    first = [bisect_left(shifted, n) for n in range(target_size)]
     data = []
     for m in range(target_size):
+        row_m = [e * w for e, w in zip(E[m], weight)]
+        den_m = minors[m] * r[m] * big_l
         row = []
         for n in range(target_size):
-            acc = rat(0)
-            for c in range(m + 1):
-                s_mc = S[m][c]
-                if s_mc == 0:
-                    continue
-                shifted = n_plus(c, q, k)
-                if shifted >= n:  # S^-1 is lower triangular
-                    acc += s_mc * S_inv[shifted][n]
-            row.append(acc)
+            acc = sum(row_m[c] * Mi[shifted[c]][n] for c in range(first[n], m + 1))
+            row.append(rat(acc * r[n], den_m * minors[n + 1]) if acc else ZERO)
         data.append(row)
     return RecurrenceTruncation(k, q, p, target_size, data, list(F.H))
 

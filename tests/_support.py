@@ -29,7 +29,8 @@ from steppoly import (
 )
 from steppoly.bipoly import BiPoly
 from steppoly.errors import Breakdown
-from steppoly.linalg import corner, gauss_jordan_inverse, matmul, transpose
+from steppoly.gaussborel import IntegerSide
+from steppoly.linalg import gauss_jordan_inverse, matmul, transpose
 from steppoly.moments import MomentTruncation
 from steppoly.rational import ZERO, as_rat
 from steppoly.stepline import in_complement_J, n_plus
@@ -172,6 +173,11 @@ def solve_a_col(M: list[list], n: int, p: int) -> list[BiPoly]:
     return [BiPoly(comp) for comp in comps]
 
 
+def corner(a: list[list], n: int) -> list[list]:
+    """Leading principal n x n submatrix."""
+    return [row[:n] for row in a[:n]]
+
+
 def grid_values(count: int) -> list:
     """count distinct small rationals centered on zero, suitable for identity grids."""
     vals = []
@@ -208,10 +214,62 @@ def invert_unitriangular(T: list[list]) -> list[list]:
     return inv
 
 
+def side_rationals(minors: list[int], side: IntegerSide) -> tuple[list[list], list[list]]:
+    """The unit lower factor and its inverse that one IntegerSide stores as integers.
+
+    factor[n][c] = L[n][c] s_c / (Delta_n s_n) and inverse[i][k] =
+    L_inv[i][k] s_k / (Delta_{k+1} s_i), zero above the diagonal.
+    """
+    s, L, L_inv = side
+    D = len(s)
+    factor = [[rat(L[n][c] * s[c], minors[n] * s[n]) if c <= n else ZERO for c in range(D)]
+              for n in range(D)]
+    inverse = [[rat(L_inv[i][k] * s[k], minors[k + 1] * s[i]) if k <= i else ZERO
+                for k in range(D)] for i in range(D)]
+    return factor, inverse
+
+
+def stored_inverses(F: Factorization) -> tuple[list[list], list[list]]:
+    """S^-1 and Sbar^-1 as rationals, from the integers F carries."""
+    return side_rationals(F.minors, F.S_int)[1], side_rationals(F.minors, F.Sbar_int)[1]
+
+
+def corner_factorization(F: Factorization, d: int) -> Factorization:
+    """The factorization of the leading d x d corner, cut from F."""
+    def cut(side: IntegerSide) -> IntegerSide:
+        return IntegerSide(*(part[:d] for part in side))
+
+    return Factorization(d, corner(F.S, d), corner(F.Sbar, d), F.H[:d], F.minors[:d + 1],
+                         cut(F.S_int), cut(F.Sbar_int))
+
+
 def reconstruct(F: Factorization) -> list[list]:
     """S^-1 diag(H) Sbar^-T from the stored inverses, for comparison against the truncation."""
-    hsbar_t = [[F.H[i] * v for v in row] for i, row in enumerate(transpose(F.Sbar_inv))]
-    return matmul(F.S_inv, hsbar_t)
+    S_inv, Sbar_inv = stored_inverses(F)
+    hsbar_t = [[F.H[i] * v for v in row] for i, row in enumerate(transpose(Sbar_inv))]
+    return matmul(S_inv, hsbar_t)
+
+
+def recurrence_oracle(S: list[list], S_inv: list[list], q: int, k: int, size: int) -> list[list]:
+    """T_k = S Lambda_{[q];k} S^-1 on a size x size window, summed in rationals.
+
+    Entry (m, n) = sum over c <= m of S[m][c] * S_inv[n_plus(c, q, k)][n].
+    """
+    data = []
+    for m in range(size):
+        row = []
+        for n in range(size):
+            acc = rat(0)
+            for c in range(m + 1):
+                s_mc = S[m][c]
+                if s_mc == 0:
+                    continue
+                shifted = n_plus(c, q, k)
+                if shifted >= n:  # S^-1 is lower triangular
+                    acc += s_mc * S_inv[shifted][n]
+            row.append(acc)
+        data.append(row)
+    return data
 
 
 def mat_eq(a: list[list], b: list[list]) -> bool:

@@ -43,7 +43,6 @@ from steppoly import (
 from steppoly.cli import main, seeded_monic_matrix, seeded_point
 from steppoly.errors import Breakdown
 from steppoly.families import degree_bound
-from steppoly.linalg import corner
 from steppoly.measures import MeasureMatrix, MomentTable
 from steppoly.moments import hankel_mismatches
 from steppoly.report import CheckReport, Violation
@@ -51,6 +50,7 @@ from steppoly.report import CheckReport, Violation
 from _support import (
     SHAPES,
     build_system,
+    corner,
     grid_values,
     invert_unitriangular,
     mat_eq,
@@ -58,6 +58,7 @@ from _support import (
     reconstruct,
     solve_a_col,
     solve_b_row,
+    stored_inverses,
 )
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -129,8 +130,9 @@ def test_criterion_2_factorization_suite():
                     tries += 1
                     assert tries < 6, f"too many degenerate draws at {(q, p, seed)}"
             assert mat_eq(reconstruct(F), M.data), (q, p, seed)
-            assert F.S_inv == invert_unitriangular(F.S), (q, p, seed)
-            assert F.Sbar_inv == invert_unitriangular(F.Sbar), (q, p, seed)
+            S_inv, Sbar_inv = stored_inverses(F)
+            assert S_inv == invert_unitriangular(F.S), (q, p, seed)
+            assert Sbar_inv == invert_unitriangular(F.Sbar), (q, p, seed)
             for d in range(1, extended):
                 Fd = factorize(corner(M.data, d))
                 assert Fd.S == corner(F.S, d)

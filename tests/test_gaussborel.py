@@ -6,17 +6,21 @@ from hypothesis import strategies as st
 
 from steppoly import factorize, rat
 from steppoly.errors import Breakdown, SingularMatrix
-from steppoly.linalg import corner, gauss_jordan_inverse, matmul, transpose
+from steppoly.linalg import gauss_jordan_inverse, matmul, transpose
 from steppoly.rational import QType
 
 from _support import (
     SHAPES,
     build_system,
+    corner,
+    corner_factorization,
     identity,
     invert_unitriangular,
     mat_eq,
     reconstruct,
+    side_rationals,
     solve,
+    stored_inverses,
 )
 
 rationals = st.builds(rat, st.integers(-9, 9), st.integers(1, 5))
@@ -40,7 +44,7 @@ def planted_factors(draw):
 
 def all_rational(F):
     """Every entry of every factor is a backend rational, never a raw int."""
-    mats = (F.S, F.Sbar, F.S_inv, F.Sbar_inv, [F.H])
+    mats = (F.S, F.Sbar, *stored_inverses(F), [F.H])
     return all(type(v) is QType for m in mats for row in m for v in row)
 
 
@@ -94,9 +98,10 @@ class TestFactorize:
     def test_recovers_planted_factors(self, factors):
         L, H, U = factors
         F = factorize(assemble(L, H, U))
+        S_inv, Sbar_inv = stored_inverses(F)
         assert F.H == H
-        assert mat_eq(F.S_inv, L)
-        assert mat_eq(F.Sbar_inv, transpose(U))
+        assert mat_eq(S_inv, L)
+        assert mat_eq(Sbar_inv, transpose(U))
         assert mat_eq(F.S, invert_unitriangular(L))
         assert mat_eq(F.Sbar, invert_unitriangular(transpose(U)))
         assert mat_eq(reconstruct(F), assemble(L, H, U))
@@ -105,12 +110,17 @@ class TestFactorize:
     def test_factor_types_and_stored_inverses(self):
         F = build_system(2, 3, 20, seed=34).F
         assert all_rational(F)
-        assert mat_eq(F.S_inv, invert_unitriangular(F.S))
-        assert mat_eq(F.Sbar_inv, invert_unitriangular(F.Sbar))
+        assert F.minors[0] == 1 and len(F.minors) == F.depth + 1
+        # the integers give back the stored factors and their inverses
+        assert side_rationals(F.minors, F.S_int)[0] == F.S
+        assert side_rationals(F.minors, F.Sbar_int)[0] == F.Sbar
+        assert F.Sbar_int.scale == [1] * F.depth
+        S_inv, Sbar_inv = stored_inverses(F)
+        assert mat_eq(S_inv, invert_unitriangular(F.S))
+        assert mat_eq(Sbar_inv, invert_unitriangular(F.Sbar))
         for d in range(F.depth + 1):
-            Fc = F.corner(d)
-            assert Fc.S_inv == corner(F.S_inv, d)
-            assert Fc.Sbar_inv == corner(F.Sbar_inv, d)
+            Fc = corner_factorization(F, d)
+            assert stored_inverses(Fc) == (corner(S_inv, d), corner(Sbar_inv, d))
 
     @given(planted_factors())
     def test_triangular_shapes(self, factors):
@@ -129,8 +139,9 @@ class TestFactorize:
             assert Fd.S == corner(F.S, d)
             assert Fd.Sbar == corner(F.Sbar, d)
             assert Fd.H == F.H[:d]
-            Fc = F.corner(d)
+            Fc = corner_factorization(F, d)
             assert (Fc.S, Fc.Sbar, Fc.H) == (Fd.S, Fd.Sbar, Fd.H)
+            assert stored_inverses(Fc) == stored_inverses(Fd)
 
     def test_reconstruction_on_random_systems(self):
         for q, p in SHAPES:
@@ -138,12 +149,17 @@ class TestFactorize:
             assert mat_eq(reconstruct(system.F), system.M.data), (q, p)
 
     def test_transpose_is_factorization_of_transpose(self):
-        # M^T = Sbar^-1 H S^-T, so the dual recurrence may read F.transpose()
+        # M^T = Sbar^-1 H S^-T, so the dual recurrence may read F.transpose().
+        # factorize(M^T) scales its rows by the column lcms of M, so its
+        # integers differ; the factors they stand for must not.
         for q, p in SHAPES:
             system = build_system(q, p, 12, seed=32)
             F, Ft = system.F.transpose(), factorize(transpose(system.M.data))
-            assert (Ft.depth, Ft.S, Ft.Sbar, Ft.H, Ft.S_inv, Ft.Sbar_inv) == (
-                F.depth, F.S, F.Sbar, F.H, F.S_inv, F.Sbar_inv), (q, p)
+            assert (Ft.depth, Ft.S, Ft.Sbar, Ft.H, stored_inverses(Ft)) == (
+                F.depth, F.S, F.Sbar, F.H, stored_inverses(F)), (q, p)
+            # the two integer sides swap by reference
+            assert F.S_int is system.F.Sbar_int and F.Sbar_int is system.F.S_int
+            assert F.minors is system.F.minors
 
     def test_symmetric_moment_matrix_gives_equal_factors(self):
         system = build_system(1, 1, 14, seed=33)

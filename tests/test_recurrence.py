@@ -23,10 +23,12 @@ from steppoly import (
 )
 from steppoly.bipoly import BiPoly
 from steppoly.errors import DepthError
+from steppoly.gaussborel import Factorization, IntegerSide
 from steppoly.linalg import transpose
+from steppoly.rational import QType
 from steppoly.recurrence import RecurrenceTruncation
 
-from _support import SHAPES, build_system
+from _support import SHAPES, build_system, invert_unitriangular, recurrence_oracle
 
 
 def lebesgue_T(size: int, k: int):
@@ -61,6 +63,38 @@ class TestRequiredDepth:
         with pytest.raises(DepthError) as exc:
             build_recurrence(shallow, q, p, 2, D)
         assert exc.value.required == need
+
+
+class TestIntegerRoute:
+    def test_matches_rational_sum(self):
+        # the integer sum against S Lambda S^-1 in rationals, with S^-1 inverted
+        # independently of the elimination's stored numerators
+        D = 12
+        for kind in ("table", "mixed"):
+            for q, p in SHAPES:
+                system = build_system(q, p, required_depth(D, q, p), seed=71, kind=kind)
+                for F, a, b in ((system.F, q, p), (system.F.transpose(), p, q)):
+                    S_inv = invert_unitriangular(F.S)
+                    for k in (1, 2):
+                        T = build_recurrence(F, a, b, k, D)
+                        assert T.data == recurrence_oracle(F.S, S_inv, a, k, D), (kind, q, p, k)
+                        assert all(type(v) is QType for row in T.data for v in row)
+
+    def test_dual_reads_only_the_sbar_integers(self):
+        q, p, k, D = 2, 3, 1, 8
+        system = build_system(q, p, required_depth(D, q, p), seed=72)
+        F = system.F
+        T = build_recurrence(F, q, p, k, D)
+        scale, L, L_inv = F.Sbar_int
+        wrong = [row[:] for row in L_inv]
+        wrong[n_plus(1, p, k)][1] += 1
+        bad = Factorization(F.depth, F.S, F.Sbar, F.H, F.minors, F.S_int,
+                            IntegerSide(scale, L, wrong))
+        primal = build_recurrence(bad, q, p, k, D)
+        assert primal.data == T.data
+        assert validate_band(primal).ok
+        assert check_dual_form(T, F).ok
+        assert not check_dual_form(T, bad).ok
 
 
 class TestLebesgueAnchor:
