@@ -42,7 +42,6 @@ from .recurrence import (
 )
 from .stepline import (
     GradedIndex,
-    f_variants,
     floor_f,
     in_complement_J,
     n_minus_big,
@@ -85,7 +84,6 @@ __all__ = [
     "check_recurrences",
     "check_reproduction",
     "extract_families",
-    "f_variants",
     "factorize",
     "floor_f",
     "format_rat",

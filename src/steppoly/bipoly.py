@@ -10,8 +10,22 @@ from __future__ import annotations
 
 from typing import Iterator, Mapping
 
-from .rational import ZERO, as_rat, format_rat, parse_rat, rat
+from .rational import ONE, ZERO, as_rat, format_rat, parse_rat, rat
 from .stepline import pair_of, pos_of
+
+
+def monomial_table(x1, x2, count: int) -> list:
+    """Values at (x1, x2) of the monomials at positions 0 .. count-1.
+
+    Degree i holds x1^(i-j) x2^j for j = 0 .. i: the previous degree times x1,
+    then its last entry times x2.
+    """
+    a, b = as_rat(x1), as_rat(x2)
+    out, row = [], [ONE]
+    while len(out) < count:
+        out += row
+        row = [v * a for v in row] + [row[-1] * b]
+    return out[:count]
 
 
 def shift_monomial(K: int, k: int) -> int:

@@ -7,37 +7,62 @@ exact are those of the conjugate R_k = H^-1 T_k H, while the block shapes and
 the printed labels follow T_k itself.  The ABC identity expresses the same
 kernel through the inverse of the leading (n+1) x (n+1) moment truncation,
 computed here by an independent pivoted elimination.
+
+The family side of every identity reads a KernelTable: both families
+evaluated once at a point pair, each through one monomial table per point,
+and every K^[n](x, y) as a prefix sum over i.  One table per pair serves
+every n and both k of the CD checks and every n of the ABC check; the ABC
+right side X^T M^-1 X never reads it.
 """
 
 from __future__ import annotations
 
 from .bipoly import PolyMatrix
 from .errors import DepthError
-from .families import Family, FamilyA, FamilyB, integrate_pair
+from .families import Family, FamilyA, FamilyB, pairings
 from .linalg import gauss_jordan_inverse, matmul, transpose
 from .measures import MeasureMatrix
-from .moments import assemble_moments, monomial_value
+from .moments import MomentTruncation, assemble_moments, monomial_value
 from .rational import as_rat, rat
 from .recurrence import RecurrenceTruncation
 from .report import CheckReport, Violation
 from .stepline import n_minus_big, n_plus
 
 
+class KernelTable:
+    """Both families at one point pair, with K^[n](x, y) for every n < count.
+
+    a[i] = A_i(x) and b[i] = B_i(y) (Family.values); kernels[n] is the prefix
+    sum of the outer products a[i] b[i] over i <= n.
+    """
+
+    __slots__ = ("x", "y", "a", "b", "kernels")
+
+    def __init__(self, A: Family, B: Family, x: tuple, y: tuple, count: int):
+        if count > min(len(A), len(B)):
+            raise DepthError(f"kernel index {count - 1} outside family range", required=count)
+        self.x, self.y = x, y
+        self.a = A.values(*x, count)
+        self.b = B.values(*y, count)
+        self.kernels = []
+        for a_i, b_i in zip(self.a, self.b):
+            term = [[va * vb for vb in b_i] for va in a_i]
+            if self.kernels:
+                term = [[s + t for s, t in zip(r, u)] for r, u in zip(self.kernels[-1], term)]
+            self.kernels.append(term)
+
+
+def _require_tabled(tables: list[KernelTable], count: int, what: str) -> None:
+    for table in tables:
+        if len(table.kernels) < count:
+            raise DepthError(
+                f"{what} needs family values through index {count - 1}, tabled to "
+                f"{len(table.kernels) - 1}", required=count)
+
+
 def kernel_eval(A: FamilyA, B: FamilyB, n: int, x: tuple, y: tuple) -> list[list]:
     """Exact p x q kernel value at a point pair."""
-    if n >= min(len(A), len(B)):
-        raise DepthError(f"kernel index {n} outside family range", required=n + 1)
-    p, q = A.p, B.q
-    out = [[rat(0) for _ in range(q)] for _ in range(p)]
-    for i in range(n + 1):
-        a_i = A.eval(i, *x)
-        b_i = B.eval(i, *y)
-        for a_idx in range(p):
-            if a_i[a_idx] == 0:
-                continue
-            for b_idx in range(q):
-                out[a_idx][b_idx] += a_i[a_idx] * b_i[b_idx]
-    return out
+    return KernelTable(A, B, x, y, n + 1).kernels[n]
 
 
 class CDBlocks:
@@ -47,30 +72,27 @@ class CDBlocks:
     n_plus(n, p, k), columns n_minus_big(n+1, p, k) .. n); src_rows x src_cols
     holds the upper-right block (rows n_minus_big(n+1, q, k) .. n, columns
     n+1 .. n_plus(n, q, k)).  t_* carry plain T_k values (the printed labels);
-    r_* carry the H-conjugated values used by the exact formula.
+    r_* carry the H-conjugated values used by the exact formula.  top is the
+    largest family index the blocks reach.
     """
 
     __slots__ = (
         "k", "n", "q", "p", "tgt_rows", "tgt_cols", "src_rows", "src_cols",
-        "t_tgt", "t_src", "r_tgt", "r_src", "A", "B",
+        "t_tgt", "t_src", "r_tgt", "r_src", "top",
     )
 
-    def __init__(self, T: RecurrenceTruncation, A: FamilyA, B: FamilyB, n: int):
+    def __init__(self, T: RecurrenceTruncation, n: int):
         k, q, p = T.k, T.q, T.p
         self.k, self.n, self.q, self.p = k, n, q, p
         self.tgt_rows = range(n + 1, n_plus(n, p, k) + 1)
         self.tgt_cols = range(n_minus_big(n + 1, p, k), n + 1)
         self.src_rows = range(n_minus_big(n + 1, q, k), n + 1)
         self.src_cols = range(n + 1, n_plus(n, q, k) + 1)
-        top = max(self.tgt_rows[-1], self.src_cols[-1])
-        if top >= T.size:
+        self.top = max(self.tgt_rows[-1], self.src_cols[-1])
+        if self.top >= T.size:
             raise DepthError(
                 f"T_{k} window {T.size} too small for CD blocks at n={n}",
-                required=top + 1,
-            )
-        if top >= min(len(A), len(B)):
-            raise DepthError(
-                f"families too short for CD blocks at n={n}", required=top + 1
+                required=self.top + 1,
             )
         H = T.H
         self.t_tgt = [[T.data[m][c] for c in self.tgt_cols] for m in self.tgt_rows]
@@ -81,35 +103,34 @@ class CDBlocks:
         self.r_src = [
             [T.data[m][c] * H[c] / H[m] for c in self.src_cols] for m in self.src_rows
         ]
-        self.A = A
-        self.B = B
 
 
-def cd_blocks(T: RecurrenceTruncation, A: FamilyA, B: FamilyB, n: int, k: int) -> CDBlocks:
+def cd_blocks(T: RecurrenceTruncation, n: int, k: int) -> CDBlocks:
     if k != T.k:
         raise ValueError(f"requested k={k} but T was built for k={T.k}")
-    return CDBlocks(T, A, B, n)
+    return CDBlocks(T, n)
 
 
 def _point(x: tuple) -> str:
     return f"({x[0]}, {x[1]})"
 
 
-def check_cd_formula(blocks: CDBlocks, point_pairs: list) -> CheckReport:
-    """Exact CD identity at every point pair, as p x q matrices."""
-    A, B, n, k = blocks.A, blocks.B, blocks.n, blocks.k
+def check_cd_formula(blocks: CDBlocks, tables: list[KernelTable]) -> CheckReport:
+    """Exact CD identity at every tabled point pair, as p x q matrices."""
+    n, k = blocks.n, blocks.k
     p, q = blocks.p, blocks.q
+    _require_tabled(tables, blocks.top + 1, f"CD blocks at n={n}")
     rep = CheckReport(f"cd_T{k}")
-    for x, y in point_pairs:
+    for table in tables:
+        x, y = table.x, table.y
         xk = as_rat(x[0] if k == 1 else x[1])
         yk = as_rat(y[0] if k == 1 else y[1])
-        kern = kernel_eval(A, B, n, x, y)
-        lhs = [[(xk - yk) * kern[a][b] for b in range(q)] for a in range(p)]
+        lhs = [[(xk - yk) * v for v in row] for row in table.kernels[n]]
 
-        a_gt = [A.eval(m, *x) for m in blocks.tgt_rows]   # |tgt_rows| vectors of length p
-        b_n = [B.eval(c, *y) for c in blocks.tgt_cols]    # |tgt_cols| vectors of length q
-        a_n = [A.eval(m, *x) for m in blocks.src_rows]
-        b_gt = [B.eval(c, *y) for c in blocks.src_cols]
+        a_gt = [table.a[m] for m in blocks.tgt_rows]   # |tgt_rows| vectors of length p
+        b_n = [table.b[c] for c in blocks.tgt_cols]    # |tgt_cols| vectors of length q
+        a_n = [table.a[m] for m in blocks.src_rows]
+        b_gt = [table.b[c] for c in blocks.src_cols]
 
         rhs = [[rat(0) for _ in range(q)] for _ in range(p)]
         for a_vals, block, b_vals, sign in ((a_gt, blocks.r_tgt, b_n, 1),
@@ -143,19 +164,21 @@ def _monomials_t(r: int, n: int, x: tuple) -> list[list]:
     return out
 
 
-def check_abc(mm: MeasureMatrix, A: FamilyA, B: FamilyB, n: int, point_pairs: list) -> CheckReport:
-    """Kernel via families equals the inverse-moment form at every point pair, exactly.
+def check_abc(mm: MeasureMatrix, n: int, tables: list[KernelTable]) -> CheckReport:
+    """Tabled K^[n] equals the inverse-moment form at every point pair, exactly.
 
     The monomial vector truncations keep the first n+1 scalar entries; the
     moment truncation inverse comes from pivoted Gauss-Jordan, independent of
     the unpivoted factorization route, and is computed once for all pairs.
     """
     p, q = mm.p, mm.q
+    _require_tabled(tables, n + 1, f"ABC at n={n}")
     M_inv = gauss_jordan_inverse(assemble_moments(mm, n + 1).data)
     rep = CheckReport("abc")
-    for x, y in point_pairs:
+    for table in tables:
+        x, y = table.x, table.y
         rhs = matmul(matmul(_monomials_t(p, n, x), M_inv), transpose(_monomials_t(q, n, y)))
-        if kernel_eval(A, B, n, x, y) != rhs:
+        if table.kernels[n] != rhs:
             rep.violations.append(
                 Violation("abc", (n, _point(x), _point(y)), "K^[n] != X^T M^-1 X")
             )
@@ -167,6 +190,12 @@ _DEFAULT_SPOT_PAIRS = [
     ((rat(1, 2), rat(-1, 3)), (rat(-2, 5), rat(1, 7))),
     ((rat(3, 4), rat(1, 2)), (rat(1, 5), rat(-1, 2))),
     ((rat(-1, 3), rat(2, 3)), (rat(0), rat(1, 4))),
+]
+
+
+_DEFAULT_PROJECTION_POINTS = [
+    (rat(1, 2), rat(1, 3)), (rat(-1, 4), rat(2, 5)), (rat(1), rat(-1)),
+    (rat(-2, 3), rat(-1, 5)), (rat(3, 7), rat(5, 8)),
 ]
 
 
@@ -183,9 +212,13 @@ def check_reproduction(A: FamilyA, B: FamilyB, gram: list[list], n: int,
         raise DepthError(f"reproduction index {n} outside family range", required=n + 1)
     p, q = A.p, B.q
     rep = CheckReport("reproduction")
-    for x, y in point_pairs or _DEFAULT_SPOT_PAIRS:
-        a_x = [A.eval(i, *x) for i in range(n + 1)]
-        b_y = [B.eval(j, *y) for j in range(n + 1)]
+    if point_pairs is None:
+        point_pairs = _DEFAULT_SPOT_PAIRS
+    if not point_pairs:
+        rep.skipped.append("no point pairs given")
+    for x, y in point_pairs:
+        table = KernelTable(A, B, x, y, n + 1)
+        a_x, b_y = table.a, table.b
         out = [[rat(0) for _ in range(q)] for _ in range(p)]
         for i in range(n + 1):
             for j in range(n + 1):
@@ -195,7 +228,7 @@ def check_reproduction(A: FamilyA, B: FamilyB, gram: list[list], n: int,
                 for a_idx in range(p):
                     for b_idx in range(q):
                         out[a_idx][b_idx] += a_x[i][a_idx] * g * b_y[j][b_idx]
-        if out != kernel_eval(A, B, n, x, y):
+        if out != table.kernels[n]:
             rep.violations.append(
                 Violation("reproduction", (n, _point(x), _point(y)), "kernel not reproduced")
             )
@@ -222,17 +255,19 @@ def _projection_threshold(I: int, r: int) -> int:
     return I * r + r - 1
 
 
-def check_projection(A: Family, B: Family, mm: MeasureMatrix, n: int,
+def check_projection(A: Family, B: Family, M: MomentTruncation, n: int,
                      P: PolyMatrix, points: list | None = None) -> CheckReport:
     """Integral of K^[n](x, .) against dmu P recovers P(x), above the threshold.
 
     P must be a monic p x p matrix polynomial of grlex-degree I with
     n >= I*p + p - 1; calls below the threshold are precondition errors, not
-    identity failures.  The dual direction, the integral of P dmu K^[n](., y)
-    recovering P(y), is this check on the transposed problem:
-    check_projection(B, A, mm.transpose(), n, P.transpose()).
+    identity failures.  The inner integrals of B_i against the columns of P
+    are the product C_B M C_P with the moment truncation M.  The dual
+    direction, the integral of P dmu K^[n](., y) recovering P(y), is this
+    check on the transposed problem:
+    check_projection(B, A, M.transpose(), n, P.transpose()).
     """
-    q, p = mm.q, mm.p
+    q, p = M.q, M.p
     if P.rows != p or P.cols != p:
         raise ValueError(f"projection needs a {p} x {p} matrix polynomial")
     I = P.grlex_pos_max()
@@ -245,21 +280,14 @@ def check_projection(A: Family, B: Family, mm: MeasureMatrix, n: int,
     if n >= min(len(A), len(B)):
         raise DepthError(f"projection index {n} outside family range", required=n + 1)
     # inner[i][a1] = integral of B_i dmu column a1 of P
-    inner = []
-    for i in range(n + 1):
-        row = []
-        for a1 in range(p):
-            val = rat(0)
-            for b_idx in range(q):
-                for a_idx in range(p):
-                    val += integrate_pair(mm, B.poly(i, b_idx), b_idx, a_idx, P[a_idx, a1])
-            row.append(val)
-        inner.append(row)
+    inner = pairings(B.members[:n + 1], P.transpose().entries, M)
     rep = CheckReport("projection")
-    pts = points or [(rat(1, 2), rat(1, 3)), (rat(-1, 4), rat(2, 5)), (rat(1), rat(-1)),
-                     (rat(-2, 3), rat(-1, 5)), (rat(3, 7), rat(5, 8))]
-    for x in pts:
-        a_x = [A.eval(i, *x) for i in range(n + 1)]
+    if points is None:
+        points = _DEFAULT_PROJECTION_POINTS
+    if not points:
+        rep.skipped.append("no points given")
+    for x in points:
+        a_x = A.values(*x, n + 1)
         for a0 in range(p):
             for a1 in range(p):
                 got = rat(0)

@@ -27,6 +27,7 @@ from pathlib import Path
 
 from .bipoly import BiPoly, PolyMatrix
 from .cdkernel import (
+    KernelTable,
     cd_blocks,
     check_abc,
     check_cd_formula,
@@ -236,7 +237,7 @@ class Workspace:
     @cached_property
     def gram(self) -> list[list]:
         """Pairing matrix of the depth-D families; biorthogonality and reproduction share it."""
-        return pairing_matrix(*self.families_window(self.depth), self.config.measures)
+        return pairing_matrix(*self.families_window(self.depth), self.M)
 
 
 def _point_pairs(rng: random.Random, count: int) -> list:
@@ -254,34 +255,39 @@ def _recurrence(ws: Workspace, points: list) -> list[CheckReport]:
 
 
 def _projection(ws: Workspace, rng: random.Random) -> list[CheckReport]:
-    q, p, D, mm = ws.config.q, ws.config.p, ws.depth, ws.config.measures
+    q, p, D = ws.config.q, ws.config.p, ws.depth
     I, I_dual = min(3, D // p - 1), min(3, D // q - 1)
     if I < 0 or I_dual < 0:
         return [CheckReport("projection", skipped=["depth below projection threshold"])]
     P = seeded_monic_matrix(rng, p, I)
     P_dual = seeded_monic_matrix(rng, q, I_dual)
     # the dual direction is the same identity with the families' roles swapped
-    return [check_projection(ws.A, ws.B, mm, D - 1, P),
-            check_projection(ws.B, ws.A, mm.transpose(), D - 1, P_dual.transpose())]
+    return [check_projection(ws.A, ws.B, ws.M, D - 1, P),
+            check_projection(ws.B, ws.A, ws.M.transpose(), D - 1, P_dual.transpose())]
 
 
 def _cd(ws: Workspace, pairs: list) -> list[CheckReport]:
     q, p = ws.config.q, ws.config.p
+    tables = [KernelTable(ws.A, ws.B, x, y, ws.depth) for x, y in pairs]  # for every n and k
     reps = []
     for k in (1, 2):
         n = 0
         while max(n_plus(n, p, k), n_plus(n, q, k)) < ws.T[k].size:
-            reps.append(check_cd_formula(cd_blocks(ws.T[k], ws.A, ws.B, n, k), pairs))
+            reps.append(check_cd_formula(cd_blocks(ws.T[k], n, k), tables))
             n += 1
     return reps
+
+
+def _abc(ws: Workspace, pairs: list) -> list[CheckReport]:
+    count = min(ws.depth, 8)
+    tables = [KernelTable(ws.A, ws.B, x, y, count) for x, y in pairs]
+    return [check_abc(ws.config.measures, n, tables) for n in range(count)]
 
 
 CHECKS = {
     "hankel": lambda ws, _: [check_hankel(ws.M, k) for k in (1, 2)],
     "degree": lambda ws, _: [validate_degree_structure(ws.A, ws.B, ws.config.q, ws.config.p)],
-    "orthogonality": lambda ws, _: [
-        check_orthogonality(*ws.families_window(ws.depth), ws.config.measures)
-    ],
+    "orthogonality": lambda ws, _: [check_orthogonality(*ws.families_window(ws.depth), ws.M)],
     "biorthogonality": lambda ws, _: [check_biorthogonality(ws.gram)],
     "dual": lambda ws, _: [check_dual_form(ws.T[k], ws.F) for k in (1, 2)],
     "band": lambda ws, _: [validate_band(ws.T[k]) for k in (1, 2)],
@@ -291,9 +297,7 @@ CHECKS = {
     ],
     "projection": _projection,
     "cd": _cd,
-    "abc": lambda ws, pairs: [
-        check_abc(ws.config.measures, ws.A, ws.B, n, pairs) for n in range(min(ws.depth, 8))
-    ],
+    "abc": _abc,
 }
 
 CHECK_NAMES = list(CHECKS)

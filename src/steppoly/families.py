@@ -5,19 +5,28 @@ monomial position K from column K*q + b of H^-1 S) and A = X^T_{[p]} Sbar^T
 (column n is a p-tuple; component a draws from column K*p + a of Sbar).
 Component indices are 0-based throughout the code.
 
-All verification here goes through the moment oracle: each orthogonality
-residual is expanded as a finite rational combination of moments and must be
-exactly zero.
+The checks read each family back from its BiPoly members into a coefficient
+matrix C, laid out like H^-1 S and Sbar (coefficient_rows), so that every
+pairing is a product with the moment truncation M the families came from:
+the integral of B_m against A_n is entry (m, n) of (C_B M) C_A^T, and the
+paper's biorthogonality H^-1 S M Sbar^T = I is that Gram matrix being the
+identity.  The orthogonality residuals are the strictly lower parts of C_B M
+and of C_A M^T, whose entry (n, K*q + b) integrates A_n against the monomial
+at position K in slot b.  Every residual is a finite rational combination of
+moments and must be exactly zero; reading C from the members rather than
+from the factorization keeps extract_families under test.  The products run
+over integers: each row of C and of M is scaled by the lcm of its
+denominators, so an entry is one integer inner sum and one rat().
 """
 
 from __future__ import annotations
 
-from .bipoly import BiPoly
+from .bipoly import BiPoly, monomial_table
+from .errors import DepthError
 from .gaussborel import Factorization
-from .measures import MeasureMatrix
-from .rational import ZERO, rat
+from .moments import MomentTruncation
+from .rational import ZERO, common_denominator, rat
 from .report import CheckReport, Violation
-from .stepline import pair_of
 
 
 class Family:
@@ -33,6 +42,24 @@ class Family:
 
     def eval(self, n: int, x1, x2) -> list:
         return [pol.eval(x1, x2) for pol in self.members[n]]
+
+    def values(self, x1, x2, count: int) -> list[list]:
+        """Members 0 .. count-1 at one point, all read from one monomial table.
+
+        The table and each component's coefficients are scaled to integers,
+        so each value is one integer sum of c * mono[K] and one rat().
+        """
+        members = self.members[:count]
+        top = max((pol.grlex_pos for comps in members for pol in comps), default=-1)
+        den, mono = common_denominator(monomial_table(x1, x2, top + 1))
+        out = []
+        for comps in members:
+            row = []
+            for pol in comps:
+                d, nums = common_denominator(pol.coeffs.values())
+                row.append(rat(sum(c * mono[K] for K, c in zip(pol.coeffs, nums)), d * den))
+            out.append(row)
+        return out
 
 
 class FamilyB(Family):
@@ -100,57 +127,82 @@ def validate_degree_structure(A: FamilyA, B: FamilyB, q: int, p: int) -> CheckRe
     return rep
 
 
-def integrate_pair(mm: MeasureMatrix, left: BiPoly, b_idx: int, a_idx: int, right: BiPoly):
-    """Exact integral of left(x) * right(x) against measure entry (b_idx, a_idx)."""
-    measure = mm.entry(b_idx, a_idx)
-    total = rat(0)
-    for K1, c1 in left.coeffs.items():
-        i1, j1, _ = pair_of(K1)
-        for K2, c2 in right.coeffs.items():
-            i2, j2, _ = pair_of(K2)
-            total += c1 * c2 * measure.moment((i1 - j1) + (i2 - j2), j1 + j2)
-    return total
+def coefficient_rows(members: list[list[BiPoly]], r: int) -> list[dict]:
+    """Row n of the coefficient matrix as {column: coefficient}: component i of
+    members[n] puts its coefficient at position K in column K*r + i."""
+    return [{K * r + i: c for i, pol in enumerate(comps) for K, c in pol.coeffs.items()}
+            for comps in members]
 
 
-def check_orthogonality(A: FamilyA, B: FamilyB, mm: MeasureMatrix) -> CheckReport:
-    """Both one-sided orthogonality systems, expanded through the moment oracle.
+def _scaled_rows(rows: list[dict]) -> list[tuple[int, dict]]:
+    """Each {column: rational} row as (d, {column: integer}), the row being the integers / d."""
+    out = []
+    for row in rows:
+        d, nums = common_denominator(row.values())
+        out.append((d, dict(zip(row, nums))))
+    return out
 
-    B side: sum over b of the integral of B_n^(b) against (b, a) times
-    monomial_K vanishes whenever K p + a < n.  A side: sum over a of the
-    integral of monomial_K against (b, a) times A_n^(a) vanishes whenever
-    K q + b < n, which is the B side of the transposed measure matrix.
+
+def moment_rows(members: list[list[BiPoly]], M: MomentTruncation,
+                cols: int) -> list[tuple[int, list[int]]]:
+    """C M on the first cols columns of M, with C = coefficient_rows(members, M.q).
+
+    Entry (n, K*p + a) is the sum over b of the integral of members[n][b]
+    against measure (b, a) times the monomial at position K.  Row n comes as
+    (d, nums), the entries being nums / d: row c of M is scaled to integers by
+    the lcm s_c of its denominators and 1/s_c is folded into column c of C, so
+    every entry is one integer sum.
+    """
+    C = coefficient_rows(members, M.q)
+    width = max((max(row) + 1 for row in C if row), default=0)
+    if max(width, cols) > M.depth:
+        raise DepthError(f"pairing needs a moment truncation of depth {max(width, cols)}, "
+                         f"got {M.depth}", required=max(width, cols))
+    scaled_m = [common_denominator(row[:cols]) for row in M.data[:width]]
+    out = []
+    for d, row in _scaled_rows([{c: v / scaled_m[c][0] for c, v in row.items()} for row in C]):
+        terms = [(v, scaled_m[c][1]) for c, v in row.items()]
+        out.append((d, [sum(v * m_row[m] for v, m_row in terms) for m in range(cols)]))
+    return out
+
+
+def pairings(left: list[list[BiPoly]], right: list[list[BiPoly]],
+             M: MomentTruncation) -> list[list]:
+    """(C_left M) C_right^T: entry (m, n) pairs left[m] (M.q components) with
+    right[n] (M.p components) under the measure matrix behind M."""
+    C_right = _scaled_rows(coefficient_rows(right, M.p))
+    cols = max((max(row) + 1 for _, row in C_right if row), default=0)
+    return [[rat(sum(nums[c] * v for c, v in row.items()), d * e) for e, row in C_right]
+            for d, nums in moment_rows(left, M, cols)]
+
+
+def check_orthogonality(A: FamilyA, B: FamilyB, M: MomentTruncation) -> CheckReport:
+    """Both one-sided orthogonality systems, read off products with the moment truncation.
+
+    B side: entry (n, K*p + a) of C_B M, the sum over b of the integral of
+    B_n^(b) against (b, a) times monomial_K, vanishes whenever K p + a < n.
+    A side: entry (n, K*q + b) of C_A M^T vanishes whenever K q + b < n, which
+    is the B side of the transposed truncation.
     """
     rep = CheckReport("orthogonality")
-    for label, fam, grid in (("A", A, mm.transpose()), ("B", B, mm)):
-        for n in range(len(fam)):
+    for label, fam, grid in (("A", A, M.transpose()), ("B", B, M)):
+        for n, (d, nums) in enumerate(moment_rows(fam.members, grid, len(fam))):
             for a_idx in range(grid.p):
                 K = 0
                 while K * grid.p + a_idx < n:
-                    mono = BiPoly.monomial(K)
-                    resid = rat(0)
-                    for b_idx in range(grid.q):
-                        resid += integrate_pair(grid, fam.poly(n, b_idx), b_idx, a_idx, mono)
+                    resid = nums[K * grid.p + a_idx]
                     if resid != 0:
-                        rep.violations.append(
-                            Violation("orthogonality", (label, n, a_idx, K), f"residual {resid}")
-                        )
+                        rep.violations.append(Violation(
+                            "orthogonality", (label, n, a_idx, K), f"residual {rat(resid, d)}"))
                     rep.checked += 1
                     K += 1
     return rep
 
 
-def pairing_matrix(A: FamilyA, B: FamilyB, mm: MeasureMatrix) -> list[list]:
-    """Entry (m, n) is the pairing of B_m against A_n under the measure matrix."""
-    q, p = mm.q, mm.p
+def pairing_matrix(A: FamilyA, B: FamilyB, M: MomentTruncation) -> list[list]:
+    """Entry (m, n) is the pairing of B_m against A_n: the Gram matrix (C_B M) C_A^T."""
     count = min(len(A), len(B))
-    return [
-        [
-            sum((integrate_pair(mm, B.poly(m, b_idx), b_idx, a_idx, A.poly(n, a_idx))
-                 for b_idx in range(q) for a_idx in range(p)), ZERO)
-            for n in range(count)
-        ]
-        for m in range(count)
-    ]
+    return pairings(B.members[:count], A.members[:count], M)
 
 
 def check_biorthogonality(gram: list[list]) -> CheckReport:

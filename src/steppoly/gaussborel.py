@@ -41,12 +41,11 @@ never formed.
 
 from __future__ import annotations
 
-from math import lcm
 from typing import NamedTuple
 
 from .errors import Breakdown
 from .moments import MomentTruncation
-from .rational import ONE, ZERO, as_rat, rat
+from .rational import ONE, ZERO, as_rat, common_denominator, rat
 
 
 class IntegerSide(NamedTuple):
@@ -97,9 +96,9 @@ def factorize(M: MomentTruncation | list[list]) -> Factorization:
     D = len(data)
     if any(len(row) != D for row in data):
         raise ValueError("factorize needs a square truncation")
-    Q = [[as_rat(v) for v in row] for row in data]
-    r = [lcm(*(v.denominator for v in row)) for row in Q]
-    Mi = [[v.numerator * (r_n // v.denominator) for v in row] for row, r_n in zip(Q, r)]
+    scaled = [common_denominator(as_rat(v) for v in row) for row in data]
+    r = [r_n for r_n, _ in scaled]
+    Mi = [row for _, row in scaled]
     # Strict lower parts of the identity blocks, row n of E and column n of F
     # stored as rows; their diagonal entry n is Delta_n.
     E = [[0] * n for n in range(D)]

@@ -37,6 +37,10 @@ class MomentTruncation:
             raise DepthError(f"corner {d} exceeds depth {self.depth}", required=d)
         return MomentTruncation(d, self.q, self.p, [row[:d] for row in self.data[:d]])
 
+    def transpose(self) -> "MomentTruncation":
+        """The truncation of the transposed measure matrix, p x q blocks."""
+        return MomentTruncation(self.depth, self.p, self.q, [list(col) for col in zip(*self.data)])
+
 
 def assemble_moments(mm: MeasureMatrix, depth: int) -> MomentTruncation:
     """Materialize the leading depth x depth scalar moment truncation."""

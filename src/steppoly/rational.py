@@ -10,6 +10,7 @@ from __future__ import annotations
 import numbers
 import re
 from fractions import Fraction
+from math import lcm
 
 try:
     from gmpy2 import mpq as _mpq
@@ -50,6 +51,13 @@ def format_rat(value) -> str:
     if type(value) is QType:  # already in lowest terms
         return str(value)
     return str(rat(value))
+
+
+def common_denominator(values) -> tuple[int, list[int]]:
+    """(d, nums) with value i equal to nums[i] / d, where d is the lcm of the denominators."""
+    values = list(values)
+    d = lcm(*(v.denominator for v in values))
+    return d, [v.numerator * (d // v.denominator) for v in values]
 
 
 def as_rat(value):

@@ -208,7 +208,7 @@ def check_recurrences(
     for x1, x2 in points:
         xk = x1 if k == 1 else x2
         for label, fam, band, R in relations:
-            vals = [fam.eval(i, x1, x2) for i in range(max(band(m)[1] for m in range(n_max)) + 1)]
+            vals = fam.values(x1, x2, max(band(m)[1] for m in range(n_max)) + 1)
             for n in range(n_max):
                 lo, top = band(n)
                 for idx, v in enumerate(vals[n]):

@@ -49,25 +49,14 @@ def floor_f(x) -> int:
     return i
 
 
-def f_variants(x, which: str) -> int:
-    """The four derived floor maps: plus1, plus2, minus1, minus2."""
-    if which == "plus1":
-        return floor_f(x) + 1
-    if which == "plus2":
-        return floor_f(x) + 2
-    if which == "minus1":
-        return floor_f(x)
-    if which == "minus2":
-        q = as_rat(x)
-        if q < 1:
-            raise ValueError(f"minus2 requires x >= 1, got {x}")
-        return floor_f(q - 1) + 1
-    raise ValueError(f"unknown variant {which!r}")
-
-
 def f_minus(x, k: int) -> int:
-    """F_k^- for k in {1, 2}."""
-    return f_variants(x, "minus1" if k == 1 else "minus2")
+    """F_k^- for k in {1, 2}: F_1^-(x) = F(x) and F_2^-(x) = F(x - 1) + 1 for x >= 1."""
+    if k == 1:
+        return floor_f(x)
+    q = as_rat(x)
+    if q < 1:
+        raise ValueError(f"F_2^- requires x >= 1, got {x}")
+    return floor_f(q - 1) + 1
 
 
 def pos_of(i: int, j: int) -> int:

@@ -272,6 +272,19 @@ def recurrence_oracle(S: list[list], S_inv: list[list], q: int, k: int, size: in
     return data
 
 
+def integrate_pair(mm: MeasureMatrix, left: BiPoly, b_idx: int, a_idx: int, right: BiPoly):
+    """Exact integral of left(x) * right(x) against measure entry (b_idx, a_idx),
+    summed term by term over both coefficient maps: the pairing oracle."""
+    measure = mm.entry(b_idx, a_idx)
+    total = rat(0)
+    for K1, c1 in left.coeffs.items():
+        i1, j1, _ = pair_of(K1)
+        for K2, c2 in right.coeffs.items():
+            i2, j2, _ = pair_of(K2)
+            total += c1 * c2 * measure.moment((i1 - j1) + (i2 - j2), j1 + j2)
+    return total
+
+
 def mat_eq(a: list[list], b: list[list]) -> bool:
     if len(a) != len(b) or any(len(r) != len(s) for r, s in zip(a, b)):
         return False

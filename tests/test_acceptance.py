@@ -40,6 +40,7 @@ from steppoly import (
     validate_band,
     validate_degree_structure,
 )
+from steppoly.cdkernel import KernelTable
 from steppoly.cli import main, seeded_monic_matrix, seeded_point
 from steppoly.errors import Breakdown
 from steppoly.families import degree_bound
@@ -155,9 +156,9 @@ def test_criterion_2_factorization_suite():
 def test_criterion_3_orthogonality_and_oracle():
     for q, p in SHAPES:
         system = build_system(q, p, 20, seed=301)
-        rep = check_orthogonality(system.A, system.B, system.mm)
+        rep = check_orthogonality(system.A, system.B, system.M)
         assert rep.ok and rep.checked > 0, (q, p, rep.violations[:1])
-        rep = check_biorthogonality(pairing_matrix(system.A, system.B, system.mm))
+        rep = check_biorthogonality(pairing_matrix(system.A, system.B, system.M))
         assert rep.ok and rep.checked == 400, (q, p, rep.violations[:1])
 
     for q, p in SHAPES:
@@ -240,7 +241,7 @@ def test_criterion_6_cd_abc_reproduction_projection():
         a_cache = {x: [system.A.eval(i, *x) for i in range(lim_a)] for x in xs}
         b_cache = {y: [system.B.eval(i, *y) for i in range(lim_b)] for y in ys}
         blocks_kn = {
-            (k, n): cd_blocks(T[k], system.A, system.B, n, k)
+            (k, n): cd_blocks(T[k], n, k)
             for k in (1, 2)
             for n in range(n_top + 1)
         }
@@ -276,28 +277,30 @@ def test_criterion_6_cd_abc_reproduction_projection():
 
         # tie the inline evaluation back to the library predicate on a sample
         sample = [(xs[0], ys[-1]), (xs[-1], ys[0]), (xs[len(xs) // 2], ys[len(ys) // 2])]
+        sample_tables = [KernelTable(system.A, system.B, x, y, window) for x, y in sample]
         for k in (1, 2):
-            blocks = cd_blocks(T[k], system.A, system.B, 3, k)
-            rep = check_cd_formula(blocks, sample)
+            blocks = cd_blocks(T[k], 3, k)
+            rep = check_cd_formula(blocks, sample_tables)
             assert rep.ok and rep.checked == len(sample)
 
         rng = random.Random(602)
         pairs = [(seeded_point(rng), seeded_point(rng)) for _ in range(10)]
+        pair_tables = [KernelTable(system.A, system.B, x, y, n_top + 1) for x, y in pairs]
         for n in range(n_top + 1):
-            rep = check_abc(system.mm, system.A, system.B, n, pairs)
+            rep = check_abc(system.mm, n, pair_tables)
             assert rep.ok and rep.checked == len(pairs), (q, p, n)
 
         window_a = FamilyA(p, system.A.cols[: n_top + 1])
-        gram = pairing_matrix(window_a, FamilyB(q, system.B.rows[: n_top + 1]), system.mm)
+        gram = pairing_matrix(window_a, FamilyB(q, system.B.rows[: n_top + 1]), system.M)
         assert check_biorthogonality(gram).ok
         assert check_reproduction(system.A, system.B, gram, n_top).ok
 
         for I in (1, 2, 3):
             P = seeded_monic_matrix(rng, p, I)
-            assert check_projection(system.A, system.B, system.mm, I * p + p - 1, P).ok
+            assert check_projection(system.A, system.B, system.M, I * p + p - 1, P).ok
             P_dual = seeded_monic_matrix(rng, q, I)
             assert check_projection(
-                system.B, system.A, system.mm.transpose(), I * q + q - 1, P_dual.transpose()
+                system.B, system.A, system.M.transpose(), I * q + q - 1, P_dual.transpose()
             ).ok
 
     assert time.perf_counter() - start < 180.0
@@ -328,7 +331,7 @@ def test_criterion_7_worked_example_window():
 
     # the block pair displayed for n = 3 in the first direction
     T1 = build_recurrence(system.F, q, p, 1, window)
-    blocks = cd_blocks(T1, system.A, system.B, 3, 1)
+    blocks = cd_blocks(T1, 3, 1)
     assert list(blocks.tgt_rows) == [4, 5, 6, 7]
     assert list(blocks.tgt_cols) == [2, 3]
     assert list(blocks.src_rows) == [2, 3]

@@ -17,9 +17,17 @@ from steppoly import (
     validate_degree_structure,
 )
 from steppoly.bipoly import BiPoly
-from steppoly.families import degree_bound, integrate_pair
+from steppoly.cli import seeded_monic_matrix
+from steppoly.families import degree_bound, moment_rows, pairings
 
-from _support import SHAPES, build_system, rand_discrete, solve_a_col, solve_b_row
+from _support import (
+    SHAPES,
+    build_system,
+    integrate_pair,
+    rand_discrete,
+    solve_a_col,
+    solve_b_row,
+)
 
 
 def lebesgue_system(depth: int):
@@ -84,13 +92,13 @@ class TestOrthogonality:
     def test_residuals_vanish_on_random_systems(self):
         for q, p in SHAPES:
             system = build_system(q, p, 12, seed=43)
-            rep = check_orthogonality(system.A, system.B, system.mm)
+            rep = check_orthogonality(system.A, system.B, system.M)
             assert rep.ok, (q, p, rep.violations[:1])
             assert rep.checked > 0
 
     def test_condition_count(self):
         system = build_system(1, 2, 10, seed=44)
-        rep = check_orthogonality(system.A, system.B, system.mm)
+        rep = check_orthogonality(system.A, system.B, system.M)
         # for each family index n: n lower tests on each side of the pairing
         assert rep.checked == 2 * sum(n for n in range(10))
 
@@ -99,7 +107,7 @@ class TestOrthogonality:
         rows = [[poly for poly in row] for row in system.B.rows]
         rows[6][0] = rows[6][0] + BiPoly({0: rat(1, 7)})
         bad = FamilyB(system.q, rows)
-        rep = check_orthogonality(system.A, bad, system.mm)
+        rep = check_orthogonality(system.A, bad, system.M)
         assert not rep.ok
         assert all(v.where[0] == "B" and v.where[1] == 6 for v in rep.violations)
 
@@ -108,7 +116,7 @@ class TestOrthogonality:
         cols = [[poly for poly in col] for col in system.A.cols]
         cols[5][1] = cols[5][1] + BiPoly({1: rat(1, 3)})
         bad = FamilyA(system.p, cols)
-        rep = check_orthogonality(bad, system.B, system.mm)
+        rep = check_orthogonality(bad, system.B, system.M)
         assert not rep.ok
 
 
@@ -116,15 +124,99 @@ class TestBiorthogonality:
     def test_exact_duality(self):
         for q, p in SHAPES:
             system = build_system(q, p, 10, seed=47)
-            rep = check_biorthogonality(pairing_matrix(system.A, system.B, system.mm))
+            rep = check_biorthogonality(pairing_matrix(system.A, system.B, system.M))
             assert rep.ok, (q, p, rep.violations[:1])
             assert rep.checked == 100
 
     def test_detects_scaling_error(self):
         system = build_system(1, 1, 8, seed=48)
         rows = [[poly.mul_scalar(rat(2)) for poly in row] for row in system.B.rows]
-        rep = check_biorthogonality(pairing_matrix(system.A, FamilyB(1, rows), system.mm))
+        rep = check_biorthogonality(pairing_matrix(system.A, FamilyB(1, rows), system.M))
         assert not rep.ok
+
+
+def pair_oracle(mm, left: list, right: list) -> list[list]:
+    """Entry (m, n): sum over b, a of integrate_pair of left[m][b] against right[n][a]."""
+    return [[sum((integrate_pair(mm, lhs[b], b, a, rhs[a])
+                  for b in range(len(lhs)) for a in range(len(rhs))), rat(0))
+             for rhs in right] for lhs in left]
+
+
+def rationals(rows: list[tuple]) -> list[list]:
+    return [[rat(v, d) for v in nums] for d, nums in rows]
+
+
+class TestProductRoute:
+    """Each product with the moment truncation equals the term-by-term integrals."""
+
+    def test_products_match_pair_integrals(self):
+        for kind in ("table", "mixed"):
+            for q, p in SHAPES:
+                system = build_system(q, p, 8, seed=52, kind=kind)
+                mm, M, A, B, D = system.mm, system.M, system.A, system.B, system.depth
+                where = (kind, q, p)
+                assert M.transpose().data == assemble_moments(mm.transpose(), D).data, where
+                assert pairing_matrix(A, B, M) == pair_oracle(mm, B.rows, A.cols), where
+                # the full products, not only the strictly lower parts orthogonality reads
+                slots_b = [[BiPoly.monomial(K) if b == slot else BiPoly() for b in range(q)]
+                           for K, slot in (divmod(col, q) for col in range(D))]
+                slots_a = [[BiPoly.monomial(K) if a == slot else BiPoly() for a in range(p)]
+                           for K, slot in (divmod(col, p) for col in range(D))]
+                want = pair_oracle(mm, B.rows, slots_a)
+                assert rationals(moment_rows(B.rows, M, D)) == want, where
+                want = [list(row) for row in zip(*pair_oracle(mm, slots_b, A.cols))]
+                assert rationals(moment_rows(A.cols, M.transpose(), D)) == want, where
+                # projection's inner integrals: B_i against the columns of P
+                P = seeded_monic_matrix(random.Random(53), p, 1)
+                columns = P.transpose().entries
+                assert pairings(B.rows, columns, M) == pair_oracle(mm, B.rows, columns), where
+
+
+class TestPlantedCoefficient:
+    """One wrong coefficient is reported at its member, by both checks."""
+
+    q, p, depth = 2, 3, 10
+    delta = rat(1, 7)
+
+    def test_b_member(self):
+        system = build_system(self.q, self.p, self.depth, seed=54)
+        q, p, D, M = self.q, self.p, self.depth, system.M
+        n0, b0, K0 = 6, 1, 1
+        r = K0 * q + b0  # column of the planted coefficient, below n0
+        rows = [list(row) for row in system.B.rows]
+        rows[n0][b0] = rows[n0][b0] + BiPoly({K0: self.delta})
+        bad = FamilyB(q, rows)
+
+        rep = check_orthogonality(system.A, bad, M)
+        want = [("B", n0, a, K) for a in range(p) for K in range(D)
+                if K * p + a < n0 and M.data[r][K * p + a] != 0]
+        assert want and [v.where for v in rep.violations] == want
+
+        rep = check_biorthogonality(pairing_matrix(system.A, bad, M))
+        mono = [BiPoly.monomial(K0) if b == b0 else BiPoly() for b in range(q)]
+        hit = pair_oracle(system.mm, [mono], system.A.cols)[0]
+        want = [(n0, n) for n in range(D) if hit[n] != 0]
+        assert (n0, r) in want and [v.where for v in rep.violations] == want
+
+    def test_a_member(self):
+        system = build_system(self.q, self.p, self.depth, seed=55)
+        q, p, D, M = self.q, self.p, self.depth, system.M
+        n0, a0, K0 = 7, 2, 1
+        c = K0 * p + a0  # column of the planted coefficient, below n0
+        cols = [list(col) for col in system.A.cols]
+        cols[n0][a0] = cols[n0][a0] + BiPoly({K0: self.delta})
+        bad = FamilyA(p, cols)
+
+        rep = check_orthogonality(bad, system.B, M)
+        want = [("A", n0, b, K) for b in range(q) for K in range(D)
+                if K * q + b < n0 and M.data[K * q + b][c] != 0]
+        assert want and [v.where for v in rep.violations] == want
+
+        rep = check_biorthogonality(pairing_matrix(bad, system.B, M))
+        mono = [BiPoly.monomial(K0) if a == a0 else BiPoly() for a in range(p)]
+        hit = [row[0] for row in pair_oracle(system.mm, system.B.rows, [mono])]
+        want = [(m, n0) for m in range(D) if hit[m] != 0]
+        assert (c, n0) in want and [v.where for v in rep.violations] == want
 
 
 class TestDegreeStructure:

@@ -301,6 +301,32 @@ class TestRelations:
         rep2 = check_recurrence_matrix(bad, system.A, system.B)
         assert not rep2.ok
 
+    def test_both_checks_cover_the_same_relations(self):
+        for q, p in SHAPES:
+            D = 12
+            system = build_system(q, p, required_depth(D, q, p), seed=67)
+            for k in (1, 2):
+                T = build_recurrence(system.F, q, p, k, D)
+                pointwise = check_recurrences(T, system.A, system.B, self.points)
+                coefficientwise = check_recurrence_matrix(T, system.A, system.B)
+                assert coefficientwise.checked > 0, (q, p, k)
+                assert pointwise.checked == len(self.points) * coefficientwise.checked, (q, p, k)
+
+    def test_planted_entry_located_alike(self):
+        for q, p, k in [(1, 2, 1), (2, 3, 2), (2, 2, 1)]:
+            D = 10
+            system = build_system(q, p, required_depth(D, q, p), seed=69)
+            T = build_recurrence(system.F, q, p, k, D)
+            data = [row[:] for row in T.data]
+            lo, _ = T.row_band(4)
+            data[4][lo] += rat(1, 11)
+            bad = RecurrenceTruncation(T.k, T.q, T.p, T.size, data, T.H)
+            pointwise = check_recurrences(bad, system.A, system.B, self.points)
+            coefficientwise = check_recurrence_matrix(bad, system.A, system.B)
+            where = {v.where for v in coefficientwise.violations}
+            assert where, (q, p, k)
+            assert {v.where[:4] for v in pointwise.violations} == where, (q, p, k)
+
     def test_n_max_respects_window(self):
         system = build_system(2, 2, required_depth(9, 2, 2), seed=70)
         T = build_recurrence(system.F, 2, 2, 2, 9)

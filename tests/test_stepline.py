@@ -7,7 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from steppoly import (
-    f_variants,
     floor_f,
     in_complement_J,
     n_minus_big,
@@ -16,6 +15,7 @@ from steppoly import (
     pos_of,
     rat,
 )
+from steppoly.stepline import f_minus
 
 RS = (1, 2, 3)
 KS = (1, 2)
@@ -83,15 +83,13 @@ class TestFloor:
         for num in range(0, 40):
             for den in (1, 2, 3):
                 x = rat(num, den)
-                assert f_variants(x, "plus1") == floor_f(x) + 1
-                assert f_variants(x, "plus2") == floor_f(x) + 2
-                assert f_variants(x, "minus1") == floor_f(x)
+                assert f_minus(x, 1) == floor_f(x)
                 if Fraction(num, den) >= 1:
-                    assert f_variants(x, "minus2") == floor_f(rat(num - den, den)) + 1
+                    assert f_minus(x, 2) == floor_f(rat(num - den, den)) + 1
 
     def test_minus2_rejects_small_argument(self):
         with pytest.raises(ValueError):
-            f_variants(rat(1, 2), "minus2")
+            f_minus(rat(1, 2), 2)
 
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
