@@ -52,12 +52,9 @@ class KernelTable:
             self.kernels.append(term)
 
 
-def _require_tabled(tables: list[KernelTable], count: int, what: str) -> None:
-    for table in tables:
-        if len(table.kernels) < count:
-            raise DepthError(
-                f"{what} needs family values through index {count - 1}, tabled to "
-                f"{len(table.kernels) - 1}", required=count)
+def _require_tabled(tables: list[KernelTable], count: int) -> None:
+    if any(len(table.kernels) < count for table in tables):
+        raise DepthError(f"point-pair tables end before family index {count - 1}", required=count)
 
 
 def kernel_eval(A: FamilyA, B: FamilyB, n: int, x: tuple, y: tuple) -> list[list]:
@@ -119,7 +116,7 @@ def check_cd_formula(blocks: CDBlocks, tables: list[KernelTable]) -> CheckReport
     """Exact CD identity at every tabled point pair, as p x q matrices."""
     n, k = blocks.n, blocks.k
     p, q = blocks.p, blocks.q
-    _require_tabled(tables, blocks.top + 1, f"CD blocks at n={n}")
+    _require_tabled(tables, blocks.top + 1)
     rep = CheckReport(f"cd_T{k}")
     for table in tables:
         x, y = table.x, table.y
@@ -172,7 +169,7 @@ def check_abc(mm: MeasureMatrix, n: int, tables: list[KernelTable]) -> CheckRepo
     the unpivoted factorization route, and is computed once for all pairs.
     """
     p, q = mm.p, mm.q
-    _require_tabled(tables, n + 1, f"ABC at n={n}")
+    _require_tabled(tables, n + 1)
     M_inv = gauss_jordan_inverse(assemble_moments(mm, n + 1).data)
     rep = CheckReport("abc")
     for table in tables:
@@ -190,12 +187,6 @@ _DEFAULT_SPOT_PAIRS = [
     ((rat(1, 2), rat(-1, 3)), (rat(-2, 5), rat(1, 7))),
     ((rat(3, 4), rat(1, 2)), (rat(1, 5), rat(-1, 2))),
     ((rat(-1, 3), rat(2, 3)), (rat(0), rat(1, 4))),
-]
-
-
-_DEFAULT_PROJECTION_POINTS = [
-    (rat(1, 2), rat(1, 3)), (rat(-1, 4), rat(2, 5)), (rat(1), rat(-1)),
-    (rat(-2, 3), rat(-1, 5)), (rat(3, 7), rat(5, 8)),
 ]
 
 
@@ -255,6 +246,12 @@ def _projection_threshold(I: int, r: int) -> int:
     return I * r + r - 1
 
 
+_DEFAULT_PROJECTION_POINTS = [
+    (rat(1, 2), rat(1, 3)), (rat(-1, 4), rat(2, 5)), (rat(1), rat(-1)),
+    (rat(-2, 3), rat(-1, 5)), (rat(3, 7), rat(5, 8)),
+]
+
+
 def check_projection(A: Family, B: Family, M: MomentTruncation, n: int,
                      P: PolyMatrix, points: list | None = None) -> CheckReport:
     """Integral of K^[n](x, .) against dmu P recovers P(x), above the threshold.
@@ -267,7 +264,7 @@ def check_projection(A: Family, B: Family, M: MomentTruncation, n: int,
     check on the transposed problem:
     check_projection(B, A, M.transpose(), n, P.transpose()).
     """
-    q, p = M.q, M.p
+    p = M.p
     if P.rows != p or P.cols != p:
         raise ValueError(f"projection needs a {p} x {p} matrix polynomial")
     I = P.grlex_pos_max()
