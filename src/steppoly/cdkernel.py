@@ -21,8 +21,7 @@ from .bipoly import PolyMatrix
 from .errors import DepthError
 from .families import Family, FamilyA, FamilyB, pairings
 from .linalg import gauss_jordan_inverse, matmul, transpose
-from .measures import MeasureMatrix
-from .moments import MomentTruncation, assemble_moments, monomial_value
+from .moments import MomentTruncation, monomial_value
 from .rational import as_rat, rat
 from .recurrence import RecurrenceTruncation
 from .report import CheckReport, Violation
@@ -161,16 +160,17 @@ def _monomials_t(r: int, n: int, x: tuple) -> list[list]:
     return out
 
 
-def check_abc(mm: MeasureMatrix, n: int, tables: list[KernelTable]) -> CheckReport:
+def check_abc(M: MomentTruncation, n: int, tables: list[KernelTable]) -> CheckReport:
     """Tabled K^[n] equals the inverse-moment form at every point pair, exactly.
 
-    The monomial vector truncations keep the first n+1 scalar entries; the
-    moment truncation inverse comes from pivoted Gauss-Jordan, independent of
-    the unpivoted factorization route, and is computed once for all pairs.
+    The monomial vector truncations keep the first n+1 scalar entries.  The
+    inverse of the (n+1) corner of the moment truncation M comes from pivoted
+    Gauss-Jordan on the moments themselves, independent of the unpivoted
+    factorization route, and is computed once for all pairs.
     """
-    p, q = mm.p, mm.q
+    p, q = M.p, M.q
     _require_tabled(tables, n + 1)
-    M_inv = gauss_jordan_inverse(assemble_moments(mm, n + 1).data)
+    M_inv = gauss_jordan_inverse(M.corner(n + 1).data)
     rep = CheckReport("abc")
     for table in tables:
         x, y = table.x, table.y

@@ -281,7 +281,7 @@ def _cd(ws: Workspace, pairs: list) -> list[CheckReport]:
 def _abc(ws: Workspace, pairs: list) -> list[CheckReport]:
     count = min(ws.depth, 8)
     tables = [KernelTable(ws.A, ws.B, x, y, count) for x, y in pairs]
-    return [check_abc(ws.config.measures, n, tables) for n in range(count)]
+    return [check_abc(ws.M, n, tables) for n in range(count)]
 
 
 CHECKS = {

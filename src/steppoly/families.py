@@ -32,7 +32,11 @@ from .report import CheckReport, Violation
 class Family:
     """Members n = 0, 1, ... of one family, each a list of BiPoly components."""
 
-    members: list[list[BiPoly]]
+    def __init__(self, members: list[list[BiPoly]]):
+        self.members = members
+        # per member, each component as (den, integer numerators, positions);
+        # grown by values() and shared by every point it is asked for
+        self._scaled: list[list[tuple]] = []
 
     def __len__(self) -> int:
         return len(self.members)
@@ -47,35 +51,35 @@ class Family:
         """Members 0 .. count-1 at one point, all read from one monomial table.
 
         The table and each component's coefficients are scaled to integers,
-        so each value is one integer sum of c * mono[K] and one rat().
+        the coefficients once per family, so each value is one integer sum of
+        c * mono[K] and one rat().
         """
-        members = self.members[:count]
-        top = max((pol.grlex_pos for comps in members for pol in comps), default=-1)
+        scaled = self._scaled
+        for comps in self.members[len(scaled):count]:
+            scaled.append([(*common_denominator(pol.coeffs.values()), list(pol.coeffs)) for pol in comps])
+        members = scaled[:count]
+        top = max((max(keys) for comps in members for _, _, keys in comps if keys), default=-1)
         den, mono = common_denominator(monomial_table(x1, x2, top + 1))
-        out = []
-        for comps in members:
-            row = []
-            for pol in comps:
-                d, nums = common_denominator(pol.coeffs.values())
-                row.append(rat(sum(c * mono[K] for K, c in zip(pol.coeffs, nums)), d * den))
-            out.append(row)
-        return out
+        return [[rat(sum(c * mono[K] for K, c in zip(keys, nums)), d * den) for d, nums, keys in comps]
+                for comps in members]
 
 
 class FamilyB(Family):
     """Rows of B: for each n a q-tuple of BiPoly."""
 
     def __init__(self, q: int, rows: list[list[BiPoly]]):
+        super().__init__(rows)
         self.q = q
-        self.rows = self.members = rows
+        self.rows = rows
 
 
 class FamilyA(Family):
     """Columns of A: for each n a p-tuple of BiPoly."""
 
     def __init__(self, p: int, cols: list[list[BiPoly]]):
+        super().__init__(cols)
         self.p = p
-        self.cols = self.members = cols
+        self.cols = cols
 
 
 def _members(rows: list[list], r: int, coeff) -> list[list[BiPoly]]:

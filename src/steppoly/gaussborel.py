@@ -8,17 +8,14 @@ pivots, because pivoting would destroy the unitriangular normalization that
 defines the polynomial families.
 
 Each row n of the truncation is scaled to integers by the lcm r_n of its
-denominators, Mi = diag(r) M, and one Bareiss elimination runs on Mi with an
-identity block on each side (E. H. Bareiss, Math. Comp. 22, 1968): row
-operations on [Mi | I] and the mirrored column operations on [Mi ; I].  Every
-intermediate is a minor of the bordered matrix, so the arithmetic stays in
-exact integers.  With Delta_n the n x n leading minor of Mi (Delta_0 = 1):
+denominators, Mi = diag(r) M, and one Bareiss elimination runs on the rows of
+Mi (E. H. Bareiss, Math. Comp. 22, 1968).  Every intermediate is a minor of
+Mi, so the arithmetic stays in exact integers.  With Delta_n the n x n
+leading minor of Mi (Delta_0 = 1):
 
 - the pivot of step n is Delta_{n+1}, so H_n = Delta_{n+1} / (Delta_n r_n);
 - the multiplier Mi[i][k] of step k is Delta_{k+1} r_i / r_k * S^-1[i][k],
-  and Mi[k][i] is Delta_{k+1} Sbar^-1[i][k];
-- row n of the identity block right of Mi ends as Delta_n r_n / r_c * S[n][c],
-  and column n of the identity block below Mi as Delta_n Sbar[n].
+  and Mi[k][i] is Delta_{k+1} Sbar^-1[i][k].
 
 One lcm per row rather than one for the whole truncation keeps the minors
 small: scaling by a single den multiplies Delta_n by den^n.
@@ -31,16 +28,23 @@ of the elimination, in the fraction-free LU form of Nakos, Turner and Williams
     factor[n][c]    = L[n][c] scale_c / (Delta_n scale_n),
     inverse[i][k]   = L_inv[i][k] scale_k / (Delta_{k+1} scale_i)
 
-for c <= n and k <= i.  On the S side the scale is r, L the rows of the right
-identity block (diagonal Delta_n) and L_inv the lower rows of Mi (diagonal
-Delta_{i+1}); on the Sbar side the scale is all ones, L the columns of the
-lower identity block and L_inv the upper part of Mi, read as rows.  The
-recurrence matrices are built from these integers; the rational inverses are
-never formed.
+for c <= n and k <= i.  On the S side the scale is r and L_inv the lower rows
+of Mi; on the Sbar side the scale is all ones and L_inv the upper part of Mi,
+read as rows.  L_inv[c][c] = Delta_{c+1} and L[n][n] = Delta_n.  Each L is
+recovered from its L_inv by integer back-substitution: the scales cancel from
+row n of factor * inverse = I, which leaves
+
+    L[n][c] = -(sum_{j=c+1..n} L[n][j] L_inv[j][c]) / Delta_{c+1},  c < n,
+
+an exact division (the quotient is the integer Delta_n r_n / r_c S[n][c] on
+the S side, Delta_n Sbar[n][c] on the Sbar side).  No identity block is
+carried through the elimination.  The recurrence matrices are built from
+these integers; the rational inverses are never formed.
 """
 
 from __future__ import annotations
 
+from operator import mul
 from typing import NamedTuple
 
 from .errors import Breakdown
@@ -90,6 +94,22 @@ def _unit_lower(minors: list[int], side: IntegerSide) -> list[list]:
             for n in range(D)]
 
 
+def _factor_numerators(minors: list[int], inv_cols: list[list[int]]) -> list[list[int]]:
+    """L of one IntegerSide by the back-substitution of the module docstring.
+
+    inv_cols[c] is column c of L_inv from the diagonal down.  Row n is filled
+    from the diagonal leftwards, one integer sum and one exact division per
+    entry.
+    """
+    L = []
+    for n in range(len(inv_cols)):
+        row = [0] * n + [minors[n]]
+        for c in range(n - 1, -1, -1):
+            row[c] = -sum(map(mul, row[c + 1:], inv_cols[c][1:n - c + 1])) // minors[c + 1]
+        L.append(row)
+    return L
+
+
 def factorize(M: MomentTruncation | list[list]) -> Factorization:
     """Fraction-free unpivoted LU; Breakdown(k) when the leading minor of size k+1 vanishes."""
     data = M.data if isinstance(M, MomentTruncation) else M
@@ -99,10 +119,6 @@ def factorize(M: MomentTruncation | list[list]) -> Factorization:
     scaled = [common_denominator(as_rat(v) for v in row) for row in data]
     r = [r_n for r_n, _ in scaled]
     Mi = [row for _, row in scaled]
-    # Strict lower parts of the identity blocks, row n of E and column n of F
-    # stored as rows; their diagonal entry n is Delta_n.
-    E = [[0] * n for n in range(D)]
-    F = [[0] * n for n in range(D)]
     minors = [1]
     for k in range(D):
         row_k = Mi[k]
@@ -110,17 +126,16 @@ def factorize(M: MomentTruncation | list[list]) -> Factorization:
         if piv == 0:
             raise Breakdown(k)
         minors.append(piv)
-        E[k].append(prev)
-        F[k].append(prev)
-        tail_k, e_k, f_k = row_k[k + 1:], E[k], F[k]
-        for i in range(k + 1, D):
-            row_i = Mi[i]
-            a, b = row_i[k], row_k[i]
+        tail_k = row_k[k + 1:]
+        for row_i in Mi[k + 1:]:
+            a = row_i[k]
             row_i[k + 1:] = [(piv * x - a * y) // prev for x, y in zip(row_i[k + 1:], tail_k)]
-            E[i][:k + 1] = [(piv * x - a * y) // prev for x, y in zip(E[i], e_k)]
-            F[i][:k + 1] = [(piv * x - b * y) // prev for x, y in zip(F[i], f_k)]
-    S_int = IntegerSide(r, E, [row[:i + 1] for i, row in enumerate(Mi)])
-    Sbar_int = IntegerSide([1] * D, F, [[Mi[k][i] for k in range(i + 1)] for i in range(D)])
+    # Column c of each side's L_inv, from the diagonal down: the S side reads
+    # the columns of Mi's lower part, the Sbar side the rows of its upper part.
+    S_int = IntegerSide(r, _factor_numerators(minors, [[row[c] for row in Mi[c:]] for c in range(D)]),
+                        [row[:i + 1] for i, row in enumerate(Mi)])
+    Sbar_int = IntegerSide([1] * D, _factor_numerators(minors, [row[c:] for c, row in enumerate(Mi)]),
+                           [[Mi[k][i] for k in range(i + 1)] for i in range(D)])
     return Factorization(
         D,
         S=_unit_lower(minors, S_int),

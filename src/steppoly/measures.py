@@ -5,16 +5,59 @@ x^s y^t against it.  Three concrete classes are supported: finite signed atom
 lists, polynomial densities on axis-aligned rectangles (integrated exactly by
 the power rule), and explicit moment tables with a declared degree bound.
 Anything else can be supplied as a table.
+
+The moments are exact and stay in integers as far as they can.  A Discrete
+measure scales its atoms' x, y and w each by one lcm and keeps, per
+coordinate, a PowerTable of the integer powers of every atom, so m(s, t) is
+one integer sum of W X^s Y^t and one rat().  A RectDensity keeps one
+PowerIntegrals table per axis, the integral of x^e over its side indexed by e,
+so m(s, t) is a sum of one product per density term.  Both build their tables
+on the first moment() call and grow them on demand, so loading a config does
+no moment work, and both cache each (s, t) they return.
 """
 
 from __future__ import annotations
 
+from operator import mul
 from typing import Mapping, Sequence
 
 from .bipoly import BiPoly
 from .errors import ConfigError
-from .rational import ZERO, as_rat, format_rat, parse_rat, rat
+from .rational import ZERO, as_rat, common_denominator, format_rat, parse_rat, rat
 from .stepline import pair_of
+
+
+class PowerTable:
+    """Integer powers of one coordinate of every atom, grown on demand.
+
+    The values are scaled to integers by the lcm den of their denominators,
+    so row(e)[a] / den**e is the e-th power of value a.
+    """
+
+    def __init__(self, values):
+        self.den, nums = common_denominator(values)
+        self._rows = [[1] * len(nums), nums]
+
+    def row(self, e: int) -> list[int]:
+        rows = self._rows
+        while len(rows) <= e:
+            rows.append(list(map(mul, rows[-1], rows[1])))
+        return rows[e]
+
+
+class PowerIntegrals:
+    """The integral of x^e over [lo, hi], (hi^(e+1) - lo^(e+1)) / (e+1), by e, grown on demand."""
+
+    def __init__(self, lo, hi):
+        self.lo, self.hi = lo, hi
+        self._table = []
+
+    def __getitem__(self, e: int):
+        table = self._table
+        while len(table) <= e:
+            n = len(table) + 1
+            table.append((self.hi ** n - self.lo ** n) / n)
+        return table[e]
 
 
 class Discrete:
@@ -23,14 +66,16 @@ class Discrete:
     def __init__(self, atoms: Sequence[tuple]):
         self.atoms = [(as_rat(x), as_rat(y), as_rat(w)) for x, y, w in atoms]
         self._cache: dict[tuple[int, int], object] = {}
+        self._scaled = None
 
     def moment(self, s: int, t: int):
         key = (s, t)
         if key not in self._cache:
-            total = rat(0)
-            for x, y, w in self.atoms:
-                total += w * x**s * y**t
-            self._cache[key] = total
+            if self._scaled is None:
+                self._scaled = [PowerTable([atom[c] for atom in self.atoms]) for c in range(3)]
+            xs, ys, ws = self._scaled
+            total = sum(map(mul, ws.row(1), map(mul, xs.row(s), ys.row(t))))
+            self._cache[key] = rat(total, ws.den * xs.den ** s * ys.den ** t)
         return self._cache[key]
 
     def to_json(self) -> dict:
@@ -53,21 +98,18 @@ class RectDensity:
             raise ConfigError("rectangle bounds must satisfy lo < hi in both variables")
         self.density = density
         self._cache: dict[tuple[int, int], object] = {}
-
-    def _power_integral(self, lo, hi, e: int):
-        return (hi ** (e + 1) - lo ** (e + 1)) / (e + 1)
+        self._axes = (PowerIntegrals(self.x1_lo, self.x1_hi), PowerIntegrals(self.x2_lo, self.x2_hi))
+        self._terms = None
 
     def moment(self, s: int, t: int):
         key = (s, t)
         if key not in self._cache:
+            if self._terms is None:
+                self._terms = [(pair_of(K), c) for K, c in self.density.coeffs.items()]
+            ix, iy = self._axes
             total = rat(0)
-            for K, c in self.density.coeffs.items():
-                i, j, _ = pair_of(K)
-                total += (
-                    c
-                    * self._power_integral(self.x1_lo, self.x1_hi, s + i - j)
-                    * self._power_integral(self.x2_lo, self.x2_hi, t + j)
-                )
+            for (i, j, _), c in self._terms:
+                total += c * ix[s + i - j] * iy[t + j]
             self._cache[key] = total
         return self._cache[key]
 

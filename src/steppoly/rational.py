@@ -1,8 +1,9 @@
 """Exact rational scalar backend.
 
-Uses gmpy2.mpq when available, fractions.Fraction otherwise.  Both expose the
-same arithmetic and the same str() form ("n" or "n/d" in lowest terms), which
-the serialization layer relies on.
+Uses gmpy2.mpq when available, fractions.Fraction otherwise; BACKEND names the
+one in use, "gmpy2" or "fractions".  Both expose the same arithmetic and the
+same str() form ("n" or "n/d" in lowest terms), which the serialization layer
+relies on.
 """
 
 from __future__ import annotations
@@ -16,12 +17,14 @@ try:
     from gmpy2 import mpq as _mpq
 
     QType = type(_mpq(1, 2))
+    BACKEND = "gmpy2"
 
     def rat(num=0, den=1):
         return _mpq(num, den)
 
 except ImportError:
     QType = Fraction
+    BACKEND = "fractions"
 
     def rat(num=0, den=1):
         return Fraction(num, den)

@@ -15,7 +15,7 @@ from __future__ import annotations
 from math import isqrt
 from typing import NamedTuple
 
-from .rational import as_rat, rat
+from .rational import as_rat
 
 
 class GradedIndex(NamedTuple):
@@ -24,39 +24,31 @@ class GradedIndex(NamedTuple):
     position: int
 
 
-def _floor_div_rat(x) -> tuple[int, int]:
-    """Return (num, den) of x as exact nonnegative integers, den > 0."""
-    q = as_rat(x)
-    num, den = int(q.numerator), int(q.denominator)
-    if num < 0:
-        raise ValueError(f"negative argument: {x}")
-    return num, den
-
-
 def floor_f(x) -> int:
-    """Largest integer i with i(i+1)/2 <= x, for rational x >= 0.
+    """Largest integer i with i(i+1)/2 <= x, for an integer or rational x >= 0.
 
-    Computed with an exact integer square root plus fixup; the boundary at
-    triangular numbers must be hit exactly, so no float sqrt is ever used.
+    Every i(i+1)/2 is an integer, so F(x) = F(floor(x)), and for an integer
+    m >= 0 the answer is exactly (isqrt(8m + 1) - 1) // 2: the integer
+    square root hits the triangular boundaries exactly, with no fixup and no
+    float.
     """
-    num, den = _floor_div_rat(x)
-    # i <= (-1 + sqrt(1 + 8x)) / 2 with x = num/den; work over integers.
-    i = (isqrt(den * den + 8 * num * den) - den) // (2 * den)
-    while (i + 1) * (i + 2) * den <= 2 * num:
-        i += 1
-    while i > 0 and i * (i + 1) * den > 2 * num:
-        i -= 1
-    return i
+    if type(x) is int:
+        m = x
+    else:
+        q = as_rat(x)
+        m = q.numerator // q.denominator
+    if m < 0:
+        raise ValueError(f"negative argument: {x}")
+    return (isqrt(8 * m + 1) - 1) // 2
 
 
 def f_minus(x, k: int) -> int:
     """F_k^- for k in {1, 2}: F_1^-(x) = F(x) and F_2^-(x) = F(x - 1) + 1 for x >= 1."""
     if k == 1:
         return floor_f(x)
-    q = as_rat(x)
-    if q < 1:
+    if x < 1:
         raise ValueError(f"F_2^- requires x >= 1, got {x}")
-    return floor_f(q - 1) + 1
+    return floor_f(x - 1) + 1
 
 
 def pos_of(i: int, j: int) -> int:
@@ -86,12 +78,12 @@ def n_plus(n: int, r: int, k: int) -> int:
     """Column of the single 1 in row n of the shift operator Lambda_{[r];k}.
 
     Equals n + r*F(n/r) + k*r (the r-scaled form; the unscaled variant only
-    matches the operator's block layout for r = 1).
+    matches the operator's block layout for r = 1), where F(n/r) = F(n // r).
     """
     _check_rk(r, k)
     if n < 0:
         raise ValueError(f"negative n: {n}")
-    return n + r * floor_f(rat(n, r)) + k * r
+    return n + r * floor_f(n // r) + k * r
 
 
 def in_complement_J(n: int, r: int, k: int) -> bool:
@@ -99,7 +91,7 @@ def in_complement_J(n: int, r: int, k: int) -> bool:
     _check_rk(r, k)
     if n < k * r:
         return False
-    m = n - r * f_minus(rat(n, r), k)
+    m = n - r * f_minus(n // r, k)
     return m >= 0 and n_plus(m, r, k) == n
 
 
@@ -115,4 +107,4 @@ def n_minus_big(n: int, r: int, k: int) -> int:
     m = n
     while not in_complement_J(m, r, k):
         m += 1
-    return m - r * f_minus(rat(m, r), k)
+    return m - r * f_minus(m // r, k)

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from fractions import Fraction
 
 from steppoly import (
     Discrete,
@@ -32,7 +33,7 @@ from steppoly.errors import Breakdown
 from steppoly.gaussborel import IntegerSide
 from steppoly.linalg import gauss_jordan_inverse, matmul, transpose
 from steppoly.moments import MomentTruncation
-from steppoly.rational import ZERO, as_rat
+from steppoly.rational import ZERO, as_rat, common_denominator
 from steppoly.stepline import in_complement_J, n_plus
 
 SHAPES = [(1, 1), (1, 2), (2, 1), (2, 2), (2, 3)]
@@ -243,6 +244,41 @@ def corner_factorization(F: Factorization, d: int) -> Factorization:
                          cut(F.S_int), cut(F.Sbar_int))
 
 
+def bordered_numerators(data: list[list]) -> tuple[list[int], IntegerSide, IntegerSide]:
+    """The minors and both IntegerSides by Bareiss elimination with identity blocks.
+
+    Row operations run on [Mi | I] and the mirrored column operations on
+    [Mi ; I], with Mi the row-scaled truncation; row n of the right block ends
+    as L[n] of the S side and column n of the lower block as L[n] of the Sbar
+    side.  This is the bordered route factorize replaced by back-substitution,
+    kept as the oracle for its integers.
+    """
+    D = len(data)
+    scaled = [common_denominator(as_rat(v) for v in row) for row in data]
+    r = [r_n for r_n, _ in scaled]
+    Mi = [row for _, row in scaled]
+    E = [[0] * n for n in range(D)]
+    F = [[0] * n for n in range(D)]
+    minors = [1]
+    for k in range(D):
+        row_k = Mi[k]
+        piv, prev = row_k[k], minors[k]
+        if piv == 0:
+            raise Breakdown(k)
+        minors.append(piv)
+        E[k].append(prev)
+        F[k].append(prev)
+        for i in range(k + 1, D):
+            row_i = Mi[i]
+            a, b = row_i[k], row_k[i]
+            row_i[k + 1:] = [(piv * x - a * y) // prev for x, y in zip(row_i[k + 1:], row_k[k + 1:])]
+            E[i][:k + 1] = [(piv * x - a * y) // prev for x, y in zip(E[i], E[k])]
+            F[i][:k + 1] = [(piv * x - b * y) // prev for x, y in zip(F[i], F[k])]
+    return (minors,
+            IntegerSide(r, E, [row[:i + 1] for i, row in enumerate(Mi)]),
+            IntegerSide([1] * D, F, [[Mi[k][i] for k in range(i + 1)] for i in range(D)]))
+
+
 def reconstruct(F: Factorization) -> list[list]:
     """S^-1 diag(H) Sbar^-T from the stored inverses, for comparison against the truncation."""
     S_inv, Sbar_inv = stored_inverses(F)
@@ -282,6 +318,31 @@ def integrate_pair(mm: MeasureMatrix, left: BiPoly, b_idx: int, a_idx: int, righ
         for K2, c2 in right.coeffs.items():
             i2, j2, _ = pair_of(K2)
             total += c1 * c2 * measure.moment((i1 - j1) + (i2 - j2), j1 + j2)
+    return total
+
+
+def naive_moment(measure, s: int, t: int) -> Fraction:
+    """The moment of a Discrete or RectDensity measure in plain Fractions, term by term.
+
+    Atoms are summed as w x^s y^t; a density term c x^(i-j) y^j integrates to
+    c times one power-rule integral per axis.  Nothing is scaled or cached.
+    """
+    def F(v) -> Fraction:
+        return Fraction(int(v.numerator), int(v.denominator))
+
+    if isinstance(measure, Discrete):
+        return sum((F(w) * F(x) ** s * F(y) ** t for x, y, w in measure.atoms), Fraction(0))
+
+    def power_integral(lo, hi, e: int) -> Fraction:
+        return (F(hi) ** (e + 1) - F(lo) ** (e + 1)) / (e + 1)
+
+    # step-line pairs in order, enumerated here rather than read from pair_of
+    pairs = [(i, j) for i in range(max(measure.density.coeffs, default=0) + 1) for j in range(i + 1)]
+    total = Fraction(0)
+    for K, c in measure.density.coeffs.items():
+        i, j = pairs[K]
+        total += (F(c) * power_integral(measure.x1_lo, measure.x1_hi, s + i - j)
+                  * power_integral(measure.x2_lo, measure.x2_hi, t + j))
     return total
 
 

@@ -287,7 +287,7 @@ def test_criterion_6_cd_abc_reproduction_projection():
         pairs = [(seeded_point(rng), seeded_point(rng)) for _ in range(10)]
         pair_tables = [KernelTable(system.A, system.B, x, y, n_top + 1) for x, y in pairs]
         for n in range(n_top + 1):
-            rep = check_abc(system.mm, n, pair_tables)
+            rep = check_abc(system.M, n, pair_tables)
             assert rep.ok and rep.checked == len(pairs), (q, p, n)
 
         window_a = FamilyA(p, system.A.cols[: n_top + 1])

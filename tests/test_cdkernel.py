@@ -132,7 +132,7 @@ class TestCDFormula:
         with pytest.raises(DepthError):
             check_cd_formula(blocks, tables(system, [(X, Y)], blocks.top))
         with pytest.raises(DepthError):
-            check_abc(system.mm, 4, tables(system, [(X, Y)], 4))
+            check_abc(system.M, 4, tables(system, [(X, Y)], 4))
 
     def test_detects_wrong_families(self):
         system, T = system_with_T(1, 1, 10, seed=89)
@@ -149,12 +149,12 @@ class TestABC:
             system = build_system(q, p, 10, seed=91)
             pair_tables = tables(system, [(X, Y)], 7)
             for n in range(7):
-                assert check_abc(system.mm, n, pair_tables).ok, (q, p, n)
+                assert check_abc(system.M, n, pair_tables).ok, (q, p, n)
 
     def test_detects_foreign_moments(self):
         system = build_system(1, 1, 8, seed=92)
         other = build_system(1, 1, 8, seed=93)
-        rep = check_abc(other.mm, 4, tables(system, [(X, Y), (Y, X)], 5))
+        rep = check_abc(other.M, 4, tables(system, [(X, Y), (Y, X)], 5))
         assert rep.checked == 2 and len(rep.violations) == 2
 
 

@@ -11,6 +11,7 @@ from steppoly.rational import QType
 
 from _support import (
     SHAPES,
+    bordered_numerators,
     build_system,
     corner,
     corner_factorization,
@@ -106,6 +107,18 @@ class TestFactorize:
         assert mat_eq(F.Sbar, invert_unitriangular(transpose(U)))
         assert mat_eq(reconstruct(F), assemble(L, H, U))
         assert all_rational(F)
+
+    @given(planted_factors())
+    def test_numerators_match_bordered_elimination(self, factors):
+        F = factorize(assemble(*factors))
+        assert (F.minors, F.S_int, F.Sbar_int) == bordered_numerators(assemble(*factors))
+
+    def test_numerators_match_bordered_elimination_on_random_systems(self):
+        for kind in ("table", "mixed"):
+            for q, p in SHAPES:
+                system = build_system(q, p, 16, seed=35, kind=kind)
+                F = system.F
+                assert (F.minors, F.S_int, F.Sbar_int) == bordered_numerators(system.M.data), (kind, q, p)
 
     def test_factor_types_and_stored_inverses(self):
         F = build_system(2, 3, 20, seed=34).F

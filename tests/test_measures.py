@@ -19,8 +19,9 @@ from steppoly import (
 from steppoly.bipoly import BiPoly
 from steppoly.errors import ConfigError
 from steppoly.measures import measure_from_json
+from steppoly.rational import BACKEND, QType
 
-from _support import rand_density
+from _support import naive_moment, rand_density, rand_discrete
 
 
 def to_fraction(v) -> Fraction:
@@ -80,6 +81,61 @@ class TestDiscrete:
             for t in range(4):
                 want = sum(w * x**s * y**t for x, y, w in atoms)
                 assert m.moment(s, t) == want
+
+
+# every (s, t) with s + t <= 12, highest total degree first, so that the
+# lazily grown power tables are read out of order
+QUERIES = sorted(((s, t) for s in range(13) for t in range(13 - s)), key=lambda st: (-sum(st), -st[0]))
+
+
+class TestMomentOracle:
+    """Discrete and RectDensity moments equal a plain Fraction sum, entry by entry."""
+
+    def assert_matches(self, measure):
+        for s, t in QUERIES:
+            assert to_fraction(measure.moment(s, t)) == naive_moment(measure, s, t), (s, t)
+
+    def test_discrete_edge_atoms(self):
+        atoms = [
+            (rat(0), rat(0), rat(3)),           # both coordinates zero
+            (rat(0), rat(-2, 3), rat(-1, 4)),   # zero x, negative weight
+            (rat(5, 6), rat(0), rat(2)),        # zero y
+            (rat(-1, 2), rat(3, 7), rat(-5)),
+            (rat(-1, 2), rat(3, 7), rat(-5)),   # a repeat
+            (rat(9, 4), rat(-7, 5), rat(0)),    # zero weight
+        ]
+        self.assert_matches(Discrete(atoms))
+
+    def test_discrete_empty(self):
+        m = Discrete([])
+        self.assert_matches(m)
+        assert m.moment(0, 0) == 0
+
+    def test_discrete_random(self):
+        rng = random.Random(11)
+        for _ in range(3):
+            self.assert_matches(rand_discrete(rng, n_atoms=15))
+
+    def test_rect_boxes_on_both_sides_of_zero(self):
+        rng = random.Random(12)
+        boxes = [
+            (rat(-3, 2), rat(1, 3), rat(-2), rat(-1, 5)),   # x across 0, y below it
+            (rat(1, 4), rat(2), rat(1, 3), rat(5, 2)),      # both above 0
+            (rat(-2), rat(-1, 2), rat(0), rat(3, 4)),       # x below 0, y from 0
+            (rat(-5, 3), rat(0), rat(-1, 7), rat(4, 3)),    # x up to 0, y across it
+        ]
+        for box in boxes:
+            self.assert_matches(RectDensity(*box, rand_density(rng)))
+
+    def test_query_order_does_not_matter(self):
+        rng = random.Random(13)
+        atoms = rand_discrete(rng, n_atoms=10).atoms
+        density = rand_density(rng)
+        shuffled = random.Random(14).sample(QUERIES, len(QUERIES))
+        for order in (QUERIES, QUERIES[::-1], shuffled):
+            for m in (Discrete(atoms), RectDensity(rat(-1, 2), rat(3), rat(-2), rat(1, 5), density)):
+                got = [m.moment(s, t) for s, t in order]
+                assert [to_fraction(v) for v in got] == [naive_moment(m, s, t) for s, t in order]
 
 
 class TestMomentTable:
@@ -162,6 +218,12 @@ class TestRationalParsing:
     def test_normalization(self):
         assert format_rat(parse_rat("4/8")) == "1/2"
         assert format_rat(rat(2, 4)) == "1/2"
+
+    def test_backend_names_the_rational_type(self):
+        assert BACKEND in ("gmpy2", "fractions")
+        assert (BACKEND == "fractions") == (QType is Fraction)
+        assert QType.__module__ == BACKEND
+        assert type(rat(1, 2)) is QType
 
     def test_rejects_garbage(self):
         for text in ("", "1/0", "a", "1.5", "1/ 2", "--3"):

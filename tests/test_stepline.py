@@ -1,6 +1,7 @@
 """Index machinery: every map is checked against brute-force enumeration."""
 
 from fractions import Fraction
+from math import isqrt
 
 import pytest
 from hypothesis import given, settings
@@ -78,6 +79,22 @@ class TestFloor:
         assert floor_f(t) == i
         if t > 0:
             assert floor_f(t - 1) == i - 1
+
+    def test_integer_path_against_brute_force(self):
+        for m in range(10**4 + 1):
+            assert floor_f(m) == brute_floor(Fraction(m)), m
+
+    def test_large_integers(self):
+        # around 2^200, at and next to the triangular numbers i(i+1)/2
+        for i in (isqrt(2**201) - 1, isqrt(2**201), isqrt(2**201) + 1, 2**100 + 12345):
+            t = i * (i + 1) // 2
+            assert floor_f(t - 1) == i - 1
+            assert floor_f(t) == floor_f(t + 1) == floor_f(t + i) == i
+            assert floor_f(t + i + 1) == i + 1
+        for m in range(2**200 - 50, 2**200 + 50):
+            i = floor_f(m)
+            assert i * (i + 1) // 2 <= m < (i + 1) * (i + 2) // 2
+            assert floor_f(rat(3 * m + 2, 3)) == i
 
     def test_variants(self):
         for num in range(0, 40):
