@@ -6,14 +6,10 @@ lists, polynomial densities on axis-aligned rectangles (integrated exactly by
 the power rule), and explicit moment tables with a declared degree bound.
 Anything else can be supplied as a table.
 
-The moments are exact and stay in integers as far as they can.  A Discrete
-measure scales its atoms' x, y and w each by one lcm and keeps, per
-coordinate, a PowerTable of the integer powers of every atom, so m(s, t) is
-one integer sum of W X^s Y^t and one rat().  A RectDensity keeps one
-PowerIntegrals table per axis, the integral of x^e over its side indexed by e,
-so m(s, t) is a sum of one product per density term.  Both build their tables
-on the first moment() call and grow them on demand, so loading a config does
-no moment work, and both cache each (s, t) they return.
+Discrete moments are one integer sum over per-coordinate power tables and
+RectDensity moments read one table of power integrals per axis.  The tables
+are built on the first moment() call and grown on demand, so loading a config
+does no moment work.
 """
 
 from __future__ import annotations
@@ -28,11 +24,8 @@ from .stepline import pair_of
 
 
 class PowerTable:
-    """Integer powers of one coordinate of every atom, grown on demand.
-
-    The values are scaled to integers by the lcm den of their denominators,
-    so row(e)[a] / den**e is the e-th power of value a.
-    """
+    """Powers of a list of rationals, scaled to integers by the lcm den of their
+    denominators: row(e)[a] / den**e is value a to the e-th power."""
 
     def __init__(self, values):
         self.den, nums = common_denominator(values)
@@ -98,17 +91,18 @@ class RectDensity:
             raise ConfigError("rectangle bounds must satisfy lo < hi in both variables")
         self.density = density
         self._cache: dict[tuple[int, int], object] = {}
-        self._axes = (PowerIntegrals(self.x1_lo, self.x1_hi), PowerIntegrals(self.x2_lo, self.x2_hi))
-        self._terms = None
+        self._tables = None
 
     def moment(self, s: int, t: int):
         key = (s, t)
         if key not in self._cache:
-            if self._terms is None:
-                self._terms = [(pair_of(K), c) for K, c in self.density.coeffs.items()]
-            ix, iy = self._axes
+            if self._tables is None:
+                self._tables = ([(pair_of(K), c) for K, c in self.density.coeffs.items()],
+                                PowerIntegrals(self.x1_lo, self.x1_hi),
+                                PowerIntegrals(self.x2_lo, self.x2_hi))
+            terms, ix, iy = self._tables
             total = rat(0)
-            for (i, j, _), c in self._terms:
+            for (i, j, _), c in terms:
                 total += c * ix[s + i - j] * iy[t + j]
             self._cache[key] = total
         return self._cache[key]
