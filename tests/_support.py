@@ -250,8 +250,8 @@ def bordered_numerators(data: list[list]) -> tuple[list[int], IntegerSide, Integ
     Row operations run on [Mi | I] and the mirrored column operations on
     [Mi ; I], with Mi the row-scaled truncation; row n of the right block ends
     as L[n] of the S side and column n of the lower block as L[n] of the Sbar
-    side.  This is the bordered route factorize replaced by back-substitution,
-    kept as the oracle for its integers.
+    side.  factorize gets the same integers by back-substitution instead, so
+    this is the oracle for them.
     """
     D = len(data)
     scaled = [common_denominator(as_rat(v) for v in row) for row in data]
