@@ -73,10 +73,6 @@ class BiPoly:
     def constant(c) -> "BiPoly":
         return BiPoly({0: as_rat(c)})
 
-    @staticmethod
-    def variable(k: int) -> "BiPoly":
-        return BiPoly.monomial(1 if k == 1 else 2)
-
     # ---- degree notions ----------------------------------------------
 
     @property
@@ -257,16 +253,6 @@ class PolyMatrix:
 
     def eval_at(self, x1, x2) -> list[list[object]]:
         return [[e.eval(x1, x2) for e in row] for row in self.entries]
-
-    def add(self, other: "PolyMatrix") -> "PolyMatrix":
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise ValueError("shape mismatch")
-        return PolyMatrix(
-            [
-                [self.entries[r][c].add(other.entries[r][c]) for c in range(self.cols)]
-                for r in range(self.rows)
-            ]
-        )
 
     def grlex_pos_max(self) -> int:
         return max(e.grlex_pos for row in self.entries for e in row)

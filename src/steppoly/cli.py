@@ -53,7 +53,6 @@ from .recurrence import (
     build_recurrence,
     check_dual_form,
     check_recurrence_matrix,
-    check_recurrences,
     required_depth,
     validate_band,
 )
@@ -72,7 +71,6 @@ class RunConfig:
     measures: MeasureMatrix
     depth: int
     checks: list[str]
-    eval_points: list[tuple]
     seed: int
     output: str | None
 
@@ -93,15 +91,15 @@ class RunConfig:
         if not isinstance(checks, list) or not all(isinstance(c, str) for c in checks):
             raise ConfigError("checks must be a list of names")
         require_known_checks(checks)
+        # eval_points feeds no check, but a malformed value is still a config error
         entries = obj.get("eval_points", [])
         if not isinstance(entries, list):
             raise ConfigError("eval_points must be a list of pairs")
-        points = []
         for entry in entries:
             if not isinstance(entry, (list, tuple)) or len(entry) != 2:
                 raise ConfigError(f"eval point must be a pair, got {entry!r}")
             try:
-                points.append((parse_rat(entry[0]), parse_rat(entry[1])))
+                parse_rat(entry[0]), parse_rat(entry[1])
             except ValueError as exc:
                 raise ConfigError(f"bad eval point {entry!r}: {exc}") from exc
         try:
@@ -111,7 +109,7 @@ class RunConfig:
         output = obj.get("output")
         if output is not None and not isinstance(output, str):
             raise ConfigError("output must be a path string")
-        return RunConfig(mm.q, mm.p, mm, depth, checks, points, seed, output)
+        return RunConfig(mm.q, mm.p, mm, depth, checks, seed, output)
 
 
 def load_config(path: str | Path) -> RunConfig:
@@ -249,11 +247,6 @@ def _point_pairs(rng: random.Random, count: int) -> list:
 # rebinding a name here reaches them.
 
 
-def _recurrence(ws: Workspace, points: list) -> list[CheckReport]:
-    return [rep for k in (1, 2) for rep in (check_recurrences(ws.T[k], ws.A, ws.B, points),
-                                            check_recurrence_matrix(ws.T[k], ws.A, ws.B))]
-
-
 def _projection(ws: Workspace, rng: random.Random) -> list[CheckReport]:
     q, p, D = ws.config.q, ws.config.p, ws.depth
     I, I_dual = min(3, D // p - 1), min(3, D // q - 1)
@@ -291,7 +284,7 @@ CHECKS = {
     "biorthogonality": lambda ws, _: [check_biorthogonality(ws.gram)],
     "dual": lambda ws, _: [check_dual_form(ws.T[k], ws.F) for k in (1, 2)],
     "band": lambda ws, _: [validate_band(ws.T[k]) for k in (1, 2)],
-    "recurrence": _recurrence,
+    "recurrence": lambda ws, _: [check_recurrence_matrix(ws.T[k], ws.A, ws.B) for k in (1, 2)],
     "reproduction": lambda ws, pairs: [
         check_reproduction(ws.A, ws.B, ws.gram, ws.depth - 1, pairs)
     ],
@@ -320,7 +313,6 @@ def run_checks(ws: Workspace, checks: list[str]) -> list[CheckOutcome]:
     # drawn in this order whichever checks run, so a seed always gives the same
     # points; projection draws its matrix polynomials from rng when its turn comes
     draws = {
-        "recurrence": ws.config.eval_points or [seeded_point(rng) for _ in range(10)],
         "cd": _point_pairs(rng, 5),
         "abc": _point_pairs(rng, 10),
         "reproduction": _point_pairs(rng, 3),
@@ -375,8 +367,10 @@ def _matrix_to_strings(data: list[list]) -> list[list[str]]:
     return [[format_rat(v) for v in row] for row in data]
 
 
-# The matrix each matrix export kind reads; exports show its depth x depth corner.
+# The matrix each export kind but families reads; exports show its depth x depth
+# corner, and H is one row.
 EXPORT_MATRICES = {
+    "H": lambda ws: [ws.F.H],
     "S": lambda ws: ws.F.S,
     "Sbar": lambda ws: ws.F.Sbar,
     "T1": lambda ws: ws.T[1].data,
@@ -390,13 +384,11 @@ def _export_entries(ws: Workspace, what: str) -> list[list[str]]:
     return _matrix_to_strings([row[:D] for row in EXPORT_MATRICES[what](ws)[:D]])
 
 
-def export_json(ws: Workspace, what: str) -> str:
-    if what not in EXPORT_KINDS:
-        raise ConfigError(f"unknown export kind {what!r}")
+def export_json(ws: Workspace, what: str, entries: list[list[str]] | None) -> str:
     obj: dict = {"schema_version": SCHEMA_VERSION, "kind": what}
     D = ws.depth
     if what == "H":
-        obj["values"] = [format_rat(h) for h in ws.F.H[:D]]
+        obj["values"] = entries[0]
     elif what == "families":
         obj["q"] = ws.config.q
         obj["p"] = ws.config.p
@@ -407,22 +399,16 @@ def export_json(ws: Workspace, what: str) -> str:
             [poly.to_json() for poly in ws.B.rows[n]] for n in range(D)
         ]
     else:
-        obj["entries"] = _export_entries(ws, what)
-        obj["rows"] = len(obj["entries"])
-        obj["cols"] = len(obj["entries"][0]) if obj["entries"] else 0
+        obj["entries"] = entries
+        obj["rows"] = len(entries)
+        obj["cols"] = len(entries[0]) if entries else 0
     return _dump_json(obj)
 
 
-def export_csv(ws: Workspace, what: str, render_decimal: bool = False) -> str:
-    if what == "families":
-        raise ConfigError("families export is JSON-only")
+def export_csv(entries: list[list[str]], render_decimal: bool = False) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf)  # RFC 4180 quoting and line endings
-    if what == "H":
-        rows = [[format_rat(h) for h in ws.F.H[: ws.depth]]]
-    else:
-        rows = _export_entries(ws, what)
-    for row in rows:
+    for row in entries:
         if render_decimal:
             dec = [f"{float(parse_rat(v)):.12g}" for v in row]
             writer.writerow(row + dec)
@@ -435,12 +421,13 @@ def write_exports(ws: Workspace, out_dir: Path, render_decimal: bool = False) ->
     out_dir.mkdir(parents=True, exist_ok=True)
     written = []
     for what in EXPORT_KINDS:
+        entries = None if what == "families" else _export_entries(ws, what)
         path = out_dir / f"{what}.json"
-        path.write_text(export_json(ws, what))
+        path.write_text(export_json(ws, what, entries))
         written.append(path)
-        if what != "families":
+        if entries is not None:
             path_csv = out_dir / f"{what}.csv"
-            path_csv.write_text(export_csv(ws, what, render_decimal), newline="")
+            path_csv.write_text(export_csv(entries, render_decimal), newline="")
             written.append(path_csv)
     return written
 

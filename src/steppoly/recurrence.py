@@ -27,7 +27,7 @@ from math import lcm
 
 from .bipoly import BiPoly
 from .errors import DepthError
-from .families import Family, FamilyA, FamilyB
+from .families import FamilyA, FamilyB
 from .gaussborel import Factorization
 from .linalg import transpose
 from .rational import ZERO, rat
@@ -179,70 +179,30 @@ def recurrence_n_max(T: RecurrenceTruncation, a_count: int, b_count: int) -> int
         n += 1
 
 
-def _relations(T: RecurrenceTruncation, A: Family, B: Family) -> tuple:
-    """Both relations of R_k as (label, family, band of n, coefficient rows).
+def check_recurrence_matrix(T: RecurrenceTruncation, A: FamilyA, B: FamilyB) -> CheckReport:
+    """Both relations of R_k, coefficientwise, for every n below recurrence_n_max.
 
     x_k B_n is row n of R_k applied to the B rows; x_k A_n is column n of R_k,
-    that is row n of its transpose, applied to the A columns.
-    """
-    R = T.conjugate()
-    return ("B", B, T.row_band, R), ("A", A, T.col_band, transpose(R))
-
-
-def check_recurrences(
-    T: RecurrenceTruncation, A: FamilyA, B: FamilyB, points: list[tuple]
-) -> CheckReport:
-    """Entrywise recurrences for both families at the given points, exactly.
-
-    Uses the H-conjugated coefficients (see module docstring); the sums run
+    that is row n of its transpose, applied to the A columns.  The sums run
     over the band descriptors, and validate_band separately certifies that
-    everything outside the band vanishes.
-    """
-    k = T.k
-    rep = CheckReport(f"recurrence_T{k}")
-    n_max = recurrence_n_max(T, len(A), len(B))
-    if n_max == 0:
-        rep.skipped.append("window too small for any recurrence row")
-        return rep
-    relations = _relations(T, A, B)
-    for x1, x2 in points:
-        xk = x1 if k == 1 else x2
-        for label, fam, band, R in relations:
-            vals = fam.values(x1, x2, max(band(m)[1] for m in range(n_max)) + 1)
-            for n in range(n_max):
-                lo, top = band(n)
-                for idx, v in enumerate(vals[n]):
-                    rhs = rat(0)
-                    for i in range(lo, top + 1):
-                        if R[n][i] != 0:
-                            rhs += R[n][i] * vals[i][idx]
-                    if xk * v != rhs:
-                        rep.violations.append(
-                            Violation("recurrence", (k, label, n, idx, str(x1), str(x2)),
-                                      f"residual {xk * v - rhs}")
-                        )
-                    rep.checked += 1
-    return rep
-
-
-def check_recurrence_matrix(T: RecurrenceTruncation, A: FamilyA, B: FamilyB) -> CheckReport:
-    """Coefficient-space restatement: R_k shifts the stacked coefficient vectors.
-
-    Row n of R_k applied to the B rows must equal x_k * B_n coefficientwise,
-    and column n applied to the A columns must equal x_k * A_n; checked on
-    every row/column whose band is inside the truncation.
+    everything outside the band vanishes.  An identity of coefficients holds
+    at every point, so no pointwise check is needed.
     """
     k = T.k
     rep = CheckReport(f"recurrence_matrix_T{k}")
     n_max = recurrence_n_max(T, len(A), len(B))
-    for label, fam, band, R in _relations(T, A, B):
+    if n_max == 0:
+        rep.skipped.append("window too small for any recurrence row")
+        return rep
+    R = T.conjugate()
+    for label, fam, band, coeffs in (("B", B, T.row_band, R), ("A", A, T.col_band, transpose(R))):
         for n in range(n_max):
             lo, top = band(n)
             for idx, pol in enumerate(fam.members[n]):
                 got = BiPoly.zero()
                 for i in range(lo, top + 1):
-                    if R[n][i] != 0:
-                        got = got.add(fam.poly(i, idx).mul_scalar(R[n][i]))
+                    if coeffs[n][i] != 0:
+                        got = got.add(fam.poly(i, idx).mul_scalar(coeffs[n][i]))
                 if pol.mul_by_variable(k) != got:
                     rep.violations.append(
                         Violation("recurrence_matrix", (k, label, n, idx), "coefficient mismatch")

@@ -14,27 +14,16 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from steppoly import (
-    Discrete,
-    Factorization,
-    FamilyA,
-    FamilyB,
-    MeasureMatrix,
-    MomentTable,
-    RectDensity,
-    assemble_moments,
-    extract_families,
-    factorize,
-    pair_of,
-    rat,
-)
+from steppoly import assemble_moments, extract_families, factorize, rat
 from steppoly.bipoly import BiPoly
 from steppoly.errors import Breakdown
-from steppoly.gaussborel import IntegerSide
+from steppoly.families import FamilyA, FamilyB
+from steppoly.gaussborel import Factorization, IntegerSide
 from steppoly.linalg import gauss_jordan_inverse, matmul, transpose
+from steppoly.measures import Discrete, MeasureMatrix, MomentTable, RectDensity
 from steppoly.moments import MomentTruncation
 from steppoly.rational import ZERO, as_rat, common_denominator
-from steppoly.stepline import in_complement_J, n_plus
+from steppoly.stepline import in_complement_J, n_plus, pair_of
 
 SHAPES = [(1, 1), (1, 2), (2, 1), (2, 2), (2, 3)]
 

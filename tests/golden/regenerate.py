@@ -5,7 +5,7 @@ Run from the repository root:
     python3 tests/golden/regenerate.py
 
 The config is rebuilt from a fixed seed, then every golden artifact is
-produced by the installed command-line interface itself, so the files pin
+produced by the command-line interface itself, so the files pin
 down the full serialization surface (schemas, rational formatting, key
 order, newlines).
 """
@@ -17,6 +17,7 @@ from pathlib import Path
 
 HERE = Path(__file__).resolve().parent
 sys.path.insert(0, str(HERE.parent))  # for _support
+sys.path.insert(0, str(HERE.parents[1] / "src"))  # runs from a checkout, installed or not
 
 from _support import table_mm  # noqa: E402
 

@@ -13,40 +13,41 @@ from pathlib import Path
 import pytest
 
 from steppoly import (
-    FamilyA,
-    FamilyB,
     assemble_moments,
     build_recurrence,
+    check_biorthogonality,
+    factorize,
+    pairing_matrix,
+    rat,
+    required_depth,
+)
+from steppoly.cdkernel import (
+    KernelTable,
     cd_blocks,
     check_abc,
-    check_biorthogonality,
     check_cd_formula,
-    check_dual_form,
-    check_orthogonality,
     check_projection,
-    check_recurrence_matrix,
-    check_recurrences,
     check_reproduction,
-    factorize,
-    in_complement_J,
-    n_minus_big,
-    n_plus,
-    pair_of,
-    pairing_matrix,
-    pos_of,
-    rat,
-    recurrence_n_max,
-    required_depth,
-    validate_band,
-    validate_degree_structure,
 )
-from steppoly.cdkernel import KernelTable
 from steppoly.cli import main, seeded_monic_matrix, seeded_point
 from steppoly.errors import Breakdown
-from steppoly.families import degree_bound
+from steppoly.families import (
+    FamilyA,
+    FamilyB,
+    check_orthogonality,
+    degree_bound,
+    validate_degree_structure,
+)
 from steppoly.measures import MeasureMatrix, MomentTable
 from steppoly.moments import hankel_mismatches
+from steppoly.recurrence import (
+    check_dual_form,
+    check_recurrence_matrix,
+    recurrence_n_max,
+    validate_band,
+)
 from steppoly.report import CheckReport, Violation
+from steppoly.stepline import in_complement_J, n_minus_big, n_plus, pair_of, pos_of
 
 from _support import (
     SHAPES,
@@ -194,8 +195,6 @@ def test_criterion_4_degree_structure():
 
 def test_criterion_5_recurrence():
     window = 27  # covers every band through n = 14 for r <= 3, both directions
-    rng = random.Random(505)
-    points = [seeded_point(rng) for _ in range(10)]
     for q, p in SHAPES:
         system = build_system(q, p, required_depth(window, q, p), seed=501)
         for k in (1, 2):
@@ -204,11 +203,11 @@ def test_criterion_5_recurrence():
             assert check_dual_form(T, system.F).ok, (q, p, k)
             band = validate_band(T)
             assert band.ok, (q, p, k, band.violations[:1])
-            assert recurrence_n_max(T, len(system.A.cols), len(system.B.rows)) >= 15
-            rep = check_recurrences(T, system.A, system.B, points)
-            assert rep.ok, (q, p, k, rep.violations[:1])
+            n_max = recurrence_n_max(T, len(system.A.cols), len(system.B.rows))
+            assert n_max >= 15
             rep = check_recurrence_matrix(T, system.A, system.B)
             assert rep.ok, (q, p, k, rep.violations[:1])
+            assert rep.checked == n_max * (q + p), (q, p, k)
 
 
 def _max_deg(polys_per_index, count, axis):

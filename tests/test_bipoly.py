@@ -3,9 +3,10 @@
 from hypothesis import given
 from hypothesis import strategies as st
 
-from steppoly import pair_of, pos_of, rat
+from steppoly import rat
 from steppoly.bipoly import BiPoly, PolyMatrix, monomial_positions_product, shift_monomial
 from steppoly.moments import monomial_value
+from steppoly.stepline import pair_of, pos_of
 
 rationals = st.builds(rat, st.integers(-40, 40), st.integers(1, 12))
 polys = st.builds(

@@ -2,24 +2,21 @@
 
 import pytest
 
-from steppoly import (
-    build_recurrence,
+from steppoly import build_recurrence, pairing_matrix, rat, required_depth
+from steppoly.bipoly import BiPoly, PolyMatrix
+from steppoly.cdkernel import (
+    KernelTable,
     cd_blocks,
     check_abc,
     check_cd_formula,
     check_projection,
     check_reproduction,
+    is_monic_of_grlex_degree,
     kernel_eval,
-    n_minus_big,
-    n_plus,
-    pairing_matrix,
-    rat,
-    recurrence_n_max,
-    required_depth,
 )
-from steppoly.bipoly import BiPoly, PolyMatrix
-from steppoly.cdkernel import KernelTable, is_monic_of_grlex_degree
 from steppoly.errors import DepthError
+from steppoly.recurrence import recurrence_n_max
+from steppoly.stepline import n_minus_big, n_plus
 
 from _support import SHAPES, build_system, grid_values
 

@@ -14,11 +14,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import steppoly
-from steppoly import build_recurrence, kernel_eval, parse_rat, rat, required_depth
+from steppoly import build_recurrence, rat, required_depth
 from steppoly.bipoly import BiPoly
+from steppoly.cdkernel import kernel_eval
 from steppoly.cli import CHECK_NAMES, RunConfig, main
 from steppoly.errors import ConfigError, DepthError
 from steppoly.measures import measure_from_json
+from steppoly.rational import parse_rat
 from steppoly.report import CheckReport, Violation
 
 from _support import build_system, table_mm
@@ -232,7 +234,8 @@ class TestCompute:
         assert h["schema_version"] == 1 and h["kind"] == "H"
         # rebuild the same system directly: good_config draws from seed 909
         mm_direct = table_mm(random.Random(909), 1, 2, required_depth(DEPTH, 1, 2))
-        from steppoly import assemble_moments, extract_families, factorize, format_rat
+        from steppoly import assemble_moments, extract_families, factorize
+        from steppoly.rational import format_rat
 
         M = assemble_moments(mm_direct, required_depth(DEPTH, 1, 2))
         F = factorize(M)

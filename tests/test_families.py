@@ -3,22 +3,25 @@
 import random
 
 from steppoly import (
-    FamilyA,
-    FamilyB,
-    RectDensity,
-    MeasureMatrix,
     assemble_moments,
     check_biorthogonality,
-    check_orthogonality,
     extract_families,
     factorize,
     pairing_matrix,
     rat,
-    validate_degree_structure,
 )
 from steppoly.bipoly import BiPoly
 from steppoly.cli import seeded_monic_matrix
-from steppoly.families import degree_bound, moment_rows, pairings
+from steppoly.families import (
+    FamilyA,
+    FamilyB,
+    check_orthogonality,
+    degree_bound,
+    moment_rows,
+    pairings,
+    validate_degree_structure,
+)
+from steppoly.measures import MeasureMatrix, RectDensity
 
 from _support import (
     SHAPES,

@@ -6,20 +6,12 @@ from fractions import Fraction
 import pytest
 import sympy
 
-from steppoly import (
-    Discrete,
-    MeasureMatrix,
-    MomentTable,
-    RectDensity,
-    format_rat,
-    pair_of,
-    parse_rat,
-    rat,
-)
+from steppoly import rat
 from steppoly.bipoly import BiPoly
 from steppoly.errors import ConfigError
-from steppoly.measures import measure_from_json
-from steppoly.rational import BACKEND, QType
+from steppoly.measures import Discrete, MeasureMatrix, MomentTable, RectDensity, measure_from_json
+from steppoly.rational import BACKEND, QType, format_rat, parse_rat
+from steppoly.stepline import pair_of
 
 from _support import naive_moment, rand_density, rand_discrete
 

@@ -6,16 +6,11 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from steppoly import (
-    MeasureMatrix,
-    MomentTable,
-    assemble_moments,
-    n_plus,
-    pair_of,
-    rat,
-)
+from steppoly import assemble_moments, rat
 from steppoly.errors import DepthError
+from steppoly.measures import MeasureMatrix, MomentTable
 from steppoly.moments import check_hankel, hankel_mismatches, hankel_window, monomial_value
+from steppoly.stepline import n_plus, pair_of
 
 from _support import (
     SHAPES,

@@ -12,3 +12,13 @@ def test_quick_start_runs(monkeypatch, capsys):
     monkeypatch.syspath_prepend(str(ROOT / "src"))
     exec(compile(blocks[0], "README.md", "exec"), {"__name__": "readme_quick_start"})
     assert capsys.readouterr().out.strip()
+
+
+def test_public_surface_is_the_quick_start_imports(monkeypatch):
+    block = re.search(r"^from steppoly import \((.*?)\)", (ROOT / "README.md").read_text(),
+                      re.S | re.M)
+    imported = {name.strip() for name in block.group(1).split(",") if name.strip()}
+    monkeypatch.syspath_prepend(str(ROOT / "src"))
+    import steppoly
+
+    assert set(steppoly.__all__) == imported

@@ -4,29 +4,21 @@ from collections import Counter
 
 import pytest
 
-from steppoly import (
-    RectDensity,
-    MeasureMatrix,
-    assemble_moments,
-    build_recurrence,
-    check_dual_form,
-    check_recurrence_matrix,
-    check_recurrences,
-    factorize,
-    in_complement_J,
-    n_minus_big,
-    n_plus,
-    rat,
-    recurrence_n_max,
-    required_depth,
-    validate_band,
-)
+from steppoly import assemble_moments, build_recurrence, factorize, rat, required_depth
 from steppoly.bipoly import BiPoly
 from steppoly.errors import DepthError
 from steppoly.gaussborel import Factorization, IntegerSide
 from steppoly.linalg import transpose
+from steppoly.measures import MeasureMatrix, RectDensity
 from steppoly.rational import QType
-from steppoly.recurrence import RecurrenceTruncation
+from steppoly.recurrence import (
+    RecurrenceTruncation,
+    check_dual_form,
+    check_recurrence_matrix,
+    recurrence_n_max,
+    validate_band,
+)
+from steppoly.stepline import in_complement_J, n_minus_big, n_plus
 
 from _support import SHAPES, build_system, invert_unitriangular, recurrence_oracle
 
@@ -261,31 +253,16 @@ class TestDualForm:
 
 
 class TestRelations:
-    points = [
-        (rat(1, 2), rat(1, 3)),
-        (rat(-2, 5), rat(3, 7)),
-        (rat(0), rat(0)),
-        (rat(4), rat(-5, 2)),
-    ]
-
-    def test_pointwise_on_random_systems(self):
-        for q, p in SHAPES:
-            D = 12
-            system = build_system(q, p, required_depth(D, q, p), seed=67)
-            for k in (1, 2):
-                T = build_recurrence(system.F, q, p, k, D)
-                rep = check_recurrences(T, system.A, system.B, self.points)
-                assert rep.ok, (q, p, k, rep.violations[:1])
-                assert rep.checked > 0
-
     def test_coefficient_space_identity(self):
-        for q, p in [(1, 1), (2, 3)]:
-            D = 12
-            system = build_system(q, p, required_depth(D, q, p), seed=68)
-            for k in (1, 2):
-                T = build_recurrence(system.F, q, p, k, D)
-                rep = check_recurrence_matrix(T, system.A, system.B)
-                assert rep.ok, (q, p, k, rep.violations[:1])
+        for seed in (67, 68):
+            for q, p in SHAPES:
+                D = 12
+                system = build_system(q, p, required_depth(D, q, p), seed=seed)
+                for k in (1, 2):
+                    T = build_recurrence(system.F, q, p, k, D)
+                    rep = check_recurrence_matrix(T, system.A, system.B)
+                    assert rep.ok, (seed, q, p, k, rep.violations[:1])
+                    assert rep.checked > 0, (seed, q, p, k)
 
     def test_planted_entry_error_detected(self):
         q, p = 1, 2
@@ -296,36 +273,35 @@ class TestRelations:
         lo, hi = T.row_band(4)
         data[4][lo] += rat(1, 11)  # inside the band, so only the relations can see it
         bad = RecurrenceTruncation(T.k, T.q, T.p, T.size, data, T.H)
-        rep = check_recurrences(bad, system.A, system.B, self.points)
-        assert not rep.ok
-        rep2 = check_recurrence_matrix(bad, system.A, system.B)
-        assert not rep2.ok
+        assert not check_recurrence_matrix(bad, system.A, system.B).ok
 
-    def test_both_checks_cover_the_same_relations(self):
+    def test_covers_every_relation_below_n_max(self):
+        # one relation per member of B_n (q of them) and of A_n (p of them)
         for q, p in SHAPES:
             D = 12
             system = build_system(q, p, required_depth(D, q, p), seed=67)
             for k in (1, 2):
                 T = build_recurrence(system.F, q, p, k, D)
-                pointwise = check_recurrences(T, system.A, system.B, self.points)
-                coefficientwise = check_recurrence_matrix(T, system.A, system.B)
-                assert coefficientwise.checked > 0, (q, p, k)
-                assert pointwise.checked == len(self.points) * coefficientwise.checked, (q, p, k)
+                n_max = recurrence_n_max(T, len(system.A), len(system.B))
+                assert n_max > 0, (q, p, k)
+                rep = check_recurrence_matrix(T, system.A, system.B)
+                assert rep.checked == n_max * (q + p), (q, p, k)
 
-    def test_planted_entry_located_alike(self):
+    def test_planted_entry_located(self):
+        # entry (4, lo) of T_k enters x_k B_4 through row 4 of R_k and
+        # x_k A_lo through column lo, and no other relation; D = 14 puts
+        # row 4 below recurrence_n_max for every case
         for q, p, k in [(1, 2, 1), (2, 3, 2), (2, 2, 1)]:
-            D = 10
+            D = 14
             system = build_system(q, p, required_depth(D, q, p), seed=69)
             T = build_recurrence(system.F, q, p, k, D)
             data = [row[:] for row in T.data]
             lo, _ = T.row_band(4)
             data[4][lo] += rat(1, 11)
             bad = RecurrenceTruncation(T.k, T.q, T.p, T.size, data, T.H)
-            pointwise = check_recurrences(bad, system.A, system.B, self.points)
-            coefficientwise = check_recurrence_matrix(bad, system.A, system.B)
-            where = {v.where for v in coefficientwise.violations}
-            assert where, (q, p, k)
-            assert {v.where[:4] for v in pointwise.violations} == where, (q, p, k)
+            where = {v.where for v in check_recurrence_matrix(bad, system.A, system.B).violations}
+            assert any(w[:3] == (k, "B", 4) for w in where), (q, p, k)
+            assert all(w[:3] in {(k, "B", 4), (k, "A", lo)} for w in where), (q, p, k, where)
 
     def test_n_max_respects_window(self):
         system = build_system(2, 2, required_depth(9, 2, 2), seed=70)

@@ -7,16 +7,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from steppoly import (
+from steppoly import rat
+from steppoly.stepline import (
+    f_minus,
     floor_f,
     in_complement_J,
     n_minus_big,
     n_plus,
     pair_of,
     pos_of,
-    rat,
 )
-from steppoly.stepline import f_minus
 
 RS = (1, 2, 3)
 KS = (1, 2)
