@@ -253,6 +253,36 @@ class TestDualForm:
 
 
 class TestRelations:
+    points = [
+        (rat(1, 2), rat(1, 3)),
+        (rat(-2, 5), rat(3, 7)),
+        (rat(0), rat(0)),
+        (rat(4), rat(-5, 2)),
+    ]
+
+    def test_pointwise_on_random_systems(self):
+        # x_k B_n = sum_i R_k[n][i] B_i and x_k A_n = sum_i R_k[i][n] A_i,
+        # evaluated member by member at each point with BiPoly.eval, apart
+        # from the coefficient check
+        for q, p in SHAPES:
+            D = 12
+            system = build_system(q, p, required_depth(D, q, p), seed=67)
+            for k in (1, 2):
+                T = build_recurrence(system.F, q, p, k, D)
+                n_max = recurrence_n_max(T, len(system.A), len(system.B))
+                assert n_max > 0, (q, p, k)
+                R = T.conjugate()
+                relations = (("B", system.B, T.row_band, R), ("A", system.A, T.col_band, transpose(R)))
+                for x1, x2 in self.points:
+                    xk = x1 if k == 1 else x2
+                    for label, fam, band, coeffs in relations:
+                        for n in range(n_max):
+                            lo, top = band(n)
+                            vals = {i: fam.eval(i, x1, x2) for i in range(lo, top + 1)}
+                            for idx, v in enumerate(fam.eval(n, x1, x2)):
+                                rhs = sum((coeffs[n][i] * vals[i][idx] for i in vals), rat(0))
+                                assert xk * v == rhs, (q, p, k, label, n, idx, x1, x2)
+
     def test_coefficient_space_identity(self):
         for seed in (67, 68):
             for q, p in SHAPES:
