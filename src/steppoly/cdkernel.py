@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from .bipoly import PolyMatrix
 from .errors import DepthError
-from .families import Family, FamilyA, FamilyB, pairings
+from .families import Family, pairings
 from .linalg import gauss_jordan_inverse, matmul, transpose
 from .moments import MomentTruncation, monomial_value
 from .rational import as_rat, rat
@@ -56,7 +56,7 @@ def _require_tabled(tables: list[KernelTable], count: int) -> None:
         raise DepthError(f"point-pair tables end before family index {count - 1}", required=count)
 
 
-def kernel_eval(A: FamilyA, B: FamilyB, n: int, x: tuple, y: tuple) -> list[list]:
+def kernel_eval(A: Family, B: Family, n: int, x: tuple, y: tuple) -> list[list]:
     """Exact p x q kernel value at a point pair."""
     return KernelTable(A, B, x, y, n + 1).kernels[n]
 
@@ -190,7 +190,7 @@ _DEFAULT_SPOT_PAIRS = [
 ]
 
 
-def check_reproduction(A: FamilyA, B: FamilyB, gram: list[list], n: int,
+def check_reproduction(A: Family, B: Family, gram: list[list], n: int,
                        point_pairs: list | None = None) -> CheckReport:
     """Kernel reproduces itself under the measure pairing.
 
@@ -201,7 +201,7 @@ def check_reproduction(A: FamilyA, B: FamilyB, gram: list[list], n: int,
     """
     if n >= min(len(A), len(B), len(gram)):
         raise DepthError(f"reproduction index {n} outside family range", required=n + 1)
-    p, q = A.p, B.q
+    p, q = A.r, B.r
     rep = CheckReport("reproduction")
     if point_pairs is None:
         point_pairs = _DEFAULT_SPOT_PAIRS
@@ -277,7 +277,7 @@ def check_projection(A: Family, B: Family, M: MomentTruncation, n: int,
     if n >= min(len(A), len(B)):
         raise DepthError(f"projection index {n} outside family range", required=n + 1)
     # inner[i][a1] = integral of B_i dmu column a1 of P
-    inner = pairings(B.members[:n + 1], P.transpose().entries, M)
+    inner = pairings(B.head(n + 1), Family.from_members(p, P.transpose().entries), M)
     rep = CheckReport("projection")
     if points is None:
         points = _DEFAULT_PROJECTION_POINTS

@@ -37,8 +37,6 @@ from .cdkernel import (
 )
 from .errors import Breakdown, ConfigError, DepthError
 from .families import (
-    FamilyA,
-    FamilyB,
     check_biorthogonality,
     check_orthogonality,
     extract_families,
@@ -226,16 +224,10 @@ class Workspace:
             for k in (1, 2)
         }
 
-    def families_window(self, count: int) -> tuple[FamilyA, FamilyB]:
-        return (
-            FamilyA(self.config.p, self.A.cols[:count]),
-            FamilyB(self.config.q, self.B.rows[:count]),
-        )
-
     @cached_property
     def gram(self) -> list[list]:
         """Pairing matrix of the depth-D families; biorthogonality and reproduction share it."""
-        return pairing_matrix(*self.families_window(self.depth), self.M)
+        return pairing_matrix(self.A.head(self.depth), self.B.head(self.depth), self.M)
 
 
 def _point_pairs(rng: random.Random, count: int) -> list:
@@ -280,7 +272,7 @@ def _abc(ws: Workspace, pairs: list) -> list[CheckReport]:
 CHECKS = {
     "hankel": lambda ws, _: [check_hankel(ws.M, k) for k in (1, 2)],
     "degree": lambda ws, _: [validate_degree_structure(ws.A, ws.B, ws.config.q, ws.config.p)],
-    "orthogonality": lambda ws, _: [check_orthogonality(*ws.families_window(ws.depth), ws.M)],
+    "orthogonality": lambda ws, _: [check_orthogonality(ws.A.head(ws.depth), ws.B.head(ws.depth), ws.M)],
     "biorthogonality": lambda ws, _: [check_biorthogonality(ws.gram)],
     "dual": lambda ws, _: [check_dual_form(ws.T[k], ws.F) for k in (1, 2)],
     "band": lambda ws, _: [validate_band(ws.T[k]) for k in (1, 2)],
@@ -392,12 +384,8 @@ def export_json(ws: Workspace, what: str, entries: list[list[str]] | None) -> st
     elif what == "families":
         obj["q"] = ws.config.q
         obj["p"] = ws.config.p
-        obj["A"] = [
-            [poly.to_json() for poly in ws.A.cols[n]] for n in range(D)
-        ]
-        obj["B"] = [
-            [poly.to_json() for poly in ws.B.rows[n]] for n in range(D)
-        ]
+        for label, fam in (("A", ws.A), ("B", ws.B)):
+            obj[label] = [[fam.poly(n, i).to_json() for i in range(fam.r)] for n in range(D)]
     else:
         obj["entries"] = entries
         obj["rows"] = len(entries)

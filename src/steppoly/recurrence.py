@@ -25,12 +25,10 @@ from __future__ import annotations
 from bisect import bisect_left
 from math import lcm
 
-from .bipoly import BiPoly
 from .errors import DepthError
-from .families import FamilyA, FamilyB
+from .families import Family
 from .gaussborel import Factorization
-from .linalg import transpose
-from .rational import ZERO, rat
+from .rational import ZERO, common_denominator, rat
 from .report import CheckReport, Violation
 from .stepline import in_complement_J, n_minus_big, n_plus
 
@@ -59,12 +57,6 @@ class RecurrenceTruncation:
     def __getitem__(self, mn: tuple[int, int]):
         m, n = mn
         return self.data[m][n]
-
-    def conjugate(self) -> list[list]:
-        """R_k = H^-1 T_k H: entry (m, n) is T_k[m][n] * H_n / H_m."""
-        H = self.H
-        return [[t * H[n] / H[m] if t != 0 else t for n, t in enumerate(row)]
-                for m, row in enumerate(self.data)]
 
     def row_band(self, n: int) -> tuple[int, int]:
         """[first, last] columns that may be nonzero in row n."""
@@ -179,31 +171,42 @@ def recurrence_n_max(T: RecurrenceTruncation, a_count: int, b_count: int) -> int
         n += 1
 
 
-def check_recurrence_matrix(T: RecurrenceTruncation, A: FamilyA, B: FamilyB) -> CheckReport:
+def check_recurrence_matrix(T: RecurrenceTruncation, A: Family, B: Family) -> CheckReport:
     """Both relations of R_k, coefficientwise, for every n below recurrence_n_max.
 
     x_k B_n is row n of R_k applied to the B rows; x_k A_n is column n of R_k,
-    that is row n of its transpose, applied to the A columns.  The sums run
-    over the band descriptors, and validate_band separately certifies that
-    everything outside the band vanishes.  An identity of coefficients holds
-    at every point, so no pointwise check is needed.
+    that is row n of its transpose, applied to the A columns.  On a family's
+    row, multiplying by x_k moves column c = K*r + i to n_plus(c, r, k), the
+    column of x_k times monomial K in slot i.  With the member n over d_n and
+    the weights R_k[n][i] / d_i brought to one common denominator, each
+    relation is one integer sum over the band per column.  validate_band
+    separately certifies that everything outside the band vanishes.  An
+    identity of coefficients holds at every point, so no pointwise check is
+    needed.
     """
-    k = T.k
+    k, H = T.k, T.H
     rep = CheckReport(f"recurrence_matrix_T{k}")
     n_max = recurrence_n_max(T, len(A), len(B))
     if n_max == 0:
         rep.skipped.append("window too small for any recurrence row")
         return rep
-    R = T.conjugate()
-    for label, fam, band, coeffs in (("B", B, T.row_band, R), ("A", A, T.col_band, transpose(R))):
+    # R_k[n][i] = T_k[n][i] H_i / H_n on B's rows; on A's, row n of R_k^T
+    relations = (("B", B, T.row_band, lambda n, i: T.data[n][i] * H[i] / H[n]),
+                 ("A", A, T.col_band, lambda n, i: T.data[i][n] * H[n] / H[i]))
+    for label, fam, band, weight in relations:
+        r, rows = fam.r, fam.rows
         for n in range(n_max):
             lo, top = band(n)
-            for idx, pol in enumerate(fam.members[n]):
-                got = BiPoly.zero()
-                for i in range(lo, top + 1):
-                    if coeffs[n][i] != 0:
-                        got = got.add(fam.poly(i, idx).mul_scalar(coeffs[n][i]))
-                if pol.mul_by_variable(k) != got:
+            terms = [(i, w) for i in range(lo, top + 1) if (w := weight(n, i)) != 0]
+            _, nums = common_denominator([rat(1, rows[n][0])] + [w / rows[i][0] for i, w in terms])
+            want = {n_plus(c, r, k): nums[0] * v for c, v in rows[n][1].items()}
+            got: dict[int, int] = {}
+            for (i, _), e in zip(terms, nums[1:]):
+                for c, v in rows[i][1].items():
+                    got[c] = got.get(c, 0) + e * v
+            bad = {c % r for c in want.keys() | got.keys() if want.get(c, 0) != got.get(c, 0)}
+            for idx in range(r):
+                if idx in bad:
                     rep.violations.append(
                         Violation("recurrence_matrix", (k, label, n, idx), "coefficient mismatch")
                     )

@@ -17,12 +17,13 @@ from fractions import Fraction
 from steppoly import assemble_moments, extract_families, factorize, rat
 from steppoly.bipoly import BiPoly
 from steppoly.errors import Breakdown
-from steppoly.families import FamilyA, FamilyB
+from steppoly.families import Family
 from steppoly.gaussborel import Factorization, IntegerSide
 from steppoly.linalg import gauss_jordan_inverse, matmul, transpose
 from steppoly.measures import Discrete, MeasureMatrix, MomentTable, RectDensity
 from steppoly.moments import MomentTruncation
 from steppoly.rational import ZERO, as_rat, common_denominator
+from steppoly.recurrence import RecurrenceTruncation
 from steppoly.stepline import in_complement_J, n_plus, pair_of
 
 SHAPES = [(1, 1), (1, 2), (2, 1), (2, 2), (2, 3)]
@@ -93,8 +94,8 @@ class System:
     mm: MeasureMatrix
     M: MomentTruncation
     F: Factorization
-    A: FamilyA
-    B: FamilyB
+    A: Family
+    B: Family
     q: int
     p: int
     depth: int
@@ -125,6 +126,29 @@ def build_system(q: int, p: int, depth: int, seed: int, kind: str = "table") -> 
     system = System(mm, M, F, A, B, q, p, depth, seed)
     _CACHE[key] = system
     return system
+
+
+def members(fam: Family) -> list[list[BiPoly]]:
+    """Every member of fam as its list of BiPoly components."""
+    return [[fam.poly(n, i) for i in range(fam.r)] for n in range(len(fam))]
+
+
+def planted(fam: Family, n: int, idx: int, K: int, delta) -> Family:
+    """fam with delta added to component idx of member n at monomial position K."""
+    comps = members(fam)
+    pol = comps[n][idx]
+    comps[n][idx] = BiPoly({**pol.coeffs, K: pol.coeff(K) + delta})
+    return Family.from_members(fam.r, comps)
+
+
+def deg_x1(pol: BiPoly) -> int:
+    """Degree in the first variable; -1 for the zero polynomial."""
+    return max((pair_of(K).i - pair_of(K).j for K in pol.coeffs), default=-1)
+
+
+def deg_x2(pol: BiPoly) -> int:
+    """Degree in the second variable; -1 for the zero polynomial."""
+    return max((pair_of(K).j for K in pol.coeffs), default=-1)
 
 
 def solve_b_row(M: list[list], n: int, q: int) -> list[BiPoly]:
@@ -295,6 +319,12 @@ def recurrence_oracle(S: list[list], S_inv: list[list], q: int, k: int, size: in
             row.append(acc)
         data.append(row)
     return data
+
+
+def conjugate(T: RecurrenceTruncation) -> list[list]:
+    """R_k = H^-1 T_k H: entry (m, n) is T_k[m][n] * H_n / H_m."""
+    H = T.H
+    return [[t * H[n] / H[m] for n, t in enumerate(row)] for m, row in enumerate(T.data)]
 
 
 def integrate_pair(mm: MeasureMatrix, left: BiPoly, b_idx: int, a_idx: int, right: BiPoly):

@@ -32,8 +32,6 @@ from steppoly.cdkernel import (
 from steppoly.cli import main, seeded_monic_matrix, seeded_point
 from steppoly.errors import Breakdown
 from steppoly.families import (
-    FamilyA,
-    FamilyB,
     check_orthogonality,
     degree_bound,
     validate_degree_structure,
@@ -53,6 +51,8 @@ from _support import (
     SHAPES,
     build_system,
     corner,
+    deg_x1,
+    deg_x2,
     grid_values,
     invert_unitriangular,
     mat_eq,
@@ -166,10 +166,10 @@ def test_criterion_3_orthogonality_and_oracle():
         system = build_system(q, p, 12, seed=302)
         for n in range(12):
             assert [w.coeffs for w in solve_b_row(system.M.data, n, q)] == [
-                g.coeffs for g in system.B.rows[n]
+                system.B.poly(n, b).coeffs for b in range(q)
             ], (q, p, n)
             assert [w.coeffs for w in solve_a_col(system.M.data, n, p)] == [
-                g.coeffs for g in system.A.cols[n]
+                system.A.poly(n, a).coeffs for a in range(p)
             ], (q, p, n)
 
 
@@ -203,18 +203,19 @@ def test_criterion_5_recurrence():
             assert check_dual_form(T, system.F).ok, (q, p, k)
             band = validate_band(T)
             assert band.ok, (q, p, k, band.violations[:1])
-            n_max = recurrence_n_max(T, len(system.A.cols), len(system.B.rows))
+            n_max = recurrence_n_max(T, len(system.A), len(system.B))
             assert n_max >= 15
             rep = check_recurrence_matrix(T, system.A, system.B)
             assert rep.ok, (q, p, k, rep.violations[:1])
             assert rep.checked == n_max * (q + p), (q, p, k)
 
 
-def _max_deg(polys_per_index, count, axis):
+def _max_deg(fam, count, axis):
     degs = []
     for n in range(count):
-        for poly in polys_per_index(n):
-            degs.append(poly.deg_x1 if axis == 1 else poly.deg_x2)
+        for idx in range(fam.r):
+            poly = fam.poly(n, idx)
+            degs.append(deg_x1(poly) if axis == 1 else deg_x2(poly))
     return max(degs)
 
 
@@ -230,10 +231,10 @@ def test_criterion_6_cd_abc_reproduction_projection():
         # grids exceed the identity degree by one on each axis
         lim_a = 1 + max(n_plus(n_top, p, k) for k in (1, 2))
         lim_b = 1 + max(n_plus(n_top, q, k) for k in (1, 2))
-        dx1 = _max_deg(lambda n: system.A.cols[n], lim_a, 1) + 1
-        dx2 = _max_deg(lambda n: system.A.cols[n], lim_a, 2) + 1
-        dy1 = _max_deg(lambda n: system.B.rows[n], lim_b, 1) + 1
-        dy2 = _max_deg(lambda n: system.B.rows[n], lim_b, 2) + 1
+        dx1 = _max_deg(system.A, lim_a, 1) + 1
+        dx2 = _max_deg(system.A, lim_a, 2) + 1
+        dy1 = _max_deg(system.B, lim_b, 1) + 1
+        dy2 = _max_deg(system.B, lim_b, 2) + 1
         xs = [(a, b) for a in grid_values(dx1 + 2) for b in grid_values(dx2 + 2)]
         ys = [(a, b) for a in grid_values(dy1 + 2) for b in grid_values(dy2 + 2)]
 
@@ -289,8 +290,7 @@ def test_criterion_6_cd_abc_reproduction_projection():
             rep = check_abc(system.M, n, pair_tables)
             assert rep.ok and rep.checked == len(pairs), (q, p, n)
 
-        window_a = FamilyA(p, system.A.cols[: n_top + 1])
-        gram = pairing_matrix(window_a, FamilyB(q, system.B.rows[: n_top + 1]), system.M)
+        gram = pairing_matrix(system.A.head(n_top + 1), system.B.head(n_top + 1), system.M)
         assert check_biorthogonality(gram).ok
         assert check_reproduction(system.A, system.B, gram, n_top).ok
 

@@ -73,7 +73,7 @@ class TestCDBlocks:
         for q, p in [(1, 2), (2, 2), (2, 3)]:
             system, T = system_with_T(q, p, 14, seed=83)
             for k in (1, 2):
-                for n in range(recurrence_n_max(T[k], len(system.A.cols), len(system.B.rows))):
+                for n in range(recurrence_n_max(T[k], len(system.A), len(system.B))):
                     blocks = cd_blocks(T[k], n, k)
                     assert blocks.tgt_rows == range(n + 1, n_plus(n, p, k) + 1)
                     assert blocks.tgt_cols == range(n_minus_big(n + 1, p, k), n + 1)
@@ -110,7 +110,7 @@ class TestCDFormula:
         for q, p in SHAPES:
             system, T = system_with_T(q, p, 12, seed=87)
             for k in (1, 2):
-                n_max = recurrence_n_max(T[k], len(system.A.cols), len(system.B.rows))
+                n_max = recurrence_n_max(T[k], len(system.A), len(system.B))
                 for n in range(n_max):
                     blocks = cd_blocks(T[k], n, k)
                     assert check_cd_formula(blocks, tables(system, [(X, Y)], 12)).ok, (q, p, k, n)

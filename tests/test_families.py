@@ -13,8 +13,7 @@ from steppoly import (
 from steppoly.bipoly import BiPoly
 from steppoly.cli import seeded_monic_matrix
 from steppoly.families import (
-    FamilyA,
-    FamilyB,
+    Family,
     check_orthogonality,
     degree_bound,
     moment_rows,
@@ -27,6 +26,8 @@ from _support import (
     SHAPES,
     build_system,
     integrate_pair,
+    members,
+    planted,
     rand_discrete,
     solve_a_col,
     solve_b_row,
@@ -107,18 +108,14 @@ class TestOrthogonality:
 
     def test_planted_perturbation_detected(self):
         system = build_system(2, 1, 10, seed=45)
-        rows = [[poly for poly in row] for row in system.B.rows]
-        rows[6][0] = rows[6][0] + BiPoly({0: rat(1, 7)})
-        bad = FamilyB(system.q, rows)
+        bad = planted(system.B, 6, 0, 0, rat(1, 7))
         rep = check_orthogonality(system.A, bad, system.M)
         assert not rep.ok
         assert all(v.where[0] == "B" and v.where[1] == 6 for v in rep.violations)
 
     def test_planted_dual_perturbation_detected(self):
         system = build_system(2, 2, 10, seed=46)
-        cols = [[poly for poly in col] for col in system.A.cols]
-        cols[5][1] = cols[5][1] + BiPoly({1: rat(1, 3)})
-        bad = FamilyA(system.p, cols)
+        bad = planted(system.A, 5, 1, 1, rat(1, 3))
         rep = check_orthogonality(bad, system.B, system.M)
         assert not rep.ok
 
@@ -133,8 +130,8 @@ class TestBiorthogonality:
 
     def test_detects_scaling_error(self):
         system = build_system(1, 1, 8, seed=48)
-        rows = [[poly.mul_scalar(rat(2)) for poly in row] for row in system.B.rows]
-        rep = check_biorthogonality(pairing_matrix(system.A, FamilyB(1, rows), system.M))
+        doubled = Family(1, [(d, {c: 2 * v for c, v in row.items()}) for d, row in system.B.rows])
+        rep = check_biorthogonality(pairing_matrix(system.A, doubled, system.M))
         assert not rep.ok
 
 
@@ -159,20 +156,22 @@ class TestProductRoute:
                 mm, M, A, B, D = system.mm, system.M, system.A, system.B, system.depth
                 where = (kind, q, p)
                 assert M.transpose().data == assemble_moments(mm.transpose(), D).data, where
-                assert pairing_matrix(A, B, M) == pair_oracle(mm, B.rows, A.cols), where
+                comps_a, comps_b = members(A), members(B)
+                assert pairing_matrix(A, B, M) == pair_oracle(mm, comps_b, comps_a), where
                 # the full products, not only the strictly lower parts orthogonality reads
-                slots_b = [[BiPoly.monomial(K) if b == slot else BiPoly() for b in range(q)]
+                slots_b = [[BiPoly({K: rat(1)}) if b == slot else BiPoly() for b in range(q)]
                            for K, slot in (divmod(col, q) for col in range(D))]
-                slots_a = [[BiPoly.monomial(K) if a == slot else BiPoly() for a in range(p)]
+                slots_a = [[BiPoly({K: rat(1)}) if a == slot else BiPoly() for a in range(p)]
                            for K, slot in (divmod(col, p) for col in range(D))]
-                want = pair_oracle(mm, B.rows, slots_a)
-                assert rationals(moment_rows(B.rows, M, D)) == want, where
-                want = [list(row) for row in zip(*pair_oracle(mm, slots_b, A.cols))]
-                assert rationals(moment_rows(A.cols, M.transpose(), D)) == want, where
+                want = pair_oracle(mm, comps_b, slots_a)
+                assert rationals(moment_rows(B, M, D)) == want, where
+                want = [list(row) for row in zip(*pair_oracle(mm, slots_b, comps_a))]
+                assert rationals(moment_rows(A, M.transpose(), D)) == want, where
                 # projection's inner integrals: B_i against the columns of P
                 P = seeded_monic_matrix(random.Random(53), p, 1)
                 columns = P.transpose().entries
-                assert pairings(B.rows, columns, M) == pair_oracle(mm, B.rows, columns), where
+                assert (pairings(B, Family.from_members(p, columns), M)
+                        == pair_oracle(mm, comps_b, columns)), where
 
 
 class TestPlantedCoefficient:
@@ -186,9 +185,7 @@ class TestPlantedCoefficient:
         q, p, D, M = self.q, self.p, self.depth, system.M
         n0, b0, K0 = 6, 1, 1
         r = K0 * q + b0  # column of the planted coefficient, below n0
-        rows = [list(row) for row in system.B.rows]
-        rows[n0][b0] = rows[n0][b0] + BiPoly({K0: self.delta})
-        bad = FamilyB(q, rows)
+        bad = planted(system.B, n0, b0, K0, self.delta)
 
         rep = check_orthogonality(system.A, bad, M)
         want = [("B", n0, a, K) for a in range(p) for K in range(D)
@@ -196,8 +193,8 @@ class TestPlantedCoefficient:
         assert want and [v.where for v in rep.violations] == want
 
         rep = check_biorthogonality(pairing_matrix(system.A, bad, M))
-        mono = [BiPoly.monomial(K0) if b == b0 else BiPoly() for b in range(q)]
-        hit = pair_oracle(system.mm, [mono], system.A.cols)[0]
+        mono = [BiPoly({K0: rat(1)}) if b == b0 else BiPoly() for b in range(q)]
+        hit = pair_oracle(system.mm, [mono], members(system.A))[0]
         want = [(n0, n) for n in range(D) if hit[n] != 0]
         assert (n0, r) in want and [v.where for v in rep.violations] == want
 
@@ -206,9 +203,7 @@ class TestPlantedCoefficient:
         q, p, D, M = self.q, self.p, self.depth, system.M
         n0, a0, K0 = 7, 2, 1
         c = K0 * p + a0  # column of the planted coefficient, below n0
-        cols = [list(col) for col in system.A.cols]
-        cols[n0][a0] = cols[n0][a0] + BiPoly({K0: self.delta})
-        bad = FamilyA(p, cols)
+        bad = planted(system.A, n0, a0, K0, self.delta)
 
         rep = check_orthogonality(bad, system.B, M)
         want = [("A", n0, b, K) for b in range(q) for K in range(D)
@@ -216,8 +211,8 @@ class TestPlantedCoefficient:
         assert want and [v.where for v in rep.violations] == want
 
         rep = check_biorthogonality(pairing_matrix(bad, system.B, M))
-        mono = [BiPoly.monomial(K0) if a == a0 else BiPoly() for a in range(p)]
-        hit = [row[0] for row in pair_oracle(system.mm, system.B.rows, [mono])]
+        mono = [BiPoly({K0: rat(1)}) if a == a0 else BiPoly() for a in range(p)]
+        hit = [row[0] for row in pair_oracle(system.mm, members(system.B), [mono])]
         want = [(m, n0) for m in range(D) if hit[m] != 0]
         assert (c, n0) in want and [v.where for v in rep.violations] == want
 
@@ -260,8 +255,8 @@ class TestLinearSolveOracle:
             system = build_system(q, p, 12, seed=51)
             for n in range(12):
                 want_b = solve_b_row(system.M.data, n, q)
-                got_b = system.B.rows[n]
+                got_b = [system.B.poly(n, b) for b in range(q)]
                 assert [w.coeffs for w in want_b] == [g.coeffs for g in got_b], (q, p, n)
                 want_a = solve_a_col(system.M.data, n, p)
-                got_a = system.A.cols[n]
+                got_a = [system.A.poly(n, a) for a in range(p)]
                 assert [w.coeffs for w in want_a] == [g.coeffs for g in got_a], (q, p, n)

@@ -6,6 +6,7 @@ import pytest
 
 from steppoly import assemble_moments, build_recurrence, factorize, rat, required_depth
 from steppoly.bipoly import BiPoly
+from steppoly.families import Family, check_orthogonality
 from steppoly.errors import DepthError
 from steppoly.gaussborel import Factorization, IntegerSide
 from steppoly.linalg import transpose
@@ -20,7 +21,7 @@ from steppoly.recurrence import (
 )
 from steppoly.stepline import in_complement_J, n_minus_big, n_plus
 
-from _support import SHAPES, build_system, invert_unitriangular, recurrence_oracle
+from _support import SHAPES, build_system, conjugate, invert_unitriangular, recurrence_oracle
 
 
 def lebesgue_T(size: int, k: int):
@@ -239,7 +240,7 @@ class TestDualForm:
                 T = build_recurrence(system.F, q, p, k, D)
                 assert check_dual_form(T, system.F).ok, (q, p, k)
                 dual = build_recurrence(system.F.transpose(), p, q, k, D)
-                assert dual.data == transpose(T.conjugate()), (q, p, k)
+                assert dual.data == transpose(conjugate(T)), (q, p, k)
 
     def test_planted_mismatch_located(self):
         system = build_system(2, 3, required_depth(8, 2, 3), seed=66)
@@ -271,7 +272,7 @@ class TestRelations:
                 T = build_recurrence(system.F, q, p, k, D)
                 n_max = recurrence_n_max(T, len(system.A), len(system.B))
                 assert n_max > 0, (q, p, k)
-                R = T.conjugate()
+                R = conjugate(T)
                 relations = (("B", system.B, T.row_band, R), ("A", system.A, T.col_band, transpose(R)))
                 for x1, x2 in self.points:
                     xk = x1 if k == 1 else x2
@@ -333,10 +334,26 @@ class TestRelations:
             assert any(w[:3] == (k, "B", 4) for w in where), (q, p, k)
             assert all(w[:3] in {(k, "B", 4), (k, "A", lo)} for w in where), (q, p, k, where)
 
+    def test_planted_a_member_located(self):
+        # one coefficient added to component idx of A_4, on its integer row: both
+        # relations of A_4 and its orthogonality report it there
+        q, p, D, n0, idx = 2, 3, 14, 4, 1
+        system = build_system(q, p, required_depth(D, q, p), seed=69, kind="mixed")
+        rows = list(system.A.rows)
+        d, row = rows[n0]
+        rows[n0] = (d, {**row, idx: row.get(idx, 0) + d})  # + 1 at monomial position 0
+        bad = Family(p, rows)
+        for k in (1, 2):
+            T = build_recurrence(system.F, q, p, k, D)
+            rep = check_recurrence_matrix(T, bad, system.B)
+            assert (k, "A", n0, idx) in [v.where for v in rep.violations], k
+        rep = check_orthogonality(bad, system.B, system.M)
+        assert rep.violations and all(v.where[:2] == ("A", n0) for v in rep.violations)
+
     def test_n_max_respects_window(self):
         system = build_system(2, 2, required_depth(9, 2, 2), seed=70)
         T = build_recurrence(system.F, 2, 2, 2, 9)
-        n_max = recurrence_n_max(T, len(system.A.cols), len(system.B.rows))
+        n_max = recurrence_n_max(T, len(system.A), len(system.B))
         assert n_max > 0
         assert max(n_plus(n_max - 1, 2, 2), n_plus(n_max - 1, 2, 2)) < T.size
         assert max(n_plus(n_max, 2, 2), n_plus(n_max, 2, 2)) >= T.size

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from steppoly import rat
+from steppoly.moments import monomial_value
 from steppoly.stepline import (
     f_minus,
     floor_f,
@@ -165,6 +166,24 @@ class TestShiftTargets:
     @given(st.integers(0, 2000), st.sampled_from(RS), st.sampled_from(KS))
     def test_preimage_inverts(self, n, r, k):
         assert n_minus_big(n_plus(n, r, k), r, k) == n
+
+    def test_shift_multiplies_monomial_by_variable(self):
+        # on a family's coefficient row x_k moves column K*r + i to
+        # n_plus(K*r + i, r, k): slot i of x_k times the monomial at position K
+        for r in RS:
+            for k in KS:
+                for K in range(60):
+                    a, b = pair_of(K)[:2]
+                    for i in range(r):
+                        assert n_plus(K * r + i, r, k) == pos_of(a + 1, b + k - 1) * r + i
+
+    @given(st.integers(0, 40), st.sampled_from(RS), st.sampled_from(KS),
+           st.tuples(st.builds(rat, st.integers(-40, 40), st.integers(1, 12)),
+                     st.builds(rat, st.integers(-40, 40), st.integers(1, 12))))
+    def test_shift_matches_evaluation(self, K, r, k, pt):
+        x1, x2 = pt
+        shifted = n_plus(K * r, r, k) // r
+        assert monomial_value(shifted, x1, x2) == monomial_value(K, x1, x2) * pt[k - 1]
 
     def test_recorded_memberships(self):
         assert in_complement_J(2, 1, 1) is False
