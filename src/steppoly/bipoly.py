@@ -10,22 +10,8 @@ from __future__ import annotations
 
 from typing import Mapping
 
-from .rational import ONE, ZERO, as_rat, format_rat, parse_rat, rat
+from .rational import ZERO, as_rat, format_rat, parse_rat, rat
 from .stepline import pair_of
-
-
-def monomial_table(x1, x2, count: int) -> list:
-    """Values at (x1, x2) of the monomials at positions 0 .. count-1.
-
-    Degree i holds x1^(i-j) x2^j for j = 0 .. i: the previous degree times x1,
-    then its last entry times x2.
-    """
-    a, b = as_rat(x1), as_rat(x2)
-    out, row = [], [ONE]
-    while len(out) < count:
-        out += row
-        row = [v * a for v in row] + [row[-1] * b]
-    return out[:count]
 
 
 class BiPoly:

@@ -24,7 +24,3 @@ class DepthError(Exception):
 
 class ConfigError(Exception):
     """Invalid run configuration or measure specification."""
-
-
-class SingularMatrix(Exception):
-    """Exact inversion hit a singular matrix."""

@@ -29,12 +29,13 @@ from __future__ import annotations
 
 from math import lcm
 
-from .bipoly import BiPoly, monomial_table
+from .bipoly import BiPoly
 from .errors import DepthError
 from .gaussborel import Factorization
 from .moments import MomentTruncation
-from .rational import ZERO, common_denominator, rat
+from .rational import ZERO, as_rat, common_denominator, rat
 from .report import CheckReport, Violation
+from .stepline import pair_of
 
 
 class Family:
@@ -78,12 +79,12 @@ class Family:
     def values(self, x1, x2, count: int) -> list[list]:
         """Members 0 .. count-1 at one point, all read from one monomial table.
 
-        The table is scaled to integers, so each value is one integer sum of
+        The table is in integers, so each value is one integer sum of
         coefficient times monomial and one rat().
         """
         r, rows = self.r, self.rows[:count]
         top = max((max(row) for _, row in rows if row), default=-1)
-        den, mono = common_denominator(monomial_table(x1, x2, top // r + 1))
+        den, mono = monomial_ints((x1, x2), top // r + 1)
         out = []
         for d, row in rows:
             sums = [0] * r
@@ -92,6 +93,16 @@ class Family:
                 sums[i] += v * mono[K]
             out.append([rat(s, d * den) for s in sums])
         return out
+
+
+def monomial_ints(x: tuple, count: int) -> tuple[int, list[int]]:
+    """(d, ints): the monomials at positions 0 .. count-1 at x = (a/b, c/e) are ints / d,
+    position (i, j) being (a e)^(i-j) (c b)^j (b e)^(top-i) over d = (b e)^top."""
+    (a, b), (c, e) = ((v.numerator, v.denominator) for v in map(as_rat, x))
+    top = pair_of(count - 1).i if count else 0
+    ints = [(a * e) ** (i - j) * (c * b) ** j * (b * e) ** (top - i)
+            for i in range(top + 1) for j in range(i + 1)]
+    return (b * e) ** top, ints[:count]
 
 
 def extract_families(F: Factorization, q: int, p: int) -> tuple[Family, Family]:

@@ -12,9 +12,8 @@ from __future__ import annotations
 
 from .errors import DepthError
 from .measures import MeasureMatrix
-from .rational import as_rat
 from .report import CheckReport, Violation
-from .stepline import n_plus, pair_of
+from .stepline import n_plus
 
 
 class MomentTruncation:
@@ -111,9 +110,3 @@ def check_hankel(M: MomentTruncation, k: int) -> CheckReport:
     rep.checked = m_count * n_count
     rep.violations = [Violation("hankel", (k, m, n), f"{lhs} != {rhs}") for m, n, lhs, rhs in bad]
     return rep
-
-
-def monomial_value(pos: int, x1, x2):
-    """Value of the monomial at a step-line position."""
-    i, j, _ = pair_of(pos)
-    return as_rat(x1) ** (i - j) * as_rat(x2) ** j

@@ -44,7 +44,7 @@ def required_depth(D: int, q: int, p: int) -> int:
 class RecurrenceTruncation:
     """Dense D x D window of T_k with its band descriptors and the H diagonal."""
 
-    __slots__ = ("k", "q", "p", "size", "data", "H")
+    __slots__ = ("k", "q", "p", "size", "data", "H", "_R")
 
     def __init__(self, k: int, q: int, p: int, size: int, data: list[list], H: list):
         self.k = k
@@ -53,10 +53,17 @@ class RecurrenceTruncation:
         self.size = size
         self.data = data
         self.H = H
+        self._R = None
 
-    def __getitem__(self, mn: tuple[int, int]):
-        m, n = mn
-        return self.data[m][n]
+    @property
+    def R(self) -> list[dict]:
+        """R_k = H^-1 T_k H, built on first read: row m is {c: T_k[m][c] H_c / H_m}
+        over the nonzero entries of row m, its band.  Only verify's checks read it."""
+        if self._R is None:
+            H = self.H
+            self._R = [{c: t * H[c] / H[m] for c, t in enumerate(row) if t}
+                       for m, row in enumerate(self.data)]
+        return self._R
 
     def row_band(self, n: int) -> tuple[int, int]:
         """[first, last] columns that may be nonzero in row n."""
@@ -184,15 +191,15 @@ def check_recurrence_matrix(T: RecurrenceTruncation, A: Family, B: Family) -> Ch
     identity of coefficients holds at every point, so no pointwise check is
     needed.
     """
-    k, H = T.k, T.H
+    k = T.k
     rep = CheckReport(f"recurrence_matrix_T{k}")
     n_max = recurrence_n_max(T, len(A), len(B))
     if n_max == 0:
         rep.skipped.append("window too small for any recurrence row")
         return rep
-    # R_k[n][i] = T_k[n][i] H_i / H_n on B's rows; on A's, row n of R_k^T
-    relations = (("B", B, T.row_band, lambda n, i: T.data[n][i] * H[i] / H[n]),
-                 ("A", A, T.col_band, lambda n, i: T.data[i][n] * H[n] / H[i]))
+    R = T.R  # row n of R_k weighs B's rows, row n of R_k^T A's
+    relations = (("B", B, T.row_band, lambda n, i: R[n].get(i, ZERO)),
+                 ("A", A, T.col_band, lambda n, i: R[i].get(n, ZERO)))
     for label, fam, band, weight in relations:
         r, rows = fam.r, fam.rows
         for n in range(n_max):

@@ -19,7 +19,6 @@ from steppoly.bipoly import BiPoly
 from steppoly.errors import Breakdown
 from steppoly.families import Family
 from steppoly.gaussborel import Factorization, IntegerSide
-from steppoly.linalg import gauss_jordan_inverse, matmul, transpose
 from steppoly.measures import Discrete, MeasureMatrix, MomentTable, RectDensity
 from steppoly.moments import MomentTruncation
 from steppoly.rational import ZERO, as_rat, common_denominator
@@ -205,6 +204,49 @@ def grid_values(count: int) -> list:
 
 
 # ---- dense and shift-operator oracles used only by the tests ------------
+
+
+class SingularMatrix(Exception):
+    """Exact inversion hit a singular matrix."""
+
+
+def transpose(a: list[list]) -> list[list]:
+    return [list(col) for col in zip(*a)]
+
+
+def matmul(a: list[list], b: list[list]) -> list[list]:
+    if a and b and len(a[0]) != len(b):
+        raise ValueError(f"inner dimensions differ: {len(a[0])} vs {len(b)}")
+    bt = transpose(b)
+    return [[sum((x * y for x, y in zip(row, col)), ZERO) for col in bt] for row in a]
+
+
+def gauss_jordan_inverse(a: list[list]) -> list[list]:
+    """Exact inverse by rational Gauss-Jordan elimination with partial pivoting."""
+    n = len(a)
+    if any(len(row) != n for row in a):
+        raise ValueError("inverse needs a square matrix")
+    work = [[as_rat(x) for x in row] + [rat(1) if i == j else rat(0) for j in range(n)]
+            for i, row in enumerate(a)]
+    for col in range(n):
+        pivot_row = next((r for r in range(col, n) if work[r][col] != 0), None)
+        if pivot_row is None:
+            raise SingularMatrix(f"singular at column {col}")
+        if pivot_row != col:
+            work[col], work[pivot_row] = work[pivot_row], work[col]
+        inv = 1 / work[col][col]
+        work[col] = [v * inv for v in work[col]]
+        for r in range(n):
+            if r != col and work[r][col] != 0:
+                f = work[r][col]
+                work[r] = [v - f * w for v, w in zip(work[r], work[col])]
+    return [row[n:] for row in work]
+
+
+def monomial_value(pos: int, x1, x2):
+    """Value of the monomial at a step-line position."""
+    i, j, _ = pair_of(pos)
+    return as_rat(x1) ** (i - j) * as_rat(x2) ** j
 
 
 def identity(n: int) -> list[list]:

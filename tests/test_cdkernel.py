@@ -1,5 +1,8 @@
 """Kernel block formula, the moment-inverse identity, and the reproducing laws."""
 
+import random
+from itertools import permutations
+
 import pytest
 
 from steppoly import build_recurrence, pairing_matrix, rat, required_depth
@@ -11,14 +14,25 @@ from steppoly.cdkernel import (
     check_cd_formula,
     check_projection,
     check_reproduction,
+    integer_adjugate,
     is_monic_of_grlex_degree,
     kernel_eval,
 )
-from steppoly.errors import DepthError
-from steppoly.recurrence import recurrence_n_max
+from steppoly.errors import Breakdown, DepthError
+from steppoly.moments import MomentTruncation
+from steppoly.recurrence import RecurrenceTruncation, recurrence_n_max
 from steppoly.stepline import n_minus_big, n_plus
 
-from _support import SHAPES, build_system, grid_values
+from _support import (
+    SHAPES,
+    build_system,
+    corner,
+    gauss_jordan_inverse,
+    grid_values,
+    matmul,
+    monomial_value,
+    transpose,
+)
 
 X = (rat(1, 2), rat(-1, 3))
 Y = (rat(2, 7), rat(1, 5))
@@ -60,7 +74,7 @@ class TestKernelEval:
             for n in range(8):
                 want = [[sum((table.a[i][a] * table.b[i][b] for i in range(n + 1)), rat(0))
                          for b in range(q)] for a in range(p)]
-                assert table.kernels[n] == want, (q, p, n)
+                assert table.kernel(n) == want, (q, p, n)
 
     def test_range_guard(self):
         system = build_system(1, 1, 6, seed=82)
@@ -139,6 +153,91 @@ class TestCDFormula:
         assert not rep.ok
         assert rep.violations[0].where[:2] == (1, 2)
 
+    def test_planted_entry_flags_exactly_its_blocks(self):
+        # one entry of T_k + 1, planted before R_k is first read: the (k, n)
+        # whose blocks hold it fail at every pair, every other n passes, and
+        # each call still counts one relation per pair.  The second (1, 2)
+        # entry, row 7 column 2, lies in the n = 3 block but outside the band.
+        pairs = [(X, Y), (Y, X), ((rat(-3, 4), rat(2, 3)), (rat(1, 6), rat(-5, 4)))]
+        for q, p in SHAPES:
+            for k in (1, 2):
+                entries = [(n_plus(2, p, k), 2), (n_minus_big(3, q, k), n_plus(2, q, k))]
+                if (q, p, k) == (1, 2, 1):
+                    entries.append((7, 2))
+                for m, c in entries:
+                    system, T = system_with_T(q, p, 12, seed=87)
+                    T = T[k]
+                    data = [row[:] for row in T.data]
+                    data[m][c] += 1
+                    bad = RecurrenceTruncation(k, q, p, T.size, data, T.H)
+                    pair_tables = tables(system, pairs, 12)
+                    flagged = []
+                    n = 0
+                    while max(n_plus(n, p, k), n_plus(n, q, k)) < bad.size:
+                        blocks = cd_blocks(bad, n, k)
+                        rep = check_cd_formula(blocks, pair_tables)
+                        assert rep.checked == len(pairs)
+                        if (m in blocks.tgt_rows and c in blocks.tgt_cols
+                                or m in blocks.src_rows and c in blocks.src_cols):
+                            flagged.append(n)
+                            assert [v.where[:2] for v in rep.violations] == [(k, n)] * len(pairs)
+                        else:
+                            assert rep.ok, (q, p, k, m, c, n)
+                        n += 1
+                    assert flagged, (q, p, k, m, c)
+
+
+def leibniz_det(a: list[list[int]]) -> int:
+    """Determinant as the signed sum over permutations."""
+    total = 0
+    for perm in permutations(range(len(a))):
+        inversions = sum(1 for i in range(len(perm)) for j in range(i) if perm[j] > perm[i])
+        term = (-1) ** inversions
+        for row, col in enumerate(perm):
+            term *= a[row][col]
+        total += term
+    return total
+
+
+class TestIntegerAdjugate:
+    # (0, 0) is zero in each, so the first column forces a row swap; the
+    # first two take one swap in all, the last two take two
+    SWAPPED = [
+        [[0, 1], [1, 0]],
+        [[0, -2, 3], [0, 4, -1], [5, -6, 7]],
+        [[0, 0, 1], [1, 0, 0], [0, 1, 0]],
+        [[0, 3, -1], [0, 0, 2], [-4, 1, 5]],
+    ]
+
+    def assert_adjugate(self, a: list[list[int]]) -> None:
+        det, adj = integer_adjugate(a)
+        assert det == leibniz_det(a)
+        inv = gauss_jordan_inverse(a)
+        assert adj == [[det * v for v in row] for row in inv]
+        assert all(type(v) is int for row in adj for v in row)
+
+    def test_forced_swaps_of_both_parities(self):
+        for a in self.SWAPPED:
+            self.assert_adjugate(a)
+        assert [integer_adjugate(a)[0] for a in self.SWAPPED] == [-1, -50, 1, -24]
+
+    def test_random_signed_matrices_with_zero_corner(self):
+        rng = random.Random(7)
+        seen = 0
+        while seen < 40:
+            size = rng.randint(2, 5)
+            a = [[rng.randint(-9, 9) for _ in range(size)] for _ in range(size)]
+            a[0][0] = 0
+            if leibniz_det(a) != 0:
+                self.assert_adjugate(a)
+                seen += 1
+
+    def test_singular_corner_breaks_down(self):
+        for a in ([[0, 2], [0, 3]], [[1, 2], [2, 4]], [[0, 1, 2], [0, 3, 4], [0, -5, 6]]):
+            with pytest.raises(Breakdown) as exc:
+                integer_adjugate(a)
+            assert exc.value.index == len(a) - 1
+
 
 class TestABC:
     def test_exact_on_random_systems(self):
@@ -153,6 +252,60 @@ class TestABC:
         other = build_system(1, 1, 8, seed=93)
         rep = check_abc(other.M, 4, tables(system, [(X, Y), (Y, X)], 5))
         assert rep.checked == 2 and len(rep.violations) == 2
+
+    def test_agrees_with_rational_inverse(self):
+        # verdicts pair by pair against X^T M^-1 X built from gauss_jordan_inverse,
+        # on the true moments and on moments with one entry moved
+        pairs = [(X, Y), (Y, X), ((rat(3), rat(-1, 4)), (rat(-2, 3), rat(5, 6)))]
+        for q, p in SHAPES:
+            system = build_system(q, p, 10, seed=91)
+            pair_tables = tables(system, pairs, 7)
+            moved = [row[:] for row in system.M.data]
+            moved[1][2] += rat(1, 3)
+            for M in (system.M, MomentTruncation(system.M.depth, q, p, moved)):
+                for n in range(7):
+                    rep = check_abc(M, n, pair_tables)
+                    want = [abc_oracle(M, n, x, y) != t.kernel(n) for (x, y), t in zip(pairs, pair_tables)]
+                    got = [(n, f"({x[0]}, {x[1]})", f"({y[0]}, {y[1]})") for x, y in pairs]
+                    assert [v.where for v in rep.violations] == [w for w, bad in zip(got, want) if bad]
+                    assert rep.checked == len(pairs)
+                    assert (M is system.M) <= rep.ok, (q, p, n)
+
+    def test_planted_moment_flags_every_n_from_its_corner(self):
+        pairs = [(X, Y), (Y, X)]
+        for q, p in SHAPES:
+            system = build_system(q, p, 10, seed=91)
+            pair_tables = tables(system, pairs, 8)
+            for i, j in ((0, 0), (2, 5), (6, 3)):
+                data = [row[:] for row in system.M.data]
+                data[i][j] += 1
+                M = MomentTruncation(system.M.depth, q, p, data)
+                for n in range(8):
+                    rep = check_abc(M, n, pair_tables)
+                    assert rep.checked == len(pairs)
+                    assert len(rep.violations) == (len(pairs) if n >= max(i, j) else 0), (q, p, i, j, n)
+
+    def test_singular_corner_breaks_down(self):
+        system = build_system(1, 2, 8, seed=91)
+        data = [row[:] for row in system.M.data]
+        data[2] = [2 * v for v in data[1]]  # rows 1 and 2 of every corner from 3 on are dependent
+        M = MomentTruncation(system.M.depth, 1, 2, data)
+        assert check_abc(M, 1, tables(system, [(X, Y)], 2)).checked == 1
+        with pytest.raises(Breakdown) as exc:
+            check_abc(M, 3, tables(system, [(X, Y)], 4))
+        assert exc.value.index == 3
+
+
+def abc_oracle(M: MomentTruncation, n: int, x: tuple, y: tuple) -> list[list]:
+    """X_[p]^T(x) M^-1 X_[q](y) on the (n+1) corner, in rationals."""
+    def monomials_t(r: int, pt: tuple) -> list[list]:
+        out = [[rat(0)] * (n + 1) for _ in range(r)]
+        for m in range(n + 1):
+            out[m % r][m] = monomial_value(m // r, *pt)
+        return out
+
+    inv = gauss_jordan_inverse(corner(M.data, n + 1))
+    return matmul(matmul(monomials_t(M.p, x), inv), transpose(monomials_t(M.q, y)))
 
 
 class TestReproduction:

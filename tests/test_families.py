@@ -17,6 +17,7 @@ from steppoly.families import (
     check_orthogonality,
     degree_bound,
     moment_rows,
+    monomial_ints,
     pairings,
     validate_degree_structure,
 )
@@ -27,6 +28,7 @@ from _support import (
     build_system,
     integrate_pair,
     members,
+    monomial_value,
     planted,
     rand_discrete,
     solve_a_col,
@@ -172,6 +174,18 @@ class TestProductRoute:
                 columns = P.transpose().entries
                 assert (pairings(B, Family.from_members(p, columns), M)
                         == pair_oracle(mm, comps_b, columns)), where
+
+
+class TestMonomialTable:
+    def test_integers_over_one_denominator_are_the_monomials(self):
+        rng = random.Random(54)
+        for _ in range(60):
+            x = (rat(rng.randint(-9, 9), rng.randint(1, 9)), rat(rng.randint(-9, 9), rng.randint(1, 9)))
+            count = rng.randint(0, 30)
+            d, ints = monomial_ints(x, count)
+            assert [rat(v, d) for v in ints] == [monomial_value(K, *x) for K in range(count)], (x, count)
+        d, ints = monomial_ints((2, -3), 4)  # plain integer coordinates
+        assert (d, ints) == (1, [1, 2, -3, 4])
 
 
 class TestPlantedCoefficient:

@@ -5,8 +5,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from steppoly import factorize, rat
-from steppoly.errors import Breakdown, SingularMatrix
-from steppoly.linalg import gauss_jordan_inverse, matmul, transpose
+from steppoly.errors import Breakdown
 from steppoly.rational import QType
 
 from _support import (
@@ -14,14 +13,18 @@ from _support import (
     bordered_numerators,
     build_system,
     corner,
+    SingularMatrix,
     corner_factorization,
+    gauss_jordan_inverse,
     identity,
     invert_unitriangular,
     mat_eq,
+    matmul,
     reconstruct,
     side_rationals,
     solve,
     stored_inverses,
+    transpose,
 )
 
 rationals = st.builds(rat, st.integers(-9, 9), st.integers(1, 5))

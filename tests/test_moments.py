@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from steppoly import assemble_moments, rat
 from steppoly.errors import DepthError
 from steppoly.measures import MeasureMatrix, MomentTable
-from steppoly.moments import check_hankel, hankel_mismatches, hankel_window, monomial_value
+from steppoly.moments import check_hankel, hankel_mismatches, hankel_window
 from steppoly.stepline import n_plus, pair_of
 
 from _support import (
@@ -17,6 +17,7 @@ from _support import (
     apply_shift_to_monomials,
     build_system,
     mixed_mm,
+    monomial_value,
     shift_ones_in_complement,
     shift_operator,
 )

@@ -9,7 +9,6 @@ from steppoly.bipoly import BiPoly
 from steppoly.families import Family, check_orthogonality
 from steppoly.errors import DepthError
 from steppoly.gaussborel import Factorization, IntegerSide
-from steppoly.linalg import transpose
 from steppoly.measures import MeasureMatrix, RectDensity
 from steppoly.rational import QType
 from steppoly.recurrence import (
@@ -21,7 +20,14 @@ from steppoly.recurrence import (
 )
 from steppoly.stepline import in_complement_J, n_minus_big, n_plus
 
-from _support import SHAPES, build_system, conjugate, invert_unitriangular, recurrence_oracle
+from _support import (
+    SHAPES,
+    build_system,
+    conjugate,
+    invert_unitriangular,
+    recurrence_oracle,
+    transpose,
+)
 
 
 def lebesgue_T(size: int, k: int):

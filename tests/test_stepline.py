@@ -8,7 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from steppoly import rat
-from steppoly.moments import monomial_value
 from steppoly.stepline import (
     f_minus,
     floor_f,
@@ -18,6 +17,8 @@ from steppoly.stepline import (
     pair_of,
     pos_of,
 )
+
+from _support import monomial_value
 
 RS = (1, 2, 3)
 KS = (1, 2)
