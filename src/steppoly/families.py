@@ -79,7 +79,7 @@ class Family:
     def values(self, x1, x2, count: int) -> list[list]:
         """Members 0 .. count-1 at one point, all read from one monomial table.
 
-        The table is in integers, so each value is one integer sum of
+        The table is scaled to integers, so each value is one integer sum of
         coefficient times monomial and one rat().
         """
         r, rows = self.r, self.rows[:count]

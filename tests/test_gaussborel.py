@@ -10,10 +10,10 @@ from steppoly.rational import QType
 
 from _support import (
     SHAPES,
+    SingularMatrix,
     bordered_numerators,
     build_system,
     corner,
-    SingularMatrix,
     corner_factorization,
     gauss_jordan_inverse,
     identity,
