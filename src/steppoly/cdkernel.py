@@ -21,7 +21,6 @@ from __future__ import annotations
 from itertools import accumulate
 from operator import mul
 
-from .bipoly import PolyMatrix
 from .errors import Breakdown, DepthError
 from .families import Family, monomial_ints, pairings
 from .moments import MomentTruncation
@@ -265,19 +264,15 @@ def check_reproduction(A: Family, B: Family, gram: list[list], n: int,
     return rep
 
 
-def is_monic_of_grlex_degree(P: PolyMatrix, I: int) -> bool:
-    """Leading term of the matrix polynomial is monomial_I times the identity."""
-    if P.rows != P.cols:
+def is_monic_of_grlex_degree(P: list[list[dict]], I: int) -> bool:
+    """Leading term of the matrix polynomial is monomial_I times the identity.
+
+    P is a grid of {monomial position: rational} maps that store no zeros.
+    """
+    if any(len(row) != len(P) for row in P):
         return False
-    for r in range(P.rows):
-        for c in range(P.cols):
-            e = P[r, c]
-            if r == c:
-                if e.grlex_pos != I or e.coeff(I) != 1:
-                    return False
-            elif e.grlex_pos >= I:
-                return False
-    return True
+    return all(max(e, default=-1) == I and e.get(I) == 1 if r == c else max(e, default=-1) < I
+               for r, row in enumerate(P) for c, e in enumerate(row))
 
 
 def _projection_threshold(I: int, r: int) -> int:
@@ -291,21 +286,22 @@ _DEFAULT_PROJECTION_POINTS = [
 
 
 def check_projection(A: Family, B: Family, M: MomentTruncation, n: int,
-                     P: PolyMatrix, points: list | None = None) -> CheckReport:
+                     P: list[list[dict]], points: list | None = None) -> CheckReport:
     """Integral of K^[n](x, .) against dmu P recovers P(x), above the threshold.
 
-    P must be a monic p x p matrix polynomial of grlex-degree I with
-    n >= I*p + p - 1; calls below the threshold are precondition errors, not
-    identity failures.  The inner integrals of B_i against the columns of P
-    are the product C_B M C_P with the moment truncation M.  The dual
-    direction, the integral of P dmu K^[n](., y) recovering P(y), is this
-    check on the transposed problem:
-    check_projection(B, A, M.transpose(), n, P.transpose()).
+    P is a p x p matrix polynomial, a grid of {monomial position: rational}
+    maps that store no zeros; it must be monic of grlex-degree I with
+    n >= I*p + p - 1.  Calls below the threshold are precondition errors, not
+    identity failures.  The columns of P form one Family: the inner integrals
+    of B_i against them are the product C_B M C_P with the moment truncation
+    M, and its values at x give P(x).  The dual direction, the integral of
+    P dmu K^[n](., y) recovering P(y), is this check on the transposed
+    problem: check_projection(B, A, M.transpose(), n, list(zip(*P))).
     """
     p = M.p
-    if P.rows != p or P.cols != p:
+    if len(P) != p or any(len(row) != p for row in P):
         raise ValueError(f"projection needs a {p} x {p} matrix polynomial")
-    I = P.grlex_pos_max()
+    I = max(max(e, default=-1) for row in P for e in row)
     if not is_monic_of_grlex_degree(P, I):
         raise ValueError("P is not monic of a definite grlex degree")
     if n < _projection_threshold(I, p):
@@ -314,8 +310,9 @@ def check_projection(A: Family, B: Family, M: MomentTruncation, n: int,
         )
     if n >= min(len(A), len(B)):
         raise DepthError(f"projection index {n} outside family range", required=n + 1)
+    columns = Family.from_members(p, zip(*P))  # member a1 is column a1 of P
     # inner[i][a1] = integral of B_i dmu column a1 of P
-    inner = pairings(B.head(n + 1), Family.from_members(p, P.transpose().entries), M)
+    inner = pairings(B.head(n + 1), columns, M)
     rep = CheckReport("projection")
     if points is None:
         points = _DEFAULT_PROJECTION_POINTS
@@ -323,13 +320,14 @@ def check_projection(A: Family, B: Family, M: MomentTruncation, n: int,
         rep.skipped.append("no points given")
     for x in points:
         a_x = A.values(*x, n + 1)
+        p_x = columns.values(*x, p)
         for a0 in range(p):
             for a1 in range(p):
                 got = rat(0)
                 for i in range(n + 1):
                     if a_x[i][a0] != 0 and inner[i][a1] != 0:
                         got += a_x[i][a0] * inner[i][a1]
-                want = P[a0, a1].eval(*x)
+                want = p_x[a1][a0]
                 if got != want:
                     rep.violations.append(
                         Violation("projection", (n, a0, a1, _point(x)), f"{got} != P(x) = {want}")

@@ -25,7 +25,6 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
 
-from .bipoly import BiPoly, PolyMatrix
 from .cdkernel import (
     KernelTable,
     cd_blocks,
@@ -130,25 +129,17 @@ def seeded_point(rng: random.Random) -> tuple:
     return (draw(), draw())
 
 
-def seeded_monic_matrix(rng: random.Random, size: int, I: int) -> PolyMatrix:
-    """Monic size x size matrix polynomial of grlex-degree I with random lower part."""
+def seeded_monic_matrix(rng: random.Random, size: int, I: int) -> list[list[dict]]:
+    """Monic size x size matrix polynomial of grlex-degree I with random lower part,
+    as a grid of {monomial position: rational} maps, drawn entry by entry in row order."""
     def small():
         return rat(rng.randint(-6, 6), rng.randint(1, 4))
 
-    entries = []
+    grid = [[{K: v for K in range(I) if (v := small()) != 0} for _ in range(size)]
+            for _ in range(size)]
     for r in range(size):
-        row = []
-        for c in range(size):
-            coeffs = {}
-            for K in range(I):
-                v = small()
-                if v != 0:
-                    coeffs[K] = v
-            if r == c:
-                coeffs[I] = rat(1)
-            row.append(BiPoly(coeffs))
-        entries.append(row)
-    return PolyMatrix(entries)
+        grid[r][r][I] = rat(1)
+    return grid
 
 
 @dataclass
@@ -248,7 +239,7 @@ def _projection(ws: Workspace, rng: random.Random) -> list[CheckReport]:
     P_dual = seeded_monic_matrix(rng, q, I_dual)
     # the dual direction is the same identity with the families' roles swapped
     return [check_projection(ws.A, ws.B, ws.M, D - 1, P),
-            check_projection(ws.B, ws.A, ws.M.transpose(), D - 1, P_dual.transpose())]
+            check_projection(ws.B, ws.A, ws.M.transpose(), D - 1, list(zip(*P_dual)))]
 
 
 def _cd(ws: Workspace, pairs: list) -> list[CheckReport]:
@@ -385,7 +376,12 @@ def export_json(ws: Workspace, what: str, entries: list[list[str]] | None) -> st
         obj["q"] = ws.config.q
         obj["p"] = ws.config.p
         for label, fam in (("A", ws.A), ("B", ws.B)):
-            obj[label] = [[fam.poly(n, i).to_json() for i in range(fam.r)] for n in range(D)]
+            # one pass per row: column K*r + i is component i at position K
+            obj[label] = members = [[{} for _ in range(fam.r)] for _ in range(D)]
+            for comps, (d, row) in zip(members, fam.rows):
+                for c, v in row.items():
+                    K, i = divmod(c, fam.r)
+                    comps[i][str(K)] = format_rat(rat(v, d))
     else:
         obj["entries"] = entries
         obj["rows"] = len(entries)

@@ -29,7 +29,6 @@ from __future__ import annotations
 
 from math import lcm
 
-from .bipoly import BiPoly
 from .errors import DepthError
 from .gaussborel import Factorization
 from .moments import MomentTruncation
@@ -53,11 +52,12 @@ class Family:
         self.rows = rows
 
     @staticmethod
-    def from_members(r: int, members: list[list[BiPoly]]) -> "Family":
-        """The family whose member n has the r BiPoly components members[n]."""
+    def from_members(r: int, members) -> "Family":
+        """The family whose member n has the r components members[n], each a
+        {monomial position: rational} map that stores no zeros."""
         rows = []
         for comps in members:
-            row = {K * r + i: c for i, pol in enumerate(comps) for K, c in pol.coeffs.items()}
+            row = {K * r + i: c for i, comp in enumerate(comps) for K, c in comp.items()}
             d, nums = common_denominator(row.values())
             rows.append((d, dict(zip(row, nums))))
         return Family(r, rows)
@@ -69,12 +69,9 @@ class Family:
         """Members 0 .. count-1."""
         return Family(self.r, self.rows[:count])
 
-    def poly(self, n: int, idx: int) -> BiPoly:
-        d, row = self.rows[n]
-        return BiPoly({c // self.r: rat(v, d) for c, v in row.items() if c % self.r == idx})
-
     def eval(self, n: int, x1, x2) -> list:
-        return [self.poly(n, idx).eval(x1, x2) for idx in range(self.r)]
+        """Member n's r components at one point."""
+        return self.values(x1, x2, n + 1)[n]
 
     def values(self, x1, x2, count: int) -> list[list]:
         """Members 0 .. count-1 at one point, all read from one monomial table.

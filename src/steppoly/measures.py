@@ -4,6 +4,8 @@ A measure enters the theory only through its moments m(s, t) = integral of
 x^s y^t against it.  Three concrete classes are supported: finite signed atom
 lists, polynomial densities on axis-aligned rectangles (integrated exactly by
 the power rule), and explicit moment tables with a declared degree bound.
+A density is a {monomial position: rational} map, position K standing for
+x^(i-j) y^j with (i, j) = pair_of(K).
 Anything else can be supplied as a table.
 
 Discrete moments are one integer sum over per-coordinate power tables and
@@ -17,7 +19,6 @@ from __future__ import annotations
 from operator import mul
 from typing import Mapping, Sequence
 
-from .bipoly import BiPoly
 from .errors import ConfigError
 from .rational import ZERO, as_rat, common_denominator, format_rat, parse_rat, rat
 from .stepline import pair_of
@@ -82,14 +83,18 @@ class Discrete:
 
 
 class RectDensity:
-    """Polynomial density on a rectangle [x1_lo, x1_hi] x [x2_lo, x2_hi]."""
+    """Polynomial density on a rectangle [x1_lo, x1_hi] x [x2_lo, x2_hi].
 
-    def __init__(self, x1_lo, x1_hi, x2_lo, x2_hi, density: BiPoly):
+    density maps monomial position K to its coefficient; it is stored with
+    every value made an exact rational and zero coefficients dropped.
+    """
+
+    def __init__(self, x1_lo, x1_hi, x2_lo, x2_hi, density: Mapping[int, object]):
         self.x1_lo, self.x1_hi = as_rat(x1_lo), as_rat(x1_hi)
         self.x2_lo, self.x2_hi = as_rat(x2_lo), as_rat(x2_hi)
         if not (self.x1_lo < self.x1_hi and self.x2_lo < self.x2_hi):
             raise ConfigError("rectangle bounds must satisfy lo < hi in both variables")
-        self.density = density
+        self.density = {int(K): v for K, c in density.items() if (v := as_rat(c)) != 0}
         self._cache: dict[tuple[int, int], object] = {}
         self._tables = None
 
@@ -97,7 +102,7 @@ class RectDensity:
         key = (s, t)
         if key not in self._cache:
             if self._tables is None:
-                self._tables = ([(pair_of(K), c) for K, c in self.density.coeffs.items()],
+                self._tables = ([(pair_of(K), c) for K, c in self.density.items()],
                                 PowerIntegrals(self.x1_lo, self.x1_hi),
                                 PowerIntegrals(self.x2_lo, self.x2_hi))
             terms, ix, iy = self._tables
@@ -116,7 +121,7 @@ class RectDensity:
                 format_rat(self.x2_lo),
                 format_rat(self.x2_hi),
             ],
-            "density": self.density.to_json(),
+            "density": {str(K): format_rat(self.density[K]) for K in sorted(self.density)},
         }
 
 
@@ -168,7 +173,9 @@ def measure_from_json(obj: Mapping) -> object:
             box = obj["box"]
             if len(box) != 4:
                 raise ConfigError("rect box must have four entries")
-            density = BiPoly.from_json(obj["density"])
+            density = {int(K): parse_rat(v) for K, v in obj["density"].items()}
+            if any(K < 0 for K in density):
+                raise ValueError(f"negative monomial position in {sorted(density)}")
             return RectDensity(*(parse_rat(v) for v in box), density)
         if kind == "table":
             moments = {}

@@ -116,14 +116,14 @@ def check_dual_form(T: RecurrenceTruncation, F: Factorization) -> CheckReport:
     """T_k from the primal form agrees entrywise with the dual form.
 
     With T' built from the transposed factorization, the dual entry (m, n) is
-    T'[n][m] * H_m / H_n.
+    T'[n][m] * H_m / H_n, entry (n, m) of the conjugate band R' of T' (the
+    transposed factorization has the same H).
     """
-    dual = build_recurrence(F.transpose(), T.p, T.q, T.k, T.size).data
-    H = F.H
+    dual = build_recurrence(F.transpose(), T.p, T.q, T.k, T.size).R
     rep = CheckReport(f"dual_T{T.k}")
     for m in range(T.size):
         for n in range(T.size):
-            want = dual[n][m] * H[m] / H[n]
+            want = dual[n].get(m, ZERO)
             if T.data[m][n] != want:
                 rep.violations.append(
                     Violation("dual", (T.k, m, n), f"primal {T.data[m][n]} != dual {want}")

@@ -15,28 +15,28 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from steppoly import assemble_moments, extract_families, factorize, rat
-from steppoly.bipoly import BiPoly
 from steppoly.errors import Breakdown
 from steppoly.families import Family
 from steppoly.gaussborel import Factorization, IntegerSide
 from steppoly.measures import Discrete, MeasureMatrix, MomentTable, RectDensity
 from steppoly.moments import MomentTruncation
-from steppoly.rational import ZERO, as_rat, common_denominator
+from steppoly.rational import ZERO, as_rat, common_denominator, format_rat, parse_rat
 from steppoly.recurrence import RecurrenceTruncation
 from steppoly.stepline import in_complement_J, n_plus, pair_of
 
 SHAPES = [(1, 1), (1, 2), (2, 1), (2, 2), (2, 3)]
 
 
-def rand_density(rng: random.Random, positive: bool = False) -> BiPoly:
-    """Degree <= 2 polynomial density; the positive variant stays above zero on the box."""
+def rand_density(rng: random.Random, positive: bool = False) -> dict:
+    """Degree <= 2 polynomial density as a {monomial position: rational} map; the
+    positive variant stays above zero on the box."""
     terms = {0: rat(1)}
     for K in range(1, 6):
         if positive:
             terms[K] = rat(rng.randint(-1, 1), rng.randint(2, 4))
         else:
             terms[K] = rat(rng.randint(-4, 4), rng.randint(1, 3))
-    return BiPoly({K: v for K, v in terms.items() if v != 0})
+    return {K: v for K, v in terms.items() if v != 0}
 
 
 def rand_rect(rng: random.Random) -> RectDensity:
@@ -127,9 +127,56 @@ def build_system(q: int, p: int, depth: int, seed: int, kind: str = "table") -> 
     return system
 
 
+class BiPoly:
+    """Sparse bivariate polynomial with exact rational coefficients: the tests'
+    pointwise oracle, apart from the integer rows and value tables of Family.
+
+    coeffs maps step-line position K, standing for the monomial x^(i-j) y^j
+    with (i, j) = pair_of(K), to its coefficient.  Zeros are never stored, so
+    the zero polynomial is the empty map and its grlex position is -1.
+    """
+
+    __slots__ = ("coeffs",)
+
+    def __init__(self, coeffs: dict | None = None):
+        self.coeffs = {int(K): v for K, c in (coeffs or {}).items() if (v := as_rat(c)) != 0}
+
+    @property
+    def grlex_pos(self) -> int:
+        return max(self.coeffs, default=-1)
+
+    def leading_coeff(self):
+        return self.coeffs[self.grlex_pos] if self.coeffs else ZERO
+
+    def coeff(self, K: int):
+        return self.coeffs.get(K, ZERO)
+
+    def eval(self, x1, x2):
+        """Exact value at a rational point, summed term by term."""
+        a, b = as_rat(x1), as_rat(x2)
+        total = rat(0)
+        for K, c in self.coeffs.items():
+            i, j, _ = pair_of(K)
+            total += c * a ** (i - j) * b ** j
+        return total
+
+    def to_json(self) -> dict[str, str]:
+        return {str(K): format_rat(self.coeffs[K]) for K in sorted(self.coeffs)}
+
+    @staticmethod
+    def from_json(obj: dict[str, str]) -> "BiPoly":
+        return BiPoly({int(K): parse_rat(v) for K, v in obj.items()})
+
+
+def poly(fam: Family, n: int, idx: int) -> BiPoly:
+    """Component idx of member n of fam, read off its integer row."""
+    d, row = fam.rows[n]
+    return BiPoly({c // fam.r: rat(v, d) for c, v in row.items() if c % fam.r == idx})
+
+
 def members(fam: Family) -> list[list[BiPoly]]:
     """Every member of fam as its list of BiPoly components."""
-    return [[fam.poly(n, i) for i in range(fam.r)] for n in range(len(fam))]
+    return [[poly(fam, n, i) for i in range(fam.r)] for n in range(len(fam))]
 
 
 def planted(fam: Family, n: int, idx: int, K: int, delta) -> Family:
@@ -137,7 +184,7 @@ def planted(fam: Family, n: int, idx: int, K: int, delta) -> Family:
     comps = members(fam)
     pol = comps[n][idx]
     comps[n][idx] = BiPoly({**pol.coeffs, K: pol.coeff(K) + delta})
-    return Family.from_members(fam.r, comps)
+    return Family.from_members(fam.r, [[pol.coeffs for pol in row] for row in comps])
 
 
 def deg_x1(pol: BiPoly) -> int:
@@ -398,9 +445,9 @@ def naive_moment(measure, s: int, t: int) -> Fraction:
         return (F(hi) ** (e + 1) - F(lo) ** (e + 1)) / (e + 1)
 
     # step-line pairs in order, enumerated here rather than read from pair_of
-    pairs = [(i, j) for i in range(max(measure.density.coeffs, default=0) + 1) for j in range(i + 1)]
+    pairs = [(i, j) for i in range(max(measure.density, default=0) + 1) for j in range(i + 1)]
     total = Fraction(0)
-    for K, c in measure.density.coeffs.items():
+    for K, c in measure.density.items():
         i, j = pairs[K]
         total += (F(c) * power_integral(measure.x1_lo, measure.x1_hi, s + i - j)
                   * power_integral(measure.x2_lo, measure.x2_hi, t + j))

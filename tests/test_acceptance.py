@@ -56,7 +56,9 @@ from _support import (
     grid_values,
     invert_unitriangular,
     mat_eq,
+    members,
     mixed_mm,
+    poly,
     reconstruct,
     solve_a_col,
     solve_b_row,
@@ -166,10 +168,10 @@ def test_criterion_3_orthogonality_and_oracle():
         system = build_system(q, p, 12, seed=302)
         for n in range(12):
             assert [w.coeffs for w in solve_b_row(system.M.data, n, q)] == [
-                system.B.poly(n, b).coeffs for b in range(q)
+                poly(system.B, n, b).coeffs for b in range(q)
             ], (q, p, n)
             assert [w.coeffs for w in solve_a_col(system.M.data, n, p)] == [
-                system.A.poly(n, a).coeffs for a in range(p)
+                poly(system.A, n, a).coeffs for a in range(p)
             ], (q, p, n)
 
 
@@ -181,16 +183,16 @@ def test_criterion_4_degree_structure():
         for n in range(20):
             for b in range(q):
                 bound = degree_bound(n, b, q)
-                poly = system.B.poly(n, b)
-                assert poly.grlex_pos <= bound
+                pol = poly(system.B, n, b)
+                assert pol.grlex_pos <= bound
                 if n % q == b:  # n = Mq + b: the bound is attained
-                    assert poly.grlex_pos == bound and poly.leading_coeff() != 0
+                    assert pol.grlex_pos == bound and pol.leading_coeff() != 0
             for a in range(p):
                 bound = degree_bound(n, a, p)
-                poly = system.A.poly(n, a)
-                assert poly.grlex_pos <= bound
+                pol = poly(system.A, n, a)
+                assert pol.grlex_pos <= bound
                 if n % p == a:  # n = Mp + a: attained and monic
-                    assert poly.grlex_pos == bound and poly.leading_coeff() == 1
+                    assert pol.grlex_pos == bound and pol.leading_coeff() == 1
 
 
 def test_criterion_5_recurrence():
@@ -214,8 +216,8 @@ def _max_deg(fam, count, axis):
     degs = []
     for n in range(count):
         for idx in range(fam.r):
-            poly = fam.poly(n, idx)
-            degs.append(deg_x1(poly) if axis == 1 else deg_x2(poly))
+            pol = poly(fam, n, idx)
+            degs.append(deg_x1(pol) if axis == 1 else deg_x2(pol))
     return max(degs)
 
 
@@ -238,8 +240,10 @@ def test_criterion_6_cd_abc_reproduction_projection():
         xs = [(a, b) for a in grid_values(dx1 + 2) for b in grid_values(dx2 + 2)]
         ys = [(a, b) for a in grid_values(dy1 + 2) for b in grid_values(dy2 + 2)]
 
-        a_cache = {x: [system.A.eval(i, *x) for i in range(lim_a)] for x in xs}
-        b_cache = {y: [system.B.eval(i, *y) for i in range(lim_b)] for y in ys}
+        # members evaluated term by term, apart from the KernelTable route
+        a_members, b_members = members(system.A.head(lim_a)), members(system.B.head(lim_b))
+        a_cache = {x: [[c.eval(*x) for c in comps] for comps in a_members] for x in xs}
+        b_cache = {y: [[c.eval(*y) for c in comps] for comps in b_members] for y in ys}
         blocks_kn = {
             (k, n): cd_blocks(T[k], n, k)
             for k in (1, 2)
@@ -299,7 +303,7 @@ def test_criterion_6_cd_abc_reproduction_projection():
             assert check_projection(system.A, system.B, system.M, I * p + p - 1, P).ok
             P_dual = seeded_monic_matrix(rng, q, I)
             assert check_projection(
-                system.B, system.A, system.M.transpose(), I * q + q - 1, P_dual.transpose()
+                system.B, system.A, system.M.transpose(), I * q + q - 1, list(zip(*P_dual))
             ).ok
 
     assert time.perf_counter() - start < 180.0

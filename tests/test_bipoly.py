@@ -1,20 +1,18 @@
-"""Sparse bivariate polynomials: storage, degrees, serialization, matrix indexing."""
+"""The tests' sparse bivariate polynomial oracle: storage, degrees, serialization."""
 
 from hypothesis import given
 from hypothesis import strategies as st
 
 from steppoly import rat
-from steppoly.bipoly import BiPoly, PolyMatrix
 from steppoly.stepline import pos_of
 
-from _support import deg_x1, deg_x2
+from _support import BiPoly, deg_x1, deg_x2
 
 rationals = st.builds(rat, st.integers(-40, 40), st.integers(1, 12))
 polys = st.builds(
     BiPoly,
     st.dictionaries(st.integers(0, 20), rationals, max_size=6),
 )
-points = st.tuples(rationals, rationals)
 
 
 @given(polys)
@@ -44,10 +42,3 @@ def test_degree_accessors():
     assert f.coeff(pos_of(2, 2)) == -1
     assert f.coeff(0) == 0
 
-
-@given(polys, polys, points)
-def test_matrix_eval_pointwise(f, g, pt):
-    m = PolyMatrix([[f, g], [g, f]])
-    assert m[0, 0].eval(*pt) == f.eval(*pt)
-    assert m[0, 1].eval(*pt) == g.eval(*pt)
-    assert m.grlex_pos_max() == max(f.grlex_pos, g.grlex_pos)

@@ -6,7 +6,6 @@ from itertools import permutations
 import pytest
 
 from steppoly import build_recurrence, pairing_matrix, rat, required_depth
-from steppoly.bipoly import BiPoly, PolyMatrix
 from steppoly.cdkernel import (
     KernelTable,
     cd_blocks,
@@ -30,7 +29,9 @@ from _support import (
     gauss_jordan_inverse,
     grid_values,
     matmul,
+    members,
     monomial_value,
+    poly,
     transpose,
 )
 
@@ -57,8 +58,8 @@ class TestKernelEval:
             for b_idx in range(2):
                 want = sum(
                     (
-                        system.A.poly(i, a_idx).eval(*X)
-                        * system.B.poly(i, b_idx).eval(*Y)
+                        poly(system.A, i, a_idx).eval(*X)
+                        * poly(system.B, i, b_idx).eval(*Y)
                         for i in range(n + 1)
                     ),
                     rat(0),
@@ -66,11 +67,16 @@ class TestKernelEval:
                 assert got[a_idx][b_idx] == want
 
     def test_table_matches_member_evaluation(self):
+        # the oracle evaluates each member term by term, apart from Family.values
         for q, p in SHAPES:
             system = build_system(q, p, 8, seed=81)
             table = KernelTable(system.A, system.B, X, Y, 8)
-            assert table.a == [system.A.eval(i, *X) for i in range(8)], (q, p)
-            assert table.b == [system.B.eval(i, *Y) for i in range(8)], (q, p)
+            want_a = [[c.eval(*X) for c in comps] for comps in members(system.A.head(8))]
+            want_b = [[c.eval(*Y) for c in comps] for comps in members(system.B.head(8))]
+            assert table.a == want_a, (q, p)
+            assert table.b == want_b, (q, p)
+            assert [system.A.eval(i, *X) for i in range(8)] == want_a, (q, p)
+            assert [system.B.eval(i, *Y) for i in range(8)] == want_b, (q, p)
             for n in range(8):
                 want = [[sum((table.a[i][a] * table.b[i][b] for i in range(n + 1)), rat(0))
                          for b in range(q)] for a in range(p)]
@@ -328,15 +334,9 @@ class TestReproduction:
         assert not check_reproduction(other.A, system.B, gram, 7).ok
 
 
-def monic_matrix(dim: int, lead_pos: int) -> PolyMatrix:
-    entries = []
-    for r in range(dim):
-        row = []
-        for c in range(dim):
-            coeffs = {0: rat(r - c, 3)} if r != c else {lead_pos: rat(1), 0: rat(1, 2)}
-            row.append(BiPoly({K: v for K, v in coeffs.items() if v != 0}))
-        entries.append(row)
-    return PolyMatrix(entries)
+def monic_matrix(dim: int, lead_pos: int) -> list[list[dict]]:
+    return [[{0: rat(r - c, 3)} if r != c else {lead_pos: rat(1), 0: rat(1, 2)}
+             for c in range(dim)] for r in range(dim)]
 
 
 class TestProjection:
@@ -349,7 +349,7 @@ class TestProjection:
             ).ok
             assert check_projection(
                 system.B, system.A, system.M.transpose(), I * q + q - 1,
-                monic_matrix(q, I).transpose(),
+                list(zip(*monic_matrix(q, I))),
             ).ok
 
     def test_below_threshold_is_an_error_not_a_failure(self):
@@ -363,7 +363,7 @@ class TestProjection:
         system = build_system(1, 2, 10, seed=99)
         with pytest.raises(ValueError):
             check_projection(system.A, system.B, system.M, 7, monic_matrix(1, 2))
-        bad = PolyMatrix([[BiPoly({2: rat(3)})]])  # leading coefficient not 1
+        bad = [[{2: rat(3)}]]  # leading coefficient not 1
         with pytest.raises(ValueError):
             check_projection(system.B, system.A, system.M.transpose(), 7, bad)
 
@@ -385,7 +385,7 @@ class TestProjection:
     def test_dual_detects_foreign_families(self):
         system = build_system(1, 2, 14, seed=103)
         other = build_system(1, 2, 14, seed=104)
-        P = monic_matrix(1, 2).transpose()
+        P = list(zip(*monic_matrix(1, 2)))
         assert check_projection(system.B, system.A, system.M.transpose(), 7, P).ok
         rep = check_projection(other.B, other.A, system.M.transpose(), 7, P)
         assert not rep.ok and rep.checked > 0
@@ -396,14 +396,9 @@ class TestMonicPredicate:
         assert is_monic_of_grlex_degree(monic_matrix(2, 3), 3)
 
     def test_rejects_off_diagonal_leader(self):
-        m = PolyMatrix(
-            [
-                [BiPoly({3: rat(1)}), BiPoly({3: rat(1)})],
-                [BiPoly({}), BiPoly({3: rat(1)})],
-            ]
-        )
+        m = [[{3: rat(1)}, {3: rat(1)}], [{}, {3: rat(1)}]]
         assert not is_monic_of_grlex_degree(m, 3)
 
     def test_rejects_non_square(self):
-        m = PolyMatrix([[BiPoly({0: rat(1)}), BiPoly({0: rat(1)})]])
+        m = [[{0: rat(1)}, {0: rat(1)}]]
         assert not is_monic_of_grlex_degree(m, 0)

@@ -15,7 +15,6 @@ from hypothesis import strategies as st
 
 import steppoly
 from steppoly import build_recurrence, rat, required_depth
-from steppoly.bipoly import BiPoly
 from steppoly.cdkernel import kernel_eval
 from steppoly.cli import CHECK_NAMES, RunConfig, main
 from steppoly.errors import ConfigError, DepthError
@@ -23,7 +22,7 @@ from steppoly.measures import measure_from_json
 from steppoly.rational import parse_rat
 from steppoly.report import CheckReport, Violation
 
-from _support import build_system, table_mm
+from _support import BiPoly, build_system, poly, table_mm
 
 DEPTH = 6
 
@@ -249,9 +248,10 @@ class TestCompute:
         fams = json.loads((out / "families.json").read_text())
         assert fams["q"] == 1 and fams["p"] == 2
         A, B = extract_families(F, 1, 2)
-        for n in range(DEPTH):
-            got = [BiPoly.from_json(obj).coeffs for obj in fams["A"][n]]
-            assert got == [A.poly(n, a).coeffs for a in range(2)]
+        for label, fam in (("A", A), ("B", B)):
+            for n in range(DEPTH):
+                got = [BiPoly.from_json(obj).coeffs for obj in fams[label][n]]
+                assert got == [poly(fam, n, i).coeffs for i in range(fam.r)], (label, n)
 
         with (out / "moments.csv").open() as fh:
             rows = list(csv.reader(fh))

@@ -10,7 +10,6 @@ from steppoly import (
     pairing_matrix,
     rat,
 )
-from steppoly.bipoly import BiPoly
 from steppoly.cli import seeded_monic_matrix
 from steppoly.families import (
     Family,
@@ -25,11 +24,13 @@ from steppoly.measures import MeasureMatrix, RectDensity
 
 from _support import (
     SHAPES,
+    BiPoly,
     build_system,
     integrate_pair,
     members,
     monomial_value,
     planted,
+    poly,
     rand_discrete,
     solve_a_col,
     solve_b_row,
@@ -37,7 +38,7 @@ from _support import (
 
 
 def lebesgue_system(depth: int):
-    leb = RectDensity(-1, 1, -1, 1, BiPoly({0: rat(1)}))
+    leb = RectDensity(-1, 1, -1, 1, {0: rat(1)})
     mm = MeasureMatrix(1, 1, [[leb]])
     M = assemble_moments(mm, depth)
     F = factorize(M)
@@ -58,15 +59,15 @@ class TestLebesgueAnchors:
             rat(16, 175),
         ]
         # positions 1, 3, 6 carry the univariate monic orthogonal polynomials in x1
-        assert A.poly(1, 0).coeffs == {1: rat(1)}
-        assert A.poly(3, 0).coeffs == {3: rat(1), 0: rat(-1, 3)}
-        assert A.poly(6, 0).coeffs == {6: rat(1), 1: rat(-3, 5)}
-        assert B.poly(1, 0).coeffs == {1: rat(3, 4)}
+        assert poly(A, 1, 0).coeffs == {1: rat(1)}
+        assert poly(A, 3, 0).coeffs == {3: rat(1), 0: rat(-1, 3)}
+        assert poly(A, 6, 0).coeffs == {6: rat(1), 1: rat(-3, 5)}
+        assert poly(B, 1, 0).coeffs == {1: rat(3, 4)}
 
     def test_defining_property_of_anchor(self):
         # independent of the factorization: A_3 kills every lower monomial
         mm, _, _, A, _ = lebesgue_system(8)
-        a3 = A.poly(3, 0)
+        a3 = poly(A, 3, 0)
         for K in range(3):
             lower = BiPoly({K: rat(1)})
             assert integrate_pair(mm, lower, 0, 0, a3) == 0
@@ -171,8 +172,8 @@ class TestProductRoute:
                 assert rationals(moment_rows(A, M.transpose(), D)) == want, where
                 # projection's inner integrals: B_i against the columns of P
                 P = seeded_monic_matrix(random.Random(53), p, 1)
-                columns = P.transpose().entries
-                assert (pairings(B, Family.from_members(p, columns), M)
+                columns = [[BiPoly(e) for e in col] for col in zip(*P)]
+                assert (pairings(B, Family.from_members(p, zip(*P)), M)
                         == pair_oracle(mm, comps_b, columns)), where
 
 
@@ -244,18 +245,18 @@ class TestDegreeStructure:
         for n in range(14):
             for b in range(q):
                 bound = degree_bound(n, b, q)
-                poly = system.B.poly(n, b)
-                assert poly.grlex_pos <= bound
+                pol = poly(system.B, n, b)
+                assert pol.grlex_pos <= bound
                 if n % q == b and bound >= 0:
-                    assert poly.grlex_pos == bound
-                    assert poly.leading_coeff() != 0
+                    assert pol.grlex_pos == bound
+                    assert pol.leading_coeff() != 0
             for a in range(p):
                 bound = degree_bound(n, a, p)
-                poly = system.A.poly(n, a)
-                assert poly.grlex_pos <= bound
+                pol = poly(system.A, n, a)
+                assert pol.grlex_pos <= bound
                 if n % p == a and bound >= 0:
-                    assert poly.grlex_pos == bound
-                    assert poly.leading_coeff() == 1  # monic on the diagonal
+                    assert pol.grlex_pos == bound
+                    assert pol.leading_coeff() == 1  # monic on the diagonal
 
     def test_degree_bound_floor(self):
         assert degree_bound(7, 1, 2) == 3
@@ -269,8 +270,8 @@ class TestLinearSolveOracle:
             system = build_system(q, p, 12, seed=51)
             for n in range(12):
                 want_b = solve_b_row(system.M.data, n, q)
-                got_b = [system.B.poly(n, b) for b in range(q)]
+                got_b = [poly(system.B, n, b) for b in range(q)]
                 assert [w.coeffs for w in want_b] == [g.coeffs for g in got_b], (q, p, n)
                 want_a = solve_a_col(system.M.data, n, p)
-                got_a = [system.A.poly(n, a) for a in range(p)]
+                got_a = [poly(system.A, n, a) for a in range(p)]
                 assert [w.coeffs for w in want_a] == [g.coeffs for g in got_a], (q, p, n)

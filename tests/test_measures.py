@@ -7,7 +7,6 @@ import pytest
 import sympy
 
 from steppoly import rat
-from steppoly.bipoly import BiPoly
 from steppoly.errors import ConfigError
 from steppoly.measures import Discrete, MeasureMatrix, MomentTable, RectDensity, measure_from_json
 from steppoly.rational import BACKEND, QType, format_rat, parse_rat
@@ -20,10 +19,10 @@ def to_fraction(v) -> Fraction:
     return Fraction(int(v.numerator), int(v.denominator))
 
 
-def sympy_rect_moment(density: BiPoly, box, s: int, t: int) -> Fraction:
+def sympy_rect_moment(density: dict, box, s: int, t: int) -> Fraction:
     x, y = sympy.symbols("x y")
     expr = sympy.Integer(0)
-    for K, c in density.coeffs.items():
+    for K, c in density.items():
         i, j, _ = pair_of(K)
         expr += sympy.Rational(to_fraction(c)) * x ** (i - j) * y**j
     val = sympy.integrate(
@@ -36,7 +35,7 @@ def sympy_rect_moment(density: BiPoly, box, s: int, t: int) -> Fraction:
 
 class TestRectDensity:
     def test_lebesgue_moments(self):
-        leb = RectDensity(-1, 1, -1, 1, BiPoly({0: rat(1)}))
+        leb = RectDensity(-1, 1, -1, 1, {0: rat(1)})
         assert leb.moment(0, 0) == 4
         assert leb.moment(1, 0) == 0
         assert leb.moment(2, 0) == rat(4, 3)
@@ -57,7 +56,7 @@ class TestRectDensity:
 
     def test_rejects_empty_box(self):
         with pytest.raises(ConfigError):
-            RectDensity(1, 1, -1, 1, BiPoly({0: rat(1)}))
+            RectDensity(1, 1, -1, 1, {0: rat(1)})
 
 
 class TestDiscrete:

@@ -22,3 +22,10 @@ def test_public_surface_is_the_quick_start_imports(monkeypatch):
     import steppoly
 
     assert set(steppoly.__all__) == imported
+
+
+def test_layout_lists_every_module():
+    block = re.search(r"^src/steppoly/\n(.*?)^```", (ROOT / "README.md").read_text(), re.S | re.M)
+    listed = [line.split()[0] for line in block.group(1).splitlines()]
+    modules = sorted(path.name for path in (ROOT / "src" / "steppoly").glob("*.py"))
+    assert sorted(listed) == [name for name in modules if name != "__init__.py"]

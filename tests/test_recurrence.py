@@ -5,7 +5,6 @@ from collections import Counter
 import pytest
 
 from steppoly import assemble_moments, build_recurrence, factorize, rat, required_depth
-from steppoly.bipoly import BiPoly
 from steppoly.families import Family, check_orthogonality
 from steppoly.errors import DepthError
 from steppoly.gaussborel import Factorization, IntegerSide
@@ -25,13 +24,14 @@ from _support import (
     build_system,
     conjugate,
     invert_unitriangular,
+    members,
     recurrence_oracle,
     transpose,
 )
 
 
 def lebesgue_T(size: int, k: int):
-    leb = RectDensity(-1, 1, -1, 1, BiPoly({0: rat(1)}))
+    leb = RectDensity(-1, 1, -1, 1, {0: rat(1)})
     mm = MeasureMatrix(1, 1, [[leb]])
     M = assemble_moments(mm, required_depth(size, 1, 1))
     F = factorize(M)
@@ -269,8 +269,8 @@ class TestRelations:
 
     def test_pointwise_on_random_systems(self):
         # x_k B_n = sum_i R_k[n][i] B_i and x_k A_n = sum_i R_k[i][n] A_i,
-        # evaluated member by member at each point with BiPoly.eval, apart
-        # from the coefficient check
+        # evaluated member by member at each point with the tests' BiPoly.eval,
+        # apart from the coefficient check and from Family.values
         for q, p in SHAPES:
             D = 12
             system = build_system(q, p, required_depth(D, q, p), seed=67)
@@ -279,16 +279,17 @@ class TestRelations:
                 n_max = recurrence_n_max(T, len(system.A), len(system.B))
                 assert n_max > 0, (q, p, k)
                 R = conjugate(T)
-                relations = (("B", system.B, T.row_band, R), ("A", system.A, T.col_band, transpose(R)))
+                relations = (("B", members(system.B), T.row_band, R),
+                             ("A", members(system.A), T.col_band, transpose(R)))
                 for x1, x2 in self.points:
                     xk = x1 if k == 1 else x2
                     for label, fam, band, coeffs in relations:
                         for n in range(n_max):
                             lo, top = band(n)
-                            vals = {i: fam.eval(i, x1, x2) for i in range(lo, top + 1)}
-                            for idx, v in enumerate(fam.eval(n, x1, x2)):
+                            vals = {i: [c.eval(x1, x2) for c in fam[i]] for i in range(lo, top + 1)}
+                            for idx, comp in enumerate(fam[n]):
                                 rhs = sum((coeffs[n][i] * vals[i][idx] for i in vals), rat(0))
-                                assert xk * v == rhs, (q, p, k, label, n, idx, x1, x2)
+                                assert xk * comp.eval(x1, x2) == rhs, (q, p, k, label, n, idx, x1, x2)
 
     def test_coefficient_space_identity(self):
         for seed in (67, 68):
