@@ -42,7 +42,7 @@ from .families import (
     pairing_matrix,
     validate_degree_structure,
 )
-from .gaussborel import factorize
+from .gaussborel import factorize, unit_lower
 from .measures import MeasureMatrix
 from .moments import assemble_moments, check_hankel
 from .rational import format_rat, parse_rat, rat
@@ -351,11 +351,11 @@ def _matrix_to_strings(data: list[list]) -> list[list[str]]:
 
 
 # The matrix each export kind but families reads; exports show its depth x depth
-# corner, and H is one row.
+# corner, and H is one row.  S and Sbar are built for that corner only.
 EXPORT_MATRICES = {
     "H": lambda ws: [ws.F.H],
-    "S": lambda ws: ws.F.S,
-    "Sbar": lambda ws: ws.F.Sbar,
+    "S": lambda ws: unit_lower(ws.F.minors, ws.F.S_int, ws.depth),
+    "Sbar": lambda ws: unit_lower(ws.F.minors, ws.F.Sbar_int, ws.depth),
     "T1": lambda ws: ws.T[1].data,
     "T2": lambda ws: ws.T[2].data,
     "moments": lambda ws: ws.M.data,

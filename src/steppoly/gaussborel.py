@@ -20,10 +20,10 @@ leading minor of Mi (Delta_0 = 1):
 One lcm per row rather than one for the whole truncation keeps the minors
 small: scaling by a single den multiplies Delta_n by den^n.
 
-Factorization keeps S, Sbar and H as rationals, and next to them the integers
-of the elimination, in the fraction-free LU form of Nakos, Turner and Williams
-(ACM SIGSAM Bull. 31, 1997) and of Zhou and Jeffrey (Front. Comput. Sci. China
-2, 2008): the minors Delta, and per side an IntegerSide (scale, L, L_inv) with
+Factorization keeps H as rationals and otherwise only the integers of the
+elimination, in the fraction-free LU form of Nakos, Turner and Williams (ACM
+SIGSAM Bull. 31, 1997) and of Zhou and Jeffrey (Front. Comput. Sci. China 2,
+2008): the minors Delta, and per side an IntegerSide (scale, L, L_inv) with
 
     factor[n][c]    = L[n][c] scale_c / (Delta_n scale_n),
     inverse[i][k]   = L_inv[i][k] scale_k / (Delta_{k+1} scale_i)
@@ -38,8 +38,10 @@ row n of factor * inverse = I, which leaves
 
 an exact division (the quotient is the integer Delta_n r_n / r_c S[n][c] on
 the S side, Delta_n Sbar[n][c] on the Sbar side).  No identity block is
-carried through the elimination.  The recurrence matrices are built from
-these integers; the rational inverses are never formed.
+carried through the elimination.  The families and the recurrence matrices
+are built from these integers, and the rational inverses are never formed.  A
+rational factor is formed only when read: unit_lower builds the leading corner
+a reader asks for, the depth x depth one for the S and Sbar exports.
 """
 
 from __future__ import annotations
@@ -65,33 +67,38 @@ class IntegerSide(NamedTuple):
 
 
 class Factorization:
-    """Factors of one truncation: S, Sbar (unit lower) and the diagonal H, plus
-    the elimination's minors and one IntegerSide each for S and Sbar."""
+    """Factors of one truncation: the diagonal H, the elimination's minors and
+    one IntegerSide each for S and Sbar.  The rational S and Sbar are built in
+    full from those integers on every read; nothing keeps them."""
 
-    __slots__ = ("depth", "S", "Sbar", "H", "minors", "S_int", "Sbar_int")
+    __slots__ = ("depth", "H", "minors", "S_int", "Sbar_int")
 
-    def __init__(self, depth: int, S: list[list], Sbar: list[list], H: list,
-                 minors: list[int], S_int: IntegerSide, Sbar_int: IntegerSide):
+    def __init__(self, depth: int, H: list, minors: list[int], S_int: IntegerSide,
+                 Sbar_int: IntegerSide):
         self.depth = depth
-        self.S = S
-        self.Sbar = Sbar
         self.H = H
         self.minors = minors
         self.S_int = S_int
         self.Sbar_int = Sbar_int
 
+    @property
+    def S(self) -> list[list]:
+        return unit_lower(self.minors, self.S_int, self.depth)
+
+    @property
+    def Sbar(self) -> list[list]:
+        return unit_lower(self.minors, self.Sbar_int, self.depth)
+
     def transpose(self) -> "Factorization":
         """The factorization M^T = Sbar^-1 H S^-T: the same factors, roles swapped."""
-        return Factorization(self.depth, self.Sbar, self.S, self.H, self.minors,
-                             self.Sbar_int, self.S_int)
+        return Factorization(self.depth, self.H, self.minors, self.Sbar_int, self.S_int)
 
 
-def _unit_lower(minors: list[int], side: IntegerSide) -> list[list]:
-    """The rational unit lower factor whose numerators side stores."""
+def unit_lower(minors: list[int], side: IntegerSide, rows: int) -> list[list]:
+    """The leading rows x rows corner of the rational unit lower factor side stores."""
     s, L, _ = side
-    D = len(s)
-    return [[rat(L[n][c] * s[c], minors[n] * s[n]) for c in range(n)] + [ONE] + [ZERO] * (D - 1 - n)
-            for n in range(D)]
+    return [[rat(L[n][c] * s[c], minors[n] * s[n]) for c in range(n)] + [ONE] + [ZERO] * (rows - 1 - n)
+            for n in range(rows)]
 
 
 def _factor_numerators(minors: list[int], inv_cols: list[list[int]]) -> list[list[int]]:
@@ -136,12 +143,5 @@ def factorize(M: MomentTruncation | list[list]) -> Factorization:
                         [row[:i + 1] for i, row in enumerate(Mi)])
     Sbar_int = IntegerSide([1] * D, _factor_numerators(minors, [row[c:] for c, row in enumerate(Mi)]),
                            [[Mi[k][i] for k in range(i + 1)] for i in range(D)])
-    return Factorization(
-        D,
-        S=_unit_lower(minors, S_int),
-        Sbar=_unit_lower(minors, Sbar_int),
-        H=[rat(minors[n + 1], minors[n] * r[n]) for n in range(D)],
-        minors=minors,
-        S_int=S_int,
-        Sbar_int=Sbar_int,
-    )
+    return Factorization(D, [rat(minors[n + 1], minors[n] * r[n]) for n in range(D)], minors,
+                         S_int, Sbar_int)

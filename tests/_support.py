@@ -342,8 +342,7 @@ def corner_factorization(F: Factorization, d: int) -> Factorization:
     def cut(side: IntegerSide) -> IntegerSide:
         return IntegerSide(*(part[:d] for part in side))
 
-    return Factorization(d, corner(F.S, d), corner(F.Sbar, d), F.H[:d], F.minors[:d + 1],
-                         cut(F.S_int), cut(F.Sbar_int))
+    return Factorization(d, F.H[:d], F.minors[:d + 1], cut(F.S_int), cut(F.Sbar_int))
 
 
 def bordered_numerators(data: list[list]) -> tuple[list[int], IntegerSide, IntegerSide]:

@@ -18,11 +18,13 @@ from steppoly import build_recurrence, rat, required_depth
 from steppoly.cdkernel import kernel_eval
 from steppoly.cli import CHECK_NAMES, RunConfig, main
 from steppoly.errors import ConfigError, DepthError
+from steppoly.gaussborel import unit_lower
 from steppoly.measures import measure_from_json
 from steppoly.rational import parse_rat
 from steppoly.report import CheckReport, Violation
 
-from _support import BiPoly, build_system, poly, table_mm
+from _support import (BiPoly, build_system, corner, invert_unitriangular, poly,
+                      stored_inverses, table_mm)
 
 DEPTH = 6
 
@@ -260,6 +262,16 @@ class TestCompute:
             r[:DEPTH] for r in M.data[:DEPTH]
         ]
 
+        # S and Sbar against the inverses of the stored L_inv, not the src builder
+        for what, inverse in zip(("S", "Sbar"), stored_inverses(F)):
+            want = corner(invert_unitriangular(inverse), DEPTH)
+            obj = json.loads((out / f"{what}.json").read_text())
+            assert obj["schema_version"] == 1 and obj["kind"] == what
+            assert obj["rows"] == DEPTH and obj["cols"] == DEPTH
+            assert [[parse_rat(v) for v in row] for row in obj["entries"]] == want, what
+            with (out / f"{what}.csv").open() as fh:
+                assert [[parse_rat(v) for v in row] for row in csv.reader(fh)] == want, what
+
     def test_render_decimal_extends_csv_only(self, tmp_path):
         cfg = good_config(tmp_path)
         plain, dec = tmp_path / "plain", tmp_path / "dec"
@@ -322,6 +334,33 @@ class TestKernel:
                      "--x", "1/2", "--y", "0,0"]) == 3
         assert main(["kernel", "--config", str(cfg), "--n", "-1",
                      "--x", "0,0", "--y", "0,0"]) == 3
+
+
+class TestRationalFactors:
+    """verify and kernel read only the integers of factorize; compute builds the
+    rational S and Sbar once each, for the depth x depth corner it exports."""
+
+    @pytest.mark.parametrize("shape", ["golden", (2, 3)])
+    def test_only_the_exports_build_them(self, tmp_path, monkeypatch, shape):
+        if shape == "golden":
+            cfg = Path(__file__).resolve().parent / "golden" / "config.json"
+            depth = json.loads(cfg.read_text())["depth"]
+        else:
+            cfg, depth = good_config(tmp_path, *shape), DEPTH
+        built = []
+
+        def counting(minors, side, rows):
+            built.append(rows)
+            return unit_lower(minors, side, rows)
+
+        monkeypatch.setattr("steppoly.gaussborel.unit_lower", counting)
+        monkeypatch.setattr("steppoly.cli.unit_lower", counting)
+        assert main(["verify", "--config", str(cfg), "--out", str(tmp_path / "v")]) == 0
+        assert main(["kernel", "--config", str(cfg), "--n", "4",
+                     "--x", "1/2,-1/3", "--y", "2/7,1/5", "--out", str(tmp_path / "k")]) == 0
+        assert built == []
+        assert main(["compute", "--config", str(cfg), "--out", str(tmp_path / "c")]) == 0
+        assert built == [depth, depth]
 
 
 json_scalars = (

@@ -87,8 +87,7 @@ class TestIntegerRoute:
         scale, L, L_inv = F.Sbar_int
         wrong = [row[:] for row in L_inv]
         wrong[n_plus(1, p, k)][1] += 1
-        bad = Factorization(F.depth, F.S, F.Sbar, F.H, F.minors, F.S_int,
-                            IntegerSide(scale, L, wrong))
+        bad = Factorization(F.depth, F.H, F.minors, F.S_int, IntegerSide(scale, L, wrong))
         primal = build_recurrence(bad, q, p, k, D)
         assert primal.data == T.data
         assert validate_band(primal).ok
