@@ -8,6 +8,11 @@ the printed labels follow T_k itself.  The ABC identity expresses the same
 kernel through the inverse of the leading (n+1) x (n+1) moment truncation,
 computed here by an independent pivoted elimination.
 
+kernel_eval, behind the kernel command, evaluates that inverse-moment form
+directly: gaussborel's elimination of the truncation bordered by the two
+points' monomials leaves the kernel as a Schur complement, and no factor or
+family is formed.
+
 The family side of every identity reads a KernelTable: both families at a
 point pair, each side over one denominator, and every K^[n](x, y) as an
 integer prefix sum; one table per pair serves every n and k.  Both identities
@@ -23,6 +28,7 @@ from operator import mul
 
 from .errors import Breakdown, DepthError
 from .families import Family, monomial_ints, pairings
+from .gaussborel import eliminate
 from .moments import MomentTruncation
 from .rational import ZERO, as_rat, common_denominator, rat
 from .recurrence import RecurrenceTruncation
@@ -68,14 +74,29 @@ def _require_tabled(tables: list[KernelTable], count: int) -> None:
         raise DepthError(f"point-pair tables end before family index {count - 1}", required=count)
 
 
-def kernel_eval(A: Family, B: Family, n: int, x: tuple, y: tuple) -> list[list]:
-    """Exact p x q kernel value at a point pair, summed in reduced rationals: each
-    partial sum is a K^[m] with a small denominator, where a KernelTable's is not."""
-    if n >= min(len(A), len(B)):
-        raise DepthError(f"kernel index {n} outside family range", required=n + 1)
-    a, b = A.values(*x, n + 1), B.values(*y, n + 1)
-    return [[sum((a_i[i] * b_i[j] for a_i, b_i in zip(a, b)), ZERO) for j in range(B.r)]
-            for i in range(A.r)]
+def kernel_eval(M: MomentTruncation, x: tuple, y: tuple) -> list[list]:
+    """K^[D-1](x, y) = X_[p](x)^T M^-1 X_[q](y) for a depth-D truncation M, exactly.
+
+    Row m of M is scaled to integers by the lcm r_m of its denominators, as in
+    factorize, and bordered by q columns and p rows: with integer monomial
+    tables X / d_x and Y / d_y, column b holds r_m Y[m // q] in the rows with
+    m % q = b, and row a holds X[m // p] in the columns with m % p = a.  D
+    steps of eliminate leave Delta_D times the Schur complement
+    -X^T M^-1 Y in the p x q corner, so K = corner / (-Delta_D d_x d_y).  A
+    vanishing leading minor raises the Breakdown factorize would.
+    """
+    D, q, p = M.depth, M.q, M.p
+    d_x, X = monomial_ints(x, (D - 1) // p + 1)
+    d_y, Y = monomial_ints(y, (D - 1) // q + 1)
+    rows = []
+    for m, row in enumerate(M.data):
+        r_m, nums = common_denominator(as_rat(v) for v in row)
+        border = [0] * q
+        border[m % q] = r_m * Y[m // q]
+        rows.append(nums + border)
+    rows += [[X[m // p] if m % p == a else 0 for m in range(D)] + [0] * q for a in range(p)]
+    den = -eliminate(rows, D)[D] * d_x * d_y
+    return [[rat(v, den) for v in row[D:]] for row in rows[D:]]
 
 
 class CDBlocks:

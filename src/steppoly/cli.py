@@ -78,10 +78,9 @@ class RunConfig:
         if obj.get("schema_version", SCHEMA_VERSION) != SCHEMA_VERSION:
             raise ConfigError(f"unsupported schema_version {obj.get('schema_version')}")
         mm = MeasureMatrix.from_json(obj)
-        try:
-            depth = int(obj.get("depth", 1))
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise ConfigError(f"bad depth: {exc}") from exc
+        depth = obj.get("depth", 1)
+        if type(depth) is not int:
+            raise ConfigError(f"bad depth: {depth!r} is not an integer")
         if depth < 1:
             raise ConfigError(f"depth must be >= 1, got {depth}")
         checks = obj.get("checks", list(CHECK_NAMES))
@@ -99,10 +98,9 @@ class RunConfig:
                 parse_rat(entry[0]), parse_rat(entry[1])
             except ValueError as exc:
                 raise ConfigError(f"bad eval point {entry!r}: {exc}") from exc
-        try:
-            seed = int(obj.get("seed", 0))
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise ConfigError(f"bad seed: {exc}") from exc
+        seed = obj.get("seed", 0)
+        if type(seed) is not int:
+            raise ConfigError(f"bad seed: {seed!r} is not an integer")
         output = obj.get("output")
         if output is not None and not isinstance(output, str):
             raise ConfigError("output must be a path string")
@@ -475,9 +473,7 @@ def _cmd_kernel(args) -> int:
         raise ConfigError(f"bad point: {exc}") from exc
     if len(x) != 2 or len(y) != 2:
         raise ConfigError("points need exactly two coordinates")
-    F = factorize(assemble_moments(config.measures, n + 1))
-    A, B = extract_families(F, config.q, config.p)
-    value = kernel_eval(A, B, n, x, y)
+    value = kernel_eval(assemble_moments(config.measures, n + 1), x, y)
     obj = {
         "schema_version": SCHEMA_VERSION,
         "kind": "kernel",

@@ -8,10 +8,12 @@ pivots, because pivoting would destroy the unitriangular normalization that
 defines the polynomial families.
 
 Each row n of the truncation is scaled to integers by the lcm r_n of its
-denominators, Mi = diag(r) M, and one Bareiss elimination runs on the rows of
-Mi (E. H. Bareiss, Math. Comp. 22, 1968).  Every intermediate is a minor of
-Mi, so the arithmetic stays in exact integers.  With Delta_n the n x n
-leading minor of Mi (Delta_0 = 1):
+denominators, Mi = diag(r) M, and one Bareiss elimination (eliminate) runs on
+the rows of Mi (E. H. Bareiss, Math. Comp. 22, 1968).  Every intermediate is a
+minor of Mi, so the arithmetic stays in exact integers.  eliminate is the one
+elimination loop: cdkernel.kernel_eval runs it on the same rows bordered by two
+points' monomials, so both raise the same Breakdown on a vanishing minor.
+With Delta_n the n x n leading minor of Mi (Delta_0 = 1):
 
 - the pivot of step n is Delta_{n+1}, so H_n = Delta_{n+1} / (Delta_n r_n);
 - the multiplier Mi[i][k] of step k is Delta_{k+1} r_i / r_k * S^-1[i][k],
@@ -117,6 +119,30 @@ def _factor_numerators(minors: list[int], inv_cols: list[list[int]]) -> list[lis
     return L
 
 
+def eliminate(rows: list[list[int]], steps: int) -> list[int]:
+    """steps unpivoted Bareiss steps on integer rows, in place; returns Delta_0 .. Delta_steps.
+
+    Step k leaves row k as it is and turns each later row i into
+    (Delta_{k+1} row_i - row_i[k] row_k) / Delta_k from column k+1 on, each
+    division exact; row_i[k], the multiplier, is kept.  Rows may be longer than
+    steps and there may be more of them: every entry (i, j) with i, j >= steps
+    ends as Delta_steps times that entry of the Schur complement of the
+    leading steps x steps block.  A zero pivot at step k raises Breakdown(k).
+    """
+    minors = [1]
+    for k in range(steps):
+        row_k = rows[k]
+        piv, prev = row_k[k], minors[k]
+        if piv == 0:
+            raise Breakdown(k)
+        minors.append(piv)
+        tail_k = row_k[k + 1:]
+        for row_i in rows[k + 1:]:
+            a = row_i[k]
+            row_i[k + 1:] = [(piv * x - a * y) // prev for x, y in zip(row_i[k + 1:], tail_k)]
+    return minors
+
+
 def factorize(M: MomentTruncation | list[list]) -> Factorization:
     """Fraction-free unpivoted LU; Breakdown(k) when the leading minor of size k+1 vanishes."""
     data = M.data if isinstance(M, MomentTruncation) else M
@@ -126,17 +152,7 @@ def factorize(M: MomentTruncation | list[list]) -> Factorization:
     scaled = [common_denominator(as_rat(v) for v in row) for row in data]
     r = [r_n for r_n, _ in scaled]
     Mi = [row for _, row in scaled]
-    minors = [1]
-    for k in range(D):
-        row_k = Mi[k]
-        piv, prev = row_k[k], minors[k]
-        if piv == 0:
-            raise Breakdown(k)
-        minors.append(piv)
-        tail_k = row_k[k + 1:]
-        for row_i in Mi[k + 1:]:
-            a = row_i[k]
-            row_i[k + 1:] = [(piv * x - a * y) // prev for x, y in zip(row_i[k + 1:], tail_k)]
+    minors = eliminate(Mi, D)
     # Column c of each side's L_inv, from the diagonal down: the S side reads
     # the columns of Mi's lower part, the Sbar side the rows of its upper part.
     S_int = IntegerSide(r, _factor_numerators(minors, [[row[c] for row in Mi[c:]] for c in range(D)]),

@@ -182,7 +182,10 @@ def measure_from_json(obj: Mapping) -> object:
             for key, v in obj["moments"].items():
                 s, t = key.split(",")
                 moments[(int(s), int(t))] = parse_rat(v)
-            return MomentTable(int(obj["max_total_deg"]), moments)
+            deg = obj["max_total_deg"]
+            if type(deg) is not int:
+                raise ValueError(f"max_total_deg {deg!r} is not an integer")
+            return MomentTable(deg, moments)
     except (KeyError, ValueError, TypeError, AttributeError, OverflowError) as exc:
         raise ConfigError(f"bad measure spec ({kind}): {exc}") from exc
     raise ConfigError(f"unknown measure type {kind!r}")
@@ -232,10 +235,11 @@ class MeasureMatrix:
     @staticmethod
     def from_json(obj: Mapping) -> "MeasureMatrix":
         try:
-            q, p = int(obj["q"]), int(obj["p"])
-            grid = obj["measures"]
-        except (KeyError, ValueError, TypeError, OverflowError) as exc:
+            q, p, grid = obj["q"], obj["p"], obj["measures"]
+        except (KeyError, TypeError) as exc:
             raise ConfigError(f"bad measure matrix: {exc}") from exc
+        if type(q) is not int or type(p) is not int:
+            raise ConfigError(f"bad measure matrix: q = {q!r} and p = {p!r} must be integers")
         if not isinstance(grid, Sequence) or len(grid) != q:
             raise ConfigError(f"measure grid shape must be {q} x {p}")
         rows = []

@@ -13,7 +13,7 @@ from __future__ import annotations
 from .errors import DepthError
 from .measures import MeasureMatrix
 from .report import CheckReport, Violation
-from .stepline import n_plus
+from .stepline import n_plus, pair_of
 
 
 class MomentTruncation:
@@ -42,23 +42,32 @@ class MomentTruncation:
 
 
 def assemble_moments(mm: MeasureMatrix, depth: int) -> MomentTruncation:
-    """Materialize the leading depth x depth scalar moment truncation."""
+    """Materialize the leading depth x depth scalar moment truncation.
+
+    Block (I, K) depends only on the exponents (s, t) that positions I and K
+    combine to, so blocks are cached by (s, t): a Hankel truncation reads each
+    block many times and computes it once, through mm.moment_block.
+    """
     if depth < 1:
         raise DepthError(f"depth must be >= 1, got {depth}", required=1)
     q, p = mm.q, mm.p
-    block_cache: dict[tuple[int, int], list[list]] = {}
+
+    def exponents(count: int) -> list[tuple[int, int]]:
+        return [(i - j, j) for i, j, _ in map(pair_of, range(count))]
+
+    row_exps, col_exps = exponents((depth - 1) // q + 1), exponents((depth - 1) // p + 1)
+    blocks: dict[tuple[int, int], list[list]] = {}
     data = []
     for m in range(depth):
         I, b = divmod(m, q)
+        s0, t0 = row_exps[I]
         row = []
-        for n in range(depth):
-            K, a = divmod(n, p)
-            blk = block_cache.get((I, K))
+        for K, (s1, t1) in enumerate(col_exps):
+            blk = blocks.get((s0 + s1, t0 + t1))
             if blk is None:
-                blk = mm.moment_block(I, K)
-                block_cache[(I, K)] = blk
-            row.append(blk[b][a])
-        data.append(row)
+                blk = blocks[s0 + s1, t0 + t1] = mm.moment_block(I, K)
+            row += blk[b]
+        data.append(row[:depth])
     return MomentTruncation(depth, q, p, data)
 
 

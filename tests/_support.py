@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from steppoly import assemble_moments, extract_families, factorize, rat
-from steppoly.errors import Breakdown
+from steppoly.errors import Breakdown, DepthError
 from steppoly.families import Family
 from steppoly.gaussborel import Factorization, IntegerSide
 from steppoly.measures import Discrete, MeasureMatrix, MomentTable, RectDensity
@@ -288,6 +288,28 @@ def gauss_jordan_inverse(a: list[list]) -> list[list]:
                 f = work[r][col]
                 work[r] = [v - f * w for v, w in zip(work[r], work[col])]
     return [row[n:] for row in work]
+
+
+def kernel_sum(A: Family, B: Family, n: int, x: tuple, y: tuple) -> list[list]:
+    """K^[n](x, y), the sum of A_i(x) B_i(y) over i <= n, in reduced rationals:
+    the family-side oracle for cdkernel.kernel_eval."""
+    if n >= min(len(A), len(B)):
+        raise DepthError(f"kernel index {n} outside family range", required=n + 1)
+    a, b = A.values(*x, n + 1), B.values(*y, n + 1)
+    return [[sum((a_i[i] * b_i[j] for a_i, b_i in zip(a, b)), ZERO) for j in range(B.r)]
+            for i in range(A.r)]
+
+
+def abc_oracle(M: MomentTruncation, n: int, x: tuple, y: tuple) -> list[list]:
+    """X_[p]^T(x) M^-1 X_[q](y) on the (n+1) corner, in rationals."""
+    def monomials_t(r: int, pt: tuple) -> list[list]:
+        out = [[rat(0)] * (n + 1) for _ in range(r)]
+        for m in range(n + 1):
+            out[m % r][m] = monomial_value(m // r, *pt)
+        return out
+
+    inv = gauss_jordan_inverse(corner(M.data, n + 1))
+    return matmul(matmul(monomials_t(M.p, x), inv), transpose(monomials_t(M.q, y)))
 
 
 def monomial_value(pos: int, x1, x2):

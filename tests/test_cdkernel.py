@@ -24,15 +24,13 @@ from steppoly.stepline import n_minus_big, n_plus
 
 from _support import (
     SHAPES,
+    abc_oracle,
     build_system,
-    corner,
     gauss_jordan_inverse,
     grid_values,
-    matmul,
+    kernel_sum,
     members,
-    monomial_value,
     poly,
-    transpose,
 )
 
 X = (rat(1, 2), rat(-1, 3))
@@ -53,7 +51,7 @@ class TestKernelEval:
     def test_matches_term_sum(self):
         system = build_system(2, 3, 8, seed=81)
         n = 5
-        got = kernel_eval(system.A, system.B, n, X, Y)
+        got = kernel_sum(system.A, system.B, n, X, Y)
         for a_idx in range(3):
             for b_idx in range(2):
                 want = sum(
@@ -85,7 +83,22 @@ class TestKernelEval:
     def test_range_guard(self):
         system = build_system(1, 1, 6, seed=82)
         with pytest.raises(DepthError):
-            kernel_eval(system.A, system.B, 6, X, Y)
+            kernel_sum(system.A, system.B, 6, X, Y)
+
+    @pytest.mark.parametrize("kind", ["table", "mixed"])
+    def test_inverse_moment_form_matches_both_oracles(self, kind):
+        # the family sum reads factorize's families, which share gaussborel.eliminate
+        # with kernel_eval; the rational Gauss-Jordan inverse shares nothing with it
+        points = [X, (rat(0), rat(0)), (rat(-3, 2), rat(0)), (rat(0), rat(-5, 4)),
+                  (rat(-2), rat(-1, 6))]
+        for q, p in SHAPES:
+            system = build_system(q, p, 10, seed=89, kind=kind)
+            for n in range(10):
+                M = system.M.corner(n + 1)
+                for x, y in zip(points, [Y] + points[:0:-1]):
+                    got = kernel_eval(M, x, y)
+                    assert got == kernel_sum(system.A, system.B, n, x, y), (q, p, n, x, y)
+                    assert got == abc_oracle(system.M, n, x, y), (q, p, n, x, y)
 
 
 class TestCDBlocks:
@@ -300,18 +313,6 @@ class TestABC:
         with pytest.raises(Breakdown) as exc:
             check_abc(M, 3, tables(system, [(X, Y)], 4))
         assert exc.value.index == 3
-
-
-def abc_oracle(M: MomentTruncation, n: int, x: tuple, y: tuple) -> list[list]:
-    """X_[p]^T(x) M^-1 X_[q](y) on the (n+1) corner, in rationals."""
-    def monomials_t(r: int, pt: tuple) -> list[list]:
-        out = [[rat(0)] * (n + 1) for _ in range(r)]
-        for m in range(n + 1):
-            out[m % r][m] = monomial_value(m // r, *pt)
-        return out
-
-    inv = gauss_jordan_inverse(corner(M.data, n + 1))
-    return matmul(matmul(monomials_t(M.p, x), inv), transpose(monomials_t(M.q, y)))
 
 
 class TestReproduction:

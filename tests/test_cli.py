@@ -15,7 +15,6 @@ from hypothesis import strategies as st
 
 import steppoly
 from steppoly import build_recurrence, rat, required_depth
-from steppoly.cdkernel import kernel_eval
 from steppoly.cli import CHECK_NAMES, RunConfig, main
 from steppoly.errors import ConfigError, DepthError
 from steppoly.gaussborel import unit_lower
@@ -23,7 +22,7 @@ from steppoly.measures import measure_from_json
 from steppoly.rational import parse_rat
 from steppoly.report import CheckReport, Violation
 
-from _support import (BiPoly, build_system, corner, invert_unitriangular, poly,
+from _support import (BiPoly, build_system, corner, invert_unitriangular, kernel_sum, poly,
                       stored_inverses, table_mm)
 
 DEPTH = 6
@@ -194,6 +193,15 @@ class TestConfigErrors:
         ({"q": float("inf")}, "bad measure matrix"),
         ({"measures": [[{"type": "table", "max_total_deg": float("inf"), "moments": {}}]]},
          "bad measure spec (table)"),
+        # a number that is not a JSON integer is rejected, never truncated
+        ({"depth": 2.9}, "bad depth"),
+        ({"depth": True}, "bad depth"),
+        ({"depth": "2"}, "bad depth"),
+        ({"seed": 1.5}, "bad seed"),
+        ({"q": 1.0}, "bad measure matrix"),
+        ({"p": True}, "bad measure matrix"),
+        ({"measures": [[{"type": "table", "max_total_deg": 4.9, "moments": {"0,0": "1"}}]]},
+         "bad measure spec (table)"),
     ])
     def test_malformed_values_exit_three(self, tmp_path, capsys, extra, message):
         obj = {"schema_version": 1, "q": 1, "p": 1, "depth": 2,
@@ -308,7 +316,7 @@ class TestKernel:
         obj = json.loads(capsys.readouterr().out)
         assert obj["kind"] == "kernel" and obj["n"] == 4
         system = build_system(1, 2, required_depth(DEPTH, 1, 2), seed=909)
-        want = kernel_eval(system.A, system.B, 4,
+        want = kernel_sum(system.A, system.B, 4,
                            (rat(1, 2), rat(-1, 3)), (rat(2, 7), rat(1, 5)))
         assert [[parse_rat(v) for v in row] for row in obj["matrix"]] == want
 
@@ -328,6 +336,30 @@ class TestKernel:
         assert "factorization breakdown at index 1" in captured.err
         assert captured.out == ""
 
+    def test_factorizes_nothing(self, tmp_path, monkeypatch, capsys):
+        # kernel reads the inverse-moment form straight off the truncation
+        calls = []
+
+        def counting(module, name):
+            orig = getattr(module, name)
+
+            def wrapper(*args):
+                calls.append(name)
+                return orig(*args)
+
+            monkeypatch.setattr(module, name, wrapper)
+
+        for module in (steppoly.cli, steppoly.gaussborel, steppoly.families):
+            for name in ("factorize", "extract_families"):
+                if hasattr(module, name):
+                    counting(module, name)
+        cfg = good_config(tmp_path)
+        assert main(["kernel", "--config", str(cfg), "--n", "4",
+                     "--x", "1/2,-1/3", "--y", "2/7,1/5"]) == 0
+        assert calls == []
+        assert main(["verify", "--config", str(cfg), "--checks", "hankel"]) == 0
+        assert calls == ["factorize", "extract_families"]
+
     def test_bad_point_exits_three(self, tmp_path):
         cfg = good_config(tmp_path)
         assert main(["kernel", "--config", str(cfg), "--n", "2",
@@ -337,8 +369,9 @@ class TestKernel:
 
 
 class TestRationalFactors:
-    """verify and kernel read only the integers of factorize; compute builds the
-    rational S and Sbar once each, for the depth x depth corner it exports."""
+    """verify reads only the integers of factorize and kernel factorizes nothing;
+    compute builds the rational S and Sbar once each, for the depth x depth
+    corner it exports."""
 
     @pytest.mark.parametrize("shape", ["golden", (2, 3)])
     def test_only_the_exports_build_them(self, tmp_path, monkeypatch, shape):

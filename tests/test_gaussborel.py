@@ -5,12 +5,15 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from steppoly import factorize, rat
+from steppoly.cdkernel import kernel_eval
 from steppoly.errors import Breakdown
+from steppoly.moments import MomentTruncation
 from steppoly.rational import QType
 
 from _support import (
     SHAPES,
     SingularMatrix,
+    abc_oracle,
     bordered_numerators,
     build_system,
     corner,
@@ -97,6 +100,27 @@ class TestFactorize:
         with pytest.raises(Breakdown) as exc:
             factorize(assemble(L, H, U))
         assert exc.value.index == k
+
+    @given(planted_factors(), st.data())
+    def test_kernel_breaks_down_where_factorize_does(self, factors, data):
+        # kernel_eval runs the same eliminate on the bordered rows, so every corner
+        # that reaches the planted zero minor raises the same Breakdown
+        L, H, U = factors
+        k = data.draw(st.integers(0, len(H) - 1))
+        H[k] = rat(0)
+        q, p = data.draw(st.sampled_from(SHAPES))
+        M = MomentTruncation(len(H), q, p, assemble(L, H, U))
+        x, y = (rat(1, 2), rat(-1, 3)), (rat(0), rat(2, 7))
+        for n in range(len(H)):
+            part = M.corner(n + 1)
+            if n < k:
+                factorize(part)
+                assert kernel_eval(part, x, y) == abc_oracle(M, n, x, y)
+                continue
+            for run in (factorize, lambda T: kernel_eval(T, x, y)):
+                with pytest.raises(Breakdown) as exc:
+                    run(part)
+                assert exc.value.index == k
 
     @given(planted_factors())
     def test_recovers_planted_factors(self, factors):
