@@ -15,9 +15,9 @@ strings and timing never enters any file.
 from __future__ import annotations
 
 import argparse
-import csv
-import io
+import decimal
 import json
+import math
 import random
 import sys
 import time
@@ -387,16 +387,30 @@ def export_json(ws: Workspace, what: str, entries: list[list[str]] | None) -> st
     return _dump_json(obj)
 
 
+# 12 significant digits, rounded half to even, as f"{x:.12g}" rounds a float
+_DECIMAL_12 = decimal.Context(prec=12, Emax=decimal.MAX_EMAX)
+
+
+def _decimal_text(v) -> str:
+    """v as f"{float(v):.12g}" writes it.  A v beyond the float range is rounded
+    from the exact rational into the same shape, trailing zeros stripped:
+    1e+400, -1.25e+799."""
+    try:
+        f = float(v)
+    except OverflowError:  # an infinite float() is treated alike
+        f = math.inf
+    if math.isfinite(f):
+        return f"{f:.12g}"
+    exact = _DECIMAL_12.divide(decimal.Decimal(int(v.numerator)), decimal.Decimal(int(v.denominator)))
+    return f"{exact.normalize(_DECIMAL_12):g}"
+
+
 def export_csv(entries: list[list[str]], render_decimal: bool = False) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf)  # RFC 4180 quoting and line endings
-    for row in entries:
-        if render_decimal:
-            dec = [f"{float(parse_rat(v)):.12g}" for v in row]
-            writer.writerow(row + dec)
-        else:
-            writer.writerow(row)
-    return buf.getvalue()
+    """One CRLF-ended line of comma-joined fields per row, the bytes csv.writer
+    writes: a num/den string or a decimal never needs RFC 4180 quoting."""
+    if render_decimal:
+        entries = [row + [_decimal_text(parse_rat(v)) for v in row] for row in entries]
+    return "".join(",".join(row) + "\r\n" for row in entries)
 
 
 def write_exports(ws: Workspace, out_dir: Path, render_decimal: bool = False) -> list[Path]:

@@ -32,28 +32,64 @@ SIGSAM Bull. 31, 1997) and of Zhou and Jeffrey (Front. Comput. Sci. China 2,
 
 for c <= n and k <= i.  On the S side the scale is r and L_inv the lower rows
 of Mi; on the Sbar side the scale is all ones and L_inv the upper part of Mi,
-read as rows.  L_inv[c][c] = Delta_{c+1} and L[n][n] = Delta_n.  Each L is
-recovered from its L_inv by integer back-substitution: the scales cancel from
+read as rows.  L_inv[c][c] = Delta_{c+1} and L[n][n] = Delta_n.  Each row of
+L is recovered from L_inv by integer back-substitution: the scales cancel from
 row n of factor * inverse = I, which leaves
 
     L[n][c] = -(sum_{j=c+1..n} L[n][j] L_inv[j][c]) / Delta_{c+1},  c < n,
 
 an exact division (the quotient is the integer Delta_n r_n / r_c S[n][c] on
-the S side, Delta_n Sbar[n][c] on the Sbar side).  No identity block is
-carried through the elimination.  The families and the recurrence matrices
-are built from these integers, and the rational inverses are never formed.  A
-rational factor is formed only when read: unit_lower builds the leading corner
-a reader asks for, the depth x depth one for the S and Sbar exports.
+the S side, Delta_n Sbar[n][c] on the Sbar side).  Row n needs no other row of
+L, so L is a LazyRows: each row is back-substituted when first read and kept.
+compute reads only the rows of its depth window, verify's degree check reads
+them all.  No identity block is carried through the elimination.  The
+families and the recurrence matrices are built from these integers, and the
+rational inverses are never formed.  A rational factor is formed only when
+read: unit_lower builds the leading corner a reader asks for, the depth x
+depth one for the S and Sbar exports.
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from operator import mul
 from typing import NamedTuple
 
 from .errors import Breakdown
 from .moments import MomentTruncation
 from .rational import ONE, ZERO, as_rat, common_denominator, rat
+
+
+class LazyRows:
+    """count rows, row n being build(n), each built on its first read and kept.
+
+    It reads as the list of its rows: len, integer and slice indexing (a slice
+    is a list), iteration through indexing and equality with a list.
+    """
+
+    __slots__ = ("_build", "_rows")
+
+    def __init__(self, count: int, build: Callable[[int], object]):
+        self._build = build
+        self._rows = [None] * count
+
+    def __len__(self) -> int:
+        return len(self._rows)
+
+    def __getitem__(self, n):
+        if isinstance(n, slice):
+            return [self[i] for i in range(*n.indices(len(self._rows)))]
+        if n < 0:
+            n = range(len(self._rows))[n]
+        row = self._rows[n]
+        if row is None:
+            row = self._rows[n] = self._build(n)
+        return row
+
+    def __eq__(self, other):
+        if not isinstance(other, (list, LazyRows)):
+            return NotImplemented
+        return list(self) == list(other)
 
 
 class IntegerSide(NamedTuple):
@@ -64,7 +100,7 @@ class IntegerSide(NamedTuple):
     """
 
     scale: list[int]
-    L: list[list[int]]
+    L: list[list[int]] | LazyRows
     L_inv: list[list[int]]
 
 
@@ -103,20 +139,22 @@ def unit_lower(minors: list[int], side: IntegerSide, rows: int) -> list[list]:
             for n in range(rows)]
 
 
-def _factor_numerators(minors: list[int], inv_cols: list[list[int]]) -> list[list[int]]:
-    """L of one IntegerSide by the back-substitution of the module docstring.
+def _factor_row(minors: list[int], inv_cols: list[list[int]], n: int) -> list[int]:
+    """Row n of one IntegerSide's L by the back-substitution of the module docstring.
 
-    inv_cols[c] is column c of L_inv from the diagonal down.  Row n is filled
+    inv_cols[c] is column c of L_inv from the diagonal down.  The row is filled
     from the diagonal leftwards, one integer sum and one exact division per
     entry.
     """
-    L = []
-    for n in range(len(inv_cols)):
-        row = [0] * n + [minors[n]]
-        for c in range(n - 1, -1, -1):
-            row[c] = -sum(map(mul, row[c + 1:], inv_cols[c][1:n - c + 1])) // minors[c + 1]
-        L.append(row)
-    return L
+    row = [0] * n + [minors[n]]
+    for c in range(n - 1, -1, -1):
+        row[c] = -sum(map(mul, row[c + 1:], inv_cols[c][1:n - c + 1])) // minors[c + 1]
+    return row
+
+
+def _factor_numerators(minors: list[int], inv_cols: list[list[int]]) -> LazyRows:
+    """L of one IntegerSide, each row back-substituted on its first read."""
+    return LazyRows(len(inv_cols), lambda n: _factor_row(minors, inv_cols, n))
 
 
 def eliminate(rows: list[list[int]], steps: int) -> list[int]:

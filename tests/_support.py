@@ -10,6 +10,8 @@ system in several tests would dominate the suite's runtime.
 
 from __future__ import annotations
 
+import csv
+import io
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -248,6 +250,16 @@ def grid_values(count: int) -> list:
             vals.append(rat(-v, 2))
         v += 1
     return vals[:count]
+
+
+def csv_writer_text(entries: list[list[str]], render_decimal: bool = False) -> str:
+    """The CSV text csv.writer makes of export entries, RFC 4180 quoting and CRLF
+    line endings; with render_decimal each row gets the float .12g columns."""
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    for row in entries:
+        writer.writerow(row + [f"{float(parse_rat(v)):.12g}" for v in row] if render_decimal else row)
+    return buf.getvalue()
 
 
 # ---- dense and shift-operator oracles used only by the tests ------------

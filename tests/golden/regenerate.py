@@ -7,7 +7,8 @@ Run from the repository root:
 The config is rebuilt from a fixed seed, then every golden artifact is
 produced by the command-line interface itself, so the files pin
 down the full serialization surface (schemas, rational formatting, key
-order, newlines).
+order, newlines).  exports-decimal/ holds the same exports written with
+--render-decimal, so its CSV files also pin the decimal columns.
 """
 
 import json
@@ -41,6 +42,10 @@ def run() -> None:
     cfg = build_config()
     rc = main(["compute", "--config", str(cfg), "--out", str(HERE / "exports")])
     assert rc == 0, f"compute failed with {rc}"
+    # the decimal columns come from float(), so these pin them on each backend
+    rc = main(["compute", "--config", str(cfg), "--out", str(HERE / "exports-decimal"),
+               "--render-decimal"])
+    assert rc == 0, f"compute --render-decimal failed with {rc}"
     rc = main(["verify", "--config", str(cfg), "--out", str(HERE)])
     assert rc == 0, f"verify failed with {rc}"
     rc = main(

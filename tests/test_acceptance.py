@@ -355,6 +355,8 @@ def test_criterion_8_cli_contract(tmp_path, monkeypatch):
     # determinism: two fresh runs agree byte for byte with the committed files
     for run_dir in (tmp_path / "r1", tmp_path / "r2"):
         assert main(["compute", "--config", str(cfg), "--out", str(run_dir / "exports")]) == 0
+        assert main(["compute", "--config", str(cfg), "--out", str(run_dir / "exports-decimal"),
+                     "--render-decimal"]) == 0
         assert main(["verify", "--config", str(cfg), "--out", str(run_dir)]) == 0
         assert (
             main(
@@ -374,7 +376,7 @@ def test_criterion_8_cli_contract(tmp_path, monkeypatch):
             fresh = fresh_root / golden_file.relative_to(GOLDEN)
             assert fresh.read_bytes() == golden_file.read_bytes(), golden_file.name
             compared += 1
-    assert compared == 30  # 13 exports + report + kernel, twice
+    assert compared == 56  # 13 exports, 13 with decimal columns, report + kernel, twice
 
     report = json.loads((tmp_path / "r1" / "report.json").read_text())
     assert report["schema_version"] == 1

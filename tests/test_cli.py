@@ -4,9 +4,11 @@ import csv
 import json
 import os
 import random
+import re
 import shutil
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -15,17 +17,19 @@ from hypothesis import strategies as st
 
 import steppoly
 from steppoly import build_recurrence, rat, required_depth
-from steppoly.cli import CHECK_NAMES, RunConfig, main
+from steppoly.cli import (CHECK_NAMES, EXPORT_KINDS, RunConfig, Workspace, _export_entries,
+                          extended_depth, load_config, main)
 from steppoly.errors import ConfigError, DepthError
-from steppoly.gaussborel import unit_lower
+from steppoly.gaussborel import _factor_row, unit_lower
 from steppoly.measures import measure_from_json
 from steppoly.rational import parse_rat
 from steppoly.report import CheckReport, Violation
 
-from _support import (BiPoly, build_system, corner, invert_unitriangular, kernel_sum, poly,
-                      stored_inverses, table_mm)
+from _support import (BiPoly, build_system, corner, csv_writer_text, invert_unitriangular,
+                      kernel_sum, poly, stored_inverses, table_mm)
 
 DEPTH = 6
+GOLDEN_CONFIG = Path(__file__).resolve().parent / "golden" / "config.json"
 
 
 def good_config(tmp_path, q=1, p=2, depth=DEPTH, seed=3, **extra):
@@ -394,6 +398,100 @@ class TestRationalFactors:
         assert built == []
         assert main(["compute", "--config", str(cfg), "--out", str(tmp_path / "c")]) == 0
         assert built == [depth, depth]
+
+
+class TestRowsBuiltOnRead:
+    """Each row of a factor's L is back-substituted on its first read: compute
+    reads the depth window of each side, verify's degree check every row."""
+
+    @pytest.mark.parametrize("shape", ["golden", (2, 3)])
+    def test_compute_builds_only_the_window(self, tmp_path, monkeypatch, shape):
+        cfg = GOLDEN_CONFIG if shape == "golden" else good_config(tmp_path, *shape)
+        config = load_config(cfg)
+        depth, extended = config.depth, extended_depth(config)
+        assert depth < extended
+        built = []
+
+        def counting(minors, inv_cols, n):
+            built.append((id(inv_cols), n))
+            return _factor_row(minors, inv_cols, n)
+
+        def rows_per_side():
+            sides: dict = {}
+            for side, n in built:
+                sides.setdefault(side, []).append(n)
+            built.clear()
+            return sorted(sorted(rows) for rows in sides.values())
+
+        monkeypatch.setattr("steppoly.gaussborel._factor_row", counting)
+        assert main(["kernel", "--config", str(cfg), "--n", "4",
+                     "--x", "1/2,-1/3", "--y", "2/7,1/5", "--out", str(tmp_path / "k")]) == 0
+        assert rows_per_side() == []
+        assert main(["compute", "--config", str(cfg), "--out", str(tmp_path / "c")]) == 0
+        assert rows_per_side() == [list(range(depth))] * 2
+        assert main(["verify", "--config", str(cfg), "--out", str(tmp_path / "v")]) == 0
+        assert rows_per_side() == [list(range(extended))] * 2
+
+
+class TestCsvBytes:
+    """export_csv joins its fields; csv.writer is the oracle for those bytes."""
+
+    @pytest.mark.parametrize("shape", ["golden", (2, 3)])
+    def test_matches_csv_writer(self, tmp_path, shape):
+        if shape == "golden":
+            cfg = GOLDEN_CONFIG
+        else:
+            obj = table_mm(random.Random(909), *shape, required_depth(16, *shape)).to_json()
+            obj.update({"schema_version": 1, "depth": 16})
+            cfg = tmp_path / "config.json"
+            cfg.write_text(json.dumps(obj))
+        ws = Workspace(load_config(cfg))
+        kinds = [what for what in EXPORT_KINDS if what != "families"]
+        for flags in ([], ["--render-decimal"]):
+            out = tmp_path / f"out{len(flags)}"
+            assert main(["compute", "--config", str(cfg), "--out", str(out), *flags]) == 0
+            for what in kinds:
+                want = csv_writer_text(_export_entries(ws, what), bool(flags))
+                assert (out / f"{what}.csv").read_bytes() == want.encode(), (what, flags)
+
+    def test_render_decimal_beyond_float_range(self, tmp_path):
+        # one moment is 10^400: a float() of it, or of the entries built from
+        # it, overflows, so those decimals are rounded from the exact rational
+        rng = random.Random(3)
+        moments = {f"{s},{t}": str(rng.randint(1, 30)) for s in range(7) for t in range(7 - s)}
+        moments["1,0"] = str(10 ** 400)
+        cfg = write_config(tmp_path, "huge.json", 1, 1, 2,
+                           {"type": "table", "max_total_deg": 6, "moments": moments})
+        plain, dec = tmp_path / "plain", tmp_path / "dec"
+        assert main(["compute", "--config", str(cfg), "--out", str(plain)]) == 0
+        assert main(["compute", "--config", str(cfg), "--out", str(dec), "--render-decimal"]) == 0
+        names = sorted(os.listdir(plain))
+        assert len(names) == 13 and sorted(os.listdir(dec)) == names
+        beyond = 0
+        for name in names:
+            if name.endswith(".json"):
+                assert (dec / name).read_bytes() == (plain / name).read_bytes(), name
+                continue
+            with (plain / name).open() as fh, (dec / name).open() as gh:
+                pairs = list(zip(csv.reader(fh), csv.reader(gh), strict=True))
+            for exact_row, row in pairs:
+                width = len(exact_row)
+                assert row[:width] == exact_row, name
+                for exact, text in zip(exact_row, row[width:], strict=True):
+                    v = Fraction(exact)
+                    if abs(v) <= sys.float_info.max:
+                        assert text == f"{float(v):.12g}", (name, exact)
+                        continue
+                    # the shape .12g gives: 12 digits at most, no trailing zeros
+                    beyond += 1
+                    assert re.fullmatch(r"-?[1-9](\.[0-9]*[1-9])?e\+[0-9]{3,}", text), text
+                    assert len(re.sub(r"\D", "", text.split("e")[0])) <= 12
+                    assert abs(Fraction(text) - v) <= abs(v) * Fraction(5, 10 ** 12), (name, text)
+        assert beyond > 0
+        with (dec / "moments.csv").open() as fh:
+            assert next(csv.reader(fh))[2:] == ["8", "1e+400"]
+        with (dec / "H.csv").open() as fh:
+            assert next(csv.reader(fh))[2:] == ["8", "-1.25e+799"]
 
 
 json_scalars = (

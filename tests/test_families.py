@@ -177,6 +177,23 @@ class TestProductRoute:
                         == pair_oracle(mm, comps_b, columns)), where
 
 
+class TestLazyRows:
+    def test_quick_start_readers_on_rows_built_on_read(self):
+        # extract_families builds each row on its first read; the README's
+        # readers see the same members as on rows held in a list
+        x = (rat(1, 2), rat(-1, 3))
+        for q, p in SHAPES:
+            M = build_system(q, p, 12, seed=49, kind="mixed").M
+            lazy = extract_families(factorize(M), q, p)
+            eager = [Family(f.r, list(f.rows)) for f in extract_families(factorize(M), q, p)]
+            for fam, held in zip(lazy, eager):
+                assert fam.eval(3, *x) == [poly(held, 3, i).eval(*x) for i in range(fam.r)], (q, p)
+                assert fam.values(*x, 5) == held.values(*x, 5)
+                head = fam.head(4)
+                assert len(head) == 4 and head.rows == held.rows[:4]
+                assert len(fam) == 12 and list(fam.rows) == held.rows and fam.rows == held.rows
+
+
 class TestMonomialTable:
     def test_integers_over_one_denominator_are_the_monomials(self):
         rng = random.Random(54)

@@ -4,7 +4,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from steppoly import factorize, rat
+import steppoly.gaussborel as gaussborel
+from steppoly import extract_families, factorize, rat
 from steppoly.cdkernel import kernel_eval
 from steppoly.errors import Breakdown
 from steppoly.moments import MomentTruncation
@@ -205,6 +206,49 @@ class TestFactorize:
     def test_symmetric_moment_matrix_gives_equal_factors(self):
         system = build_system(1, 1, 14, seed=33)
         assert system.F.S == system.F.Sbar
+
+
+class TestLazyRows:
+    """Each row of L is back-substituted on its first read and kept."""
+
+    def test_reads_as_the_bordered_lists(self):
+        def fresh_L(data, idx):
+            F = factorize(data)
+            return (F.S_int, F.Sbar_int)[idx].L
+
+        for kind in ("table", "mixed"):
+            for q, p in SHAPES:
+                data = build_system(q, p, 16, seed=35, kind=kind).M.data
+                _, *want = bordered_numerators(data)
+                for idx in (0, 1):
+                    L, want_L = fresh_L(data, idx), want[idx].L
+                    assert len(L) == len(want_L) == 16
+                    assert L[:5] == want_L[:5] and L[-1] == want_L[-1], (kind, q, p, idx)
+                    assert list(L) == want_L and L == want_L and want_L == L
+                    assert L[:] == want_L and L != want_L[:-1]
+                    with pytest.raises(IndexError):
+                        L[-17]
+                    assert fresh_L(data, idx) == fresh_L(data, idx)
+
+    def test_a_row_is_built_once(self, monkeypatch):
+        built = []
+
+        def counting(minors, inv_cols, n):
+            built.append(n)
+            return factor_row(minors, inv_cols, n)
+
+        factor_row = gaussborel._factor_row
+        monkeypatch.setattr(gaussborel, "_factor_row", counting)
+        F = factorize(build_system(2, 3, 16, seed=35).M.data)
+        A, B = extract_families(F, 2, 3)
+        assert built == []
+        row = F.S_int.L[7]
+        assert F.S_int.L[7] is row and built == [7]
+        # B row 7 reads row 7 of the S side, the transpose shares both sides
+        assert B.rows[7] is B.rows[7] and F.transpose().Sbar_int.L[7] is row
+        assert built == [7]
+        assert len(A) == 16 and A.rows[3][0] == F.minors[3] and built == [7, 3]
+        assert [d for d, _ in B.rows[:2]] == F.minors[1:3] and built == [7, 3, 0, 1]
 
 
 class TestDenseSolvers:
