@@ -388,18 +388,19 @@ def export_json(ws: Workspace, what: str, entries: list[list[str]] | None) -> st
 
 
 # 12 significant digits, rounded half to even, as f"{x:.12g}" rounds a float
-_DECIMAL_12 = decimal.Context(prec=12, Emax=decimal.MAX_EMAX)
+_DECIMAL_12 = decimal.Context(prec=12, Emax=decimal.MAX_EMAX, Emin=decimal.MIN_EMIN)
 
 
 def _decimal_text(v) -> str:
-    """v as f"{float(v):.12g}" writes it.  A v beyond the float range is rounded
-    from the exact rational into the same shape, trailing zeros stripped:
-    1e+400, -1.25e+799."""
+    """v as f"{float(v):.12g}" writes it.  A nonzero v outside the normal float
+    range, where float() is infinite, subnormal or zero, is rounded from the exact
+    rational into the same shape, trailing zeros stripped: 1e+400, -1.25e+799,
+    1.23456789012e-316, 1e-400."""
     try:
         f = float(v)
     except OverflowError:  # an infinite float() is treated alike
         f = math.inf
-    if math.isfinite(f):
+    if sys.float_info.min <= abs(f) <= sys.float_info.max or not v:
         return f"{f:.12g}"
     exact = _DECIMAL_12.divide(decimal.Decimal(int(v.numerator)), decimal.Decimal(int(v.denominator)))
     return f"{exact.normalize(_DECIMAL_12):g}"

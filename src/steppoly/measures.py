@@ -8,14 +8,15 @@ A density is a {monomial position: rational} map, position K standing for
 x^(i-j) y^j with (i, j) = pair_of(K).
 Anything else can be supplied as a table.
 
-Discrete moments are one integer sum over per-coordinate power tables and
-RectDensity moments read one table of power integrals per axis.  The tables
-are built on the first moment() call and grown on demand, so loading a config
-does no moment work.
+Both Discrete and RectDensity moments are read off integer power tables, one
+per coordinate, as one integer sum followed by one rational per moment.  The
+tables are built on the first moment() call and grown on demand, so loading a
+config does no moment work.
 """
 
 from __future__ import annotations
 
+from math import lcm
 from operator import mul
 from typing import Mapping, Sequence
 
@@ -37,21 +38,6 @@ class PowerTable:
         while len(rows) <= e:
             rows.append(list(map(mul, rows[-1], rows[1])))
         return rows[e]
-
-
-class PowerIntegrals:
-    """The integral of x^e over [lo, hi], (hi^(e+1) - lo^(e+1)) / (e+1), by e, grown on demand."""
-
-    def __init__(self, lo, hi):
-        self.lo, self.hi = lo, hi
-        self._table = []
-
-    def __getitem__(self, e: int):
-        table = self._table
-        while len(table) <= e:
-            n = len(table) + 1
-            table.append((self.hi ** n - self.lo ** n) / n)
-        return table[e]
 
 
 class Discrete:
@@ -102,14 +88,28 @@ class RectDensity:
         key = (s, t)
         if key not in self._cache:
             if self._tables is None:
-                self._tables = ([(pair_of(K), c) for K, c in self.density.items()],
-                                PowerIntegrals(self.x1_lo, self.x1_hi),
-                                PowerIntegrals(self.x2_lo, self.x2_hi))
-            terms, ix, iy = self._tables
-            total = rat(0)
-            for (i, j, _), c in terms:
-                total += c * ix[s + i - j] * iy[t + j]
-            self._cache[key] = total
+                den, nums = common_denominator(self.density.values())
+                pairs = map(pair_of, self.density)
+                self._tables = (den, [(i - j + 1, j + 1, c) for (i, j, _), c in zip(pairs, nums)],
+                                PowerTable([self.x1_lo, self.x1_hi]),
+                                PowerTable([self.x2_lo, self.x2_hi]))
+            den, terms, xs, ys = self._tables
+            # the term (c/den) x^(i-j) y^j integrates to (c/den) (hi^a - lo^a)/a (hi^b - lo^b)/b,
+            # a = s + i - j + 1 and b = t + j + 1: over the scaled axis rows that is
+            # n / (den xs.den^a ys.den^b a b) for an integer n.  Terms with n = 0 are
+            # dropped and the rest summed over one common denominator.
+            live = []
+            for u, v, c in terms:
+                a, b = s + u, t + v
+                (x_lo, x_hi), (y_lo, y_hi) = xs.row(a), ys.row(b)
+                if x_lo != x_hi and y_lo != y_hi:
+                    live.append((a, b, c * (x_hi - x_lo) * (y_hi - y_lo)))
+            A = max((a for a, _, _ in live), default=0)
+            B = max((b for _, b, _ in live), default=0)
+            L = lcm(*(a * b for a, b, _ in live))
+            total = sum(n * xs.den ** (A - a) * ys.den ** (B - b) * (L // (a * b))
+                        for a, b, n in live)
+            self._cache[key] = rat(total, den * xs.den ** A * ys.den ** B * L)
         return self._cache[key]
 
     def to_json(self) -> dict:
@@ -206,9 +206,6 @@ class MeasureMatrix:
         self.q = q
         self.p = p
         self.entries = [list(row) for row in entries]
-
-    def entry(self, b_idx: int, a_idx: int):
-        return self.entries[b_idx][a_idx]
 
     def transpose(self) -> "MeasureMatrix":
         """The p x q grid whose entry (a, b) is entry (b, a) of this one."""

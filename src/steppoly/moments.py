@@ -27,10 +27,6 @@ class MomentTruncation:
         self.p = p
         self.data = data
 
-    def __getitem__(self, mn: tuple[int, int]):
-        m, n = mn
-        return self.data[m][n]
-
     def corner(self, d: int) -> "MomentTruncation":
         if d > self.depth:
             raise DepthError(f"corner {d} exceeds depth {self.depth}", required=d)

@@ -3,11 +3,14 @@
 Uses gmpy2.mpq when available, fractions.Fraction otherwise; BACKEND names the
 one in use, "gmpy2" or "fractions".  Both expose the same arithmetic and the
 same str() form ("n" or "n/d" in lowest terms), which the serialization layer
-relies on.
+relies on.  parse_rat and format_rat read and write that form at any size: past
+the interpreter's limit on int/str conversion digits they go through
+decimal.Decimal, which that limit does not bind.
 """
 
 from __future__ import annotations
 
+import decimal
 import numbers
 import re
 from fractions import Fraction
@@ -36,24 +39,33 @@ ONE = rat(1)
 _RAT_RE = re.compile(r"^[+-]?\d+(/\d+)?$")
 
 
+def _int(text: str) -> int:
+    try:
+        return int(text)
+    except ValueError:  # more digits than int() converts; text is checked digits
+        return int(decimal.Decimal(text))
+
+
 def parse_rat(text: str):
     """Parse a rational written as "num" or "num/den"."""
     if not isinstance(text, str) or not _RAT_RE.match(text.strip()):
         raise ValueError(f"not a rational literal: {text!r}")
-    s = text.strip()
-    if "/" in s:
-        num, den = s.split("/")
-        if int(den) == 0:
-            raise ValueError(f"zero denominator: {text!r}")
-        return rat(int(num), int(den))
-    return rat(int(s))
+    num, _, den = text.strip().partition("/")
+    d = _int(den) if den else 1
+    if d == 0:
+        raise ValueError(f"zero denominator: {text!r}")
+    return rat(_int(num), d)
 
 
 def format_rat(value) -> str:
     """Canonical "num/den" (or "num") string in lowest terms."""
-    if type(value) is QType:  # already in lowest terms
+    if type(value) is not QType:
+        value = rat(value)
+    try:
         return str(value)
-    return str(rat(value))
+    except ValueError:  # more digits than str() converts
+        num, den = (str(decimal.Decimal(int(v))) for v in (value.numerator, value.denominator))
+        return num if den == "1" else f"{num}/{den}"
 
 
 def common_denominator(values) -> tuple[int, list[int]]:

@@ -452,7 +452,7 @@ def conjugate(T: RecurrenceTruncation) -> list[list]:
 def integrate_pair(mm: MeasureMatrix, left: BiPoly, b_idx: int, a_idx: int, right: BiPoly):
     """Exact integral of left(x) * right(x) against measure entry (b_idx, a_idx),
     summed term by term over both coefficient maps: the pairing oracle."""
-    measure = mm.entry(b_idx, a_idx)
+    measure = mm.entries[b_idx][a_idx]
     total = rat(0)
     for K1, c1 in left.coeffs.items():
         i1, j1, _ = pair_of(K1)

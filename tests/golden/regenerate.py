@@ -9,6 +9,9 @@ produced by the command-line interface itself, so the files pin
 down the full serialization surface (schemas, rational formatting, key
 order, newlines).  exports-decimal/ holds the same exports written with
 --render-decimal, so its CSV files also pin the decimal columns.
+exports-huge/ holds the config, the exports and the report of a q = p = 1,
+depth-2 table whose moment (1, 0) is 10**5000, more digits than str() writes
+an int in, so it pins the exact text of entries of any size.
 """
 
 import json
@@ -22,20 +25,34 @@ sys.path.insert(0, str(HERE.parents[1] / "src"))  # runs from a checkout, instal
 
 from _support import table_mm  # noqa: E402
 
-from steppoly import required_depth  # noqa: E402
+from steppoly import rat, required_depth  # noqa: E402
 from steppoly.cli import main  # noqa: E402
+from steppoly.measures import MeasureMatrix, MomentTable  # noqa: E402
 
 DEPTH = 8
 SEED = 5
+HUGE = HERE / "exports-huge"
+
+
+def write_config(mm: MeasureMatrix, depth: int, path: Path) -> Path:
+    obj = mm.to_json()
+    obj.update({"schema_version": 1, "depth": depth, "seed": SEED})
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n")
+    return path
 
 
 def build_config() -> Path:
     mm = table_mm(random.Random(7), 1, 2, required_depth(DEPTH, 1, 2))
-    obj = mm.to_json()
-    obj.update({"schema_version": 1, "depth": DEPTH, "seed": SEED})
-    path = HERE / "config.json"
-    path.write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n")
-    return path
+    return write_config(mm, DEPTH, HERE / "config.json")
+
+
+def build_huge_config() -> Path:
+    table = table_mm(random.Random(7), 1, 1, required_depth(2, 1, 1)).entries[0][0]
+    moments = dict(table.moments)
+    moments[(1, 0)] = rat(10**5000)
+    mm = MeasureMatrix(1, 1, [[MomentTable(table.max_total_deg, moments)]])
+    return write_config(mm, 2, HUGE / "config.json")
 
 
 def run() -> None:
@@ -64,6 +81,11 @@ def run() -> None:
         ]
     )
     assert rc == 0, f"kernel failed with {rc}"
+    huge = build_huge_config()
+    rc = main(["compute", "--config", str(huge), "--out", str(HUGE)])
+    assert rc == 0, f"compute on the huge-entry config failed with {rc}"
+    rc = main(["verify", "--config", str(huge), "--out", str(HUGE)])
+    assert rc == 0, f"verify on the huge-entry config failed with {rc}"
     print(f"golden files regenerated under {HERE}")
 
 

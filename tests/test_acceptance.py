@@ -367,6 +367,10 @@ def test_criterion_8_cli_contract(tmp_path, monkeypatch):
             )
             == 0
         )
+        # a moment of 10**5000, past the 4,300-digit limit on int/str conversion
+        huge = GOLDEN / "exports-huge" / "config.json"
+        assert main(["compute", "--config", str(huge), "--out", str(run_dir / "exports-huge")]) == 0
+        assert main(["verify", "--config", str(huge), "--out", str(run_dir / "exports-huge")]) == 0
     golden_files = sorted(f for f in GOLDEN.rglob("*") if f.is_file())
     compared = 0
     for fresh_root in (tmp_path / "r1", tmp_path / "r2"):
@@ -376,7 +380,9 @@ def test_criterion_8_cli_contract(tmp_path, monkeypatch):
             fresh = fresh_root / golden_file.relative_to(GOLDEN)
             assert fresh.read_bytes() == golden_file.read_bytes(), golden_file.name
             compared += 1
-    assert compared == 56  # 13 exports, 13 with decimal columns, report + kernel, twice
+    # 13 exports, 13 with decimal columns, report + kernel, 13 huge-entry exports
+    # + their report, twice
+    assert compared == 84
 
     report = json.loads((tmp_path / "r1" / "report.json").read_text())
     assert report["schema_version"] == 1

@@ -17,8 +17,8 @@ from hypothesis import strategies as st
 
 import steppoly
 from steppoly import build_recurrence, rat, required_depth
-from steppoly.cli import (CHECK_NAMES, EXPORT_KINDS, RunConfig, Workspace, _export_entries,
-                          extended_depth, load_config, main)
+from steppoly.cli import (CHECK_NAMES, EXPORT_KINDS, RunConfig, Workspace, _decimal_text,
+                          _export_entries, extended_depth, load_config, main)
 from steppoly.errors import ConfigError, DepthError
 from steppoly.gaussborel import _factor_row, unit_lower
 from steppoly.measures import measure_from_json
@@ -456,7 +456,8 @@ class TestCsvBytes:
 
     def test_render_decimal_beyond_float_range(self, tmp_path):
         # one moment is 10^400: a float() of it, or of the entries built from
-        # it, overflows, so those decimals are rounded from the exact rational
+        # it, overflows or underflows, so those decimals are rounded from the
+        # exact rational
         rng = random.Random(3)
         moments = {f"{s},{t}": str(rng.randint(1, 30)) for s in range(7) for t in range(7 - s)}
         moments["1,0"] = str(10 ** 400)
@@ -479,12 +480,12 @@ class TestCsvBytes:
                 assert row[:width] == exact_row, name
                 for exact, text in zip(exact_row, row[width:], strict=True):
                     v = Fraction(exact)
-                    if abs(v) <= sys.float_info.max:
+                    if sys.float_info.min <= abs(v) <= sys.float_info.max or v == 0:
                         assert text == f"{float(v):.12g}", (name, exact)
                         continue
                     # the shape .12g gives: 12 digits at most, no trailing zeros
                     beyond += 1
-                    assert re.fullmatch(r"-?[1-9](\.[0-9]*[1-9])?e\+[0-9]{3,}", text), text
+                    assert re.fullmatch(r"-?[1-9](\.[0-9]*[1-9])?e[+-][0-9]{3,}", text), text
                     assert len(re.sub(r"\D", "", text.split("e")[0])) <= 12
                     assert abs(Fraction(text) - v) <= abs(v) * Fraction(5, 10 ** 12), (name, text)
         assert beyond > 0
@@ -492,6 +493,45 @@ class TestCsvBytes:
             assert next(csv.reader(fh))[2:] == ["8", "1e+400"]
         with (dec / "H.csv").open() as fh:
             assert next(csv.reader(fh))[2:] == ["8", "-1.25e+799"]
+
+    def test_render_decimal_below_float_range(self, tmp_path):
+        # float() gives 0 or a subnormal here, so these are rounded from the exact rational
+        assert _decimal_text(rat(1, 10**400)) == "1e-400"
+        assert _decimal_text(rat(123456789012345, 10**330)) == "1.23456789012e-316"
+        assert _decimal_text(rat(-5, 10**320)) == "-5e-320"
+        assert _decimal_text(rat(0)) == "0"
+        assert _decimal_text(rat(3, 10**308)) == f"{3e-308:.12g}"  # the smallest normal floats
+        rng = random.Random(4)
+        moments = {f"{s},{t}": str(rng.randint(1, 30)) for s in range(7) for t in range(7 - s)}
+        moments["1,0"] = f"1/{10**400}"
+        cfg = write_config(tmp_path, "tiny.json", 1, 1, 2,
+                           {"type": "table", "max_total_deg": 6, "moments": moments})
+        dec = tmp_path / "dec"
+        assert main(["compute", "--config", str(cfg), "--out", str(dec), "--render-decimal"]) == 0
+        with (dec / "moments.csv").open() as fh:
+            assert next(csv.reader(fh))[3] == "1e-400"
+
+
+class TestHugeEntries:
+    """Entries past the interpreter's 4,300-digit limit on int/str conversion."""
+
+    def test_compute_and_verify(self, tmp_path):
+        rng = random.Random(5)
+        moments = {f"{s},{t}": str(rng.randint(1, 30)) for s in range(7) for t in range(7 - s)}
+        moments["1,0"] = "1" + "0" * 5000
+        cfg = write_config(tmp_path, "huge.json", 1, 1, 2,
+                           {"type": "table", "max_total_deg": 6, "moments": moments})
+        out = tmp_path / "out"
+        assert main(["compute", "--config", str(cfg), "--out", str(out)]) == 0
+        assert main(["verify", "--config", str(cfg), "--out", str(out)]) == 0
+        assert json.loads((out / "report.json").read_text())["status"] == "ok"
+        ws = Workspace(load_config(cfg))
+        for what in ("moments", "H", "S", "T1"):
+            obj = json.loads((out / f"{what}.json").read_text())
+            got = [obj["values"]] if what == "H" else obj["entries"]
+            assert got == _export_entries(ws, what), what
+        moment = json.loads((out / "moments.json").read_text())["entries"][0][1]
+        assert moment == "1" + "0" * 5000 and parse_rat(moment) == 10**5000
 
 
 json_scalars = (

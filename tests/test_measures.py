@@ -1,12 +1,15 @@
 """Moment oracles: symbolic integration and direct sums confirm each backend."""
 
+import json
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 import sympy
 
 from steppoly import rat
+from steppoly.cli import load_config
 from steppoly.errors import ConfigError
 from steppoly.measures import Discrete, MeasureMatrix, MomentTable, RectDensity, measure_from_json
 from steppoly.rational import BACKEND, QType, format_rat, parse_rat
@@ -129,6 +132,65 @@ class TestMomentOracle:
                 assert [to_fraction(v) for v in got] == [naive_moment(m, s, t) for s, t in order]
 
 
+# every (s, t) with s + t <= 24: the depth-40 kernel queries read up to that degree
+DEEP_QUERIES = [(s, t) for s in range(25) for t in range(25 - s)]
+
+
+class TestIntegerRectOracle:
+    """RectDensity sums integers over scaled axis tables, then forms one rational per moment."""
+
+    def assert_deep(self, measure):
+        for s, t in DEEP_QUERIES:
+            got = measure.moment(s, t)
+            assert type(got) is QType, (s, t)
+            assert gcd(int(got.numerator), int(got.denominator)) == 1 and got.denominator > 0
+            assert to_fraction(got) == naive_moment(measure, s, t), (s, t)
+
+    def test_deep_exponents(self):
+        rng = random.Random(21)
+        for box in [(rat(-1), rat(1), rat(-1), rat(1)), (rat(-2, 3), rat(5, 4), rat(1, 6), rat(7, 2))]:
+            self.assert_deep(RectDensity(*box, rand_density(rng)))
+
+    def test_axes_with_different_denominators(self):
+        rng = random.Random(22)
+        boxes = [
+            (rat(-1, 3), rat(2, 3), rat(-3, 5), rat(1, 7)),   # x over 3, y over 35
+            (rat(1, 2), rat(9, 4), rat(-5), rat(-11, 9)),     # x over 4, y over 9
+            (rat(-7), rat(3), rat(2, 11), rat(13, 11)),       # integer x, y over 11
+        ]
+        for box in boxes:
+            self.assert_deep(RectDensity(*box, rand_density(rng)))
+
+    def test_terms_cancel_to_zero(self):
+        # 1 - 3 x^2 integrates to 2 - 2 over [-1, 1], so every moment with s = 0 is zero
+        m = RectDensity(-1, 1, 0, 2, {0: rat(1), 3: rat(-3)})
+        assert m.moment(0, 0) == 0 and m.moment(0, 3) == 0
+        assert m.moment(2, 0) == rat(2) * (rat(2, 3) - rat(6, 5))
+        self.assert_deep(m)
+
+    def test_every_term_odd(self):
+        # x and x y over a box symmetric in x: every even-s moment has no live term
+        m = RectDensity(-2, 2, rat(-1, 3), rat(5, 7), {1: rat(1, 3), 4: rat(-5, 2)})
+        for s, t in DEEP_QUERIES:
+            if s % 2 == 0:
+                assert m.moment(s, t) == 0 and type(m.moment(s, t)) is QType, (s, t)
+        self.assert_deep(m)
+
+    def test_empty_density(self):
+        m = RectDensity(-1, 2, 0, 1, {0: rat(0)})
+        assert m.moment(0, 0) == 0 and type(m.moment(3, 1)) is QType
+
+    def test_load_config_builds_no_table(self, tmp_path):
+        cell = {"type": "rect", "box": ["-1/2", "1", "0", "3/2"], "density": {"0": "1", "4": "-2/3"}}
+        path = tmp_path / "rect.json"
+        path.write_text(json.dumps({"schema_version": 1, "q": 1, "p": 2, "depth": 4,
+                                    "measures": [[cell, cell]]}))
+        cells = load_config(path).measures.entries[0]
+        assert all(m._tables is None and not m._cache for m in cells)
+        assert to_fraction(cells[0].moment(2, 1)) == naive_moment(cells[0], 2, 1)
+        assert cells[0]._tables is not None and cells[1]._tables is None
+
+
 class TestMomentTable:
     def test_sparse_zero_semantics(self):
         table = MomentTable(3, {(0, 0): rat(1), (2, 1): rat(-1, 7)})
@@ -215,6 +277,17 @@ class TestRationalParsing:
         assert (BACKEND == "fractions") == (QType is Fraction)
         assert QType.__module__ == BACKEND
         assert type(rat(1, 2)) is QType
+
+    def test_any_size(self):
+        # past the interpreter's 4,300-digit limit on int/str conversion
+        text = "1" + "0" * 4999 + "1/3"
+        assert format_rat(Fraction(10**5000 + 1, 3)) == text
+        assert format_rat(rat(-(10**5000))) == "-1" + "0" * 5000
+        assert parse_rat(text) == rat(10**5000 + 1, 3)
+        assert parse_rat("1" * 5000) == (10**5000 - 1) // 9
+        assert parse_rat("-3/" + "0" * 5000 + "6") == rat(-1, 2)
+        with pytest.raises(ValueError):
+            parse_rat("1/" + "0" * 5000)
 
     def test_rejects_garbage(self):
         for text in ("", "1/0", "a", "1.5", "1/ 2", "--3"):

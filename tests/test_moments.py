@@ -46,7 +46,7 @@ class TestAssembly:
                     kk, ll, _ = pair_of(n // p)
                     s, t = (i - j) + (kk - ll), j + ll
                     want = rat(1000000 * (3 * (m % q) + (n % p) + 1) + 1000 * s + t)
-                    assert M[m, n] == want, (q, p, m, n)
+                    assert M.data[m][n] == want, (q, p, m, n)
 
     def test_assembly_nesting(self):
         rng = random.Random(11)
