@@ -45,7 +45,7 @@ from .families import (
 from .gaussborel import factorize, unit_lower
 from .measures import MeasureMatrix
 from .moments import assemble_moments, check_hankel
-from .rational import format_rat, parse_rat, rat
+from .rational import BACKEND, format_rat, parse_rat, rat
 from .recurrence import (
     build_recurrence,
     check_dual_form,
@@ -443,7 +443,7 @@ def _cmd_compute(args) -> int:
     out_dir = Path(args.out or config.output or ".")
     written = write_exports(ws, out_dir, args.render_decimal)
     print(f"wrote {len(written)} files to {out_dir}", file=sys.stderr)
-    print(f"elapsed {time.perf_counter() - t0:.3f}s", file=sys.stderr)
+    print(f"elapsed {time.perf_counter() - t0:.3f}s (backend {BACKEND})", file=sys.stderr)
     return 0
 
 
@@ -470,7 +470,7 @@ def _cmd_verify(args) -> int:
         path = Path(out_dir)
         path.mkdir(parents=True, exist_ok=True)
         (path / "report.json").write_text(_dump_json(report.to_json_obj()))
-    print(f"elapsed {time.perf_counter() - t0:.3f}s", file=sys.stderr)
+    print(f"elapsed {time.perf_counter() - t0:.3f}s (backend {BACKEND})", file=sys.stderr)
     if report.status == "breakdown":
         return 2
     return 1 if report.failed else 0

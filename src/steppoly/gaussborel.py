@@ -9,11 +9,38 @@ defines the polynomial families.
 
 Each row n of the truncation is scaled to integers by the lcm r_n of its
 denominators, Mi = diag(r) M, and one Bareiss elimination (eliminate) runs on
-the rows of Mi (E. H. Bareiss, Math. Comp. 22, 1968).  Every intermediate is a
-minor of Mi, so the arithmetic stays in exact integers.  eliminate is the one
-elimination loop: cdkernel.kernel_eval runs it on the same rows bordered by two
-points' monomials, so both raise the same Breakdown on a vanishing minor.
-With Delta_n the n x n leading minor of Mi (Delta_0 = 1):
+the rows of Mi (E. H. Bareiss, "Sylvester's identity and multistep
+integer-preserving Gaussian elimination", Math. Comp. 22, 1968).  Every
+intermediate is a minor of Mi, so the arithmetic stays in exact integers.
+eliminate is the one elimination loop: cdkernel.kernel_eval runs it on the
+same rows bordered by two points' monomials, so both raise the same Breakdown
+on a vanishing minor.  With Delta_n the n x n leading minor of Mi
+(Delta_0 = 1), and a the rows as steps 0 .. k-1 leave them, a[i][j] for
+i, j >= k is the (k+1)-minor on rows 0 .. k-1, i and columns 0 .. k-1, j.
+Sylvester's identity says an m x m determinant of such entries is
+Delta_k^(m-1) times the (k+m)-minor it borders.  Step k alone is its m = 2 case:
+
+    a[i][j] <- (a[k][k] a[i][j] - a[i][k] a[k][j]) / Delta_k.
+
+eliminate takes the steps in pairs, Bareiss's two-step form (see also
+Geddes, Czapor and Labahn, Algorithms for Computer Algebra, 1992, ch. 9).
+Row k+1 takes step k alone, which makes a[k+1][k+1] = Delta_{k+2}; with
+a[k+1] read before that update, each later row i then takes steps k and k+1
+at once:
+
+    m_i     = (a[k][k] a[i][k+1] - a[i][k] a[k][k+1]) / Delta_k,
+    c_i     = (a[k+1][k] a[i][k+1] - a[k+1][k+1] a[i][k]) / Delta_k,
+    a[i][j] <- (Delta_{k+2} a[i][j] - m_i a[k+1][j] + c_i a[k][j]) / Delta_k,  j >= k+2.
+
+m_i and c_i are 2 x 2 determinants over Delta_k, the m = 2 case, so they are
+exact (k+2)-minors, and m_i is step k+1's multiplier.  Delta_{k+2}, -m_i and c_i
+are the cofactors of the last column of the 3 x 3 determinant on rows k, k+1,
+i and columns k, k+1, j, each divided by Delta_k; by the m = 3 case that
+determinant is Delta_k^2 times the (k+3)-minor a[i][j] becomes, so the
+numerator is Delta_k times it and the last division is exact too.  A pair
+costs three products and one division per entry, where two single steps cost
+four and two, and leaves every integer the single steps leave.  The
+factors are read off those integers:
 
 - the pivot of step n is Delta_{n+1}, so H_n = Delta_{n+1} / (Delta_n r_n);
 - the multiplier Mi[i][k] of step k is Delta_{k+1} r_i / r_k * S^-1[i][k],
@@ -166,18 +193,44 @@ def eliminate(rows: list[list[int]], steps: int) -> list[int]:
     steps and there may be more of them: every entry (i, j) with i, j >= steps
     ends as Delta_steps times that entry of the Schur complement of the
     leading steps x steps block.  A zero pivot at step k raises Breakdown(k).
+
+    The steps run in pairs (k, k+1) by the module docstring's formulas, with
+    piv = Delta_{k+1}, prev = Delta_k and piv2 = Delta_{k+2}: row k+1 takes
+    step k and is checked for a zero pivot before any later row is touched,
+    then each later row i takes both steps in one pass and keeps m_i, the
+    multiplier of step k+1, in column k+1.  An odd step count ends with one
+    single step.
     """
     minors = [1]
-    for k in range(steps):
+    for k in range(0, steps, 2):
         row_k = rows[k]
         piv, prev = row_k[k], minors[k]
         if piv == 0:
             raise Breakdown(k)
         minors.append(piv)
         tail_k = row_k[k + 1:]
-        for row_i in rows[k + 1:]:
-            a = row_i[k]
-            row_i[k + 1:] = [(piv * x - a * y) // prev for x, y in zip(row_i[k + 1:], tail_k)]
+        if k + 1 == steps:
+            for row_i in rows[k + 1:]:
+                a = row_i[k]
+                row_i[k + 1:] = [(piv * x - a * y) // prev for x, y in zip(row_i[k + 1:], tail_k)]
+            break
+        # the pair formulas read row k+1 as it stands before it takes step k
+        row_k1 = rows[k + 1]
+        l, d, u = row_k1[k], row_k1[k + 1], row_k[k + 1]
+        tail_k1 = row_k1[k + 2:]
+        row_k1[k + 1:] = [(piv * x - l * y) // prev for x, y in zip(row_k1[k + 1:], tail_k)]
+        piv2 = row_k1[k + 1]
+        if piv2 == 0:
+            raise Breakdown(k + 1)
+        minors.append(piv2)
+        del tail_k[0]  # both tails now start at column k+2
+        for row_i in rows[k + 2:]:
+            a0, a1 = row_i[k], row_i[k + 1]
+            m = (piv * a1 - a0 * u) // prev
+            c = (l * a1 - d * a0) // prev
+            row_i[k + 1] = m
+            row_i[k + 2:] = [(piv2 * x - m * y + c * z) // prev
+                             for x, y, z in zip(row_i[k + 2:], tail_k1, tail_k)]
     return minors
 
 

@@ -21,7 +21,7 @@ from operator import mul
 from typing import Mapping, Sequence
 
 from .errors import ConfigError
-from .rational import ZERO, as_rat, common_denominator, format_rat, parse_rat, rat
+from .rational import ZERO, as_rat, common_denominator, parse_rat, rat
 from .stepline import pair_of
 
 
@@ -57,15 +57,6 @@ class Discrete:
             total = sum(map(mul, ws.row(1), map(mul, xs.row(s), ys.row(t))))
             self._cache[key] = rat(total, ws.den * xs.den ** s * ys.den ** t)
         return self._cache[key]
-
-    def to_json(self) -> dict:
-        return {
-            "type": "discrete",
-            "atoms": [
-                {"x": format_rat(x), "y": format_rat(y), "w": format_rat(w)}
-                for x, y, w in self.atoms
-            ],
-        }
 
 
 class RectDensity:
@@ -112,18 +103,6 @@ class RectDensity:
             self._cache[key] = rat(total, den * xs.den ** A * ys.den ** B * L)
         return self._cache[key]
 
-    def to_json(self) -> dict:
-        return {
-            "type": "rect",
-            "box": [
-                format_rat(self.x1_lo),
-                format_rat(self.x1_hi),
-                format_rat(self.x2_lo),
-                format_rat(self.x2_hi),
-            ],
-            "density": {str(K): format_rat(self.density[K]) for K in sorted(self.density)},
-        }
-
 
 class MomentTable:
     """Explicit moments up to a declared total degree; absent keys are zero."""
@@ -144,14 +123,6 @@ class MomentTable:
                 f"moment ({s},{t}) exceeds declared max_total_deg={self.max_total_deg}"
             )
         return self.moments.get((s, t), ZERO)
-
-    def to_json(self) -> dict:
-        keys = sorted(self.moments)
-        return {
-            "type": "table",
-            "max_total_deg": self.max_total_deg,
-            "moments": {f"{s},{t}": format_rat(self.moments[(s, t)]) for s, t in keys},
-        }
 
 
 MeasureSpec = (Discrete, RectDensity, MomentTable)
@@ -221,13 +192,6 @@ class MeasureMatrix:
             [self.entries[b][a].moment(s, t) for a in range(self.p)]
             for b in range(self.q)
         ]
-
-    def to_json(self) -> dict:
-        return {
-            "q": self.q,
-            "p": self.p,
-            "measures": [[m.to_json() for m in row] for row in self.entries],
-        }
 
     @staticmethod
     def from_json(obj: Mapping) -> "MeasureMatrix":

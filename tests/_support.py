@@ -66,6 +66,25 @@ def rand_table(rng: random.Random, max_deg: int) -> MomentTable:
     return MomentTable(max_deg, moments)
 
 
+def config_json(spec) -> dict:
+    """The config JSON of a MeasureMatrix or of one measure, as measure_from_json
+    and MeasureMatrix.from_json read it: every number exact rational text,
+    density positions and table keys sorted."""
+    if isinstance(spec, MeasureMatrix):
+        return {"q": spec.q, "p": spec.p,
+                "measures": [[config_json(m) for m in row] for row in spec.entries]}
+    if isinstance(spec, Discrete):
+        return {"type": "discrete",
+                "atoms": [{"x": format_rat(x), "y": format_rat(y), "w": format_rat(w)}
+                          for x, y, w in spec.atoms]}
+    if isinstance(spec, RectDensity):
+        return {"type": "rect",
+                "box": [format_rat(v) for v in (spec.x1_lo, spec.x1_hi, spec.x2_lo, spec.x2_hi)],
+                "density": {str(K): format_rat(spec.density[K]) for K in sorted(spec.density)}}
+    return {"type": "table", "max_total_deg": spec.max_total_deg,
+            "moments": {f"{s},{t}": format_rat(spec.moments[(s, t)]) for s, t in sorted(spec.moments)}}
+
+
 def max_deg_needed(depth: int, q: int, p: int) -> int:
     """Largest product-monomial total degree appearing in a depth-sized truncation."""
     return pair_of((depth - 1) // q).i + pair_of((depth - 1) // p).i
@@ -377,6 +396,26 @@ def corner_factorization(F: Factorization, d: int) -> Factorization:
         return IntegerSide(*(part[:d] for part in side))
 
     return Factorization(d, F.H[:d], F.minors[:d + 1], cut(F.S_int), cut(F.Sbar_int))
+
+
+def one_step_eliminate(rows: list[list[int]], steps: int) -> list[int]:
+    """steps unpivoted Bareiss steps on integer rows, in place; returns Delta_0 .. Delta_steps.
+
+    The single-step loop gaussborel.eliminate ran before it took its steps in
+    pairs: the oracle for the rows, the minors and the Breakdown index it leaves.
+    """
+    minors = [1]
+    for k in range(steps):
+        row_k = rows[k]
+        piv, prev = row_k[k], minors[k]
+        if piv == 0:
+            raise Breakdown(k)
+        minors.append(piv)
+        tail_k = row_k[k + 1:]
+        for row_i in rows[k + 1:]:
+            a = row_i[k]
+            row_i[k + 1:] = [(piv * x - a * y) // prev for x, y in zip(row_i[k + 1:], tail_k)]
+    return minors
 
 
 def bordered_numerators(data: list[list]) -> tuple[list[int], IntegerSide, IntegerSide]:

@@ -23,7 +23,7 @@ HERE = Path(__file__).resolve().parent
 sys.path.insert(0, str(HERE.parent))  # for _support
 sys.path.insert(0, str(HERE.parents[1] / "src"))  # runs from a checkout, installed or not
 
-from _support import table_mm  # noqa: E402
+from _support import config_json, table_mm  # noqa: E402
 
 from steppoly import rat, required_depth  # noqa: E402
 from steppoly.cli import main  # noqa: E402
@@ -35,7 +35,7 @@ HUGE = HERE / "exports-huge"
 
 
 def write_config(mm: MeasureMatrix, depth: int, path: Path) -> Path:
-    obj = mm.to_json()
+    obj = config_json(mm)
     obj.update({"schema_version": 1, "depth": depth, "seed": SEED})
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n")

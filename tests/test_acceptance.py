@@ -135,15 +135,17 @@ def test_criterion_2_factorization_suite():
                     assert tries < 6, f"too many degenerate draws at {(q, p, seed)}"
             assert mat_eq(reconstruct(F), M.data), (q, p, seed)
             S_inv, Sbar_inv = stored_inverses(F)
-            assert S_inv == invert_unitriangular(F.S), (q, p, seed)
-            assert Sbar_inv == invert_unitriangular(F.Sbar), (q, p, seed)
+            # F.S and F.Sbar build the full rational factor on every read: read each once
+            S, Sbar = F.S, F.Sbar
+            assert S_inv == invert_unitriangular(S), (q, p, seed)
+            assert Sbar_inv == invert_unitriangular(Sbar), (q, p, seed)
             for d in range(1, extended):
                 Fd = factorize(corner(M.data, d))
-                assert Fd.S == corner(F.S, d)
-                assert Fd.Sbar == corner(F.Sbar, d)
+                assert Fd.S == corner(S, d)
+                assert Fd.Sbar == corner(Sbar, d)
                 assert Fd.H == F.H[:d]
             if symmetric:
-                assert F.S == F.Sbar, (q, p, seed)
+                assert S == Sbar, (q, p, seed)
 
     # a constructed vanishing second minor must break down deterministically
     degenerate = MeasureMatrix(

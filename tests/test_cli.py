@@ -22,11 +22,11 @@ from steppoly.cli import (CHECK_NAMES, EXPORT_KINDS, RunConfig, Workspace, _deci
 from steppoly.errors import ConfigError, DepthError
 from steppoly.gaussborel import _factor_row, unit_lower
 from steppoly.measures import measure_from_json
-from steppoly.rational import parse_rat
+from steppoly.rational import BACKEND, parse_rat
 from steppoly.report import CheckReport, Violation
 
-from _support import (BiPoly, build_system, corner, csv_writer_text, invert_unitriangular,
-                      kernel_sum, poly, stored_inverses, table_mm)
+from _support import (BiPoly, build_system, config_json, corner, csv_writer_text,
+                      invert_unitriangular, kernel_sum, poly, stored_inverses, table_mm)
 
 DEPTH = 6
 GOLDEN_CONFIG = Path(__file__).resolve().parent / "golden" / "config.json"
@@ -35,7 +35,7 @@ GOLDEN_CONFIG = Path(__file__).resolve().parent / "golden" / "config.json"
 def good_config(tmp_path, q=1, p=2, depth=DEPTH, seed=3, **extra):
     rng = random.Random(909)
     mm = table_mm(rng, q, p, required_depth(DEPTH, q, p))
-    obj = mm.to_json()
+    obj = config_json(mm)
     obj.update({"schema_version": 1, "depth": depth, "seed": seed})
     obj.update(extra)
     path = tmp_path / "config.json"
@@ -225,10 +225,14 @@ class TestConfigErrors:
 
 
 class TestCompute:
-    def test_exports_written_and_deterministic(self, tmp_path):
+    def test_exports_written_and_deterministic(self, tmp_path, capsys):
         cfg = good_config(tmp_path)
         for name in ("x", "y"):
             assert main(["compute", "--config", str(cfg), "--out", str(tmp_path / name)]) == 0
+            # the last stderr line names the time and the rational backend, stdout stays empty
+            out, err = capsys.readouterr()
+            assert out == "" and re.fullmatch(rf"elapsed \d+\.\d{{3}}s \(backend {BACKEND}\)",
+                                              err.splitlines()[-1])
         names = sorted(f.name for f in (tmp_path / "x").iterdir())
         assert names == [
             "H.csv", "H.json", "S.csv", "S.json", "Sbar.csv", "Sbar.json",
@@ -441,7 +445,7 @@ class TestCsvBytes:
         if shape == "golden":
             cfg = GOLDEN_CONFIG
         else:
-            obj = table_mm(random.Random(909), *shape, required_depth(16, *shape)).to_json()
+            obj = config_json(table_mm(random.Random(909), *shape, required_depth(16, *shape)))
             obj.update({"schema_version": 1, "depth": 16})
             cfg = tmp_path / "config.json"
             cfg.write_text(json.dumps(obj))
@@ -645,8 +649,9 @@ class TestConsoleScript:
         )
         assert proc.returncode == 0
         assert proc.stdout.strip() == "degree: PASS"
-        # timing goes to stderr so files and stdout stay reproducible
+        # timing and the rational backend go to stderr so files and stdout stay reproducible
         assert "elapsed" in proc.stderr
+        assert f"s (backend {BACKEND})\n" in proc.stderr
 
     @pytest.mark.skipif(
         shutil.which("steppoly") is None, reason="steppoly command is not on PATH"

@@ -1,5 +1,8 @@
 """Triangular factorization: planted L, H, U factors are the ground truth."""
 
+import copy
+import random
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -24,6 +27,7 @@ from _support import (
     invert_unitriangular,
     mat_eq,
     matmul,
+    one_step_eliminate,
     reconstruct,
     side_rationals,
     solve,
@@ -72,6 +76,70 @@ class TestInvertUnitriangular:
 
     def test_identity_fixed_point(self):
         assert invert_unitriangular(identity(4)) == identity(4)
+
+
+@st.composite
+def planted_rows(draw, steps: int | None = None, zero_pivot: int | None = None):
+    """(rows, steps): integer rows L U with L unit lower and U's first steps diagonal
+    entries the planted pivots, so the leading minor of size k+1 is U[0][0] ... U[k][k].
+
+    steps is drawn from 0 .. 10 unless given.  There are up to three rows more than steps (the kernel's border rows) and up
+    to three columns more (its border columns).  One entry L[i][k] with
+    k < steps and i > k + 1 is 0, so row i keeps a zero multiplier at step k.
+    zero_pivot, when given, is the step whose pivot is 0.  Hypothesis draws the
+    shape and the planted positions; the entries come from a drawn seed, which
+    keeps a failing example quick to shrink.
+    """
+    if steps is None:
+        steps = draw(st.integers(0, 10))
+    R, C = steps + draw(st.integers(0, 3)), steps + draw(st.integers(0, 3))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    L = [[rng.randint(-3, 3) for _ in range(i)] + [1] + [0] * (R - 1 - i) for i in range(R)]
+    if R >= 3 and steps:
+        k = draw(st.integers(0, min(steps, R - 2) - 1))
+        L[draw(st.integers(k + 2, R - 1))][k] = 0
+    U = [[0] * min(r, C) + [rng.randint(-3, 3) for _ in range(C - r)] for r in range(R)]
+    for r in range(steps):
+        U[r][r] = rng.choice((-3, -2, -1, 1, 2, 3))
+    if zero_pivot is not None:
+        U[zero_pivot][zero_pivot] = 0
+    rows = [[sum(L[i][j] * U[j][c] for j in range(R)) for c in range(C)] for i in range(R)]
+    return rows, steps
+
+
+class TestEliminate:
+    """The paired steps leave the integers the single-step oracle leaves."""
+
+    @given(planted_rows())
+    def test_matches_one_step_oracle(self, planted):
+        # every leading minor up to steps is nonzero, so each shorter run is one too
+        rows, steps = planted
+        for s in range(steps + 1):
+            got, want = copy.deepcopy(rows), copy.deepcopy(rows)
+            assert gaussborel.eliminate(got, s) == one_step_eliminate(want, s), s
+            assert got == want, s
+
+    def test_zero_multiplier_rows(self):
+        # rows 2 and 3 keep a zero multiplier at step 0, and row 3 one at step 1 too
+        rows = [[2, 1, 3, 1], [4, 5, 1, 0], [0, 3, 2, 2], [0, 0, 7, 1], [1, 2, 3, 4]]
+        want = copy.deepcopy(rows)
+        assert gaussborel.eliminate(rows, 3) == one_step_eliminate(want, 3) == [1, 2, 6, 42]
+        assert rows == want and rows[2][0] == rows[3][0] == rows[3][1] == 0
+
+    @pytest.mark.parametrize("where", ["even", "odd", "last"])
+    @given(data=st.data())
+    def test_breaks_down_where_the_oracle_does(self, where, data):
+        steps = data.draw(st.integers(2, 10))
+        if where == "last":
+            k = steps - 1
+        else:
+            k = data.draw(st.integers(0, steps - 1).filter(lambda v: v % 2 == (where == "odd")))
+        rows, _ = data.draw(planted_rows(steps, zero_pivot=k))
+        with pytest.raises(Breakdown) as want:
+            one_step_eliminate(copy.deepcopy(rows), steps)
+        with pytest.raises(Breakdown) as got:
+            gaussborel.eliminate(rows, steps)
+        assert got.value.index == want.value.index == k
 
 
 class TestFactorize:

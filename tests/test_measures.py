@@ -15,7 +15,7 @@ from steppoly.measures import Discrete, MeasureMatrix, MomentTable, RectDensity,
 from steppoly.rational import BACKEND, QType, format_rat, parse_rat
 from steppoly.stepline import pair_of
 
-from _support import naive_moment, rand_density, rand_discrete
+from _support import config_json, naive_moment, rand_density, rand_discrete
 
 
 def to_fraction(v) -> Fraction:
@@ -216,7 +216,8 @@ class TestJson:
             MomentTable(4, {(1, 2): rat(9, 8), (0, 0): rat(-3)}),
         ]
         for m in specimens:
-            back = measure_from_json(m.to_json())
+            back = measure_from_json(config_json(m))
+            assert config_json(back) == config_json(m)
             for s in range(3):
                 for t in range(3 - s):
                     assert back.moment(s, t) == m.moment(s, t)
@@ -231,7 +232,8 @@ class TestJson:
                 [RectDensity(-1, 1, -1, 1, rand_density(rng))],
             ],
         )
-        back = MeasureMatrix.from_json(mm.to_json())
+        back = MeasureMatrix.from_json(config_json(mm))
+        assert config_json(back) == config_json(mm)
         assert (back.q, back.p) == (2, 1)
         for I in range(4):
             for K in range(4):
