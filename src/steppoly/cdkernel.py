@@ -6,7 +6,8 @@ recurrence matrix; as with the recurrences, the values that make the formula
 exact are those of the conjugate R_k = H^-1 T_k H, while the block shapes and
 the printed labels follow T_k itself.  The ABC identity expresses the same
 kernel through the inverse of the leading (n+1) x (n+1) moment truncation,
-computed here by an independent pivoted elimination.
+computed here from the moments alone, by gaussborel's elimination of the
+truncation bordered by identity blocks.
 
 kernel_eval, behind the kernel command, evaluates that inverse-moment form
 directly: gaussborel's elimination of the truncation bordered by the two
@@ -28,7 +29,7 @@ from __future__ import annotations
 from itertools import accumulate
 from operator import mul
 
-from .errors import Breakdown, DepthError
+from .errors import DepthError
 from .families import Family, monomial_ints, pairings
 from .gaussborel import eliminate
 from .moments import MomentTruncation
@@ -179,51 +180,29 @@ def check_cd_formula(blocks: CDBlocks, tables: list[KernelTable]) -> CheckReport
     return rep
 
 
-def integer_adjugate(a: list[list[int]]) -> tuple[int, list[list[int]]]:
-    """(det(a), adj(a)) of a square integer matrix, by fraction-free Gauss-Jordan.
-
-    Bareiss' integer-preserving step runs on [a | I], every row i != col
-    becoming (piv row_i - row_i[col] row_col) / prev, each division exact,
-    with a row swap wherever the pivot is zero.  The left block ends as the
-    last pivot, det(a) up to the sign of the swaps, times I, and the right
-    block as that pivot times a^-1.  A singular a raises Breakdown(len(a) - 1).
-    """
-    size = len(a)
-    work = [list(row) + [int(i == j) for j in range(size)] for i, row in enumerate(a)]
-    prev, sign = 1, 1
-    for col in range(size):
-        pivot_row = next((r for r in range(col, size) if work[r][col]), None)
-        if pivot_row is None:
-            raise Breakdown(size - 1)
-        if pivot_row != col:
-            work[col], work[pivot_row] = work[pivot_row], work[col]
-            sign = -sign
-        row_c = work[col]
-        piv = row_c[col]
-        for r in range(size):
-            if r != col:
-                f = work[r][col]
-                work[r] = [(piv * v - f * w) // prev for v, w in zip(work[r], row_c)]
-        prev = piv
-    return sign * prev, [[sign * v for v in row[size:]] for row in work]
-
-
 def check_abc(M: MomentTruncation, n: int, tables: list[KernelTable]) -> CheckReport:
     """Tabled K^[n] equals the inverse-moment form at every point pair, exactly.
 
-    The oracle reads only the moments, never the factorization.  Row i of the
-    (n+1) corner of M is scaled to integers by the lcm r_i of its denominators,
-    and integer_adjugate on it gives M^-1 = adj diag(r) / det, once for all
-    pairs.  Row m of X_[p]^T(x) has one nonzero, the monomial at position
-    m // p, in slot m % p; with integer monomial tables X / d_x and Y / d_y the
-    right side is G / (d_x d_y det), G[i][j] summing X[m // p] adj[m][m'] r_m'
-    Y[m' // q] over m = i (mod p) and m' = j (mod q).
+    The oracle reads only the moments, never the factorization.  Row m of the
+    D = n+1 corner of M is scaled to integers by the lcm r_m of its
+    denominators, Mi = diag(r) M, and bordered by identity blocks: rows
+    Mi[m] + e_m for m < D, then e_a + [0]*D for a < D.  D steps of eliminate
+    leave Delta_D times the Schur complement -Mi^-1, that is -adj(Mi), in the
+    lower right block, once for all pairs.  So M^-1 = adj diag(r) / Delta_D,
+    and with det = -Delta_D the block itself stands for adj.  A vanishing
+    leading minor raises the Breakdown factorize would.  Row m of X_[p]^T(x)
+    has one nonzero, the monomial at position m // p, in slot m % p; with
+    integer monomial tables X / d_x and Y / d_y the right side is
+    G / (d_x d_y det), G[i][j] summing X[m // p] adj[m][m'] r_m' Y[m' // q]
+    over m = i (mod p) and m' = j (mod q).
     """
-    p, q = M.p, M.q
-    _require_tabled(tables, n + 1)
-    scaled = [common_denominator(row) for row in M.corner(n + 1).data]
-    det, adj = integer_adjugate([nums for _, nums in scaled])
-    weighted = [[v * r for v, (r, _) in zip(row, scaled)] for row in adj]  # adj diag(r)
+    p, q, D = M.p, M.q, n + 1
+    _require_tabled(tables, D)
+    scaled = [common_denominator(row) for row in M.corner(D).data]
+    rows = [nums + [int(m == j) for j in range(D)] for m, (_, nums) in enumerate(scaled)]
+    rows += [[int(a == j) for j in range(D)] + [0] * D for a in range(D)]
+    det = -eliminate(rows, D)[D]
+    weighted = [[v * r for v, (r, _) in zip(row[D:], scaled)] for row in rows[D:]]  # adj diag(r)
     rep = CheckReport("abc")
     for table in tables:
         x, y = table.x, table.y
@@ -243,15 +222,8 @@ def check_abc(M: MomentTruncation, n: int, tables: list[KernelTable]) -> CheckRe
     return rep
 
 
-_DEFAULT_SPOT_PAIRS = [
-    ((rat(1, 2), rat(-1, 3)), (rat(-2, 5), rat(1, 7))),
-    ((rat(3, 4), rat(1, 2)), (rat(1, 5), rat(-1, 2))),
-    ((rat(-1, 3), rat(2, 3)), (rat(0), rat(1, 4))),
-]
-
-
 def check_reproduction(A: Family, B: Family, gram: list[list], n: int,
-                       point_pairs: list | None = None) -> CheckReport:
+                       point_pairs: list) -> CheckReport:
     """Kernel reproduces itself under the measure pairing.
 
     gram is the pairing matrix of the two families (families.pairing_matrix).
@@ -263,8 +235,6 @@ def check_reproduction(A: Family, B: Family, gram: list[list], n: int,
         raise DepthError(f"reproduction index {n} outside family range", required=n + 1)
     p, q = A.r, B.r
     rep = CheckReport("reproduction")
-    if point_pairs is None:
-        point_pairs = _DEFAULT_SPOT_PAIRS
     if not point_pairs:
         rep.skipped.append("no point pairs given")
     for x, y in point_pairs:
@@ -302,16 +272,17 @@ def _projection_threshold(I: int, r: int) -> int:
     return I * r + r - 1
 
 
-_DEFAULT_PROJECTION_POINTS = [
+_PROJECTION_POINTS = [
     (rat(1, 2), rat(1, 3)), (rat(-1, 4), rat(2, 5)), (rat(1), rat(-1)),
     (rat(-2, 3), rat(-1, 5)), (rat(3, 7), rat(5, 8)),
 ]
 
 
 def check_projection(A: Family, B: Family, M: MomentTruncation, n: int,
-                     P: list[list[dict]], points: list | None = None) -> CheckReport:
+                     P: list[list[dict]]) -> CheckReport:
     """Integral of K^[n](x, .) against dmu P recovers P(x), above the threshold.
 
+    The identity is checked at the five fixed points x of _PROJECTION_POINTS.
     P is a p x p matrix polynomial, a grid of {monomial position: rational}
     maps that store no zeros; it must be monic of grlex-degree I with
     n >= I*p + p - 1.  Calls below the threshold are precondition errors, not
@@ -337,11 +308,7 @@ def check_projection(A: Family, B: Family, M: MomentTruncation, n: int,
     # inner[i][a1] = integral of B_i dmu column a1 of P
     inner = pairings(B.head(n + 1), columns, M)
     rep = CheckReport("projection")
-    if points is None:
-        points = _DEFAULT_PROJECTION_POINTS
-    if not points:
-        rep.skipped.append("no points given")
-    for x in points:
+    for x in _PROJECTION_POINTS:
         a_x = A.values(*x, n + 1)
         p_x = columns.values(*x, p)
         for a0 in range(p):

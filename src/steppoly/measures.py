@@ -178,10 +178,6 @@ class MeasureMatrix:
         self.p = p
         self.entries = [list(row) for row in entries]
 
-    def transpose(self) -> "MeasureMatrix":
-        """The p x q grid whose entry (a, b) is entry (b, a) of this one."""
-        return MeasureMatrix(self.p, self.q, [list(col) for col in zip(*self.entries)])
-
     def moment_block(self, I: int, K: int) -> list[list]:
         """q x p block of moments with exponents combined from positions I and K."""
         i, j, _ = pair_of(I)

@@ -51,15 +51,8 @@ def f_minus(x, k: int) -> int:
     return floor_f(x - 1) + 1
 
 
-def pos_of(i: int, j: int) -> int:
-    """Scalar step-line position of the pair (i, j)."""
-    if not (0 <= j <= i):
-        raise ValueError(f"need 0 <= j <= i, got (i, j) = ({i}, {j})")
-    return i * (i + 1) // 2 + j
-
-
 def pair_of(position: int) -> GradedIndex:
-    """Inverse of pos_of: the (i, j) pair at a scalar position."""
+    """The pair (i, j), 0 <= j <= i, at the scalar position i (i + 1) / 2 + j."""
     if position < 0:
         raise ValueError(f"negative position: {position}")
     i = floor_f(position)

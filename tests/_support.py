@@ -28,6 +28,13 @@ from steppoly.stepline import in_complement_J, n_plus, pair_of
 
 SHAPES = [(1, 1), (1, 2), (2, 1), (2, 2), (2, 3)]
 
+# three fixed point pairs (x, y) for check_reproduction
+SPOT_PAIRS = [
+    ((rat(1, 2), rat(-1, 3)), (rat(-2, 5), rat(1, 7))),
+    ((rat(3, 4), rat(1, 2)), (rat(1, 5), rat(-1, 2))),
+    ((rat(-1, 3), rat(2, 3)), (rat(0), rat(1, 4))),
+]
+
 
 def rand_density(rng: random.Random, positive: bool = False) -> dict:
     """Degree <= 2 polynomial density as a {monomial position: rational} map; the
@@ -83,6 +90,11 @@ def config_json(spec) -> dict:
                 "density": {str(K): format_rat(spec.density[K]) for K in sorted(spec.density)}}
     return {"type": "table", "max_total_deg": spec.max_total_deg,
             "moments": {f"{s},{t}": format_rat(spec.moments[(s, t)]) for s, t in sorted(spec.moments)}}
+
+
+def transpose_measures(mm: MeasureMatrix) -> MeasureMatrix:
+    """The p x q grid whose entry (a, b) is entry (b, a) of mm."""
+    return MeasureMatrix(mm.p, mm.q, [list(col) for col in zip(*mm.entries)])
 
 
 def max_deg_needed(depth: int, q: int, p: int) -> int:
@@ -341,6 +353,13 @@ def abc_oracle(M: MomentTruncation, n: int, x: tuple, y: tuple) -> list[list]:
 
     inv = gauss_jordan_inverse(corner(M.data, n + 1))
     return matmul(matmul(monomials_t(M.p, x), inv), transpose(monomials_t(M.q, y)))
+
+
+def pos_of(i: int, j: int) -> int:
+    """Scalar step-line position of the pair (i, j)."""
+    if not (0 <= j <= i):
+        raise ValueError(f"need 0 <= j <= i, got (i, j) = ({i}, {j})")
+    return i * (i + 1) // 2 + j
 
 
 def monomial_value(pos: int, x1, x2):

@@ -45,10 +45,11 @@ from steppoly.recurrence import (
     validate_band,
 )
 from steppoly.report import CheckReport, Violation
-from steppoly.stepline import in_complement_J, n_minus_big, n_plus, pair_of, pos_of
+from steppoly.stepline import in_complement_J, n_minus_big, n_plus, pair_of
 
 from _support import (
     SHAPES,
+    SPOT_PAIRS,
     build_system,
     corner,
     deg_x1,
@@ -59,6 +60,7 @@ from _support import (
     members,
     mixed_mm,
     poly,
+    pos_of,
     reconstruct,
     solve_a_col,
     solve_b_row,
@@ -298,7 +300,7 @@ def test_criterion_6_cd_abc_reproduction_projection():
 
         gram = pairing_matrix(system.A.head(n_top + 1), system.B.head(n_top + 1), system.M)
         assert check_biorthogonality(gram).ok
-        assert check_reproduction(system.A, system.B, gram, n_top).ok
+        assert check_reproduction(system.A, system.B, gram, n_top, SPOT_PAIRS).ok
 
         for I in (1, 2, 3):
             P = seeded_monic_matrix(rng, p, I)

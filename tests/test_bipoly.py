@@ -4,9 +4,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from steppoly import rat
-from steppoly.stepline import pos_of
 
-from _support import BiPoly, deg_x1, deg_x2
+from _support import BiPoly, deg_x1, deg_x2, pos_of
 
 rationals = st.builds(rat, st.integers(-40, 40), st.integers(1, 12))
 polys = st.builds(

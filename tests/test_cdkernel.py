@@ -1,11 +1,8 @@
 """Kernel block formula, the moment-inverse identity, and the reproducing laws."""
 
-import random
-from itertools import permutations
-
 import pytest
 
-from steppoly import build_recurrence, pairing_matrix, rat, required_depth
+from steppoly import build_recurrence, factorize, pairing_matrix, rat, required_depth
 from steppoly.cdkernel import (
     KernelTable,
     cd_blocks,
@@ -13,7 +10,6 @@ from steppoly.cdkernel import (
     check_cd_formula,
     check_projection,
     check_reproduction,
-    integer_adjugate,
     is_monic_of_grlex_degree,
     kernel_eval,
 )
@@ -24,9 +20,9 @@ from steppoly.stepline import n_minus_big, n_plus
 
 from _support import (
     SHAPES,
+    SPOT_PAIRS,
     abc_oracle,
     build_system,
-    gauss_jordan_inverse,
     grid_values,
     kernel_sum,
     members,
@@ -206,58 +202,6 @@ class TestCDFormula:
                     assert flagged, (q, p, k, m, c)
 
 
-def leibniz_det(a: list[list[int]]) -> int:
-    """Determinant as the signed sum over permutations."""
-    total = 0
-    for perm in permutations(range(len(a))):
-        inversions = sum(1 for i in range(len(perm)) for j in range(i) if perm[j] > perm[i])
-        term = (-1) ** inversions
-        for row, col in enumerate(perm):
-            term *= a[row][col]
-        total += term
-    return total
-
-
-class TestIntegerAdjugate:
-    # (0, 0) is zero in each, so the first column forces a row swap; the
-    # first two take one swap in all, the last two take two
-    SWAPPED = [
-        [[0, 1], [1, 0]],
-        [[0, -2, 3], [0, 4, -1], [5, -6, 7]],
-        [[0, 0, 1], [1, 0, 0], [0, 1, 0]],
-        [[0, 3, -1], [0, 0, 2], [-4, 1, 5]],
-    ]
-
-    def assert_adjugate(self, a: list[list[int]]) -> None:
-        det, adj = integer_adjugate(a)
-        assert det == leibniz_det(a)
-        inv = gauss_jordan_inverse(a)
-        assert adj == [[det * v for v in row] for row in inv]
-        assert all(type(v) is int for row in adj for v in row)
-
-    def test_forced_swaps_of_both_parities(self):
-        for a in self.SWAPPED:
-            self.assert_adjugate(a)
-        assert [integer_adjugate(a)[0] for a in self.SWAPPED] == [-1, -50, 1, -24]
-
-    def test_random_signed_matrices_with_zero_corner(self):
-        rng = random.Random(7)
-        seen = 0
-        while seen < 40:
-            size = rng.randint(2, 5)
-            a = [[rng.randint(-9, 9) for _ in range(size)] for _ in range(size)]
-            a[0][0] = 0
-            if leibniz_det(a) != 0:
-                self.assert_adjugate(a)
-                seen += 1
-
-    def test_singular_corner_breaks_down(self):
-        for a in ([[0, 2], [0, 3]], [[1, 2], [2, 4]], [[0, 1, 2], [0, 3, 4], [0, -5, 6]]):
-            with pytest.raises(Breakdown) as exc:
-                integer_adjugate(a)
-            assert exc.value.index == len(a) - 1
-
-
 class TestABC:
     def test_exact_on_random_systems(self):
         for q, p in SHAPES:
@@ -310,9 +254,21 @@ class TestABC:
         data[2] = [2 * v for v in data[1]]  # rows 1 and 2 of every corner from 3 on are dependent
         M = MomentTruncation(system.M.depth, 1, 2, data)
         assert check_abc(M, 1, tables(system, [(X, Y)], 2)).checked == 1
+        with pytest.raises(Breakdown) as want:
+            factorize(M.corner(4))
         with pytest.raises(Breakdown) as exc:
             check_abc(M, 3, tables(system, [(X, Y)], 4))
-        assert exc.value.index == 3
+        assert exc.value.index == want.value.index == 2
+
+    def test_zero_leading_moment_breaks_down_at_zero(self):
+        # the corner [[0, 1], [1, 0]] is nonsingular, but its first leading minor
+        # vanishes, so check_abc stops where factorize does, without pivoting
+        system = build_system(1, 1, 8, seed=91)
+        M = MomentTruncation(2, 1, 1, [[rat(0), rat(1)], [rat(1), rat(0)]])
+        for run in (factorize, lambda T: check_abc(T, 1, tables(system, [(X, Y)], 2))):
+            with pytest.raises(Breakdown) as exc:
+                run(M)
+            assert exc.value.index == 0
 
 
 class TestReproduction:
@@ -320,7 +276,7 @@ class TestReproduction:
         for q, p in SHAPES:
             system = build_system(q, p, 10, seed=94)
             gram = pairing_matrix(system.A, system.B, system.M)
-            assert check_reproduction(system.A, system.B, gram, 7).ok, (q, p)
+            assert check_reproduction(system.A, system.B, gram, 7, SPOT_PAIRS).ok, (q, p)
 
     def test_empty_pair_list_checks_nothing(self):
         system = build_system(1, 2, 10, seed=94)
@@ -332,7 +288,7 @@ class TestReproduction:
         system = build_system(2, 1, 10, seed=95)
         other = build_system(2, 1, 10, seed=96)
         gram = pairing_matrix(other.A, system.B, system.M)
-        assert not check_reproduction(other.A, system.B, gram, 7).ok
+        assert not check_reproduction(other.A, system.B, gram, 7, SPOT_PAIRS).ok
 
 
 def monic_matrix(dim: int, lead_pos: int) -> list[list[dict]]:
@@ -372,11 +328,6 @@ class TestProjection:
         system = build_system(1, 1, 6, seed=100)
         with pytest.raises(DepthError):
             check_projection(system.A, system.B, system.M, 6, monic_matrix(1, 1))
-
-    def test_empty_point_list_checks_nothing(self):
-        system = build_system(1, 2, 14, seed=97)
-        rep = check_projection(system.A, system.B, system.M, 5, monic_matrix(2, 2), [])
-        assert rep.checked == 0 and rep.skipped and rep.ok
 
     def test_detects_foreign_families(self):
         system = build_system(1, 1, 12, seed=101)

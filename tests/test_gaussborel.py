@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 import steppoly.gaussborel as gaussborel
 from steppoly import extract_families, factorize, rat
-from steppoly.cdkernel import kernel_eval
+from steppoly.cdkernel import KernelTable, check_abc, kernel_eval
 from steppoly.errors import Breakdown
 from steppoly.moments import MomentTruncation
 from steppoly.rational import QType
@@ -172,21 +172,28 @@ class TestFactorize:
 
     @given(planted_factors(), st.data())
     def test_kernel_breaks_down_where_factorize_does(self, factors, data):
-        # kernel_eval runs the same eliminate on the bordered rows, so every corner
-        # that reaches the planted zero minor raises the same Breakdown
+        # kernel_eval and check_abc run the same eliminate on bordered rows, so
+        # every corner that reaches the planted zero minor raises the same
+        # Breakdown.  check_abc's tables come from the families of the truncation
+        # before the zero is planted; its corners below k are the same.
         L, H, U = factors
         k = data.draw(st.integers(0, len(H) - 1))
-        H[k] = rat(0)
         q, p = data.draw(st.sampled_from(SHAPES))
-        M = MomentTruncation(len(H), q, p, assemble(L, H, U))
         x, y = (rat(1, 2), rat(-1, 3)), (rat(0), rat(2, 7))
+        A, B = extract_families(factorize(assemble(L, H, U)), q, p)
+        tables = [KernelTable(A, B, x, y, len(H))]
+        H[k] = rat(0)
+        M = MomentTruncation(len(H), q, p, assemble(L, H, U))
         for n in range(len(H)):
             part = M.corner(n + 1)
             if n < k:
                 factorize(part)
                 assert kernel_eval(part, x, y) == abc_oracle(M, n, x, y)
+                rep = check_abc(part, n, tables)
+                assert rep.ok and rep.checked == 1
                 continue
-            for run in (factorize, lambda T: kernel_eval(T, x, y)):
+            for run in (factorize, lambda T: kernel_eval(T, x, y),
+                        lambda T: check_abc(T, n, tables)):
                 with pytest.raises(Breakdown) as exc:
                     run(part)
                 assert exc.value.index == k

@@ -15,10 +15,9 @@ from steppoly.stepline import (
     n_minus_big,
     n_plus,
     pair_of,
-    pos_of,
 )
 
-from _support import monomial_value
+from _support import monomial_value, pos_of
 
 RS = (1, 2, 3)
 KS = (1, 2)
