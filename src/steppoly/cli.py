@@ -21,9 +21,9 @@ import math
 import random
 import sys
 import time
-from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
+from typing import NamedTuple
 
 from .cdkernel import (
     KernelTable,
@@ -61,8 +61,7 @@ SCHEMA_VERSION = 1
 EXPORT_KINDS = ("H", "S", "Sbar", "T1", "T2", "families", "moments")
 
 
-@dataclass
-class RunConfig:
+class RunConfig(NamedTuple):
     q: int
     p: int
     measures: MeasureMatrix
@@ -86,7 +85,7 @@ class RunConfig:
         checks = obj.get("checks", list(CHECK_NAMES))
         if not isinstance(checks, list) or not all(isinstance(c, str) for c in checks):
             raise ConfigError("checks must be a list of names")
-        require_known_checks(checks)
+        require_checks(checks)
         # eval_points feeds no check, but a malformed value is still a config error
         entries = obj.get("eval_points", [])
         if not isinstance(entries, list):
@@ -140,23 +139,21 @@ def seeded_monic_matrix(rng: random.Random, size: int, I: int) -> list[list[dict
     return grid
 
 
-@dataclass
-class CheckOutcome:
+class CheckOutcome(NamedTuple):
     name: str
     status: str  # pass | fail | skipped
     details: str = ""
 
 
-@dataclass
-class Report:
+class Report(NamedTuple):
     status: str  # ok | breakdown
     depth: int
     extended_depth: int
     seed: int
     q: int
     p: int
-    H: list[str] = field(default_factory=list)
-    checks: list[CheckOutcome] = field(default_factory=list)
+    H: list[str]
+    checks: list[CheckOutcome]
     breakdown_index: int | None = None
 
     @property
@@ -277,7 +274,10 @@ CHECKS = {
 CHECK_NAMES = list(CHECKS)
 
 
-def require_known_checks(names: list[str]) -> None:
+def require_checks(names: list[str]) -> None:
+    """A check list must name at least one check, and only known ones."""
+    if not names:
+        raise ConfigError(f"no check named; known: {', '.join(CHECK_NAMES)}")
     for c in names:
         if c not in CHECK_NAMES:
             raise ConfigError(f"unknown check {c!r}; known: {', '.join(CHECK_NAMES)}")
@@ -326,9 +326,11 @@ def run(config: RunConfig) -> Report:
             seed=config.seed,
             q=config.q,
             p=config.p,
+            H=[],
+            checks=[],
             breakdown_index=exc.index,
         )
-    report = Report(
+    return Report(
         status="ok",
         depth=ws.depth,
         extended_depth=ws.extended_depth,
@@ -336,9 +338,8 @@ def run(config: RunConfig) -> Report:
         q=config.q,
         p=config.p,
         H=[format_rat(h) for h in ws.F.H[: ws.depth]],
+        checks=run_checks(ws, config.checks),
     )
-    report.checks = run_checks(ws, config.checks)
-    return report
 
 
 # ---- exports ----------------------------------------------------------
@@ -365,21 +366,24 @@ def _export_entries(ws: Workspace, what: str) -> list[list[str]]:
     return _matrix_to_strings([row[:D] for row in EXPORT_MATRICES[what](ws)[:D]])
 
 
-def export_json(ws: Workspace, what: str, entries: list[list[str]] | None) -> str:
+def export_json(ws: Workspace, what: str, entries: list[list[str]]) -> str:
+    """The JSON export of one kind; for families, entries is the Sbar export's text."""
     obj: dict = {"schema_version": SCHEMA_VERSION, "kind": what}
-    D = ws.depth
     if what == "H":
         obj["values"] = entries[0]
     elif what == "families":
         obj["q"] = ws.config.q
         obj["p"] = ws.config.p
-        for label, fam in (("A", ws.A), ("B", ws.B)):
+        # member n of A is row n of Sbar, and A stores no zero coefficient
+        A = [[(c, t) for c, t in enumerate(row) if t != "0"] for row in entries]
+        B = [[(c, format_rat(rat(v, d))) for c, v in row.items()] for d, row in ws.B.rows[:ws.depth]]
+        for label, r, rows in (("A", ws.config.p, A), ("B", ws.config.q, B)):
             # one pass per row: column K*r + i is component i at position K
-            obj[label] = members = [[{} for _ in range(fam.r)] for _ in range(D)]
-            for comps, (d, row) in zip(members, fam.rows):
-                for c, v in row.items():
-                    K, i = divmod(c, fam.r)
-                    comps[i][str(K)] = format_rat(rat(v, d))
+            obj[label] = members = [[{} for _ in range(r)] for _ in rows]
+            for comps, row in zip(members, rows):
+                for c, t in row:
+                    K, i = divmod(c, r)
+                    comps[i][str(K)] = t
     else:
         obj["entries"] = entries
         obj["rows"] = len(entries)
@@ -417,12 +421,15 @@ def export_csv(entries: list[list[str]], render_decimal: bool = False) -> str:
 def write_exports(ws: Workspace, out_dir: Path, render_decimal: bool = False) -> list[Path]:
     out_dir.mkdir(parents=True, exist_ok=True)
     written = []
+    text = {}
     for what in EXPORT_KINDS:
-        entries = None if what == "families" else _export_entries(ws, what)
+        # Sbar comes before families in EXPORT_KINDS, and families reuses its text
+        entries = text["Sbar"] if what == "families" else _export_entries(ws, what)
+        text[what] = entries
         path = out_dir / f"{what}.json"
         path.write_text(export_json(ws, what, entries))
         written.append(path)
-        if entries is not None:
+        if what != "families":
             path_csv = out_dir / f"{what}.csv"
             path_csv.write_text(export_csv(entries, render_decimal), newline="")
             written.append(path_csv)
@@ -437,7 +444,7 @@ def _cmd_compute(args) -> int:
     if args.depth is not None:
         if args.depth < 1:
             raise ConfigError("--depth must be >= 1")
-        config.depth = args.depth
+        config = config._replace(depth=args.depth)
     t0 = time.perf_counter()
     ws = Workspace(config)
     out_dir = Path(args.out or config.output or ".")
@@ -449,12 +456,12 @@ def _cmd_compute(args) -> int:
 
 def _cmd_verify(args) -> int:
     config = load_config(args.config)
-    if args.checks:
+    if args.checks is not None:
         names = [c.strip() for c in args.checks.split(",") if c.strip()]
-        require_known_checks(names)
-        config.checks = names
+        require_checks(names)
+        config = config._replace(checks=names)
     if args.seed is not None:
-        config.seed = args.seed
+        config = config._replace(seed=args.seed)
     t0 = time.perf_counter()
     report = run(config)
     if report.status == "breakdown":

@@ -2,24 +2,29 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 
-@dataclass
-class Violation:
+class Violation(NamedTuple):
     check: str
     where: tuple
     detail: str
 
 
-@dataclass
 class CheckReport:
     """How many relations a check verified, which failed, and why none were checked."""
 
-    name: str
-    violations: list[Violation] = field(default_factory=list)
-    checked: int = 0
-    skipped: list[str] = field(default_factory=list)
+    __slots__ = ("name", "violations", "checked", "skipped")
+
+    def __init__(self, name: str, violations: list[Violation] | None = None, checked: int = 0,
+                 skipped: list[str] | None = None):
+        self.name = name
+        self.violations = [] if violations is None else violations
+        self.checked = checked
+        self.skipped = [] if skipped is None else skipped
+
+    def __repr__(self) -> str:
+        return f"CheckReport({self.name!r}, {self.violations!r}, {self.checked}, {self.skipped!r})"
 
     @property
     def ok(self) -> bool:

@@ -216,6 +216,17 @@ class TestConfigErrors:
         assert main(["verify", "--config", str(path)]) == 3
         assert f"config error: {message}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag, extra", [("", {}), (",", {}), (" ", {}), (None, {"checks": []})])
+    def test_empty_check_list_exits_three(self, tmp_path, capsys, flag, extra):
+        # a check list that names no check runs nothing; it is an error, never a pass
+        cfg = good_config(tmp_path, **extra)
+        argv = ["verify", "--config", str(cfg), "--out", str(tmp_path / "o")]
+        if flag is not None:
+            argv += ["--checks", flag]
+        assert main(argv) == 3
+        assert "config error: no check named" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     def test_usage_error_folds_to_three(self):
         assert main(["frobnicate"]) == 3
         assert main([]) == 3
@@ -406,7 +417,7 @@ class TestRationalFactors:
 
 class TestRowsBuiltOnRead:
     """Each row of a factor's L is back-substituted on its first read: compute
-    reads the depth window of each side, verify's degree check every row."""
+    reads rows of the depth window only, verify's degree check every row."""
 
     @pytest.mark.parametrize("shape", ["golden", (2, 3)])
     def test_compute_builds_only_the_window(self, tmp_path, monkeypatch, shape):
@@ -432,7 +443,9 @@ class TestRowsBuiltOnRead:
                      "--x", "1/2,-1/3", "--y", "2/7,1/5", "--out", str(tmp_path / "k")]) == 0
         assert rows_per_side() == []
         assert main(["compute", "--config", str(cfg), "--out", str(tmp_path / "c")]) == 0
-        assert rows_per_side() == [list(range(depth))] * 2
+        # the families export reads A off the Sbar export's text, and unit_lower
+        # writes the Sbar side's row 0, its diagonal alone, without reading it
+        assert rows_per_side() == [list(range(depth)), list(range(1, depth))]
         assert main(["verify", "--config", str(cfg), "--out", str(tmp_path / "v")]) == 0
         assert rows_per_side() == [list(range(extended))] * 2
 
@@ -676,3 +689,15 @@ class TestConsoleScript:
             env=checkout_env(),
         )
         assert proc.returncode == 2
+
+
+def test_import_loads_no_code_introspection():
+    """Importing the CLI in a fresh interpreter loads none of the standard-library
+    modules behind dataclasses' generated code."""
+    code = ("import sys; before = set(sys.modules); import steppoly.cli; "
+            "print(' '.join(sorted(set(sys.modules) - before)))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=checkout_env(), check=True)
+    added = set(proc.stdout.split())
+    assert "steppoly.cli" in added
+    assert not added & {"dataclasses", "inspect", "ast", "dis", "tokenize"}
