@@ -18,10 +18,11 @@ exact division.
 
 The family side of every identity reads a KernelTable: both families at a
 point pair, each side over one denominator, and every K^[n](x, y) as an
-integer prefix sum; one table per pair serves every n and k.  Both identities
-are compared fraction-free, as in gaussborel (E. H. Bareiss, Math. Comp. 22,
-1968): each side is an integer sum over its own denominator, and the two are
-cross-multiplied.  The ABC right side never reads the table.
+integer prefix sum; one table per pair serves every n and k.  The CD, ABC and
+reproduction identities are compared fraction-free, as in gaussborel (E. H.
+Bareiss, Math. Comp. 22, 1968): each side is an integer sum over its own
+denominator, and the two are cross-multiplied.  The ABC right side never reads
+the table.
 """
 
 from __future__ import annotations
@@ -42,27 +43,23 @@ from .stepline import n_minus_big, n_plus
 class KernelTable:
     """Both families at one point pair, with K^[n](x, y) for every n < count.
 
-    a[i] = A_i(x) = a_int[i] / d_a and b[i] = B_i(y) = b_int[i] / d_b
-    (Family.values); kernels_int[n] sums the outer products a_int[i] b_int[i]
-    over i <= n, so K^[n](x, y) = kernels_int[n] / den with den = d_a d_b.
+    A_i(x) = a_int[i] / d_a and B_i(y) = b_int[i] / d_b (Family.values);
+    kernels_int[n] sums the outer products a_int[i] b_int[i] over i <= n, so
+    K^[n](x, y) = kernels_int[n] / den with den = d_a d_b.
     """
 
-    __slots__ = ("x", "y", "a", "b", "den", "a_int", "b_int", "kernels_int")
+    __slots__ = ("x", "y", "den", "a_int", "b_int", "kernels_int")
 
     def __init__(self, A: Family, B: Family, x: tuple, y: tuple, count: int):
         if count > min(len(A), len(B)):
             raise DepthError(f"kernel index {count - 1} outside family range", required=count)
         self.x, self.y = x, y
-        self.a, self.b = A.values(*x, count), B.values(*y, count)
-        (d_a, self.a_int), (d_b, self.b_int) = map(_integer_rows, (self.a, self.b))
+        (d_a, self.a_int), (d_b, self.b_int) = map(
+            _integer_rows, (A.values(*x, count), B.values(*y, count)))
         self.den = d_a * d_b
         outer = ([[va * vb for vb in b_i] for va in a_i] for a_i, b_i in zip(self.a_int, self.b_int))
         self.kernels_int = list(accumulate(
             outer, lambda s, t: [[u + v for u, v in zip(r, w)] for r, w in zip(s, t)]))
-
-    def kernel(self, n: int) -> list[list]:
-        """K^[n](x, y) as rationals."""
-        return [[rat(v, self.den) for v in row] for row in self.kernels_int[n]]
 
 
 def _integer_rows(rows: list[list]) -> tuple[int, list[list[int]]]:
@@ -108,17 +105,15 @@ class CDBlocks:
     tgt_rows x tgt_cols holds the lower-left block of T_k (rows n+1 ..
     n_plus(n, p, k), columns n_minus_big(n+1, p, k) .. n); src_rows x src_cols
     holds the upper-right block (rows n_minus_big(n+1, q, k) .. n, columns
-    n+1 .. n_plus(n, q, k)).  t_* carry plain T_k values (the printed labels);
-    r_* carry the values of R_k = H^-1 T_k H (RecurrenceTruncation.R) used by
-    the exact formula.  top is the largest family index the blocks reach.
+    n+1 .. n_plus(n, q, k)).  The printed labels are T_k's entries over these
+    ranges; r_* carry the values of R_k = H^-1 T_k H (RecurrenceTruncation.R)
+    used by the exact formula.  top is the largest family index the blocks reach.
     """
 
-    __slots__ = ("k", "n", "q", "p", "tgt_rows", "tgt_cols", "src_rows", "src_cols",
-                 "t_tgt", "t_src", "r_tgt", "r_src", "top")
+    __slots__ = ("tgt_rows", "tgt_cols", "src_rows", "src_cols", "r_tgt", "r_src", "top")
 
     def __init__(self, T: RecurrenceTruncation, n: int):
         k, q, p = T.k, T.q, T.p
-        self.k, self.n, self.q, self.p = k, n, q, p
         self.tgt_rows = range(n + 1, n_plus(n, p, k) + 1)
         self.tgt_cols = range(n_minus_big(n + 1, p, k), n + 1)
         self.src_rows = range(n_minus_big(n + 1, q, k), n + 1)
@@ -128,31 +123,23 @@ class CDBlocks:
             raise DepthError(f"T_{k} window {T.size} too small for CD blocks at n={n}",
                              required=self.top + 1)
         R = T.R
-        self.t_tgt = [[T.data[m][c] for c in self.tgt_cols] for m in self.tgt_rows]
-        self.t_src = [[T.data[m][c] for c in self.src_cols] for m in self.src_rows]
         self.r_tgt = [[R[m].get(c, ZERO) for c in self.tgt_cols] for m in self.tgt_rows]
         self.r_src = [[R[m].get(c, ZERO) for c in self.src_cols] for m in self.src_rows]
-
-
-def cd_blocks(T: RecurrenceTruncation, n: int, k: int) -> CDBlocks:
-    if k != T.k:
-        raise ValueError(f"requested k={k} but T was built for k={T.k}")
-    return CDBlocks(T, n)
 
 
 def _point(x: tuple) -> str:
     return f"({x[0]}, {x[1]})"
 
 
-def check_cd_formula(blocks: CDBlocks, tables: list[KernelTable]) -> CheckReport:
-    """Exact CD identity at every tabled point pair, as p x q matrices.
+def check_cd_formula(T: RecurrenceTruncation, n: int, tables: list[KernelTable]) -> CheckReport:
+    """Exact CD identity over T_k's blocks at n at every tabled point pair, as p x q matrices.
 
     The right side is a_gt^T (R_tgt b_n) - a_n^T (R_src b_gt).  With both
     blocks' R entries over one denominator d_R it is S / (den d_R), S an integer
     sum, so for x_k - y_k = u / v the identity is u d_R kernels_int[n] = v S.
     """
-    n, k = blocks.n, blocks.k
-    p, q = blocks.p, blocks.q
+    blocks = CDBlocks(T, n)
+    k, p, q = T.k, T.p, T.q
     _require_tabled(tables, blocks.top + 1)
     d_r, nums = common_denominator(
         v for block in (blocks.r_tgt, blocks.r_src) for row in block for v in row)
@@ -230,26 +217,25 @@ def check_reproduction(A: Family, B: Family, gram: list[list], n: int,
     The double integral of K^[n](x, .) dmu K^[n](., y), expanded through its
     leading (n+1) corner, must equal K^[n](x, y) at each point pair.  That the
     corner is the identity is check_biorthogonality's job, not this one's.
+    Both sides are compared fraction-free: over the KernelTable's denominator,
+    and with the corner's nonzero entries G = G_int / d_G, the sum of
+    a_int[i] G_int[i][j] b_int[j] must equal d_G kernels_int[n].
     """
     if n >= min(len(A), len(B), len(gram)):
         raise DepthError(f"reproduction index {n} outside family range", required=n + 1)
     p, q = A.r, B.r
+    corner = [(i, j, g) for i in range(n + 1) for j in range(n + 1) if (g := gram[i][j]) != 0]
+    d_g, nums = common_denominator(g for _, _, g in corner)
+    terms = [(i, j, g) for (i, j, _), g in zip(corner, nums)]
     rep = CheckReport("reproduction")
     if not point_pairs:
         rep.skipped.append("no point pairs given")
     for x, y in point_pairs:
         table = KernelTable(A, B, x, y, n + 1)
-        a_x, b_y = table.a, table.b
-        out = [[rat(0) for _ in range(q)] for _ in range(p)]
-        for i in range(n + 1):
-            for j in range(n + 1):
-                g = gram[i][j]
-                if g == 0:
-                    continue
-                for a_idx in range(p):
-                    for b_idx in range(q):
-                        out[a_idx][b_idx] += a_x[i][a_idx] * g * b_y[j][b_idx]
-        if out != table.kernel(n):
+        a, b = table.a_int, table.b_int
+        out = [[sum(a[i][a_idx] * g * b[j][b_idx] for i, j, g in terms) for b_idx in range(q)]
+               for a_idx in range(p)]
+        if out != [[d_g * v for v in row] for row in table.kernels_int[n]]:
             rep.violations.append(
                 Violation("reproduction", (n, _point(x), _point(y)), "kernel not reproduced")
             )

@@ -27,7 +27,6 @@ from typing import NamedTuple
 
 from .cdkernel import (
     KernelTable,
-    cd_blocks,
     check_abc,
     check_cd_formula,
     check_projection,
@@ -139,53 +138,6 @@ def seeded_monic_matrix(rng: random.Random, size: int, I: int) -> list[list[dict
     return grid
 
 
-class CheckOutcome(NamedTuple):
-    name: str
-    status: str  # pass | fail | skipped
-    details: str = ""
-
-
-class Report(NamedTuple):
-    status: str  # ok | breakdown
-    depth: int
-    extended_depth: int
-    seed: int
-    q: int
-    p: int
-    H: list[str]
-    checks: list[CheckOutcome]
-    breakdown_index: int | None = None
-
-    @property
-    def failed(self) -> int:
-        return sum(1 for c in self.checks if c.status == "fail")
-
-    def to_json_obj(self) -> dict:
-        obj = {
-            "schema_version": SCHEMA_VERSION,
-            "kind": "report",
-            "status": self.status,
-            "q": self.q,
-            "p": self.p,
-            "depth": self.depth,
-            "extended_depth": self.extended_depth,
-            "seed": self.seed,
-            "H": self.H,
-            "checks": [
-                {"name": c.name, "status": c.status, "details": c.details}
-                for c in self.checks
-            ],
-            "summary": {
-                "pass": sum(1 for c in self.checks if c.status == "pass"),
-                "fail": self.failed,
-                "skipped": sum(1 for c in self.checks if c.status == "skipped"),
-            },
-        }
-        if self.breakdown_index is not None:
-            obj["breakdown_index"] = self.breakdown_index
-        return obj
-
-
 def _dump_json(obj: dict) -> str:
     return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
@@ -244,7 +196,7 @@ def _cd(ws: Workspace, pairs: list) -> list[CheckReport]:
     for k in (1, 2):
         n = 0
         while max(n_plus(n, p, k), n_plus(n, q, k)) < ws.T[k].size:
-            reps.append(check_cd_formula(cd_blocks(ws.T[k], n, k), tables))
+            reps.append(check_cd_formula(ws.T[k], n, tables))
             n += 1
     return reps
 
@@ -275,12 +227,14 @@ CHECK_NAMES = list(CHECKS)
 
 
 def require_checks(names: list[str]) -> None:
-    """A check list must name at least one check, and only known ones."""
+    """A check list must name at least one check, and only known ones, each once."""
     if not names:
         raise ConfigError(f"no check named; known: {', '.join(CHECK_NAMES)}")
-    for c in names:
+    for i, c in enumerate(names):
         if c not in CHECK_NAMES:
             raise ConfigError(f"unknown check {c!r}; known: {', '.join(CHECK_NAMES)}")
+        if c in names[:i]:
+            raise ConfigError(f"check {c!r} named more than once")
 
 
 def _violation_summary(violations: list) -> str:
@@ -288,8 +242,9 @@ def _violation_summary(violations: list) -> str:
     return f"{len(violations)} violation(s); first at {first.where}: {first.detail}"
 
 
-def run_checks(ws: Workspace, checks: list[str]) -> list[CheckOutcome]:
-    """One outcome per named check: fail on any violation, skipped when nothing was checked."""
+def run_checks(ws: Workspace, checks: list[str]) -> list[dict]:
+    """One report.json entry per named check: fail on any violation, skipped when
+    nothing was checked."""
     rng = random.Random(ws.config.seed)
     # drawn in this order whichever checks run, so a seed always gives the same
     # points; projection draws its matrix polynomials from rng when its turn comes
@@ -303,43 +258,35 @@ def run_checks(ws: Workspace, checks: list[str]) -> list[CheckOutcome]:
     for name in checks:
         reps = CHECKS[name](ws, draws.get(name))
         violations = [v for rep in reps for v in rep.violations]
+        status, details = "pass", ""
         if violations:
-            out.append(CheckOutcome(name, "fail", _violation_summary(violations)))
+            status, details = "fail", _violation_summary(violations)
         elif not sum(rep.checked for rep in reps):
             reasons = [reason for rep in reps for reason in rep.skipped]
-            out.append(CheckOutcome(name, "skipped", "; ".join(dict.fromkeys(reasons))
-                                    or f"no relation to check at depth {ws.depth}"))
-        else:
-            out.append(CheckOutcome(name, "pass"))
+            status = "skipped"
+            details = ("; ".join(dict.fromkeys(reasons))
+                       or f"no relation to check at depth {ws.depth}")
+        out.append({"name": name, "status": status, "details": details})
     return out
 
 
-def run(config: RunConfig) -> Report:
-    """Assemble, factorize, run the requested checks; never writes files itself."""
+def run(config: RunConfig) -> dict:
+    """Assemble, factorize and run the requested checks into the report.json
+    object; never writes files itself.  A breakdown reports its index, no H and
+    no checks."""
+    report = {"schema_version": SCHEMA_VERSION, "kind": "report", "status": "ok",
+              "q": config.q, "p": config.p, "depth": config.depth,
+              "extended_depth": extended_depth(config), "seed": config.seed, "H": [], "checks": []}
     try:
         ws = Workspace(config)
     except Breakdown as exc:
-        return Report(
-            status="breakdown",
-            depth=config.depth,
-            extended_depth=extended_depth(config),
-            seed=config.seed,
-            q=config.q,
-            p=config.p,
-            H=[],
-            checks=[],
-            breakdown_index=exc.index,
-        )
-    return Report(
-        status="ok",
-        depth=ws.depth,
-        extended_depth=ws.extended_depth,
-        seed=config.seed,
-        q=config.q,
-        p=config.p,
-        H=[format_rat(h) for h in ws.F.H[: ws.depth]],
-        checks=run_checks(ws, config.checks),
-    )
+        report.update(status="breakdown", breakdown_index=exc.index)
+    else:
+        report["H"] = [format_rat(h) for h in ws.F.H[: ws.depth]]
+        report["checks"] = run_checks(ws, config.checks)
+    report["summary"] = {status: sum(c["status"] == status for c in report["checks"])
+                         for status in ("pass", "fail", "skipped")}
+    return report
 
 
 # ---- exports ----------------------------------------------------------
@@ -464,23 +411,22 @@ def _cmd_verify(args) -> int:
         config = config._replace(seed=args.seed)
     t0 = time.perf_counter()
     report = run(config)
-    if report.status == "breakdown":
-        print(f"factorization breakdown at index {report.breakdown_index}")
-    else:
-        for c in report.checks:
-            line = f"{c.name}: {c.status.upper()}"
-            if c.details:
-                line += f" ({c.details})"
-            print(line)
+    if report["status"] == "breakdown":
+        print(f"factorization breakdown at index {report['breakdown_index']}")
+    for c in report["checks"]:
+        line = f"{c['name']}: {c['status'].upper()}"
+        if c["details"]:
+            line += f" ({c['details']})"
+        print(line)
     out_dir = args.out or config.output
     if out_dir:
         path = Path(out_dir)
         path.mkdir(parents=True, exist_ok=True)
-        (path / "report.json").write_text(_dump_json(report.to_json_obj()))
+        (path / "report.json").write_text(_dump_json(report))
     print(f"elapsed {time.perf_counter() - t0:.3f}s (backend {BACKEND})", file=sys.stderr)
-    if report.status == "breakdown":
+    if report["status"] == "breakdown":
         return 2
-    return 1 if report.failed else 0
+    return 1 if report["summary"]["fail"] else 0
 
 
 def _cmd_kernel(args) -> int:

@@ -11,7 +11,8 @@ Anything else can be supplied as a table.
 Both Discrete and RectDensity moments are read off integer power tables, one
 per coordinate, as one integer sum followed by one rational per moment.  The
 tables are built on the first moment() call and grown on demand, so loading a
-config does no moment work.
+config does no moment work.  No moment is cached: assemble_moments caches each
+block by its exponent pair, so it asks a measure for each (s, t) once.
 """
 
 from __future__ import annotations
@@ -45,18 +46,14 @@ class Discrete:
 
     def __init__(self, atoms: Sequence[tuple]):
         self.atoms = [(as_rat(x), as_rat(y), as_rat(w)) for x, y, w in atoms]
-        self._cache: dict[tuple[int, int], object] = {}
         self._scaled = None
 
     def moment(self, s: int, t: int):
-        key = (s, t)
-        if key not in self._cache:
-            if self._scaled is None:
-                self._scaled = [PowerTable([atom[c] for atom in self.atoms]) for c in range(3)]
-            xs, ys, ws = self._scaled
-            total = sum(map(mul, ws.row(1), map(mul, xs.row(s), ys.row(t))))
-            self._cache[key] = rat(total, ws.den * xs.den ** s * ys.den ** t)
-        return self._cache[key]
+        if self._scaled is None:
+            self._scaled = [PowerTable([atom[c] for atom in self.atoms]) for c in range(3)]
+        xs, ys, ws = self._scaled
+        total = sum(map(mul, ws.row(1), map(mul, xs.row(s), ys.row(t))))
+        return rat(total, ws.den * xs.den ** s * ys.den ** t)
 
 
 class RectDensity:
@@ -72,36 +69,32 @@ class RectDensity:
         if not (self.x1_lo < self.x1_hi and self.x2_lo < self.x2_hi):
             raise ConfigError("rectangle bounds must satisfy lo < hi in both variables")
         self.density = {int(K): v for K, c in density.items() if (v := as_rat(c)) != 0}
-        self._cache: dict[tuple[int, int], object] = {}
         self._tables = None
 
     def moment(self, s: int, t: int):
-        key = (s, t)
-        if key not in self._cache:
-            if self._tables is None:
-                den, nums = common_denominator(self.density.values())
-                pairs = map(pair_of, self.density)
-                self._tables = (den, [(i - j + 1, j + 1, c) for (i, j, _), c in zip(pairs, nums)],
-                                PowerTable([self.x1_lo, self.x1_hi]),
-                                PowerTable([self.x2_lo, self.x2_hi]))
-            den, terms, xs, ys = self._tables
-            # the term (c/den) x^(i-j) y^j integrates to (c/den) (hi^a - lo^a)/a (hi^b - lo^b)/b,
-            # a = s + i - j + 1 and b = t + j + 1: over the scaled axis rows that is
-            # n / (den xs.den^a ys.den^b a b) for an integer n.  Terms with n = 0 are
-            # dropped and the rest summed over one common denominator.
-            live = []
-            for u, v, c in terms:
-                a, b = s + u, t + v
-                (x_lo, x_hi), (y_lo, y_hi) = xs.row(a), ys.row(b)
-                if x_lo != x_hi and y_lo != y_hi:
-                    live.append((a, b, c * (x_hi - x_lo) * (y_hi - y_lo)))
-            A = max((a for a, _, _ in live), default=0)
-            B = max((b for _, b, _ in live), default=0)
-            L = lcm(*(a * b for a, b, _ in live))
-            total = sum(n * xs.den ** (A - a) * ys.den ** (B - b) * (L // (a * b))
-                        for a, b, n in live)
-            self._cache[key] = rat(total, den * xs.den ** A * ys.den ** B * L)
-        return self._cache[key]
+        if self._tables is None:
+            den, nums = common_denominator(self.density.values())
+            pairs = map(pair_of, self.density)
+            self._tables = (den, [(i - j + 1, j + 1, c) for (i, j, _), c in zip(pairs, nums)],
+                            PowerTable([self.x1_lo, self.x1_hi]),
+                            PowerTable([self.x2_lo, self.x2_hi]))
+        den, terms, xs, ys = self._tables
+        # the term (c/den) x^(i-j) y^j integrates to (c/den) (hi^a - lo^a)/a (hi^b - lo^b)/b,
+        # a = s + i - j + 1 and b = t + j + 1: over the scaled axis rows that is
+        # n / (den xs.den^a ys.den^b a b) for an integer n.  Terms with n = 0 are
+        # dropped and the rest summed over one common denominator.
+        live = []
+        for u, v, c in terms:
+            a, b = s + u, t + v
+            (x_lo, x_hi), (y_lo, y_hi) = xs.row(a), ys.row(b)
+            if x_lo != x_hi and y_lo != y_hi:
+                live.append((a, b, c * (x_hi - x_lo) * (y_hi - y_lo)))
+        A = max((a for a, _, _ in live), default=0)
+        B = max((b for _, b, _ in live), default=0)
+        L = lcm(*(a * b for a, b, _ in live))
+        total = sum(n * xs.den ** (A - a) * ys.den ** (B - b) * (L // (a * b))
+                    for a, b, n in live)
+        return rat(total, den * xs.den ** A * ys.den ** B * L)
 
 
 class MomentTable:

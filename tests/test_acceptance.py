@@ -22,8 +22,8 @@ from steppoly import (
     required_depth,
 )
 from steppoly.cdkernel import (
+    CDBlocks,
     KernelTable,
-    cd_blocks,
     check_abc,
     check_cd_formula,
     check_projection,
@@ -249,7 +249,7 @@ def test_criterion_6_cd_abc_reproduction_projection():
         a_cache = {x: [[c.eval(*x) for c in comps] for comps in a_members] for x in xs}
         b_cache = {y: [[c.eval(*y) for c in comps] for comps in b_members] for y in ys}
         blocks_kn = {
-            (k, n): cd_blocks(T[k], n, k)
+            (k, n): CDBlocks(T[k], n)
             for k in (1, 2)
             for n in range(n_top + 1)
         }
@@ -287,8 +287,7 @@ def test_criterion_6_cd_abc_reproduction_projection():
         sample = [(xs[0], ys[-1]), (xs[-1], ys[0]), (xs[len(xs) // 2], ys[len(ys) // 2])]
         sample_tables = [KernelTable(system.A, system.B, x, y, window) for x, y in sample]
         for k in (1, 2):
-            blocks = cd_blocks(T[k], 3, k)
-            rep = check_cd_formula(blocks, sample_tables)
+            rep = check_cd_formula(T[k], 3, sample_tables)
             assert rep.ok and rep.checked == len(sample)
 
         rng = random.Random(602)
@@ -338,19 +337,22 @@ def test_criterion_7_worked_example_window():
 
     # the block pair displayed for n = 3 in the first direction
     T1 = build_recurrence(system.F, q, p, 1, window)
-    blocks = cd_blocks(T1, 3, 1)
+    blocks = CDBlocks(T1, 3)
     assert list(blocks.tgt_rows) == [4, 5, 6, 7]
     assert list(blocks.tgt_cols) == [2, 3]
     assert list(blocks.src_rows) == [2, 3]
     assert list(blocks.src_cols) == [4, 5, 6]
-    assert blocks.t_src[0] == [rat(1), rat(0), rat(0)]
-    assert blocks.t_src[1][2] == 1
-    assert blocks.t_src[1][0] == T1.data[3][4]
-    assert blocks.t_tgt[3][0] == 0  # row 7, column 2 sits outside the band
-    assert blocks.t_tgt[0][1] == T1.data[4][3]
+    # the printed labels are T_1's entries over the blocks' ranges
+    t_tgt = [[T1.data[m][c] for c in blocks.tgt_cols] for m in blocks.tgt_rows]
+    t_src = [[T1.data[m][c] for c in blocks.src_cols] for m in blocks.src_rows]
+    assert t_src[0] == [rat(1), rat(0), rat(0)]
+    assert t_src[1][2] == 1
+    assert t_src[1][0] == T1.data[3][4]
+    assert t_tgt[3][0] == 0  # row 7, column 2 sits outside the band
+    assert t_tgt[0][1] == T1.data[4][3]
     for bi, m in enumerate(blocks.tgt_rows):
         for bj, c in enumerate(blocks.tgt_cols):
-            assert blocks.t_tgt[bi][bj] == T1.data[m][c]
+            assert t_tgt[bi][bj] == T1.data[m][c]
 
 
 def test_criterion_8_cli_contract(tmp_path, monkeypatch):

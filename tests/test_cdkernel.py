@@ -4,8 +4,8 @@ import pytest
 
 from steppoly import build_recurrence, factorize, pairing_matrix, rat, required_depth
 from steppoly.cdkernel import (
+    CDBlocks,
     KernelTable,
-    cd_blocks,
     check_abc,
     check_cd_formula,
     check_projection,
@@ -35,6 +35,11 @@ Y = (rat(2, 7), rat(1, 5))
 
 def tables(system, pairs: list, count: int) -> list[KernelTable]:
     return [KernelTable(system.A, system.B, x, y, count) for x, y in pairs]
+
+
+def table_kernel(table: KernelTable, n: int) -> list[list]:
+    """K^[n](x, y) as rationals, read off the table's integers."""
+    return [[rat(v, table.den) for v in row] for row in table.kernels_int[n]]
 
 
 def system_with_T(q: int, p: int, window: int, seed: int):
@@ -67,14 +72,14 @@ class TestKernelEval:
             table = KernelTable(system.A, system.B, X, Y, 8)
             want_a = [[c.eval(*X) for c in comps] for comps in members(system.A.head(8))]
             want_b = [[c.eval(*Y) for c in comps] for comps in members(system.B.head(8))]
-            assert table.a == want_a, (q, p)
-            assert table.b == want_b, (q, p)
+            assert system.A.values(*X, 8) == want_a, (q, p)
+            assert system.B.values(*Y, 8) == want_b, (q, p)
             assert [system.A.eval(i, *X) for i in range(8)] == want_a, (q, p)
             assert [system.B.eval(i, *Y) for i in range(8)] == want_b, (q, p)
             for n in range(8):
-                want = [[sum((table.a[i][a] * table.b[i][b] for i in range(n + 1)), rat(0))
+                want = [[sum((want_a[i][a] * want_b[i][b] for i in range(n + 1)), rat(0))
                          for b in range(q)] for a in range(p)]
-                assert table.kernel(n) == want, (q, p, n)
+                assert table_kernel(table, n) == want, (q, p, n)
 
     def test_range_guard(self):
         system = build_system(1, 1, 6, seed=82)
@@ -103,35 +108,35 @@ class TestCDBlocks:
             system, T = system_with_T(q, p, 14, seed=83)
             for k in (1, 2):
                 for n in range(recurrence_n_max(T[k], len(system.A), len(system.B))):
-                    blocks = cd_blocks(T[k], n, k)
+                    blocks = CDBlocks(T[k], n)
                     assert blocks.tgt_rows == range(n + 1, n_plus(n, p, k) + 1)
                     assert blocks.tgt_cols == range(n_minus_big(n + 1, p, k), n + 1)
                     assert blocks.src_rows == range(n_minus_big(n + 1, q, k), n + 1)
                     assert blocks.src_cols == range(n + 1, n_plus(n, q, k) + 1)
 
     def test_blocks_carry_T_and_conjugate_values(self):
+        # the printed labels are T_k's entries over the blocks' ranges
         system, T = system_with_T(1, 2, 14, seed=84)
         k = 1
         n = 3
-        blocks = cd_blocks(T[k], n, k)
+        blocks = CDBlocks(T[k], n)
+        t_tgt = [[T[k].data[m][c] for c in blocks.tgt_cols] for m in blocks.tgt_rows]
+        t_src = [[T[k].data[m][c] for c in blocks.src_cols] for m in blocks.src_rows]
         for bi, m in enumerate(blocks.tgt_rows):
             for bj, c in enumerate(blocks.tgt_cols):
-                assert blocks.t_tgt[bi][bj] == T[k].data[m][c]
+                assert t_tgt[bi][bj] == T[k].data[m][c]
                 assert blocks.r_tgt[bi][bj] == T[k].data[m][c] * T[k].H[c] / T[k].H[m]
         for bi, m in enumerate(blocks.src_rows):
             for bj, c in enumerate(blocks.src_cols):
-                assert blocks.t_src[bi][bj] == T[k].data[m][c]
+                assert t_src[bi][bj] == T[k].data[m][c]
                 assert blocks.r_src[bi][bj] == T[k].data[m][c] * T[k].H[c] / T[k].H[m]
-
-    def test_mismatched_direction_rejected(self):
-        system, T = system_with_T(1, 1, 10, seed=85)
-        with pytest.raises(ValueError):
-            cd_blocks(T[1], 2, 2)
 
     def test_window_guard(self):
         system, T = system_with_T(1, 1, 5, seed=86)
         with pytest.raises(DepthError):
-            cd_blocks(T[2], 4, 2)
+            CDBlocks(T[2], 4)
+        with pytest.raises(DepthError):
+            check_cd_formula(T[2], 4, tables(system, [(X, Y)], 5))
 
 
 class TestCDFormula:
@@ -141,30 +146,27 @@ class TestCDFormula:
             for k in (1, 2):
                 n_max = recurrence_n_max(T[k], len(system.A), len(system.B))
                 for n in range(n_max):
-                    blocks = cd_blocks(T[k], n, k)
-                    assert check_cd_formula(blocks, tables(system, [(X, Y)], 12)).ok, (q, p, k, n)
+                    assert check_cd_formula(T[k], n, tables(system, [(X, Y)], 12)).ok, (q, p, k, n)
 
     def test_small_grid(self):
         system, T = system_with_T(1, 2, 10, seed=88)
-        blocks = cd_blocks(T[1], 3, 1)
         vals = grid_values(4)
         pairs = [((x1, rat(1, 3)), (rat(-1, 2), y2)) for x1 in vals for y2 in vals]
-        rep = check_cd_formula(blocks, tables(system, pairs, 10))
+        rep = check_cd_formula(T[1], 3, tables(system, pairs, 10))
         assert rep.ok and rep.checked == len(pairs), rep.violations[:1]
 
     def test_short_tables_rejected(self):
         system, T = system_with_T(1, 2, 10, seed=88)
-        blocks = cd_blocks(T[1], 3, 1)
+        blocks = CDBlocks(T[1], 3)
         with pytest.raises(DepthError):
-            check_cd_formula(blocks, tables(system, [(X, Y)], blocks.top))
+            check_cd_formula(T[1], 3, tables(system, [(X, Y)], blocks.top))
         with pytest.raises(DepthError):
             check_abc(system.M, 4, tables(system, [(X, Y)], 4))
 
     def test_detects_wrong_families(self):
         system, T = system_with_T(1, 1, 10, seed=89)
         other = build_system(1, 1, system.depth, seed=90)
-        blocks = cd_blocks(T[1], 2, 1)
-        rep = check_cd_formula(blocks, tables(other, [(X, Y)], 10))
+        rep = check_cd_formula(T[1], 2, tables(other, [(X, Y)], 10))
         assert not rep.ok
         assert rep.violations[0].where[:2] == (1, 2)
 
@@ -189,8 +191,8 @@ class TestCDFormula:
                     flagged = []
                     n = 0
                     while max(n_plus(n, p, k), n_plus(n, q, k)) < bad.size:
-                        blocks = cd_blocks(bad, n, k)
-                        rep = check_cd_formula(blocks, pair_tables)
+                        blocks = CDBlocks(bad, n)
+                        rep = check_cd_formula(bad, n, pair_tables)
                         assert rep.checked == len(pairs)
                         if (m in blocks.tgt_rows and c in blocks.tgt_cols
                                 or m in blocks.src_rows and c in blocks.src_cols):
@@ -228,7 +230,8 @@ class TestABC:
             for M in (system.M, MomentTruncation(system.M.depth, q, p, moved)):
                 for n in range(7):
                     rep = check_abc(M, n, pair_tables)
-                    want = [abc_oracle(M, n, x, y) != t.kernel(n) for (x, y), t in zip(pairs, pair_tables)]
+                    want = [abc_oracle(M, n, x, y) != table_kernel(t, n)
+                            for (x, y), t in zip(pairs, pair_tables)]
                     got = [(n, f"({x[0]}, {x[1]})", f"({y[0]}, {y[1]})") for x, y in pairs]
                     assert [v.where for v in rep.violations] == [w for w, bad in zip(got, want) if bad]
                     assert rep.checked == len(pairs)

@@ -146,6 +146,35 @@ class TestVerify:
         assert report["status"] == "breakdown"
         assert report["breakdown_index"] == 1
 
+    def test_whole_reports(self, tmp_path, monkeypatch):
+        # report.json as one JSON object, every key and value pinned: the breakdown
+        # report of a singular config, and a golden-config run with one check failing
+        import steppoly.cli as cli_mod
+
+        assert main(["verify", "--config", str(breakdown_config(tmp_path)),
+                     "--out", str(tmp_path / "b")]) == 2
+        assert json.loads((tmp_path / "b" / "report.json").read_text()) == {
+            "schema_version": 1, "kind": "report", "status": "breakdown", "q": 1, "p": 1,
+            "depth": 4, "extended_depth": 8, "seed": 0, "H": [], "checks": [],
+            "summary": {"pass": 0, "fail": 0, "skipped": 0}, "breakdown_index": 1,
+        }
+
+        monkeypatch.setattr(
+            cli_mod, "check_reproduction",
+            lambda *a, **k: CheckReport("reproduction", [Violation("reproduction", (5, "x"), "forced"),
+                                                         Violation("reproduction", (6,), "again")], 2),
+        )
+        assert main(["verify", "--config", str(GOLDEN_CONFIG), "--checks", "degree,reproduction",
+                     "--out", str(tmp_path / "f")]) == 1
+        want = json.loads((GOLDEN_CONFIG.parent / "report.json").read_text())
+        want["checks"] = [
+            {"name": "degree", "status": "pass", "details": ""},
+            {"name": "reproduction", "status": "fail",
+             "details": "2 violation(s); first at (5, 'x'): forced"},
+        ]
+        want["summary"] = {"pass": 1, "fail": 1, "skipped": 0}
+        assert json.loads((tmp_path / "f" / "report.json").read_text()) == want
+
 
 class TestConfigErrors:
     def test_missing_file(self, tmp_path):
@@ -225,6 +254,18 @@ class TestConfigErrors:
             argv += ["--checks", flag]
         assert main(argv) == 3
         assert "config error: no check named" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("flag, extra", [("degree,degree", {}),
+                                             (None, {"checks": ["degree", "band", "degree"]})])
+    def test_repeated_check_exits_three(self, tmp_path, capsys, flag, extra):
+        # a check named twice would run twice and count twice in the summary
+        cfg = good_config(tmp_path, **extra)
+        argv = ["verify", "--config", str(cfg), "--out", str(tmp_path / "o")]
+        if flag is not None:
+            argv += ["--checks", flag]
+        assert main(argv) == 3
+        assert "config error: check 'degree' named more than once" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
     def test_usage_error_folds_to_three(self):

@@ -186,7 +186,7 @@ class TestIntegerRectOracle:
         path.write_text(json.dumps({"schema_version": 1, "q": 1, "p": 2, "depth": 4,
                                     "measures": [[cell, cell]]}))
         cells = load_config(path).measures.entries[0]
-        assert all(m._tables is None and not m._cache for m in cells)
+        assert all(m._tables is None for m in cells)
         assert to_fraction(cells[0].moment(2, 1)) == naive_moment(cells[0], 2, 1)
         assert cells[0]._tables is not None and cells[1]._tables is None
 

@@ -20,6 +20,7 @@ from _support import (
     monomial_value,
     shift_ones_in_complement,
     shift_operator,
+    table_mm,
 )
 
 
@@ -56,6 +57,29 @@ class TestAssembly:
             small = assemble_moments(mm, d)
             assert small.data == [row[:d] for row in big.data[:d]]
             assert big.corner(d).data == small.data
+
+    @pytest.mark.parametrize("kind", ["mixed", "table"])
+    def test_each_moment_asked_once(self, kind):
+        # the measures cache no moment: one assembly asks each cell for each
+        # (s, t) at most once, because assemble_moments caches blocks by (s, t)
+        depth = 24
+        for q, p in SHAPES:
+            rng = random.Random(17)
+            mm = mixed_mm(rng, q, p) if kind == "mixed" else table_mm(rng, q, p, depth)
+            asked = {}
+            for b, row in enumerate(mm.entries):
+                for a, cell in enumerate(row):
+                    asked[b, a] = calls = []
+
+                    def moment(s, t, calls=calls, orig=cell.moment):
+                        calls.append((s, t))
+                        return orig(s, t)
+
+                    cell.moment = moment
+            assert len({id(cell) for row in mm.entries for cell in row}) == q * p
+            assemble_moments(mm, depth)
+            for cell, calls in asked.items():
+                assert calls and len(set(calls)) == len(calls), (kind, q, p, cell)
 
     def test_corner_beyond_depth_rejected(self):
         rng = random.Random(12)
