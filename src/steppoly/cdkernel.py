@@ -3,11 +3,11 @@
 K^[n](x, y) is the p x q matrix sum of A_i(x) B_i(y) over i <= n.  The CD
 formula rewrites (x_k - y_k) K^[n] through four finite blocks of the
 recurrence matrix; as with the recurrences, the values that make the formula
-exact are those of the conjugate R_k = H^-1 T_k H, while the block shapes and
-the printed labels follow T_k itself.  The ABC identity expresses the same
-kernel through the inverse of the leading (n+1) x (n+1) moment truncation,
-computed here from the moments alone, by gaussborel's elimination of the
-truncation bordered by identity blocks.
+exact are those of the conjugate R_k = H^-1 T_k H, read off T_k's integers
+(recurrence), while the block shapes and the printed labels follow T_k.  The
+ABC identity expresses the same kernel through the inverse of the leading
+(n+1) x (n+1) moment truncation, computed here from the moments alone, by
+gaussborel's elimination of the truncation bordered by identity blocks.
 
 kernel_eval, behind the kernel command, evaluates that inverse-moment form
 directly: gaussborel's elimination of the truncation bordered by the two
@@ -106,8 +106,9 @@ class CDBlocks:
     n_plus(n, p, k), columns n_minus_big(n+1, p, k) .. n); src_rows x src_cols
     holds the upper-right block (rows n_minus_big(n+1, q, k) .. n, columns
     n+1 .. n_plus(n, q, k)).  The printed labels are T_k's entries over these
-    ranges; r_* carry the values of R_k = H^-1 T_k H (RecurrenceTruncation.R)
-    used by the exact formula.  top is the largest family index the blocks reach.
+    ranges; r_* carry the values of R_k = H^-1 T_k H used by the exact
+    formula, each acc[m][c] / (L Delta_c Delta_{m+1}) as one rational.  top
+    is the largest family index the blocks reach.
     """
 
     __slots__ = ("tgt_rows", "tgt_cols", "src_rows", "src_cols", "r_tgt", "r_src", "top")
@@ -122,9 +123,11 @@ class CDBlocks:
         if self.top >= T.size:
             raise DepthError(f"T_{k} window {T.size} too small for CD blocks at n={n}",
                              required=self.top + 1)
-        R = T.R
-        self.r_tgt = [[R[m].get(c, ZERO) for c in self.tgt_cols] for m in self.tgt_rows]
-        self.r_src = [[R[m].get(c, ZERO) for c in self.src_cols] for m in self.src_rows]
+        acc, minors, L = T.acc, T.F.minors, T.L
+        self.r_tgt, self.r_src = (
+            [[rat(a, L * minors[c] * minors[m + 1]) if (a := acc[m][c]) else ZERO for c in cols]
+             for m in rows]
+            for rows, cols in ((self.tgt_rows, self.tgt_cols), (self.src_rows, self.src_cols)))
 
 
 def _point(x: tuple) -> str:

@@ -18,17 +18,31 @@ conjugate R_k = H^-1 T_k H (same band, H-scaled values):
 with n+q = n_plus(n, q, k) and n+p = n_plus(n, p, k).  T_k itself, as printed
 with trailing 1s per row, does not intertwine either family; conjugating by H
 is what makes both relations exact.
+
+Each T_k is kept as one integer matrix acc, the inner sums of
+build_recurrence, with L = lcm(r).  With r the scale and Delta the minors of
+the factorization's S side (gaussborel), and H_n = Delta_{n+1} / (Delta_n r_n):
+
+    T_k[m][n] = acc[m][n] r_n / (Delta_m r_m Delta_{n+1} L)
+    R_k[m][n] = acc[m][n] / (L Delta_n Delta_{m+1})          (the r's cancel)
+    primal = dual at (m, n)  iff  acc[m][n] = L acc'[n][m]
+
+where acc' is the same sum on the transposed factorization, whose scale is
+all ones.  The checks read acc through these identities.  The rational T_k,
+RecurrenceTruncation.data, is formed on its first read: by the T1 and T2
+exports, and by a check only to write a violation's text.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
 from math import lcm
+from operator import mul
 
 from .errors import DepthError
 from .families import Family
 from .gaussborel import Factorization
-from .rational import ZERO, common_denominator, rat
+from .rational import ZERO, rat
 from .report import CheckReport, Violation
 from .stepline import in_complement_J, n_minus_big, n_plus
 
@@ -42,28 +56,26 @@ def required_depth(D: int, q: int, p: int) -> int:
 
 
 class RecurrenceTruncation:
-    """Dense D x D window of T_k with its band descriptors and the H diagonal."""
+    """D x D window of T_k as its integers acc and L over the factorization F,
+    with its band descriptors (see the module docstring)."""
 
-    __slots__ = ("k", "q", "p", "size", "data", "H", "_R")
+    __slots__ = ("k", "q", "p", "size", "acc", "L", "F", "_data")
 
-    def __init__(self, k: int, q: int, p: int, size: int, data: list[list], H: list):
-        self.k = k
-        self.q = q
-        self.p = p
-        self.size = size
-        self.data = data
-        self.H = H
-        self._R = None
+    def __init__(self, k: int, q: int, p: int, size: int, acc: list[list[int]], L: int,
+                 F: Factorization | None):
+        self.k, self.q, self.p, self.size = k, q, p, size
+        self.acc, self.L, self.F = acc, L, F
+        self._data = None
 
     @property
-    def R(self) -> list[dict]:
-        """R_k = H^-1 T_k H, built on first read: row m is {c: T_k[m][c] H_c / H_m}
-        over the nonzero entries of row m, its band.  Only verify's checks read it."""
-        if self._R is None:
-            H = self.H
-            self._R = [{c: t * H[c] / H[m] for c, t in enumerate(row) if t}
-                       for m, row in enumerate(self.data)]
-        return self._R
+    def data(self) -> list[list]:
+        """The rational T_k, formed on first read and kept."""
+        if self._data is None:
+            minors, r = self.F.minors, self.F.S_int.scale
+            dens = [minors[m] * r[m] * self.L for m in range(self.size)]
+            self._data = [[rat(a * r[n], den_m * minors[n + 1]) if a else ZERO for n, a in enumerate(row)]
+                          for row, den_m in zip(self.acc, dens)]
+        return self._data
 
     def row_band(self, n: int) -> tuple[int, int]:
         """[first, last] columns that may be nonzero in row n."""
@@ -82,9 +94,8 @@ def build_recurrence(F: Factorization, q: int, p: int, k: int, target_size: int)
     The sum runs over the integers F.S_int = (r, E, Mi) and the minors Delta
     (the fraction-free LU form of Nakos, Turner and Williams, ACM SIGSAM
     Bull. 31, 1997, and of Zhou and Jeffrey, Front. Comput. Sci. China 2,
-    2008).  With L = lcm(r), each entry is one integer inner sum and one rat():
-
-        T[m][n] = r_n sum_c E[m][c] r_c (L / r_i) Mi[i][n] / (Delta_m r_m Delta_{n+1} L)
+    2008).  With L = lcm(r), the denominators come out of each entry, leaving
+    the integer acc[m][n] = sum_c E[m][c] r_c (L / r_i) Mi[i][n].
     """
     need = max(n_plus(target_size - 1, q, k), n_plus(target_size - 1, p, k)) + 1
     if F.depth < need:
@@ -93,42 +104,39 @@ def build_recurrence(F: Factorization, q: int, p: int, k: int, target_size: int)
             f"{target_size}; extend to required_depth = {required_depth(target_size, q, p)}",
             required=required_depth(target_size, q, p),
         )
-    (r, E, Mi), minors = F.S_int, F.minors
+    r, E, Mi = F.S_int
     big_l = lcm(*r)
     shifted = [n_plus(c, q, k) for c in range(target_size)]
     weight = [r[c] * (big_l // r[i]) for c, i in enumerate(shifted)]
     # S^-1 is lower triangular and shifted increasing: column n meets row
-    # shifted[c] only from c = first[n] on
+    # shifted[c] only from c = first[n] on; cols[n] holds Mi[shifted[c]][n] from there
     first = [bisect_left(shifted, n) for n in range(target_size)]
-    data = []
+    cols = [[Mi[i][n] for i in shifted[f:]] for n, f in enumerate(first)]
+    acc = []
     for m in range(target_size):
         row_m = [e * w for e, w in zip(E[m], weight)]
-        den_m = minors[m] * r[m] * big_l
-        row = []
-        for n in range(target_size):
-            acc = sum(row_m[c] * Mi[shifted[c]][n] for c in range(first[n], m + 1))
-            row.append(rat(acc * r[n], den_m * minors[n + 1]) if acc else ZERO)
-        data.append(row)
-    return RecurrenceTruncation(k, q, p, target_size, data, list(F.H))
+        acc.append([sum(map(mul, row_m[f:m + 1], col)) for f, col in zip(first, cols)])
+    return RecurrenceTruncation(k, q, p, target_size, acc, big_l, F)
 
 
 def check_dual_form(T: RecurrenceTruncation, F: Factorization) -> CheckReport:
     """T_k from the primal form agrees entrywise with the dual form.
 
     With T' built from the transposed factorization, the dual entry (m, n) is
-    T'[n][m] * H_m / H_n, entry (n, m) of the conjugate band R' of T' (the
-    transposed factorization has the same H).
+    T'[n][m] * H_m / H_n, entry (n, m) of the conjugate R' of T' (the
+    transposed factorization has the same H); it equals T_k[m][n] exactly when
+    acc[m][n] = L acc'[n][m].
     """
-    dual = build_recurrence(F.transpose(), T.p, T.q, T.k, T.size).R
+    dual = build_recurrence(F.transpose(), T.p, T.q, T.k, T.size)
     rep = CheckReport(f"dual_T{T.k}")
-    for m in range(T.size):
-        for n in range(T.size):
-            want = dual[n].get(m, ZERO)
-            if T.data[m][n] != want:
+    for m, (row, col) in enumerate(zip(T.acc, zip(*dual.acc))):
+        for n, (a, b) in enumerate(zip(row, col)):
+            if a != T.L * b:
+                want = dual.data[n][m] * F.H[m] / F.H[n]
                 rep.violations.append(
                     Violation("dual", (T.k, m, n), f"primal {T.data[m][n]} != dual {want}")
                 )
-            rep.checked += 1
+        rep.checked += T.size
     return rep
 
 
@@ -137,29 +145,30 @@ def validate_band(T: RecurrenceTruncation) -> CheckReport:
 
     The column relations (zeros outside each column band, a leading 1 where n
     avoids J_{q;k}, a trailing H_{n_plus(n,p,k)} / H_n) land on the same
-    entries with the same values, so the rows check each relation once.
+    entries with the same values, so the rows check each relation once, on
+    acc: a zero is acc == 0, the trailing 1 acc[n][last] r_last = Delta_n r_n
+    Delta_{last+1} L, and H_n / H_first acc[n][first] = L Delta_{n+1} Delta_first.
     """
     rep = CheckReport(f"band_T{T.k}")
-    k, p, D = T.k, T.p, T.size
-    for n in range(D):
+    k, p, D, L = T.k, T.p, T.size, T.L
+    minors, r = T.F.minors, T.F.S_int.scale
+    for n, row in enumerate(T.acc):
         first, last = T.row_band(n)
-        for c in range(D):
-            if c < first or c > last:
-                if T.data[n][c] != 0:
-                    rep.violations.append(
-                        Violation("band", (k, n, c), f"outside band: {T.data[n][c]}")
-                    )
-                rep.checked += 1
+        outside = [*range(first), *range(last + 1, D)]
+        for c in outside:
+            if row[c]:
+                rep.violations.append(Violation("band", (k, n, c), f"outside band: {T.data[n][c]}"))
+        rep.checked += len(outside)
         if last < D:
-            if T.data[n][last] != 1:
+            if row[last] * r[last] != minors[n] * r[n] * minors[last + 1] * L:
                 rep.violations.append(
                     Violation("band", (k, n, last), f"trailing entry {T.data[n][last]} != 1")
                 )
             rep.checked += 1
         if in_complement_J(n, p, k):
             # first = n - p*F_k^-(n/p) here; boxed value H_n / H_first.
-            want = T.H[n] / T.H[first]
-            if T.data[n][first] != want:
+            if row[first] != L * minors[n + 1] * minors[first]:
+                want = T.F.H[n] / T.F.H[first]
                 rep.violations.append(
                     Violation("band", (k, n, first), f"{T.data[n][first]} != H ratio {want}")
                 )
@@ -184,31 +193,34 @@ def check_recurrence_matrix(T: RecurrenceTruncation, A: Family, B: Family) -> Ch
     x_k B_n is row n of R_k applied to the B rows; x_k A_n is column n of R_k,
     that is row n of its transpose, applied to the A columns.  On a family's
     row, multiplying by x_k moves column c = K*r + i to n_plus(c, r, k), the
-    column of x_k times monomial K in slot i.  With the member n over d_n and
-    the weights R_k[n][i] / d_i brought to one common denominator, each
-    relation is one integer sum over the band per column.  validate_band
-    separately certifies that everything outside the band vanishes.  An
-    identity of coefficients holds at every point, so no pointwise check is
-    needed.
+    column of x_k times monomial K in slot i.  As R_k[m][i] = acc[m][i] /
+    (L Delta_{m+1} Delta_i), the relations of n for B and A are multiplied by
+    L Delta_{n+1} and L Delta_n; with member i over d_i, each is one integer sum
+    per column over the lcm of d_n and the Delta d_i.  validate_band certifies
+    that everything outside the band vanishes.  An identity of coefficients
+    holds at every point, so no pointwise check is needed.
     """
-    k = T.k
+    k, acc, L, minors = T.k, T.acc, T.L, T.F.minors
     rep = CheckReport(f"recurrence_matrix_T{k}")
     n_max = recurrence_n_max(T, len(A), len(B))
     if n_max == 0:
         rep.skipped.append("window too small for any recurrence row")
         return rep
-    R = T.R  # row n of R_k weighs B's rows, row n of R_k^T A's
-    relations = (("B", B, T.row_band, lambda n, i: R[n].get(i, ZERO)),
-                 ("A", A, T.col_band, lambda n, i: R[i].get(n, ZERO)))
-    for label, fam, band, weight in relations:
+    # (label, family, band, weights, offset of the relation's Delta, offset of each term's):
+    # row n of R_k weighs B's rows, row n of R_k^T A's
+    relations = (("B", B, T.row_band, acc, 1, 0), ("A", A, T.col_band, list(zip(*acc)), 0, 1))
+    for label, fam, band, weights, own, other in relations:
         r, rows = fam.r, fam.rows
         for n in range(n_max):
             lo, top = band(n)
-            terms = [(i, w) for i in range(lo, top + 1) if (w := weight(n, i)) != 0]
-            _, nums = common_denominator([rat(1, rows[n][0])] + [w / rows[i][0] for i, w in terms])
-            want = {n_plus(c, r, k): nums[0] * v for c, v in rows[n][1].items()}
+            terms = [(i, a, minors[i + other] * rows[i][0])
+                     for i in range(lo, top + 1) if (a := weights[n][i])]
+            den = lcm(rows[n][0], *(d for _, _, d in terms))
+            f = L * minors[n + own] * (den // rows[n][0])
+            want = {n_plus(c, r, k): f * v for c, v in rows[n][1].items()}
             got: dict[int, int] = {}
-            for (i, _), e in zip(terms, nums[1:]):
+            for i, a, d in terms:
+                e = a * (den // d)
                 for c, v in rows[i][1].items():
                     got[c] = got.get(c, 0) + e * v
             bad = {c % r for c in want.keys() | got.keys() if want.get(c, 0) != got.get(c, 0)}

@@ -503,8 +503,23 @@ def recurrence_oracle(S: list[list], S_inv: list[list], q: int, k: int, size: in
 
 def conjugate(T: RecurrenceTruncation) -> list[list]:
     """R_k = H^-1 T_k H: entry (m, n) is T_k[m][n] * H_n / H_m."""
-    H = T.H
+    H = T.F.H
     return [[t * H[n] / H[m] for n, t in enumerate(row)] for m, row in enumerate(T.data)]
+
+
+def planted_entry(T: RecurrenceTruncation, m: int, n: int, value) -> RecurrenceTruncation:
+    """T with the rational value planted at entry (m, n) of T_k, through its integers.
+
+    T_k[m][n] = acc[m][n] r_n / (Delta_m r_m Delta_{n+1} L) stays the same when
+    acc and L are scaled together, so both are scaled by the denominator that
+    makes value's acc an integer; every other entry keeps its value.
+    """
+    minors, r = T.F.minors, T.F.S_int.scale
+    a = as_rat(value) * minors[m] * r[m] * minors[n + 1] * T.L / r[n]
+    s = int(a.denominator)
+    acc = [[s * v for v in row] for row in T.acc]
+    acc[m][n] = int(a.numerator)
+    return RecurrenceTruncation(T.k, T.q, T.p, T.size, acc, s * T.L, T.F)
 
 
 def integrate_pair(mm: MeasureMatrix, left: BiPoly, b_idx: int, a_idx: int, right: BiPoly):

@@ -254,31 +254,32 @@ def test_criterion_6_cd_abc_reproduction_projection():
             for n in range(n_top + 1)
         }
 
-        for x in xs:
-            a_x = a_cache[x]
-            for y in ys:
-                b_y = b_cache[y]
+        for y in ys:
+            b_y = b_cache[y]
+            # sum_c R_k[m][c] B_c(y) over each block row m depends on y alone;
+            # a source-block row carries its minus sign
+            block_rows = {
+                (k, n): [(m, [sign * sum((v * b_y[c][b_idx] for c, v in zip(cols, r_row) if v != 0),
+                                         rat(0)) for b_idx in range(q)])
+                         for rows, cols, block, sign in (
+                             (blocks.tgt_rows, blocks.tgt_cols, blocks.r_tgt, 1),
+                             (blocks.src_rows, blocks.src_cols, blocks.r_src, -1))
+                         for m, r_row in zip(rows, block)]
+                for (k, n), blocks in blocks_kn.items()
+            }
+            for x in xs:
+                a_x = a_cache[x]
                 kern = [[rat(0)] * q for _ in range(p)]
                 for n in range(n_top + 1):
                     for a_idx in range(p):
                         for b_idx in range(q):
                             kern[a_idx][b_idx] += a_x[n][a_idx] * b_y[n][b_idx]
                     for k in (1, 2):
-                        blocks = blocks_kn[(k, n)]
+                        rows = block_rows[(k, n)]
                         factor = x[k - 1] - y[k - 1]
                         for a_idx in range(p):
                             for b_idx in range(q):
-                                rhs = rat(0)
-                                for bi, m in enumerate(blocks.tgt_rows):
-                                    for bj, c in enumerate(blocks.tgt_cols):
-                                        v = blocks.r_tgt[bi][bj]
-                                        if v != 0:
-                                            rhs += a_x[m][a_idx] * v * b_y[c][b_idx]
-                                for bi, m in enumerate(blocks.src_rows):
-                                    for bj, c in enumerate(blocks.src_cols):
-                                        v = blocks.r_src[bi][bj]
-                                        if v != 0:
-                                            rhs -= a_x[m][a_idx] * v * b_y[c][b_idx]
+                                rhs = sum((a_x[m][a_idx] * rb[b_idx] for m, rb in rows), rat(0))
                                 assert factor * kern[a_idx][b_idx] == rhs, (
                                     q, p, k, n, x, y,
                                 )
@@ -325,7 +326,7 @@ def test_criterion_7_worked_example_window():
                 if c == hi:
                     assert value == 1, (k, m, c)
                 elif m == n_plus(c, p, k):
-                    ratio = T.H[m] / T.H[c]
+                    ratio = T.F.H[m] / T.F.H[c]
                     assert value == ratio and value != 0, (k, m, c)
                 elif c < lo or c > hi:
                     assert value == 0, (k, m, c)

@@ -15,7 +15,7 @@ from steppoly.cdkernel import (
 )
 from steppoly.errors import Breakdown, DepthError
 from steppoly.moments import MomentTruncation
-from steppoly.recurrence import RecurrenceTruncation, recurrence_n_max
+from steppoly.recurrence import recurrence_n_max
 from steppoly.stepline import n_minus_big, n_plus
 
 from _support import (
@@ -26,6 +26,7 @@ from _support import (
     grid_values,
     kernel_sum,
     members,
+    planted_entry,
     poly,
 )
 
@@ -125,11 +126,11 @@ class TestCDBlocks:
         for bi, m in enumerate(blocks.tgt_rows):
             for bj, c in enumerate(blocks.tgt_cols):
                 assert t_tgt[bi][bj] == T[k].data[m][c]
-                assert blocks.r_tgt[bi][bj] == T[k].data[m][c] * T[k].H[c] / T[k].H[m]
+                assert blocks.r_tgt[bi][bj] == T[k].data[m][c] * T[k].F.H[c] / T[k].F.H[m]
         for bi, m in enumerate(blocks.src_rows):
             for bj, c in enumerate(blocks.src_cols):
                 assert t_src[bi][bj] == T[k].data[m][c]
-                assert blocks.r_src[bi][bj] == T[k].data[m][c] * T[k].H[c] / T[k].H[m]
+                assert blocks.r_src[bi][bj] == T[k].data[m][c] * T[k].F.H[c] / T[k].F.H[m]
 
     def test_window_guard(self):
         system, T = system_with_T(1, 1, 5, seed=86)
@@ -171,7 +172,7 @@ class TestCDFormula:
         assert rep.violations[0].where[:2] == (1, 2)
 
     def test_planted_entry_flags_exactly_its_blocks(self):
-        # one entry of T_k + 1, planted before R_k is first read: the (k, n)
+        # one entry of T_k + 1, planted into its integers: the (k, n)
         # whose blocks hold it fail at every pair, every other n passes, and
         # each call still counts one relation per pair.  The second (1, 2)
         # entry, row 7 column 2, lies in the n = 3 block but outside the band.
@@ -184,9 +185,7 @@ class TestCDFormula:
                 for m, c in entries:
                     system, T = system_with_T(q, p, 12, seed=87)
                     T = T[k]
-                    data = [row[:] for row in T.data]
-                    data[m][c] += 1
-                    bad = RecurrenceTruncation(k, q, p, T.size, data, T.H)
+                    bad = planted_entry(T, m, c, T.data[m][c] + 1)
                     pair_tables = tables(system, pairs, 12)
                     flagged = []
                     n = 0

@@ -43,6 +43,17 @@ def good_config(tmp_path, q=1, p=2, depth=DEPTH, seed=3, **extra):
     return path
 
 
+def shape_config(tmp_path, shape):
+    """The golden config, or a depth-16 table config of the (q, p) shape."""
+    if shape == "golden":
+        return GOLDEN_CONFIG
+    obj = config_json(table_mm(random.Random(909), *shape, required_depth(16, *shape)))
+    obj.update({"schema_version": 1, "depth": 16})
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps(obj))
+    return cfg
+
+
 def write_config(tmp_path, name, q, p, depth, cell):
     obj = {"schema_version": 1, "q": q, "p": p, "depth": depth,
            "measures": [[cell] * p for _ in range(q)]}
@@ -491,18 +502,37 @@ class TestRowsBuiltOnRead:
         assert rows_per_side() == [list(range(extended))] * 2
 
 
+class TestRecurrenceFormedOnRead:
+    """verify reads each T_k through its integers and forms no rational T_k,
+    the transposed one inside the dual check included; compute forms each
+    T_1 and T_2 once, for both of their exports."""
+
+    @pytest.mark.parametrize("shape", ["golden", (2, 3)])
+    def test_rationals_formed_for_the_exports_only(self, tmp_path, monkeypatch, shape):
+        cfg = shape_config(tmp_path, shape)
+        ws = Workspace(load_config(cfg))
+        nonzero = sum(t != 0 for k in (1, 2) for row in ws.T[k].data for t in row)
+        rats = []
+
+        def counting_rat(*args):
+            rats.append(args)
+            return rat(*args)
+
+        monkeypatch.setattr("steppoly.recurrence.rat", counting_rat)
+        assert main(["verify", "--config", str(cfg), "--checks", ",".join(CHECK_NAMES),
+                     "--out", str(tmp_path / "v")]) == 0
+        assert rats == []
+        assert main(["compute", "--config", str(cfg), "--out", str(tmp_path / "c")]) == 0
+        # one rat() per nonzero entry of T_1 and T_2, the JSON and CSV exports together
+        assert len(rats) == nonzero
+
+
 class TestCsvBytes:
     """export_csv joins its fields; csv.writer is the oracle for those bytes."""
 
     @pytest.mark.parametrize("shape", ["golden", (2, 3)])
     def test_matches_csv_writer(self, tmp_path, shape):
-        if shape == "golden":
-            cfg = GOLDEN_CONFIG
-        else:
-            obj = config_json(table_mm(random.Random(909), *shape, required_depth(16, *shape)))
-            obj.update({"schema_version": 1, "depth": 16})
-            cfg = tmp_path / "config.json"
-            cfg.write_text(json.dumps(obj))
+        cfg = shape_config(tmp_path, shape)
         ws = Workspace(load_config(cfg))
         kinds = [what for what in EXPORT_KINDS if what != "families"]
         for flags in ([], ["--render-decimal"]):

@@ -1,10 +1,12 @@
 """Recurrence matrices: band shape, dual agreement, and the relations themselves."""
 
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
 from steppoly import assemble_moments, build_recurrence, factorize, rat, required_depth
+from steppoly.cli import Workspace, load_config, run_checks
 from steppoly.families import Family, check_orthogonality
 from steppoly.errors import DepthError
 from steppoly.gaussborel import Factorization, IntegerSide
@@ -25,6 +27,7 @@ from _support import (
     conjugate,
     invert_unitriangular,
     members,
+    planted_entry,
     recurrence_oracle,
     transpose,
 )
@@ -95,6 +98,68 @@ class TestIntegerRoute:
         assert not check_dual_form(T, bad).ok
 
 
+class TestIntegerIdentities:
+    """The identities through which the checks read T_k's integers acc and L
+    (recurrence module docstring), against the rational T_k and its conjugate."""
+
+    @pytest.mark.parametrize("kind", ["mixed", "table"])
+    @pytest.mark.parametrize("D", [8, 16])
+    def test_every_shape_and_direction(self, kind, D):
+        for q, p in SHAPES:
+            F = build_system(q, p, required_depth(D, q, p), seed=73, kind=kind).F
+            minors, r, H = F.minors, F.S_int.scale, F.H
+            for k in (1, 2):
+                T = build_recurrence(F, q, p, k, D)
+                acc, L = T.acc, T.L
+                assert conjugate(T) == [[rat(acc[m][n], L * minors[n] * minors[m + 1])
+                                         for n in range(D)] for m in range(D)], (kind, q, p, k)
+                dual = build_recurrence(F.transpose(), p, q, k, D)
+                assert dual.L == 1
+                assert [[L * v for v in col] for col in zip(*dual.acc)] == acc, (kind, q, p, k)
+                boxed = 0
+                for n in range(D):
+                    first, last = T.row_band(n)
+                    if last < D:
+                        assert T.data[n][last] == 1
+                        assert acc[n][last] * r[last] == minors[n] * r[n] * minors[last + 1] * L
+                    if in_complement_J(n, p, k):
+                        assert T.data[n][first] == H[n] / H[first]
+                        assert acc[n][first] == L * minors[n + 1] * minors[first]
+                        boxed += 1
+                assert boxed, (kind, q, p, k)
+
+
+class TestFailureText:
+    """report.json's details for faults planted into T_1 of the golden config:
+    the first violation of each check that reads T_k's integers, word for word."""
+
+    GOLDEN = Path(__file__).resolve().parent / "golden" / "config.json"
+    CASES = [  # (check, m, n, planted value from the clean entry, details)
+        ("dual", 4, 3, lambda v: v + rat(1, 11),
+         "1 violation(s); first at (1, 4, 3): primal -435643697232509454037/154163879294717292"
+         " != dual -39605246557329741419/14014898117701572"),
+        ("band", 5, 1, lambda v: rat(1, 9),
+         "1 violation(s); first at (1, 5, 1): outside band: 1/9"),
+        ("band", 2, 4, lambda v: rat(2),
+         "1 violation(s); first at (1, 2, 4): trailing entry 2 != 1"),
+        ("band", 2, 0, lambda v: v + rat(1, 5),
+         "1 violation(s); first at (1, 2, 0): -2825533/238700 != H ratio -2873273/238700"),
+        ("recurrence", 4, 3, lambda v: v + rat(1, 11),
+         "2 violation(s); first at (1, 'A', 3, 0): coefficient mismatch"),
+        ("cd", 4, 3, lambda v: v + rat(1, 11),
+         "5 violation(s); first at (1, 3, '(5/3, 23/12)', '(20, 5/8)'):"
+         " (x_k - y_k) K^[n] != block sum"),
+    ]
+
+    def test_first_violation_details(self):
+        ws = Workspace(load_config(self.GOLDEN))
+        T = ws.T[1]
+        for check, m, n, value, details in self.CASES:
+            ws.T[1] = planted_entry(T, m, n, value(T.data[m][n]))
+            assert run_checks(ws, [check]) == [
+                {"name": check, "status": "fail", "details": details}], (check, m, n)
+
+
 class TestLebesgueAnchor:
     def test_hand_computed_row(self):
         # x1 B_3 expands through positions 1 and 6 only, with weight 4/15 at 1
@@ -141,12 +206,6 @@ def col_relations(T: RecurrenceTruncation) -> Counter:
     return out
 
 
-def planted(T: RecurrenceTruncation, m: int, n: int, value) -> RecurrenceTruncation:
-    data = [row[:] for row in T.data]
-    data[m][n] = value
-    return RecurrenceTruncation(T.k, T.q, T.p, T.size, data, T.H)
-
-
 class TestBandStructure:
     def test_column_relations_are_row_relations(self):
         # validate_band checks rows only; this is the index map that makes the
@@ -154,7 +213,7 @@ class TestBandStructure:
         for q, p in SHAPES:
             for k in (1, 2):
                 for D in range(1, 31):
-                    T = RecurrenceTruncation(k, q, p, D, [], [])
+                    T = RecurrenceTruncation(k, q, p, D, [], 1, None)
                     outside_rows = {e for (e, want) in row_relations(T) if want == 0}
                     outside_cols = {e for (e, want) in col_relations(T) if want == 0}
                     assert outside_rows == outside_cols, (q, p, k, D)
@@ -188,7 +247,7 @@ class TestBandStructure:
                         entries.append((n, outside[0], rat(1, 9)))
                 assert entries
                 for m, n, value in entries:
-                    rep = validate_band(planted(T, m, n, value))
+                    rep = validate_band(planted_entry(T, m, n, value))
                     assert [v.where for v in rep.violations] == [(k, m, n)], (q, p, k, m, n)
                     assert rep.checked == validate_band(T).checked
 
@@ -213,18 +272,14 @@ class TestBandStructure:
     def test_planted_band_violation_detected(self):
         system = build_system(1, 1, required_depth(8, 1, 1), seed=64)
         T = build_recurrence(system.F, 1, 1, 1, 8)
-        data = [row[:] for row in T.data]
         lo, _ = T.row_band(5)
-        data[5][lo - 1] = rat(1, 9)  # outside the band
-        bad = RecurrenceTruncation(T.k, T.q, T.p, T.size, data, T.H)
+        bad = planted_entry(T, 5, lo - 1, rat(1, 9))  # outside the band
         assert not validate_band(bad).ok
 
     def test_planted_trailing_one_violation_detected(self):
         system = build_system(1, 1, required_depth(8, 1, 1), seed=64)
         T = build_recurrence(system.F, 1, 1, 1, 8)
-        data = [row[:] for row in T.data]
-        data[2][n_plus(2, 1, 1)] = rat(2)
-        bad = RecurrenceTruncation(T.k, T.q, T.p, T.size, data, T.H)
+        bad = planted_entry(T, 2, n_plus(2, 1, 1), rat(2))
         assert not validate_band(bad).ok
 
     def test_column_h_ratios(self):
@@ -233,7 +288,7 @@ class TestBandStructure:
         for n in range(12):
             _, hi = T.col_band(n)
             if hi < 12:
-                assert T.data[hi][n] == T.H[hi] / T.H[n], n
+                assert T.data[hi][n] == T.F.H[hi] / T.F.H[n], n
 
 
 class TestDualForm:
@@ -250,9 +305,7 @@ class TestDualForm:
     def test_planted_mismatch_located(self):
         system = build_system(2, 3, required_depth(8, 2, 3), seed=66)
         T = build_recurrence(system.F, 2, 3, 2, 8)
-        data = [row[:] for row in T.data]
-        data[5][3] += rat(1, 7)
-        bad = RecurrenceTruncation(T.k, T.q, T.p, T.size, data, T.H)
+        bad = planted_entry(T, 5, 3, T.data[5][3] + rat(1, 7))
         rep = check_dual_form(bad, system.F)
         assert [v.where for v in rep.violations] == [(2, 5, 3)]
         assert rep.checked == 64
@@ -306,10 +359,9 @@ class TestRelations:
         D = 10
         system = build_system(q, p, required_depth(D, q, p), seed=69)
         T = build_recurrence(system.F, q, p, 1, D)
-        data = [row[:] for row in T.data]
         lo, hi = T.row_band(4)
-        data[4][lo] += rat(1, 11)  # inside the band, so only the relations can see it
-        bad = RecurrenceTruncation(T.k, T.q, T.p, T.size, data, T.H)
+        # inside the band, so only the relations can see it
+        bad = planted_entry(T, 4, lo, T.data[4][lo] + rat(1, 11))
         assert not check_recurrence_matrix(bad, system.A, system.B).ok
 
     def test_covers_every_relation_below_n_max(self):
@@ -332,10 +384,8 @@ class TestRelations:
             D = 14
             system = build_system(q, p, required_depth(D, q, p), seed=69)
             T = build_recurrence(system.F, q, p, k, D)
-            data = [row[:] for row in T.data]
             lo, _ = T.row_band(4)
-            data[4][lo] += rat(1, 11)
-            bad = RecurrenceTruncation(T.k, T.q, T.p, T.size, data, T.H)
+            bad = planted_entry(T, 4, lo, T.data[4][lo] + rat(1, 11))
             where = {v.where for v in check_recurrence_matrix(bad, system.A, system.B).violations}
             assert any(w[:3] == (k, "B", 4) for w in where), (q, p, k)
             assert all(w[:3] in {(k, "B", 4), (k, "A", lo)} for w in where), (q, p, k, where)
