@@ -21,7 +21,7 @@ import math
 import random
 import sys
 import time
-from functools import cached_property
+from functools import cache, cached_property
 from pathlib import Path
 from typing import NamedTuple
 
@@ -459,6 +459,10 @@ def _cmd_kernel(args) -> int:
     return 0
 
 
+# Built on the first main() call and reused by every later one: importing the
+# module builds nothing.  A handler reads this module's names when it runs, so a
+# name rebound after the parser was built still reaches it.
+@cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="steppoly",

@@ -9,10 +9,12 @@ x^(i-j) y^j with (i, j) = pair_of(K).
 Anything else can be supplied as a table.
 
 Both Discrete and RectDensity moments are read off integer power tables, one
-per coordinate, as one integer sum followed by one rational per moment.  The
-tables are built on the first moment() call and grown on demand, so loading a
-config does no moment work.  No moment is cached: assemble_moments caches each
-block by its exponent pair, so it asks a measure for each (s, t) once.
+per coordinate, as one integer sum followed by one rational per moment; a
+Discrete x table keeps each power row multiplied by the weights, so a moment
+multiplies one row by a y row.  The tables are built on the first moment()
+call and grown on demand, so loading a config does no moment work.  No moment
+is cached: assemble_moments caches each block by its exponent pair, so it asks
+a measure for each (s, t) once.
 """
 
 from __future__ import annotations
@@ -28,16 +30,17 @@ from .stepline import pair_of
 
 class PowerTable:
     """Powers of a list of rationals, scaled to integers by the lcm den of their
-    denominators: row(e)[a] / den**e is value a to the e-th power."""
+    denominators and multiplied by an integer row w (all ones by default):
+    row(e)[a] / den**e is w[a] times value a to the e-th power."""
 
-    def __init__(self, values):
-        self.den, nums = common_denominator(values)
-        self._rows = [[1] * len(nums), nums]
+    def __init__(self, values, weights=None):
+        self.den, self._nums = common_denominator(values)
+        self._rows = [weights or [1] * len(self._nums)]
 
     def row(self, e: int) -> list[int]:
         rows = self._rows
         while len(rows) <= e:
-            rows.append(list(map(mul, rows[-1], rows[1])))
+            rows.append(list(map(mul, rows[-1], self._nums)))
         return rows[e]
 
 
@@ -50,10 +53,12 @@ class Discrete:
 
     def moment(self, s: int, t: int):
         if self._scaled is None:
-            self._scaled = [PowerTable([atom[c] for atom in self.atoms]) for c in range(3)]
-        xs, ys, ws = self._scaled
-        total = sum(map(mul, ws.row(1), map(mul, xs.row(s), ys.row(t))))
-        return rat(total, ws.den * xs.den ** s * ys.den ** t)
+            w_den, w_nums = common_denominator(w for _, _, w in self.atoms)
+            self._scaled = (w_den, PowerTable([x for x, _, _ in self.atoms], w_nums),
+                            PowerTable([y for _, y, _ in self.atoms]))
+        w_den, wxs, ys = self._scaled
+        total = sum(map(mul, wxs.row(s), ys.row(t)))
+        return rat(total, w_den * wxs.den ** s * ys.den ** t)
 
 
 class RectDensity:
@@ -121,6 +126,24 @@ class MomentTable:
 MeasureSpec = (Discrete, RectDensity, MomentTable)
 
 
+def _exponent_pair(key: str) -> tuple[int, int]:
+    s, t = key.split(",")
+    return int(s), int(t)
+
+
+def _read_keyed(entries: Mapping, read_key, what: str, entry: str) -> dict:
+    """{read_key(key): rational value}; two keys that read alike, such as "0" and
+    "00", are an error, never one silently dropped."""
+    out = {read_key(key): parse_rat(v) for key, v in entries.items()}
+    if len(out) < len(entries):
+        first = {}
+        for key in entries:
+            other = first.setdefault(read_key(key), key)
+            if other != key:
+                raise ValueError(f"{what} keys {other!r} and {key!r} name the same {entry}")
+    return out
+
+
 def measure_from_json(obj: Mapping) -> object:
     """Build a measure from its JSON config fragment."""
     if not isinstance(obj, Mapping) or "type" not in obj:
@@ -137,15 +160,12 @@ def measure_from_json(obj: Mapping) -> object:
             box = obj["box"]
             if len(box) != 4:
                 raise ConfigError("rect box must have four entries")
-            density = {int(K): parse_rat(v) for K, v in obj["density"].items()}
+            density = _read_keyed(obj["density"], int, "density", "position")
             if any(K < 0 for K in density):
                 raise ValueError(f"negative monomial position in {sorted(density)}")
             return RectDensity(*(parse_rat(v) for v in box), density)
         if kind == "table":
-            moments = {}
-            for key, v in obj["moments"].items():
-                s, t = key.split(",")
-                moments[(int(s), int(t))] = parse_rat(v)
+            moments = _read_keyed(obj["moments"], _exponent_pair, "moment", "moment")
             deg = obj["max_total_deg"]
             if type(deg) is not int:
                 raise ValueError(f"max_total_deg {deg!r} is not an integer")

@@ -246,6 +246,13 @@ class TestConfigErrors:
         ({"p": True}, "bad measure matrix"),
         ({"measures": [[{"type": "table", "max_total_deg": 4.9, "moments": {"0,0": "1"}}]]},
          "bad measure spec (table)"),
+        # two keys naming one entry: keeping the last would drop a value without a word
+        ({"measures": [[{"type": "rect", "box": ["0", "1", "0", "1"],
+                         "density": {"0": "1", "00": "2"}}]]},
+         "bad measure spec (rect): density keys '0' and '00' name the same position"),
+        ({"measures": [[{"type": "table", "max_total_deg": 4,
+                         "moments": {"0,0": "1", "1,0": "2", " 1,0": "3"}}]]},
+         "bad measure spec (table): moment keys '1,0' and ' 1,0' name the same moment"),
     ])
     def test_malformed_values_exit_three(self, tmp_path, capsys, extra, message):
         obj = {"schema_version": 1, "q": 1, "p": 1, "depth": 2,
@@ -760,6 +767,55 @@ class TestConsoleScript:
             env=checkout_env(),
         )
         assert proc.returncode == 2
+
+
+# Counts every ArgumentParser built: after import and load_config, then after
+# each of two main() calls.
+COUNT_PARSERS = """\
+import argparse, io, sys
+from contextlib import redirect_stdout
+built = []
+init = argparse.ArgumentParser.__init__
+def counting(self, *args, **kwargs):
+    built.append(self)
+    init(self, *args, **kwargs)
+argparse.ArgumentParser.__init__ = counting
+from steppoly import cli
+cli.load_config(sys.argv[1])
+counts = [len(built)]
+for argv in (["verify", "--config", sys.argv[1], "--checks", "degree"],
+             ["kernel", "--config", sys.argv[1], "--n", "1", "--x", "1,2", "--y", "3,4"]):
+    with redirect_stdout(io.StringIO()):
+        assert cli.main(argv) == 0
+    counts.append(len(built))
+print(*counts)
+"""
+
+
+class TestRepeatedMain:
+    def test_parser_built_once_and_not_at_import(self):
+        proc = subprocess.run([sys.executable, "-c", COUNT_PARSERS, str(GOLDEN_CONFIG)],
+                              capture_output=True, text=True, env=checkout_env(), check=True)
+        at_import, first, second = map(int, proc.stdout.split())
+        assert at_import == 0
+        assert first > 0
+        assert second == first
+
+    def test_successive_calls_are_independent(self, tmp_path, capsys):
+        golden = GOLDEN_CONFIG.parent
+        assert main(["frobnicate"]) == 3
+        assert main(["verify", "--config", str(GOLDEN_CONFIG), "--checks", "hankel",
+                     "--seed", "3"]) == 0
+        assert main(["verify", "--config", str(GOLDEN_CONFIG), "--out", str(tmp_path)]) == 0
+        assert (tmp_path / "report.json").read_bytes() == (golden / "report.json").read_bytes()
+        capsys.readouterr()
+        for _ in range(2):
+            assert main(["kernel", "--config", str(GOLDEN_CONFIG), "--n", "4",
+                         "--x", "1/2,-1/3", "--y", "2/7,1/5"]) == 0
+            assert capsys.readouterr().out == (golden / "kernel.json").read_text()
+        for _ in range(2):
+            assert main(["--help"]) == 0
+            assert capsys.readouterr().out.startswith("usage: steppoly")
 
 
 def test_import_loads_no_code_introspection():

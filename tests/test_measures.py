@@ -239,6 +239,22 @@ class TestJson:
             for K in range(4):
                 assert back.moment_block(I, K) == mm.moment_block(I, K)
 
+    @pytest.mark.parametrize("cell, keys", [
+        ({"type": "rect", "box": ["0", "1", "0", "1"], "density": {"0": "1", "00": "2"}},
+         ("'0'", "'00'")),
+        ({"type": "rect", "box": ["0", "1", "0", "1"], "density": {"4": "1", " 4": "2"}},
+         ("'4'", "' 4'")),
+        ({"type": "table", "max_total_deg": 2, "moments": {"1,0": "1", "01,0": "2"}},
+         ("'1,0'", "'01,0'")),
+        ({"type": "table", "max_total_deg": 2, "moments": {"1,0": "1", " 1,0": "2"}},
+         ("'1,0'", "' 1,0'")),
+    ])
+    def test_key_named_twice_rejected(self, cell, keys):
+        # two spellings of one position or moment: keeping the last would drop a value
+        with pytest.raises(ConfigError) as info:
+            measure_from_json(cell)
+        assert all(key in str(info.value) for key in keys)
+
     def test_bad_specs_rejected(self):
         with pytest.raises(ConfigError):
             measure_from_json({"type": "mystery"})
