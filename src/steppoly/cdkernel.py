@@ -77,8 +77,8 @@ def _require_tabled(tables: list[KernelTable], count: int) -> None:
 def kernel_eval(M: MomentTruncation, x: tuple, y: tuple) -> list[list]:
     """K^[D-1](x, y) = X_[p](x)^T M^-1 X_[q](y) for a depth-D truncation M, exactly.
 
-    Row m of M is scaled to integers by the lcm r_m of its denominators, as in
-    factorize, and bordered by q columns and p rows: with integer monomial
+    Row m of M's integers, M.ints[m] = r_m M[m] with r_m = M.scale[m], is
+    copied and bordered by q columns and p rows: with integer monomial
     tables X / d_x and Y / d_y, column b holds r_m Y[m // q] in the rows with
     m % q = b, and row a holds X[m // p] in the columns with m % p = a.  D
     steps of eliminate leave Delta_D times the Schur complement
@@ -89,8 +89,7 @@ def kernel_eval(M: MomentTruncation, x: tuple, y: tuple) -> list[list]:
     d_x, X = monomial_ints(x, (D - 1) // p + 1)
     d_y, Y = monomial_ints(y, (D - 1) // q + 1)
     rows = []
-    for m, row in enumerate(M.data):
-        r_m, nums = common_denominator(as_rat(v) for v in row)
+    for m, (r_m, nums) in enumerate(zip(M.scale, M.ints)):
         border = [0] * q
         border[m % q] = r_m * Y[m // q]
         rows.append(nums + border)
@@ -173,12 +172,13 @@ def check_cd_formula(T: RecurrenceTruncation, n: int, tables: list[KernelTable])
 def check_abc(M: MomentTruncation, n: int, tables: list[KernelTable]) -> CheckReport:
     """Tabled K^[n] equals the inverse-moment form at every point pair, exactly.
 
-    The oracle reads only the moments, never the factorization.  Row m of the
-    D = n+1 corner of M is scaled to integers by the lcm r_m of its
-    denominators, Mi = diag(r) M, and bordered by identity blocks: rows
-    Mi[m] + e_m for m < D, then e_a + [0]*D for a < D.  D steps of eliminate
-    leave Delta_D times the Schur complement -Mi^-1, that is -adj(Mi), in the
-    lower right block, once for all pairs.  So M^-1 = adj diag(r) / Delta_D,
+    The oracle reads only the moments, never the factorization.  The D = n+1
+    corner is sliced out of M's integers: Mi[m] is M.ints[m][:D], the corner's
+    row m times r_m = M.scale[m], so Mi = diag(r) M on the corner.  It is
+    bordered by identity blocks: rows Mi[m] + e_m for m < D, then e_a + [0]*D
+    for a < D.  D steps of eliminate leave Delta_D times the Schur complement
+    -Mi^-1, that is -adj(Mi), in the lower right block, once for all pairs.
+    So M^-1 = adj diag(r) / Delta_D,
     and with det = -Delta_D the block itself stands for adj.  A vanishing
     leading minor raises the Breakdown factorize would.  Row m of X_[p]^T(x)
     has one nonzero, the monomial at position m // p, in slot m % p; with
@@ -187,12 +187,13 @@ def check_abc(M: MomentTruncation, n: int, tables: list[KernelTable]) -> CheckRe
     over m = i (mod p) and m' = j (mod q).
     """
     p, q, D = M.p, M.q, n + 1
+    if D > M.depth:
+        raise DepthError(f"corner {D} exceeds depth {M.depth}", required=D)
     _require_tabled(tables, D)
-    scaled = [common_denominator(row) for row in M.corner(D).data]
-    rows = [nums + [int(m == j) for j in range(D)] for m, (_, nums) in enumerate(scaled)]
+    rows = [M.ints[m][:D] + [int(m == j) for j in range(D)] for m in range(D)]
     rows += [[int(a == j) for j in range(D)] + [0] * D for a in range(D)]
     det = -eliminate(rows, D)[D]
-    weighted = [[v * r for v, (r, _) in zip(row[D:], scaled)] for row in rows[D:]]  # adj diag(r)
+    weighted = [[v * r for v, r in zip(row[D:], M.scale)] for row in rows[D:]]  # adj diag(r)
     rep = CheckReport("abc")
     for table in tables:
         x, y = table.x, table.y

@@ -24,9 +24,9 @@ identity.  The orthogonality residuals are the strictly lower parts of C_B M
 and of C_A M^T, whose entry (n, K*q + b) integrates A_n against the monomial
 at position K in slot b.  Every residual is a finite rational combination of
 moments and must be exactly zero.  The checks read the rows extract_families
-returns, so it stays under test.  The products run over integers: each row
-of M is scaled by the lcm of its denominators, so an entry is one integer
-inner sum and one rat().
+returns, so it stays under test.  The products run over M's integer rows
+(M.scale and M.ints, scaled once when M is built), so an entry is one
+integer inner sum and one rat().
 """
 
 from __future__ import annotations
@@ -170,20 +170,20 @@ def moment_rows(fam: Family, M: MomentTruncation, cols: int) -> list[tuple[int, 
 
     Entry (n, K*p + a) is the sum over b of the integral of component b of
     member n against measure (b, a) times the monomial at position K.  Row n
-    comes as (d, nums), the entries being nums / d: row c of M is scaled to
-    integers by the lcm s_c of its denominators, and row n of C, over d_n, is
-    brought to the denominator d_n times the lcm of the s_c it meets, so every
-    entry is one integer sum.
+    comes as (d, nums), the entries being nums / d: row c of M is M.ints[c]
+    over s_c = M.scale[c], and row n of C, over d_n, is brought to the
+    denominator d_n times the lcm of the s_c it meets, so every entry is one
+    integer sum.
     """
     width = _width(fam)
     if max(width, cols) > M.depth:
         raise DepthError(f"pairing needs a moment truncation of depth {max(width, cols)}, "
                          f"got {M.depth}", required=max(width, cols))
-    scaled_m = [common_denominator(row[:cols]) for row in M.data[:width]]
+    scale, ints = M.scale, M.ints
     out = []
     for d, row in fam.rows:
-        big = lcm(*(scaled_m[c][0] for c in row))
-        terms = [(v * (big // scaled_m[c][0]), scaled_m[c][1]) for c, v in row.items()]
+        big = lcm(*(scale[c] for c in row))
+        terms = [(v * (big // scale[c]), ints[c]) for c, v in row.items()]
         out.append((d * big, [sum(v * m_row[m] for v, m_row in terms) for m in range(cols)]))
     return out
 

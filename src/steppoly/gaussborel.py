@@ -7,11 +7,12 @@ a vanishing leading minor, and nothing is left behind.  Elimination never
 pivots, because pivoting would destroy the unitriangular normalization that
 defines the polynomial families.
 
-Each row n of the truncation is scaled to integers by the lcm r_n of its
-denominators, Mi = diag(r) M, and one Bareiss elimination (eliminate) runs on
-the rows of Mi (E. H. Bareiss, "Sylvester's identity and multistep
-integer-preserving Gaussian elimination", Math. Comp. 22, 1968).  Every
-intermediate is a minor of Mi, so the arithmetic stays in exact integers.
+factorize reads the truncation's integer rows (moments.MomentTruncation):
+r = M.scale holds the lcm r_n of row n's denominators, Mi = diag(r) M is
+M.ints, and one Bareiss elimination (eliminate) runs on a copy of the rows of
+Mi (E. H. Bareiss, "Sylvester's identity and multistep integer-preserving
+Gaussian elimination", Math. Comp. 22, 1968).  Every intermediate is a minor
+of Mi, so the arithmetic stays in exact integers.
 eliminate is the one elimination loop: cdkernel.kernel_eval runs it on the
 same rows bordered by two points' monomials, and cdkernel.check_abc on the
 rows bordered by identity blocks, so all three raise the same Breakdown on a
@@ -47,8 +48,8 @@ factors are read off those integers:
 - the multiplier Mi[i][k] of step k is Delta_{k+1} r_i / r_k * S^-1[i][k],
   and Mi[k][i] is Delta_{k+1} Sbar^-1[i][k].
 
-One lcm per row rather than one for the whole truncation keeps the minors
-small: scaling by a single den multiplies Delta_n by den^n.
+The truncation's one lcm per row, rather than one for the whole truncation,
+keeps the minors small: scaling by a single den multiplies Delta_n by den^n.
 
 Factorization keeps H as rationals and otherwise only the integers of the
 elimination, in the fraction-free LU form of Nakos, Turner and Williams (ACM
@@ -85,7 +86,7 @@ from typing import NamedTuple
 
 from .errors import Breakdown
 from .moments import MomentTruncation
-from .rational import ONE, ZERO, as_rat, common_denominator, rat
+from .rational import ONE, ZERO, rat
 
 
 class LazyRows:
@@ -235,15 +236,13 @@ def eliminate(rows: list[list[int]], steps: int) -> list[int]:
     return minors
 
 
-def factorize(M: MomentTruncation | list[list]) -> Factorization:
-    """Fraction-free unpivoted LU; Breakdown(k) when the leading minor of size k+1 vanishes."""
-    data = M.data if isinstance(M, MomentTruncation) else M
-    D = len(data)
-    if any(len(row) != D for row in data):
+def factorize(M: MomentTruncation) -> Factorization:
+    """Fraction-free unpivoted LU of M's integer rows; Breakdown(k) when the
+    leading minor of size k+1 vanishes."""
+    D, r = M.depth, M.scale
+    if len(M.ints) != D or any(len(row) != D for row in M.ints):
         raise ValueError("factorize needs a square truncation")
-    scaled = [common_denominator(as_rat(v) for v in row) for row in data]
-    r = [r_n for r_n, _ in scaled]
-    Mi = [row for _, row in scaled]
+    Mi = [row[:] for row in M.ints]  # eliminated in place; M's rows stay as built
     minors = eliminate(Mi, D)
     # Column c of each side's L_inv, from the diagonal down: the S side reads
     # the columns of Mi's lower part, the Sbar side the rows of its upper part.

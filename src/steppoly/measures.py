@@ -19,6 +19,7 @@ a measure for each (s, t) once.
 
 from __future__ import annotations
 
+import re
 from math import lcm
 from operator import mul
 from typing import Mapping, Sequence
@@ -126,8 +127,20 @@ class MomentTable:
 MeasureSpec = (Discrete, RectDensity, MomentTable)
 
 
+_KEY_NUMBER = re.compile(r"\s*[0-9]+\s*")  # ASCII digits: no sign, no "_", not \d
+
+
+def _position(key: str) -> int:
+    if not _KEY_NUMBER.fullmatch(key):
+        raise ValueError(f"density key {key!r} is not a position in ASCII digits")
+    return int(key)
+
+
 def _exponent_pair(key: str) -> tuple[int, int]:
-    s, t = key.split(",")
+    parts = key.split(",")
+    if len(parts) != 2 or not all(map(_KEY_NUMBER.fullmatch, parts)):
+        raise ValueError(f"moment key {key!r} is not two exponents s,t in ASCII digits")
+    s, t = parts
     return int(s), int(t)
 
 
@@ -160,9 +173,7 @@ def measure_from_json(obj: Mapping) -> object:
             box = obj["box"]
             if len(box) != 4:
                 raise ConfigError("rect box must have four entries")
-            density = _read_keyed(obj["density"], int, "density", "position")
-            if any(K < 0 for K in density):
-                raise ValueError(f"negative monomial position in {sorted(density)}")
+            density = _read_keyed(obj["density"], _position, "density", "position")
             return RectDensity(*(parse_rat(v) for v in box), density)
         if kind == "table":
             moments = _read_keyed(obj["moments"], _exponent_pair, "moment", "moment")

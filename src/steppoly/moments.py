@@ -12,20 +12,31 @@ from __future__ import annotations
 
 from .errors import DepthError
 from .measures import MeasureMatrix
+from .rational import common_denominator
 from .report import CheckReport, Violation
 from .stepline import n_plus, pair_of
 
 
 class MomentTruncation:
-    """Dense D x D leading corner of the scalar-indexed moment matrix."""
+    """Dense D x D leading corner of the scalar-indexed moment matrix.
 
-    __slots__ = ("depth", "q", "p", "data")
+    Each row m is scaled to integers once, when the truncation is built:
+    scale[m] is the lcm of row m's denominators, data[m][n] = ints[m][n] /
+    scale[m].  Every reader of integer moments reads these; a reader that
+    eliminates works on its own copy.  The transpose is built once, on first call.
+    """
+
+    __slots__ = ("depth", "q", "p", "data", "scale", "ints", "_transposed")
 
     def __init__(self, depth: int, q: int, p: int, data: list[list]):
         self.depth = depth
         self.q = q
         self.p = p
         self.data = data
+        scaled = [common_denominator(row) for row in data]
+        self.scale = [r for r, _ in scaled]
+        self.ints = [nums for _, nums in scaled]
+        self._transposed = None
 
     def corner(self, d: int) -> "MomentTruncation":
         if d > self.depth:
@@ -34,7 +45,10 @@ class MomentTruncation:
 
     def transpose(self) -> "MomentTruncation":
         """The truncation of the transposed measure matrix, p x q blocks."""
-        return MomentTruncation(self.depth, self.p, self.q, [list(col) for col in zip(*self.data)])
+        if self._transposed is None:
+            self._transposed = MomentTruncation(self.depth, self.p, self.q,
+                                                [list(col) for col in zip(*self.data)])
+        return self._transposed
 
 
 def assemble_moments(mm: MeasureMatrix, depth: int) -> MomentTruncation:

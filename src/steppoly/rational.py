@@ -36,7 +36,7 @@ except ImportError:
 ZERO = rat(0)
 ONE = rat(1)
 
-_RAT_RE = re.compile(r"^[+-]?\d+(/\d+)?$")
+_RAT_RE = re.compile(r"^[+-]?[0-9]+(/[0-9]+)?$")  # ASCII digits only, not \d
 
 
 def _int(text: str) -> int:

@@ -142,7 +142,7 @@ def test_criterion_2_factorization_suite():
             assert S_inv == invert_unitriangular(S), (q, p, seed)
             assert Sbar_inv == invert_unitriangular(Sbar), (q, p, seed)
             for d in range(1, extended):
-                Fd = factorize(corner(M.data, d))
+                Fd = factorize(M.corner(d))
                 assert Fd.S == corner(S, d)
                 assert Fd.Sbar == corner(Sbar, d)
                 assert Fd.H == F.H[:d]

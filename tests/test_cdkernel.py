@@ -49,6 +49,25 @@ def system_with_T(q: int, p: int, window: int, seed: int):
     return system, T
 
 
+class TestSharedRows:
+    """A truncation's integer rows are the shared moment oracle: the readers
+    that eliminate work on copies and leave them as built."""
+
+    @pytest.mark.parametrize("kind", ["mixed", "table"])
+    def test_readers_leave_the_rows_unchanged(self, kind):
+        for q, p in SHAPES:
+            system = build_system(q, p, 10, seed=97, kind=kind)
+            # a fresh truncation, so a reader that did write would not reach the cached system
+            M = MomentTruncation(system.M.depth, q, p, [row[:] for row in system.M.data])
+            ints, scale = [row[:] for row in M.ints], M.scale[:]
+            pair_tables = tables(system, [(X, Y)], M.depth)
+            factorize(M)
+            kernel_eval(M, X, Y)
+            for n in range(M.depth):
+                assert check_abc(M, n, pair_tables).ok, (kind, q, p, n)
+            assert (M.ints, M.scale) == (ints, scale), (kind, q, p)
+
+
 class TestKernelEval:
     def test_matches_term_sum(self):
         system = build_system(2, 3, 8, seed=81)
@@ -163,6 +182,9 @@ class TestCDFormula:
             check_cd_formula(T[1], 3, tables(system, [(X, Y)], blocks.top))
         with pytest.raises(DepthError):
             check_abc(system.M, 4, tables(system, [(X, Y)], 4))
+        # a corner deeper than the truncation is rejected, never sliced short
+        with pytest.raises(DepthError):
+            check_abc(system.M.corner(4), 4, tables(system, [(X, Y)], 5))
 
     def test_detects_wrong_families(self):
         system, T = system_with_T(1, 1, 10, seed=89)

@@ -22,7 +22,7 @@ from steppoly.cli import (CHECK_NAMES, EXPORT_KINDS, RunConfig, Workspace, _deci
 from steppoly.errors import ConfigError, DepthError
 from steppoly.gaussborel import _factor_row, unit_lower
 from steppoly.measures import measure_from_json
-from steppoly.rational import BACKEND, parse_rat
+from steppoly.rational import BACKEND, common_denominator, parse_rat
 from steppoly.report import CheckReport, Violation
 
 from _support import (BiPoly, build_system, config_json, corner, csv_writer_text,
@@ -231,7 +231,7 @@ class TestConfigErrors:
         ({"measures": [[{"type": "rect", "box": ["0", "1", "0", "1"], "density": ["1"]}]]},
          "bad measure spec (rect)"),
         ({"measures": [[{"type": "rect", "box": ["0", "1", "0", "1"], "density": {"-1": "1"}}]]},
-         "bad measure spec (rect): negative monomial position"),
+         "bad measure spec (rect): density key '-1' is not a position in ASCII digits"),
         ({"depth": float("inf")}, "bad depth"),
         ({"seed": float("inf")}, "bad seed"),
         ({"q": float("inf")}, "bad measure matrix"),
@@ -253,6 +253,27 @@ class TestConfigErrors:
         ({"measures": [[{"type": "table", "max_total_deg": 4,
                          "moments": {"0,0": "1", "1,0": "2", " 1,0": "3"}}]]},
          "bad measure spec (table): moment keys '1,0' and ' 1,0' name the same moment"),
+        # a key is ASCII digits with optional surrounding whitespace: int() would
+        # read "1_0" as 10, "+2" as 2 and an Arabic-Indic three as 3
+        ({"measures": [[{"type": "rect", "box": ["0", "1", "0", "1"], "density": {"1_0": "1"}}]]},
+         "bad measure spec (rect): density key '1_0' is not a position in ASCII digits"),
+        ({"measures": [[{"type": "rect", "box": ["0", "1", "0", "1"], "density": {"+2": "1"}}]]},
+         "bad measure spec (rect): density key '+2' is not a position in ASCII digits"),
+        ({"measures": [[{"type": "rect", "box": ["0", "1", "0", "1"], "density": {"\u0663": "1"}}]]},
+         "bad measure spec (rect): density key '\u0663' is not a position in ASCII digits"),
+        ({"measures": [[{"type": "table", "max_total_deg": 4, "moments": {"1_0,0": "1"}}]]},
+         "bad measure spec (table): moment key '1_0,0' is not two exponents s,t in ASCII digits"),
+        ({"measures": [[{"type": "table", "max_total_deg": 4, "moments": {"1,+0": "1"}}]]},
+         "bad measure spec (table): moment key '1,+0' is not two exponents s,t in ASCII digits"),
+        ({"measures": [[{"type": "table", "max_total_deg": 4, "moments": {"\u0661,0": "1"}}]]},
+         "bad measure spec (table): moment key '\u0661,0' is not two exponents s,t in ASCII digits"),
+        ({"measures": [[{"type": "table", "max_total_deg": 4, "moments": {"1,0,0": "1"}}]]},
+         "bad measure spec (table): moment key '1,0,0' is not two exponents s,t in ASCII digits"),
+        # a rational literal is ASCII digits too: \d would read these as 3 and 12
+        ({"measures": [[{"type": "table", "max_total_deg": 4, "moments": {"0,0": "\u0663"}}]]},
+         "bad measure spec (table): not a rational literal: '\u0663'"),
+        ({"measures": [[{"type": "table", "max_total_deg": 4, "moments": {"0,0": "\uff11\uff12"}}]]},
+         "bad measure spec (table): not a rational literal: '\uff11\uff12'"),
     ])
     def test_malformed_values_exit_three(self, tmp_path, capsys, extra, message):
         obj = {"schema_version": 1, "q": 1, "p": 1, "depth": 2,
@@ -507,6 +528,32 @@ class TestRowsBuiltOnRead:
         assert rows_per_side() == [list(range(depth)), list(range(1, depth))]
         assert main(["verify", "--config", str(cfg), "--out", str(tmp_path / "v")]) == 0
         assert rows_per_side() == [list(range(extended))] * 2
+
+
+class TestMomentRowsScaledOnce:
+    """Each truncation's rows are scaled when it is built: verify scales M's rows
+    once and M^T's at most once, whichever checks read them; kernel scales its
+    one truncation once."""
+
+    @pytest.mark.parametrize("shape", ["golden", (2, 3)])
+    def test_each_row_scaled_once(self, tmp_path, monkeypatch, shape):
+        cfg = shape_config(tmp_path, shape)
+        extended = extended_depth(load_config(cfg))
+        widths = []
+
+        def counting(values):
+            values = list(values)
+            widths.append(len(values))
+            return common_denominator(values)
+
+        monkeypatch.setattr("steppoly.moments.common_denominator", counting)
+        assert main(["verify", "--config", str(cfg), "--checks", ",".join(CHECK_NAMES),
+                     "--out", str(tmp_path / "v")]) == 0
+        assert widths == [extended] * (2 * extended)
+        widths.clear()
+        assert main(["kernel", "--config", str(cfg), "--n", "4",
+                     "--x", "1/2,-1/3", "--y", "2/7,1/5", "--out", str(tmp_path / "k")]) == 0
+        assert widths == [5] * 5
 
 
 class TestRecurrenceFormedOnRead:

@@ -66,6 +66,11 @@ def assemble(L, H, U):
     return matmul(matmul(L, D), U)
 
 
+def truncation(rows):
+    """Square rows as a truncation with 1 x 1 blocks, the form factorize takes."""
+    return MomentTruncation(len(rows), 1, 1, rows)
+
+
 class TestInvertUnitriangular:
     @given(planted_factors())
     def test_two_sided_inverse(self, factors):
@@ -144,7 +149,7 @@ class TestEliminate:
 
 class TestFactorize:
     def test_hand_example(self):
-        F = factorize([[rat(2), rat(1)], [rat(1), rat(1)]])
+        F = factorize(truncation([[rat(2), rat(1)], [rat(1), rat(1)]]))
         assert F.H == [rat(2), rat(1, 2)]
         assert F.S == [[rat(1), rat(0)], [rat(-1, 2), rat(1)]]
         assert F.Sbar == [[rat(1), rat(0)], [rat(-1, 2), rat(1)]]
@@ -152,12 +157,12 @@ class TestFactorize:
 
     def test_breakdown_on_zero_leading_entry(self):
         with pytest.raises(Breakdown) as exc:
-            factorize([[rat(0), rat(1)], [rat(1), rat(0)]])
+            factorize(truncation([[rat(0), rat(1)], [rat(1), rat(0)]]))
         assert exc.value.index == 0
 
     def test_breakdown_on_singular_second_minor(self):
         with pytest.raises(Breakdown) as exc:
-            factorize([[rat(1), rat(2)], [rat(3), rat(6)]])
+            factorize(truncation([[rat(1), rat(2)], [rat(3), rat(6)]]))
         assert exc.value.index == 1
 
     @given(planted_factors(), st.data())
@@ -167,7 +172,7 @@ class TestFactorize:
         k = data.draw(st.integers(0, len(H) - 1))
         H[k] = rat(0)
         with pytest.raises(Breakdown) as exc:
-            factorize(assemble(L, H, U))
+            factorize(truncation(assemble(L, H, U)))
         assert exc.value.index == k
 
     @given(planted_factors(), st.data())
@@ -180,7 +185,7 @@ class TestFactorize:
         k = data.draw(st.integers(0, len(H) - 1))
         q, p = data.draw(st.sampled_from(SHAPES))
         x, y = (rat(1, 2), rat(-1, 3)), (rat(0), rat(2, 7))
-        A, B = extract_families(factorize(assemble(L, H, U)), q, p)
+        A, B = extract_families(factorize(truncation(assemble(L, H, U))), q, p)
         tables = [KernelTable(A, B, x, y, len(H))]
         H[k] = rat(0)
         M = MomentTruncation(len(H), q, p, assemble(L, H, U))
@@ -201,7 +206,7 @@ class TestFactorize:
     @given(planted_factors())
     def test_recovers_planted_factors(self, factors):
         L, H, U = factors
-        F = factorize(assemble(L, H, U))
+        F = factorize(truncation(assemble(L, H, U)))
         S_inv, Sbar_inv = stored_inverses(F)
         assert F.H == H
         assert mat_eq(S_inv, L)
@@ -214,7 +219,7 @@ class TestFactorize:
     @given(planted_factors())
     def test_numerators_match_bordered_elimination(self, factors):
         M = assemble(*factors)
-        F = factorize(M)
+        F = factorize(truncation(M))
         assert (F.minors, F.S_int, F.Sbar_int) == bordered_numerators(M)
 
     def test_numerators_match_bordered_elimination_on_random_systems(self):
@@ -241,7 +246,7 @@ class TestFactorize:
 
     @given(planted_factors())
     def test_triangular_shapes(self, factors):
-        F = factorize(assemble(*factors))
+        F = factorize(truncation(assemble(*factors)))
         n = F.depth
         for r in range(n):
             assert F.S[r][r] == 1 and F.Sbar[r][r] == 1
@@ -252,7 +257,7 @@ class TestFactorize:
         system = build_system(2, 2, 14, seed=31)
         F = system.F
         for d in range(1, 15):
-            Fd = factorize(corner(system.M.data, d))
+            Fd = factorize(truncation(corner(system.M.data, d)))
             assert Fd.S == corner(F.S, d)
             assert Fd.Sbar == corner(F.Sbar, d)
             assert Fd.H == F.H[:d]
@@ -271,7 +276,7 @@ class TestFactorize:
         # integers differ; the factors they stand for must not.
         for q, p in SHAPES:
             system = build_system(q, p, 12, seed=32)
-            F, Ft = system.F.transpose(), factorize(transpose(system.M.data))
+            F, Ft = system.F.transpose(), factorize(truncation(transpose(system.M.data)))
             assert (Ft.depth, Ft.S, Ft.Sbar, Ft.H, stored_inverses(Ft)) == (
                 F.depth, F.S, F.Sbar, F.H, stored_inverses(F)), (q, p)
             # the two integer sides swap by reference
@@ -288,7 +293,7 @@ class TestLazyRows:
 
     def test_reads_as_the_bordered_lists(self):
         def fresh_L(data, idx):
-            F = factorize(data)
+            F = factorize(truncation(data))
             return (F.S_int, F.Sbar_int)[idx].L
 
         for kind in ("table", "mixed"):
@@ -314,7 +319,7 @@ class TestLazyRows:
 
         factor_row = gaussborel._factor_row
         monkeypatch.setattr(gaussborel, "_factor_row", counting)
-        F = factorize(build_system(2, 3, 16, seed=35).M.data)
+        F = factorize(build_system(2, 3, 16, seed=35).M)
         A, B = extract_families(F, 2, 3)
         assert built == []
         row = F.S_int.L[7]

@@ -308,6 +308,6 @@ class TestRationalParsing:
             parse_rat("1/" + "0" * 5000)
 
     def test_rejects_garbage(self):
-        for text in ("", "1/0", "a", "1.5", "1/ 2", "--3"):
+        for text in ("", "1/0", "a", "1.5", "1/ 2", "--3", "1_0", "\u0663", "\uff11\uff12", "1/\u0663"):
             with pytest.raises(ValueError):
                 parse_rat(text)

@@ -1,6 +1,7 @@
 """Moment truncations, shift operators, and the Hankel symmetry window."""
 
 import random
+from math import lcm
 
 import pytest
 from hypothesis import given
@@ -33,6 +34,14 @@ def tagged_table(b: int, a: int, max_deg: int) -> MomentTable:
     return MomentTable(max_deg, moments)
 
 
+def assert_scaled(M) -> None:
+    """Row m of M is ints[m] over scale[m], the lcm of its denominators."""
+    assert len(M.scale) == len(M.ints) == len(M.data) == M.depth
+    for m, (row, r, nums) in enumerate(zip(M.data, M.scale, M.ints)):
+        assert r == lcm(*(v.denominator for v in row)), m
+        assert nums == [v * r for v in row] and all(type(v) is int for v in nums), m
+
+
 class TestAssembly:
     def test_entry_placement(self):
         for q, p in [(1, 1), (1, 2), (2, 2)]:
@@ -57,6 +66,20 @@ class TestAssembly:
             small = assemble_moments(mm, d)
             assert small.data == [row[:d] for row in big.data[:d]]
             assert big.corner(d).data == small.data
+            assert big.corner(d).ints == small.ints and big.corner(d).scale == small.scale
+
+    @pytest.mark.parametrize("kind", ["mixed", "table"])
+    def test_rows_scaled_once_when_built(self, kind):
+        # the scaling of a truncation, its corners and its transpose, each row over its own lcm
+        for seed in (21, 22):
+            for q, p in SHAPES:
+                rng = random.Random(seed)
+                mm = mixed_mm(rng, q, p) if kind == "mixed" else table_mm(rng, q, p, 14)
+                M = assemble_moments(mm, 14)
+                Mt = M.transpose()
+                assert Mt is M.transpose() and (Mt.q, Mt.p) == (p, q)
+                for T in (M, M.corner(1), M.corner(rng.randint(2, 13)), Mt, Mt.corner(6)):
+                    assert_scaled(T)
 
     @pytest.mark.parametrize("kind", ["mixed", "table"])
     def test_each_moment_asked_once(self, kind):
