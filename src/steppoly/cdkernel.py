@@ -12,9 +12,9 @@ gaussborel's elimination of the truncation bordered by identity blocks.
 kernel_eval, behind the kernel command, evaluates that inverse-moment form
 directly: gaussborel's elimination of the truncation bordered by the two
 points' monomials leaves the kernel as a Schur complement, and no factor or
-family is formed.  That elimination takes its steps in pairs, Bareiss's
-two-step form, so each border entry too gets two steps per pass with one
-exact division.
+family is formed.  That elimination takes its steps in groups of three,
+Bareiss's three-step form, so each border entry too gets three steps per pass
+with one exact division.
 
 The family side of every identity reads a KernelTable: both families at a
 point pair, each side over one denominator, and every K^[n](x, y) as an

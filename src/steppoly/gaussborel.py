@@ -24,25 +24,51 @@ Delta_k^(m-1) times the (k+m)-minor it borders.  Step k alone is its m = 2 case:
 
     a[i][j] <- (a[k][k] a[i][j] - a[i][k] a[k][j]) / Delta_k.
 
-eliminate takes the steps in pairs, Bareiss's two-step form (see also
-Geddes, Czapor and Labahn, Algorithms for Computer Algebra, 1992, ch. 9).
-Row k+1 takes step k alone, which makes a[k+1][k+1] = Delta_{k+2}; with
-a[k+1] read before that update, each later row i then takes steps k and k+1
-at once:
+eliminate takes the steps in groups of three, Bareiss's three-step form (see
+also Geddes, Czapor and Labahn, Algorithms for Computer Algebra, 1992, ch. 9).
+For the group k, k+1, k+2 write p_rs = a[k+r][k+s] for the 3 x 3 pivot block,
+and w[rr'][ss'] for its 2 x 2 minor on rows r < r' and columns s < s' divided
+by Delta_k.  By the m = 2 case each w is an exact (k+2)-minor; w[01][01] =
+Delta_{k+2}, and expanding the pivot block along its last row,
+
+    Delta_{k+3} = (p20 w[01][12] - p21 w[01][02] + p22 w[01][01]) / Delta_k,
+
+exact by the m = 3 case.  All three pivots are read off the block before any
+row changes.  Row k+1 takes step k, row k+2 steps k and k+1 by the pair form
+below, and each later row i takes all three steps at once.  With w[..] the
+minors on the two pivot rows other than r,
+
+    c_r     = (a[i][k] w[..][12] - a[i][k+1] w[..][02] + a[i][k+2] w[..][01]) / Delta_k,
+    a[i][j] <- (Delta_{k+3} a[i][j] - c_2 a[k+2][j] + c_1 a[k+1][j] - c_0 a[k][j]) / Delta_k,
+
+for j >= k+3, the pivot rows read as they stood at step k.  c_r is the 3 x 3
+determinant on row i and the pivot rows other than r, columns k .. k+2, over
+Delta_k^2 (its last-row expansion over Delta_k), so by the m = 3 case it is an
+exact (k+3)-minor; c_2 is step k+2's multiplier, kept in column k+2, and
+column k+1 keeps step k+1's, (p00 a[i][k+1] - a[i][k] p01) / Delta_k.
+Delta_{k+3}, -c_2, c_1 and -c_0 are the cofactors of the last column of the
+4 x 4 determinant on rows k .. k+2, i and columns k .. k+2, j, each divided by
+Delta_k^2; by the m = 4 case that determinant is Delta_k^3 times the
+(k+4)-minor a[i][j] becomes, so the numerator is Delta_k times it and the last
+division is exact too.  A group costs four products and one division per
+entry, where three single steps cost six and three.
+
+One or two steps left over at the end run as a single step or as a pair,
+Bareiss's two-step form: row k+1 takes step k alone, which makes a[k+1][k+1]
+= Delta_{k+2}; with a[k+1] read before that update, each later row i then
+takes steps k and k+1 at once:
 
     m_i     = (a[k][k] a[i][k+1] - a[i][k] a[k][k+1]) / Delta_k,
     c_i     = (a[k+1][k] a[i][k+1] - a[k+1][k+1] a[i][k]) / Delta_k,
     a[i][j] <- (Delta_{k+2} a[i][j] - m_i a[k+1][j] + c_i a[k][j]) / Delta_k,  j >= k+2.
 
-m_i and c_i are 2 x 2 determinants over Delta_k, the m = 2 case, so they are
-exact (k+2)-minors, and m_i is step k+1's multiplier.  Delta_{k+2}, -m_i and c_i
+m_i and c_i are 2 x 2 determinants over Delta_k, so they are exact
+(k+2)-minors, and m_i is step k+1's multiplier.  Delta_{k+2}, -m_i and c_i
 are the cofactors of the last column of the 3 x 3 determinant on rows k, k+1,
-i and columns k, k+1, j, each divided by Delta_k; by the m = 3 case that
-determinant is Delta_k^2 times the (k+3)-minor a[i][j] becomes, so the
-numerator is Delta_k times it and the last division is exact too.  A pair
-costs three products and one division per entry, where two single steps cost
-four and two, and leaves every integer the single steps leave.  The
-factors are read off those integers:
+i and columns k, k+1, j, each divided by Delta_k; by the m = 3 case the
+numerator is Delta_k times the (k+3)-minor a[i][j] becomes, so the last
+division is exact.  Groups and pairs leave every integer the single steps
+leave.  The factors are read off those integers:
 
 - the pivot of step n is Delta_{n+1}, so H_n = Delta_{n+1} / (Delta_n r_n);
 - the multiplier Mi[i][k] of step k is Delta_{k+1} r_i / r_k * S^-1[i][k],
@@ -196,45 +222,89 @@ def eliminate(rows: list[list[int]], steps: int) -> list[int]:
     ends as Delta_steps times that entry of the Schur complement of the
     leading steps x steps block.  A zero pivot at step k raises Breakdown(k).
 
-    The steps run in pairs (k, k+1) by the module docstring's formulas, with
-    piv = Delta_{k+1}, prev = Delta_k and piv2 = Delta_{k+2}: row k+1 takes
-    step k and is checked for a zero pivot before any later row is touched,
-    then each later row i takes both steps in one pass and keeps m_i, the
-    multiplier of step k+1, in column k+1.  An odd step count ends with one
-    single step.
+    The steps run in groups (k, k+1, k+2) by the module docstring's formulas,
+    with prev = Delta_k and piv3 = Delta_{k+3}: Delta_{k+1}, Delta_{k+2} and
+    Delta_{k+3} are read off the pivot block and checked for zero in that
+    order, before any row is touched; then rows k+1 and k+2 take their steps,
+    and each later row i takes all three in one pass, keeping its multipliers
+    of steps k+1 and k+2 in columns k+1 and k+2.  One or two steps left over at
+    the end run as one single step or one pair, with piv = Delta_{k+1} and
+    piv2 = Delta_{k+2}.
     """
     minors = [1]
-    for k in range(0, steps, 2):
-        row_k = rows[k]
-        piv, prev = row_k[k], minors[k]
-        if piv == 0:
+    for k in range(0, steps - 2, 3):
+        row_k, row_k1, row_k2 = rows[k:k + 3]
+        prev = minors[k]
+        p00, p01, p02 = row_k[k:k + 3]
+        p10, p11, p12 = row_k1[k:k + 3]
+        p20, p21, p22 = row_k2[k:k + 3]
+        if p00 == 0:
             raise Breakdown(k)
-        minors.append(piv)
-        tail_k = row_k[k + 1:]
-        if k + 1 == steps:
-            for row_i in rows[k + 1:]:
-                a = row_i[k]
-                row_i[k + 1:] = [(piv * x - a * y) // prev for x, y in zip(row_i[k + 1:], tail_k)]
-            break
-        # the pair formulas read row k+1 as it stands before it takes step k
-        row_k1 = rows[k + 1]
-        l, d, u = row_k1[k], row_k1[k + 1], row_k[k + 1]
-        tail_k1 = row_k1[k + 2:]
-        row_k1[k + 1:] = [(piv * x - l * y) // prev for x, y in zip(row_k1[k + 1:], tail_k)]
-        piv2 = row_k1[k + 1]
-        if piv2 == 0:
+        # w01_12 is the module docstring's w[01][12]: the 2 x 2 minor of the
+        # pivot block on its rows 0, 1 and columns 1, 2, over Delta_k
+        w01_01 = (p00 * p11 - p10 * p01) // prev
+        if w01_01 == 0:
             raise Breakdown(k + 1)
-        minors.append(piv2)
-        del tail_k[0]  # both tails now start at column k+2
-        for row_i in rows[k + 2:]:
-            a0, a1 = row_i[k], row_i[k + 1]
-            m = (piv * a1 - a0 * u) // prev
-            c = (l * a1 - d * a0) // prev
-            row_i[k + 1] = m
-            row_i[k + 2:] = [(piv2 * x - m * y + c * z) // prev
-                             for x, y, z in zip(row_i[k + 2:], tail_k1, tail_k)]
+        w01_02 = (p00 * p12 - p10 * p02) // prev
+        w01_12 = (p01 * p12 - p11 * p02) // prev
+        piv3 = (p20 * w01_12 - p21 * w01_02 + p22 * w01_01) // prev
+        if piv3 == 0:
+            raise Breakdown(k + 2)
+        minors += (p00, w01_01, piv3)
+        w02_01 = (p00 * p21 - p20 * p01) // prev
+        w02_02 = (p00 * p22 - p20 * p02) // prev
+        w02_12 = (p01 * p22 - p21 * p02) // prev
+        w12_01 = (p10 * p21 - p20 * p11) // prev
+        w12_02 = (p10 * p22 - p20 * p12) // prev
+        w12_12 = (p11 * p22 - p21 * p12) // prev
+        # the pivot rows' tails as steps 0 .. k-1 left them
+        tail_k, tail_k1, tail_k2 = row_k[k + 3:], row_k1[k + 3:], row_k2[k + 3:]
+        row_k1[k + 1], row_k1[k + 2] = w01_01, w01_02
+        row_k1[k + 3:] = [(p00 * x - p10 * y) // prev for x, y in zip(tail_k1, tail_k)]
+        row_k2[k + 1], row_k2[k + 2] = w02_01, piv3
+        row_k2[k + 3:] = [(w01_01 * x - w02_01 * y + w12_01 * z) // prev
+                          for x, y, z in zip(tail_k2, tail_k1, tail_k)]
+        for row_i in rows[k + 3:]:
+            a0, a1, a2 = row_i[k:k + 3]
+            c0 = (a0 * w12_12 - a1 * w12_02 + a2 * w12_01) // prev
+            c1 = (a0 * w02_12 - a1 * w02_02 + a2 * w02_01) // prev
+            c2 = (a0 * w01_12 - a1 * w01_02 + a2 * w01_01) // prev
+            row_i[k + 1] = (p00 * a1 - a0 * p01) // prev
+            row_i[k + 2] = c2
+            row_i[k + 3:] = [(piv3 * x - c2 * y2 + c1 * y1 - c0 * y0) // prev
+                             for x, y2, y1, y0 in zip(row_i[k + 3:], tail_k2, tail_k1, tail_k)]
+    k = steps - steps % 3
+    if k == steps:
+        return minors
+    row_k = rows[k]
+    piv, prev = row_k[k], minors[k]
+    if piv == 0:
+        raise Breakdown(k)
+    minors.append(piv)
+    tail_k = row_k[k + 1:]
+    if k + 1 == steps:
+        for row_i in rows[k + 1:]:
+            a = row_i[k]
+            row_i[k + 1:] = [(piv * x - a * y) // prev for x, y in zip(row_i[k + 1:], tail_k)]
+        return minors
+    # the pair formulas read row k+1 as it stands before it takes step k
+    row_k1 = rows[k + 1]
+    l, d, u = row_k1[k], row_k1[k + 1], row_k[k + 1]
+    tail_k1 = row_k1[k + 2:]
+    row_k1[k + 1:] = [(piv * x - l * y) // prev for x, y in zip(row_k1[k + 1:], tail_k)]
+    piv2 = row_k1[k + 1]
+    if piv2 == 0:
+        raise Breakdown(k + 1)
+    minors.append(piv2)
+    del tail_k[0]  # both tails now start at column k+2
+    for row_i in rows[k + 2:]:
+        a0, a1 = row_i[k], row_i[k + 1]
+        m = (piv * a1 - a0 * u) // prev
+        c = (l * a1 - d * a0) // prev
+        row_i[k + 1] = m
+        row_i[k + 2:] = [(piv2 * x - m * y + c * z) // prev
+                         for x, y, z in zip(row_i[k + 2:], tail_k1, tail_k)]
     return minors
-
 
 def factorize(M: MomentTruncation) -> Factorization:
     """Fraction-free unpivoted LU of M's integer rows; Breakdown(k) when the

@@ -109,12 +109,12 @@ class MomentTable:
     def __init__(self, max_total_deg: int, moments: Mapping[tuple[int, int], object]):
         if max_total_deg < 0:
             raise ConfigError("max_total_deg must be nonnegative")
-        self.max_total_deg = int(max_total_deg)
-        self.moments = {}
-        for (s, t), v in moments.items():
-            if s < 0 or t < 0 or s + t > self.max_total_deg:
-                raise ConfigError(f"moment key ({s},{t}) outside declared degree bound")
-            self.moments[(int(s), int(t))] = as_rat(v)
+        self.max_total_deg = deg = int(max_total_deg)
+        self.moments = {(int(s), int(t)): as_rat(v) for (s, t), v in moments.items()
+                        if s >= 0 and t >= 0 and s + t <= deg}
+        if len(self.moments) < len(moments):
+            s, t = next((s, t) for s, t in moments if s < 0 or t < 0 or s + t > deg)
+            raise ConfigError(f"moment key ({s},{t}) outside declared degree bound")
 
     def moment(self, s: int, t: int):
         if s + t > self.max_total_deg:
@@ -128,6 +128,9 @@ MeasureSpec = (Discrete, RectDensity, MomentTable)
 
 
 _KEY_NUMBER = re.compile(r"\s*[0-9]+\s*")  # ASCII digits: no sign, no "_", not \d
+# two _KEY_NUMBERs around one comma; each group keeps its whitespace, so int()
+# reads a whole part as _position reads a whole key
+_KEY_PAIR = re.compile(r"(\s*[0-9]+\s*),(\s*[0-9]+\s*)")
 
 
 def _position(key: str) -> int:
@@ -137,11 +140,10 @@ def _position(key: str) -> int:
 
 
 def _exponent_pair(key: str) -> tuple[int, int]:
-    parts = key.split(",")
-    if len(parts) != 2 or not all(map(_KEY_NUMBER.fullmatch, parts)):
+    pair = _KEY_PAIR.fullmatch(key)
+    if pair is None:
         raise ValueError(f"moment key {key!r} is not two exponents s,t in ASCII digits")
-    s, t = parts
-    return int(s), int(t)
+    return int(pair[1]), int(pair[2])
 
 
 def _read_keyed(entries: Mapping, read_key, what: str, entry: str) -> dict:

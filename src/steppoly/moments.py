@@ -38,11 +38,6 @@ class MomentTruncation:
         self.ints = [nums for _, nums in scaled]
         self._transposed = None
 
-    def corner(self, d: int) -> "MomentTruncation":
-        if d > self.depth:
-            raise DepthError(f"corner {d} exceeds depth {self.depth}", required=d)
-        return MomentTruncation(d, self.q, self.p, [row[:d] for row in self.data[:d]])
-
     def transpose(self) -> "MomentTruncation":
         """The truncation of the transposed measure matrix, p x q blocks."""
         if self._transposed is None:

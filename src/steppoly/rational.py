@@ -36,7 +36,8 @@ except ImportError:
 ZERO = rat(0)
 ONE = rat(1)
 
-_RAT_RE = re.compile(r"^[+-]?[0-9]+(/[0-9]+)?$")  # ASCII digits only, not \d
+# ASCII digits only, not \d; \s matches exactly the characters str.strip removes
+_RAT_RE = re.compile(r"\s*([+-]?[0-9]+)(?:/([0-9]+))?\s*")
 
 
 def _int(text: str) -> int:
@@ -48,9 +49,10 @@ def _int(text: str) -> int:
 
 def parse_rat(text: str):
     """Parse a rational written as "num" or "num/den"."""
-    if not isinstance(text, str) or not _RAT_RE.match(text.strip()):
+    literal = _RAT_RE.fullmatch(text) if isinstance(text, str) else None
+    if literal is None:
         raise ValueError(f"not a rational literal: {text!r}")
-    num, _, den = text.strip().partition("/")
+    num, den = literal.groups()
     d = _int(den) if den else 1
     if d == 0:
         raise ValueError(f"zero denominator: {text!r}")

@@ -271,6 +271,13 @@ def corner(a: list[list], n: int) -> list[list]:
     return [row[:n] for row in a[:n]]
 
 
+def truncation_corner(M: MomentTruncation, d: int) -> MomentTruncation:
+    """The leading d x d corner of M as a truncation of its own, its rows scaled afresh."""
+    if d > M.depth:
+        raise DepthError(f"corner {d} exceeds depth {M.depth}", required=d)
+    return MomentTruncation(d, M.q, M.p, corner(M.data, d))
+
+
 def grid_values(count: int) -> list:
     """count distinct small rationals centered on zero, suitable for identity grids."""
     vals = []
@@ -420,8 +427,9 @@ def corner_factorization(F: Factorization, d: int) -> Factorization:
 def one_step_eliminate(rows: list[list[int]], steps: int) -> list[int]:
     """steps unpivoted Bareiss steps on integer rows, in place; returns Delta_0 .. Delta_steps.
 
-    The single-step loop gaussborel.eliminate ran before it took its steps in
-    pairs: the oracle for the rows, the minors and the Breakdown index it leaves.
+    The single-step loop that gaussborel.eliminate runs three steps at a time
+    (one or two at the end): the oracle for the rows, the minors and the
+    Breakdown index it leaves.
     """
     minors = [1]
     for k in range(steps):

@@ -28,6 +28,7 @@ from _support import (
     members,
     planted_entry,
     poly,
+    truncation_corner,
 )
 
 X = (rat(1, 2), rat(-1, 3))
@@ -115,7 +116,7 @@ class TestKernelEval:
         for q, p in SHAPES:
             system = build_system(q, p, 10, seed=89, kind=kind)
             for n in range(10):
-                M = system.M.corner(n + 1)
+                M = truncation_corner(system.M, n + 1)
                 for x, y in zip(points, [Y] + points[:0:-1]):
                     got = kernel_eval(M, x, y)
                     assert got == kernel_sum(system.A, system.B, n, x, y), (q, p, n, x, y)
@@ -184,7 +185,7 @@ class TestCDFormula:
             check_abc(system.M, 4, tables(system, [(X, Y)], 4))
         # a corner deeper than the truncation is rejected, never sliced short
         with pytest.raises(DepthError):
-            check_abc(system.M.corner(4), 4, tables(system, [(X, Y)], 5))
+            check_abc(truncation_corner(system.M, 4), 4, tables(system, [(X, Y)], 5))
 
     def test_detects_wrong_families(self):
         system, T = system_with_T(1, 1, 10, seed=89)
@@ -279,7 +280,7 @@ class TestABC:
         M = MomentTruncation(system.M.depth, 1, 2, data)
         assert check_abc(M, 1, tables(system, [(X, Y)], 2)).checked == 1
         with pytest.raises(Breakdown) as want:
-            factorize(M.corner(4))
+            factorize(truncation_corner(M, 4))
         with pytest.raises(Breakdown) as exc:
             check_abc(M, 3, tables(system, [(X, Y)], 4))
         assert exc.value.index == want.value.index == 2

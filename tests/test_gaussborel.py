@@ -8,11 +8,12 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import steppoly.gaussborel as gaussborel
-from steppoly import extract_families, factorize, rat
+from steppoly import assemble_moments, extract_families, factorize, rat
 from steppoly.cdkernel import KernelTable, check_abc, kernel_eval
 from steppoly.errors import Breakdown
 from steppoly.moments import MomentTruncation
 from steppoly.rational import QType
+from steppoly.recurrence import required_depth
 
 from _support import (
     SHAPES,
@@ -27,12 +28,15 @@ from _support import (
     invert_unitriangular,
     mat_eq,
     matmul,
+    mixed_mm,
     one_step_eliminate,
     reconstruct,
     side_rationals,
     solve,
     stored_inverses,
+    table_mm,
     transpose,
+    truncation_corner,
 )
 
 rationals = st.builds(rat, st.integers(-9, 9), st.integers(1, 5))
@@ -84,20 +88,22 @@ class TestInvertUnitriangular:
 
 
 @st.composite
-def planted_rows(draw, steps: int | None = None, zero_pivot: int | None = None):
+def planted_rows(draw, steps: int | None = None, zero_pivot: int | None = None,
+                 border: int = 0):
     """(rows, steps): integer rows L U with L unit lower and U's first steps diagonal
     entries the planted pivots, so the leading minor of size k+1 is U[0][0] ... U[k][k].
 
-    steps is drawn from 0 .. 10 unless given.  There are up to three rows more than steps (the kernel's border rows) and up
-    to three columns more (its border columns).  One entry L[i][k] with
-    k < steps and i > k + 1 is 0, so row i keeps a zero multiplier at step k.
+    steps is drawn from 0 .. 10 unless given.  There are border .. 3 rows more
+    than steps (the kernel's border rows) and border .. 3 columns more (its
+    border columns).  One entry L[i][k] with k < steps and i > k + 1 is 0, so
+    row i keeps a zero multiplier at step k.
     zero_pivot, when given, is the step whose pivot is 0.  Hypothesis draws the
     shape and the planted positions; the entries come from a drawn seed, which
     keeps a failing example quick to shrink.
     """
     if steps is None:
         steps = draw(st.integers(0, 10))
-    R, C = steps + draw(st.integers(0, 3)), steps + draw(st.integers(0, 3))
+    R, C = steps + draw(st.integers(border, 3)), steps + draw(st.integers(border, 3))
     rng = random.Random(draw(st.integers(0, 2**32)))
     L = [[rng.randint(-3, 3) for _ in range(i)] + [1] + [0] * (R - 1 - i) for i in range(R)]
     if R >= 3 and steps:
@@ -113,7 +119,7 @@ def planted_rows(draw, steps: int | None = None, zero_pivot: int | None = None):
 
 
 class TestEliminate:
-    """The paired steps leave the integers the single-step oracle leaves."""
+    """The grouped steps leave the integers the single-step oracle leaves."""
 
     @given(planted_rows())
     def test_matches_one_step_oracle(self, planted):
@@ -124,6 +130,18 @@ class TestEliminate:
             assert gaussborel.eliminate(got, s) == one_step_eliminate(want, s), s
             assert got == want, s
 
+    @pytest.mark.parametrize("residue", [0, 1, 2])
+    @given(data=st.data())
+    def test_step_counts_by_residue(self, residue, data):
+        # full groups of three, then none, one or two steps left over, with at
+        # least one border row and one border column past the last step
+        steps = 3 * data.draw(st.integers(0, 3)) + residue
+        rows, _ = data.draw(planted_rows(steps, border=1))
+        assert len(rows) > steps and len(rows[0]) > steps
+        want = copy.deepcopy(rows)
+        assert gaussborel.eliminate(rows, steps) == one_step_eliminate(want, steps)
+        assert rows == want
+
     def test_zero_multiplier_rows(self):
         # rows 2 and 3 keep a zero multiplier at step 0, and row 3 one at step 1 too
         rows = [[2, 1, 3, 1], [4, 5, 1, 0], [0, 3, 2, 2], [0, 0, 7, 1], [1, 2, 3, 4]]
@@ -131,14 +149,56 @@ class TestEliminate:
         assert gaussborel.eliminate(rows, 3) == one_step_eliminate(want, 3) == [1, 2, 6, 42]
         assert rows == want and rows[2][0] == rows[3][0] == rows[3][1] == 0
 
-    @pytest.mark.parametrize("where", ["even", "odd", "last"])
+    @pytest.mark.parametrize("offset", [0, 1, 2])
+    def test_zero_multiplier_at_each_offset(self, offset):
+        # rows = L U with L[i][t] = 0 keep the multiplier 0 at step t: here at
+        # step k + offset of both groups k = 0, 3, in row k+3, the first row
+        # after the pivot rows, and in the last border row
+        rng = random.Random(offset)
+        R, C, steps = 9, 10, 6
+        L = [[rng.randint(-3, 3) for _ in range(i)] + [1] + [0] * (R - 1 - i) for i in range(R)]
+        U = [[0] * min(r, C) + [rng.randint(-3, 3) for _ in range(C - r)] for r in range(R)]
+        for r in range(steps):
+            U[r][r] = rng.choice((-3, -2, -1, 1, 2, 3))
+        zeros = [(i, k + offset) for k in (0, 3) for i in (k + 3, R - 1)]
+        for i, t in zeros:
+            L[i][t] = 0
+        rows = [[sum(L[i][j] * U[j][c] for j in range(R)) for c in range(C)] for i in range(R)]
+        want = copy.deepcopy(rows)
+        assert gaussborel.eliminate(rows, steps) == one_step_eliminate(want, steps)
+        assert rows == want and all(rows[i][t] == 0 for i, t in zeros)
+
+    @pytest.mark.parametrize("kind", ["mixed", "table"])
+    def test_matches_one_step_oracle_on_extended_truncations(self, kind):
+        # compute's extended depth for depth 32 (41 .. 50): minors of 780 to 2,300
+        # bits, which the planted rows never reach; a breakdown, as on the mixed
+        # 1 x 1 grid of 40 atoms at step 37, must come at the oracle's index
+        for q, p in SHAPES:
+            E = required_depth(32, q, p)
+            rng = random.Random(36)
+            mm = mixed_mm(rng, q, p) if kind == "mixed" else table_mm(rng, q, p, E)
+            ints = assemble_moments(mm, E).ints
+            got, want = [row[:] for row in ints], [row[:] for row in ints]
+            try:
+                minors = one_step_eliminate(want, E)
+            except Breakdown as exc:
+                with pytest.raises(Breakdown) as broke:
+                    gaussborel.eliminate(got, E)
+                assert broke.value.index == exc.index, (q, p)
+                continue
+            assert gaussborel.eliminate(got, E) == minors, (q, p)
+            assert got == want, (q, p)
+
+    @pytest.mark.parametrize("where", [0, 1, 2, "last"])
     @given(data=st.data())
     def test_breaks_down_where_the_oracle_does(self, where, data):
-        steps = data.draw(st.integers(2, 10))
+        # where is the zero pivot's offset k mod 3 within its group, or the last step
         if where == "last":
+            steps = data.draw(st.integers(2, 10))
             k = steps - 1
         else:
-            k = data.draw(st.integers(0, steps - 1).filter(lambda v: v % 2 == (where == "odd")))
+            steps = data.draw(st.integers(where + 1, 10))
+            k = 3 * data.draw(st.integers(0, (steps - 1 - where) // 3)) + where
         rows, _ = data.draw(planted_rows(steps, zero_pivot=k))
         with pytest.raises(Breakdown) as want:
             one_step_eliminate(copy.deepcopy(rows), steps)
@@ -190,7 +250,7 @@ class TestFactorize:
         H[k] = rat(0)
         M = MomentTruncation(len(H), q, p, assemble(L, H, U))
         for n in range(len(H)):
-            part = M.corner(n + 1)
+            part = truncation_corner(M, n + 1)
             if n < k:
                 factorize(part)
                 assert kernel_eval(part, x, y) == abc_oracle(M, n, x, y)

@@ -255,6 +255,15 @@ class TestJson:
             measure_from_json(cell)
         assert all(key in str(info.value) for key in keys)
 
+    def test_moment_keys(self):
+        cell = {"type": "table", "max_total_deg": 9,
+                "moments": {"0,0": "1", " 1 ,\t2 ": "2", "03,4": "3"}}
+        assert measure_from_json(cell).moments == {(0, 0): 1, (1, 2): 2, (3, 4): 3}
+        for key in ("1", "1,2,3", ",1", "1,", "1 2", "+1,2", "1,-2", "\u0663,1"):
+            cell = {"type": "table", "max_total_deg": 9, "moments": {key: "1"}}
+            with pytest.raises(ConfigError, match="is not two exponents s,t"):
+                measure_from_json(cell)
+
     def test_bad_specs_rejected(self):
         with pytest.raises(ConfigError):
             measure_from_json({"type": "mystery"})
@@ -311,3 +320,15 @@ class TestRationalParsing:
         for text in ("", "1/0", "a", "1.5", "1/ 2", "--3", "1_0", "\u0663", "\uff11\uff12", "1/\u0663"):
             with pytest.raises(ValueError):
                 parse_rat(text)
+
+    def test_whitespace_around_a_literal(self):
+        # whitespace is allowed around the literal, any that str.isspace names,
+        # and nowhere inside it
+        for text, want in ((" 1/2 ", rat(1, 2)), ("\t-3\n", rat(-3)), ("+4", rat(4)),
+                           ("\u20037/9\u3000", rat(7, 9)), ("\x1c-0/5\x85", rat(0))):
+            assert parse_rat(text) == want, text
+        for text in ("1 /2", "- 3", "+ 4", " ", "1/2/3", "1/-2"):
+            with pytest.raises(ValueError, match="not a rational literal"):
+                parse_rat(text)
+        with pytest.raises(ValueError, match="zero denominator"):
+            parse_rat(" 3/00 ")

@@ -22,6 +22,7 @@ from _support import (
     shift_ones_in_complement,
     shift_operator,
     table_mm,
+    truncation_corner,
 )
 
 
@@ -65,8 +66,9 @@ class TestAssembly:
         for d in (1, 5, 12):
             small = assemble_moments(mm, d)
             assert small.data == [row[:d] for row in big.data[:d]]
-            assert big.corner(d).data == small.data
-            assert big.corner(d).ints == small.ints and big.corner(d).scale == small.scale
+            part = truncation_corner(big, d)
+            assert part.data == small.data
+            assert part.ints == small.ints and part.scale == small.scale
 
     @pytest.mark.parametrize("kind", ["mixed", "table"])
     def test_rows_scaled_once_when_built(self, kind):
@@ -78,7 +80,9 @@ class TestAssembly:
                 M = assemble_moments(mm, 14)
                 Mt = M.transpose()
                 assert Mt is M.transpose() and (Mt.q, Mt.p) == (p, q)
-                for T in (M, M.corner(1), M.corner(rng.randint(2, 13)), Mt, Mt.corner(6)):
+                corners = (truncation_corner(M, 1), truncation_corner(M, rng.randint(2, 13)),
+                           truncation_corner(Mt, 6))
+                for T in (M, Mt) + corners:
                     assert_scaled(T)
 
     @pytest.mark.parametrize("kind", ["mixed", "table"])
@@ -108,7 +112,7 @@ class TestAssembly:
         rng = random.Random(12)
         M = assemble_moments(mixed_mm(rng, 1, 1), 4)
         with pytest.raises(DepthError):
-            M.corner(5)
+            truncation_corner(M, 5)
 
     def test_depth_must_be_positive(self):
         rng = random.Random(13)
@@ -184,8 +188,8 @@ class TestHankelSymmetry:
     def test_empty_window_raises(self):
         system = build_system(1, 1, 16, seed=23)
         with pytest.raises(DepthError):
-            hankel_mismatches(system.M.corner(1), 1)
+            hankel_mismatches(truncation_corner(system.M, 1), 1)
         with pytest.raises(DepthError):
-            hankel_mismatches(system.M.corner(2), 2)
-        rep = check_hankel(system.M.corner(1), 1)
+            hankel_mismatches(truncation_corner(system.M, 2), 2)
+        rep = check_hankel(truncation_corner(system.M, 1), 1)
         assert rep.checked == 0 and rep.ok and rep.skipped

@@ -30,6 +30,7 @@ from _support import (
     planted_entry,
     recurrence_oracle,
     transpose,
+    truncation_corner,
 )
 
 
@@ -61,7 +62,7 @@ class TestRequiredDepth:
         need = required_depth(D, q, p)
         system = build_system(q, p, need, seed=61)
         build_recurrence(system.F, q, p, 2, D)
-        shallow = factorize(system.M.corner(need - 1))
+        shallow = factorize(truncation_corner(system.M, need - 1))
         with pytest.raises(DepthError) as exc:
             build_recurrence(shallow, q, p, 2, D)
         assert exc.value.required == need
