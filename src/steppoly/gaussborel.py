@@ -53,22 +53,22 @@ Delta_k^2; by the m = 4 case that determinant is Delta_k^3 times the
 division is exact too.  A group costs four products and one division per
 entry, where three single steps cost six and three.
 
-One or two steps left over at the end run as a single step or as a pair,
-Bareiss's two-step form: row k+1 takes step k alone, which makes a[k+1][k+1]
-= Delta_{k+2}; with a[k+1] read before that update, each later row i then
-takes steps k and k+1 at once:
+Row k+2 takes steps k and k+1 at once, by Bareiss's two-step form.  With
+i = k+2 and a[k+1] read as it stood at step k,
 
     m_i     = (a[k][k] a[i][k+1] - a[i][k] a[k][k+1]) / Delta_k,
     c_i     = (a[k+1][k] a[i][k+1] - a[k+1][k+1] a[i][k]) / Delta_k,
     a[i][j] <- (Delta_{k+2} a[i][j] - m_i a[k+1][j] + c_i a[k][j]) / Delta_k,  j >= k+2.
 
-m_i and c_i are 2 x 2 determinants over Delta_k, so they are exact
-(k+2)-minors, and m_i is step k+1's multiplier.  Delta_{k+2}, -m_i and c_i
-are the cofactors of the last column of the 3 x 3 determinant on rows k, k+1,
-i and columns k, k+1, j, each divided by Delta_k; by the m = 3 case the
-numerator is Delta_k times the (k+3)-minor a[i][j] becomes, so the last
-division is exact.  Groups and pairs leave every integer the single steps
-leave.  The factors are read off those integers:
+m_i and c_i are 2 x 2 determinants over Delta_k, w[02][01] and w[12][01], so
+they are exact (k+2)-minors, and m_i is step k+1's multiplier.  Delta_{k+2},
+-m_i and c_i are the cofactors of the last column of the 3 x 3 determinant on
+rows k, k+1, i and columns k, k+1, j, each divided by Delta_k; by the m = 3
+case the numerator is Delta_k times the (k+3)-minor a[i][j] becomes, so the
+last division is exact.  At j = k+2 that minor is Delta_{k+3}, already read
+off the block.  One or two steps left over at the end run as single steps.
+Groups leave every integer the single steps leave.  The factors are read off
+those integers:
 
 - the pivot of step n is Delta_{n+1}, so H_n = Delta_{n+1} / (Delta_n r_n);
 - the multiplier Mi[i][k] of step k is Delta_{k+1} r_i / r_k * S^-1[i][k],
@@ -207,11 +207,6 @@ def _factor_row(minors: list[int], inv_cols: list[list[int]], n: int) -> list[in
     return row
 
 
-def _factor_numerators(minors: list[int], inv_cols: list[list[int]]) -> LazyRows:
-    """L of one IntegerSide, each row back-substituted on its first read."""
-    return LazyRows(len(inv_cols), lambda n: _factor_row(minors, inv_cols, n))
-
-
 def eliminate(rows: list[list[int]], steps: int) -> list[int]:
     """steps unpivoted Bareiss steps on integer rows, in place; returns Delta_0 .. Delta_steps.
 
@@ -228,8 +223,7 @@ def eliminate(rows: list[list[int]], steps: int) -> list[int]:
     order, before any row is touched; then rows k+1 and k+2 take their steps,
     and each later row i takes all three in one pass, keeping its multipliers
     of steps k+1 and k+2 in columns k+1 and k+2.  One or two steps left over at
-    the end run as one single step or one pair, with piv = Delta_{k+1} and
-    piv2 = Delta_{k+2}.
+    the end run as single steps, with piv = Delta_{k+1}.
     """
     minors = [1]
     for k in range(0, steps - 2, 3):
@@ -273,38 +267,18 @@ def eliminate(rows: list[list[int]], steps: int) -> list[int]:
             row_i[k + 2] = c2
             row_i[k + 3:] = [(piv3 * x - c2 * y2 + c1 * y1 - c0 * y0) // prev
                              for x, y2, y1, y0 in zip(row_i[k + 3:], tail_k2, tail_k1, tail_k)]
-    k = steps - steps % 3
-    if k == steps:
-        return minors
-    row_k = rows[k]
-    piv, prev = row_k[k], minors[k]
-    if piv == 0:
-        raise Breakdown(k)
-    minors.append(piv)
-    tail_k = row_k[k + 1:]
-    if k + 1 == steps:
+    for k in range(steps - steps % 3, steps):
+        row_k = rows[k]
+        piv, prev = row_k[k], minors[k]
+        if piv == 0:
+            raise Breakdown(k)
+        minors.append(piv)
+        tail_k = row_k[k + 1:]
         for row_i in rows[k + 1:]:
             a = row_i[k]
             row_i[k + 1:] = [(piv * x - a * y) // prev for x, y in zip(row_i[k + 1:], tail_k)]
-        return minors
-    # the pair formulas read row k+1 as it stands before it takes step k
-    row_k1 = rows[k + 1]
-    l, d, u = row_k1[k], row_k1[k + 1], row_k[k + 1]
-    tail_k1 = row_k1[k + 2:]
-    row_k1[k + 1:] = [(piv * x - l * y) // prev for x, y in zip(row_k1[k + 1:], tail_k)]
-    piv2 = row_k1[k + 1]
-    if piv2 == 0:
-        raise Breakdown(k + 1)
-    minors.append(piv2)
-    del tail_k[0]  # both tails now start at column k+2
-    for row_i in rows[k + 2:]:
-        a0, a1 = row_i[k], row_i[k + 1]
-        m = (piv * a1 - a0 * u) // prev
-        c = (l * a1 - d * a0) // prev
-        row_i[k + 1] = m
-        row_i[k + 2:] = [(piv2 * x - m * y + c * z) // prev
-                         for x, y, z in zip(row_i[k + 2:], tail_k1, tail_k)]
     return minors
+
 
 def factorize(M: MomentTruncation) -> Factorization:
     """Fraction-free unpivoted LU of M's integer rows; Breakdown(k) when the
@@ -316,9 +290,11 @@ def factorize(M: MomentTruncation) -> Factorization:
     minors = eliminate(Mi, D)
     # Column c of each side's L_inv, from the diagonal down: the S side reads
     # the columns of Mi's lower part, the Sbar side the rows of its upper part.
-    S_int = IntegerSide(r, _factor_numerators(minors, [[row[c] for row in Mi[c:]] for c in range(D)]),
+    S_cols = [[row[c] for row in Mi[c:]] for c in range(D)]
+    Sbar_cols = [row[c:] for c, row in enumerate(Mi)]
+    S_int = IntegerSide(r, LazyRows(D, lambda n: _factor_row(minors, S_cols, n)),
                         [row[:i + 1] for i, row in enumerate(Mi)])
-    Sbar_int = IntegerSide([1] * D, _factor_numerators(minors, [row[c:] for c, row in enumerate(Mi)]),
+    Sbar_int = IntegerSide([1] * D, LazyRows(D, lambda n: _factor_row(minors, Sbar_cols, n)),
                            [[Mi[k][i] for k in range(i + 1)] for i in range(D)])
     return Factorization(D, [rat(minors[n + 1], minors[n] * r[n]) for n in range(D)], minors,
                          S_int, Sbar_int)

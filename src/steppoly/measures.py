@@ -127,16 +127,17 @@ class MomentTable:
 MeasureSpec = (Discrete, RectDensity, MomentTable)
 
 
-_KEY_NUMBER = re.compile(r"\s*[0-9]+\s*")  # ASCII digits: no sign, no "_", not \d
-# two _KEY_NUMBERs around one comma; each group keeps its whitespace, so int()
-# reads a whole part as _position reads a whole key
-_KEY_PAIR = re.compile(r"(\s*[0-9]+\s*),(\s*[0-9]+\s*)")
+# ASCII digits: no sign, no "_", not \d; int() reads the digits only, because
+# \s matches separators (U+001C-U+001F) that int() does not strip
+_KEY_NUMBER = re.compile(r"\s*([0-9]+)\s*")
+_KEY_PAIR = re.compile(r"\s*([0-9]+)\s*,\s*([0-9]+)\s*")  # two _KEY_NUMBERs around one comma
 
 
 def _position(key: str) -> int:
-    if not _KEY_NUMBER.fullmatch(key):
+    number = _KEY_NUMBER.fullmatch(key)
+    if number is None:
         raise ValueError(f"density key {key!r} is not a position in ASCII digits")
-    return int(key)
+    return int(number[1])
 
 
 def _exponent_pair(key: str) -> tuple[int, int]:

@@ -26,8 +26,10 @@ from _support import (
     grid_values,
     kernel_sum,
     members,
+    planted,
     planted_entry,
     poly,
+    pos_of,
     truncation_corner,
 )
 
@@ -326,13 +328,34 @@ class TestProjection:
         for q, p in SHAPES:
             system = build_system(q, p, 14, seed=97)
             I = 2
-            assert check_projection(
-                system.A, system.B, system.M, I * p + p - 1, monic_matrix(p, I)
-            ).ok
-            assert check_projection(
+            rep = check_projection(system.A, system.B, system.M, I * p + p - 1, monic_matrix(p, I))
+            assert rep.ok and rep.checked == p * p
+            rep = check_projection(
                 system.B, system.A, system.M.transpose(), I * q + q - 1,
                 list(zip(*monic_matrix(q, I))),
-            ).ok
+            )
+            assert rep.ok and rep.checked == q * q
+
+    def test_detects_a_term_that_vanishes_on_five_lines(self):
+        # (x1 - 1/2)(x1 + 1/4)(x1 - 1)(x1 + 2/3)(x1 - 3/7) added to component 0
+        # of A_0 leaves A's values on the lines x1 = 1/2, -1/4, 1, -2/3, 3/7 as
+        # they were, so only a coefficientwise identity can see it
+        roots = [rat(1, 2), rat(-1, 4), rat(1), rat(-2, 3), rat(3, 7)]
+        coeffs = [rat(1)]  # of x1^0, x1^1, ...
+        for v in roots:
+            coeffs = [a - v * b for a, b in zip([rat(0)] + coeffs, coeffs + [rat(0)])]
+        points = list(zip(roots, [rat(1, 3), rat(2, 5), rat(-1), rat(-1, 5), rat(5, 8)]))
+        for q, p in SHAPES:
+            system = build_system(q, p, 14, seed=97)
+            n = 2 * p + p - 1
+            bent = system.A.head(n + 1)
+            for m, c in enumerate(coeffs):
+                bent = planted(bent, 0, 0, pos_of(m, 0), c)
+            for x in points:
+                assert bent.values(*x, n + 1) == system.A.values(*x, n + 1)
+            rep = check_projection(bent, system.B, system.M, n, monic_matrix(p, 2))
+            # B_0 pairs to nonzero with every column of P here, so each column shows the change
+            assert [v.where for v in rep.violations] == [(n, 0, a1) for a1 in range(p)], (q, p)
 
     def test_below_threshold_is_an_error_not_a_failure(self):
         system = build_system(1, 2, 14, seed=98)

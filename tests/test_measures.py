@@ -256,13 +256,19 @@ class TestJson:
         assert all(key in str(info.value) for key in keys)
 
     def test_moment_keys(self):
+        # \s around a key or its parts includes the separators U+001C-U+001F
         cell = {"type": "table", "max_total_deg": 9,
-                "moments": {"0,0": "1", " 1 ,\t2 ": "2", "03,4": "3"}}
-        assert measure_from_json(cell).moments == {(0, 0): 1, (1, 2): 2, (3, 4): 3}
+                "moments": {"0,0": "1", " 1 ,\t2 ": "2", "03,4": "3", "\x1c1,\x1f0": "4"}}
+        assert measure_from_json(cell).moments == {(0, 0): 1, (1, 2): 2, (3, 4): 3, (1, 0): 4}
         for key in ("1", "1,2,3", ",1", "1,", "1 2", "+1,2", "1,-2", "\u0663,1"):
             cell = {"type": "table", "max_total_deg": 9, "moments": {key: "1"}}
             with pytest.raises(ConfigError, match="is not two exponents s,t"):
                 measure_from_json(cell)
+
+    def test_density_keys(self):
+        cell = {"type": "rect", "box": ["0", "1", "0", "1"],
+                "density": {"0": "1", " 2\t": "2", "\x1c1": "3", "05\x1f": "4"}}
+        assert measure_from_json(cell).density == {0: 1, 2: 2, 1: 3, 5: 4}
 
     def test_bad_specs_rejected(self):
         with pytest.raises(ConfigError):
