@@ -1,28 +1,50 @@
 """Christoffel-Darboux kernels, their block formula, and the ABC identity.
 
 K^[n](x, y) is the p x q matrix sum of A_i(x) B_i(y) over i <= n.  The CD
-formula rewrites (x_k - y_k) K^[n] through four finite blocks of the
-recurrence matrix; as with the recurrences, the values that make the formula
-exact are those of the conjugate R_k = H^-1 T_k H, read off T_k's integers
-(recurrence), while the block shapes and the printed labels follow T_k.  The
-ABC identity expresses the same kernel through the inverse of the leading
-(n+1) x (n+1) moment truncation, computed here from the moments alone, by
-gaussborel's elimination of the truncation bordered by identity blocks.
+formula writes (x_k - y_k) K^[n] through two blocks of R_k = H^-1 T_k H
+(CDBlocks): the lower-left block (rows > n, columns <= n) with a plus sign,
+the upper-right block (rows <= n, columns > n) with a minus sign.
 
-kernel_eval, behind the kernel command, evaluates that inverse-moment form
-directly: gaussborel's elimination of the truncation bordered by the two
-points' monomials leaves the kernel as a Schur complement, and no factor or
-family is formed.  That elimination takes its steps in groups of three,
-Bareiss's three-step form, so each border entry too gets three steps per pass
-with one exact division.
+check_cd_formula proves it from the recurrences by telescoping, as W. Van
+Assche does for multiple OPs (J. Approx. Theory 163, 2011).  With R = R_k,
+R[m][c] = acc[m][c] / (L Delta_c Delta_{m+1}) (recurrence), and for each index
+below recurrence_n_max check_recurrence_matrix proves, coefficientwise:
 
-The family side of every identity reads a KernelTable: both families at a
-point pair, each side over one denominator, and every K^[n](x, y) as an
-integer prefix sum; one table per pair serves every n and k.  The CD, ABC and
-reproduction identities are compared fraction-free, as in gaussborel (E. H.
-Bareiss, Math. Comp. 22, 1968): each side is an integer sum over its own
-denominator, and the two are cross-multiplied.  The ABC right side never reads
-the table.
+    x_k A_c = sum over m in col_band(c) of R[m][c] A_m
+    x_k B_m = sum over c in row_band(m) of R[m][c] B_c
+
+The first at x times B_c(y), summed over c <= n, minus the second at y times
+A_m(x), summed over m <= n, gives, with E[m][c] = R[m][c] A_m(x) B_c(y),
+
+    (x_k - y_k) K^[n](x, y) = sum over (m, c) of (u - v) E[m][c],
+    u = [c <= n and m in col_band(c)],  v = [m <= n and c in row_band(m)].
+
+The CD formula is that sum with weight w = [(m, c) in the lower-left block] -
+[(m, c) in the upper-right block].  Only pairs with acc[m][c] != 0 count, so
+the formula holds at every point if (a) the relations hold and (b) u - v = w
+at every nonzero acc[m][c], for every n below recurrence_n_max.  By region:
+in the square m, c <= n, w = 0, and (b) says that both bands name the same
+nonzero entries, whose terms then cancel; this holds for any acc, as
+n_minus_big(c, r, k) <= m exactly when c <= n_plus(m, r, k), so the two bands
+are one set of pairs.  Below the square (m > n >= c), v = 0, and the nonzero
+entries in column bands must be the lower-left block's; above it (m <= n < c),
+u = 0, and those in row bands the upper-right block's.  Of the bands, (b)
+assumes only that they are what the relations sum over, inside T_k's window
+below recurrence_n_max.  An entry outside them has u = v = 0, so (b) keeps it
+out of the blocks; validate_band checks that it vanishes.
+
+The ABC identity expresses the same kernel through the inverse of the leading
+(n+1) x (n+1) moment truncation, from the moments alone, by gaussborel's
+elimination of the truncation bordered by identity blocks.  kernel_eval,
+behind the kernel command, borders it by the two points' monomials instead:
+the elimination, in Bareiss's three-step form, leaves the kernel as a Schur
+complement, and no factor or family is formed.
+
+The family side of the ABC and reproduction identities reads a KernelTable:
+both families at a point pair, each over one denominator, and every K^[n](x, y)
+as an integer prefix sum.  Both are compared fraction-free, as in gaussborel
+(E. H. Bareiss, Math. Comp. 22, 1968): each side is an integer sum over its
+own denominator, and the two are cross-multiplied.
 """
 
 from __future__ import annotations
@@ -35,8 +57,8 @@ from .errors import DepthError
 from .families import Family, monomial_ints, pairings
 from .gaussborel import eliminate
 from .moments import MomentTruncation
-from .rational import ZERO, as_rat, common_denominator, rat
-from .recurrence import RecurrenceTruncation
+from .rational import common_denominator, rat
+from .recurrence import RecurrenceTruncation, recurrence_n_max
 from .report import CheckReport, Violation
 from .stepline import n_minus_big, n_plus
 
@@ -70,11 +92,6 @@ def _integer_rows(rows: list[list]) -> tuple[int, list[list[int]]]:
     return d, [flat[i:i + width] for i in range(0, len(flat), width)]
 
 
-def _require_tabled(tables: list[KernelTable], count: int) -> None:
-    if any(len(table.kernels_int) < count for table in tables):
-        raise DepthError(f"point-pair tables end before family index {count - 1}", required=count)
-
-
 def kernel_eval(M: MomentTruncation, x: tuple, y: tuple) -> list[list]:
     """K^[D-1](x, y) = X_[p](x)^T M^-1 X_[q](y) for a depth-D truncation M, exactly.
 
@@ -100,18 +117,16 @@ def kernel_eval(M: MomentTruncation, x: tuple, y: tuple) -> list[list]:
 
 
 class CDBlocks:
-    """The four index ranges and matrix blocks of the CD formula at (n, k).
+    """The four index ranges of the CD formula at (n, k).
 
-    tgt_rows x tgt_cols holds the lower-left block of T_k (rows n+1 ..
+    tgt_rows x tgt_cols is the lower-left block of T_k (rows n+1 ..
     n_plus(n, p, k), columns n_minus_big(n+1, p, k) .. n); src_rows x src_cols
-    holds the upper-right block (rows n_minus_big(n+1, q, k) .. n, columns
-    n+1 .. n_plus(n, q, k)).  The printed labels are T_k's entries over these
-    ranges; r_* carry the values of R_k = H^-1 T_k H used by the exact
-    formula, each acc[m][c] / (L Delta_c Delta_{m+1}) as one rational.  top
-    is the largest family index the blocks reach.
+    is the upper-right block (rows n_minus_big(n+1, q, k) .. n, columns n+1 ..
+    n_plus(n, q, k)).  The printed labels are T_k's entries over these ranges.
+    top is the largest family index the blocks reach.
     """
 
-    __slots__ = ("tgt_rows", "tgt_cols", "src_rows", "src_cols", "r_tgt", "r_src", "top")
+    __slots__ = ("tgt_rows", "tgt_cols", "src_rows", "src_cols", "top")
 
     def __init__(self, T: RecurrenceTruncation, n: int):
         k, q, p = T.k, T.q, T.p
@@ -123,50 +138,43 @@ class CDBlocks:
         if self.top >= T.size:
             raise DepthError(f"T_{k} window {T.size} too small for CD blocks at n={n}",
                              required=self.top + 1)
-        acc, minors, L = T.acc, T.F.minors, T.L
-        self.r_tgt, self.r_src = (
-            [[rat(a, L * minors[c] * minors[m + 1]) if (a := acc[m][c]) else ZERO for c in cols]
-             for m in rows]
-            for rows, cols in ((self.tgt_rows, self.tgt_cols), (self.src_rows, self.src_cols)))
 
 
 def _point(x: tuple) -> str:
     return f"({x[0]}, {x[1]})"
 
 
-def check_cd_formula(T: RecurrenceTruncation, n: int, tables: list[KernelTable]) -> CheckReport:
-    """Exact CD identity over T_k's blocks at n at every tabled point pair, as p x q matrices.
-
-    The right side is a_gt^T (R_tgt b_n) - a_n^T (R_src b_gt).  With both
-    blocks' R entries over one denominator d_R it is S / (den d_R), S an integer
-    sum, so for x_k - y_k = u / v the identity is u d_R kernels_int[n] = v S.
-    """
-    blocks = CDBlocks(T, n)
-    k, p, q = T.k, T.p, T.q
-    _require_tabled(tables, blocks.top + 1)
-    d_r, nums = common_denominator(
-        v for block in (blocks.r_tgt, blocks.r_src) for row in block for v in row)
-    nums = iter(nums)  # block row m as (m, [(column, signed R entry)]), zeros dropped
-    rows = [(m, [(c, sign * e) for c, e in zip(cols, nums) if e])
-            for row_range, cols, sign in ((blocks.tgt_rows, blocks.tgt_cols, 1),
-                                          (blocks.src_rows, blocks.src_cols, -1))
-            for m in row_range]
+def check_cd_formula(T: RecurrenceTruncation, relations: CheckReport) -> CheckReport:
+    """(a) and (b) of the module docstring for T_k, one CD formula per n below
+    recurrence_n_max.  relations is check_recurrence_matrix(T, A, B) for families
+    that reach T.size, as factorize's do.  A failed relation is reported at
+    (k, n, label, idx), an entry that breaks (b) at (k, n, m, c)."""
+    k = T.k
     rep = CheckReport(f"cd_T{k}")
-    for table in tables:
-        x, y = table.x, table.y
-        xk, yk = as_rat(x[k - 1]), as_rat(y[k - 1])
-        a, b = table.a_int, table.b_int
-        rbs = [(a[m], [sum(e * b[c][j] for c, e in terms) for j in range(q)])
-               for m, terms in rows if terms]
-        s = [[sum(a_m[i] * rb[j] for a_m, rb in rbs) for j in range(q)] for i in range(p)]
-        u = d_r * (xk.numerator * yk.denominator - yk.numerator * xk.denominator)
-        v = xk.denominator * yk.denominator
-        if any(u * kv != v * sv for k_row, s_row in zip(table.kernels_int[n], s)
-               for kv, sv in zip(k_row, s_row)):
-            rep.violations.append(
-                Violation("cd", (k, n, _point(x), _point(y)), "(x_k - y_k) K^[n] != block sum")
-            )
+    n_max = recurrence_n_max(T, T.size, T.size)
+    if n_max == 0:
+        rep.skipped.append(f"no relation to check at depth {T.size}")
+    if relations.checked != n_max * (T.p + T.q):
+        raise ValueError(f"relations do not cover every n below {n_max}")
+    for v in relations.violations:
+        _, label, n, idx = v.where
+        rep.violations.append(Violation("cd", (k, n, label, idx), "recurrence relation fails"))
+    # each nonzero entry, with whether its column's band and its row's band hold it
+    cols = [T.col_band(c) for c in range(T.size)]
+    nonzero = [(m, c, lo <= m <= hi, first <= c <= last)
+               for m, (row, (first, last)) in enumerate(zip(T.acc, map(T.row_band, range(T.size))))
+               for c, (a, (lo, hi)) in enumerate(zip(row, cols)) if a]
+    for n in range(n_max):
+        blocks = CDBlocks(T, n)
+        for m, c, in_col, in_row in nonzero:
+            u_v = (c <= n and in_col) - (m <= n and in_row)
+            w = ((m in blocks.tgt_rows and c in blocks.tgt_cols)
+                 - (m in blocks.src_rows and c in blocks.src_cols))
+            if u_v != w:
+                rep.violations.append(
+                    Violation("cd", (k, n, m, c), f"weight {u_v} in the recurrences, {w} in the blocks"))
         rep.checked += 1
+    rep.violations.sort(key=lambda v: v.where[1])
     return rep
 
 
@@ -190,7 +198,8 @@ def check_abc(M: MomentTruncation, n: int, tables: list[KernelTable]) -> CheckRe
     p, q, D = M.p, M.q, n + 1
     if D > M.depth:
         raise DepthError(f"corner {D} exceeds depth {M.depth}", required=D)
-    _require_tabled(tables, D)
+    if any(len(table.kernels_int) < D for table in tables):
+        raise DepthError(f"point-pair tables end before family index {n}", required=D)
     rows = [M.ints[m][:D] + [int(m == j) for j in range(D)] for m in range(D)]
     rows += [[int(a == j) for j in range(D)] + [0] * D for a in range(D)]
     det = -eliminate(rows, D)[D]

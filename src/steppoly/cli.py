@@ -53,7 +53,6 @@ from .recurrence import (
     validate_band,
 )
 from .report import CheckReport
-from .stepline import n_plus
 
 SCHEMA_VERSION = 1
 
@@ -167,6 +166,11 @@ class Workspace:
         """Pairing matrix of the depth-D families; biorthogonality and reproduction share it."""
         return pairing_matrix(self.A.head(self.depth), self.B.head(self.depth), self.M)
 
+    @cached_property
+    def relations(self) -> dict[int, CheckReport]:
+        """check_recurrence_matrix per k; the recurrence and cd checks share it."""
+        return {k: check_recurrence_matrix(self.T[k], self.A, self.B) for k in (1, 2)}
+
 
 def _point_pairs(rng: random.Random, count: int) -> list:
     return [(seeded_point(rng), seeded_point(rng)) for _ in range(count)]
@@ -189,18 +193,6 @@ def _projection(ws: Workspace, rng: random.Random) -> list[CheckReport]:
             check_projection(ws.B, ws.A, ws.M.transpose(), D - 1, list(zip(*P_dual)))]
 
 
-def _cd(ws: Workspace, pairs: list) -> list[CheckReport]:
-    q, p = ws.config.q, ws.config.p
-    tables = [KernelTable(ws.A, ws.B, x, y, ws.depth) for x, y in pairs]  # for every n and k
-    reps = []
-    for k in (1, 2):
-        n = 0
-        while max(n_plus(n, p, k), n_plus(n, q, k)) < ws.T[k].size:
-            reps.append(check_cd_formula(ws.T[k], n, tables))
-            n += 1
-    return reps
-
-
 def _abc(ws: Workspace, pairs: list) -> list[CheckReport]:
     count = min(ws.depth, 8)
     tables = [KernelTable(ws.A, ws.B, x, y, count) for x, y in pairs]
@@ -214,12 +206,13 @@ CHECKS = {
     "biorthogonality": lambda ws, _: [check_biorthogonality(ws.gram)],
     "dual": lambda ws, _: [check_dual_form(ws.T[k], ws.F) for k in (1, 2)],
     "band": lambda ws, _: [validate_band(ws.T[k]) for k in (1, 2)],
-    "recurrence": lambda ws, _: [check_recurrence_matrix(ws.T[k], ws.A, ws.B) for k in (1, 2)],
+    "recurrence": lambda ws, _: list(ws.relations.values()),
     "reproduction": lambda ws, pairs: [
         check_reproduction(ws.A, ws.B, ws.gram, ws.depth - 1, pairs)
     ],
     "projection": _projection,
-    "cd": _cd,
+    # cd's drawn pairs go unread: the formula follows from the relations (cdkernel)
+    "cd": lambda ws, _: [check_cd_formula(ws.T[k], ws.relations[k]) for k in (1, 2)],
     "abc": _abc,
 }
 

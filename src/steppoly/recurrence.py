@@ -179,12 +179,9 @@ def validate_band(T: RecurrenceTruncation) -> CheckReport:
 def recurrence_n_max(T: RecurrenceTruncation, a_count: int, b_count: int) -> int:
     """Largest n (exclusive) for which both entrywise relations are determined."""
     n = 0
-    while True:
-        top_b = n_plus(n, T.q, T.k)
-        top_a = n_plus(n, T.p, T.k)
-        if top_b >= b_count or top_a >= a_count or top_b >= T.size or top_a >= T.size:
-            return n
+    while n_plus(n, T.q, T.k) < min(b_count, T.size) and n_plus(n, T.p, T.k) < min(a_count, T.size):
         n += 1
+    return n
 
 
 def check_recurrence_matrix(T: RecurrenceTruncation, A: Family, B: Family) -> CheckReport:

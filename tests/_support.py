@@ -17,6 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from steppoly import assemble_moments, extract_families, factorize, rat
+from steppoly.cdkernel import CDBlocks, KernelTable
 from steppoly.errors import Breakdown, DepthError
 from steppoly.families import Family
 from steppoly.gaussborel import Factorization, IntegerSide
@@ -24,6 +25,7 @@ from steppoly.measures import Discrete, MeasureMatrix, MomentTable, RectDensity
 from steppoly.moments import MomentTruncation
 from steppoly.rational import ZERO, as_rat, common_denominator, format_rat, parse_rat
 from steppoly.recurrence import RecurrenceTruncation
+from steppoly.report import CheckReport, Violation
 from steppoly.stepline import in_complement_J, n_plus, pair_of
 
 SHAPES = [(1, 1), (1, 2), (2, 1), (2, 2), (2, 3)]
@@ -481,10 +483,15 @@ def bordered_numerators(data: list[list]) -> tuple[list[int], IntegerSide, Integ
 
 
 def reconstruct(F: Factorization) -> list[list]:
-    """S^-1 diag(H) Sbar^-T from the stored inverses, for comparison against the truncation."""
+    """S^-1 diag(H) Sbar^-T from the stored inverses, for comparison against the truncation.
+
+    Both inverses are lower triangular, so entry (m, n) is the sum of
+    S^-1[m][c] H_c Sbar^-1[n][c] over c <= min(m, n) only.
+    """
     S_inv, Sbar_inv = stored_inverses(F)
-    hsbar_t = [[F.H[i] * v for v in row] for i, row in enumerate(transpose(Sbar_inv))]
-    return matmul(S_inv, hsbar_t)
+    h_sbar = [[h * v for h, v in zip(F.H, row)] for row in Sbar_inv]  # row n: H_c Sbar^-1[n][c]
+    return [[sum((a * b for a, b in zip(s_row[:min(m, n) + 1], row)), ZERO)
+             for n, row in enumerate(h_sbar)] for m, s_row in enumerate(S_inv)]
 
 
 def recurrence_oracle(S: list[list], S_inv: list[list], q: int, k: int, size: int) -> list[list]:
@@ -528,6 +535,54 @@ def planted_entry(T: RecurrenceTruncation, m: int, n: int, value) -> RecurrenceT
     acc = [[s * v for v in row] for row in T.acc]
     acc[m][n] = int(a.numerator)
     return RecurrenceTruncation(T.k, T.q, T.p, T.size, acc, s * T.L, T.F)
+
+
+def cd_block_values(T: RecurrenceTruncation, n: int) -> tuple[list[list], list[list]]:
+    """R_k = H^-1 T_k H over the lower-left and upper-right CD blocks at n, read off
+    T_k's integers: each entry acc[m][c] / (L Delta_c Delta_{m+1}) as one rational."""
+    blocks, minors = CDBlocks(T, n), T.F.minors
+    tgt, src = ([[rat(T.acc[m][c], T.L * minors[c] * minors[m + 1]) for c in cols] for m in rows]
+                for rows, cols in ((blocks.tgt_rows, blocks.tgt_cols),
+                                   (blocks.src_rows, blocks.src_cols)))
+    return tgt, src
+
+
+def pointwise_cd(T: RecurrenceTruncation, n: int, tables: list[KernelTable]) -> CheckReport:
+    """The CD identity over T_k's blocks at n at every tabled point pair, as p x q
+    matrices: the pointwise oracle for cdkernel.check_cd_formula.
+
+    The right side is a_gt^T (R_tgt b_n) - a_n^T (R_src b_gt).  With both
+    blocks' R entries over one denominator d_R it is S / (den d_R), S an integer
+    sum, so for x_k - y_k = u / v the identity is u d_R kernels_int[n] = v S.
+    """
+    blocks = CDBlocks(T, n)
+    k, p, q = T.k, T.p, T.q
+    if any(len(table.kernels_int) <= blocks.top for table in tables):
+        raise DepthError(f"point-pair tables end before family index {blocks.top}",
+                         required=blocks.top + 1)
+    d_r, nums = common_denominator(v for block in cd_block_values(T, n) for row in block for v in row)
+    nums = iter(nums)  # block row m as (m, [(column, signed R entry)]), zeros dropped
+    rows = [(m, [(c, sign * e) for c, e in zip(cols, nums) if e])
+            for row_range, cols, sign in ((blocks.tgt_rows, blocks.tgt_cols, 1),
+                                          (blocks.src_rows, blocks.src_cols, -1))
+            for m in row_range]
+    rep = CheckReport(f"cd_T{k}")
+    for table in tables:
+        x, y = table.x, table.y
+        xk, yk = as_rat(x[k - 1]), as_rat(y[k - 1])
+        a, b = table.a_int, table.b_int
+        rbs = [(a[m], [sum(e * b[c][j] for c, e in terms) for j in range(q)])
+               for m, terms in rows if terms]
+        s = [[sum(a_m[i] * rb[j] for a_m, rb in rbs) for j in range(q)] for i in range(p)]
+        u = d_r * (xk.numerator * yk.denominator - yk.numerator * xk.denominator)
+        v = xk.denominator * yk.denominator
+        if any(u * kv != v * sv for k_row, s_row in zip(table.kernels_int[n], s)
+               for kv, sv in zip(k_row, s_row)):
+            rep.violations.append(Violation(
+                "cd", (k, n, f"({x[0]}, {x[1]})", f"({y[0]}, {y[1]})"),
+                "(x_k - y_k) K^[n] != block sum"))
+        rep.checked += 1
+    return rep
 
 
 def integrate_pair(mm: MeasureMatrix, left: BiPoly, b_idx: int, a_idx: int, right: BiPoly):

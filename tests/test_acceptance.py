@@ -51,6 +51,7 @@ from _support import (
     SHAPES,
     SPOT_PAIRS,
     build_system,
+    cd_block_values,
     corner,
     deg_x1,
     deg_x2,
@@ -59,6 +60,7 @@ from _support import (
     mat_eq,
     members,
     mixed_mm,
+    pointwise_cd,
     poly,
     pos_of,
     reconstruct,
@@ -250,7 +252,7 @@ def test_criterion_6_cd_abc_reproduction_projection():
         a_cache = {x: [[c.eval(*x) for c in comps] for comps in a_members] for x in xs}
         b_cache = {y: [[c.eval(*y) for c in comps] for comps in b_members] for y in ys}
         blocks_kn = {
-            (k, n): CDBlocks(T[k], n)
+            (k, n): (CDBlocks(T[k], n), cd_block_values(T[k], n))
             for k in (1, 2)
             for n in range(n_top + 1)
         }
@@ -263,10 +265,10 @@ def test_criterion_6_cd_abc_reproduction_projection():
                 (k, n): [(m, [sign * sum((v * b_y[c][b_idx] for c, v in zip(cols, r_row) if v != 0),
                                          rat(0)) for b_idx in range(q)])
                          for rows, cols, block, sign in (
-                             (blocks.tgt_rows, blocks.tgt_cols, blocks.r_tgt, 1),
-                             (blocks.src_rows, blocks.src_cols, blocks.r_src, -1))
+                             (blocks.tgt_rows, blocks.tgt_cols, r_tgt, 1),
+                             (blocks.src_rows, blocks.src_cols, r_src, -1))
                          for m, r_row in zip(rows, block)]
-                for (k, n), blocks in blocks_kn.items()
+                for (k, n), (blocks, (r_tgt, r_src)) in blocks_kn.items()
             }
             for x in xs:
                 a_x = a_cache[x]
@@ -285,12 +287,14 @@ def test_criterion_6_cd_abc_reproduction_projection():
                                     q, p, k, n, x, y,
                                 )
 
-        # tie the inline evaluation back to the library predicate on a sample
+        # tie the inline evaluation back to the pointwise oracle on a sample
         sample = [(xs[0], ys[-1]), (xs[-1], ys[0]), (xs[len(xs) // 2], ys[len(ys) // 2])]
         sample_tables = [KernelTable(system.A, system.B, x, y, window) for x, y in sample]
         for k in (1, 2):
-            rep = check_cd_formula(T[k], 3, sample_tables)
+            rep = pointwise_cd(T[k], 3, sample_tables)
             assert rep.ok and rep.checked == len(sample)
+            # and the library check, which reads the recurrences instead of points
+            assert check_cd_formula(T[k], check_recurrence_matrix(T[k], system.A, system.B)).ok
 
         rng = random.Random(602)
         pairs = [(seeded_point(rng), seeded_point(rng)) for _ in range(10)]

@@ -15,7 +15,7 @@ from steppoly.cdkernel import (
 )
 from steppoly.errors import Breakdown, DepthError
 from steppoly.moments import MomentTruncation
-from steppoly.recurrence import recurrence_n_max
+from steppoly.recurrence import check_recurrence_matrix, recurrence_n_max
 from steppoly.stepline import n_minus_big, n_plus
 
 from _support import (
@@ -23,11 +23,13 @@ from _support import (
     SPOT_PAIRS,
     abc_oracle,
     build_system,
+    cd_block_values,
     grid_values,
     kernel_sum,
     members,
     planted,
     planted_entry,
+    pointwise_cd,
     poly,
     pos_of,
     truncation_corner,
@@ -143,46 +145,49 @@ class TestCDBlocks:
         k = 1
         n = 3
         blocks = CDBlocks(T[k], n)
+        r_tgt, r_src = cd_block_values(T[k], n)  # R_k's values, read off acc
         t_tgt = [[T[k].data[m][c] for c in blocks.tgt_cols] for m in blocks.tgt_rows]
         t_src = [[T[k].data[m][c] for c in blocks.src_cols] for m in blocks.src_rows]
         for bi, m in enumerate(blocks.tgt_rows):
             for bj, c in enumerate(blocks.tgt_cols):
                 assert t_tgt[bi][bj] == T[k].data[m][c]
-                assert blocks.r_tgt[bi][bj] == T[k].data[m][c] * T[k].F.H[c] / T[k].F.H[m]
+                assert r_tgt[bi][bj] == T[k].data[m][c] * T[k].F.H[c] / T[k].F.H[m]
         for bi, m in enumerate(blocks.src_rows):
             for bj, c in enumerate(blocks.src_cols):
                 assert t_src[bi][bj] == T[k].data[m][c]
-                assert blocks.r_src[bi][bj] == T[k].data[m][c] * T[k].F.H[c] / T[k].F.H[m]
+                assert r_src[bi][bj] == T[k].data[m][c] * T[k].F.H[c] / T[k].F.H[m]
 
     def test_window_guard(self):
         system, T = system_with_T(1, 1, 5, seed=86)
         with pytest.raises(DepthError):
             CDBlocks(T[2], 4)
         with pytest.raises(DepthError):
-            check_cd_formula(T[2], 4, tables(system, [(X, Y)], 5))
+            pointwise_cd(T[2], 4, tables(system, [(X, Y)], 5))
 
 
 class TestCDFormula:
+    """The pointwise oracle: the CD identity at point pairs, over R_k's block values."""
+
     def test_exact_on_random_systems(self):
         for q, p in SHAPES:
             system, T = system_with_T(q, p, 12, seed=87)
             for k in (1, 2):
                 n_max = recurrence_n_max(T[k], len(system.A), len(system.B))
                 for n in range(n_max):
-                    assert check_cd_formula(T[k], n, tables(system, [(X, Y)], 12)).ok, (q, p, k, n)
+                    assert pointwise_cd(T[k], n, tables(system, [(X, Y)], 12)).ok, (q, p, k, n)
 
     def test_small_grid(self):
         system, T = system_with_T(1, 2, 10, seed=88)
         vals = grid_values(4)
         pairs = [((x1, rat(1, 3)), (rat(-1, 2), y2)) for x1 in vals for y2 in vals]
-        rep = check_cd_formula(T[1], 3, tables(system, pairs, 10))
+        rep = pointwise_cd(T[1], 3, tables(system, pairs, 10))
         assert rep.ok and rep.checked == len(pairs), rep.violations[:1]
 
     def test_short_tables_rejected(self):
         system, T = system_with_T(1, 2, 10, seed=88)
         blocks = CDBlocks(T[1], 3)
         with pytest.raises(DepthError):
-            check_cd_formula(T[1], 3, tables(system, [(X, Y)], blocks.top))
+            pointwise_cd(T[1], 3, tables(system, [(X, Y)], blocks.top))
         with pytest.raises(DepthError):
             check_abc(system.M, 4, tables(system, [(X, Y)], 4))
         # a corner deeper than the truncation is rejected, never sliced short
@@ -192,7 +197,7 @@ class TestCDFormula:
     def test_detects_wrong_families(self):
         system, T = system_with_T(1, 1, 10, seed=89)
         other = build_system(1, 1, system.depth, seed=90)
-        rep = check_cd_formula(T[1], 2, tables(other, [(X, Y)], 10))
+        rep = pointwise_cd(T[1], 2, tables(other, [(X, Y)], 10))
         assert not rep.ok
         assert rep.violations[0].where[:2] == (1, 2)
 
@@ -216,7 +221,7 @@ class TestCDFormula:
                     n = 0
                     while max(n_plus(n, p, k), n_plus(n, q, k)) < bad.size:
                         blocks = CDBlocks(bad, n)
-                        rep = check_cd_formula(bad, n, pair_tables)
+                        rep = pointwise_cd(bad, n, pair_tables)
                         assert rep.checked == len(pairs)
                         if (m in blocks.tgt_rows and c in blocks.tgt_cols
                                 or m in blocks.src_rows and c in blocks.src_cols):
@@ -226,6 +231,96 @@ class TestCDFormula:
                             assert rep.ok, (q, p, k, m, c, n)
                         n += 1
                     assert flagged, (q, p, k, m, c)
+
+
+def cd_report(system, T):
+    return check_cd_formula(T, check_recurrence_matrix(T, system.A, system.B))
+
+
+def relation_wheres(system, T) -> list[tuple]:
+    """Where check_cd_formula reports each failed relation: (k, n, label, idx), by n."""
+    reps = check_recurrence_matrix(T, system.A, system.B).violations
+    return sorted(((k, n, label, idx) for k, label, n, idx in (v.where for v in reps)),
+                  key=lambda where: where[1])
+
+
+class TestCDFromRecurrences:
+    """check_cd_formula: (a) the recurrence relations and (b) the index identity on
+    acc, against the pointwise oracle, on every shape and both k."""
+
+    PAIRS = [(X, Y), (Y, X), ((rat(-3, 4), rat(2, 3)), (rat(1, 6), rat(-5, 4)))]
+
+    @pytest.mark.parametrize("kind", ["table", "mixed"])
+    def test_passes_wherever_the_oracle_passes(self, kind):
+        for q, p in SHAPES:
+            system = build_system(q, p, required_depth(12, q, p), seed=87, kind=kind)
+            pair_tables = tables(system, self.PAIRS, 12)
+            for k in (1, 2):
+                T = build_recurrence(system.F, q, p, k, 12)
+                n_max = recurrence_n_max(T, len(system.A), len(system.B))
+                assert n_max > 0
+                assert all(pointwise_cd(T, n, pair_tables).ok for n in range(n_max)), (q, p, k)
+                rep = cd_report(system, T)
+                assert rep.ok and rep.checked == n_max and not rep.skipped, (q, p, k)
+
+    def test_planted_in_band_entry_fails_both(self):
+        # column 2's trailing entry: both relations read it, and a lower-left block holds it
+        for q, p in SHAPES:
+            for k in (1, 2):
+                system, T = system_with_T(q, p, 12, seed=87)
+                m, c = n_plus(2, p, k), 2
+                bad = planted_entry(T[k], m, c, T[k].data[m][c] + 1)
+                assert bad.acc[m][c]
+                pair_tables = tables(system, self.PAIRS, 12)
+                n_max = recurrence_n_max(bad, len(system.A), len(system.B))
+                assert not all(pointwise_cd(bad, n, pair_tables).ok for n in range(n_max))
+                rep = cd_report(system, bad)
+                # the relations fail, and the index identity still holds
+                assert relation_wheres(system, bad), (q, p, k)
+                assert [v.where for v in rep.violations] == relation_wheres(system, bad), (q, p, k)
+
+    def test_planted_out_of_band_block_entry_fails_through_the_index_identity(self):
+        # row 7, column 2 of T_1 on (1, 2) is outside both bands, so no relation
+        # reads it, but the lower-left blocks from n = 3 on hold it
+        q, p, k, m, c = 1, 2, 1, 7, 2
+        system, T = system_with_T(q, p, 12, seed=87)
+        bad = planted_entry(T[k], m, c, T[k].data[m][c] + 1)
+        assert check_recurrence_matrix(bad, system.A, system.B).ok
+        pair_tables = tables(system, self.PAIRS, 12)
+        n_max = recurrence_n_max(bad, len(system.A), len(system.B))
+        flagged = [n for n in range(n_max) if not pointwise_cd(bad, n, pair_tables).ok]
+        assert flagged[0] == 3
+        rep = cd_report(system, bad)
+        assert [v.where for v in rep.violations] == [(k, n, m, c) for n in flagged]
+        assert rep.violations[0].detail == "weight 0 in the recurrences, 1 in the blocks"
+
+    def test_planted_diagonal_entry_fails_the_relations_only(self):
+        # no CD block holds a diagonal entry, so the pointwise formula cannot see it;
+        # the relations that read it fail, so check_cd_formula is stricter
+        for q, p in SHAPES:
+            for k in (1, 2):
+                system, T = system_with_T(q, p, 12, seed=87)
+                n_max = recurrence_n_max(T[k], len(system.A), len(system.B))
+                pair_tables = tables(system, self.PAIRS, 12)
+                for j in sorted({0, n_max - 1}):
+                    bad = planted_entry(T[k], j, j, T[k].data[j][j] + 1)
+                    assert all(pointwise_cd(bad, n, pair_tables).ok for n in range(n_max))
+                    rep = cd_report(system, bad)
+                    assert relation_wheres(system, bad), (q, p, k, j)
+                    assert [v.where for v in rep.violations] == relation_wheres(system, bad)
+
+    def test_no_n_to_check_is_skipped(self):
+        system, T = system_with_T(1, 1, 1, seed=86)
+        for k in (1, 2):
+            rep = cd_report(system, T[k])
+            assert rep.ok and rep.checked == 0
+            assert rep.skipped == ["no relation to check at depth 1"]
+
+    def test_relations_must_cover_every_n(self):
+        system, T = system_with_T(1, 2, 12, seed=87)
+        short = check_recurrence_matrix(T[1], system.A.head(8), system.B)
+        with pytest.raises(ValueError):
+            check_cd_formula(T[1], short)
 
 
 class TestABC:

@@ -17,12 +17,14 @@ from hypothesis import strategies as st
 
 import steppoly
 from steppoly import build_recurrence, rat, required_depth
+from steppoly.cdkernel import KernelTable
 from steppoly.cli import (CHECK_NAMES, EXPORT_KINDS, RunConfig, Workspace, _decimal_text,
                           _export_entries, extended_depth, load_config, main)
 from steppoly.errors import ConfigError, DepthError
 from steppoly.gaussborel import _factor_row, unit_lower
 from steppoly.measures import measure_from_json
 from steppoly.rational import BACKEND, common_denominator, parse_rat
+from steppoly.recurrence import check_recurrence_matrix
 from steppoly.report import CheckReport, Violation
 
 from _support import (BiPoly, build_system, config_json, corner, csv_writer_text,
@@ -554,6 +556,40 @@ class TestMomentRowsScaledOnce:
         assert main(["kernel", "--config", str(cfg), "--n", "4",
                      "--x", "1/2,-1/3", "--y", "2/7,1/5", "--out", str(tmp_path / "k")]) == 0
         assert widths == [5] * 5
+
+
+class TestRecurrenceReportShared:
+    """verify proves each recurrence relation once: the recurrence and cd checks
+    read one check_recurrence_matrix report per k, whichever of them run, and
+    only abc and reproduction evaluate the families at points, in KernelTables."""
+
+    @pytest.mark.parametrize("shape", ["golden", (2, 3)])
+    def test_relations_once_and_tables_for_abc_and_reproduction(self, tmp_path, monkeypatch,
+                                                                shape):
+        cfg = shape_config(tmp_path, shape)
+        relations, tables = [], []
+
+        def counting_relations(T, A, B):
+            relations.append(T.k)
+            return check_recurrence_matrix(T, A, B)
+
+        def counting_table(*args):
+            tables.append(args)
+            return KernelTable(*args)
+
+        monkeypatch.setattr("steppoly.cli.check_recurrence_matrix", counting_relations)
+        monkeypatch.setattr("steppoly.cli.KernelTable", counting_table)
+        monkeypatch.setattr("steppoly.cdkernel.KernelTable", counting_table)
+        assert main(["verify", "--config", str(cfg), "--checks", ",".join(CHECK_NAMES),
+                     "--out", str(tmp_path / "v")]) == 0
+        assert relations == [1, 2]
+        assert len(tables) == 10 + 3  # abc's point pairs, then reproduction's
+        for name in CHECK_NAMES:
+            relations.clear()
+            tables.clear()
+            assert main(["verify", "--config", str(cfg), "--checks", name]) == 0
+            assert relations == ([1, 2] if name in ("recurrence", "cd") else []), name
+            assert len(tables) == {"abc": 10, "reproduction": 3}.get(name, 0), name
 
 
 class TestRecurrenceFormedOnRead:

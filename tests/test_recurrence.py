@@ -147,15 +147,20 @@ class TestFailureText:
          "1 violation(s); first at (1, 2, 0): -2825533/238700 != H ratio -2873273/238700"),
         ("recurrence", 4, 3, lambda v: v + rat(1, 11),
          "2 violation(s); first at (1, 'A', 3, 0): coefficient mismatch"),
+        # cd reports a failed relation at (k, n, label, idx) ...
         ("cd", 4, 3, lambda v: v + rat(1, 11),
-         "5 violation(s); first at (1, 3, '(5/3, 23/12)', '(20, 5/8)'):"
-         " (x_k - y_k) K^[n] != block sum"),
+         "2 violation(s); first at (1, 3, 'A', 0): recurrence relation fails"),
+        # ... and an entry that breaks the index identity at (k, n, m, c): no
+        # relation reads (5, 1), but the lower-left block at n = 2 holds it
+        ("cd", 5, 1, lambda v: rat(1, 9),
+         "1 violation(s); first at (1, 2, 5, 1): weight 0 in the recurrences, 1 in the blocks"),
     ]
 
     def test_first_violation_details(self):
-        ws = Workspace(load_config(self.GOLDEN))
-        T = ws.T[1]
+        config = load_config(self.GOLDEN)
+        T = Workspace(config).T[1]
         for check, m, n, value, details in self.CASES:
+            ws = Workspace(config)  # a fresh one: the relations report is cached per workspace
             ws.T[1] = planted_entry(T, m, n, value(T.data[m][n]))
             assert run_checks(ws, [check]) == [
                 {"name": check, "status": "fail", "details": details}], (check, m, n)
