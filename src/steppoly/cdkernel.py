@@ -33,25 +33,25 @@ assumes only that they are what the relations sum over, inside T_k's window
 below recurrence_n_max.  An entry outside them has u = v = 0, so (b) keeps it
 out of the blocks; validate_band checks that it vanishes.
 
-The ABC identity expresses the same kernel through the inverse of the leading
-(n+1) x (n+1) moment truncation, from the moments alone, by gaussborel's
-elimination of the truncation bordered by identity blocks.  kernel_eval,
-behind the kernel command, borders it by the two points' monomials instead:
-the elimination, in Bareiss's three-step form, leaves the kernel as a Schur
-complement, and no factor or family is formed.
+The ABC identity writes K^[n] through the inverse of the leading (n+1) x
+(n+1) moment truncation: sum over i <= n of a_i b_i^T is that inverse, where
+a_i and b_i are the coefficient rows of A_i and B_i, so K^[n](x, y) =
+X_[p](x)^T M^-1 X_[q](y) at every point pair (B. Simon, "The
+Christoffel-Darboux kernel", Proc. Sympos. Pure Math. 79, 2008).  check_abc
+compares the two matrices coefficient by coefficient; the inverse comes from
+the moments alone, by gaussborel's elimination of the truncation bordered by
+identity blocks.  kernel_eval, behind the kernel command, borders it by the
+two points' monomials instead: the elimination, in Bareiss's three-step form,
+leaves the kernel as a Schur complement, and no factor or family is formed.
 
-The family side of the ABC and reproduction identities reads a KernelTable:
-both families at a point pair, each over one denominator, and every K^[n](x, y)
-as an integer prefix sum.  Both are compared fraction-free, as in gaussborel
-(E. H. Bareiss, Math. Comp. 22, 1968): each side is an integer sum over its
-own denominator, and the two are cross-multiplied.
+Both ABC sides, and both reproduction sides, are compared fraction-free, as
+in gaussborel (E. H. Bareiss, Math. Comp. 22, 1968): each side is an integer
+sum over its own denominator, and the two are cross-multiplied.
 """
 
 from __future__ import annotations
 
-from itertools import accumulate
 from math import lcm
-from operator import mul
 
 from .errors import DepthError
 from .families import Family, monomial_ints, pairings
@@ -61,28 +61,6 @@ from .rational import common_denominator, rat
 from .recurrence import RecurrenceTruncation, recurrence_n_max
 from .report import CheckReport, Violation
 from .stepline import n_minus_big, n_plus
-
-
-class KernelTable:
-    """Both families at one point pair, with K^[n](x, y) for every n < count.
-
-    A_i(x) = a_int[i] / d_a and B_i(y) = b_int[i] / d_b (Family.values);
-    kernels_int[n] sums the outer products a_int[i] b_int[i] over i <= n, so
-    K^[n](x, y) = kernels_int[n] / den with den = d_a d_b.
-    """
-
-    __slots__ = ("x", "y", "den", "a_int", "b_int", "kernels_int")
-
-    def __init__(self, A: Family, B: Family, x: tuple, y: tuple, count: int):
-        if count > min(len(A), len(B)):
-            raise DepthError(f"kernel index {count - 1} outside family range", required=count)
-        self.x, self.y = x, y
-        (d_a, self.a_int), (d_b, self.b_int) = map(
-            _integer_rows, (A.values(*x, count), B.values(*y, count)))
-        self.den = d_a * d_b
-        outer = ([[va * vb for vb in b_i] for va in a_i] for a_i, b_i in zip(self.a_int, self.b_int))
-        self.kernels_int = list(accumulate(
-            outer, lambda s, t: [[u + v for u, v in zip(r, w)] for r, w in zip(s, t)]))
 
 
 def _integer_rows(rows: list[list]) -> tuple[int, list[list[int]]]:
@@ -178,48 +156,47 @@ def check_cd_formula(T: RecurrenceTruncation, relations: CheckReport) -> CheckRe
     return rep
 
 
-def check_abc(M: MomentTruncation, n: int, tables: list[KernelTable]) -> CheckReport:
-    """Tabled K^[n] equals the inverse-moment form at every point pair, exactly.
+def check_abc(M: MomentTruncation, A: Family, B: Family, n: int) -> CheckReport:
+    """Sum over i <= n of a_i b_i^T equals the inverse of the (n+1) corner of M,
+    coefficient by coefficient, exactly.
 
     The oracle reads only the moments, never the factorization.  The D = n+1
     corner is sliced out of M's integers: Mi[m] is M.ints[m][:D], the corner's
     row m times r_m = M.scale[m], so Mi = diag(r) M on the corner.  It is
     bordered by identity blocks: rows Mi[m] + e_m for m < D, then e_a + [0]*D
     for a < D.  D steps of eliminate leave Delta_D times the Schur complement
-    -Mi^-1, that is -adj(Mi), in the lower right block, once for all pairs.
-    So M^-1 = adj diag(r) / Delta_D,
-    and with det = -Delta_D the block itself stands for adj.  A vanishing
-    leading minor raises the Breakdown factorize would.  Row m of X_[p]^T(x)
-    has one nonzero, the monomial at position m // p, in slot m % p; with
-    integer monomial tables X / d_x and Y / d_y the right side is
-    G / (d_x d_y det), G[i][j] summing X[m // p] adj[m][m'] r_m' Y[m' // q]
-    over m = i (mod p) and m' = j (mod q).
+    -Mi^-1 in the lower right block.  So with det = -Delta_D, M^-1[m][c] =
+    block[m][c] r_c / det.  A vanishing leading minor raises the Breakdown
+    factorize would.  On the family side, A.rows[i] = (d_a, a_i) and
+    B.rows[i] = (d_b, b_i), so a_i[m] b_i[c] is over d_a d_b, and the sum
+    over i <= n is got / den, den the lcm of those products.  Both sides are
+    integer maps over (m, c), compared over the union of their keys, so a
+    coefficient stored beyond column n is a mismatch.  The first mismatch in
+    row-major order is reported at (n, m, c).
     """
-    p, q, D = M.p, M.q, n + 1
+    D = n + 1
     if D > M.depth:
         raise DepthError(f"corner {D} exceeds depth {M.depth}", required=D)
-    if any(len(table.kernels_int) < D for table in tables):
-        raise DepthError(f"point-pair tables end before family index {n}", required=D)
+    if D > min(len(A), len(B)):
+        raise DepthError(f"kernel index {n} outside family range", required=D)
     rows = [M.ints[m][:D] + [int(m == j) for j in range(D)] for m in range(D)]
     rows += [[int(a == j) for j in range(D)] + [0] * D for a in range(D)]
     det = -eliminate(rows, D)[D]
-    weighted = [[v * r for v, r in zip(row[D:], M.scale)] for row in rows[D:]]  # adj diag(r)
+    terms = [(d_a * d_b, a, b) for (d_a, a), (d_b, b) in zip(A.rows[:D], B.rows[:D])]
+    den = lcm(*(d for d, _, _ in terms))
+    got: dict[tuple[int, int], int] = {}
+    for d, a, b in terms:
+        for m, u in a.items():
+            f = den // d * u
+            for c, v in b.items():
+                got[m, c] = got.get((m, c), 0) + f * v
+    want = {(m, c): den * v * r for m, row in enumerate(rows[D:])
+            for c, (v, r) in enumerate(zip(row[D:], M.scale)) if v}
     rep = CheckReport("abc")
-    for table in tables:
-        x, y = table.x, table.y
-        d_x, X = monomial_ints(x, n // p + 1)
-        d_y, Y = monomial_ints(y, n // q + 1)
-        y_col = [Y[m // q] for m in range(n + 1)]
-        wy = [[sum(map(mul, row[j::q], y_col[j::q])) for j in range(q)] for row in weighted]
-        g = [[sum(X[m // p] * wy[m][j] for m in range(i, n + 1, p)) for j in range(q)]
-             for i in range(p)]
-        scale = d_x * d_y * det
-        if any(kv * scale != table.den * gv for k_row, g_row in zip(table.kernels_int[n], g)
-               for kv, gv in zip(k_row, g_row)):
-            rep.violations.append(
-                Violation("abc", (n, _point(x), _point(y)), "K^[n] != X^T M^-1 X")
-            )
-        rep.checked += 1
+    bad = [key for key in want.keys() | got.keys() if got.get(key, 0) * det != want.get(key, 0)]
+    if bad:
+        rep.violations.append(Violation("abc", (n, *min(bad)), "sum a_i b_i^T != M^-1"))
+    rep.checked += 1
     return rep
 
 
@@ -231,9 +208,10 @@ def check_reproduction(A: Family, B: Family, gram: list[list], n: int,
     The double integral of K^[n](x, .) dmu K^[n](., y), expanded through its
     leading (n+1) corner, must equal K^[n](x, y) at each point pair.  That the
     corner is the identity is check_biorthogonality's job, not this one's.
-    Both sides are compared fraction-free: over the KernelTable's denominator,
-    and with the corner's nonzero entries G = G_int / d_G, the sum of
-    a_int[i] G_int[i][j] b_int[j] must equal d_G kernels_int[n].
+    Both sides are compared fraction-free: with A_i(x) = a[i] / d_a and
+    B_i(y) = b[i] / d_b (Family.values) and the corner's nonzero entries
+    G = G_int / d_G, the sum of a[i] G_int[i][j] b[j] must equal d_G times
+    the sum of the outer products a[i] b[i] over i <= n.
     """
     if n >= min(len(A), len(B), len(gram)):
         raise DepthError(f"reproduction index {n} outside family range", required=n + 1)
@@ -245,11 +223,12 @@ def check_reproduction(A: Family, B: Family, gram: list[list], n: int,
     if not point_pairs:
         rep.skipped.append("no point pairs given")
     for x, y in point_pairs:
-        table = KernelTable(A, B, x, y, n + 1)
-        a, b = table.a_int, table.b_int
+        (_, a), (_, b) = map(_integer_rows, (A.values(*x, n + 1), B.values(*y, n + 1)))
         out = [[sum(a[i][a_idx] * g * b[j][b_idx] for i, j, g in terms) for b_idx in range(q)]
                for a_idx in range(p)]
-        if out != [[d_g * v for v in row] for row in table.kernels_int[n]]:
+        kernel = [[d_g * sum(a_i[a_idx] * b_i[b_idx] for a_i, b_i in zip(a, b))
+                   for b_idx in range(q)] for a_idx in range(p)]
+        if out != kernel:
             rep.violations.append(
                 Violation("reproduction", (n, _point(x), _point(y)), "kernel not reproduced")
             )

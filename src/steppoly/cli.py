@@ -25,14 +25,8 @@ from functools import cache, cached_property
 from pathlib import Path
 from typing import NamedTuple
 
-from .cdkernel import (
-    KernelTable,
-    check_abc,
-    check_cd_formula,
-    check_projection,
-    check_reproduction,
-    kernel_eval,
-)
+from .cdkernel import (check_abc, check_cd_formula, check_projection, check_reproduction,
+                       kernel_eval)
 from .errors import Breakdown, ConfigError, DepthError
 from .families import (
     check_biorthogonality,
@@ -193,12 +187,6 @@ def _projection(ws: Workspace, rng: random.Random) -> list[CheckReport]:
             check_projection(ws.B, ws.A, ws.M.transpose(), D - 1, list(zip(*P_dual)))]
 
 
-def _abc(ws: Workspace, pairs: list) -> list[CheckReport]:
-    count = min(ws.depth, 8)
-    tables = [KernelTable(ws.A, ws.B, x, y, count) for x, y in pairs]
-    return [check_abc(ws.M, n, tables) for n in range(count)]
-
-
 CHECKS = {
     "hankel": lambda ws, _: [check_hankel(ws.M, k) for k in (1, 2)],
     "degree": lambda ws, _: [validate_degree_structure(ws.A, ws.B, ws.config.q, ws.config.p)],
@@ -211,9 +199,8 @@ CHECKS = {
         check_reproduction(ws.A, ws.B, ws.gram, ws.depth - 1, pairs)
     ],
     "projection": _projection,
-    # cd's drawn pairs go unread: the formula follows from the relations (cdkernel)
     "cd": lambda ws, _: [check_cd_formula(ws.T[k], ws.relations[k]) for k in (1, 2)],
-    "abc": _abc,
+    "abc": lambda ws, _: [check_abc(ws.M, ws.A, ws.B, n) for n in range(min(ws.depth, 8))],
 }
 
 CHECK_NAMES = list(CHECKS)
@@ -240,13 +227,11 @@ def run_checks(ws: Workspace, checks: list[str]) -> list[dict]:
     nothing was checked."""
     rng = random.Random(ws.config.seed)
     # drawn in this order whichever checks run, so a seed always gives the same
-    # points; projection draws its matrix polynomials from rng when its turn comes
-    draws = {
-        "cd": _point_pairs(rng, 5),
-        "abc": _point_pairs(rng, 10),
-        "reproduction": _point_pairs(rng, 3),
-        "projection": rng,
-    }
+    # points; cd's 5 pairs and abc's 10 come first, drawn unread, since neither
+    # check reads a point (cdkernel); projection draws its matrix polynomials
+    # from rng when its turn comes
+    _point_pairs(rng, 15)
+    draws = {"reproduction": _point_pairs(rng, 3), "projection": rng}
     out = []
     for name in checks:
         reps = CHECKS[name](ws, draws.get(name))

@@ -75,8 +75,8 @@ class Family:
         return Family(self.r, self.rows[:count])
 
     def eval(self, n: int, x1, x2) -> list:
-        """Member n's r components at one point."""
-        return self.values(x1, x2, n + 1)[n]
+        """Member n's r components at one point; no other member is read."""
+        return Family(self.r, [self.rows[n]]).values(x1, x2, 1)[0]
 
     def values(self, x1, x2, count: int) -> list[list]:
         """Members 0 .. count-1 at one point, all read from one monomial table.

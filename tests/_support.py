@@ -15,12 +15,14 @@ import io
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
+from operator import mul
 
 from steppoly import assemble_moments, extract_families, factorize, rat
-from steppoly.cdkernel import CDBlocks, KernelTable
+from steppoly.cdkernel import CDBlocks, _integer_rows
 from steppoly.errors import Breakdown, DepthError
-from steppoly.families import Family
-from steppoly.gaussborel import Factorization, IntegerSide
+from steppoly.families import Family, monomial_ints
+from steppoly.gaussborel import Factorization, IntegerSide, eliminate
 from steppoly.measures import Discrete, MeasureMatrix, MomentTable, RectDensity
 from steppoly.moments import MomentTruncation
 from steppoly.rational import ZERO, as_rat, common_denominator, format_rat, parse_rat
@@ -362,6 +364,68 @@ def abc_oracle(M: MomentTruncation, n: int, x: tuple, y: tuple) -> list[list]:
 
     inv = gauss_jordan_inverse(corner(M.data, n + 1))
     return matmul(matmul(monomials_t(M.p, x), inv), transpose(monomials_t(M.q, y)))
+
+
+class KernelTable:
+    """Both families at one point pair, with K^[n](x, y) for every n < count.
+
+    A_i(x) = a_int[i] / d_a and B_i(y) = b_int[i] / d_b (Family.values);
+    kernels_int[n] sums the outer products a_int[i] b_int[i] over i <= n, so
+    K^[n](x, y) = kernels_int[n] / den with den = d_a d_b.
+    """
+
+    __slots__ = ("x", "y", "den", "a_int", "b_int", "kernels_int")
+
+    def __init__(self, A: Family, B: Family, x: tuple, y: tuple, count: int):
+        if count > min(len(A), len(B)):
+            raise DepthError(f"kernel index {count - 1} outside family range", required=count)
+        self.x, self.y = x, y
+        (d_a, self.a_int), (d_b, self.b_int) = map(
+            _integer_rows, (A.values(*x, count), B.values(*y, count)))
+        self.den = d_a * d_b
+        outer = ([[va * vb for vb in b_i] for va in a_i] for a_i, b_i in zip(self.a_int, self.b_int))
+        self.kernels_int = list(accumulate(
+            outer, lambda s, t: [[u + v for u, v in zip(r, w)] for r, w in zip(s, t)]))
+
+
+def pointwise_abc(M: MomentTruncation, n: int, tables: list[KernelTable]) -> CheckReport:
+    """Tabled K^[n] equals the inverse-moment form at every point pair, exactly:
+    the pointwise oracle for cdkernel.check_abc.
+
+    The D = n+1 corner of M's integers, Mi = diag(r) M with r = M.scale, is
+    bordered by identity blocks as in check_abc, and D steps of eliminate
+    leave -Delta_D Mi^-1 = -adj(Mi) in the lower right block, once for all
+    pairs, so M^-1 = adj diag(r) / det with det = -Delta_D.  Row m of
+    X_[p]^T(x) has one nonzero, the monomial at position m // p, in slot
+    m % p; with integer monomial tables X / d_x and Y / d_y the right side is
+    G / (d_x d_y det), G[i][j] summing X[m // p] adj[m][m'] r_m' Y[m' // q]
+    over m = i (mod p) and m' = j (mod q).
+    """
+    p, q, D = M.p, M.q, n + 1
+    if D > M.depth:
+        raise DepthError(f"corner {D} exceeds depth {M.depth}", required=D)
+    if any(len(table.kernels_int) < D for table in tables):
+        raise DepthError(f"point-pair tables end before family index {n}", required=D)
+    rows = [M.ints[m][:D] + [int(m == j) for j in range(D)] for m in range(D)]
+    rows += [[int(a == j) for j in range(D)] + [0] * D for a in range(D)]
+    det = -eliminate(rows, D)[D]
+    weighted = [[v * r for v, r in zip(row[D:], M.scale)] for row in rows[D:]]  # adj diag(r)
+    rep = CheckReport("abc")
+    for table in tables:
+        x, y = table.x, table.y
+        d_x, X = monomial_ints(x, n // p + 1)
+        d_y, Y = monomial_ints(y, n // q + 1)
+        y_col = [Y[m // q] for m in range(n + 1)]
+        wy = [[sum(map(mul, row[j::q], y_col[j::q])) for j in range(q)] for row in weighted]
+        g = [[sum(X[m // p] * wy[m][j] for m in range(i, n + 1, p)) for j in range(q)]
+             for i in range(p)]
+        scale = d_x * d_y * det
+        if any(kv * scale != table.den * gv for k_row, g_row in zip(table.kernels_int[n], g)
+               for kv, gv in zip(k_row, g_row)):
+            rep.violations.append(Violation(
+                "abc", (n, f"({x[0]}, {x[1]})", f"({y[0]}, {y[1]})"), "K^[n] != X^T M^-1 X"))
+        rep.checked += 1
+    return rep
 
 
 def pos_of(i: int, j: int) -> int:

@@ -23,7 +23,6 @@ from steppoly import (
 )
 from steppoly.cdkernel import (
     CDBlocks,
-    KernelTable,
     check_abc,
     check_cd_formula,
     check_projection,
@@ -50,6 +49,7 @@ from steppoly.stepline import in_complement_J, n_minus_big, n_plus, pair_of
 from _support import (
     SHAPES,
     SPOT_PAIRS,
+    KernelTable,
     build_system,
     cd_block_values,
     corner,
@@ -60,6 +60,7 @@ from _support import (
     mat_eq,
     members,
     mixed_mm,
+    pointwise_abc,
     pointwise_cd,
     poly,
     pos_of,
@@ -300,8 +301,10 @@ def test_criterion_6_cd_abc_reproduction_projection():
         pairs = [(seeded_point(rng), seeded_point(rng)) for _ in range(10)]
         pair_tables = [KernelTable(system.A, system.B, x, y, n_top + 1) for x, y in pairs]
         for n in range(n_top + 1):
-            rep = check_abc(system.M, n, pair_tables)
+            rep = pointwise_abc(system.M, n, pair_tables)
             assert rep.ok and rep.checked == len(pairs), (q, p, n)
+            # and the library check, which compares coefficients instead of points
+            assert check_abc(system.M, system.A, system.B, n).ok, (q, p, n)
 
         gram = pairing_matrix(system.A.head(n_top + 1), system.B.head(n_top + 1), system.M)
         assert check_biorthogonality(gram).ok

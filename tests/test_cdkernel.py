@@ -1,11 +1,13 @@
 """Kernel block formula, the moment-inverse identity, and the reproducing laws."""
 
+import random
+from pathlib import Path
+
 import pytest
 
 from steppoly import build_recurrence, factorize, pairing_matrix, rat, required_depth
 from steppoly.cdkernel import (
     CDBlocks,
-    KernelTable,
     check_abc,
     check_cd_formula,
     check_projection,
@@ -13,7 +15,9 @@ from steppoly.cdkernel import (
     is_monic_of_grlex_degree,
     kernel_eval,
 )
+from steppoly.cli import Workspace, _point_pairs, load_config, run_checks
 from steppoly.errors import Breakdown, DepthError
+from steppoly.families import Family
 from steppoly.moments import MomentTruncation
 from steppoly.recurrence import check_recurrence_matrix, recurrence_n_max
 from steppoly.stepline import n_minus_big, n_plus
@@ -21,6 +25,7 @@ from steppoly.stepline import n_minus_big, n_plus
 from _support import (
     SHAPES,
     SPOT_PAIRS,
+    KernelTable,
     abc_oracle,
     build_system,
     cd_block_values,
@@ -29,11 +34,14 @@ from _support import (
     members,
     planted,
     planted_entry,
+    pointwise_abc,
     pointwise_cd,
     poly,
     pos_of,
     truncation_corner,
 )
+
+GOLDEN_CONFIG = Path(__file__).resolve().parent / "golden" / "config.json"
 
 X = (rat(1, 2), rat(-1, 3))
 Y = (rat(2, 7), rat(1, 5))
@@ -69,7 +77,7 @@ class TestSharedRows:
             factorize(M)
             kernel_eval(M, X, Y)
             for n in range(M.depth):
-                assert check_abc(M, n, pair_tables).ok, (kind, q, p, n)
+                assert pointwise_abc(M, n, pair_tables).ok, (kind, q, p, n)
             assert (M.ints, M.scale) == (ints, scale), (kind, q, p)
 
 
@@ -189,10 +197,10 @@ class TestCDFormula:
         with pytest.raises(DepthError):
             pointwise_cd(T[1], 3, tables(system, [(X, Y)], blocks.top))
         with pytest.raises(DepthError):
-            check_abc(system.M, 4, tables(system, [(X, Y)], 4))
+            pointwise_abc(system.M, 4, tables(system, [(X, Y)], 4))
         # a corner deeper than the truncation is rejected, never sliced short
         with pytest.raises(DepthError):
-            check_abc(truncation_corner(system.M, 4), 4, tables(system, [(X, Y)], 5))
+            pointwise_abc(truncation_corner(system.M, 4), 4, tables(system, [(X, Y)], 5))
 
     def test_detects_wrong_families(self):
         system, T = system_with_T(1, 1, 10, seed=89)
@@ -329,12 +337,12 @@ class TestABC:
             system = build_system(q, p, 10, seed=91)
             pair_tables = tables(system, [(X, Y)], 7)
             for n in range(7):
-                assert check_abc(system.M, n, pair_tables).ok, (q, p, n)
+                assert pointwise_abc(system.M, n, pair_tables).ok, (q, p, n)
 
     def test_detects_foreign_moments(self):
         system = build_system(1, 1, 8, seed=92)
         other = build_system(1, 1, 8, seed=93)
-        rep = check_abc(other.M, 4, tables(system, [(X, Y), (Y, X)], 5))
+        rep = pointwise_abc(other.M, 4, tables(system, [(X, Y), (Y, X)], 5))
         assert rep.checked == 2 and len(rep.violations) == 2
 
     def test_agrees_with_rational_inverse(self):
@@ -348,7 +356,7 @@ class TestABC:
             moved[1][2] += rat(1, 3)
             for M in (system.M, MomentTruncation(system.M.depth, q, p, moved)):
                 for n in range(7):
-                    rep = check_abc(M, n, pair_tables)
+                    rep = pointwise_abc(M, n, pair_tables)
                     want = [abc_oracle(M, n, x, y) != table_kernel(t, n)
                             for (x, y), t in zip(pairs, pair_tables)]
                     got = [(n, f"({x[0]}, {x[1]})", f"({y[0]}, {y[1]})") for x, y in pairs]
@@ -366,7 +374,7 @@ class TestABC:
                 data[i][j] += 1
                 M = MomentTruncation(system.M.depth, q, p, data)
                 for n in range(8):
-                    rep = check_abc(M, n, pair_tables)
+                    rep = pointwise_abc(M, n, pair_tables)
                     assert rep.checked == len(pairs)
                     assert len(rep.violations) == (len(pairs) if n >= max(i, j) else 0), (q, p, i, j, n)
 
@@ -375,11 +383,11 @@ class TestABC:
         data = [row[:] for row in system.M.data]
         data[2] = [2 * v for v in data[1]]  # rows 1 and 2 of every corner from 3 on are dependent
         M = MomentTruncation(system.M.depth, 1, 2, data)
-        assert check_abc(M, 1, tables(system, [(X, Y)], 2)).checked == 1
+        assert pointwise_abc(M, 1, tables(system, [(X, Y)], 2)).checked == 1
         with pytest.raises(Breakdown) as want:
             factorize(truncation_corner(M, 4))
         with pytest.raises(Breakdown) as exc:
-            check_abc(M, 3, tables(system, [(X, Y)], 4))
+            pointwise_abc(M, 3, tables(system, [(X, Y)], 4))
         assert exc.value.index == want.value.index == 2
 
     def test_zero_leading_moment_breaks_down_at_zero(self):
@@ -387,10 +395,123 @@ class TestABC:
         # vanishes, so check_abc stops where factorize does, without pivoting
         system = build_system(1, 1, 8, seed=91)
         M = MomentTruncation(2, 1, 1, [[rat(0), rat(1)], [rat(1), rat(0)]])
-        for run in (factorize, lambda T: check_abc(T, 1, tables(system, [(X, Y)], 2))):
+        for run in (factorize, lambda T: pointwise_abc(T, 1, tables(system, [(X, Y)], 2))):
             with pytest.raises(Breakdown) as exc:
                 run(M)
             assert exc.value.index == 0
+
+
+class TestABCCoefficients:
+    """check_abc compares sum a_i b_i^T with the inverse moment corner
+    coefficient by coefficient, so it holds at every point pair."""
+
+    @pytest.mark.parametrize("kind", ["table", "mixed"])
+    def test_passes_wherever_the_oracle_passes(self, kind):
+        pairs = [(X, Y), (Y, X), ((rat(3), rat(-1, 4)), (rat(-2, 3), rat(5, 6)))]
+        for q, p in SHAPES:
+            system = build_system(q, p, 10, seed=91, kind=kind)
+            pair_tables = tables(system, pairs, 8)
+            for n in range(8):
+                assert pointwise_abc(system.M, n, pair_tables).ok, (kind, q, p, n)
+                rep = check_abc(system.M, system.A, system.B, n)
+                assert rep.ok and rep.checked == 1, (kind, q, p, n, rep.violations[:1])
+
+    def test_planted_moment_flags_every_n_from_its_corner(self):
+        for q, p in SHAPES:
+            system = build_system(q, p, 10, seed=91)
+            for i, j in ((0, 0), (2, 5), (6, 3)):
+                data = [row[:] for row in system.M.data]
+                data[i][j] += 1
+                M = MomentTruncation(system.M.depth, q, p, data)
+                for n in range(8):
+                    rep = check_abc(M, system.A, system.B, n)
+                    assert rep.checked == 1
+                    want = [n] if n >= max(i, j) else []
+                    assert [v.where[0] for v in rep.violations] == want, (q, p, i, j, n)
+
+    def test_coefficient_beyond_column_n_fails(self):
+        # a coefficient at column n + 1 of member n lies outside the (n+1) corner;
+        # it is compared with the corner's zero there, never skipped
+        for q, p in SHAPES:
+            system = build_system(q, p, 10, seed=91)
+            A, B = system.A, system.B
+            for n in range(7):
+                d_a, a_n = A.rows[n]
+                d_b, b_n = B.rows[n]
+                bad_A = Family(p, list(A.rows[:n]) + [(d_a, {**a_n, n + 1: 1})])
+                bad_B = Family(q, list(B.rows[:n]) + [(d_b, {**b_n, n + 1: 1})])
+                # the first changed entry: row n + 1 at B_n's first column, or
+                # column n + 1 at A_n's first row
+                for fam_A, fam_B, where in ((bad_A, B, (n, n + 1, min(b_n))),
+                                            (A, bad_B, (n, min(a_n), n + 1))):
+                    rep = check_abc(system.M, fam_A, fam_B, n)
+                    assert [v.where for v in rep.violations] == [where], (q, p, n)
+                    assert all(check_abc(system.M, fam_A, fam_B, m).ok for m in range(n))
+
+    def test_breaks_down_where_factorize_does(self):
+        system = build_system(1, 2, 8, seed=91)
+        data = [row[:] for row in system.M.data]
+        data[2] = [2 * v for v in data[1]]  # rows 1 and 2 of every corner from 3 on are dependent
+        M = MomentTruncation(system.M.depth, 1, 2, data)
+        assert check_abc(M, system.A, system.B, 1).ok
+        with pytest.raises(Breakdown) as want:
+            factorize(truncation_corner(M, 4))
+        with pytest.raises(Breakdown) as exc:
+            check_abc(M, system.A, system.B, 3)
+        assert exc.value.index == want.value.index == 2
+        # a zero leading moment stops it at 0, as it stops factorize
+        M = MomentTruncation(2, 1, 1, [[rat(0), rat(1)], [rat(1), rat(0)]])
+        one = build_system(1, 1, 8, seed=91)
+        with pytest.raises(Breakdown) as exc:
+            check_abc(M, one.A, one.B, 1)
+        assert exc.value.index == 0
+
+    def test_depth_guards(self):
+        system = build_system(1, 2, 10, seed=88)
+        with pytest.raises(DepthError):
+            check_abc(truncation_corner(system.M, 4), system.A, system.B, 4)
+        with pytest.raises(DepthError):
+            check_abc(system.M, system.A.head(4), system.B, 4)
+        with pytest.raises(DepthError):
+            check_abc(system.M, system.A, system.B.head(4), 4)
+
+    def test_report_names_each_failing_n_once(self):
+        # moment (2, 5) of the golden config + 1: n = 5, 6 and 7 fail, each at its
+        # first mismatch in row-major order
+        ws = Workspace(load_config(GOLDEN_CONFIG))
+        data = [row[:] for row in ws.M.data]
+        data[2][5] += 1
+        ws.M = MomentTruncation(ws.M.depth, ws.M.q, ws.M.p, data)
+        assert run_checks(ws, ["abc"]) == [{
+            "name": "abc", "status": "fail",
+            "details": "3 violation(s); first at (5, 0, 0): sum a_i b_i^T != M^-1"}]
+
+    def test_detects_a_term_that_vanishes_at_the_abc_points(self):
+        # A_0 gains the product of (b x1 - a) over the first coordinates a/b of the
+        # ten x points run_checks draws for abc on the golden seed: the pointwise
+        # oracle at those pairs sees the same values and passes, check_abc fails
+        ws = Workspace(load_config(GOLDEN_CONFIG))
+        rng = random.Random(ws.config.seed)
+        _point_pairs(rng, 5)  # cd's pairs come first
+        pairs = _point_pairs(rng, 10)
+        poly_x1 = [1]  # coefficients of x1^0, x1^1, ...
+        for a in {x[0] for x, _ in pairs}:
+            # times (den x1 - num): x1^e gains den times the old x1^(e-1)
+            old = poly_x1 + [0]
+            poly_x1 = [a.denominator * lower - a.numerator * same
+                       for same, lower in zip(old, [0] + old)]
+        p = ws.config.p
+        d, row = ws.A.rows[0]
+        row = dict(row)
+        for e, c in enumerate(poly_x1):
+            col = pos_of(e, 0) * p  # component 0 at the monomial x1^e
+            row[col] = row.get(col, 0) + d * c
+        bad_A = Family(p, [(d, row)] + list(ws.A.rows[1:]))
+        count = min(ws.depth, 8)
+        pair_tables = [KernelTable(bad_A, ws.B, x, y, count) for x, y in pairs]
+        for n in range(count):
+            assert pointwise_abc(ws.M, n, pair_tables).ok, n
+            assert not check_abc(ws.M, bad_A, ws.B, n).ok, n
 
 
 class TestReproduction:

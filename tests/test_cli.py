@@ -17,10 +17,10 @@ from hypothesis import strategies as st
 
 import steppoly
 from steppoly import build_recurrence, rat, required_depth
-from steppoly.cdkernel import KernelTable
 from steppoly.cli import (CHECK_NAMES, EXPORT_KINDS, RunConfig, Workspace, _decimal_text,
                           _export_entries, extended_depth, load_config, main)
 from steppoly.errors import ConfigError, DepthError
+from steppoly.families import Family
 from steppoly.gaussborel import _factor_row, unit_lower
 from steppoly.measures import measure_from_json
 from steppoly.rational import BACKEND, common_denominator, parse_rat
@@ -561,35 +561,36 @@ class TestMomentRowsScaledOnce:
 class TestRecurrenceReportShared:
     """verify proves each recurrence relation once: the recurrence and cd checks
     read one check_recurrence_matrix report per k, whichever of them run, and
-    only abc and reproduction evaluate the families at points, in KernelTables."""
+    only reproduction evaluates the families at points (Family.values): both
+    families at each of its 3 point pairs."""
 
     @pytest.mark.parametrize("shape", ["golden", (2, 3)])
     def test_relations_once_and_tables_for_abc_and_reproduction(self, tmp_path, monkeypatch,
                                                                 shape):
         cfg = shape_config(tmp_path, shape)
-        relations, tables = [], []
+        relations, evaluations = [], []
+        values = Family.values
 
         def counting_relations(T, A, B):
             relations.append(T.k)
             return check_recurrence_matrix(T, A, B)
 
-        def counting_table(*args):
-            tables.append(args)
-            return KernelTable(*args)
+        def counting_values(fam, *args):
+            evaluations.append(args)
+            return values(fam, *args)
 
         monkeypatch.setattr("steppoly.cli.check_recurrence_matrix", counting_relations)
-        monkeypatch.setattr("steppoly.cli.KernelTable", counting_table)
-        monkeypatch.setattr("steppoly.cdkernel.KernelTable", counting_table)
+        monkeypatch.setattr(Family, "values", counting_values)
         assert main(["verify", "--config", str(cfg), "--checks", ",".join(CHECK_NAMES),
                      "--out", str(tmp_path / "v")]) == 0
         assert relations == [1, 2]
-        assert len(tables) == 10 + 3  # abc's point pairs, then reproduction's
+        assert len(evaluations) == 2 * 3  # A and B at reproduction's 3 point pairs
         for name in CHECK_NAMES:
             relations.clear()
-            tables.clear()
+            evaluations.clear()
             assert main(["verify", "--config", str(cfg), "--checks", name]) == 0
             assert relations == ([1, 2] if name in ("recurrence", "cd") else []), name
-            assert len(tables) == {"abc": 10, "reproduction": 3}.get(name, 0), name
+            assert len(evaluations) == (2 * 3 if name == "reproduction" else 0), name
 
 
 class TestRecurrenceFormedOnRead:

@@ -20,6 +20,7 @@ from steppoly.families import (
     pairings,
     validate_degree_structure,
 )
+from steppoly.gaussborel import _factor_row
 from steppoly.measures import MeasureMatrix, RectDensity
 
 from _support import (
@@ -193,6 +194,26 @@ class TestLazyRows:
                 head = fam.head(4)
                 assert len(head) == 4 and head.rows == held.rows[:4]
                 assert len(fam) == 12 and list(fam.rows) == held.rows and fam.rows == held.rows
+
+
+    def test_eval_builds_only_its_member(self, monkeypatch):
+        # member 3 is read off row 3 alone: rows 0-2, and the rows of L under
+        # them, stay unbuilt
+        x = (rat(1, 2), rat(-1, 3))
+        built = []
+
+        def counting(minors, inv_cols, n):
+            built.append(n)
+            return _factor_row(minors, inv_cols, n)
+
+        monkeypatch.setattr("steppoly.gaussborel._factor_row", counting)
+        for q, p in SHAPES:
+            M = build_system(q, p, 12, seed=49, kind="mixed").M
+            _, B = extract_families(factorize(M), q, p)
+            built.clear()
+            got = B.eval(3, *x)
+            assert built == [3], (q, p)
+            assert got == B.values(*x, 4)[3] == [poly(B, 3, i).eval(*x) for i in range(q)], (q, p)
 
 
 class TestMonomialTable:

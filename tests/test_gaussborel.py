@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 import steppoly.gaussborel as gaussborel
 from steppoly import assemble_moments, extract_families, factorize, rat
-from steppoly.cdkernel import KernelTable, check_abc, kernel_eval
+from steppoly.cdkernel import check_abc, kernel_eval
 from steppoly.errors import Breakdown
 from steppoly.moments import MomentTruncation
 from steppoly.rational import QType
@@ -17,6 +17,7 @@ from steppoly.recurrence import required_depth
 
 from _support import (
     SHAPES,
+    KernelTable,
     SingularMatrix,
     abc_oracle,
     bordered_numerators,
@@ -30,6 +31,7 @@ from _support import (
     matmul,
     mixed_mm,
     one_step_eliminate,
+    pointwise_abc,
     reconstruct,
     side_rationals,
     solve,
@@ -237,10 +239,11 @@ class TestFactorize:
 
     @given(planted_factors(), st.data())
     def test_kernel_breaks_down_where_factorize_does(self, factors, data):
-        # kernel_eval and check_abc run the same eliminate on bordered rows, so
-        # every corner that reaches the planted zero minor raises the same
-        # Breakdown.  check_abc's tables come from the families of the truncation
-        # before the zero is planted; its corners below k are the same.
+        # kernel_eval, check_abc and the pointwise_abc oracle run the same
+        # eliminate on bordered rows, so every corner that reaches the planted
+        # zero minor raises the same Breakdown.  The families, and pointwise_abc's
+        # tables, come from the truncation before the zero is planted; its
+        # corners below k are the same.
         L, H, U = factors
         k = data.draw(st.integers(0, len(H) - 1))
         q, p = data.draw(st.sampled_from(SHAPES))
@@ -254,11 +257,12 @@ class TestFactorize:
             if n < k:
                 factorize(part)
                 assert kernel_eval(part, x, y) == abc_oracle(M, n, x, y)
-                rep = check_abc(part, n, tables)
+                rep = pointwise_abc(part, n, tables)
                 assert rep.ok and rep.checked == 1
+                assert check_abc(part, A, B, n).ok
                 continue
             for run in (factorize, lambda T: kernel_eval(T, x, y),
-                        lambda T: check_abc(T, n, tables)):
+                        lambda T: pointwise_abc(T, n, tables), lambda T: check_abc(T, A, B, n)):
                 with pytest.raises(Breakdown) as exc:
                     run(part)
                 assert exc.value.index == k
