@@ -44,30 +44,22 @@ identity blocks.  kernel_eval, behind the kernel command, borders it by the
 two points' monomials instead: the elimination, in Bareiss's three-step form,
 leaves the kernel as a Schur complement, and no factor or family is formed.
 
-Both ABC sides, and both reproduction sides, are compared fraction-free, as
-in gaussborel (E. H. Bareiss, Math. Comp. 22, 1968): each side is an integer
-sum over its own denominator, and the two are cross-multiplied.
+Every identity here is compared fraction-free, as in gaussborel (E. H.
+Bareiss, Math. Comp. 22, 1968): each side is an integer sum over its own
+denominator (families.combine), and the two are cross-multiplied
+(families.mismatches).
 """
 
 from __future__ import annotations
 
-from math import lcm
-
 from .errors import DepthError
-from .families import Family, monomial_ints, pairings
+from .families import Family, combine, mismatches, monomial_ints, pairings
 from .gaussborel import eliminate
 from .moments import MomentTruncation
-from .rational import common_denominator, rat
+from .rational import ONE, ZERO, rat
 from .recurrence import RecurrenceTruncation, recurrence_n_max
 from .report import CheckReport, Violation
 from .stepline import n_minus_big, n_plus
-
-
-def _integer_rows(rows: list[list]) -> tuple[int, list[list[int]]]:
-    """(d, ints) with rows[i][j] = ints[i][j] / d, d the lcm of every denominator."""
-    width = len(rows[0]) if rows else 1
-    d, flat = common_denominator(v for row in rows for v in row)
-    return d, [flat[i:i + width] for i in range(0, len(flat), width)]
 
 
 def kernel_eval(M: MomentTruncation, x: tuple, y: tuple) -> list[list]:
@@ -118,10 +110,6 @@ class CDBlocks:
                              required=self.top + 1)
 
 
-def _point(x: tuple) -> str:
-    return f"({x[0]}, {x[1]})"
-
-
 def check_cd_formula(T: RecurrenceTruncation, relations: CheckReport) -> CheckReport:
     """(a) and (b) of the module docstring for T_k, one CD formula per n below
     recurrence_n_max.  relations is check_recurrence_matrix(T, A, B) for families
@@ -156,6 +144,11 @@ def check_cd_formula(T: RecurrenceTruncation, relations: CheckReport) -> CheckRe
     return rep
 
 
+def _outer(a: dict, b: dict) -> dict:
+    """The outer product of two coefficient rows, keyed (column of a, column of b)."""
+    return {(m, c): u * v for m, u in a.items() for c, v in b.items()}
+
+
 def check_abc(M: MomentTruncation, A: Family, B: Family, n: int) -> CheckReport:
     """Sum over i <= n of a_i b_i^T equals the inverse of the (n+1) corner of M,
     coefficient by coefficient, exactly.
@@ -168,11 +161,11 @@ def check_abc(M: MomentTruncation, A: Family, B: Family, n: int) -> CheckReport:
     -Mi^-1 in the lower right block.  So with det = -Delta_D, M^-1[m][c] =
     block[m][c] r_c / det.  A vanishing leading minor raises the Breakdown
     factorize would.  On the family side, A.rows[i] = (d_a, a_i) and
-    B.rows[i] = (d_b, b_i), so a_i[m] b_i[c] is over d_a d_b, and the sum
-    over i <= n is got / den, den the lcm of those products.  Both sides are
-    integer maps over (m, c), compared over the union of their keys, so a
-    coefficient stored beyond column n is a mismatch.  The first mismatch in
-    row-major order is reported at (n, m, c).
+    B.rows[i] = (d_b, b_i), so the sum over i <= n is the combine of the
+    outer products a_i b_i^T over d_a d_b.  Both sides are maps over (m, c),
+    compared by mismatches over the union of their keys, so a coefficient
+    stored beyond column n is a mismatch.  The first mismatch in row-major
+    order is reported at (n, m, c).
     """
     D = n + 1
     if D > M.depth:
@@ -182,57 +175,44 @@ def check_abc(M: MomentTruncation, A: Family, B: Family, n: int) -> CheckReport:
     rows = [M.ints[m][:D] + [int(m == j) for j in range(D)] for m in range(D)]
     rows += [[int(a == j) for j in range(D)] + [0] * D for a in range(D)]
     det = -eliminate(rows, D)[D]
-    terms = [(d_a * d_b, a, b) for (d_a, a), (d_b, b) in zip(A.rows[:D], B.rows[:D])]
-    den = lcm(*(d for d, _, _ in terms))
-    got: dict[tuple[int, int], int] = {}
-    for d, a, b in terms:
-        for m, u in a.items():
-            f = den // d * u
-            for c, v in b.items():
-                got[m, c] = got.get((m, c), 0) + f * v
-    want = {(m, c): den * v * r for m, row in enumerate(rows[D:])
+    want = {(m, c): v * r for m, row in enumerate(rows[D:])
             for c, (v, r) in enumerate(zip(row[D:], M.scale)) if v}
+    got = combine((1, d_a * d_b, _outer(a, b)) for (d_a, a), (d_b, b) in zip(A.rows[:D], B.rows[:D]))
     rep = CheckReport("abc")
-    bad = [key for key in want.keys() | got.keys() if got.get(key, 0) * det != want.get(key, 0)]
+    bad = mismatches(got, (det, want))
     if bad:
         rep.violations.append(Violation("abc", (n, *min(bad)), "sum a_i b_i^T != M^-1"))
     rep.checked += 1
     return rep
 
 
-def check_reproduction(A: Family, B: Family, gram: list[list], n: int,
-                       point_pairs: list) -> CheckReport:
-    """Kernel reproduces itself under the measure pairing.
+def check_reproduction(A: Family, B: Family, gram: list[list], n: int) -> CheckReport:
+    """Kernel reproduces itself under the measure pairing, coefficient by coefficient.
 
-    gram is the pairing matrix of the two families (families.pairing_matrix).
-    The double integral of K^[n](x, .) dmu K^[n](., y), expanded through its
-    leading (n+1) corner, must equal K^[n](x, y) at each point pair.  That the
-    corner is the identity is check_biorthogonality's job, not this one's.
-    Both sides are compared fraction-free: with A_i(x) = a[i] / d_a and
-    B_i(y) = b[i] / d_b (Family.values) and the corner's nonzero entries
-    G = G_int / d_G, the sum of a[i] G_int[i][j] b[j] must equal d_G times
-    the sum of the outer products a[i] b[i] over i <= n.
+    gram is the pairing matrix of the two families (families.pairing_matrix),
+    G[i][j] the pairing of B_i against A_j.  The double integral of
+    K^[n](x, .) dmu K^[n](., y) is the sum over i, j <= n of A_i(x) G[i][j]
+    B_j(y), so it equals K^[n](x, y) at every point pair exactly when the sum
+    of (G[i][j] - delta_ij) a_i b_j^T vanishes, a_i and b_j the coefficient
+    rows of A_i and B_j.  That sum is C_A^T E C_B with E the corner of
+    G - I and C_A, C_B the first n+1 rows, which are triangular with nonzero
+    diagonal: row i ends at column i, whose entry is nonzero as L[i][i] =
+    Delta_i != 0 (gaussborel).  So the identity holds exactly when the
+    (n+1) corner of G is the identity.  Only the entries off the identity
+    give terms; their combine must be zero, and the first nonzero (m, c) in
+    row-major order is reported at (n, m, c).
     """
     if n >= min(len(A), len(B), len(gram)):
         raise DepthError(f"reproduction index {n} outside family range", required=n + 1)
-    p, q = A.r, B.r
-    corner = [(i, j, g) for i in range(n + 1) for j in range(n + 1) if (g := gram[i][j]) != 0]
-    d_g, nums = common_denominator(g for _, _, g in corner)
-    terms = [(i, j, g) for (i, j, _), g in zip(corner, nums)]
+    a, b = A.rows, B.rows
+    terms = ((e.numerator, e.denominator * a[i][0] * b[j][0], _outer(a[i][1], b[j][1]))
+             for i in range(n + 1) for j in range(n + 1)
+             if (e := gram[i][j] - (ONE if i == j else ZERO)))
     rep = CheckReport("reproduction")
-    if not point_pairs:
-        rep.skipped.append("no point pairs given")
-    for x, y in point_pairs:
-        (_, a), (_, b) = map(_integer_rows, (A.values(*x, n + 1), B.values(*y, n + 1)))
-        out = [[sum(a[i][a_idx] * g * b[j][b_idx] for i, j, g in terms) for b_idx in range(q)]
-               for a_idx in range(p)]
-        kernel = [[d_g * sum(a_i[a_idx] * b_i[b_idx] for a_i, b_i in zip(a, b))
-                   for b_idx in range(q)] for a_idx in range(p)]
-        if out != kernel:
-            rep.violations.append(
-                Violation("reproduction", (n, _point(x), _point(y)), "kernel not reproduced")
-            )
-        rep.checked += 1
+    bad = mismatches(combine(terms), (1, {}))
+    if bad:
+        rep.violations.append(Violation("reproduction", (n, *min(bad)), "kernel not reproduced"))
+    rep.checked += 1
     return rep
 
 
@@ -283,19 +263,11 @@ def check_projection(A: Family, B: Family, M: MomentTruncation, n: int,
     # inner[i][a1] = integral of B_i dmu column a1 of P
     inner = pairings(B.head(n + 1), columns, M)
     rep = CheckReport("projection")
-    for a1, (e, p_row) in enumerate(columns.rows):
-        # both sides over e d_w den, with inner[i][a1] = w_i / d_w and A_i = row_i / d_i:
-        # got is sum_i inner[i][a1] A_i, want is column a1 of P, p_row / e
-        d_w, w = common_denominator(inner[i][a1] for i in range(n + 1))
-        terms = [(v, A.rows[i]) for i, v in enumerate(w) if v]
-        den = lcm(*(d for _, (d, _) in terms))
-        got: dict[int, int] = {}
-        for v, (d, row) in terms:
-            f = e * v * (den // d)
-            for c, u in row.items():
-                got[c] = got.get(c, 0) + f * u
-        want = {c: d_w * den * u for c, u in p_row.items()}
-        bad = {c % p for c in want.keys() | got.keys() if want.get(c, 0) != got.get(c, 0)}
+    for a1, want in enumerate(columns.rows):
+        # sum_i inner[i][a1] A_i against column a1 of P
+        got = combine((w.numerator, w.denominator * A.rows[i][0], A.rows[i][1])
+                      for i in range(n + 1) if (w := inner[i][a1]))
+        bad = {c % p for c in mismatches(got, want)}
         for a0 in range(p):
             if a0 in bad:
                 rep.violations.append(

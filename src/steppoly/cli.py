@@ -66,8 +66,11 @@ class RunConfig(NamedTuple):
     def from_json(obj: dict) -> "RunConfig":
         if not isinstance(obj, dict):
             raise ConfigError("config root must be a JSON object")
-        if obj.get("schema_version", SCHEMA_VERSION) != SCHEMA_VERSION:
-            raise ConfigError(f"unsupported schema_version {obj.get('schema_version')}")
+        version = obj.get("schema_version", SCHEMA_VERSION)
+        if version != SCHEMA_VERSION:
+            raise ConfigError(f"unsupported schema_version {version}")
+        if type(version) is not int:  # true and 1.0 compare equal to 1
+            raise ConfigError(f"bad schema_version: {version!r} is not an integer")
         mm = MeasureMatrix.from_json(obj)
         depth = obj.get("depth", 1)
         if type(depth) is not int:
@@ -108,14 +111,6 @@ def load_config(path: str | Path) -> RunConfig:
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
     return RunConfig.from_json(obj)
-
-
-def seeded_point(rng: random.Random) -> tuple:
-    """Small random rational pair; denominators <= 16 keep exact arithmetic cheap."""
-    def draw():
-        return rat(rng.randint(-24, 24), rng.randint(1, 16))
-
-    return (draw(), draw())
 
 
 def seeded_monic_matrix(rng: random.Random, size: int, I: int) -> list[list[dict]]:
@@ -167,12 +162,17 @@ class Workspace:
 
 
 def _point_pairs(rng: random.Random, count: int) -> list:
-    return [(seeded_point(rng), seeded_point(rng)) for _ in range(count)]
+    """count pairs (x, y) of small random rational points, x1, x2, y1, y2 drawn in
+    that order; denominators <= 16 keep exact arithmetic cheap."""
+    def draw():
+        return rat(rng.randint(-24, 24), rng.randint(1, 16))
+
+    return [((draw(), draw()), (draw(), draw())) for _ in range(count)]
 
 
-# Each check maps the workspace and its own seeded draw (see run_checks) to its
-# CheckReports.  The checks are called through this module's names, so
-# rebinding a name here reaches them.
+# Each check maps the workspace and the run's seeded generator (see run_checks),
+# which only projection reads, to its CheckReports.  The checks are called
+# through this module's names, so rebinding a name here reaches them.
 
 
 def _projection(ws: Workspace, rng: random.Random) -> list[CheckReport]:
@@ -195,9 +195,7 @@ CHECKS = {
     "dual": lambda ws, _: [check_dual_form(ws.T[k], ws.F) for k in (1, 2)],
     "band": lambda ws, _: [validate_band(ws.T[k]) for k in (1, 2)],
     "recurrence": lambda ws, _: list(ws.relations.values()),
-    "reproduction": lambda ws, pairs: [
-        check_reproduction(ws.A, ws.B, ws.gram, ws.depth - 1, pairs)
-    ],
+    "reproduction": lambda ws, _: [check_reproduction(ws.A, ws.B, ws.gram, ws.depth - 1)],
     "projection": _projection,
     "cd": lambda ws, _: [check_cd_formula(ws.T[k], ws.relations[k]) for k in (1, 2)],
     "abc": lambda ws, _: [check_abc(ws.M, ws.A, ws.B, n) for n in range(min(ws.depth, 8))],
@@ -226,15 +224,13 @@ def run_checks(ws: Workspace, checks: list[str]) -> list[dict]:
     """One report.json entry per named check: fail on any violation, skipped when
     nothing was checked."""
     rng = random.Random(ws.config.seed)
-    # drawn in this order whichever checks run, so a seed always gives the same
-    # points; cd's 5 pairs and abc's 10 come first, drawn unread, since neither
-    # check reads a point (cdkernel); projection draws its matrix polynomials
-    # from rng when its turn comes
-    _point_pairs(rng, 15)
-    draws = {"reproduction": _point_pairs(rng, 3), "projection": rng}
+    # 18 point pairs, read by no check, come first in each seed's stream, so a
+    # seed gives projection the matrix polynomials, taken from rng when its
+    # turn comes, that earlier versions' reports were made with
+    _point_pairs(rng, 18)
     out = []
     for name in checks:
-        reps = CHECKS[name](ws, draws.get(name))
+        reps = CHECKS[name](ws, rng)
         violations = [v for rep in reps for v in rep.violations]
         status, details = "pass", ""
         if violations:

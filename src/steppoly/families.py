@@ -27,6 +27,10 @@ moments and must be exactly zero.  The checks read the rows extract_families
 returns, so it stays under test.  The products run over M's integer rows
 (M.scale and M.ints, scaled once when M is built), so an entry is one
 integer inner sum and one rat().
+
+Every coefficient identity (recurrence, projection, ABC, reproduction) sums
+weighted rows over one denominator with combine and compares the two sides
+with mismatches, which cross-multiplies them key by key.
 """
 
 from __future__ import annotations
@@ -95,6 +99,27 @@ class Family:
                 sums[i] += v * mono[K]
             out.append([rat(s, d * den) for s in sums])
         return out
+
+
+def combine(terms) -> tuple[int, dict]:
+    """(den, sums): the sum of w / d times row over the (w, d, row) terms, each
+    row a {key: integer} map, as integer sums over den, the lcm of the d.  No
+    terms give (1, {})."""
+    terms = list(terms)
+    den = lcm(*(d for _, d, _ in terms))
+    sums: dict = {}
+    for w, d, row in terms:
+        f = w * (den // d)
+        for key, v in row.items():
+            sums[key] = sums.get(key, 0) + f * v
+    return den, sums
+
+
+def mismatches(x: tuple[int, dict], y: tuple[int, dict]) -> set:
+    """The keys at which two (den, {key: integer}) maps stand for different
+    rationals, cross-multiplied over the union of their keys; a missing key reads 0."""
+    (dx, mx), (dy, my) = x, y
+    return {key for key in mx.keys() | my.keys() if mx.get(key, 0) * dy != my.get(key, 0) * dx}
 
 
 def monomial_ints(x: tuple, count: int) -> tuple[int, list[int]]:

@@ -176,6 +176,8 @@ def measure_from_json(obj: Mapping) -> object:
             box = obj["box"]
             if len(box) != 4:
                 raise ConfigError("rect box must have four entries")
+            if not isinstance(box, list):  # a string or an object has a len() too
+                raise ConfigError(f"rect box must be a list of four rationals, not {box!r}")
             density = _read_keyed(obj["density"], _position, "density", "position")
             return RectDensity(*(parse_rat(v) for v in box), density)
         if kind == "table":

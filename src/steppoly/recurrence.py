@@ -40,7 +40,7 @@ from math import lcm
 from operator import mul
 
 from .errors import DepthError
-from .families import Family
+from .families import Family, combine, mismatches
 from .gaussborel import Factorization
 from .rational import ZERO, rat
 from .report import CheckReport, Violation
@@ -192,10 +192,11 @@ def check_recurrence_matrix(T: RecurrenceTruncation, A: Family, B: Family) -> Ch
     row, multiplying by x_k moves column c = K*r + i to n_plus(c, r, k), the
     column of x_k times monomial K in slot i.  As R_k[m][i] = acc[m][i] /
     (L Delta_{m+1} Delta_i), the relations of n for B and A are multiplied by
-    L Delta_{n+1} and L Delta_n; with member i over d_i, each is one integer sum
-    per column over the lcm of d_n and the Delta d_i.  validate_band certifies
-    that everything outside the band vanishes.  An identity of coefficients
-    holds at every point, so no pointwise check is needed.
+    L Delta_{n+1} and L Delta_n; with member i over d_i, the right side is one
+    combine over the Delta d_i, compared with the shifted row n over d_n by
+    mismatches.  validate_band certifies that everything outside the band
+    vanishes.  An identity of coefficients holds at every point, so no
+    pointwise check is needed.
     """
     k, acc, L, minors = T.k, T.acc, T.L, T.F.minors
     rep = CheckReport(f"recurrence_matrix_T{k}")
@@ -210,17 +211,12 @@ def check_recurrence_matrix(T: RecurrenceTruncation, A: Family, B: Family) -> Ch
         r, rows = fam.r, fam.rows
         for n in range(n_max):
             lo, top = band(n)
-            terms = [(i, a, minors[i + other] * rows[i][0])
-                     for i in range(lo, top + 1) if (a := weights[n][i])]
-            den = lcm(rows[n][0], *(d for _, _, d in terms))
-            f = L * minors[n + own] * (den // rows[n][0])
-            want = {n_plus(c, r, k): f * v for c, v in rows[n][1].items()}
-            got: dict[int, int] = {}
-            for i, a, d in terms:
-                e = a * (den // d)
-                for c, v in rows[i][1].items():
-                    got[c] = got.get(c, 0) + e * v
-            bad = {c % r for c in want.keys() | got.keys() if want.get(c, 0) != got.get(c, 0)}
+            got = combine((a, minors[i + other] * rows[i][0], rows[i][1])
+                          for i in range(lo, top + 1) if (a := weights[n][i]))
+            d, row = rows[n]
+            f = L * minors[n + own]
+            want = (d, {n_plus(c, r, k): f * v for c, v in row.items()})
+            bad = {c % r for c in mismatches(want, got)}
             for idx in range(r):
                 if idx in bad:
                     rep.violations.append(

@@ -19,7 +19,7 @@ from itertools import accumulate
 from operator import mul
 
 from steppoly import assemble_moments, extract_families, factorize, rat
-from steppoly.cdkernel import CDBlocks, _integer_rows
+from steppoly.cdkernel import CDBlocks
 from steppoly.errors import Breakdown, DepthError
 from steppoly.families import Family, monomial_ints
 from steppoly.gaussborel import Factorization, IntegerSide, eliminate
@@ -32,7 +32,7 @@ from steppoly.stepline import in_complement_J, n_plus, pair_of
 
 SHAPES = [(1, 1), (1, 2), (2, 1), (2, 2), (2, 3)]
 
-# three fixed point pairs (x, y) for check_reproduction
+# three fixed point pairs (x, y) for pointwise_reproduction
 SPOT_PAIRS = [
     ((rat(1, 2), rat(-1, 3)), (rat(-2, 5), rat(1, 7))),
     ((rat(3, 4), rat(1, 2)), (rat(1, 5), rat(-1, 2))),
@@ -366,6 +366,47 @@ def abc_oracle(M: MomentTruncation, n: int, x: tuple, y: tuple) -> list[list]:
     return matmul(matmul(monomials_t(M.p, x), inv), transpose(monomials_t(M.q, y)))
 
 
+def integer_rows(rows: list[list]) -> tuple[int, list[list[int]]]:
+    """(d, ints) with rows[i][j] = ints[i][j] / d, d the lcm of every denominator."""
+    width = len(rows[0]) if rows else 1
+    d, flat = common_denominator(v for row in rows for v in row)
+    return d, [flat[i:i + width] for i in range(0, len(flat), width)]
+
+
+def pointwise_reproduction(A: Family, B: Family, gram: list[list], n: int,
+                           point_pairs: list) -> CheckReport:
+    """Kernel reproduces itself under the measure pairing at each point pair:
+    the pointwise oracle for cdkernel.check_reproduction.
+
+    The double integral of K^[n](x, .) dmu K^[n](., y), expanded through the
+    leading (n+1) corner of gram, must equal K^[n](x, y).  Both sides are
+    compared fraction-free: with A_i(x) = a[i] / d_a and B_i(y) = b[i] / d_b
+    (Family.values) and the corner's nonzero entries G = G_int / d_G, the sum
+    of a[i] G_int[i][j] b[j] must equal d_G times the sum of the outer
+    products a[i] b[i] over i <= n.
+    """
+    if n >= min(len(A), len(B), len(gram)):
+        raise DepthError(f"reproduction index {n} outside family range", required=n + 1)
+    p, q = A.r, B.r
+    corner = [(i, j, g) for i in range(n + 1) for j in range(n + 1) if (g := gram[i][j]) != 0]
+    d_g, nums = common_denominator(g for _, _, g in corner)
+    terms = [(i, j, g) for (i, j, _), g in zip(corner, nums)]
+    rep = CheckReport("reproduction")
+    if not point_pairs:
+        rep.skipped.append("no point pairs given")
+    for x, y in point_pairs:
+        (_, a), (_, b) = map(integer_rows, (A.values(*x, n + 1), B.values(*y, n + 1)))
+        out = [[sum(a[i][a_idx] * g * b[j][b_idx] for i, j, g in terms) for b_idx in range(q)]
+               for a_idx in range(p)]
+        kernel = [[d_g * sum(a_i[a_idx] * b_i[b_idx] for a_i, b_i in zip(a, b))
+                   for b_idx in range(q)] for a_idx in range(p)]
+        if out != kernel:
+            rep.violations.append(Violation(
+                "reproduction", (n, f"({x[0]}, {x[1]})", f"({y[0]}, {y[1]})"), "kernel not reproduced"))
+        rep.checked += 1
+    return rep
+
+
 class KernelTable:
     """Both families at one point pair, with K^[n](x, y) for every n < count.
 
@@ -381,7 +422,7 @@ class KernelTable:
             raise DepthError(f"kernel index {count - 1} outside family range", required=count)
         self.x, self.y = x, y
         (d_a, self.a_int), (d_b, self.b_int) = map(
-            _integer_rows, (A.values(*x, count), B.values(*y, count)))
+            integer_rows, (A.values(*x, count), B.values(*y, count)))
         self.den = d_a * d_b
         outer = ([[va * vb for vb in b_i] for va in a_i] for a_i, b_i in zip(self.a_int, self.b_int))
         self.kernels_int = list(accumulate(

@@ -38,15 +38,74 @@ MUTANTS = [
          "tests/test_cli.py::TestVerify::test_all_checks_pass")),
     Mutant(
         "abc oracle drops the r_c weight", "cdkernel.py",
-        "den * v * r for m, row", "den * v for m, row",
+        "v * r for m, row", "v for m, row",
         ("tests/test_cdkernel.py::TestABCCoefficients::test_passes_wherever_the_oracle_passes[table]",
          "tests/test_cdkernel.py::TestABCCoefficients::test_report_names_each_failing_n_once",
          "tests/test_cli.py::TestVerify::test_all_checks_pass")),
     Mutant(
-        "reproduction K^[n] drops member n", "cdkernel.py",
-        "for a_i, b_i in zip(a, b))", "for a_i, b_i in zip(a[:n], b))",
+        "reproduction skips the diagonal's delta", "cdkernel.py",
+        "gram[i][j] - (ONE if i == j else ZERO)", "gram[i][j]",
         ("tests/test_cdkernel.py::TestReproduction::test_exact_on_random_systems",
+         "tests/test_cdkernel.py::TestReproduction::test_empty_pair_list_checks_nothing",
          "tests/test_cli.py::TestVerify::test_all_checks_pass")),
+    Mutant(
+        "combine drops the weight's lcm factor", "families.py",
+        "f = w * (den // d)", "f = w",
+        ("tests/test_families.py::TestCombine::test_weights_over_the_lcm",
+         "tests/test_cdkernel.py::TestABCCoefficients::test_passes_wherever_the_oracle_passes[mixed]",
+         "tests/test_cdkernel.py::TestProjection::test_exact_at_threshold",
+         "tests/test_recurrence.py::TestRelations::test_coefficient_space_identity",
+         "tests/test_cli.py::TestVerify::test_all_checks_pass")),
+    Mutant(
+        "mismatches compares only the keys both maps hold", "families.py",
+        "mx.keys() | my.keys()", "mx.keys() & my.keys()",
+        ("tests/test_families.py::TestCombine::test_a_key_in_one_map_only",
+         "tests/test_cdkernel.py::TestABCCoefficients::test_coefficient_beyond_column_n_fails",
+         "tests/test_cdkernel.py::TestReproduction::test_detects_a_gram_error_invisible_at_the_spot_pairs",
+         "tests/test_recurrence.py::TestRelations::test_planted_entry_located")),
+    Mutant(
+        "hankel compares each entry with itself", "moments.py",
+        "rhs = M.data[m][ns]", "rhs = M.data[ms][n]",
+        ("tests/test_moments.py::TestHankelSymmetry::test_corruption_detected_and_located",)),
+    Mutant(
+        "degree bound one position loose", "families.py",
+        "if pos > bound:", "if pos > bound + 1:",
+        ("tests/test_families.py::TestDegreeStructure::test_planted_coefficient_above_its_bound_located",)),
+    Mutant(
+        "orthogonality skips the last residual of each slot", "families.py",
+        "while K * grid.p + a_idx < n:", "while K * grid.p + a_idx < n - 1:",
+        ("tests/test_families.py::TestOrthogonality::test_condition_count",
+         "tests/test_families.py::TestPlantedCoefficient::test_b_member",
+         "tests/test_families.py::TestPlantedCoefficient::test_a_member")),
+    Mutant(
+        "biorthogonality ignores entries off the diagonal", "families.py",
+        "expected = rat(1) if m == n else ZERO", "expected = rat(1) if m == n else val",
+        ("tests/test_families.py::TestPlantedCoefficient::test_b_member",
+         "tests/test_families.py::TestPlantedCoefficient::test_a_member")),
+    Mutant(
+        "dual form left untransposed", "recurrence.py",
+        "zip(T.acc, zip(*dual.acc))", "zip(T.acc, dual.acc)",
+        ("tests/test_recurrence.py::TestDualForm::test_primal_equals_dual",
+         "tests/test_recurrence.py::TestDualForm::test_planted_mismatch_located",
+         "tests/test_cli.py::TestVerify::test_all_checks_pass")),
+    Mutant(
+        "band skips the zeros left of the band", "recurrence.py",
+        "outside = [*range(first), *range(last + 1, D)]", "outside = [*range(last + 1, D)]",
+        ("tests/test_recurrence.py::TestBandStructure::test_planted_band_violation_detected",
+         "tests/test_recurrence.py::TestBandStructure::test_planted_column_errors_reported_once",
+         "tests/test_recurrence.py::TestFailureText::test_first_violation_details")),
+    Mutant(
+        "recurrence relation drops the band's last term", "recurrence.py",
+        "for i in range(lo, top + 1) if", "for i in range(lo, top) if",
+        ("tests/test_recurrence.py::TestRelations::test_coefficient_space_identity",
+         "tests/test_recurrence.py::TestRelations::test_planted_entry_located",
+         "tests/test_cli.py::TestVerify::test_all_checks_pass")),
+    Mutant(
+        "projection compares its sum with itself", "cdkernel.py",
+        "mismatches(got, want)", "mismatches(got, got)",
+        ("tests/test_cdkernel.py::TestProjection::test_detects_a_term_that_vanishes_on_five_lines",
+         "tests/test_cdkernel.py::TestProjection::test_detects_foreign_families",
+         "tests/test_cdkernel.py::TestProjection::test_dual_detects_foreign_families")),
     Mutant(
         "Family.values doubles the constant term", "families.py",
         "sums[i] += v * mono[K]", "sums[i] += v * mono[K] * (1 + (K == 0))",

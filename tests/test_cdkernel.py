@@ -36,8 +36,10 @@ from _support import (
     planted_entry,
     pointwise_abc,
     pointwise_cd,
+    pointwise_reproduction,
     poly,
     pos_of,
+    solve,
     truncation_corner,
 )
 
@@ -515,23 +517,56 @@ class TestABCCoefficients:
 
 
 class TestReproduction:
+    """The pointwise oracle at SPOT_PAIRS, and the library's coefficientwise check."""
+
     def test_exact_on_random_systems(self):
         for q, p in SHAPES:
             system = build_system(q, p, 10, seed=94)
             gram = pairing_matrix(system.A, system.B, system.M)
-            assert check_reproduction(system.A, system.B, gram, 7, SPOT_PAIRS).ok, (q, p)
+            assert pointwise_reproduction(system.A, system.B, gram, 7, SPOT_PAIRS).ok, (q, p)
+            rep = check_reproduction(system.A, system.B, gram, 7)
+            assert rep.ok and rep.checked == 1, (q, p)
 
     def test_empty_pair_list_checks_nothing(self):
         system = build_system(1, 2, 10, seed=94)
         gram = pairing_matrix(system.A, system.B, system.M)
-        rep = check_reproduction(system.A, system.B, gram, 7, [])
+        rep = pointwise_reproduction(system.A, system.B, gram, 7, [])
         assert rep.checked == 0 and rep.skipped and rep.ok
+        assert check_reproduction(system.A, system.B, gram, 7).ok
 
     def test_detects_foreign_families(self):
         system = build_system(2, 1, 10, seed=95)
         other = build_system(2, 1, 10, seed=96)
         gram = pairing_matrix(other.A, system.B, system.M)
-        assert not check_reproduction(other.A, system.B, gram, 7, SPOT_PAIRS).ok
+        assert not pointwise_reproduction(other.A, system.B, gram, 7, SPOT_PAIRS).ok
+        assert not check_reproduction(other.A, system.B, gram, 7).ok
+
+    def test_detects_a_gram_error_invisible_at_the_spot_pairs(self):
+        # E at the cells (1, 2), (2, 1), (3, 0) and (0, 3) adds the sum of
+        # E_ij A_i(x) B_j(y) to the reproduced side; E is a null vector of the
+        # 3 x 4 matrix of those products at SPOT_PAIRS, so the oracle at those
+        # pairs passes, and the coefficientwise check fails
+        system = build_system(1, 1, 10, seed=94)
+        gram = pairing_matrix(system.A, system.B, system.M)
+        cells = [(1, 2), (2, 1), (3, 0), (0, 3)]
+        products = []
+        for x, y in SPOT_PAIRS:
+            a, b = system.A.values(*x, 4), system.B.values(*y, 4)
+            products.append([a[i][0] * b[j][0] for i, j in cells])
+        # the last entry of E is 1, and the first three solve products E = 0
+        head = solve([row[:3] for row in products], [-row[3] for row in products])
+        bad = [row[:] for row in gram]
+        for (i, j), e in zip(cells, head + [rat(1)]):
+            bad[i][j] += e
+        assert pointwise_reproduction(system.A, system.B, bad, 7, SPOT_PAIRS).ok
+        rep = check_reproduction(system.A, system.B, bad, 7)
+        assert [(v.where, v.detail) for v in rep.violations] == [((7, 0, 0), "kernel not reproduced")]
+
+    def test_range_guard(self):
+        system = build_system(1, 1, 6, seed=94)
+        gram = pairing_matrix(system.A, system.B, system.M)
+        with pytest.raises(DepthError):
+            check_reproduction(system.A, system.B, gram, 6)
 
 
 def monic_matrix(dim: int, lead_pos: int) -> list[list[dict]]:

@@ -276,6 +276,11 @@ class TestConfigErrors:
          "bad measure spec (table): not a rational literal: '\u0663'"),
         ({"measures": [[{"type": "table", "max_total_deg": 4, "moments": {"0,0": "\uff11\uff12"}}]]},
          "bad measure spec (table): not a rational literal: '\uff11\uff12'"),
+        # a four-character string has four entries too, and true and 1.0 equal 1
+        ({"measures": [[{"type": "rect", "box": "0101", "density": {"0": "1"}}]]},
+         "rect box must be a list of four rationals, not '0101'"),
+        ({"schema_version": True}, "bad schema_version: True is not an integer"),
+        ({"schema_version": 1.0}, "bad schema_version: 1.0 is not an integer"),
     ])
     def test_malformed_values_exit_three(self, tmp_path, capsys, extra, message):
         obj = {"schema_version": 1, "q": 1, "p": 1, "depth": 2,
@@ -561,12 +566,10 @@ class TestMomentRowsScaledOnce:
 class TestRecurrenceReportShared:
     """verify proves each recurrence relation once: the recurrence and cd checks
     read one check_recurrence_matrix report per k, whichever of them run, and
-    only reproduction evaluates the families at points (Family.values): both
-    families at each of its 3 point pairs."""
+    no check evaluates the families at a point (Family.values)."""
 
     @pytest.mark.parametrize("shape", ["golden", (2, 3)])
-    def test_relations_once_and_tables_for_abc_and_reproduction(self, tmp_path, monkeypatch,
-                                                                shape):
+    def test_relations_once_and_no_point_evaluated(self, tmp_path, monkeypatch, shape):
         cfg = shape_config(tmp_path, shape)
         relations, evaluations = [], []
         values = Family.values
@@ -584,13 +587,13 @@ class TestRecurrenceReportShared:
         assert main(["verify", "--config", str(cfg), "--checks", ",".join(CHECK_NAMES),
                      "--out", str(tmp_path / "v")]) == 0
         assert relations == [1, 2]
-        assert len(evaluations) == 2 * 3  # A and B at reproduction's 3 point pairs
+        assert evaluations == []
         for name in CHECK_NAMES:
             relations.clear()
             evaluations.clear()
             assert main(["verify", "--config", str(cfg), "--checks", name]) == 0
             assert relations == ([1, 2] if name in ("recurrence", "cd") else []), name
-            assert len(evaluations) == (2 * 3 if name == "reproduction" else 0), name
+            assert evaluations == [], name
 
 
 class TestRecurrenceFormedOnRead:

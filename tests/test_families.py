@@ -14,7 +14,9 @@ from steppoly.cli import seeded_monic_matrix
 from steppoly.families import (
     Family,
     check_orthogonality,
+    combine,
     degree_bound,
+    mismatches,
     moment_rows,
     monomial_ints,
     pairings,
@@ -216,6 +218,38 @@ class TestLazyRows:
             assert got == B.values(*x, 4)[3] == [poly(B, 3, i).eval(*x) for i in range(q)], (q, p)
 
 
+class TestCombine:
+    """combine sums weighted integer rows over one denominator; mismatches compares
+    two such sums as rationals, key by key."""
+
+    def test_empty_terms(self):
+        assert combine([]) == (1, {})
+        assert combine(iter(())) == (1, {})
+        assert mismatches(combine([]), (1, {})) == set()
+        assert mismatches((7, {}), (3, {})) == set()
+
+    def test_weights_over_the_lcm(self):
+        # 2/3 {a: 1, b: 2} + -1/4 {b: 4, c: 5} = {a: 2/3, b: 1/3, c: -5/4}
+        den, sums = combine([(2, 3, {"a": 1, "b": 2}), (-1, 4, {"b": 4, "c": 5})])
+        assert den == 12
+        assert {k: rat(v, den) for k, v in sums.items()} == {
+            "a": rat(2, 3), "b": rat(1, 3), "c": rat(-5, 4)}
+        assert mismatches((den, sums), (12, {"a": 8, "b": 4, "c": -15})) == set()
+
+    def test_a_key_in_one_map_only(self):
+        assert mismatches((2, {"a": 1, "b": 3}), (2, {"a": 1})) == {"b"}
+        assert mismatches((2, {"a": 1}), (2, {"a": 1, "b": 3})) == {"b"}
+        # a stored zero reads as the missing key it stands for
+        assert mismatches((2, {"a": 1, "b": 0}), (4, {"a": 2})) == set()
+        assert mismatches(combine([(1, 1, {"a": 1}), (-1, 1, {"a": 1})]), (1, {})) == set()
+
+    def test_equal_rationals_over_different_denominators(self):
+        assert mismatches((3, {"a": 1, "b": -2}), (-6, {"a": -2, "b": 4})) == set()
+        assert mismatches((3, {"a": 1, "b": -2}), (6, {"a": 2, "b": 4})) == {"b"}
+        # the same rational reached through different lcms
+        assert mismatches(combine([(1, 2, {"a": 1})]), combine([(1, 6, {"a": 3}), (0, 5, {"a": 9})])) == set()
+
+
 class TestMonomialTable:
     def test_integers_over_one_denominator_are_the_monomials(self):
         rng = random.Random(54)
@@ -296,6 +330,16 @@ class TestDegreeStructure:
                 if n % p == a and bound >= 0:
                     assert pol.grlex_pos == bound
                     assert pol.leading_coeff() == 1  # monic on the diagonal
+
+    def test_planted_coefficient_above_its_bound_located(self):
+        # one position past the bound, in a component off the diagonal, where no
+        # equality is checked: only the bound itself can see it
+        system = build_system(2, 3, 14, seed=50)
+        bad_B = planted(system.B, 5, 0, 3, rat(1, 5))  # bound (5 - 0) // 2 = 2
+        bad_A = planted(system.A, 7, 2, 2, rat(-2, 3))  # bound (7 - 2) // 3 = 1
+        rep = validate_degree_structure(bad_A, bad_B, 2, 3)
+        assert [(v.where, v.detail) for v in rep.violations] == [
+            (("B", 5, 0), "grlex_pos 3 > bound 2"), (("A", 7, 2), "grlex_pos 2 > bound 1")]
 
     def test_degree_bound_floor(self):
         assert degree_bound(7, 1, 2) == 3
