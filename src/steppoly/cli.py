@@ -38,7 +38,7 @@ from .families import (
 from .gaussborel import factorize, unit_lower
 from .measures import MeasureMatrix
 from .moments import assemble_moments, check_hankel
-from .rational import BACKEND, format_rat, parse_rat, rat
+from .rational import BACKEND, format_rat, parse_rat, rat, ratio_text
 from .recurrence import (
     build_recurrence,
     check_dual_form,
@@ -49,8 +49,6 @@ from .recurrence import (
 from .report import CheckReport
 
 SCHEMA_VERSION = 1
-
-EXPORT_KINDS = ("H", "S", "Sbar", "T1", "T2", "families", "moments")
 
 
 class RunConfig(NamedTuple):
@@ -126,10 +124,6 @@ def seeded_monic_matrix(rng: random.Random, size: int, I: int) -> list[list[dict
     return grid
 
 
-def _dump_json(obj: dict) -> str:
-    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
-
-
 def extended_depth(config: RunConfig) -> int:
     """Factorization depth of a run: deep enough for T_1 and T_2 on the depth window."""
     return max(required_depth(config.depth, config.q, config.p), config.depth)
@@ -159,15 +153,6 @@ class Workspace:
     def relations(self) -> dict[int, CheckReport]:
         """check_recurrence_matrix per k; the recurrence and cd checks share it."""
         return {k: check_recurrence_matrix(self.T[k], self.A, self.B) for k in (1, 2)}
-
-
-def _point_pairs(rng: random.Random, count: int) -> list:
-    """count pairs (x, y) of small random rational points, x1, x2, y1, y2 drawn in
-    that order; denominators <= 16 keep exact arithmetic cheap."""
-    def draw():
-        return rat(rng.randint(-24, 24), rng.randint(1, 16))
-
-    return [((draw(), draw()), (draw(), draw())) for _ in range(count)]
 
 
 # Each check maps the workspace and the run's seeded generator (see run_checks),
@@ -224,10 +209,11 @@ def run_checks(ws: Workspace, checks: list[str]) -> list[dict]:
     """One report.json entry per named check: fail on any violation, skipped when
     nothing was checked."""
     rng = random.Random(ws.config.seed)
-    # 18 point pairs, read by no check, come first in each seed's stream, so a
-    # seed gives projection the matrix polynomials, taken from rng when its
-    # turn comes, that earlier versions' reports were made with
-    _point_pairs(rng, 18)
+    # the draws of 18 point pairs of earlier versions, 72 rationals read by no
+    # check, come first in each seed's stream, so a seed gives projection the
+    # matrix polynomials, taken from rng when its turn comes, of their reports
+    for _ in range(72):
+        rng.randint(-24, 24), rng.randint(1, 16)
     out = []
     for name in checks:
         reps = CHECKS[name](ws, rng)
@@ -263,53 +249,36 @@ def run(config: RunConfig) -> dict:
     return report
 
 
-# ---- exports ----------------------------------------------------------
+# ---- exports: one ratio_text of the elimination's integers per nonzero entry,
+# "0" and "1" for structural zeros and the unit diagonal; no json encoder runs
 
 
-def _matrix_to_strings(data: list[list]) -> list[list[str]]:
-    return [[format_rat(v) for v in row] for row in data]
+def export_entries(ws: Workspace) -> dict[str, list[list[str]]]:
+    """The text of each export kind but families: its depth x depth corner, H one row."""
+    F, M, D = ws.F, ws.M, ws.depth
+    minors, r = F.minors, F.S_int.scale
+    return {"H": [[ratio_text(minors[n + 1], minors[n] * r[n]) for n in range(D)]],
+            "S": unit_lower(minors, F.S_int, D, ratio_text, "1", "0"),
+            "Sbar": unit_lower(minors, F.Sbar_int, D, ratio_text, "1", "0"),
+            "T1": ws.T[1].entries(ratio_text, "0"), "T2": ws.T[2].entries(ratio_text, "0"),
+            "moments": [[ratio_text(v, s) if v else "0" for v in row[:D]]
+                        for row, s in zip(M.ints[:D], M.scale)]}
 
 
-# The matrix each export kind but families reads; exports show its depth x depth
-# corner, and H is one row.  S and Sbar are built for that corner only.
-EXPORT_MATRICES = {
-    "H": lambda ws: [ws.F.H],
-    "S": lambda ws: unit_lower(ws.F.minors, ws.F.S_int, ws.depth),
-    "Sbar": lambda ws: unit_lower(ws.F.minors, ws.F.Sbar_int, ws.depth),
-    "T1": lambda ws: ws.T[1].data,
-    "T2": lambda ws: ws.T[2].data,
-    "moments": lambda ws: ws.M.data,
-}
-
-
-def _export_entries(ws: Workspace, what: str) -> list[list[str]]:
-    D = ws.depth
-    return _matrix_to_strings([row[:D] for row in EXPORT_MATRICES[what](ws)[:D]])
-
-
-def export_json(ws: Workspace, what: str, entries: list[list[str]]) -> str:
-    """The JSON export of one kind; for families, entries is the Sbar export's text."""
-    obj: dict = {"schema_version": SCHEMA_VERSION, "kind": what}
-    if what == "H":
-        obj["values"] = entries[0]
-    elif what == "families":
-        obj["q"] = ws.config.q
-        obj["p"] = ws.config.p
-        # member n of A is row n of Sbar, and A stores no zero coefficient
-        A = [[(c, t) for c, t in enumerate(row) if t != "0"] for row in entries]
-        B = [[(c, format_rat(rat(v, d))) for c, v in row.items()] for d, row in ws.B.rows[:ws.depth]]
-        for label, r, rows in (("A", ws.config.p, A), ("B", ws.config.q, B)):
-            # one pass per row: column K*r + i is component i at position K
-            obj[label] = members = [[{} for _ in range(r)] for _ in rows]
-            for comps, row in zip(members, rows):
-                for c, t in row:
-                    K, i = divmod(c, r)
-                    comps[i][str(K)] = t
-    else:
-        obj["entries"] = entries
-        obj["rows"] = len(entries)
-        obj["cols"] = len(entries[0]) if entries else 0
-    return _dump_json(obj)
+def _json_text(value, pad: str = "\n") -> str:
+    """json.dumps(value, indent=2, sort_keys=True) for the values the exports
+    write: dicts with string keys, lists, ints and strings that need no escape."""
+    inner = pad + "  "
+    if isinstance(value, (str, int)):
+        return f'"{value}"' if isinstance(value, str) else str(value)
+    if not value:
+        return "{}" if isinstance(value, dict) else "[]"
+    if isinstance(value, dict):
+        items = f",{inner}".join(f'"{key}": {_json_text(value[key], inner)}' for key in sorted(value))
+        return f"{{{inner}{items}{pad}}}"
+    if isinstance(value[0], str):  # a row of text: one join
+        return f'[{inner}"' + f'",{inner}"'.join(value) + f'"{pad}]'
+    return f"[{inner}" + f",{inner}".join(_json_text(v, inner) for v in value) + f"{pad}]"
 
 
 # 12 significant digits, rounded half to even, as f"{x:.12g}" rounds a float
@@ -340,21 +309,35 @@ def export_csv(entries: list[list[str]], render_decimal: bool = False) -> str:
 
 
 def write_exports(ws: Workspace, out_dir: Path, render_decimal: bool = False) -> list[Path]:
-    out_dir.mkdir(parents=True, exist_ok=True)
-    written = []
-    text = {}
-    for what in EXPORT_KINDS:
-        # Sbar comes before families in EXPORT_KINDS, and families reuses its text
-        entries = text["Sbar"] if what == "families" else _export_entries(ws, what)
-        text[what] = entries
-        path = out_dir / f"{what}.json"
-        path.write_text(export_json(ws, what, entries))
-        written.append(path)
-        if what != "families":
-            path_csv = out_dir / f"{what}.csv"
-            path_csv.write_text(export_csv(entries, render_decimal), newline="")
-            written.append(path_csv)
-    return written
+    entries, files = export_entries(ws), {}
+    for what, rows in entries.items():
+        body = ({"values": rows[0]} if what == "H"
+                else {"entries": rows, "rows": len(rows), "cols": len(rows[0])})
+        files[f"{what}.json"] = _json_text({"schema_version": SCHEMA_VERSION, "kind": what, **body}) + "\n"
+        files[f"{what}.csv"] = export_csv(rows, render_decimal)
+    fams = {"schema_version": SCHEMA_VERSION, "kind": "families", "q": ws.config.q, "p": ws.config.p}
+    # member n of A is row n of Sbar, and A stores no zero coefficient
+    A = [[(c, t) for c, t in enumerate(row) if t != "0"] for row in entries["Sbar"]]
+    B = [[(c, ratio_text(v, d)) for c, v in row.items()] for d, row in ws.B.rows[:ws.depth]]
+    for label, r, rows in (("A", ws.config.p, A), ("B", ws.config.q, B)):
+        # one pass per row: column K*r + i is component i at position K
+        fams[label] = members = [[{} for _ in range(r)] for _ in rows]
+        for comps, row in zip(members, rows):
+            for c, t in row:
+                comps[c % r][str(c // r)] = t
+    files["families.json"] = _json_text(fams) + "\n"
+    return write_files(out_dir, files)
+
+
+def write_files(out_dir: Path, files: dict[str, str]) -> list[Path]:
+    """Write each named text under out_dir, made if missing; an OSError is a config error."""
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+        for name, text in files.items():
+            (out_dir / name).write_text(text, newline="" if name.endswith(".csv") else None)
+    except OSError as exc:
+        raise ConfigError(f"cannot write {exc.filename or out_dir}: {exc.strerror or exc}") from exc
+    return [out_dir / name for name in files]
 
 
 # ---- entry points -----------------------------------------------------
@@ -394,9 +377,7 @@ def _cmd_verify(args) -> int:
         print(line)
     out_dir = args.out or config.output
     if out_dir:
-        path = Path(out_dir)
-        path.mkdir(parents=True, exist_ok=True)
-        (path / "report.json").write_text(_dump_json(report))
+        write_files(Path(out_dir), {"report.json": json.dumps(report, indent=2, sort_keys=True) + "\n"})
     print(f"elapsed {time.perf_counter() - t0:.3f}s (backend {BACKEND})", file=sys.stderr)
     if report["status"] == "breakdown":
         return 2
@@ -422,13 +403,11 @@ def _cmd_kernel(args) -> int:
         "n": n,
         "x": [format_rat(v) for v in x],
         "y": [format_rat(v) for v in y],
-        "matrix": _matrix_to_strings(value),
+        "matrix": [[format_rat(v) for v in row] for row in value],
     }
-    text = _dump_json(obj)
+    text = json.dumps(obj, indent=2, sort_keys=True) + "\n"
     if args.out:
-        out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
-        (out / "kernel.json").write_text(text)
+        write_files(Path(args.out), {"kernel.json": text})
     sys.stdout.write(text)
     return 0
 

@@ -98,10 +98,9 @@ the S side, Delta_n Sbar[n][c] on the Sbar side).  Row n needs no other row of
 L, so L is a LazyRows: each row is back-substituted when first read and kept.
 compute reads only the rows of its depth window, verify's degree check reads
 them all.  No identity block is carried through the elimination.  The
-families and the recurrence matrices are built from these integers, and the
-rational inverses are never formed.  A rational factor is formed only when
-read: unit_lower builds the leading corner a reader asks for, the depth x
-depth one for the S and Sbar exports.
+families, the recurrence matrices and the exports' text (unit_lower with
+rational.ratio_text) are built from these integers; no CLI path forms a
+rational factor or inverse.
 """
 
 from __future__ import annotations
@@ -187,11 +186,18 @@ class Factorization:
         return Factorization(self.depth, self.H, self.minors, self.Sbar_int, self.S_int)
 
 
-def unit_lower(minors: list[int], side: IntegerSide, rows: int) -> list[list]:
-    """The leading rows x rows corner of the rational unit lower factor side stores."""
+def unit_lower(minors: list[int], side: IntegerSide, rows: int, ratio=rat, one=ONE,
+               zero=ZERO) -> list[list]:
+    """The leading rows x rows corner of the unit lower factor side stores: entry
+    (n, c < n) is ratio(L[n][c] s_c, Delta_n s_n), or zero where L[n][c] is 0;
+    the exports pass rational.ratio_text, "1" and "0".  Row 0 reads no row of L."""
     s, L, _ = side
-    return [[rat(L[n][c] * s[c], minors[n] * s[n]) for c in range(n)] + [ONE] + [ZERO] * (rows - 1 - n)
-            for n in range(rows)]
+    out = [[one] + [zero] * (rows - 1)]
+    for n in range(1, rows):
+        den = minors[n] * s[n]
+        out.append([ratio(v * s_c, den) if v else zero for v, s_c in zip(L[n], s[:n])]
+                   + [one] + [zero] * (rows - 1 - n))
+    return out
 
 
 def _factor_row(minors: list[int], inv_cols: list[list[int]], n: int) -> list[int]:

@@ -5,7 +5,8 @@ one in use, "gmpy2" or "fractions".  Both expose the same arithmetic and the
 same str() form ("n" or "n/d" in lowest terms), which the serialization layer
 relies on.  parse_rat and format_rat read and write that form at any size: past
 the interpreter's limit on int/str conversion digits they go through
-decimal.Decimal, which that limit does not bind.
+decimal.Decimal, which that limit does not bind.  ratio_text writes the same
+form of a ratio of two integers, forming no rational.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import decimal
 import numbers
 import re
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 try:
     from gmpy2 import mpq as _mpq
@@ -66,7 +67,17 @@ def format_rat(value) -> str:
     try:
         return str(value)
     except ValueError:  # more digits than str() converts
-        num, den = (str(decimal.Decimal(int(v))) for v in (value.numerator, value.denominator))
+        return ratio_text(value.numerator, value.denominator)
+
+
+def ratio_text(num, den) -> str:
+    """format_rat(rat(num, den)) for integers num and den != 0, by one gcd."""
+    g = gcd(num, den) if den > 0 else -gcd(num, den)
+    num, den = num // g, den // g
+    try:
+        return str(num) if den == 1 else f"{num}/{den}"
+    except ValueError:  # more digits than str() converts
+        num, den = (str(decimal.Decimal(int(v))) for v in (num, den))
         return num if den == "1" else f"{num}/{den}"
 
 

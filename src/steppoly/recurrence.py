@@ -28,9 +28,9 @@ the factorization's S side (gaussborel), and H_n = Delta_{n+1} / (Delta_n r_n):
     primal = dual at (m, n)  iff  acc[m][n] = L acc'[n][m]
 
 where acc' is the same sum on the transposed factorization, whose scale is
-all ones.  The checks read acc through these identities.  The rational T_k,
-RecurrenceTruncation.data, is formed on its first read: by the T1 and T2
-exports, and by a check only to write a violation's text.
+all ones.  The checks read acc through these identities, and the T1 and T2
+exports write entries(ratio_text, "0"); the rational T_k, data, is formed
+only when a check writes a violation's text.
 """
 
 from __future__ import annotations
@@ -71,11 +71,15 @@ class RecurrenceTruncation:
     def data(self) -> list[list]:
         """The rational T_k, formed on first read and kept."""
         if self._data is None:
-            minors, r = self.F.minors, self.F.S_int.scale
-            dens = [minors[m] * r[m] * self.L for m in range(self.size)]
-            self._data = [[rat(a * r[n], den_m * minors[n + 1]) if a else ZERO for n, a in enumerate(row)]
-                          for row, den_m in zip(self.acc, dens)]
+            self._data = self.entries(rat, ZERO)
         return self._data
+
+    def entries(self, ratio, zero) -> list[list]:
+        """Entry (m, n) of T_k as ratio(acc[m][n] r_n, Delta_m r_m Delta_{n+1} L), or zero."""
+        minors, r = self.F.minors, self.F.S_int.scale
+        cols = list(zip(r, minors[1:]))
+        return [[ratio(a * r_n, den_m * d_n) if a else zero for a, (r_n, d_n) in zip(row, cols)]
+                for row, den_m in zip(self.acc, (minors[m] * r[m] * self.L for m in range(self.size)))]
 
     def row_band(self, n: int) -> tuple[int, int]:
         """[first, last] columns that may be nonzero in row n."""

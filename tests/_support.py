@@ -11,8 +11,12 @@ system in several tests would dominate the suite's runtime.
 from __future__ import annotations
 
 import csv
+import decimal
 import io
+import json
+import math
 import random
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
@@ -20,17 +24,21 @@ from operator import mul
 
 from steppoly import assemble_moments, extract_families, factorize, rat
 from steppoly.cdkernel import CDBlocks
+from steppoly.cli import _decimal_text
 from steppoly.errors import Breakdown, DepthError
 from steppoly.families import Family, monomial_ints
 from steppoly.gaussborel import Factorization, IntegerSide, eliminate
 from steppoly.measures import Discrete, MeasureMatrix, MomentTable, RectDensity
 from steppoly.moments import MomentTruncation
-from steppoly.rational import ZERO, as_rat, common_denominator, format_rat, parse_rat
+from steppoly.rational import ONE, ZERO, as_rat, common_denominator, format_rat, parse_rat
 from steppoly.recurrence import RecurrenceTruncation
 from steppoly.report import CheckReport, Violation
 from steppoly.stepline import in_complement_J, n_plus, pair_of
 
 SHAPES = [(1, 1), (1, 2), (2, 1), (2, 2), (2, 3)]
+
+# the kinds compute exports, one JSON file each and a CSV file each but families
+EXPORT_KINDS = ("H", "S", "Sbar", "T1", "T2", "families", "moments")
 
 # three fixed point pairs (x, y) for pointwise_reproduction
 SPOT_PAIRS = [
@@ -294,14 +302,95 @@ def grid_values(count: int) -> list:
     return vals[:count]
 
 
+def point_pairs(rng: random.Random, count: int) -> list:
+    """count pairs (x, y) of small random rational points, x1, x2, y1, y2 drawn in
+    that order, each as rat(randint(-24, 24), randint(1, 16)): the draws that
+    run_checks discards before projection's, 18 pairs of them."""
+    def draw():
+        return rat(rng.randint(-24, 24), rng.randint(1, 16))
+
+    return [((draw(), draw()), (draw(), draw())) for _ in range(count)]
+
+
+# ---- the export route of earlier versions: the byte oracle of compute ------
+
+
+def decimal_text(text: str) -> str:
+    """The decimal column of one entry: its float's .12g; beyond the normal float
+    range, cli._decimal_text's rounding of the exact rational, which
+    TestCsvBytes checks on its own."""
+    x = parse_rat(text)
+    try:
+        f = float(x)
+    except OverflowError:
+        f = math.inf
+    if x and not sys.float_info.min <= abs(f) <= sys.float_info.max:
+        return _decimal_text(x)
+    return f"{f:.12g}"
+
+
 def csv_writer_text(entries: list[list[str]], render_decimal: bool = False) -> str:
     """The CSV text csv.writer makes of export entries, RFC 4180 quoting and CRLF
-    line endings; with render_decimal each row gets the float .12g columns."""
+    line endings; with render_decimal each row gets its decimal columns."""
     buf = io.StringIO()
     writer = csv.writer(buf)
     for row in entries:
-        writer.writerow(row + [f"{float(parse_rat(v)):.12g}" for v in row] if render_decimal else row)
+        writer.writerow(row + [decimal_text(v) for v in row] if render_decimal else row)
     return buf.getvalue()
+
+
+def rational_text(value) -> str:
+    """str() of a rational, and past the interpreter's int/str digit limit the
+    digits decimal.Decimal writes: format_rat as earlier versions wrote it."""
+    try:
+        return str(value)
+    except ValueError:
+        num, den = (str(decimal.Decimal(int(v))) for v in (value.numerator, value.denominator))
+        return num if den == "1" else f"{num}/{den}"
+
+
+def rational_entries(ws) -> dict[str, list[list[str]]]:
+    """Each export kind's depth x depth corner but families, H one row, as rationals
+    formatted by rational_text: S and Sbar as L[n][c] s_c / (Delta_n s_n), T_k as
+    acc[m][n] r_n / (Delta_m r_m Delta_{n+1} L), H and the moments as stored."""
+    D, minors, r = ws.depth, ws.F.minors, ws.F.S_int.scale
+
+    def unit_lower(side: IntegerSide) -> list[list]:
+        s, L, _ = side
+        return [[rat(L[n][c] * s[c], minors[n] * s[n]) for c in range(n)] + [ONE] + [ZERO] * (D - 1 - n)
+                for n in range(D)]
+
+    def recurrence(T: RecurrenceTruncation) -> list[list]:
+        return [[rat(a * r[n], minors[m] * r[m] * T.L * minors[n + 1]) for n, a in enumerate(row)]
+                for m, row in enumerate(T.acc)]
+
+    mats = {"H": [ws.F.H], "S": unit_lower(ws.F.S_int), "Sbar": unit_lower(ws.F.Sbar_int),
+            "T1": recurrence(ws.T[1]), "T2": recurrence(ws.T[2]), "moments": ws.M.data}
+    return {what: [[rational_text(v) for v in row[:D]] for row in mat[:D]] for what, mat in mats.items()}
+
+
+def rational_exports(ws, render_decimal: bool = False) -> dict[str, str]:
+    """Every file compute writes, by way of rationals and json.dumps: the text of
+    rational_entries, families.json built as dicts of dicts, A from the Sbar text
+    and B as rat(v, d) of its rows, and CSV by csv_writer_text."""
+    entries = rational_entries(ws)
+    files = {}
+    for what, rows in entries.items():
+        obj: dict = {"schema_version": 1, "kind": what}
+        if what == "H":
+            obj["values"] = rows[0]
+        else:
+            obj.update(entries=rows, rows=len(rows), cols=len(rows[0]))
+        files[f"{what}.json"] = json.dumps(obj, indent=2, sort_keys=True) + "\n"
+        files[f"{what}.csv"] = csv_writer_text(rows, render_decimal)
+    q, p = ws.config.q, ws.config.p
+    obj = {"schema_version": 1, "kind": "families", "q": q, "p": p}
+    A = [[(c, t) for c, t in enumerate(row) if t != "0"] for row in entries["Sbar"]]
+    B = [[(c, rational_text(rat(v, d))) for c, v in row.items()] for d, row in ws.B.rows[:ws.depth]]
+    for label, r, rows in (("A", p, A), ("B", q, B)):
+        obj[label] = [[{str(c // r): t for c, t in row if c % r == i} for i in range(r)] for row in rows]
+    files["families.json"] = json.dumps(obj, indent=2, sort_keys=True) + "\n"
+    return files
 
 
 # ---- dense and shift-operator oracles used only by the tests ------------

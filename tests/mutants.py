@@ -162,4 +162,53 @@ MUTANTS = [
          "tests/test_cdkernel.py::TestCDFromRecurrences::test_planted_out_of_band_block_entry_fails_through_the_index_identity",
          "tests/test_recurrence.py::TestFailureText::test_first_violation_details",
          "tests/test_cli.py::TestVerify::test_all_checks_pass")),
+    Mutant(
+        "H export drops the row scale r_n", "cli.py",
+        "ratio_text(minors[n + 1], minors[n] * r[n])", "ratio_text(minors[n + 1], minors[n])",
+        ("tests/test_cli.py::TestExportOracle::test_every_file_matches_the_rational_route[golden]",
+         "tests/test_cli.py::TestExportOracle::test_every_file_matches_the_rational_route[table-2-3]",
+         "tests/test_cli.py::TestCompute::test_export_contents_match_library",
+         "tests/test_acceptance.py::test_criterion_8_cli_contract")),
+    Mutant(
+        "S export drops the column scale s_c", "gaussborel.py",
+        "ratio(v * s_c, den)", "ratio(v, den)",
+        ("tests/test_cli.py::TestExportOracle::test_every_file_matches_the_rational_route[golden]",
+         "tests/test_cli.py::TestExportOracle::test_every_file_matches_the_rational_route[mixed-1-1]",
+         "tests/test_cli.py::TestCompute::test_export_contents_match_library",
+         "tests/test_acceptance.py::test_criterion_8_cli_contract")),
+    Mutant(
+        "Sbar export writes the S side", "cli.py",
+        '"Sbar": unit_lower(minors, F.Sbar_int, D', '"Sbar": unit_lower(minors, F.S_int, D',
+        ("tests/test_cli.py::TestExportOracle::test_every_file_matches_the_rational_route[golden]",
+         "tests/test_cli.py::TestExportOracle::test_every_file_matches_the_rational_route[table-2-2]",
+         "tests/test_cli.py::TestCompute::test_export_contents_match_library",
+         "tests/test_acceptance.py::test_criterion_8_cli_contract")),
+    Mutant(
+        "T_k export drops the column scale r_n", "recurrence.py",
+        "ratio(a * r_n, den_m * d_n)", "ratio(a, den_m * d_n)",
+        ("tests/test_cli.py::TestExportOracle::test_every_file_matches_the_rational_route[golden]",
+         "tests/test_cli.py::TestExportOracle::test_every_file_matches_the_rational_route[table-1-2]",
+         "tests/test_recurrence.py::TestIntegerRoute::test_matches_rational_sum",
+         "tests/test_acceptance.py::test_criterion_8_cli_contract")),
+    Mutant(
+        "families export splits A by q and B by p", "cli.py",
+        '(("A", ws.config.p, A), ("B", ws.config.q, B))', '(("A", ws.config.q, A), ("B", ws.config.p, B))',
+        ("tests/test_cli.py::TestExportOracle::test_every_file_matches_the_rational_route[golden]",
+         "tests/test_cli.py::TestExportOracle::test_every_file_matches_the_rational_route[mixed-2-3]",
+         "tests/test_cli.py::TestCompute::test_export_contents_match_library",
+         "tests/test_acceptance.py::test_criterion_8_cli_contract")),
+    Mutant(
+        "moments export reads the next row's scale", "cli.py",
+        "zip(M.ints[:D], M.scale)", "zip(M.ints[:D], M.scale[1:] + M.scale[:1])",
+        ("tests/test_cli.py::TestExportOracle::test_every_file_matches_the_rational_route[golden]",
+         "tests/test_cli.py::TestExportOracle::test_every_file_matches_the_rational_route[mixed-2-1]",
+         "tests/test_cli.py::TestCompute::test_export_contents_match_library",
+         "tests/test_acceptance.py::test_criterion_8_cli_contract")),
+    Mutant(
+        "any-size text writes an integer over 1", "rational.py",
+        'return num if den == "1" else f"{num}/{den}"', 'return f"{num}/{den}"',
+        ("tests/test_cli.py::TestExportOracle::test_every_file_matches_the_rational_route[huge]",
+         "tests/test_cli.py::TestHugeEntries::test_compute_and_verify",
+         "tests/test_measures.py::TestRationalParsing::test_any_size",
+         "tests/test_acceptance.py::test_criterion_8_cli_contract")),
 ]

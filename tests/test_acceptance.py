@@ -28,7 +28,7 @@ from steppoly.cdkernel import (
     check_projection,
     check_reproduction,
 )
-from steppoly.cli import _point_pairs, main, seeded_monic_matrix
+from steppoly.cli import main, seeded_monic_matrix
 from steppoly.errors import Breakdown
 from steppoly.families import (
     check_orthogonality,
@@ -60,6 +60,7 @@ from _support import (
     mat_eq,
     members,
     mixed_mm,
+    point_pairs,
     pointwise_abc,
     pointwise_cd,
     pointwise_reproduction,
@@ -299,7 +300,7 @@ def test_criterion_6_cd_abc_reproduction_projection():
             assert check_cd_formula(T[k], check_recurrence_matrix(T[k], system.A, system.B)).ok
 
         rng = random.Random(602)
-        pairs = _point_pairs(rng, 10)
+        pairs = point_pairs(rng, 10)
         pair_tables = [KernelTable(system.A, system.B, x, y, n_top + 1) for x, y in pairs]
         for n in range(n_top + 1):
             rep = pointwise_abc(system.M, n, pair_tables)

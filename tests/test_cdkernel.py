@@ -15,7 +15,7 @@ from steppoly.cdkernel import (
     is_monic_of_grlex_degree,
     kernel_eval,
 )
-from steppoly.cli import Workspace, _point_pairs, load_config, run_checks
+from steppoly.cli import Workspace, load_config, run_checks
 from steppoly.errors import Breakdown, DepthError
 from steppoly.families import Family
 from steppoly.moments import MomentTruncation
@@ -34,6 +34,7 @@ from _support import (
     members,
     planted,
     planted_entry,
+    point_pairs,
     pointwise_abc,
     pointwise_cd,
     pointwise_reproduction,
@@ -494,8 +495,8 @@ class TestABCCoefficients:
         # oracle at those pairs sees the same values and passes, check_abc fails
         ws = Workspace(load_config(GOLDEN_CONFIG))
         rng = random.Random(ws.config.seed)
-        _point_pairs(rng, 5)  # cd's pairs come first
-        pairs = _point_pairs(rng, 10)
+        point_pairs(rng, 5)  # cd's pairs come first
+        pairs = point_pairs(rng, 10)
         poly_x1 = [1]  # coefficients of x1^0, x1^1, ...
         for a in {x[0] for x, _ in pairs}:
             # times (den x1 - num): x1^e gains den times the old x1^(e-1)

@@ -17,21 +17,23 @@ from hypothesis import strategies as st
 
 import steppoly
 from steppoly import build_recurrence, rat, required_depth
-from steppoly.cli import (CHECK_NAMES, EXPORT_KINDS, RunConfig, Workspace, _decimal_text,
-                          _export_entries, extended_depth, load_config, main)
+from steppoly.cli import (CHECK_NAMES, RunConfig, Workspace, _decimal_text,
+                          extended_depth, load_config, main)
 from steppoly.errors import ConfigError, DepthError
 from steppoly.families import Family
 from steppoly.gaussborel import _factor_row, unit_lower
 from steppoly.measures import measure_from_json
-from steppoly.rational import BACKEND, common_denominator, parse_rat
-from steppoly.recurrence import check_recurrence_matrix
+from steppoly.rational import BACKEND, common_denominator, parse_rat, ratio_text
+from steppoly.recurrence import RecurrenceTruncation, check_recurrence_matrix
 from steppoly.report import CheckReport, Violation
 
-from _support import (BiPoly, build_system, config_json, corner, csv_writer_text,
-                      invert_unitriangular, kernel_sum, poly, stored_inverses, table_mm)
+from _support import (EXPORT_KINDS, SHAPES, BiPoly, build_system, config_json, corner,
+                      csv_writer_text, invert_unitriangular, kernel_sum, mixed_mm, poly,
+                      rational_entries, rational_exports, stored_inverses, table_mm)
 
 DEPTH = 6
 GOLDEN_CONFIG = Path(__file__).resolve().parent / "golden" / "config.json"
+HUGE_CONFIG = GOLDEN_CONFIG.parent / "exports-huge" / "config.json"
 
 
 def good_config(tmp_path, q=1, p=2, depth=DEPTH, seed=3, **extra):
@@ -45,12 +47,17 @@ def good_config(tmp_path, q=1, p=2, depth=DEPTH, seed=3, **extra):
     return path
 
 
-def shape_config(tmp_path, shape):
-    """The golden config, or a depth-16 table config of the (q, p) shape."""
+def shape_config(tmp_path, shape, kind="table"):
+    """The golden config, or a depth-16 table config or depth-12 mixed config of
+    the (q, p) shape."""
     if shape == "golden":
         return GOLDEN_CONFIG
-    obj = config_json(table_mm(random.Random(909), *shape, required_depth(16, *shape)))
-    obj.update({"schema_version": 1, "depth": 16})
+    if kind == "table":
+        mm, depth = table_mm(random.Random(909), *shape, required_depth(16, *shape)), 16
+    else:
+        mm, depth = mixed_mm(random.Random(909), *shape), 12
+    obj = config_json(mm)
+    obj.update({"schema_version": 1, "depth": depth})
     cfg = tmp_path / "config.json"
     cfg.write_text(json.dumps(obj))
     return cfg
@@ -476,8 +483,8 @@ class TestKernel:
 
 class TestRationalFactors:
     """verify reads only the integers of factorize and kernel factorizes nothing;
-    compute builds the rational S and Sbar once each, for the depth x depth
-    corner it exports."""
+    compute forms no rational S or Sbar either: it writes each of them once,
+    as text (ratio_text), for the depth x depth corner it exports."""
 
     @pytest.mark.parametrize("shape", ["golden", (2, 3)])
     def test_only_the_exports_build_them(self, tmp_path, monkeypatch, shape):
@@ -488,9 +495,9 @@ class TestRationalFactors:
             cfg, depth = good_config(tmp_path, *shape), DEPTH
         built = []
 
-        def counting(minors, side, rows):
-            built.append(rows)
-            return unit_lower(minors, side, rows)
+        def counting(minors, side, rows, *args):
+            built.append((rows, *args))
+            return unit_lower(minors, side, rows, *args)
 
         monkeypatch.setattr("steppoly.gaussborel.unit_lower", counting)
         monkeypatch.setattr("steppoly.cli.unit_lower", counting)
@@ -499,7 +506,32 @@ class TestRationalFactors:
                      "--x", "1/2,-1/3", "--y", "2/7,1/5", "--out", str(tmp_path / "k")]) == 0
         assert built == []
         assert main(["compute", "--config", str(cfg), "--out", str(tmp_path / "c")]) == 0
-        assert built == [depth, depth]
+        assert built == [(depth, ratio_text, "1", "0")] * 2
+
+    @pytest.mark.parametrize("shape", ["golden", (2, 3)])
+    def test_compute_reduces_each_nonzero_entry_once(self, tmp_path, monkeypatch, shape):
+        # one ratio_text per nonzero entry of every export, the unit diagonals
+        # and A (which reuses the Sbar text) excepted; verify and kernel call none
+        cfg = shape_config(tmp_path, shape)
+        ws = Workspace(load_config(cfg))
+        entries = rational_entries(ws)
+        nonzero = sum(t != "0" and not (what in ("S", "Sbar") and m == n)
+                      for what, rows in entries.items() for m, row in enumerate(rows)
+                      for n, t in enumerate(row))
+        nonzero += sum(len(row) for _, row in ws.B.rows[:ws.depth])
+        calls = []
+
+        def counting(num, den):
+            calls.append((num, den))
+            return ratio_text(num, den)
+
+        monkeypatch.setattr("steppoly.cli.ratio_text", counting)
+        assert main(["verify", "--config", str(cfg), "--out", str(tmp_path / "v")]) == 0
+        assert main(["kernel", "--config", str(cfg), "--n", "4",
+                     "--x", "1/2,-1/3", "--y", "2/7,1/5", "--out", str(tmp_path / "k")]) == 0
+        assert calls == []
+        assert main(["compute", "--config", str(cfg), "--out", str(tmp_path / "c")]) == 0
+        assert len(calls) == nonzero and all(num for num, _ in calls)
 
 
 class TestRowsBuiltOnRead:
@@ -598,27 +630,39 @@ class TestRecurrenceReportShared:
 
 class TestRecurrenceFormedOnRead:
     """verify reads each T_k through its integers and forms no rational T_k,
-    the transposed one inside the dual check included; compute forms each
-    T_1 and T_2 once, for both of their exports."""
+    the transposed one inside the dual check included; compute forms none
+    either, and writes each T_1 and T_2 once, as text, for both of their
+    exports."""
 
     @pytest.mark.parametrize("shape", ["golden", (2, 3)])
-    def test_rationals_formed_for_the_exports_only(self, tmp_path, monkeypatch, shape):
+    def test_text_written_for_the_exports_only(self, tmp_path, monkeypatch, shape):
         cfg = shape_config(tmp_path, shape)
         ws = Workspace(load_config(cfg))
         nonzero = sum(t != 0 for k in (1, 2) for row in ws.T[k].data for t in row)
-        rats = []
+        rats, written = [], []
+        entries = RecurrenceTruncation.entries
 
         def counting_rat(*args):
             rats.append(args)
             return rat(*args)
 
+        def counting_entries(T, ratio, zero):
+            def counted(*args):
+                written.append(T.k)
+                return ratio(*args)
+
+            assert ratio is ratio_text and zero == "0"
+            return entries(T, counted, zero)
+
         monkeypatch.setattr("steppoly.recurrence.rat", counting_rat)
+        monkeypatch.setattr(RecurrenceTruncation, "entries", counting_entries)
         assert main(["verify", "--config", str(cfg), "--checks", ",".join(CHECK_NAMES),
                      "--out", str(tmp_path / "v")]) == 0
-        assert rats == []
+        assert rats == [] and written == []
         assert main(["compute", "--config", str(cfg), "--out", str(tmp_path / "c")]) == 0
-        # one rat() per nonzero entry of T_1 and T_2, the JSON and CSV exports together
-        assert len(rats) == nonzero
+        # one ratio_text per nonzero entry of T_1 and T_2, the JSON and CSV exports together
+        assert rats == [] and len(written) == nonzero
+        assert sorted(set(written)) == [1, 2]
 
 
 class TestCsvBytes:
@@ -633,7 +677,7 @@ class TestCsvBytes:
             out = tmp_path / f"out{len(flags)}"
             assert main(["compute", "--config", str(cfg), "--out", str(out), *flags]) == 0
             for what in kinds:
-                want = csv_writer_text(_export_entries(ws, what), bool(flags))
+                want = csv_writer_text(rational_entries(ws)[what], bool(flags))
                 assert (out / f"{what}.csv").read_bytes() == want.encode(), (what, flags)
 
     def test_render_decimal_beyond_float_range(self, tmp_path):
@@ -694,6 +738,47 @@ class TestCsvBytes:
             assert next(csv.reader(fh))[3] == "1e-400"
 
 
+class TestExportOracle:
+    """compute writes every export, JSON and CSV, with and without
+    --render-decimal, byte for byte as the route through rationals and
+    json.dumps (_support.rational_exports) writes it."""
+
+    CASES = ["golden", "huge"] + [(kind, q, p) for q, p in SHAPES for kind in ("table", "mixed")]
+
+    @pytest.mark.parametrize("case", CASES, ids=lambda c: c if isinstance(c, str) else "-".join(map(str, c)))
+    def test_every_file_matches_the_rational_route(self, tmp_path, case):
+        if case in ("golden", "huge"):
+            cfg = GOLDEN_CONFIG if case == "golden" else HUGE_CONFIG
+        else:
+            cfg = shape_config(tmp_path, case[1:], case[0])
+        ws = Workspace(load_config(cfg))
+        for flags in ([], ["--render-decimal"]):
+            out = tmp_path / f"out{len(flags)}"
+            assert main(["compute", "--config", str(cfg), "--out", str(out), *flags]) == 0
+            want = rational_exports(ws, bool(flags))
+            assert sorted(os.listdir(out)) == sorted(want) and len(want) == 13
+            for name, text in want.items():
+                assert (out / name).read_bytes() == text.encode(), (name, flags)
+
+
+class TestUnwritableOutput:
+    """An --out that names a file, or a directory that cannot be made, is a
+    config error: exit 3 and one stderr line, no traceback."""
+
+    @pytest.mark.parametrize("below", [False, True], ids=["file", "below-a-file"])
+    @pytest.mark.parametrize("command", ["compute", "verify", "kernel"])
+    def test_exits_three(self, tmp_path, capsys, command, below):
+        cfg = good_config(tmp_path)
+        taken = tmp_path / "taken"
+        taken.write_text("kept")
+        out = taken / "sub" if below else taken
+        extra = ["--n", "2", "--x", "0,0", "--y", "1,1"] if command == "kernel" else []
+        assert main([command, "--config", str(cfg), "--out", str(out), *extra]) == 3
+        err = capsys.readouterr().err
+        assert re.search(rf"^config error: cannot write {re.escape(str(out))}: \S", err, re.M), err
+        assert "Traceback" not in err and taken.read_text() == "kept"
+
+
 class TestHugeEntries:
     """Entries past the interpreter's 4,300-digit limit on int/str conversion."""
 
@@ -711,7 +796,7 @@ class TestHugeEntries:
         for what in ("moments", "H", "S", "T1"):
             obj = json.loads((out / f"{what}.json").read_text())
             got = [obj["values"]] if what == "H" else obj["entries"]
-            assert got == _export_entries(ws, what), what
+            assert got == rational_entries(ws)[what], what
         moment = json.loads((out / "moments.json").read_text())["entries"][0][1]
         assert moment == "1" + "0" * 5000 and parse_rat(moment) == 10**5000
 
