@@ -38,7 +38,7 @@ from .families import (
 from .gaussborel import factorize, unit_lower
 from .measures import MeasureMatrix
 from .moments import assemble_moments, check_hankel
-from .rational import BACKEND, format_rat, parse_rat, rat, ratio_text
+from .rational import BACKEND, _int, format_rat, parse_rat, rat, ratio_text
 from .recurrence import (
     build_recurrence,
     check_dual_form,
@@ -130,14 +130,16 @@ def extended_depth(config: RunConfig) -> int:
 
 
 class Workspace:
-    """Everything computed for one config at one depth."""
+    """Everything computed for one config at one depth.  A width is passed to
+    factorize: compute passes its depth, the only rows it reads; verify passes
+    none, since degree, dual and the families read every row."""
 
-    def __init__(self, config: RunConfig):
+    def __init__(self, config: RunConfig, width: int | None = None):
         self.config = config
         self.depth = config.depth
         self.extended_depth = extended_depth(config)
         self.M = assemble_moments(config.measures, self.extended_depth)
-        self.F = factorize(self.M)
+        self.F = factorize(self.M, width)
         self.A, self.B = extract_families(self.F, config.q, config.p)
         self.T = {
             k: build_recurrence(self.F, config.q, config.p, k, self.depth)
@@ -285,18 +287,21 @@ def _json_text(value, pad: str = "\n") -> str:
 _DECIMAL_12 = decimal.Context(prec=12, Emax=decimal.MAX_EMAX, Emin=decimal.MIN_EMIN)
 
 
-def _decimal_text(v) -> str:
-    """v as f"{float(v):.12g}" writes it.  A nonzero v outside the normal float
-    range, where float() is infinite, subnormal or zero, is rounded from the exact
-    rational into the same shape, trailing zeros stripped: 1e+400, -1.25e+799,
-    1.23456789012e-316, 1e-400."""
+def _decimal_text(text: str) -> str:
+    """The "num" or "num/den" text as f"{float(v):.12g}" writes its value v, with
+    num / den, which for ints is float(Fraction(num, den)).  A nonzero v outside
+    the normal float range, where that float is infinite, subnormal or zero, is
+    rounded from the exact rational into the same shape, trailing zeros
+    stripped: 1e+400, -1.25e+799, 1.23456789012e-316, 1e-400."""
+    num, _, den = text.partition("/")
+    num, den = _int(num), _int(den) if den else 1
     try:
-        f = float(v)
-    except OverflowError:  # an infinite float() is treated alike
+        f = num / den
+    except OverflowError:  # an infinite float is treated alike
         f = math.inf
-    if sys.float_info.min <= abs(f) <= sys.float_info.max or not v:
+    if sys.float_info.min <= abs(f) <= sys.float_info.max or not num:
         return f"{f:.12g}"
-    exact = _DECIMAL_12.divide(decimal.Decimal(int(v.numerator)), decimal.Decimal(int(v.denominator)))
+    exact = _DECIMAL_12.divide(decimal.Decimal(num), decimal.Decimal(den))
     return f"{exact.normalize(_DECIMAL_12):g}"
 
 
@@ -304,7 +309,7 @@ def export_csv(entries: list[list[str]], render_decimal: bool = False) -> str:
     """One CRLF-ended line of comma-joined fields per row, the bytes csv.writer
     writes: a num/den string or a decimal never needs RFC 4180 quoting."""
     if render_decimal:
-        entries = [row + [_decimal_text(parse_rat(v)) for v in row] for row in entries]
+        entries = [row + [_decimal_text(v) for v in row] for row in entries]
     return "".join(",".join(row) + "\r\n" for row in entries)
 
 
@@ -350,7 +355,7 @@ def _cmd_compute(args) -> int:
             raise ConfigError("--depth must be >= 1")
         config = config._replace(depth=args.depth)
     t0 = time.perf_counter()
-    ws = Workspace(config)
+    ws = Workspace(config, config.depth)
     out_dir = Path(args.out or config.output or ".")
     written = write_exports(ws, out_dir, args.render_decimal)
     print(f"wrote {len(written)} files to {out_dir}", file=sys.stderr)

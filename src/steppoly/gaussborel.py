@@ -101,6 +101,19 @@ them all.  No identity block is carried through the elimination.  The
 families, the recurrence matrices and the exports' text (unit_lower with
 rational.ratio_text) are built from these integers; no CLI path forms a
 rational factor or inverse.
+
+factorize(M, width) eliminates only the E x width panel of Mi's first width
+columns: it holds Delta_0 .. Delta_width, the multipliers of all E rows in
+columns < width and rows < width of both sides, all that compute reads of its
+depth-width window (T_1 and T_2 read rows of S^-1 up to n_plus(width-1, q, k)
+in columns < width).  Delta_{width+1} .. Delta_E are certified nonzero by
+Gaussian elimination modulo the prime P = CERT_PRIME on columns >= width,
+with the panel's multipliers: step k's for row i is panel[i][k] / Delta_{k+1}
+mod P.  The tail pivot j is then Delta_{j+1} / Delta_j mod P, so a nonzero
+residue at every pivot proves every Delta_{j+1} a nonzero integer.  On any
+zero residue, a Delta_{k+1} with no inverse mod P included, the full
+elimination decides: it raises the exact Breakdown, or completes after a
+false alarm and the panel's factors stand.
 """
 
 from __future__ import annotations
@@ -112,6 +125,8 @@ from typing import NamedTuple
 from .errors import Breakdown
 from .moments import MomentTruncation
 from .rational import ONE, ZERO, rat
+
+CERT_PRIME = 2**31 - 1  # the modulus of factorize's certificate, a prime
 
 
 class LazyRows:
@@ -159,9 +174,12 @@ class IntegerSide(NamedTuple):
 
 
 class Factorization:
-    """Factors of one truncation: the diagonal H, the elimination's minors and
-    one IntegerSide each for S and Sbar.  The rational S and Sbar are built in
-    full from those integers on every read; nothing keeps them."""
+    """Factors of one depth-depth truncation: the diagonal H, the elimination's
+    minors and one IntegerSide each for S and Sbar.  The rational S and Sbar are
+    built in full from those integers on every read; nothing keeps them.  A
+    factorization of width w < depth holds H, the minors up to Delta_w, both
+    sides' L and Sbar's L_inv for w rows; S's L_inv keeps all depth rows, each
+    cut to w columns."""
 
     __slots__ = ("depth", "H", "minors", "S_int", "Sbar_int")
 
@@ -175,11 +193,11 @@ class Factorization:
 
     @property
     def S(self) -> list[list]:
-        return unit_lower(self.minors, self.S_int, self.depth)
+        return unit_lower(self.minors, self.S_int, len(self.S_int.L))
 
     @property
     def Sbar(self) -> list[list]:
-        return unit_lower(self.minors, self.Sbar_int, self.depth)
+        return unit_lower(self.minors, self.Sbar_int, len(self.Sbar_int.L))
 
     def transpose(self) -> "Factorization":
         """The factorization M^T = Sbar^-1 H S^-T: the same factors, roles swapped."""
@@ -286,21 +304,53 @@ def eliminate(rows: list[list[int]], steps: int) -> list[int]:
     return minors
 
 
-def factorize(M: MomentTruncation) -> Factorization:
+def _certified(ints: list[list[int]], panel: list[list[int]], minors: list[int]) -> bool:
+    """Whether the minors of ints past the panel's width are nonzero, by the
+    certificate of the module docstring: False on any zero residue."""
+    P, width = CERT_PRIME, len(minors) - 1
+    if any(d % P == 0 for d in minors):
+        return False
+    inv = [pow(d, -1, P) for d in minors[1:]]
+    cols, schur = [[] for _ in ints[width:]], []  # cols: columns >= width of rows < width
+    for i, (row, mults) in enumerate(zip(ints, panel)):
+        ell = [a % P * b % P for a, b in zip(mults[:min(i, width)], inv)]
+        reduced = [(x - sum(map(mul, ell, col))) % P for x, col in zip(row[width:], cols)]
+        if i < width:
+            for col, x in zip(cols, reduced):
+                col.append(x)
+        else:
+            schur.append(reduced)
+    for k, row_k in enumerate(schur):  # pivot k is Delta_{width+k+1} / Delta_{width+k}
+        if row_k[k] == 0:
+            return False
+        f = pow(row_k[k], -1, P)
+        for row_i in schur[k + 1:]:
+            if m := row_i[k] * f % P:
+                row_i[k + 1:] = [(x - m * y) % P for x, y in zip(row_i[k + 1:], row_k[k + 1:])]
+    return True
+
+
+def factorize(M: MomentTruncation, width: int | None = None) -> Factorization:
     """Fraction-free unpivoted LU of M's integer rows; Breakdown(k) when the
-    leading minor of size k+1 vanishes."""
+    leading minor of size k+1 vanishes.  With a width below M's depth only the
+    panel of M's first width columns is eliminated and the factors are kept for
+    width rows; the minors past width are certified modulo CERT_PRIME, and on a
+    zero residue the full elimination decides."""
     D, r = M.depth, M.scale
     if len(M.ints) != D or any(len(row) != D for row in M.ints):
         raise ValueError("factorize needs a square truncation")
-    Mi = [row[:] for row in M.ints]  # eliminated in place; M's rows stay as built
-    minors = eliminate(Mi, D)
+    W = D if width is None else min(width, D)
+    Mi = [row[:W] for row in M.ints]  # eliminated in place; M's rows stay as built
+    minors = eliminate(Mi, W)
+    if W < D and not _certified(M.ints, Mi, minors):
+        eliminate([row[:] for row in M.ints], D)  # Breakdown at its index, or a false alarm
     # Column c of each side's L_inv, from the diagonal down: the S side reads
     # the columns of Mi's lower part, the Sbar side the rows of its upper part.
-    S_cols = [[row[c] for row in Mi[c:]] for c in range(D)]
-    Sbar_cols = [row[c:] for c, row in enumerate(Mi)]
-    S_int = IntegerSide(r, LazyRows(D, lambda n: _factor_row(minors, S_cols, n)),
+    S_cols = [[row[c] for row in Mi[c:W]] for c in range(W)]
+    Sbar_cols = [row[c:] for c, row in enumerate(Mi[:W])]
+    S_int = IntegerSide(r, LazyRows(W, lambda n: _factor_row(minors, S_cols, n)),
                         [row[:i + 1] for i, row in enumerate(Mi)])
-    Sbar_int = IntegerSide([1] * D, LazyRows(D, lambda n: _factor_row(minors, Sbar_cols, n)),
-                           [[Mi[k][i] for k in range(i + 1)] for i in range(D)])
-    return Factorization(D, [rat(minors[n + 1], minors[n] * r[n]) for n in range(D)], minors,
+    Sbar_int = IntegerSide([1] * W, LazyRows(W, lambda n: _factor_row(minors, Sbar_cols, n)),
+                           [[Mi[k][i] for k in range(i + 1)] for i in range(W)])
+    return Factorization(D, [rat(minors[n + 1], minors[n] * r[n]) for n in range(W)], minors,
                          S_int, Sbar_int)

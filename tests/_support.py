@@ -325,7 +325,7 @@ def decimal_text(text: str) -> str:
     except OverflowError:
         f = math.inf
     if x and not sys.float_info.min <= abs(f) <= sys.float_info.max:
-        return _decimal_text(x)
+        return _decimal_text(text)
     return f"{f:.12g}"
 
 

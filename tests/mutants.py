@@ -211,4 +211,45 @@ MUTANTS = [
          "tests/test_cli.py::TestHugeEntries::test_compute_and_verify",
          "tests/test_measures.py::TestRationalParsing::test_any_size",
          "tests/test_acceptance.py::test_criterion_8_cli_contract")),
+    Mutant(
+        "eliminate's group update flips c_1's sign", "gaussborel.py",
+        "- c2 * y2 + c1 * y1 - c0 * y0) // prev", "- c2 * y2 - c1 * y1 - c0 * y0) // prev",
+        ("tests/test_gaussborel.py::TestEliminate::test_matches_one_step_oracle",
+         "tests/test_gaussborel.py::TestEliminate::test_zero_multiplier_at_each_offset[0]",
+         "tests/test_gaussborel.py::TestEliminate::test_matches_one_step_oracle_on_extended_truncations[table]")),
+    Mutant(
+        "row k+2's pair update flips row k's sign", "gaussborel.py",
+        "(w01_01 * x - w02_01 * y + w12_01 * z) // prev", "(w01_01 * x - w02_01 * y - w12_01 * z) // prev",
+        ("tests/test_gaussborel.py::TestEliminate::test_matches_one_step_oracle",
+         "tests/test_gaussborel.py::TestEliminate::test_zero_multiplier_at_each_offset[1]",
+         "tests/test_gaussborel.py::TestEliminate::test_matches_one_step_oracle_on_extended_truncations[mixed]")),
+    Mutant(
+        "a group's first Breakdown names the next step", "gaussborel.py",
+        "if p00 == 0:\n            raise Breakdown(k)", "if p00 == 0:\n            raise Breakdown(k + 1)",
+        ("tests/test_gaussborel.py::TestEliminate::test_breaks_down_where_the_oracle_does[0]",
+         "tests/test_gaussborel.py::TestWindow::test_breakdown_past_the_window[3]",
+         "tests/test_gaussborel.py::TestWindow::test_breakdown_past_the_window[6]")),
+    Mutant(
+        "a group's second Breakdown names the step before", "gaussborel.py",
+        "raise Breakdown(k + 1)", "raise Breakdown(k)",
+        ("tests/test_gaussborel.py::TestEliminate::test_breaks_down_where_the_oracle_does[1]",
+         "tests/test_gaussborel.py::TestWindow::test_breakdown_past_the_window[4]",
+         "tests/test_gaussborel.py::TestWindow::test_breakdown_past_the_window[7]")),
+    Mutant(
+        "a group's third Breakdown names the step before", "gaussborel.py",
+        "raise Breakdown(k + 2)", "raise Breakdown(k + 1)",
+        ("tests/test_gaussborel.py::TestEliminate::test_breaks_down_where_the_oracle_does[2]",
+         "tests/test_gaussborel.py::TestWindow::test_breakdown_past_the_window[5]",
+         "tests/test_gaussborel.py::TestWindow::test_breakdown_past_the_window[8]")),
+    Mutant(
+        "the certificate always passes", "gaussborel.py",
+        "    P, width = CERT_PRIME, len(minors) - 1", "    return True",
+        ("tests/test_cli.py::TestBreakdownContract::test_breakdown_past_the_window_exits_two",
+         "tests/test_gaussborel.py::TestWindow::test_certificate_passes_iff_the_prime_divides_no_minor",
+         "tests/test_gaussborel.py::TestWindow::test_breakdown_past_the_window[6]")),
+    Mutant(
+        "the certificate always fails", "gaussborel.py",
+        "    P, width = CERT_PRIME, len(minors) - 1", "    return False",
+        ("tests/test_cli.py::TestBreakdownContract::test_generic_configs_take_no_fallback",
+         "tests/test_gaussborel.py::TestWindow::test_certificate_passes_iff_the_prime_divides_no_minor")),
 ]

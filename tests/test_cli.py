@@ -16,10 +16,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import steppoly
-from steppoly import build_recurrence, rat, required_depth
+import steppoly.gaussborel as gaussborel
+from steppoly import assemble_moments, build_recurrence, factorize, rat, required_depth
 from steppoly.cli import (CHECK_NAMES, RunConfig, Workspace, _decimal_text,
                           extended_depth, load_config, main)
-from steppoly.errors import ConfigError, DepthError
+from steppoly.errors import Breakdown, ConfigError
 from steppoly.families import Family
 from steppoly.gaussborel import _factor_row, unit_lower
 from steppoly.measures import measure_from_json
@@ -410,15 +411,79 @@ class TestCompute:
         assert "factorization breakdown at index 1" in capsys.readouterr().err
 
     def test_depth_error_exits_three(self, tmp_path, monkeypatch, capsys):
+        # a factorization no deeper than the window is too shallow for T_1:
+        # build_recurrence's DepthError is a config error, not a traceback
         import steppoly.cli as cli_mod
 
-        def shallow(M):
-            raise DepthError("factorization depth 2 < 5 needed", required=5)
-
-        monkeypatch.setattr(cli_mod, "factorize", shallow)
+        monkeypatch.setattr(cli_mod, "extended_depth", lambda config: config.depth)
         cfg = good_config(tmp_path)
         assert main(["compute", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 3
-        assert "depth error: factorization depth 2 < 5 needed" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith(f"depth error: factorization depth {DEPTH} < ")
+        assert f"extend to required_depth = {required_depth(DEPTH, 1, 2)}" in err
+        assert not (tmp_path / "o").exists()
+
+
+# six atoms in general position: the moment matrix has rank 6, so of the
+# (1, 1) truncation's leading minors Delta_7 is the first that vanishes
+SIX_ATOMS = [{"x": x, "y": y, "w": w} for x, y, w in (
+    ("1", "2", "1"), ("-1", "1/2", "2"), ("3", "-2", "1/3"),
+    ("1/2", "5", "3"), ("-2", "-3", "1"), ("4", "1/3", "2"))]
+
+
+def counted_eliminate(monkeypatch) -> list[int]:
+    """The steps argument of each gaussborel.eliminate call from now on, in order."""
+    steps, eliminate = [], gaussborel.eliminate
+
+    def counted(rows, n):
+        steps.append(n)
+        return eliminate(rows, n)
+
+    monkeypatch.setattr(gaussborel, "eliminate", counted)
+    return steps
+
+
+class TestBreakdownContract:
+    """compute decides breakdown up to the extended depth, past the depth
+    window it writes: a vanishing minor there exits 2 with factorize's index,
+    and whatever route decides it, every export stays the same."""
+
+    def test_breakdown_past_the_window_exits_two(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, "tail.json", 1, 1, 4, {"type": "discrete", "atoms": SIX_ATOMS})
+        config = load_config(cfg)
+        assert extended_depth(config) == 8
+        with pytest.raises(Breakdown) as full:
+            factorize(assemble_moments(config.measures, 8))
+        assert full.value.index == 6
+        assert main(["compute", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err == "factorization breakdown at index 6\n"
+        assert not (tmp_path / "o").exists()
+        assert main(["verify", "--config", str(cfg)]) == 2
+        assert capsys.readouterr().out == "factorization breakdown at index 6\n"
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_false_alarms_leave_every_export(self, tmp_path, monkeypatch, shape):
+        # modulo 2 some minor is 0, so a certificate modulo 2 raises an alarm on a
+        # config whose minors are all nonzero; the full elimination then runs last
+        cfg = shape_config(tmp_path, shape)
+        plain, alarmed = tmp_path / "plain", tmp_path / "alarmed"
+        assert main(["compute", "--config", str(cfg), "--out", str(plain)]) == 0
+        steps = counted_eliminate(monkeypatch)
+        monkeypatch.setattr(gaussborel, "CERT_PRIME", 2, raising=False)
+        assert main(["compute", "--config", str(cfg), "--out", str(alarmed)]) == 0
+        assert steps[-1] == extended_depth(load_config(cfg))
+        names = sorted(os.listdir(plain))
+        assert len(names) == 13 and sorted(os.listdir(alarmed)) == names
+        for name in names:
+            assert (alarmed / name).read_bytes() == (plain / name).read_bytes(), name
+
+    def test_generic_configs_take_no_fallback(self, tmp_path, monkeypatch):
+        steps = counted_eliminate(monkeypatch)
+        cases = ["golden"] + [(kind, shape) for shape in SHAPES for kind in ("table", "mixed")]
+        for i, case in enumerate(cases, 1):
+            cfg = GOLDEN_CONFIG if case == "golden" else shape_config(tmp_path, case[1], case[0])
+            assert main(["compute", "--config", str(cfg), "--out", str(tmp_path / str(i))]) == 0
+            assert len(steps) == i, case
 
 
 class TestKernel:
@@ -722,11 +787,11 @@ class TestCsvBytes:
 
     def test_render_decimal_below_float_range(self, tmp_path):
         # float() gives 0 or a subnormal here, so these are rounded from the exact rational
-        assert _decimal_text(rat(1, 10**400)) == "1e-400"
-        assert _decimal_text(rat(123456789012345, 10**330)) == "1.23456789012e-316"
-        assert _decimal_text(rat(-5, 10**320)) == "-5e-320"
-        assert _decimal_text(rat(0)) == "0"
-        assert _decimal_text(rat(3, 10**308)) == f"{3e-308:.12g}"  # the smallest normal floats
+        assert _decimal_text(f"1/{10**400}") == "1e-400"
+        assert _decimal_text(f"123456789012345/{10**330}") == "1.23456789012e-316"
+        assert _decimal_text(f"-1/{2 * 10**319}") == "-5e-320"
+        assert _decimal_text("0") == "0"
+        assert _decimal_text(f"3/{10**308}") == f"{3e-308:.12g}"  # the smallest normal floats
         rng = random.Random(4)
         moments = {f"{s},{t}": str(rng.randint(1, 30)) for s in range(7) for t in range(7 - s)}
         moments["1,0"] = f"1/{10**400}"

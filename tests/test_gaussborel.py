@@ -11,9 +11,10 @@ import steppoly.gaussborel as gaussborel
 from steppoly import assemble_moments, extract_families, factorize, rat
 from steppoly.cdkernel import check_abc, kernel_eval
 from steppoly.errors import Breakdown
+from steppoly.measures import Discrete, MeasureMatrix
 from steppoly.moments import MomentTruncation
 from steppoly.rational import QType
-from steppoly.recurrence import required_depth
+from steppoly.recurrence import build_recurrence, required_depth
 
 from _support import (
     SHAPES,
@@ -229,13 +230,16 @@ class TestFactorize:
 
     @given(planted_factors(), st.data())
     def test_breakdown_at_planted_zero_pivot(self, factors, data):
-        # the leading minor of size j+1 is H_0 ... H_j, so the first zero H_k is the breakdown
+        # the leading minor of size j+1 is H_0 ... H_j, so the first zero H_k is
+        # the breakdown, inside the eliminated width or past it
         L, H, U = factors
         k = data.draw(st.integers(0, len(H) - 1))
         H[k] = rat(0)
-        with pytest.raises(Breakdown) as exc:
-            factorize(truncation(assemble(L, H, U)))
-        assert exc.value.index == k
+        M = truncation(assemble(L, H, U))
+        for width in (None, *range(len(H))):
+            with pytest.raises(Breakdown) as exc:
+                factorize(M, width)
+            assert exc.value.index == k, width
 
     @given(planted_factors(), st.data())
     def test_kernel_breaks_down_where_factorize_does(self, factors, data):
@@ -350,6 +354,67 @@ class TestFactorize:
     def test_symmetric_moment_matrix_gives_equal_factors(self):
         system = build_system(1, 1, 14, seed=33)
         assert system.F.S == system.F.Sbar
+
+
+def window(q: int, p: int, depth: int) -> int:
+    """The largest window whose T_1 and T_2 a depth-depth truncation holds."""
+    return max(w for w in range(1, depth + 1) if required_depth(w, q, p) <= depth)
+
+
+class TestWindow:
+    """factorize(M, width) eliminates M's first width columns, keeps the factors'
+    first width rows and certifies the minors past width modulo CERT_PRIME."""
+
+    def test_window_of_the_full_factorization(self):
+        for kind in ("table", "mixed"):
+            for q, p in SHAPES:
+                system = build_system(q, p, 16, seed=35, kind=kind)
+                F, W = system.F, window(q, p, 16)
+                Fw = factorize(system.M, W)
+                assert Fw.depth == 16 and Fw.minors == F.minors[:W + 1] and Fw.H == F.H[:W]
+                assert Fw.S == corner(F.S, W) and Fw.Sbar == corner(F.Sbar, W)
+                assert Fw.S_int.L_inv == [row[:W] for row in F.S_int.L_inv]
+                assert Fw.Sbar_int.L_inv == F.Sbar_int.L_inv[:W]
+                A, B = extract_families(Fw, q, p)
+                assert A.rows == system.A.rows[:W] and B.rows == system.B.rows[:W]
+                for k in (1, 2):
+                    assert (build_recurrence(Fw, q, p, k, W).acc
+                            == build_recurrence(F, q, p, k, W).acc), (kind, q, p, k)
+                # a read past the window raises instead of giving a partial row
+                for rows in (Fw.S_int.L, Fw.Sbar_int.L, Fw.Sbar_int.L_inv, A.rows, B.rows):
+                    with pytest.raises(IndexError):
+                        rows[W]
+                assert factorize(system.M, 16).S_int == F.S_int
+
+    def test_certificate_passes_iff_the_prime_divides_no_minor(self, monkeypatch):
+        # the tail pivots modulo P are Delta_{j+1} / Delta_j, so the certificate
+        # passes exactly when P divides none of Delta_1 .. Delta_E
+        seen = set()
+        for P in (2, 3, 5, 7, 11, 13, 17, 19, 23, 2**31 - 1):
+            monkeypatch.setattr(gaussborel, "CERT_PRIME", P)
+            for q, p in SHAPES:
+                system = build_system(q, p, 12, seed=36, kind="mixed")
+                want = all(d % P for d in system.F.minors[1:])
+                for W in (0, 1, 5, 9, 11):
+                    panel = [row[:W] for row in system.M.ints]
+                    minors = gaussborel.eliminate(panel, W)
+                    assert gaussborel._certified(system.M.ints, panel, minors) == want, (P, q, p, W)
+                seen.add(want)
+        assert seen == {True, False}
+
+    @pytest.mark.parametrize("count", range(3, 9))
+    def test_breakdown_past_the_window(self, count):
+        # count atoms in general position: the moment matrix has rank count, so
+        # Delta_{count+1} is the first zero minor of the 9 x 9 truncation, at
+        # each offset of a group of three in turn (count = 3 .. 8)
+        atoms = [(rat(x), rat(y), rat(w)) for x, y, w in (
+            (1, 2, 1), (-1, 1, 2), (3, -2, 1), (2, 5, 3), (-2, -3, 1), (4, 3, 2),
+            (5, -1, 1), (-3, 4, 3))][:count]
+        M = assemble_moments(MeasureMatrix(1, 1, [[Discrete(atoms)]]), 9)
+        for width in range(10):
+            with pytest.raises(Breakdown) as exc:
+                factorize(M, width)
+            assert exc.value.index == count, width
 
 
 class TestLazyRows:
