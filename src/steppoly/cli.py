@@ -101,12 +101,12 @@ class RunConfig(NamedTuple):
 
 def load_config(path: str | Path) -> RunConfig:
     try:
-        text = Path(path).read_text()
+        obj = json.loads(Path(path).read_text(encoding="utf-8"))
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    try:
-        obj = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except RecursionError as exc:
+        raise ConfigError(f"config {path} nests deeper than the JSON parser's limit") from exc
+    except ValueError as exc:  # a JSONDecodeError, or bytes that are not UTF-8
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
     return RunConfig.from_json(obj)
 
@@ -244,7 +244,7 @@ def run(config: RunConfig) -> dict:
     except Breakdown as exc:
         report.update(status="breakdown", breakdown_index=exc.index)
     else:
-        report["H"] = [format_rat(h) for h in ws.F.H[: ws.depth]]
+        report["H"] = ws.F.diagonal(ws.depth, ratio_text)
         report["checks"] = run_checks(ws, config.checks)
     report["summary"] = {status: sum(c["status"] == status for c in report["checks"])
                          for status in ("pass", "fail", "skipped")}
@@ -258,10 +258,9 @@ def run(config: RunConfig) -> dict:
 def export_entries(ws: Workspace) -> dict[str, list[list[str]]]:
     """The text of each export kind but families: its depth x depth corner, H one row."""
     F, M, D = ws.F, ws.M, ws.depth
-    minors, r = F.minors, F.S_int.scale
-    return {"H": [[ratio_text(minors[n + 1], minors[n] * r[n]) for n in range(D)]],
-            "S": unit_lower(minors, F.S_int, D, ratio_text, "1", "0"),
-            "Sbar": unit_lower(minors, F.Sbar_int, D, ratio_text, "1", "0"),
+    return {"H": [F.diagonal(D, ratio_text)],
+            "S": unit_lower(F.minors, F.S_int, D, ratio_text, "1", "0"),
+            "Sbar": unit_lower(F.minors, F.Sbar_int, D, ratio_text, "1", "0"),
             "T1": ws.T[1].entries(ratio_text, "0"), "T2": ws.T[2].entries(ratio_text, "0"),
             "moments": [[ratio_text(v, s) if v else "0" for v in row[:D]]
                         for row, s in zip(M.ints[:D], M.scale)]}

@@ -11,10 +11,6 @@ numerators of S and Sbar,
 
     B row n = L[n][c] r_c / Delta_{n+1},    A row n = Lbar[n][c] / Delta_n.
 
-Each family row is built from its row of L or Lbar when first read, so a
-reader of the leading rows (compute's exports and recurrence matrices)
-back-substitutes only those rows.
-
 Component indices are 0-based throughout the code.
 
 Every pairing is a product with the moment truncation M the families came
@@ -38,7 +34,7 @@ from __future__ import annotations
 from math import lcm
 
 from .errors import DepthError
-from .gaussborel import Factorization, LazyRows
+from .gaussborel import Factorization
 from .moments import MomentTruncation
 from .rational import ZERO, as_rat, common_denominator, rat
 from .report import CheckReport, Violation
@@ -50,13 +46,12 @@ class Family:
 
     rows[n] = (d, {column: integer}); column K*r + i holds component i's
     coefficient at monomial position K, over d.  Zero coefficients are not
-    stored.  rows is a list or, from extract_families, a LazyRows that builds
-    each row on its first read.
+    stored.
     """
 
     __slots__ = ("r", "rows")
 
-    def __init__(self, r: int, rows: list[tuple[int, dict]] | LazyRows):
+    def __init__(self, r: int, rows: list[tuple[int, dict]]):
         self.r = r
         self.rows = rows
 
@@ -137,12 +132,10 @@ def extract_families(F: Factorization, q: int, p: int) -> tuple[Family, Family]:
 
     B row n is S[n][c] / H_n = L[n][c] r_c / Delta_{n+1}; A row n is
     Sbar[n][c] = Lbar[n][c] / Delta_n, the Sbar side's scale being all ones.
-    Both are LazyRows: a row, and the row of L or Lbar under it, is built on
-    its first read.
     """
     (r, L, _), (_, Lbar, _), minors = F.S_int, F.Sbar_int, F.minors
-    B = LazyRows(len(L), lambda n: (minors[n + 1], {c: v * r[c] for c, v in enumerate(L[n]) if v}))
-    A = LazyRows(len(Lbar), lambda n: (minors[n], {c: v for c, v in enumerate(Lbar[n]) if v}))
+    B = [(minors[n + 1], {c: v * r[c] for c, v in enumerate(row) if v}) for n, row in enumerate(L)]
+    A = [(minors[n], {c: v for c, v in enumerate(row) if v}) for n, row in enumerate(Lbar)]
     return Family(p, A), Family(q, B)
 
 

@@ -77,10 +77,10 @@ those integers:
 The truncation's one lcm per row, rather than one for the whole truncation,
 keeps the minors small: scaling by a single den multiplies Delta_n by den^n.
 
-Factorization keeps H as rationals and otherwise only the integers of the
-elimination, in the fraction-free LU form of Nakos, Turner and Williams (ACM
-SIGSAM Bull. 31, 1997) and of Zhou and Jeffrey (Front. Comput. Sci. China 2,
-2008): the minors Delta, and per side an IntegerSide (scale, L, L_inv) with
+Factorization keeps only the integers of the elimination, in the fraction-free
+LU form of Nakos, Turner and Williams (ACM SIGSAM Bull. 31, 1997) and of Zhou
+and Jeffrey (Front. Comput. Sci. China 2, 2008): the minors Delta, and per
+side an IntegerSide (scale, L, L_inv) with
 
     factor[n][c]    = L[n][c] scale_c / (Delta_n scale_n),
     inverse[i][k]   = L_inv[i][k] scale_k / (Delta_{k+1} scale_i)
@@ -94,11 +94,11 @@ row n of factor * inverse = I, which leaves
     L[n][c] = -(sum_{j=c+1..n} L[n][j] L_inv[j][c]) / Delta_{c+1},  c < n,
 
 an exact division (the quotient is the integer Delta_n r_n / r_c S[n][c] on
-the S side, Delta_n Sbar[n][c] on the Sbar side).  Row n needs no other row of
-L, so L is a LazyRows: each row is back-substituted when first read and kept.
-compute reads only the rows of its depth window, verify's degree check reads
-them all.  No identity block is carried through the elimination.  The
-families, the recurrence matrices and the exports' text (unit_lower with
+the S side, Delta_n Sbar[n][c] on the Sbar side).  factorize back-substitutes
+every row it keeps once, right after the elimination: compute writes every
+row of its window, and verify's degree check reads every row.  No identity
+block is carried through the elimination.  The families, the recurrence
+matrices and the exports' text (unit_lower and Factorization.diagonal with
 rational.ratio_text) are built from these integers; no CLI path forms a
 rational factor or inverse.
 
@@ -118,7 +118,6 @@ false alarm and the panel's factors stand.
 
 from __future__ import annotations
 
-from collections.abc import Callable
 from operator import mul
 from typing import NamedTuple
 
@@ -129,38 +128,6 @@ from .rational import ONE, ZERO, rat
 CERT_PRIME = 2**31 - 1  # the modulus of factorize's certificate, a prime
 
 
-class LazyRows:
-    """count rows, row n being build(n), each built on its first read and kept.
-
-    It reads as the list of its rows: len, integer and slice indexing (a slice
-    is a list), iteration through indexing and equality with a list.
-    """
-
-    __slots__ = ("_build", "_rows")
-
-    def __init__(self, count: int, build: Callable[[int], object]):
-        self._build = build
-        self._rows = [None] * count
-
-    def __len__(self) -> int:
-        return len(self._rows)
-
-    def __getitem__(self, n):
-        if isinstance(n, slice):
-            return [self[i] for i in range(*n.indices(len(self._rows)))]
-        if n < 0:
-            n = range(len(self._rows))[n]
-        row = self._rows[n]
-        if row is None:
-            row = self._rows[n] = self._build(n)
-        return row
-
-    def __eq__(self, other):
-        if not isinstance(other, (list, LazyRows)):
-            return NotImplemented
-        return list(self) == list(other)
-
-
 class IntegerSide(NamedTuple):
     """Integer numerators of one unit lower factor and of its inverse.
 
@@ -169,27 +136,36 @@ class IntegerSide(NamedTuple):
     """
 
     scale: list[int]
-    L: list[list[int]] | LazyRows
+    L: list[list[int]]
     L_inv: list[list[int]]
 
 
 class Factorization:
-    """Factors of one depth-depth truncation: the diagonal H, the elimination's
-    minors and one IntegerSide each for S and Sbar.  The rational S and Sbar are
-    built in full from those integers on every read; nothing keeps them.  A
-    factorization of width w < depth holds H, the minors up to Delta_w, both
-    sides' L and Sbar's L_inv for w rows; S's L_inv keeps all depth rows, each
-    cut to w columns."""
+    """Factors of one depth-depth truncation: the elimination's minors and one
+    IntegerSide each for S and Sbar.  The rational H, S and Sbar are built in
+    full from those integers on every read; nothing keeps them.  A
+    factorization of width w < depth holds the minors up to Delta_w, both
+    sides' L and Sbar's L_inv for w rows, and so H for w rows; S's L_inv keeps
+    all depth rows, each cut to w columns."""
 
-    __slots__ = ("depth", "H", "minors", "S_int", "Sbar_int")
+    __slots__ = ("depth", "minors", "S_int", "Sbar_int")
 
-    def __init__(self, depth: int, H: list, minors: list[int], S_int: IntegerSide,
-                 Sbar_int: IntegerSide):
+    def __init__(self, depth: int, minors: list[int], S_int: IntegerSide, Sbar_int: IntegerSide):
         self.depth = depth
-        self.H = H
         self.minors = minors
         self.S_int = S_int
         self.Sbar_int = Sbar_int
+
+    def diagonal(self, rows: int, ratio=rat) -> list:
+        """H_0 .. H_{rows-1}, H_n being ratio(Delta_{n+1}, Delta_n r_n); the report
+        and the exports pass rational.ratio_text.  r_n is the product of both
+        sides' scales, one of them all ones, so a transpose reads the same H."""
+        minors, s, sbar = self.minors, self.S_int.scale, self.Sbar_int.scale
+        return [ratio(minors[n + 1], minors[n] * s[n] * sbar[n]) for n in range(rows)]
+
+    @property
+    def H(self) -> list:
+        return self.diagonal(len(self.S_int.L))
 
     @property
     def S(self) -> list[list]:
@@ -201,7 +177,7 @@ class Factorization:
 
     def transpose(self) -> "Factorization":
         """The factorization M^T = Sbar^-1 H S^-T: the same factors, roles swapped."""
-        return Factorization(self.depth, self.H, self.minors, self.Sbar_int, self.S_int)
+        return Factorization(self.depth, self.minors, self.Sbar_int, self.S_int)
 
 
 def unit_lower(minors: list[int], side: IntegerSide, rows: int, ratio=rat, one=ONE,
@@ -348,9 +324,8 @@ def factorize(M: MomentTruncation, width: int | None = None) -> Factorization:
     # the columns of Mi's lower part, the Sbar side the rows of its upper part.
     S_cols = [[row[c] for row in Mi[c:W]] for c in range(W)]
     Sbar_cols = [row[c:] for c, row in enumerate(Mi[:W])]
-    S_int = IntegerSide(r, LazyRows(W, lambda n: _factor_row(minors, S_cols, n)),
+    S_int = IntegerSide(r, [_factor_row(minors, S_cols, n) for n in range(W)],
                         [row[:i + 1] for i, row in enumerate(Mi)])
-    Sbar_int = IntegerSide([1] * W, LazyRows(W, lambda n: _factor_row(minors, Sbar_cols, n)),
+    Sbar_int = IntegerSide([1] * W, [_factor_row(minors, Sbar_cols, n) for n in range(W)],
                            [[Mi[k][i] for k in range(i + 1)] for i in range(W)])
-    return Factorization(D, [rat(minors[n + 1], minors[n] * r[n]) for n in range(W)], minors,
-                         S_int, Sbar_int)
+    return Factorization(D, minors, S_int, Sbar_int)

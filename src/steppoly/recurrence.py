@@ -132,11 +132,12 @@ def check_dual_form(T: RecurrenceTruncation, F: Factorization) -> CheckReport:
     acc[m][n] = L acc'[n][m].
     """
     dual = build_recurrence(F.transpose(), T.p, T.q, T.k, T.size)
-    rep = CheckReport(f"dual_T{T.k}")
+    rep, H = CheckReport(f"dual_T{T.k}"), None
     for m, (row, col) in enumerate(zip(T.acc, zip(*dual.acc))):
         for n, (a, b) in enumerate(zip(row, col)):
             if a != T.L * b:
-                want = dual.data[n][m] * F.H[m] / F.H[n]
+                H = H or F.H  # read once, at the first violation
+                want = dual.data[n][m] * H[m] / H[n]
                 rep.violations.append(
                     Violation("dual", (T.k, m, n), f"primal {T.data[m][n]} != dual {want}")
                 )
@@ -153,7 +154,7 @@ def validate_band(T: RecurrenceTruncation) -> CheckReport:
     acc: a zero is acc == 0, the trailing 1 acc[n][last] r_last = Delta_n r_n
     Delta_{last+1} L, and H_n / H_first acc[n][first] = L Delta_{n+1} Delta_first.
     """
-    rep = CheckReport(f"band_T{T.k}")
+    rep, H = CheckReport(f"band_T{T.k}"), None
     k, p, D, L = T.k, T.p, T.size, T.L
     minors, r = T.F.minors, T.F.S_int.scale
     for n, row in enumerate(T.acc):
@@ -172,7 +173,8 @@ def validate_band(T: RecurrenceTruncation) -> CheckReport:
         if in_complement_J(n, p, k):
             # first = n - p*F_k^-(n/p) here; boxed value H_n / H_first.
             if row[first] != L * minors[n + 1] * minors[first]:
-                want = T.F.H[n] / T.F.H[first]
+                H = H or T.F.H  # read once, at the first violation
+                want = H[n] / H[first]
                 rep.violations.append(
                     Violation("band", (k, n, first), f"{T.data[n][first]} != H ratio {want}")
                 )

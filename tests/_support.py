@@ -617,7 +617,7 @@ def corner_factorization(F: Factorization, d: int) -> Factorization:
     def cut(side: IntegerSide) -> IntegerSide:
         return IntegerSide(*(part[:d] for part in side))
 
-    return Factorization(d, F.H[:d], F.minors[:d + 1], cut(F.S_int), cut(F.Sbar_int))
+    return Factorization(d, F.minors[:d + 1], cut(F.S_int), cut(F.Sbar_int))
 
 
 def one_step_eliminate(rows: list[list[int]], steps: int) -> list[int]:

@@ -163,11 +163,10 @@ MUTANTS = [
          "tests/test_recurrence.py::TestFailureText::test_first_violation_details",
          "tests/test_cli.py::TestVerify::test_all_checks_pass")),
     Mutant(
-        "H export drops the row scale r_n", "cli.py",
-        "ratio_text(minors[n + 1], minors[n] * r[n])", "ratio_text(minors[n + 1], minors[n])",
-        ("tests/test_cli.py::TestExportOracle::test_every_file_matches_the_rational_route[golden]",
-         "tests/test_cli.py::TestExportOracle::test_every_file_matches_the_rational_route[table-2-3]",
-         "tests/test_cli.py::TestCompute::test_export_contents_match_library",
+        "H drops the row scale r_n", "gaussborel.py",
+        "minors[n] * s[n] * sbar[n]", "minors[n] * sbar[n]",
+        ("tests/test_gaussborel.py::TestFactorize::test_recovers_planted_factors",
+         "tests/test_cli.py::TestVerify::test_whole_reports",
          "tests/test_acceptance.py::test_criterion_8_cli_contract")),
     Mutant(
         "S export drops the column scale s_c", "gaussborel.py",
@@ -178,7 +177,7 @@ MUTANTS = [
          "tests/test_acceptance.py::test_criterion_8_cli_contract")),
     Mutant(
         "Sbar export writes the S side", "cli.py",
-        '"Sbar": unit_lower(minors, F.Sbar_int, D', '"Sbar": unit_lower(minors, F.S_int, D',
+        '"Sbar": unit_lower(F.minors, F.Sbar_int, D', '"Sbar": unit_lower(F.minors, F.S_int, D',
         ("tests/test_cli.py::TestExportOracle::test_every_file_matches_the_rational_route[golden]",
          "tests/test_cli.py::TestExportOracle::test_every_file_matches_the_rational_route[table-2-2]",
          "tests/test_cli.py::TestCompute::test_export_contents_match_library",
@@ -252,4 +251,40 @@ MUTANTS = [
         "    P, width = CERT_PRIME, len(minors) - 1", "    return False",
         ("tests/test_cli.py::TestBreakdownContract::test_generic_configs_take_no_fallback",
          "tests/test_gaussborel.py::TestWindow::test_certificate_passes_iff_the_prime_divides_no_minor")),
+    Mutant(
+        "factorize builds one Sbar row fewer", "gaussborel.py",
+        "_factor_row(minors, Sbar_cols, n) for n in range(W)]",
+        "_factor_row(minors, Sbar_cols, n) for n in range(W - 1)]",
+        ("tests/test_gaussborel.py::TestFactorRows::test_each_row_built_once_in_factorize",
+         "tests/test_gaussborel.py::TestFactorRows::test_rows_are_the_bordered_numerators",
+         "tests/test_cli.py::TestRowsBuiltOnRead::test_compute_builds_only_the_window[golden]")),
+    Mutant(
+        "load_config lets a file that is not UTF-8 escape", "cli.py",
+        "except ValueError as exc:  # a JSONDecodeError", "except json.JSONDecodeError as exc:  #",
+        ("tests/test_cli.py::TestConfigErrors::test_config_not_utf8_exits_three",
+         "tests/test_cli.py::TestConfigFuzz::test_config_file_bytes")),
+    Mutant(
+        "load_config lets deep nesting escape", "cli.py",
+        "    except RecursionError as exc:", "    except ArithmeticError as exc:",
+        ("tests/test_cli.py::TestConfigErrors::test_config_nested_too_deep_exits_three",)),
+    Mutant(
+        "hankel checks k = 1 only", "cli.py",
+        "[check_hankel(ws.M, k) for k in (1, 2)]", "[check_hankel(ws.M, k) for k in (1,)]",
+        ("tests/test_cli.py::TestCheckScope::test_names_and_counts[golden]",
+         "tests/test_cli.py::TestCheckScope::test_names_and_counts[shape3]")),
+    Mutant(
+        "dual checks k = 1 only", "cli.py",
+        "[check_dual_form(ws.T[k], ws.F) for k in (1, 2)]", "[check_dual_form(ws.T[k], ws.F) for k in (1,)]",
+        ("tests/test_cli.py::TestCheckScope::test_names_and_counts[golden]",
+         "tests/test_cli.py::TestCheckScope::test_names_and_counts[shape5]")),
+    Mutant(
+        "band checks k = 1 only", "cli.py",
+        "[validate_band(ws.T[k]) for k in (1, 2)]", "[validate_band(ws.T[k]) for k in (1,)]",
+        ("tests/test_cli.py::TestCheckScope::test_names_and_counts[golden]",
+         "tests/test_cli.py::TestCheckScope::test_names_and_counts[shape5]")),
+    Mutant(
+        "projection draws matrix polynomials of degree 2 at most", "cli.py",
+        "I, I_dual = min(3, D // p - 1), min(3, D // q - 1)", "I, I_dual = min(2, D // p - 1), min(2, D // q - 1)",
+        ("tests/test_cli.py::TestCheckScope::test_names_and_counts[golden]",
+         "tests/test_cli.py::TestCheckScope::test_names_and_counts[shape5]")),
 ]

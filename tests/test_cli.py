@@ -12,13 +12,13 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import steppoly
 import steppoly.gaussborel as gaussborel
 from steppoly import assemble_moments, build_recurrence, factorize, rat, required_depth
-from steppoly.cli import (CHECK_NAMES, RunConfig, Workspace, _decimal_text,
+from steppoly.cli import (CHECK_NAMES, CHECKS, RunConfig, Workspace, _decimal_text,
                           extended_depth, load_config, main)
 from steppoly.errors import Breakdown, ConfigError
 from steppoly.families import Family
@@ -27,6 +27,7 @@ from steppoly.measures import measure_from_json
 from steppoly.rational import BACKEND, common_denominator, parse_rat, ratio_text
 from steppoly.recurrence import RecurrenceTruncation, check_recurrence_matrix
 from steppoly.report import CheckReport, Violation
+from steppoly.stepline import in_complement_J, n_minus_big, n_plus
 
 from _support import (EXPORT_KINDS, SHAPES, BiPoly, build_system, config_json, corner,
                       csv_writer_text, invert_unitriangular, kernel_sum, mixed_mm, poly,
@@ -204,6 +205,26 @@ class TestConfigErrors:
     def test_invalid_json(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text("{not json")
+        assert main(["verify", "--config", str(path)]) == 3
+
+    def test_config_not_utf8_exits_three(self, tmp_path, capsys):
+        path = tmp_path / "bad.json"
+        path.write_bytes(b"\xff")
+        assert main(["verify", "--config", str(path)]) == 3
+        assert f"config error: config {path} is not valid JSON: 'utf-8' codec can't decode" in (
+            capsys.readouterr().err)
+
+    def test_config_nested_too_deep_exits_three(self, tmp_path, capsys):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100_000 + "]" * 100_000)
+        assert main(["verify", "--config", str(path)]) == 3
+        assert capsys.readouterr().err == (
+            f"config error: config {path} nests deeper than the JSON parser's limit\n")
+
+    def test_config_integer_past_the_digit_limit_exits_three(self, tmp_path):
+        # json.loads raises a bare ValueError past int()'s digit limit, where one exists
+        path = tmp_path / "big.json"
+        path.write_text('{"depth": ' + "1" * 5000 + "}")
         assert main(["verify", "--config", str(path)]) == 3
 
     def test_unknown_check_in_config(self, tmp_path):
@@ -576,7 +597,8 @@ class TestRationalFactors:
     @pytest.mark.parametrize("shape", ["golden", (2, 3)])
     def test_compute_reduces_each_nonzero_entry_once(self, tmp_path, monkeypatch, shape):
         # one ratio_text per nonzero entry of every export, the unit diagonals
-        # and A (which reuses the Sbar text) excepted; verify and kernel call none
+        # and A (which reuses the Sbar text) excepted; verify calls one per entry
+        # of the report's H, and kernel none
         cfg = shape_config(tmp_path, shape)
         ws = Workspace(load_config(cfg))
         entries = rational_entries(ws)
@@ -592,6 +614,8 @@ class TestRationalFactors:
 
         monkeypatch.setattr("steppoly.cli.ratio_text", counting)
         assert main(["verify", "--config", str(cfg), "--out", str(tmp_path / "v")]) == 0
+        assert [ratio_text(*c) for c in calls] == entries["H"][0]
+        calls.clear()
         assert main(["kernel", "--config", str(cfg), "--n", "4",
                      "--x", "1/2,-1/3", "--y", "2/7,1/5", "--out", str(tmp_path / "k")]) == 0
         assert calls == []
@@ -600,8 +624,9 @@ class TestRationalFactors:
 
 
 class TestRowsBuiltOnRead:
-    """Each row of a factor's L is back-substituted on its first read: compute
-    reads rows of the depth window only, verify's degree check every row."""
+    """factorize back-substitutes each row of a factor's L that it keeps, once:
+    compute keeps the rows of its depth window only, verify every row, and
+    kernel factorizes nothing."""
 
     @pytest.mark.parametrize("shape", ["golden", (2, 3)])
     def test_compute_builds_only_the_window(self, tmp_path, monkeypatch, shape):
@@ -627,9 +652,7 @@ class TestRowsBuiltOnRead:
                      "--x", "1/2,-1/3", "--y", "2/7,1/5", "--out", str(tmp_path / "k")]) == 0
         assert rows_per_side() == []
         assert main(["compute", "--config", str(cfg), "--out", str(tmp_path / "c")]) == 0
-        # the families export reads A off the Sbar export's text, and unit_lower
-        # writes the Sbar side's row 0, its diagonal alone, without reading it
-        assert rows_per_side() == [list(range(depth)), list(range(1, depth))]
+        assert rows_per_side() == [list(range(depth))] * 2
         assert main(["verify", "--config", str(cfg), "--out", str(tmp_path / "v")]) == 0
         assert rows_per_side() == [list(range(extended))] * 2
 
@@ -691,6 +714,45 @@ class TestRecurrenceReportShared:
             assert main(["verify", "--config", str(cfg), "--checks", name]) == 0
             assert relations == ([1, 2] if name in ("recurrence", "cd") else []), name
             assert evaluations == [], name
+
+
+class TestCheckScope:
+    """The relations the k-looped checks and projection verify, pinned on the
+    golden config and one table config per shape: a check narrowed to k = 1, or
+    a projection drawn at a lower degree, fails here."""
+
+    @pytest.mark.parametrize("shape", ["golden", *SHAPES])
+    def test_names_and_counts(self, tmp_path, monkeypatch, shape):
+        ws = Workspace(load_config(shape_config(tmp_path, shape)))
+        q, p, D, E = ws.config.q, ws.config.p, ws.depth, ws.extended_depth
+
+        def summary(name):
+            return [(rep.name, rep.checked) for rep in CHECKS[name](ws, random.Random(0))]
+
+        # hankel: every (m, n) whose shifted row n_plus(m, q, k) and column
+        # n_plus(n, p, k) both lie inside the extended truncation
+        assert summary("hankel") == [
+            (f"hankel_k{k}", sum(n_plus(m, q, k) < E for m in range(E))
+             * sum(n_plus(n, p, k) < E for n in range(E))) for k in (1, 2)]
+        # dual: every entry of the window
+        assert summary("dual") == [(f"dual_T{k}", D * D) for k in (1, 2)]
+        # band: per row n, the zeros outside [first, last], the trailing 1 when
+        # last is inside the window and the boxed H ratio when n avoids J_{p;k}
+        assert summary("band") == [(f"band_T{k}", sum(
+            n_minus_big(n, p, k) + max(D - 1 - n_plus(n, q, k), 0) + (n_plus(n, q, k) < D)
+            + in_complement_J(n, p, k) for n in range(D))) for k in (1, 2)]
+        drawn = []
+
+        def spying(rng, size, I):
+            drawn.append((size, I))
+            return seeded_monic_matrix(rng, size, I)
+
+        seeded_monic_matrix = steppoly.cli.seeded_monic_matrix
+        monkeypatch.setattr("steppoly.cli.seeded_monic_matrix", spying)
+        # every config here is deep enough for degree 3 on both sides; each
+        # direction checks one relation per pair of components
+        assert summary("projection") == [("projection", p * p), ("projection", q * q)]
+        assert drawn == [(p, 3), (q, 3)]
 
 
 class TestRecurrenceFormedOnRead:
@@ -929,6 +991,14 @@ class TestConfigFuzz:
     @given(run_configs() | json_values)
     def test_run_config_from_json(self, obj):
         parses_or_config_error(RunConfig.from_json, obj)
+
+    @settings(max_examples=300, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(st.binary())
+    def test_config_file_bytes(self, tmp_path, data):
+        # any bytes as the config file: a documented exit code, no exception out of main
+        path = tmp_path / "config.json"
+        path.write_bytes(data)
+        assert main(["verify", "--config", str(path), "--checks", "hankel"]) in (0, 1, 2, 3)
 
 
 def declared_entry_point(name):

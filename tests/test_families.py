@@ -183,24 +183,22 @@ class TestProductRoute:
 
 class TestLazyRows:
     def test_quick_start_readers_on_rows_built_on_read(self):
-        # extract_families builds each row on its first read; the README's
-        # readers see the same members as on rows held in a list
+        # the README's readers eval, values and head on the rows extract_families
+        # returns, against each member's components read one by one
         x = (rat(1, 2), rat(-1, 3))
         for q, p in SHAPES:
             M = build_system(q, p, 12, seed=49, kind="mixed").M
-            lazy = extract_families(factorize(M), q, p)
-            eager = [Family(f.r, list(f.rows)) for f in extract_families(factorize(M), q, p)]
-            for fam, held in zip(lazy, eager):
-                assert fam.eval(3, *x) == [poly(held, 3, i).eval(*x) for i in range(fam.r)], (q, p)
-                assert fam.values(*x, 5) == held.values(*x, 5)
+            for fam in extract_families(factorize(M), q, p):
+                want = [[poly(fam, n, i).eval(*x) for i in range(fam.r)] for n in range(5)]
+                assert fam.eval(3, *x) == want[3], (q, p)
+                assert fam.values(*x, 5) == want, (q, p)
                 head = fam.head(4)
-                assert len(head) == 4 and head.rows == held.rows[:4]
-                assert len(fam) == 12 and list(fam.rows) == held.rows and fam.rows == held.rows
-
+                assert type(fam.rows) is list and len(fam) == 12
+                assert len(head) == 4 and head.rows == fam.rows[:4]
 
     def test_eval_builds_only_its_member(self, monkeypatch):
-        # member 3 is read off row 3 alone: rows 0-2, and the rows of L under
-        # them, stay unbuilt
+        # every row of L is built in factorize; extract_families and an eval
+        # of member 3 build none, and eval reads row 3 alone
         x = (rat(1, 2), rat(-1, 3))
         built = []
 
@@ -211,11 +209,14 @@ class TestLazyRows:
         monkeypatch.setattr("steppoly.gaussborel._factor_row", counting)
         for q, p in SHAPES:
             M = build_system(q, p, 12, seed=49, kind="mixed").M
-            _, B = extract_families(factorize(M), q, p)
+            F = factorize(M)
             built.clear()
+            _, B = extract_families(F, q, p)
             got = B.eval(3, *x)
-            assert built == [3], (q, p)
+            assert built == [], (q, p)
             assert got == B.values(*x, 4)[3] == [poly(B, 3, i).eval(*x) for i in range(q)], (q, p)
+            B.rows[2] = None
+            assert B.eval(3, *x) == got, (q, p)
 
 
 class TestCombine:

@@ -417,47 +417,49 @@ class TestWindow:
             assert exc.value.index == count, width
 
 
-class TestLazyRows:
-    """Each row of L is back-substituted on its first read and kept."""
+class TestFactorRows:
+    """factorize back-substitutes each row of both sides' L once, up front,
+    into a plain list; no later reader builds a row."""
 
-    def test_reads_as_the_bordered_lists(self):
-        def fresh_L(data, idx):
-            F = factorize(truncation(data))
-            return (F.S_int, F.Sbar_int)[idx].L
-
+    def test_rows_are_the_bordered_numerators(self):
         for kind in ("table", "mixed"):
             for q, p in SHAPES:
                 data = build_system(q, p, 16, seed=35, kind=kind).M.data
                 _, *want = bordered_numerators(data)
-                for idx in (0, 1):
-                    L, want_L = fresh_L(data, idx), want[idx].L
-                    assert len(L) == len(want_L) == 16
-                    assert L[:5] == want_L[:5] and L[-1] == want_L[-1], (kind, q, p, idx)
-                    assert list(L) == want_L and L == want_L and want_L == L
-                    assert L[:] == want_L and L != want_L[:-1]
-                    with pytest.raises(IndexError):
-                        L[-17]
-                    assert fresh_L(data, idx) == fresh_L(data, idx)
+                for width in (None, 9):
+                    F = factorize(truncation(data), width)
+                    for side, want_side in zip((F.S_int, F.Sbar_int), want):
+                        assert type(side.L) is list, (kind, q, p)
+                        assert side.L == want_side.L[:width], (kind, q, p, width)
 
-    def test_a_row_is_built_once(self, monkeypatch):
+    def test_each_row_built_once_in_factorize(self, monkeypatch):
         built = []
 
         def counting(minors, inv_cols, n):
-            built.append(n)
+            built.append((id(inv_cols), n))
             return factor_row(minors, inv_cols, n)
 
+        def rows_per_side():
+            sides: dict = {}
+            for side, n in built:
+                sides.setdefault(side, []).append(n)
+            built.clear()
+            return list(sides.values())
+
+        q, p, D = 2, 3, 8
+        M = build_system(q, p, required_depth(D, q, p), seed=35).M
         factor_row = gaussborel._factor_row
         monkeypatch.setattr(gaussborel, "_factor_row", counting)
-        F = factorize(build_system(2, 3, 16, seed=35).M)
-        A, B = extract_families(F, 2, 3)
-        assert built == []
-        row = F.S_int.L[7]
-        assert F.S_int.L[7] is row and built == [7]
-        # B row 7 reads row 7 of the S side, the transpose shares both sides
-        assert B.rows[7] is B.rows[7] and F.transpose().Sbar_int.L[7] is row
-        assert built == [7]
-        assert len(A) == 16 and A.rows[3][0] == F.minors[3] and built == [7, 3]
-        assert [d for d, _ in B.rows[:2]] == F.minors[1:3] and built == [7, 3, 0, 1]
+        for width, W in ((None, M.depth), (D, D)):
+            F = factorize(M, width)
+            assert rows_per_side() == [list(range(W))] * 2, width
+            A, B = extract_families(F, q, p)
+            T = [build_recurrence(F, q, p, k, D) for k in (1, 2)]
+            Ft = F.transpose()
+            assert Ft.S_int.L is F.Sbar_int.L and Ft.Sbar_int.L is F.S_int.L
+            assert (len(A), len(B), len(F.S), len(Ft.Sbar)) == (W, W, W, W)
+            assert [d for d, _ in B.rows] == F.minors[1:W + 1] and T[0].size == D
+            assert built == [], width
 
 
 class TestDenseSolvers:

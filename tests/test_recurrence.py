@@ -91,7 +91,7 @@ class TestIntegerRoute:
         scale, L, L_inv = F.Sbar_int
         wrong = [row[:] for row in L_inv]
         wrong[n_plus(1, p, k)][1] += 1
-        bad = Factorization(F.depth, F.H, F.minors, F.S_int, IntegerSide(scale, L, wrong))
+        bad = Factorization(F.depth, F.minors, F.S_int, IntegerSide(scale, L, wrong))
         primal = build_recurrence(bad, q, p, k, D)
         assert primal.data == T.data
         assert validate_band(primal).ok
@@ -164,6 +164,27 @@ class TestFailureText:
             ws.T[1] = planted_entry(T, m, n, value(T.data[m][n]))
             assert run_checks(ws, [check]) == [
                 {"name": check, "status": "fail", "details": details}], (check, m, n)
+
+    def test_h_formed_once_per_failing_check(self, monkeypatch):
+        # dual and band form the rational H for their first H-ratio text only,
+        # not once per violation, and a passing check forms none
+        ws = Workspace(load_config(self.GOLDEN))
+        T, reads = ws.T[1], []
+        diagonal = Factorization.diagonal
+
+        def counting(F, rows, *args):
+            reads.append(rows)
+            return diagonal(F, rows, *args)
+
+        monkeypatch.setattr(Factorization, "diagonal", counting)
+        bad = RecurrenceTruncation(T.k, T.q, T.p, T.size, [[3 * a + 1 for a in row] for row in T.acc],
+                                   T.L, T.F)
+        for check, needle in ((lambda t: check_dual_form(t, ws.F), "dual"),
+                              (validate_band, "H ratio")):
+            assert check(T).ok and reads == []
+            rep = check(bad)
+            assert sum(needle in v.detail for v in rep.violations) > 1 and len(reads) == 1, needle
+            reads.clear()
 
 
 class TestLebesgueAnchor:
