@@ -56,21 +56,21 @@ from .errors import DepthError
 from .families import Family, combine, mismatches, monomial_ints, pairings
 from .gaussborel import eliminate
 from .moments import MomentTruncation
-from .rational import ONE, ZERO, rat
 from .recurrence import RecurrenceTruncation, recurrence_n_max
 from .report import CheckReport, Violation
 from .stepline import n_minus_big, n_plus
 
 
-def kernel_eval(M: MomentTruncation, x: tuple, y: tuple) -> list[list]:
-    """K^[D-1](x, y) = X_[p](x)^T M^-1 X_[q](y) for a depth-D truncation M, exactly.
+def kernel_eval(M: MomentTruncation, x: tuple, y: tuple) -> tuple[int, list[list[int]]]:
+    """K^[D-1](x, y) = X_[p](x)^T M^-1 X_[q](y) for a depth-D truncation M, exactly,
+    as (den, corner): entry (a, b) of the kernel is corner[a][b] / den.
 
     Row m of M's integers, M.ints[m] = r_m M[m] with r_m = M.scale[m], is
     copied and bordered by q columns and p rows: with integer monomial
     tables X / d_x and Y / d_y, column b holds r_m Y[m // q] in the rows with
     m % q = b, and row a holds X[m // p] in the columns with m % p = a.  D
     steps of eliminate leave Delta_D times the Schur complement
-    -X^T M^-1 Y in the p x q corner, so K = corner / (-Delta_D d_x d_y).  A
+    -X^T M^-1 Y in the p x q corner, so den = -Delta_D d_x d_y.  A
     vanishing leading minor raises the Breakdown factorize would.
     """
     D, q, p = M.depth, M.q, M.p
@@ -83,7 +83,7 @@ def kernel_eval(M: MomentTruncation, x: tuple, y: tuple) -> list[list]:
         rows.append(nums + border)
     rows += [[X[m // p] if m % p == a else 0 for m in range(D)] + [0] * q for a in range(p)]
     den = -eliminate(rows, D)[D] * d_x * d_y
-    return [[rat(v, den) for v in row[D:]] for row in rows[D:]]
+    return den, [row[D:] for row in rows[D:]]
 
 
 class CDBlocks:
@@ -190,24 +190,24 @@ def check_reproduction(A: Family, B: Family, gram: list[list], n: int) -> CheckR
     """Kernel reproduces itself under the measure pairing, coefficient by coefficient.
 
     gram is the pairing matrix of the two families (families.pairing_matrix),
-    G[i][j] the pairing of B_i against A_j.  The double integral of
-    K^[n](x, .) dmu K^[n](., y) is the sum over i, j <= n of A_i(x) G[i][j]
+    G[i][j] = num / den the pairing of B_i against A_j.  The double integral
+    of K^[n](x, .) dmu K^[n](., y) is the sum over i, j <= n of A_i(x) G[i][j]
     B_j(y), so it equals K^[n](x, y) at every point pair exactly when the sum
     of (G[i][j] - delta_ij) a_i b_j^T vanishes, a_i and b_j the coefficient
-    rows of A_i and B_j.  That sum is C_A^T E C_B with E the corner of
-    G - I and C_A, C_B the first n+1 rows, which are triangular with nonzero
+    rows of A_i and B_j.  That sum is C_A^T E C_B with E the corner of G - I
+    and C_A, C_B the first n+1 rows, which are triangular with nonzero
     diagonal: row i ends at column i, whose entry is nonzero as L[i][i] =
     Delta_i != 0 (gaussborel).  So the identity holds exactly when the
     (n+1) corner of G is the identity.  Only the entries off the identity
-    give terms; their combine must be zero, and the first nonzero (m, c) in
-    row-major order is reported at (n, m, c).
+    give terms, (num - den delta_ij) / den; their combine must be zero, and
+    the first nonzero (m, c) in row-major order is reported at (n, m, c).
     """
     if n >= min(len(A), len(B), len(gram)):
         raise DepthError(f"reproduction index {n} outside family range", required=n + 1)
     a, b = A.rows, B.rows
-    terms = ((e.numerator, e.denominator * a[i][0] * b[j][0], _outer(a[i][1], b[j][1]))
-             for i in range(n + 1) for j in range(n + 1)
-             if (e := gram[i][j] - (ONE if i == j else ZERO)))
+    terms = ((e, den * a[i][0] * b[j][0], _outer(a[i][1], b[j][1]))
+             for i in range(n + 1) for j, (num, den) in enumerate(gram[i][:n + 1])
+             if (e := num - den * (i == j)))
     rep = CheckReport("reproduction")
     bad = mismatches(combine(terms), (1, {}))
     if bad:
@@ -225,10 +225,6 @@ def is_monic_of_grlex_degree(P: list[list[dict]], I: int) -> bool:
         return False
     return all(max(e, default=-1) == I and e.get(I) == 1 if r == c else max(e, default=-1) < I
                for r, row in enumerate(P) for c, e in enumerate(row))
-
-
-def _projection_threshold(I: int, r: int) -> int:
-    return I * r + r - 1
 
 
 def check_projection(A: Family, B: Family, M: MomentTruncation, n: int,
@@ -253,20 +249,17 @@ def check_projection(A: Family, B: Family, M: MomentTruncation, n: int,
     I = max(max(e, default=-1) for row in P for e in row)
     if not is_monic_of_grlex_degree(P, I):
         raise ValueError("P is not monic of a definite grlex degree")
-    if n < _projection_threshold(I, p):
-        raise ValueError(
-            f"n={n} below projection threshold {_projection_threshold(I, p)} for I={I}"
-        )
+    if n < I * p + p - 1:
+        raise ValueError(f"n={n} below projection threshold {I * p + p - 1} for I={I}")
     if n >= min(len(A), len(B)):
         raise DepthError(f"projection index {n} outside family range", required=n + 1)
     columns = Family.from_members(p, zip(*P))  # member a1 is column a1 of P
-    # inner[i][a1] = integral of B_i dmu column a1 of P
+    # inner[i][a1] = (w, e): w / e is the integral of B_i dmu column a1 of P
     inner = pairings(B.head(n + 1), columns, M)
     rep = CheckReport("projection")
     for a1, want in enumerate(columns.rows):
         # sum_i inner[i][a1] A_i against column a1 of P
-        got = combine((w.numerator, w.denominator * A.rows[i][0], A.rows[i][1])
-                      for i in range(n + 1) if (w := inner[i][a1]))
+        got = combine((w, e * d, row) for (d, row), (w, e) in zip(A.rows, [g[a1] for g in inner]) if w)
         bad = {c % p for c in mismatches(got, want)}
         for a0 in range(p):
             if a0 in bad:

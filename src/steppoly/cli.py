@@ -353,6 +353,7 @@ def _cmd_compute(args) -> int:
         if args.depth < 1:
             raise ConfigError("--depth must be >= 1")
         config = config._replace(depth=args.depth)
+    args.depth = config.depth
     t0 = time.perf_counter()
     ws = Workspace(config, config.depth)
     out_dir = Path(args.out or config.output or ".")
@@ -370,6 +371,7 @@ def _cmd_verify(args) -> int:
         config = config._replace(checks=names)
     if args.seed is not None:
         config = config._replace(seed=args.seed)
+    args.depth = config.depth
     t0 = time.perf_counter()
     report = run(config)
     if report["status"] == "breakdown":
@@ -400,14 +402,15 @@ def _cmd_kernel(args) -> int:
         raise ConfigError(f"bad point: {exc}") from exc
     if len(x) != 2 or len(y) != 2:
         raise ConfigError("points need exactly two coordinates")
-    value = kernel_eval(assemble_moments(config.measures, n + 1), x, y)
+    args.depth = n + 1
+    den, corner = kernel_eval(assemble_moments(config.measures, n + 1), x, y)
     obj = {
         "schema_version": SCHEMA_VERSION,
         "kind": "kernel",
         "n": n,
         "x": [format_rat(v) for v in x],
         "y": [format_rat(v) for v in y],
-        "matrix": [[format_rat(v) for v in row] for row in value],
+        "matrix": [[ratio_text(v, den) for v in row] for row in corner],
     }
     text = json.dumps(obj, indent=2, sort_keys=True) + "\n"
     if args.out:
@@ -440,7 +443,7 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("--checks", default=None, help="comma-separated subset of checks")
     v.add_argument("--seed", type=int, default=None)
     v.add_argument("--out", default=None)
-    v.set_defaults(func=_cmd_verify)
+    v.set_defaults(func=_cmd_verify, depth=None)
 
     kcmd = sub.add_parser("kernel", help="evaluate one Christoffel-Darboux kernel value")
     kcmd.add_argument("--config", required=True)
@@ -448,7 +451,7 @@ def build_parser() -> argparse.ArgumentParser:
     kcmd.add_argument("--x", required=True, help='point as "x1,x2" with rational parts')
     kcmd.add_argument("--y", required=True, help='point as "y1,y2" with rational parts')
     kcmd.add_argument("--out", default=None)
-    kcmd.set_defaults(func=_cmd_kernel)
+    kcmd.set_defaults(func=_cmd_kernel, depth=None)
     return parser
 
 
@@ -469,6 +472,10 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     except DepthError as exc:
         print(f"depth error: {exc}", file=sys.stderr)
+        return 3
+    except MemoryError:  # each command sets args.depth once its config is read
+        what = f"depth {args.depth}" if args.depth else "the config"
+        print(f"config error: {what} needs more memory than this process has", file=sys.stderr)
         return 3
 
 

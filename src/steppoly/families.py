@@ -22,7 +22,8 @@ at position K in slot b.  Every residual is a finite rational combination of
 moments and must be exactly zero.  The checks read the rows extract_families
 returns, so it stays under test.  The products run over M's integer rows
 (M.scale and M.ints, scaled once when M is built), so an entry is one
-integer inner sum and one rat().
+integer inner sum over its denominator, and a check compares integers: no
+rational is formed, and a violation's value is written with ratio_text.
 
 Every coefficient identity (recurrence, projection, ABC, reproduction) sums
 weighted rows over one denominator with combine and compares the two sides
@@ -36,7 +37,7 @@ from math import lcm
 from .errors import DepthError
 from .gaussborel import Factorization
 from .moments import MomentTruncation
-from .rational import ZERO, as_rat, common_denominator, rat
+from .rational import as_rat, common_denominator, rat, ratio_text
 from .report import CheckReport, Violation
 from .stepline import pair_of
 
@@ -169,10 +170,10 @@ def validate_degree_structure(A: Family, B: Family, q: int, p: int) -> CheckRepo
                     rep.violations.append(Violation(
                         "degree", (label, n, idx), f"grlex_pos {pos} > bound {bound}"))
                 if n % r == idx:
-                    lead = rat(row[pos * r + idx], d) if pos >= 0 else ZERO
-                    if pos != bound or lead == 0 or monic and lead != 1:
-                        rep.violations.append(Violation(
-                            "degree", (label, n, idx), f"diagonal leading coefficient {lead} at bound {bound}"))
+                    lead = row[pos * r + idx] if pos >= 0 else 0
+                    if pos != bound or lead == 0 or monic and lead != d:
+                        text = f"diagonal leading coefficient {ratio_text(lead, d)} at bound {bound}"
+                        rep.violations.append(Violation("degree", (label, n, idx), text))
                 rep.checked += 1
     return rep
 
@@ -206,10 +207,10 @@ def moment_rows(fam: Family, M: MomentTruncation, cols: int) -> list[tuple[int, 
     return out
 
 
-def pairings(left: Family, right: Family, M: MomentTruncation) -> list[list]:
-    """(C_left M) C_right^T: entry (m, n) pairs member m of left (M.q components)
-    with member n of right (M.p components) under the measure matrix behind M."""
-    return [[rat(sum(nums[c] * v for c, v in row.items()), d * e) for e, row in right.rows]
+def pairings(left: Family, right: Family, M: MomentTruncation) -> list[list[tuple[int, int]]]:
+    """(C_left M) C_right^T as integer pairs (num, den): entry (m, n) pairs member m
+    of left (M.q components) with member n of right (M.p components) under M."""
+    return [[(sum(nums[c] * v for c, v in row.items()), d * e) for e, row in right.rows]
             for d, nums in moment_rows(left, M, _width(right))]
 
 
@@ -230,27 +231,25 @@ def check_orthogonality(A: Family, B: Family, M: MomentTruncation) -> CheckRepor
                     resid = nums[K * grid.p + a_idx]
                     if resid != 0:
                         rep.violations.append(Violation(
-                            "orthogonality", (label, n, a_idx, K), f"residual {rat(resid, d)}"))
+                            "orthogonality", (label, n, a_idx, K), f"residual {ratio_text(resid, d)}"))
                     rep.checked += 1
                     K += 1
     return rep
 
 
-def pairing_matrix(A: Family, B: Family, M: MomentTruncation) -> list[list]:
-    """Entry (m, n) is the pairing of B_m against A_n: the Gram matrix (C_B M) C_A^T."""
+def pairing_matrix(A: Family, B: Family, M: MomentTruncation) -> list[list[tuple[int, int]]]:
+    """Entry (m, n) is the pairing (num, den) of B_m against A_n: the Gram matrix (C_B M) C_A^T."""
     count = min(len(A), len(B))
     return pairings(B.head(count), A.head(count), M)
 
 
-def check_biorthogonality(gram: list[list]) -> CheckReport:
-    """The pairing matrix of the two families is exactly the identity."""
+def check_biorthogonality(gram: list[list[tuple[int, int]]]) -> CheckReport:
+    """The pairing matrix is exactly the identity: num == den on the diagonal, num == 0 off it."""
     rep = CheckReport("biorthogonality")
     for m, row in enumerate(gram):
-        for n, val in enumerate(row):
-            expected = rat(1) if m == n else ZERO
-            if val != expected:
-                rep.violations.append(
-                    Violation("biorthogonality", (m, n), f"pairing {val} != {expected}")
-                )
+        for n, (num, den) in enumerate(row):
+            if num != (den if m == n else 0):
+                rep.violations.append(Violation(
+                    "biorthogonality", (m, n), f"pairing {ratio_text(num, den)} != {int(m == n)}"))
             rep.checked += 1
     return rep

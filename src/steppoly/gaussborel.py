@@ -156,7 +156,7 @@ class Factorization:
         self.S_int = S_int
         self.Sbar_int = Sbar_int
 
-    def diagonal(self, rows: int, ratio=rat) -> list:
+    def diagonal(self, rows: int, ratio) -> list:
         """H_0 .. H_{rows-1}, H_n being ratio(Delta_{n+1}, Delta_n r_n); the report
         and the exports pass rational.ratio_text.  r_n is the product of both
         sides' scales, one of them all ones, so a transpose reads the same H."""
@@ -165,23 +165,22 @@ class Factorization:
 
     @property
     def H(self) -> list:
-        return self.diagonal(len(self.S_int.L))
+        return self.diagonal(len(self.S_int.L), rat)
 
     @property
     def S(self) -> list[list]:
-        return unit_lower(self.minors, self.S_int, len(self.S_int.L))
+        return unit_lower(self.minors, self.S_int, len(self.S_int.L), rat, ONE, ZERO)
 
     @property
     def Sbar(self) -> list[list]:
-        return unit_lower(self.minors, self.Sbar_int, len(self.Sbar_int.L))
+        return unit_lower(self.minors, self.Sbar_int, len(self.Sbar_int.L), rat, ONE, ZERO)
 
     def transpose(self) -> "Factorization":
         """The factorization M^T = Sbar^-1 H S^-T: the same factors, roles swapped."""
         return Factorization(self.depth, self.minors, self.Sbar_int, self.S_int)
 
 
-def unit_lower(minors: list[int], side: IntegerSide, rows: int, ratio=rat, one=ONE,
-               zero=ZERO) -> list[list]:
+def unit_lower(minors: list[int], side: IntegerSide, rows: int, ratio, one, zero) -> list[list]:
     """The leading rows x rows corner of the unit lower factor side stores: entry
     (n, c < n) is ratio(L[n][c] s_c, Delta_n s_n), or zero where L[n][c] is 0;
     the exports pass rational.ratio_text, "1" and "0".  Row 0 reads no row of L."""

@@ -92,7 +92,9 @@ def hankel_mismatches(M: MomentTruncation, k: int) -> list[tuple[int, int, objec
 
     Row m of the left product is row n_plus(m, q, k) of M; column n of the
     right product is column n_plus(n, p, k) of M, so the window is exactly the
-    set of (m, n) with both shifted indices inside the truncation.
+    set of (m, n) with both shifted indices inside the truncation.  The sides
+    are compared cross-multiplied over M's row scales, and M.data is read only
+    for a mismatch's entries.
     """
     m_count, n_count = hankel_window(M.depth, M.q, M.p, k)
     if m_count == 0 or n_count == 0:
@@ -100,15 +102,13 @@ def hankel_mismatches(M: MomentTruncation, k: int) -> list[tuple[int, int, objec
             f"depth {M.depth} leaves no checkable Hankel window for k={k}",
             required=max(n_plus(0, M.q, k), n_plus(0, M.p, k)) + 1,
         )
-    bad = []
+    scale, ints, bad = M.scale, M.ints, []
+    shifted = [n_plus(n, M.p, k) for n in range(n_count)]
     for m in range(m_count):
         ms = n_plus(m, M.q, k)
-        for n in range(n_count):
-            ns = n_plus(n, M.p, k)
-            lhs = M.data[ms][n]
-            rhs = M.data[m][ns]
-            if lhs != rhs:
-                bad.append((m, n, lhs, rhs))
+        for n, ns in enumerate(shifted):
+            if ints[ms][n] * scale[m] != ints[m][ns] * scale[ms]:
+                bad.append((m, n, M.data[ms][n], M.data[m][ns]))
     return bad
 
 

@@ -28,9 +28,9 @@ the factorization's S side (gaussborel), and H_n = Delta_{n+1} / (Delta_n r_n):
     primal = dual at (m, n)  iff  acc[m][n] = L acc'[n][m]
 
 where acc' is the same sum on the transposed factorization, whose scale is
-all ones.  The checks read acc through these identities, and the T1 and T2
-exports write entries(ratio_text, "0"); the rational T_k, data, is formed
-only when a check writes a violation's text.
+all ones.  The checks read acc through these identities and write a
+violation's values with ratio_text from acc, the minors and r; the T1 and T2
+exports write entries(ratio_text, "0").  No rational T_k is formed.
 """
 
 from __future__ import annotations
@@ -42,7 +42,7 @@ from operator import mul
 from .errors import DepthError
 from .families import Family, combine, mismatches
 from .gaussborel import Factorization
-from .rational import ZERO, rat
+from .rational import ratio_text
 from .report import CheckReport, Violation
 from .stepline import in_complement_J, n_minus_big, n_plus
 
@@ -59,20 +59,12 @@ class RecurrenceTruncation:
     """D x D window of T_k as its integers acc and L over the factorization F,
     with its band descriptors (see the module docstring)."""
 
-    __slots__ = ("k", "q", "p", "size", "acc", "L", "F", "_data")
+    __slots__ = ("k", "q", "p", "size", "acc", "L", "F")
 
     def __init__(self, k: int, q: int, p: int, size: int, acc: list[list[int]], L: int,
                  F: Factorization | None):
         self.k, self.q, self.p, self.size = k, q, p, size
         self.acc, self.L, self.F = acc, L, F
-        self._data = None
-
-    @property
-    def data(self) -> list[list]:
-        """The rational T_k, formed on first read and kept."""
-        if self._data is None:
-            self._data = self.entries(rat, ZERO)
-        return self._data
 
     def entries(self, ratio, zero) -> list[list]:
         """Entry (m, n) of T_k as ratio(acc[m][n] r_n, Delta_m r_m Delta_{n+1} L), or zero."""
@@ -80,6 +72,11 @@ class RecurrenceTruncation:
         cols = list(zip(r, minors[1:]))
         return [[ratio(a * r_n, den_m * d_n) if a else zero for a, (r_n, d_n) in zip(row, cols)]
                 for row, den_m in zip(self.acc, (minors[m] * r[m] * self.L for m in range(self.size)))]
+
+    def text(self, m: int, n: int) -> str:
+        """Entry (m, n) of T_k as ratio_text, for a violation's text."""
+        minors, r = self.F.minors, self.F.S_int.scale
+        return ratio_text(self.acc[m][n] * r[n], minors[m] * r[m] * minors[n + 1] * self.L)
 
     def row_band(self, n: int) -> tuple[int, int]:
         """[first, last] columns that may be nonzero in row n."""
@@ -129,17 +126,18 @@ def check_dual_form(T: RecurrenceTruncation, F: Factorization) -> CheckReport:
     With T' built from the transposed factorization, the dual entry (m, n) is
     T'[n][m] * H_m / H_n, entry (n, m) of the conjugate R' of T' (the
     transposed factorization has the same H); it equals T_k[m][n] exactly when
-    acc[m][n] = L acc'[n][m].
+    acc[m][n] = L acc'[n][m].  Its value, acc'[n][m] r_n / (Delta_m r_m
+    Delta_{n+1}), is written with T_k[m][n]'s in a violation's text.
     """
     dual = build_recurrence(F.transpose(), T.p, T.q, T.k, T.size)
-    rep, H = CheckReport(f"dual_T{T.k}"), None
+    rep = CheckReport(f"dual_T{T.k}")
+    minors, r = F.minors, F.S_int.scale
     for m, (row, col) in enumerate(zip(T.acc, zip(*dual.acc))):
         for n, (a, b) in enumerate(zip(row, col)):
             if a != T.L * b:
-                H = H or F.H  # read once, at the first violation
-                want = dual.data[n][m] * H[m] / H[n]
+                want = ratio_text(b * r[n], minors[m] * r[m] * minors[n + 1])
                 rep.violations.append(
-                    Violation("dual", (T.k, m, n), f"primal {T.data[m][n]} != dual {want}")
+                    Violation("dual", (T.k, m, n), f"primal {T.text(m, n)} != dual {want}")
                 )
         rep.checked += T.size
     return rep
@@ -153,8 +151,9 @@ def validate_band(T: RecurrenceTruncation) -> CheckReport:
     entries with the same values, so the rows check each relation once, on
     acc: a zero is acc == 0, the trailing 1 acc[n][last] r_last = Delta_n r_n
     Delta_{last+1} L, and H_n / H_first acc[n][first] = L Delta_{n+1} Delta_first.
+    A text writes H_n / H_first as Delta_{n+1} Delta_first r_first / (Delta_n r_n Delta_{first+1}).
     """
-    rep, H = CheckReport(f"band_T{T.k}"), None
+    rep = CheckReport(f"band_T{T.k}")
     k, p, D, L = T.k, T.p, T.size, T.L
     minors, r = T.F.minors, T.F.S_int.scale
     for n, row in enumerate(T.acc):
@@ -162,21 +161,21 @@ def validate_band(T: RecurrenceTruncation) -> CheckReport:
         outside = [*range(first), *range(last + 1, D)]
         for c in outside:
             if row[c]:
-                rep.violations.append(Violation("band", (k, n, c), f"outside band: {T.data[n][c]}"))
+                rep.violations.append(Violation("band", (k, n, c), f"outside band: {T.text(n, c)}"))
         rep.checked += len(outside)
         if last < D:
             if row[last] * r[last] != minors[n] * r[n] * minors[last + 1] * L:
                 rep.violations.append(
-                    Violation("band", (k, n, last), f"trailing entry {T.data[n][last]} != 1")
+                    Violation("band", (k, n, last), f"trailing entry {T.text(n, last)} != 1")
                 )
             rep.checked += 1
         if in_complement_J(n, p, k):
             # first = n - p*F_k^-(n/p) here; boxed value H_n / H_first.
             if row[first] != L * minors[n + 1] * minors[first]:
-                H = H or T.F.H  # read once, at the first violation
-                want = H[n] / H[first]
+                want = ratio_text(minors[n + 1] * minors[first] * r[first],
+                                  minors[n] * r[n] * minors[first + 1])
                 rep.violations.append(
-                    Violation("band", (k, n, first), f"{T.data[n][first]} != H ratio {want}")
+                    Violation("band", (k, n, first), f"{T.text(n, first)} != H ratio {want}")
                 )
             rep.checked += 1
     return rep

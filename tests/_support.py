@@ -23,7 +23,7 @@ from itertools import accumulate
 from operator import mul
 
 from steppoly import assemble_moments, extract_families, factorize, rat
-from steppoly.cdkernel import CDBlocks
+from steppoly.cdkernel import CDBlocks, kernel_eval
 from steppoly.cli import _decimal_text
 from steppoly.errors import Breakdown, DepthError
 from steppoly.families import Family, monomial_ints
@@ -443,6 +443,17 @@ def kernel_sum(A: Family, B: Family, n: int, x: tuple, y: tuple) -> list[list]:
             for i in range(A.r)]
 
 
+def kernel_rationals(M: MomentTruncation, x: tuple, y: tuple) -> list[list]:
+    """cdkernel.kernel_eval's kernel, (den, corner), as reduced rationals."""
+    den, corner = kernel_eval(M, x, y)
+    return [[rat(v, den) for v in row] for row in corner]
+
+
+def pair_rationals(pairs: list[list[tuple[int, int]]]) -> list[list]:
+    """Integer pairs (num, den), as families.pairings writes its entries, as rationals."""
+    return [[rat(num, den) for num, den in row] for row in pairs]
+
+
 def abc_oracle(M: MomentTruncation, n: int, x: tuple, y: tuple) -> list[list]:
     """X_[p]^T(x) M^-1 X_[q](y) on the (n+1) corner, in rationals."""
     def monomials_t(r: int, pt: tuple) -> list[list]:
@@ -470,16 +481,17 @@ def pointwise_reproduction(A: Family, B: Family, gram: list[list], n: int,
     The double integral of K^[n](x, .) dmu K^[n](., y), expanded through the
     leading (n+1) corner of gram, must equal K^[n](x, y).  Both sides are
     compared fraction-free: with A_i(x) = a[i] / d_a and B_i(y) = b[i] / d_b
-    (Family.values) and the corner's nonzero entries G = G_int / d_G, the sum
-    of a[i] G_int[i][j] b[j] must equal d_G times the sum of the outer
-    products a[i] b[i] over i <= n.
+    (Family.values) and the corner's nonzero entries (num, den) brought to
+    G_int / d_G, d_G the lcm of their den, the sum of a[i] G_int[i][j] b[j]
+    must equal d_G times the sum of the outer products a[i] b[i] over i <= n.
     """
     if n >= min(len(A), len(B), len(gram)):
         raise DepthError(f"reproduction index {n} outside family range", required=n + 1)
     p, q = A.r, B.r
-    corner = [(i, j, g) for i in range(n + 1) for j in range(n + 1) if (g := gram[i][j]) != 0]
-    d_g, nums = common_denominator(g for _, _, g in corner)
-    terms = [(i, j, g) for (i, j, _), g in zip(corner, nums)]
+    corner = [(i, j, num, den) for i in range(n + 1)
+              for j, (num, den) in enumerate(gram[i][:n + 1]) if num]
+    d_g = math.lcm(*(den for *_, den in corner))
+    terms = [(i, j, num * (d_g // den)) for i, j, num, den in corner]
     rep = CheckReport("reproduction")
     if not point_pairs:
         rep.skipped.append("no point pairs given")
@@ -607,6 +619,37 @@ def side_rationals(minors: list[int], side: IntegerSide) -> tuple[list[list], li
     return factor, inverse
 
 
+def inverts_its_factor(minors: list[int], side: IntegerSide) -> bool:
+    """Whether one IntegerSide's inverse times its unit lower factor is I, in integers.
+
+    With factor[n][c] = L[n][c] s_c / (Delta_n s_n) and inverse[c][k] =
+    L_inv[c][k] s_k / (Delta_{k+1} s_c), the s_c cancel from entry (n, k) of
+    factor * inverse, which is s_k / (Delta_n s_n Delta_{k+1}) times the
+    integer sum of L[n][c] L_inv[c][k] over k <= c <= n.  So row n is row n of
+    I exactly when those sums are 0 for k < n and Delta_n Delta_{n+1} at k = n;
+    with L[n][n] = Delta_n, the factor's diagonal is 1.
+    """
+    s, L, L_inv = side
+    cols = [[row[k] for row in L_inv[k:]] for k in range(len(L))]  # column k from the diagonal down
+    for n, row in enumerate(L):
+        sums = [sum(map(mul, row[k:n + 1], col)) for k, col in enumerate(cols[:n + 1])]
+        if row[n] != minors[n] or sums != [0] * n + [minors[n] * minors[n + 1]]:
+            return False
+    return True
+
+
+def same_factor(minors: list[int], side: IntegerSide, other_minors: list[int],
+                other: IntegerSide, rows: int) -> bool:
+    """Whether two IntegerSides store the same leading rows x rows unit lower factor.
+
+    Entry (n, c) is L[n][c] s_c / (Delta_n s_n) on each side, so the two agree
+    when the numerator of each times the denominator of the other agree.
+    """
+    (s, L, _), (t, K, _) = side, other
+    return all(L[n][c] * s[c] * other_minors[n] * t[n] == K[n][c] * t[c] * minors[n] * s[n]
+               for n in range(rows) for c in range(n + 1))
+
+
 def stored_inverses(F: Factorization) -> tuple[list[list], list[list]]:
     """S^-1 and Sbar^-1 as rationals, from the integers F carries."""
     return side_rationals(F.minors, F.S_int)[1], side_rationals(F.minors, F.Sbar_int)[1]
@@ -688,6 +731,31 @@ def reconstruct(F: Factorization) -> list[list]:
              for n, row in enumerate(h_sbar)] for m, s_row in enumerate(S_inv)]
 
 
+def reconstructs(F: Factorization, M: MomentTruncation) -> bool:
+    """Whether S^-1 diag(H) Sbar^-T is M, in integers, read off the stored inverses.
+
+    r_m times entry (m, n) of the product is the sum over c <= min(m, n) of
+    t_c = L_inv[m][c] Lbar_inv[n][c] / (Delta_c Delta_{c+1}), the scales
+    cancelling, and it must be M.ints[m][n].  With a_0 = M.ints[m][n] and
+    a_{c+1} = (Delta_{c+1} a_c - Delta_c Delta_{c+1} t_c) / Delta_c, a_c is
+    Delta_c times M.ints[m][n] less t_0 .. t_{c-1}; so, each division being
+    exact, the identity holds when every a ends at 0, which row m's entries
+    n = c and n > m do after steps c and m.
+    """
+    minors, L_inv, Lbar_inv = F.minors, F.S_int.L_inv, F.Sbar_int.L_inv
+    for m, row in enumerate(M.ints):
+        acc = row[:]  # acc[n - c] is a_c of entry (m, n) before step c
+        for c in range(m + 1):
+            a, prev, piv = L_inv[m][c], minors[c], minors[c + 1]
+            steps = [divmod(piv * x - a * bar[c], prev) for x, bar in zip(acc, Lbar_inv[c:])]
+            if any(rem for _, rem in steps) or steps[0][0]:
+                return False
+            acc = [x for x, _ in steps[1:]]
+        if any(acc):
+            return False
+    return True
+
+
 def recurrence_oracle(S: list[list], S_inv: list[list], q: int, k: int, size: int) -> list[list]:
     """T_k = S Lambda_{[q];k} S^-1 on a size x size window, summed in rationals.
 
@@ -710,10 +778,15 @@ def recurrence_oracle(S: list[list], S_inv: list[list], q: int, k: int, size: in
     return data
 
 
+def rational_T(T: RecurrenceTruncation) -> list[list]:
+    """The rational T_k, read off its integers (recurrence module docstring)."""
+    return T.entries(rat, ZERO)
+
+
 def conjugate(T: RecurrenceTruncation) -> list[list]:
     """R_k = H^-1 T_k H: entry (m, n) is T_k[m][n] * H_n / H_m."""
     H = T.F.H
-    return [[t * H[n] / H[m] for n, t in enumerate(row)] for m, row in enumerate(T.data)]
+    return [[t * H[n] / H[m] for n, t in enumerate(row)] for m, row in enumerate(rational_T(T))]
 
 
 def planted_entry(T: RecurrenceTruncation, m: int, n: int, value) -> RecurrenceTruncation:

@@ -44,7 +44,7 @@ MUTANTS = [
          "tests/test_cli.py::TestVerify::test_all_checks_pass")),
     Mutant(
         "reproduction skips the diagonal's delta", "cdkernel.py",
-        "gram[i][j] - (ONE if i == j else ZERO)", "gram[i][j]",
+        "if (e := num - den * (i == j))", "if (e := num)",
         ("tests/test_cdkernel.py::TestReproduction::test_exact_on_random_systems",
          "tests/test_cdkernel.py::TestReproduction::test_empty_pair_list_checks_nothing",
          "tests/test_cli.py::TestVerify::test_all_checks_pass")),
@@ -65,7 +65,7 @@ MUTANTS = [
          "tests/test_recurrence.py::TestRelations::test_planted_entry_located")),
     Mutant(
         "hankel compares each entry with itself", "moments.py",
-        "rhs = M.data[m][ns]", "rhs = M.data[ms][n]",
+        "!= ints[m][ns] * scale[ms]", "!= ints[ms][n] * scale[m]",
         ("tests/test_moments.py::TestHankelSymmetry::test_corruption_detected_and_located",)),
     Mutant(
         "degree bound one position loose", "families.py",
@@ -79,7 +79,7 @@ MUTANTS = [
          "tests/test_families.py::TestPlantedCoefficient::test_a_member")),
     Mutant(
         "biorthogonality ignores entries off the diagonal", "families.py",
-        "expected = rat(1) if m == n else ZERO", "expected = rat(1) if m == n else val",
+        "if num != (den if m == n else 0):", "if num != (den if m == n else num):",
         ("tests/test_families.py::TestPlantedCoefficient::test_b_member",
          "tests/test_families.py::TestPlantedCoefficient::test_a_member")),
     Mutant(
@@ -287,4 +287,44 @@ MUTANTS = [
         "I, I_dual = min(3, D // p - 1), min(3, D // q - 1)", "I, I_dual = min(2, D // p - 1), min(2, D // q - 1)",
         ("tests/test_cli.py::TestCheckScope::test_names_and_counts[golden]",
          "tests/test_cli.py::TestCheckScope::test_names_and_counts[shape5]")),
+    Mutant(
+        "degree skips family A", "families.py",
+        '(("B", B, q, False), ("A", A, p, True))', '(("B", B, q, False),)',
+        ("tests/test_cli.py::TestCheckScope::test_names_and_counts[golden]",
+         "tests/test_cli.py::TestCheckScope::test_names_and_counts[shape1]")),
+    Mutant(
+        "recurrence checks the B relations only", "recurrence.py",
+        "own, other in relations:", "own, other in relations[:1]:",
+        ("tests/test_cli.py::TestCheckScope::test_names_and_counts[golden]",
+         "tests/test_cli.py::TestCheckScope::test_names_and_counts[shape4]")),
+    Mutant(
+        "reproduction stops one member short", "cli.py",
+        "check_reproduction(ws.A, ws.B, ws.gram, ws.depth - 1)",
+        "check_reproduction(ws.A, ws.B, ws.gram, ws.depth - 2)",
+        ("tests/test_cli.py::TestCheckScope::test_names_and_counts[golden]",
+         "tests/test_cli.py::TestCheckScope::test_names_and_counts[shape2]")),
+    Mutant(
+        "cd checks one formula fewer", "cdkernel.py",
+        "    for n in range(n_max):\n        blocks = CDBlocks(T, n)",
+        "    for n in range(n_max - 1):\n        blocks = CDBlocks(T, n)",
+        ("tests/test_cli.py::TestCheckScope::test_names_and_counts[golden]",
+         "tests/test_cli.py::TestCheckScope::test_names_and_counts[shape3]")),
+    Mutant(
+        "abc checks the corners below 7 only", "cli.py",
+        "for n in range(min(ws.depth, 8))", "for n in range(min(ws.depth, 7))",
+        ("tests/test_cli.py::TestCheckScope::test_names_and_counts[golden]",
+         "tests/test_cli.py::TestCheckScope::test_names_and_counts[shape1]")),
+    Mutant(
+        "dual text divides by Delta_n, not Delta_{n+1}", "recurrence.py",
+        "minors[m] * r[m] * minors[n + 1])", "minors[m] * r[m] * minors[n])",
+        ("tests/test_recurrence.py::TestFailureText::test_first_violation_details",)),
+    Mutant(
+        "band text drops H_first's scale", "recurrence.py",
+        "minors[n + 1] * minors[first] * r[first],", "minors[n + 1] * minors[first],",
+        ("tests/test_recurrence.py::TestFailureText::test_first_violation_details",)),
+    Mutant(
+        "main lets a MemoryError escape", "cli.py",
+        "    except MemoryError:", "    except ArithmeticError:",
+        ("tests/test_cli.py::TestConfigErrors::test_depth_beyond_memory_exits_three[compute]",
+         "tests/test_cli.py::TestConfigErrors::test_depth_beyond_memory_exits_three[kernel]")),
 ]

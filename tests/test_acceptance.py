@@ -52,12 +52,10 @@ from _support import (
     KernelTable,
     build_system,
     cd_block_values,
-    corner,
     deg_x1,
     deg_x2,
     grid_values,
-    invert_unitriangular,
-    mat_eq,
+    inverts_its_factor,
     members,
     mixed_mm,
     point_pairs,
@@ -66,10 +64,11 @@ from _support import (
     pointwise_reproduction,
     poly,
     pos_of,
-    reconstruct,
+    rational_T,
+    reconstructs,
+    same_factor,
     solve_a_col,
     solve_b_row,
-    stored_inverses,
     truncation_corner,
 )
 
@@ -141,19 +140,24 @@ def test_criterion_2_factorization_suite():
                 except Breakdown:
                     tries += 1
                     assert tries < 6, f"too many degenerate draws at {(q, p, seed)}"
-            assert mat_eq(reconstruct(F), M.data), (q, p, seed)
-            S_inv, Sbar_inv = stored_inverses(F)
-            # F.S and F.Sbar build the full rational factor on every read: read each once
-            S, Sbar = F.S, F.Sbar
-            assert S_inv == invert_unitriangular(S), (q, p, seed)
-            assert Sbar_inv == invert_unitriangular(Sbar), (q, p, seed)
+            assert reconstructs(F, M), (q, p, seed)
+            # each stored inverse against its factor, and each nested corner's
+            # factors against the full ones, cross-multiplied in integers
+            minors, r = F.minors, F.S_int.scale
+            assert inverts_its_factor(minors, F.S_int), (q, p, seed)
+            assert inverts_its_factor(minors, F.Sbar_int), (q, p, seed)
             for d in range(1, extended):
                 Fd = factorize(truncation_corner(M, d))
-                assert Fd.S == corner(S, d)
-                assert Fd.Sbar == corner(Sbar, d)
-                assert Fd.H == F.H[:d]
+                assert same_factor(Fd.minors, Fd.S_int, minors, F.S_int, d)
+                assert same_factor(Fd.minors, Fd.Sbar_int, minors, F.Sbar_int, d)
+                # H_n = Delta_{n+1} / (Delta_n r_n) on each side
+                assert all(Fd.minors[n + 1] * minors[n] * r[n]
+                           == minors[n + 1] * Fd.minors[n] * Fd.S_int.scale[n] for n in range(d))
             if symmetric:
-                assert S == Sbar, (q, p, seed)
+                # S[n][c] = L[n][c] r_c / (Delta_n r_n) and Sbar[n][c] = Lbar[n][c] / Delta_n
+                assert all(a * r[c] == b * r[n]
+                           for n, (row, bar) in enumerate(zip(F.S_int.L, F.Sbar_int.L))
+                           for c, (a, b) in enumerate(zip(row, bar))), (q, p, seed)
 
     # a constructed vanishing second minor must break down deterministically
     degenerate = MeasureMatrix(
@@ -331,10 +335,11 @@ def test_criterion_7_worked_example_window():
     system = build_system(q, p, required_depth(window, q, p), seed=701)
     for k in (1, 2):
         T = build_recurrence(system.F, q, p, k, window)
+        data = rational_T(T)
         for m in range(17):
             lo, hi = T.row_band(m)
             for c in range(14):
-                value = T.data[m][c]
+                value = data[m][c]
                 if c == hi:
                     assert value == 1, (k, m, c)
                 elif m == n_plus(c, p, k):
@@ -346,7 +351,7 @@ def test_criterion_7_worked_example_window():
         for c in range(14):
             top, _ = T.col_band(c)
             if in_complement_J(c, q, k):
-                assert T.data[top][c] == 1, (k, c)
+                assert data[top][c] == 1, (k, c)
 
     # the block pair displayed for n = 3 in the first direction
     T1 = build_recurrence(system.F, q, p, 1, window)
@@ -356,16 +361,17 @@ def test_criterion_7_worked_example_window():
     assert list(blocks.src_rows) == [2, 3]
     assert list(blocks.src_cols) == [4, 5, 6]
     # the printed labels are T_1's entries over the blocks' ranges
-    t_tgt = [[T1.data[m][c] for c in blocks.tgt_cols] for m in blocks.tgt_rows]
-    t_src = [[T1.data[m][c] for c in blocks.src_cols] for m in blocks.src_rows]
+    data = rational_T(T1)
+    t_tgt = [[data[m][c] for c in blocks.tgt_cols] for m in blocks.tgt_rows]
+    t_src = [[data[m][c] for c in blocks.src_cols] for m in blocks.src_rows]
     assert t_src[0] == [rat(1), rat(0), rat(0)]
     assert t_src[1][2] == 1
-    assert t_src[1][0] == T1.data[3][4]
+    assert t_src[1][0] == data[3][4]
     assert t_tgt[3][0] == 0  # row 7, column 2 sits outside the band
-    assert t_tgt[0][1] == T1.data[4][3]
+    assert t_tgt[0][1] == data[4][3]
     for bi, m in enumerate(blocks.tgt_rows):
         for bj, c in enumerate(blocks.tgt_cols):
-            assert t_tgt[bi][bj] == T1.data[m][c]
+            assert t_tgt[bi][bj] == data[m][c]
 
 
 def test_criterion_8_cli_contract(tmp_path, monkeypatch):

@@ -30,6 +30,7 @@ from _support import (
     build_system,
     cd_block_values,
     grid_values,
+    kernel_rationals,
     kernel_sum,
     members,
     planted,
@@ -40,6 +41,7 @@ from _support import (
     pointwise_reproduction,
     poly,
     pos_of,
+    rational_T,
     solve,
     truncation_corner,
 )
@@ -133,7 +135,7 @@ class TestKernelEval:
             for n in range(10):
                 M = truncation_corner(system.M, n + 1)
                 for x, y in zip(points, [Y] + points[:0:-1]):
-                    got = kernel_eval(M, x, y)
+                    got = kernel_rationals(M, x, y)
                     assert got == kernel_sum(system.A, system.B, n, x, y), (q, p, n, x, y)
                     assert got == abc_oracle(system.M, n, x, y), (q, p, n, x, y)
 
@@ -157,16 +159,17 @@ class TestCDBlocks:
         n = 3
         blocks = CDBlocks(T[k], n)
         r_tgt, r_src = cd_block_values(T[k], n)  # R_k's values, read off acc
-        t_tgt = [[T[k].data[m][c] for c in blocks.tgt_cols] for m in blocks.tgt_rows]
-        t_src = [[T[k].data[m][c] for c in blocks.src_cols] for m in blocks.src_rows]
+        data = rational_T(T[k])
+        t_tgt = [[data[m][c] for c in blocks.tgt_cols] for m in blocks.tgt_rows]
+        t_src = [[data[m][c] for c in blocks.src_cols] for m in blocks.src_rows]
         for bi, m in enumerate(blocks.tgt_rows):
             for bj, c in enumerate(blocks.tgt_cols):
-                assert t_tgt[bi][bj] == T[k].data[m][c]
-                assert r_tgt[bi][bj] == T[k].data[m][c] * T[k].F.H[c] / T[k].F.H[m]
+                assert t_tgt[bi][bj] == data[m][c]
+                assert r_tgt[bi][bj] == data[m][c] * T[k].F.H[c] / T[k].F.H[m]
         for bi, m in enumerate(blocks.src_rows):
             for bj, c in enumerate(blocks.src_cols):
-                assert t_src[bi][bj] == T[k].data[m][c]
-                assert r_src[bi][bj] == T[k].data[m][c] * T[k].F.H[c] / T[k].F.H[m]
+                assert t_src[bi][bj] == data[m][c]
+                assert r_src[bi][bj] == data[m][c] * T[k].F.H[c] / T[k].F.H[m]
 
     def test_window_guard(self):
         system, T = system_with_T(1, 1, 5, seed=86)
@@ -226,7 +229,7 @@ class TestCDFormula:
                 for m, c in entries:
                     system, T = system_with_T(q, p, 12, seed=87)
                     T = T[k]
-                    bad = planted_entry(T, m, c, T.data[m][c] + 1)
+                    bad = planted_entry(T, m, c, rational_T(T)[m][c] + 1)
                     pair_tables = tables(system, pairs, 12)
                     flagged = []
                     n = 0
@@ -280,7 +283,7 @@ class TestCDFromRecurrences:
             for k in (1, 2):
                 system, T = system_with_T(q, p, 12, seed=87)
                 m, c = n_plus(2, p, k), 2
-                bad = planted_entry(T[k], m, c, T[k].data[m][c] + 1)
+                bad = planted_entry(T[k], m, c, rational_T(T[k])[m][c] + 1)
                 assert bad.acc[m][c]
                 pair_tables = tables(system, self.PAIRS, 12)
                 n_max = recurrence_n_max(bad, len(system.A), len(system.B))
@@ -295,7 +298,7 @@ class TestCDFromRecurrences:
         # reads it, but the lower-left blocks from n = 3 on hold it
         q, p, k, m, c = 1, 2, 1, 7, 2
         system, T = system_with_T(q, p, 12, seed=87)
-        bad = planted_entry(T[k], m, c, T[k].data[m][c] + 1)
+        bad = planted_entry(T[k], m, c, rational_T(T[k])[m][c] + 1)
         assert check_recurrence_matrix(bad, system.A, system.B).ok
         pair_tables = tables(system, self.PAIRS, 12)
         n_max = recurrence_n_max(bad, len(system.A), len(system.B))
@@ -314,7 +317,7 @@ class TestCDFromRecurrences:
                 n_max = recurrence_n_max(T[k], len(system.A), len(system.B))
                 pair_tables = tables(system, self.PAIRS, 12)
                 for j in sorted({0, n_max - 1}):
-                    bad = planted_entry(T[k], j, j, T[k].data[j][j] + 1)
+                    bad = planted_entry(T[k], j, j, rational_T(T[k])[j][j] + 1)
                     assert all(pointwise_cd(bad, n, pair_tables).ok for n in range(n_max))
                     rep = cd_report(system, bad)
                     assert relation_wheres(system, bad), (q, p, k, j)
@@ -558,7 +561,8 @@ class TestReproduction:
         head = solve([row[:3] for row in products], [-row[3] for row in products])
         bad = [row[:] for row in gram]
         for (i, j), e in zip(cells, head + [rat(1)]):
-            bad[i][j] += e
+            num, den = bad[i][j]  # (num, den) + e, over den times e's denominator
+            bad[i][j] = (num * e.denominator + e.numerator * den, den * e.denominator)
         assert pointwise_reproduction(system.A, system.B, bad, 7, SPOT_PAIRS).ok
         rep = check_reproduction(system.A, system.B, bad, 7)
         assert [(v.where, v.detail) for v in rep.violations] == [((7, 0, 0), "kernel not reproduced")]

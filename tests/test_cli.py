@@ -31,7 +31,7 @@ from steppoly.stepline import in_complement_J, n_minus_big, n_plus
 
 from _support import (EXPORT_KINDS, SHAPES, BiPoly, build_system, config_json, corner,
                       csv_writer_text, invert_unitriangular, kernel_sum, mixed_mm, poly,
-                      rational_entries, rational_exports, stored_inverses, table_mm)
+                      rational_T, rational_entries, rational_exports, stored_inverses, table_mm)
 
 DEPTH = 6
 GOLDEN_CONFIG = Path(__file__).resolve().parent / "golden" / "config.json"
@@ -227,6 +227,27 @@ class TestConfigErrors:
         path.write_text('{"depth": ' + "1" * 5000 + "}")
         assert main(["verify", "--config", str(path)]) == 3
 
+    @pytest.mark.parametrize("command, depth, flags", [
+        ("compute", 4, ["--depth", "1000000"]),
+        ("verify", 1000000, ["--checks", "hankel"]),
+        ("kernel", 4, ["--n", "999999", "--x", "0,0", "--y", "1,1"]),
+    ], ids=["compute", "verify", "kernel"])
+    def test_depth_beyond_memory_exits_three(self, tmp_path, command, depth, flags):
+        # under a 200 MB address-space limit on the child process alone, a
+        # depth-1000000 truncation of a two-atom measure runs out of memory in
+        # assemble_moments: a config error that names the depth, no traceback
+        resource = pytest.importorskip("resource")
+        limit = 200 * 2**20
+        atoms = [{"x": "1/2", "y": "1/3", "w": "1"}, {"x": "-1", "y": "2", "w": "3"}]
+        cfg = write_config(tmp_path, "atoms.json", 1, 1, depth, {"type": "discrete", "atoms": atoms})
+        proc = subprocess.run(
+            [sys.executable, "-m", "steppoly.cli", command, "--config", str(cfg), *flags,
+             "--out", str(tmp_path / "out")],
+            capture_output=True, text=True, env=checkout_env(), timeout=120,
+            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)))
+        assert (proc.returncode, proc.stdout) == (3, "")
+        assert proc.stderr == "config error: depth 1000000 needs more memory than this process has\n"
+
     def test_unknown_check_in_config(self, tmp_path):
         cfg = good_config(tmp_path, checks=["degree", "nonsense"])
         assert main(["verify", "--config", str(cfg)]) == 3
@@ -388,7 +409,7 @@ class TestCompute:
         t1 = json.loads((out / "T1.json").read_text())
         T = build_recurrence(F, 1, 2, 1, DEPTH)
         assert t1["rows"] == DEPTH and t1["cols"] == DEPTH
-        assert [[parse_rat(v) for v in row] for row in t1["entries"]] == T.data
+        assert [[parse_rat(v) for v in row] for row in t1["entries"]] == rational_T(T)
 
         fams = json.loads((out / "families.json").read_text())
         assert fams["q"] == 1 and fams["p"] == 2
@@ -598,7 +619,7 @@ class TestRationalFactors:
     def test_compute_reduces_each_nonzero_entry_once(self, tmp_path, monkeypatch, shape):
         # one ratio_text per nonzero entry of every export, the unit diagonals
         # and A (which reuses the Sbar text) excepted; verify calls one per entry
-        # of the report's H, and kernel none
+        # of the report's H, and kernel one per entry of its p x q matrix
         cfg = shape_config(tmp_path, shape)
         ws = Workspace(load_config(cfg))
         entries = rational_entries(ws)
@@ -618,9 +639,37 @@ class TestRationalFactors:
         calls.clear()
         assert main(["kernel", "--config", str(cfg), "--n", "4",
                      "--x", "1/2,-1/3", "--y", "2/7,1/5", "--out", str(tmp_path / "k")]) == 0
-        assert calls == []
+        matrix = json.loads((tmp_path / "k" / "kernel.json").read_text())["matrix"]
+        assert len(calls) == ws.config.p * ws.config.q
+        assert [ratio_text(*c) for c in calls] == [t for row in matrix for t in row]
+        calls.clear()
         assert main(["compute", "--config", str(cfg), "--out", str(tmp_path / "c")]) == 0
         assert len(calls) == nonzero and all(num for num, _ in calls)
+
+    @pytest.mark.parametrize("shape", ["golden", (2, 3)])
+    def test_no_rational_formed(self, tmp_path, monkeypatch, shape):
+        # every check compares the elimination's integers and every output is
+        # written with ratio_text: a passing verify of every check, a compute and
+        # a kernel call neither module's rat; reading H and one member's values
+        # afterwards shows that the counter sees the calls it should
+        cfg = GOLDEN_CONFIG if shape == "golden" else good_config(tmp_path, *shape)
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return rat(*args)
+
+        monkeypatch.setattr("steppoly.families.rat", counting)
+        monkeypatch.setattr("steppoly.gaussborel.rat", counting)
+        assert main(["verify", "--config", str(cfg), "--checks", ",".join(CHECK_NAMES),
+                     "--out", str(tmp_path / "v")]) == 0
+        assert main(["compute", "--config", str(cfg), "--out", str(tmp_path / "c")]) == 0
+        assert main(["kernel", "--config", str(cfg), "--n", "4",
+                     "--x", "1/2,-1/3", "--y", "2/7,1/5", "--out", str(tmp_path / "k")]) == 0
+        assert calls == []
+        ws = Workspace(load_config(cfg))
+        ws.F.H, ws.A.eval(0, rat(1, 2), rat(-1, 3))
+        assert len(calls) == ws.extended_depth + ws.config.p
 
 
 class TestRowsBuiltOnRead:
@@ -717,9 +766,10 @@ class TestRecurrenceReportShared:
 
 
 class TestCheckScope:
-    """The relations the k-looped checks and projection verify, pinned on the
-    golden config and one table config per shape: a check narrowed to k = 1, or
-    a projection drawn at a lower degree, fails here."""
+    """The relations every check verifies, pinned on the golden config and one
+    table config per shape, each count derived from the check's definition: a
+    check narrowed to k = 1, to one family, to fewer members or corners, or a
+    projection drawn at a lower degree, fails here."""
 
     @pytest.mark.parametrize("shape", ["golden", *SHAPES])
     def test_names_and_counts(self, tmp_path, monkeypatch, shape):
@@ -741,6 +791,31 @@ class TestCheckScope:
         assert summary("band") == [(f"band_T{k}", sum(
             n_minus_big(n, p, k) + max(D - 1 - n_plus(n, q, k), 0) + (n_plus(n, q, k) < D)
             + in_complement_J(n, p, k) for n in range(D))) for k in (1, 2)]
+        # degree: one bound per component of each of the E members of both families
+        assert summary("degree") == [("degree", E * (p + q))]
+        # orthogonality: member n of each family against the n columns before it
+        assert summary("orthogonality") == [("orthogonality", D * (D - 1))]
+        # biorthogonality: every entry of the depth-D Gram matrix
+        assert summary("biorthogonality") == [("biorthogonality", D * D)]
+        # recurrence: one relation per component of B_n and of A_n, for each n
+        # whose shifted indices n_plus(n, q, k) and n_plus(n, p, k) lie inside
+        # the window; cd: one CD formula per such n
+        n_max = {k: sum(n_plus(n, q, k) < D and n_plus(n, p, k) < D for n in range(D)) for k in (1, 2)}
+        assert summary("recurrence") == [(f"recurrence_matrix_T{k}", n_max[k] * (p + q)) for k in (1, 2)]
+        assert summary("cd") == [(f"cd_T{k}", n_max[k]) for k in (1, 2)]
+        # abc: one identity per corner n below min(D, 8)
+        assert summary("abc") == [("abc", 1)] * min(D, 8)
+        # reproduction: one identity, on the whole depth-D corner of the Gram matrix
+        reached = []
+
+        def spying_reproduction(A, B, gram, n):
+            reached.append((len(gram), n))
+            return check_reproduction(A, B, gram, n)
+
+        check_reproduction = steppoly.cli.check_reproduction
+        monkeypatch.setattr("steppoly.cli.check_reproduction", spying_reproduction)
+        assert summary("reproduction") == [("reproduction", 1)]
+        assert reached == [(D, D - 1)]
         drawn = []
 
         def spying(rng, size, I):
@@ -756,22 +831,23 @@ class TestCheckScope:
 
 
 class TestRecurrenceFormedOnRead:
-    """verify reads each T_k through its integers and forms no rational T_k,
-    the transposed one inside the dual check included; compute forms none
-    either, and writes each T_1 and T_2 once, as text, for both of their
-    exports."""
+    """verify reads each T_k through its integers and writes no entry of any T_k
+    as text, the transposed one inside the dual check included, when every
+    check passes; compute writes each T_1 and T_2 once, as text, for both of
+    their exports.  No rational T_k is formed: recurrence imports only
+    ratio_text from rational."""
 
     @pytest.mark.parametrize("shape", ["golden", (2, 3)])
     def test_text_written_for_the_exports_only(self, tmp_path, monkeypatch, shape):
         cfg = shape_config(tmp_path, shape)
         ws = Workspace(load_config(cfg))
-        nonzero = sum(t != 0 for k in (1, 2) for row in ws.T[k].data for t in row)
-        rats, written = [], []
+        nonzero = sum(a != 0 for k in (1, 2) for row in ws.T[k].acc for a in row)
+        texts, written = [], []
         entries = RecurrenceTruncation.entries
 
-        def counting_rat(*args):
-            rats.append(args)
-            return rat(*args)
+        def counting_text(*args):
+            texts.append(args)
+            return ratio_text(*args)
 
         def counting_entries(T, ratio, zero):
             def counted(*args):
@@ -781,14 +857,14 @@ class TestRecurrenceFormedOnRead:
             assert ratio is ratio_text and zero == "0"
             return entries(T, counted, zero)
 
-        monkeypatch.setattr("steppoly.recurrence.rat", counting_rat)
+        monkeypatch.setattr("steppoly.recurrence.ratio_text", counting_text)
         monkeypatch.setattr(RecurrenceTruncation, "entries", counting_entries)
         assert main(["verify", "--config", str(cfg), "--checks", ",".join(CHECK_NAMES),
                      "--out", str(tmp_path / "v")]) == 0
-        assert rats == [] and written == []
+        assert texts == [] and written == []
         assert main(["compute", "--config", str(cfg), "--out", str(tmp_path / "c")]) == 0
         # one ratio_text per nonzero entry of T_1 and T_2, the JSON and CSV exports together
-        assert rats == [] and len(written) == nonzero
+        assert texts == [] and len(written) == nonzero
         assert sorted(set(written)) == [1, 2]
 
 

@@ -33,6 +33,15 @@ def test_every_import_is_read(path):
     assert unread_imports(path.read_text()) == [], path.name
 
 
+@pytest.mark.parametrize("name", ["recurrence.py", "cdkernel.py"])
+def test_only_ratio_text_from_rational(name):
+    # the recurrence and kernel checks compare integers and form no rational
+    tree = ast.parse((SRC / name).read_text())
+    names = {alias.name for node in ast.walk(tree)
+             if isinstance(node, ast.ImportFrom) and node.module == "rational" for alias in node.names}
+    assert names <= {"ratio_text"}, name
+
+
 def test_flags_an_unread_import():
     source = ("from __future__ import annotations\n"
               "from math import gcd, lcm\n"
