@@ -29,6 +29,7 @@ from .cdkernel import (check_abc, check_cd_formula, check_projection, check_repr
                        kernel_eval)
 from .errors import Breakdown, ConfigError, DepthError
 from .families import (
+    Family,
     check_biorthogonality,
     check_orthogonality,
     extract_families,
@@ -40,6 +41,7 @@ from .measures import MeasureMatrix
 from .moments import assemble_moments, check_hankel
 from .rational import BACKEND, _int, format_rat, parse_rat, rat, ratio_text
 from .recurrence import (
+    RecurrenceTruncation,
     build_recurrence,
     check_dual_form,
     check_recurrence_matrix,
@@ -132,7 +134,9 @@ def extended_depth(config: RunConfig) -> int:
 class Workspace:
     """Everything computed for one config at one depth.  A width is passed to
     factorize: compute passes its depth, the only rows it reads; verify passes
-    none, since degree, dual and the families read every row."""
+    none, since degree, dual and the families read every row.  factorize runs
+    here, so a breakdown is raised before any check; the families and T_1, T_2
+    are built on first read, T_k over its band only when a width is given."""
 
     def __init__(self, config: RunConfig, width: int | None = None):
         self.config = config
@@ -140,11 +144,19 @@ class Workspace:
         self.extended_depth = extended_depth(config)
         self.M = assemble_moments(config.measures, self.extended_depth)
         self.F = factorize(self.M, width)
-        self.A, self.B = extract_families(self.F, config.q, config.p)
-        self.T = {
-            k: build_recurrence(self.F, config.q, config.p, k, self.depth)
-            for k in (1, 2)
-        }
+        self.width = width
+
+    @cached_property
+    def families(self) -> tuple[Family, Family]:
+        return extract_families(self.F, self.config.q, self.config.p)
+
+    A = property(lambda self: self.families[0])
+    B = property(lambda self: self.families[1])
+
+    @cached_property
+    def T(self) -> dict[int, RecurrenceTruncation]:
+        q, p, band = self.config.q, self.config.p, self.width is not None
+        return {k: build_recurrence(self.F, q, p, k, self.depth, band=band) for k in (1, 2)}
 
     @cached_property
     def gram(self) -> list[list]:

@@ -114,6 +114,16 @@ residue at every pivot proves every Delta_{j+1} a nonzero integer.  On any
 zero residue, a Delta_{k+1} with no inverse mod P included, the full
 elimination decides: it raises the exact Breakdown, or completes after a
 false alarm and the panel's factors stand.
+
+The reduction of the tail columns (_schur_residues) packs each reduced row
+of the first width rows into one integer, residue j in the slot of bits
+bits j .. bits (j+1) - 1 with bits = ((P-1)^2 width).bit_length().  A later
+row then takes one sum of at most width products ell_k * packed_k, every
+multiplier ell_k and every residue in [0, P), so slot j holds the sum of
+ell_k times residue j of row k: nonnegative, at most width (P-1)^2 < 2^bits,
+so no slot carries into the next and each slot read back is exactly the dot
+product the unpacked reduction takes.  Every residue, and so every decision,
+is the unpacked one's.
 """
 
 from __future__ import annotations
@@ -279,22 +289,35 @@ def eliminate(rows: list[list[int]], steps: int) -> list[int]:
     return minors
 
 
+def _schur_residues(ints: list[list[int]], panel: list[list[int]],
+                    minors: list[int]) -> list[list[int]] | None:
+    """The Schur complement of the panel's width x width block in ints, modulo
+    CERT_PRIME, by the packed reduction of the module docstring; None when
+    CERT_PRIME divides one of the panel's minors."""
+    P, width = CERT_PRIME, len(minors) - 1
+    if any(d % P == 0 for d in minors):
+        return None
+    inv = [pow(d, -1, P) for d in minors[1:]]
+    bits = ((P - 1) ** 2 * width).bit_length()  # one slot per tail column
+    mask, shifts = (1 << bits) - 1, [bits * j for j in range(len(ints) - width)]
+    packed, schur = [], []  # packed: the reduced tails of rows < width
+    for i, (row, mults) in enumerate(zip(ints, panel)):
+        ell = [a % P * b % P for a, b in zip(mults[:min(i, width)], inv)]
+        total = sum(map(mul, ell, packed))
+        reduced = [(x - (total >> s & mask)) % P for x, s in zip(row[width:], shifts)]
+        if i < width:
+            packed.append(sum(x << s for x, s in zip(reduced, shifts)))
+        else:
+            schur.append(reduced)
+    return schur
+
+
 def _certified(ints: list[list[int]], panel: list[list[int]], minors: list[int]) -> bool:
     """Whether the minors of ints past the panel's width are nonzero, by the
     certificate of the module docstring: False on any zero residue."""
-    P, width = CERT_PRIME, len(minors) - 1
-    if any(d % P == 0 for d in minors):
+    P, schur = CERT_PRIME, _schur_residues(ints, panel, minors)
+    if schur is None:
         return False
-    inv = [pow(d, -1, P) for d in minors[1:]]
-    cols, schur = [[] for _ in ints[width:]], []  # cols: columns >= width of rows < width
-    for i, (row, mults) in enumerate(zip(ints, panel)):
-        ell = [a % P * b % P for a, b in zip(mults[:min(i, width)], inv)]
-        reduced = [(x - sum(map(mul, ell, col))) % P for x, col in zip(row[width:], cols)]
-        if i < width:
-            for col, x in zip(cols, reduced):
-                col.append(x)
-        else:
-            schur.append(reduced)
     for k, row_k in enumerate(schur):  # pivot k is Delta_{width+k+1} / Delta_{width+k}
         if row_k[k] == 0:
             return False

@@ -3,7 +3,10 @@
 T_k = S Lambda_{[q];k} S^-1 has a growing band: row n runs from column
 n_minus_big(n, p, k) to a trailing 1 at column n_plus(n, q, k); column n runs
 from row n_minus_big(n, q, k) (entry exactly 1 when n avoids J_{q;k}) to a
-trailing entry H_{n_plus(n,p,k)} / H_n at row n_plus(n, p, k).
+trailing entry H_{n_plus(n,p,k)} / H_n at row n_plus(n, p, k).  The zeros
+left of the row band follow from the Hankel symmetry of M (build_recurrence
+says how), so compute sums only inside the band; verify sums every entry,
+because its band and dual checks test those zeros.
 
 The dual form H Sbar^-T Lambda^T_{[p];k} Sbar^T H^-1 of T_k is the primal form
 of the transposed factorization M^T = Sbar^-1 H S^-T, transposed and
@@ -87,7 +90,8 @@ class RecurrenceTruncation:
         return n_minus_big(n, self.q, self.k), n_plus(n, self.p, self.k)
 
 
-def build_recurrence(F: Factorization, q: int, p: int, k: int, target_size: int) -> RecurrenceTruncation:
+def build_recurrence(F: Factorization, q: int, p: int, k: int, target_size: int, *,
+                     band: bool = False) -> RecurrenceTruncation:
     """T_k on a target_size window from the primal form S Lambda_{[q];k} S^-1.
 
     Entry (m, n) = sum over c <= m of S[m][c] * S^-1[i][n] with i = n_plus(c, q, k);
@@ -97,6 +101,18 @@ def build_recurrence(F: Factorization, q: int, p: int, k: int, target_size: int)
     Bull. 31, 1997, and of Zhou and Jeffrey, Front. Comput. Sci. China 2,
     2008).  With L = lcm(r), the denominators come out of each entry, leaving
     the integer acc[m][n] = sum_c E[m][c] r_c (L / r_i) Mi[i][n].
+
+    Past n_plus(m, q, k) every sum is empty.  With band=True, compute's route,
+    row m is summed only from column n_minus_big(m, p, k) on and is 0 to its
+    left.  That is exact: by the Hankel symmetry Lambda_{[q];k} M = M
+    Lambda^T_{[p];k} and M = S^-1 H Sbar^-T, T_k = H Sbar^-T Lambda^T_{[p];k}
+    Sbar^T H^-1, whose entry (m, n) sums Sbar^-T[m][i] Lambda^T[i][j]
+    Sbar^T[j][n] over i >= m and j <= n (both Sbar factors are upper
+    triangular) with i = n_plus(j, p, k) <= n_plus(n, p, k); so it vanishes
+    unless m <= n_plus(n, p, k), that is n >= n_minus_big(m, p, k).  Every
+    moment truncation is Hankel by construction (assemble_moments reads each
+    block off its exponent pair), so the skipped sums are exact zeros
+    whenever F exists.
     """
     need = max(n_plus(target_size - 1, q, k), n_plus(target_size - 1, p, k)) + 1
     if F.depth < need:
@@ -116,7 +132,9 @@ def build_recurrence(F: Factorization, q: int, p: int, k: int, target_size: int)
     acc = []
     for m in range(target_size):
         row_m = [e * w for e, w in zip(E[m], weight)]
-        acc.append([sum(map(mul, row_m[f:m + 1], col)) for f, col in zip(first, cols)])
+        lo = n_minus_big(m, p, k) if band else 0
+        acc.append([0] * lo + [sum(map(mul, row_m[f:m + 1], col))
+                               for f, col in zip(first[lo:], cols[lo:])])
     return RecurrenceTruncation(k, q, p, target_size, acc, big_l, F)
 
 
@@ -150,12 +168,15 @@ def validate_band(T: RecurrenceTruncation) -> CheckReport:
     avoids J_{q;k}, a trailing H_{n_plus(n,p,k)} / H_n) land on the same
     entries with the same values, so the rows check each relation once, on
     acc: a zero is acc == 0, the trailing 1 acc[n][last] r_last = Delta_n r_n
-    Delta_{last+1} L, and H_n / H_first acc[n][first] = L Delta_{n+1} Delta_first.
-    A text writes H_n / H_first as Delta_{n+1} Delta_first r_first / (Delta_n r_n Delta_{first+1}).
+    Delta_{last+1} L, and H_n / H_first acc[n][first] sbar_n = L Delta_{n+1}
+    Delta_first sbar_first.  Here sbar is the Sbar side's scale: H_n =
+    Delta_{n+1} / (Delta_n r_n sbar_n), one of r and sbar all ones, and it is
+    sbar = r on a T_k built from F.transpose().  A text writes H_n / H_first
+    as Delta_{n+1} Delta_first r_first sbar_first / (Delta_n r_n sbar_n Delta_{first+1}).
     """
     rep = CheckReport(f"band_T{T.k}")
     k, p, D, L = T.k, T.p, T.size, T.L
-    minors, r = T.F.minors, T.F.S_int.scale
+    minors, r, sbar = T.F.minors, T.F.S_int.scale, T.F.Sbar_int.scale
     for n, row in enumerate(T.acc):
         first, last = T.row_band(n)
         outside = [*range(first), *range(last + 1, D)]
@@ -171,9 +192,9 @@ def validate_band(T: RecurrenceTruncation) -> CheckReport:
             rep.checked += 1
         if in_complement_J(n, p, k):
             # first = n - p*F_k^-(n/p) here; boxed value H_n / H_first.
-            if row[first] != L * minors[n + 1] * minors[first]:
-                want = ratio_text(minors[n + 1] * minors[first] * r[first],
-                                  minors[n] * r[n] * minors[first + 1])
+            if row[first] * sbar[n] != L * minors[n + 1] * minors[first] * sbar[first]:
+                want = ratio_text(minors[n + 1] * minors[first] * r[first] * sbar[first],
+                                  minors[n] * r[n] * sbar[n] * minors[first + 1])
                 rep.violations.append(
                     Violation("band", (k, n, first), f"{T.text(n, first)} != H ratio {want}")
                 )

@@ -684,6 +684,27 @@ def one_step_eliminate(rows: list[list[int]], steps: int) -> list[int]:
     return minors
 
 
+def unpacked_schur_residues(ints: list[list[int]], panel: list[list[int]], minors: list[int],
+                            P: int) -> list[list[int]] | None:
+    """The oracle for gaussborel._schur_residues: the Schur complement of the
+    panel's block modulo P, one dot product per row and tail column, with no
+    packing; None when P divides one of the panel's minors."""
+    width = len(minors) - 1
+    if any(d % P == 0 for d in minors):
+        return None
+    inv = [pow(d, -1, P) for d in minors[1:]]
+    cols, schur = [[] for _ in ints[width:]], []  # cols: columns >= width of rows < width
+    for i, (row, mults) in enumerate(zip(ints, panel)):
+        ell = [a % P * b % P for a, b in zip(mults[:min(i, width)], inv)]
+        reduced = [(x - sum(map(mul, ell, col))) % P for x, col in zip(row[width:], cols)]
+        if i < width:
+            for col, x in zip(cols, reduced):
+                col.append(x)
+        else:
+            schur.append(reduced)
+    return schur
+
+
 def bordered_numerators(data: list[list]) -> tuple[list[int], IntegerSide, IntegerSide]:
     """The minors and both IntegerSides by Bareiss elimination with identity blocks.
 

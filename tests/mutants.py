@@ -242,15 +242,19 @@ MUTANTS = [
          "tests/test_gaussborel.py::TestWindow::test_breakdown_past_the_window[8]")),
     Mutant(
         "the certificate always passes", "gaussborel.py",
-        "    P, width = CERT_PRIME, len(minors) - 1", "    return True",
+        "    P, schur = CERT_PRIME, _schur_residues(ints, panel, minors)", "    return True",
         ("tests/test_cli.py::TestBreakdownContract::test_breakdown_past_the_window_exits_two",
          "tests/test_gaussborel.py::TestWindow::test_certificate_passes_iff_the_prime_divides_no_minor",
          "tests/test_gaussborel.py::TestWindow::test_breakdown_past_the_window[6]")),
     Mutant(
         "the certificate always fails", "gaussborel.py",
-        "    P, width = CERT_PRIME, len(minors) - 1", "    return False",
+        "    P, schur = CERT_PRIME, _schur_residues(ints, panel, minors)", "    return False",
         ("tests/test_cli.py::TestBreakdownContract::test_generic_configs_take_no_fallback",
          "tests/test_gaussborel.py::TestWindow::test_certificate_passes_iff_the_prime_divides_no_minor")),
+    Mutant(
+        "the certificate's slots are one bit too narrow to hold width (P - 1)^2", "gaussborel.py",
+        "bits = ((P - 1) ** 2 * width).bit_length()", "bits = ((P - 1) ** 2 * width).bit_length() - 1",
+        ("tests/test_gaussborel.py::TestWindow::test_packed_reduction_at_the_slot_bound[0]",)),
     Mutant(
         "factorize builds one Sbar row fewer", "gaussborel.py",
         "_factor_row(minors, Sbar_cols, n) for n in range(W)]",
@@ -320,8 +324,24 @@ MUTANTS = [
         ("tests/test_recurrence.py::TestFailureText::test_first_violation_details",)),
     Mutant(
         "band text drops H_first's scale", "recurrence.py",
-        "minors[n + 1] * minors[first] * r[first],", "minors[n + 1] * minors[first],",
+        "minors[n + 1] * minors[first] * r[first] * sbar[first],", "minors[n + 1] * minors[first] * sbar[first],",
         ("tests/test_recurrence.py::TestFailureText::test_first_violation_details",)),
+    Mutant(
+        "band's boxed entry ignores the Sbar side's scale", "recurrence.py",
+        "if row[first] * sbar[n] != L * minors[n + 1] * minors[first] * sbar[first]:",
+        "if row[first] != L * minors[n + 1] * minors[first]:",
+        ("tests/test_recurrence.py::TestBandStructure::test_transposed_factorization_reads_both_scales",)),
+    Mutant(
+        "compute's band starts one column late", "recurrence.py",
+        "lo = n_minus_big(m, p, k) if band else 0", "lo = n_minus_big(m, p, k) + 1 if band else 0",
+        ("tests/test_recurrence.py::TestBandOnly::test_band_only_matches_dense[mixed]",
+         "tests/test_recurrence.py::TestBandOnly::test_band_only_matches_dense[table]",
+         "tests/test_cli.py::TestExportOracle::test_every_file_matches_the_rational_route[golden]")),
+    Mutant(
+        "verify sums T_k over the bands only", "cli.py",
+        "self.config.q, self.config.p, self.width is not None",
+        "self.config.q, self.config.p, True",
+        ("tests/test_cli.py::TestBuiltOnFirstRead::test_only_compute_sums_over_the_band[golden]",)),
     Mutant(
         "main lets a MemoryError escape", "cli.py",
         "    except MemoryError:", "    except ArithmeticError:",

@@ -578,7 +578,7 @@ class TestKernel:
                      "--x", "1/2,-1/3", "--y", "2/7,1/5"]) == 0
         assert calls == []
         assert main(["verify", "--config", str(cfg), "--checks", "hankel"]) == 0
-        assert calls == ["factorize", "extract_families"]
+        assert calls == ["factorize"]
 
     def test_bad_point_exits_three(self, tmp_path):
         cfg = good_config(tmp_path)
@@ -866,6 +866,55 @@ class TestRecurrenceFormedOnRead:
         # one ratio_text per nonzero entry of T_1 and T_2, the JSON and CSV exports together
         assert texts == [] and len(written) == nonzero
         assert sorted(set(written)) == [1, 2]
+
+
+class TestBuiltOnFirstRead:
+    """A Workspace factorizes when it is made, so a breakdown comes before any
+    check; the families and T_1, T_2 are built on their first read and kept.
+    compute sums T_1 and T_2 over their bands only, verify densely."""
+
+    def test_hankel_builds_no_family_and_no_recurrence(self, tmp_path, monkeypatch):
+        calls = []
+        for name in ("extract_families", "build_recurrence"):
+            monkeypatch.setattr(f"steppoly.cli.{name}", lambda *args, _name=name, **kw: calls.append(_name))
+        assert main(["verify", "--config", str(GOLDEN_CONFIG), "--checks", "hankel",
+                     "--out", str(tmp_path)]) == 0
+        assert calls == []
+        want = json.loads((GOLDEN_CONFIG.parent / "report.json").read_text())
+        want["checks"] = [c for c in want["checks"] if c["name"] == "hankel"]
+        want["summary"] = {"fail": 0, "pass": 1, "skipped": 0}
+        assert (tmp_path / "report.json").read_text() == json.dumps(want, indent=2, sort_keys=True) + "\n"
+
+    def test_each_part_built_once(self, monkeypatch):
+        calls = []
+
+        def counting(name, fn):
+            def wrapper(*args, **kwargs):
+                calls.append(name)
+                return fn(*args, **kwargs)
+            monkeypatch.setattr(f"steppoly.cli.{name}", wrapper)
+
+        counting("extract_families", steppoly.cli.extract_families)
+        counting("build_recurrence", steppoly.cli.build_recurrence)
+        ws = Workspace(load_config(GOLDEN_CONFIG))
+        assert calls == []
+        assert ws.A is ws.A and ws.B is ws.B and ws.T is ws.T
+        assert calls == ["extract_families", "build_recurrence", "build_recurrence"]
+
+    @pytest.mark.parametrize("shape", ["golden", (2, 3)])
+    def test_only_compute_sums_over_the_band(self, tmp_path, monkeypatch, shape):
+        cfg, routes = shape_config(tmp_path, shape), []
+
+        def spying(*args, band=False):
+            routes.append(band)
+            return build_recurrence(*args, band=band)
+
+        monkeypatch.setattr("steppoly.cli.build_recurrence", spying)
+        assert main(["compute", "--config", str(cfg), "--out", str(tmp_path / "c")]) == 0
+        assert routes == [True, True]
+        routes.clear()
+        assert main(["verify", "--config", str(cfg), "--out", str(tmp_path / "v")]) == 0
+        assert routes == [False, False]
 
 
 class TestCsvBytes:

@@ -41,6 +41,7 @@ from _support import (
     table_mm,
     transpose,
     truncation_corner,
+    unpacked_schur_residues,
 )
 
 rationals = st.builds(rat, st.integers(-9, 9), st.integers(1, 5))
@@ -400,8 +401,42 @@ class TestWindow:
                     panel = [row[:W] for row in system.M.ints]
                     minors = gaussborel.eliminate(panel, W)
                     assert gaussborel._certified(system.M.ints, panel, minors) == want, (P, q, p, W)
+                    assert (gaussborel._schur_residues(system.M.ints, panel, minors)
+                            == unpacked_schur_residues(system.M.ints, panel, minors, P)), (P, q, p, W)
                 seen.add(want)
         assert seen == {True, False}
+
+    @pytest.mark.parametrize("jitter", [0, 3])
+    def test_packed_reduction_at_the_slot_bound(self, monkeypatch, jitter):
+        # every multiplier and every reduced residue of the first width rows is
+        # P - 1 (jitter 0) or within jitter of it, so a slot of the last rows
+        # sums width products of about (P - 1)^2, up to its bound; the packed
+        # reduction must give the residues the unpacked one gives
+        rng = random.Random(43)
+        for P in (2, 3, 101, 2**31 - 1):
+            monkeypatch.setattr(gaussborel, "CERT_PRIME", P)
+
+            def near():
+                return P - 1 - rng.randrange(min(jitter, P - 2) + 1)
+
+            for width, tail in ((1, 1), (5, 4), (32, 18)):
+                minors = [1] + [near() + P * rng.randrange(2**40) for _ in range(width)]
+                ell = [near() for _ in range(width)]
+                # multiplier k reads ell[k] once divided by Delta_{k+1} modulo P
+                mults = [e * d % P + P * rng.randrange(2**40) for e, d in zip(ell, minors[1:])]
+                reduced, ints = [], []
+                for i in range(width + 3):
+                    slots = [sum(e * row[j] for e, row in zip(ell[:i], reduced)) for j in range(tail)]
+                    if i < width:
+                        reduced.append([near() for _ in range(tail)])
+                        tails = [x + s for x, s in zip(reduced[-1], slots)]
+                    else:
+                        tails = [rng.randint(-2**80, 2**80) for _ in range(tail)]
+                    ints.append([rng.randint(-2**80, 2**80) for _ in range(width)] + tails)
+                panel = [mults[:min(i, width)] + [0] * (width - min(i, width)) for i in range(len(ints))]
+                assert max(slots).bit_length() == ((P - 1) ** 2 * width).bit_length() or jitter, (P, width)
+                got = gaussborel._schur_residues(ints, panel, minors)
+                assert got == unpacked_schur_residues(ints, panel, minors, P), (P, width, jitter)
 
     @pytest.mark.parametrize("count", range(3, 9))
     def test_breakdown_past_the_window(self, count):

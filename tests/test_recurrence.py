@@ -11,7 +11,7 @@ from steppoly.families import Family, check_orthogonality
 from steppoly.errors import DepthError
 from steppoly.gaussborel import Factorization, IntegerSide
 from steppoly.measures import MeasureMatrix, RectDensity
-from steppoly.rational import QType
+from steppoly.rational import QType, format_rat
 from steppoly.recurrence import (
     RecurrenceTruncation,
     check_dual_form,
@@ -312,6 +312,27 @@ class TestBandStructure:
         bad = planted_entry(T, 2, n_plus(2, 1, 1), rat(2))
         assert not validate_band(bad).ok
 
+    def test_transposed_factorization_reads_both_scales(self):
+        # F.transpose() carries the row scale r on its Sbar side, so the boxed
+        # entry H_n / H_first of dual's T' is read with it: no false violation,
+        # and a planted one writes the H ratio of the rational H
+        D = 10
+        for q, p in SHAPES:
+            F = build_system(q, p, required_depth(D, q, p), seed=62, kind="mixed").F
+            H = F.H
+            for k in (1, 2):
+                for T in (build_recurrence(F, q, p, k, D), build_recurrence(F.transpose(), p, q, k, D)):
+                    rep = validate_band(T)
+                    assert rep.violations == [] and rep.checked, (q, p, k, T.q)
+                    n = next(n for n in range(D) if in_complement_J(n, T.p, k))
+                    first = T.row_band(n)[0]
+                    acc = [row[:] for row in T.acc]
+                    acc[n][first] += 1
+                    bad = RecurrenceTruncation(T.k, T.q, T.p, T.size, acc, T.L, T.F)
+                    [v] = validate_band(bad).violations
+                    assert v.where == (k, n, first)
+                    assert v.detail.endswith(f" != H ratio {format_rat(H[n] / H[first])}"), (q, p, k)
+
     def test_column_h_ratios(self):
         system = build_system(1, 2, required_depth(12, 1, 2), seed=65)
         T = build_recurrence(system.F, 1, 2, 1, 12)
@@ -320,6 +341,26 @@ class TestBandStructure:
             _, hi = T.col_band(n)
             if hi < 12:
                 assert data[hi][n] == H[hi] / H[n], n
+
+
+class TestBandOnly:
+    """build_recurrence(..., band=True), compute's route, sums each row m from
+    column n_minus_big(m, p, k) on: the sums it skips are the zeros left of the
+    band, so it gives the dense acc, on the full factorization and on the
+    width-limited one compute reads."""
+
+    @pytest.mark.parametrize("kind", ["mixed", "table"])
+    def test_band_only_matches_dense(self, kind):
+        for q, p in SHAPES:
+            for D in (2, 7, 12):
+                system = build_system(q, p, required_depth(D, q, p), seed=35, kind=kind)
+                for F in (system.F, factorize(system.M, D)):
+                    for k in (1, 2):
+                        dense = build_recurrence(system.F, q, p, k, D)
+                        band = build_recurrence(F, q, p, k, D, band=True)
+                        assert band.acc == dense.acc, (kind, q, p, D, k)
+                        skipped = sum(n_minus_big(m, p, k) for m in range(D))
+                        assert skipped or D < 12, (kind, q, p, D, k)
 
 
 class TestDualForm:
