@@ -227,23 +227,23 @@ def is_monic_of_grlex_degree(P: list[list[dict]], I: int) -> bool:
                for r, row in enumerate(P) for c, e in enumerate(row))
 
 
-def check_projection(A: Family, B: Family, M: MomentTruncation, n: int,
-                     P: list[list[dict]]) -> CheckReport:
+def check_projection(A: Family, BM: list, n: int, P: list[list[dict]]) -> CheckReport:
     """Integral of K^[n](x, .) against dmu P recovers P(x), above the threshold.
 
-    P is a p x p matrix polynomial, a grid of {monomial position: rational}
-    maps that store no zeros; it must be monic of grlex-degree I with
+    P is a p x p matrix polynomial, p = A.r, a grid of {monomial position:
+    rational} maps that store no zeros; it must be monic of grlex-degree I with
     n >= I*p + p - 1.  Calls below the threshold are precondition errors, not
     identity failures.  The columns of P form one Family: the inner integrals
-    of B_i against them are the product C_B M C_P with the moment truncation
-    M.  For each column a1 of P the polynomial sum_{i <= n} inner[i][a1] A_i
-    must equal that column coefficient by coefficient, which is the identity
-    at every x; one relation is checked per (a0, a1), p^2 per call.  The dual
-    direction, the integral of P dmu K^[n](., y) recovering P(y), is this
-    check on the transposed problem:
-    check_projection(B, A, M.transpose(), n, list(zip(*P))).
+    of B_i against them are the product (C_B M) C_P, read off rows 0 .. n of
+    BM, the rows (d, nums) of C_B M (families.moment_rows), which reach column
+    n.  For each column a1 the polynomial sum_{i <= n} inner[i][a1] A_i must
+    equal column a1 of P coefficient by coefficient, the identity at every x;
+    one relation is checked per (a0, a1), p^2 per call.  The dual direction,
+    the integral of P dmu K^[n](., y) recovering P(y), is this check on the
+    transposed problem, with the rows AMt of C_A M^T:
+    check_projection(B, AMt, n, list(zip(*P))).
     """
-    p = M.p
+    p = A.r
     if len(P) != p or any(len(row) != p for row in P):
         raise ValueError(f"projection needs a {p} x {p} matrix polynomial")
     I = max(max(e, default=-1) for row in P for e in row)
@@ -251,11 +251,11 @@ def check_projection(A: Family, B: Family, M: MomentTruncation, n: int,
         raise ValueError("P is not monic of a definite grlex degree")
     if n < I * p + p - 1:
         raise ValueError(f"n={n} below projection threshold {I * p + p - 1} for I={I}")
-    if n >= min(len(A), len(B)):
+    if n >= min(len(A), len(BM)):
         raise DepthError(f"projection index {n} outside family range", required=n + 1)
     columns = Family.from_members(p, zip(*P))  # member a1 is column a1 of P
     # inner[i][a1] = (w, e): w / e is the integral of B_i dmu column a1 of P
-    inner = pairings(B.head(n + 1), columns, M)
+    inner = pairings(BM[:n + 1], columns)
     rep = CheckReport("projection")
     for a1, want in enumerate(columns.rows):
         # sum_i inner[i][a1] A_i against column a1 of P

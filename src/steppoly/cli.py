@@ -33,7 +33,8 @@ from .families import (
     check_biorthogonality,
     check_orthogonality,
     extract_families,
-    pairing_matrix,
+    moment_rows,
+    pairings,
     validate_degree_structure,
 )
 from .gaussborel import factorize, unit_lower
@@ -128,7 +129,7 @@ def seeded_monic_matrix(rng: random.Random, size: int, I: int) -> list[list[dict
 
 def extended_depth(config: RunConfig) -> int:
     """Factorization depth of a run: deep enough for T_1 and T_2 on the depth window."""
-    return max(required_depth(config.depth, config.q, config.p), config.depth)
+    return required_depth(config.depth, config.q, config.p)
 
 
 class Workspace:
@@ -159,9 +160,15 @@ class Workspace:
         return {k: build_recurrence(self.F, q, p, k, self.depth, band=band) for k in (1, 2)}
 
     @cached_property
+    def products(self) -> tuple[list, list]:
+        """C_B M and C_A M^T over D columns, the only moment products a run forms."""
+        D, M = self.depth, self.M
+        return moment_rows(self.B.head(D), M, D), moment_rows(self.A.head(D), M.transpose(), D)
+
+    @cached_property
     def gram(self) -> list[list]:
         """Pairing matrix of the depth-D families; biorthogonality and reproduction share it."""
-        return pairing_matrix(self.A.head(self.depth), self.B.head(self.depth), self.M)
+        return pairings(self.products[0], self.A.head(self.depth))
 
     @cached_property
     def relations(self) -> dict[int, CheckReport]:
@@ -182,14 +189,14 @@ def _projection(ws: Workspace, rng: random.Random) -> list[CheckReport]:
     P = seeded_monic_matrix(rng, p, I)
     P_dual = seeded_monic_matrix(rng, q, I_dual)
     # the dual direction is the same identity with the families' roles swapped
-    return [check_projection(ws.A, ws.B, ws.M, D - 1, P),
-            check_projection(ws.B, ws.A, ws.M.transpose(), D - 1, list(zip(*P_dual)))]
+    return [check_projection(ws.A, ws.products[0], D - 1, P),
+            check_projection(ws.B, ws.products[1], D - 1, list(zip(*P_dual)))]
 
 
 CHECKS = {
     "hankel": lambda ws, _: [check_hankel(ws.M, k) for k in (1, 2)],
     "degree": lambda ws, _: [validate_degree_structure(ws.A, ws.B, ws.config.q, ws.config.p)],
-    "orthogonality": lambda ws, _: [check_orthogonality(ws.A.head(ws.depth), ws.B.head(ws.depth), ws.M)],
+    "orthogonality": lambda ws, _: [check_orthogonality(*ws.products, ws.config.q, ws.config.p)],
     "biorthogonality": lambda ws, _: [check_biorthogonality(ws.gram)],
     "dual": lambda ws, _: [check_dual_form(ws.T[k], ws.F) for k in (1, 2)],
     "band": lambda ws, _: [validate_band(ws.T[k]) for k in (1, 2)],

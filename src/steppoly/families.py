@@ -19,10 +19,11 @@ the paper's biorthogonality H^-1 S M Sbar^T = I is that Gram matrix being the
 identity.  The orthogonality residuals are the strictly lower parts of C_B M
 and of C_A M^T, whose entry (n, K*q + b) integrates A_n against the monomial
 at position K in slot b.  Every residual is a finite rational combination of
-moments and must be exactly zero.  The checks read the rows extract_families
-returns, so it stays under test.  The products run over M's integer rows
-(M.scale and M.ints, scaled once when M is built), so an entry is one
-integer inner sum over its denominator, and a check compares integers: no
+moments and must be exactly zero.  cli.Workspace.products forms C_B M and
+C_A M^T once, from the rows extract_families returns, so it stays under test;
+orthogonality, pairings and projection read them.  The products run over M's
+integer rows (M.scale and M.ints, scaled once when M is built), so an entry is
+one integer inner sum over its denominator, and a check compares integers: no
 rational is formed, and a violation's value is written with ratio_text.
 
 Every coefficient identity (recurrence, projection, ABC, reproduction) sums
@@ -207,28 +208,28 @@ def moment_rows(fam: Family, M: MomentTruncation, cols: int) -> list[tuple[int, 
     return out
 
 
-def pairings(left: Family, right: Family, M: MomentTruncation) -> list[list[tuple[int, int]]]:
-    """(C_left M) C_right^T as integer pairs (num, den): entry (m, n) pairs member m
-    of left (M.q components) with member n of right (M.p components) under M."""
+def pairings(rows: list, right: Family) -> list[list[tuple[int, int]]]:
+    """(C_left M) C_right^T as integer pairs (num, den) from the rows (d, nums) of C_left M,
+    which reach every column right stores: entry (m, n) pairs member m of left with member n of right."""
     return [[(sum(nums[c] * v for c, v in row.items()), d * e) for e, row in right.rows]
-            for d, nums in moment_rows(left, M, _width(right))]
+            for d, nums in rows]
 
 
-def check_orthogonality(A: Family, B: Family, M: MomentTruncation) -> CheckReport:
-    """Both one-sided orthogonality systems, read off products with the moment truncation.
+def check_orthogonality(BM: list, AMt: list, q: int, p: int) -> CheckReport:
+    """Both one-sided orthogonality systems, read off the rows (d, nums) of C_B M and C_A M^T.
 
-    B side: entry (n, K*p + a) of C_B M, the sum over b of the integral of
-    B_n^(b) against (b, a) times monomial_K, vanishes whenever K p + a < n.
-    A side: entry (n, K*q + b) of C_A M^T vanishes whenever K q + b < n, which
-    is the B side of the transposed truncation.
+    B side: entry (n, K*p + a) of BM = C_B M, the sum over b of the integral
+    of B_n^(b) against (b, a) times monomial_K, vanishes whenever K p + a < n.
+    A side: entry (n, K*q + b) of AMt = C_A M^T vanishes whenever K q + b < n,
+    which is the B side of the transposed truncation.  Each has as many columns as rows.
     """
     rep = CheckReport("orthogonality")
-    for label, fam, grid in (("A", A, M.transpose()), ("B", B, M)):
-        for n, (d, nums) in enumerate(moment_rows(fam, grid, len(fam))):
-            for a_idx in range(grid.p):
+    for label, rows, r in (("A", AMt, q), ("B", BM, p)):
+        for n, (d, nums) in enumerate(rows):
+            for a_idx in range(r):
                 K = 0
-                while K * grid.p + a_idx < n:
-                    resid = nums[K * grid.p + a_idx]
+                while K * r + a_idx < n:
+                    resid = nums[K * r + a_idx]
                     if resid != 0:
                         rep.violations.append(Violation(
                             "orthogonality", (label, n, a_idx, K), f"residual {ratio_text(resid, d)}"))
@@ -240,7 +241,7 @@ def check_orthogonality(A: Family, B: Family, M: MomentTruncation) -> CheckRepor
 def pairing_matrix(A: Family, B: Family, M: MomentTruncation) -> list[list[tuple[int, int]]]:
     """Entry (m, n) is the pairing (num, den) of B_m against A_n: the Gram matrix (C_B M) C_A^T."""
     count = min(len(A), len(B))
-    return pairings(B.head(count), A.head(count), M)
+    return pairings(moment_rows(B.head(count), M, _width(A.head(count))), A.head(count))
 
 
 def check_biorthogonality(gram: list[list[tuple[int, int]]]) -> CheckReport:

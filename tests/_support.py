@@ -26,7 +26,7 @@ from steppoly import assemble_moments, extract_families, factorize, rat
 from steppoly.cdkernel import CDBlocks, kernel_eval
 from steppoly.cli import _decimal_text
 from steppoly.errors import Breakdown, DepthError
-from steppoly.families import Family, monomial_ints
+from steppoly.families import Family, moment_rows, monomial_ints
 from steppoly.gaussborel import Factorization, IntegerSide, eliminate
 from steppoly.measures import Discrete, MeasureMatrix, MomentTable, RectDensity
 from steppoly.moments import MomentTruncation
@@ -447,6 +447,13 @@ def kernel_rationals(M: MomentTruncation, x: tuple, y: tuple) -> list[list]:
     """cdkernel.kernel_eval's kernel, (den, corner), as reduced rationals."""
     den, corner = kernel_eval(M, x, y)
     return [[rat(v, den) for v in row] for row in corner]
+
+
+def moment_products(A: Family, B: Family, M: MomentTruncation) -> tuple[list, list]:
+    """C_B M and C_A M^T, each over as many columns as its family has members: the
+    rows check_orthogonality and check_projection read, as cli.Workspace.products
+    forms them for its depth-D families."""
+    return moment_rows(B, M, len(B)), moment_rows(A, M.transpose(), len(A))
 
 
 def pair_rationals(pairs: list[list[tuple[int, int]]]) -> list[list]:

@@ -73,7 +73,7 @@ MUTANTS = [
         ("tests/test_families.py::TestDegreeStructure::test_planted_coefficient_above_its_bound_located",)),
     Mutant(
         "orthogonality skips the last residual of each slot", "families.py",
-        "while K * grid.p + a_idx < n:", "while K * grid.p + a_idx < n - 1:",
+        "while K * r + a_idx < n:", "while K * r + a_idx < n - 1:",
         ("tests/test_families.py::TestOrthogonality::test_condition_count",
          "tests/test_families.py::TestPlantedCoefficient::test_b_member",
          "tests/test_families.py::TestPlantedCoefficient::test_a_member")),
@@ -342,6 +342,13 @@ MUTANTS = [
         "self.config.q, self.config.p, self.width is not None",
         "self.config.q, self.config.p, True",
         ("tests/test_cli.py::TestBuiltOnFirstRead::test_only_compute_sums_over_the_band[golden]",)),
+    Mutant(
+        "the shared B product stops one member short", "cli.py",
+        "moment_rows(self.B.head(D), M, D)", "moment_rows(self.B.head(D - 1), M, D)",
+        ("tests/test_cli.py::TestCheckScope::test_names_and_counts[golden]",
+         "tests/test_cli.py::TestCheckScope::test_names_and_counts[shape5]",
+         "tests/test_cli.py::TestVerify::test_all_checks_pass",
+         "tests/test_cli.py::TestBuiltOnFirstRead::test_verify_forms_each_moment_product_once[golden]")),
     Mutant(
         "main lets a MemoryError escape", "cli.py",
         "    except MemoryError:", "    except ArithmeticError:",

@@ -58,6 +58,7 @@ from _support import (
     inverts_its_factor,
     members,
     mixed_mm,
+    moment_products,
     point_pairs,
     pointwise_abc,
     pointwise_cd,
@@ -173,7 +174,7 @@ def test_criterion_2_factorization_suite():
 def test_criterion_3_orthogonality_and_oracle():
     for q, p in SHAPES:
         system = build_system(q, p, 20, seed=301)
-        rep = check_orthogonality(system.A, system.B, system.M)
+        rep = check_orthogonality(*moment_products(system.A, system.B, system.M), q, p)
         assert rep.ok and rep.checked > 0, (q, p, rep.violations[:1])
         rep = check_biorthogonality(pairing_matrix(system.A, system.B, system.M))
         assert rep.ok and rep.checked == 400, (q, p, rep.violations[:1])
@@ -318,13 +319,12 @@ def test_criterion_6_cd_abc_reproduction_projection():
         # and the library check, which compares coefficients instead of points
         assert check_reproduction(system.A, system.B, gram, n_top).ok
 
+        BM, AMt = moment_products(system.A, system.B, system.M)
         for I in (1, 2, 3):
             P = seeded_monic_matrix(rng, p, I)
-            assert check_projection(system.A, system.B, system.M, I * p + p - 1, P).ok
+            assert check_projection(system.A, BM, I * p + p - 1, P).ok
             P_dual = seeded_monic_matrix(rng, q, I)
-            assert check_projection(
-                system.B, system.A, system.M.transpose(), I * q + q - 1, list(zip(*P_dual))
-            ).ok
+            assert check_projection(system.B, AMt, I * q + q - 1, list(zip(*P_dual))).ok
 
     assert time.perf_counter() - start < 180.0
 

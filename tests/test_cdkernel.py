@@ -33,6 +33,7 @@ from _support import (
     kernel_rationals,
     kernel_sum,
     members,
+    moment_products,
     planted,
     planted_entry,
     point_pairs,
@@ -583,13 +584,11 @@ class TestProjection:
     def test_exact_at_threshold(self):
         for q, p in SHAPES:
             system = build_system(q, p, 14, seed=97)
+            BM, AMt = moment_products(system.A, system.B, system.M)
             I = 2
-            rep = check_projection(system.A, system.B, system.M, I * p + p - 1, monic_matrix(p, I))
+            rep = check_projection(system.A, BM, I * p + p - 1, monic_matrix(p, I))
             assert rep.ok and rep.checked == p * p
-            rep = check_projection(
-                system.B, system.A, system.M.transpose(), I * q + q - 1,
-                list(zip(*monic_matrix(q, I))),
-            )
+            rep = check_projection(system.B, AMt, I * q + q - 1, list(zip(*monic_matrix(q, I))))
             assert rep.ok and rep.checked == q * q
 
     def test_detects_a_term_that_vanishes_on_five_lines(self):
@@ -609,41 +608,46 @@ class TestProjection:
                 bent = planted(bent, 0, 0, pos_of(m, 0), c)
             for x in points:
                 assert bent.values(*x, n + 1) == system.A.values(*x, n + 1)
-            rep = check_projection(bent, system.B, system.M, n, monic_matrix(p, 2))
+            BM = moment_products(system.A, system.B, system.M)[0]
+            rep = check_projection(bent, BM, n, monic_matrix(p, 2))
             # B_0 pairs to nonzero with every column of P here, so each column shows the change
             assert [v.where for v in rep.violations] == [(n, 0, a1) for a1 in range(p)], (q, p)
 
     def test_below_threshold_is_an_error_not_a_failure(self):
         system = build_system(1, 2, 14, seed=98)
+        BM, AMt = moment_products(system.A, system.B, system.M)
         with pytest.raises(ValueError):
-            check_projection(system.A, system.B, system.M, 4, monic_matrix(2, 2))
+            check_projection(system.A, BM, 4, monic_matrix(2, 2))
         with pytest.raises(ValueError):
-            check_projection(system.B, system.A, system.M.transpose(), 1, monic_matrix(1, 2))
+            check_projection(system.B, AMt, 1, monic_matrix(1, 2))
 
     def test_shape_and_monicity_guards(self):
         system = build_system(1, 2, 10, seed=99)
+        BM, AMt = moment_products(system.A, system.B, system.M)
         with pytest.raises(ValueError):
-            check_projection(system.A, system.B, system.M, 7, monic_matrix(1, 2))
+            check_projection(system.A, BM, 7, monic_matrix(1, 2))
         bad = [[{2: rat(3)}]]  # leading coefficient not 1
         with pytest.raises(ValueError):
-            check_projection(system.B, system.A, system.M.transpose(), 7, bad)
+            check_projection(system.B, AMt, 7, bad)
 
     def test_family_range_guard(self):
         system = build_system(1, 1, 6, seed=100)
+        BM = moment_products(system.A, system.B, system.M)[0]
         with pytest.raises(DepthError):
-            check_projection(system.A, system.B, system.M, 6, monic_matrix(1, 1))
+            check_projection(system.A, BM, 6, monic_matrix(1, 1))
 
     def test_detects_foreign_families(self):
         system = build_system(1, 1, 12, seed=101)
         other = build_system(1, 1, 12, seed=102)
-        assert not check_projection(other.A, other.B, system.M, 7, monic_matrix(1, 2)).ok
+        assert not check_projection(other.A, moment_products(other.A, other.B, system.M)[0], 7,
+                                    monic_matrix(1, 2)).ok
 
     def test_dual_detects_foreign_families(self):
         system = build_system(1, 2, 14, seed=103)
         other = build_system(1, 2, 14, seed=104)
         P = list(zip(*monic_matrix(1, 2)))
-        assert check_projection(system.B, system.A, system.M.transpose(), 7, P).ok
-        rep = check_projection(other.B, other.A, system.M.transpose(), 7, P)
+        assert check_projection(system.B, moment_products(system.A, system.B, system.M)[1], 7, P).ok
+        rep = check_projection(other.B, moment_products(other.A, other.B, system.M)[1], 7, P)
         assert not rep.ok and rep.checked > 0
 
 

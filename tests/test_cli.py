@@ -870,8 +870,9 @@ class TestRecurrenceFormedOnRead:
 
 class TestBuiltOnFirstRead:
     """A Workspace factorizes when it is made, so a breakdown comes before any
-    check; the families and T_1, T_2 are built on their first read and kept.
-    compute sums T_1 and T_2 over their bands only, verify densely."""
+    check; the families, T_1, T_2 and the moment products C_B M and C_A M^T are
+    built on their first read and kept.  compute sums T_1 and T_2 over their
+    bands only, verify densely."""
 
     def test_hankel_builds_no_family_and_no_recurrence(self, tmp_path, monkeypatch):
         calls = []
@@ -896,10 +897,33 @@ class TestBuiltOnFirstRead:
 
         counting("extract_families", steppoly.cli.extract_families)
         counting("build_recurrence", steppoly.cli.build_recurrence)
+        counting("moment_rows", steppoly.cli.moment_rows)
         ws = Workspace(load_config(GOLDEN_CONFIG))
         assert calls == []
         assert ws.A is ws.A and ws.B is ws.B and ws.T is ws.T
         assert calls == ["extract_families", "build_recurrence", "build_recurrence"]
+        assert ws.products is ws.products and ws.gram is ws.gram
+        assert calls[3:] == ["moment_rows", "moment_rows"]
+
+    @pytest.mark.parametrize("shape", ["golden", (2, 3)])
+    def test_verify_forms_each_moment_product_once(self, tmp_path, monkeypatch, shape):
+        # orthogonality, the Gram matrix and projection read the two products
+        # the Workspace forms; hankel reads no family, so it forms none
+        cfg, calls = shape_config(tmp_path, shape), []
+        moment_rows = steppoly.families.moment_rows
+
+        def counting(*args):
+            calls.append(args[2])
+            return moment_rows(*args)
+
+        for where in ("steppoly.families", "steppoly.cli"):
+            monkeypatch.setattr(f"{where}.moment_rows", counting)
+        depth = load_config(cfg).depth
+        assert main(["verify", "--config", str(cfg), "--out", str(tmp_path / "v")]) == 0
+        assert len(CHECK_NAMES) == 11 and calls == [depth, depth]
+        calls.clear()
+        assert main(["verify", "--config", str(cfg), "--checks", "hankel", "--out", str(tmp_path / "h")]) == 0
+        assert calls == []
 
     @pytest.mark.parametrize("shape", ["golden", (2, 3)])
     def test_only_compute_sums_over_the_band(self, tmp_path, monkeypatch, shape):

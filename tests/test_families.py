@@ -31,6 +31,7 @@ from _support import (
     build_system,
     integrate_pair,
     members,
+    moment_products,
     monomial_value,
     pair_rationals,
     planted,
@@ -104,27 +105,27 @@ class TestOrthogonality:
     def test_residuals_vanish_on_random_systems(self):
         for q, p in SHAPES:
             system = build_system(q, p, 12, seed=43)
-            rep = check_orthogonality(system.A, system.B, system.M)
+            rep = check_orthogonality(*moment_products(system.A, system.B, system.M), q, p)
             assert rep.ok, (q, p, rep.violations[:1])
             assert rep.checked > 0
 
     def test_condition_count(self):
         system = build_system(1, 2, 10, seed=44)
-        rep = check_orthogonality(system.A, system.B, system.M)
+        rep = check_orthogonality(*moment_products(system.A, system.B, system.M), 1, 2)
         # for each family index n: n lower tests on each side of the pairing
         assert rep.checked == 2 * sum(n for n in range(10))
 
     def test_planted_perturbation_detected(self):
         system = build_system(2, 1, 10, seed=45)
         bad = planted(system.B, 6, 0, 0, rat(1, 7))
-        rep = check_orthogonality(system.A, bad, system.M)
+        rep = check_orthogonality(*moment_products(system.A, bad, system.M), 2, 1)
         assert not rep.ok
         assert all(v.where[0] == "B" and v.where[1] == 6 for v in rep.violations)
 
     def test_planted_dual_perturbation_detected(self):
         system = build_system(2, 2, 10, seed=46)
         bad = planted(system.A, 5, 1, 1, rat(1, 3))
-        rep = check_orthogonality(bad, system.B, system.M)
+        rep = check_orthogonality(*moment_products(bad, system.B, system.M), 2, 2)
         assert not rep.ok
 
 
@@ -178,7 +179,7 @@ class TestProductRoute:
                 # projection's inner integrals: B_i against the columns of P
                 P = seeded_monic_matrix(random.Random(53), p, 1)
                 columns = [[BiPoly(e) for e in col] for col in zip(*P)]
-                assert (pair_rationals(pairings(B, Family.from_members(p, zip(*P)), M))
+                assert (pair_rationals(pairings(moment_rows(B, M, D), Family.from_members(p, zip(*P))))
                         == pair_oracle(mm, comps_b, columns)), where
 
 
@@ -277,7 +278,7 @@ class TestPlantedCoefficient:
         r = K0 * q + b0  # column of the planted coefficient, below n0
         bad = planted(system.B, n0, b0, K0, self.delta)
 
-        rep = check_orthogonality(system.A, bad, M)
+        rep = check_orthogonality(*moment_products(system.A, bad, M), q, p)
         want = [("B", n0, a, K) for a in range(p) for K in range(D)
                 if K * p + a < n0 and M.data[r][K * p + a] != 0]
         assert want and [v.where for v in rep.violations] == want
@@ -295,7 +296,7 @@ class TestPlantedCoefficient:
         c = K0 * p + a0  # column of the planted coefficient, below n0
         bad = planted(system.A, n0, a0, K0, self.delta)
 
-        rep = check_orthogonality(bad, system.B, M)
+        rep = check_orthogonality(*moment_products(bad, system.B, M), q, p)
         want = [("A", n0, b, K) for b in range(q) for K in range(D)
                 if K * q + b < n0 and M.data[K * q + b][c] != 0]
         assert want and [v.where for v in rep.violations] == want

@@ -27,6 +27,7 @@ from _support import (
     conjugate,
     invert_unitriangular,
     members,
+    moment_products,
     planted_entry,
     rational_T,
     recurrence_oracle,
@@ -51,6 +52,8 @@ class TestRequiredDepth:
                     max(n_plus(D - 1, q, k), n_plus(D - 1, p, k)) for k in (1, 2)
                 )
                 assert required_depth(D, q, p) == want
+                # n_plus(n, r, k) > n, so the extended depth always exceeds D
+                assert want > D
 
     def test_known_values(self):
         assert required_depth(6, 1, 1) == 10
@@ -475,7 +478,7 @@ class TestRelations:
             T = build_recurrence(system.F, q, p, k, D)
             rep = check_recurrence_matrix(T, bad, system.B)
             assert (k, "A", n0, idx) in [v.where for v in rep.violations], k
-        rep = check_orthogonality(bad, system.B, system.M)
+        rep = check_orthogonality(*moment_products(bad, system.B, system.M), q, p)
         assert rep.violations and all(v.where[:2] == ("A", n0) for v in rep.violations)
 
     def test_n_max_respects_window(self):
