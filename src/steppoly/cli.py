@@ -40,7 +40,7 @@ from .families import (
 from .gaussborel import factorize, unit_lower
 from .measures import MeasureMatrix
 from .moments import assemble_moments, check_hankel
-from .rational import BACKEND, _int, format_rat, parse_rat, rat, ratio_text
+from .rational import BACKEND, _int, format_rat, parse_ratio, rat, ratio_text
 from .recurrence import (
     RecurrenceTruncation,
     build_recurrence,
@@ -90,7 +90,7 @@ class RunConfig(NamedTuple):
             if not isinstance(entry, (list, tuple)) or len(entry) != 2:
                 raise ConfigError(f"eval point must be a pair, got {entry!r}")
             try:
-                parse_rat(entry[0]), parse_rat(entry[1])
+                parse_ratio(entry[0]), parse_ratio(entry[1])
             except ValueError as exc:
                 raise ConfigError(f"bad eval point {entry!r}: {exc}") from exc
         seed = obj.get("seed", 0)
@@ -415,8 +415,8 @@ def _cmd_kernel(args) -> int:
     if n < 0:
         raise ConfigError("--n must be >= 0")
     try:
-        x = tuple(parse_rat(v) for v in args.x.split(","))
-        y = tuple(parse_rat(v) for v in args.y.split(","))
+        x = tuple(rat(*parse_ratio(v)) for v in args.x.split(","))
+        y = tuple(rat(*parse_ratio(v)) for v in args.y.split(","))
     except ValueError as exc:
         raise ConfigError(f"bad point: {exc}") from exc
     if len(x) != 2 or len(y) != 2:

@@ -38,7 +38,7 @@ from math import lcm
 from .errors import DepthError
 from .gaussborel import Factorization
 from .moments import MomentTruncation
-from .rational import as_rat, common_denominator, rat, ratio_text
+from .rational import as_rat, over_lcm, rat, ratio_text
 from .report import CheckReport, Violation
 from .stepline import pair_of
 
@@ -64,7 +64,7 @@ class Family:
         rows = []
         for comps in members:
             row = {K * r + i: c for i, comp in enumerate(comps) for K, c in comp.items()}
-            d, nums = common_denominator(row.values())
+            d, nums = over_lcm((c.numerator, c.denominator) for c in row.values())
             rows.append((d, dict(zip(row, nums))))
         return Family(r, rows)
 

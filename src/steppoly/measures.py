@@ -8,78 +8,94 @@ A density is a {monomial position: rational} map, position K standing for
 x^(i-j) y^j with (i, j) = pair_of(K).
 Anything else can be supplied as a table.
 
-Both Discrete and RectDensity moments are read off integer power tables, one
-per coordinate, as one integer sum followed by one rational per moment; a
-Discrete x table keeps each power row multiplied by the weights, so a moment
-multiplies one row by a y row.  The tables are built on the first moment()
-call and grown on demand, so loading a config does no moment work.  No moment
-is cached: assemble_moments caches each block by its exponent pair, so it asks
-a measure for each (s, t) once.
+Every rational a measure takes and keeps is an integer pair (num, den) in
+lowest terms with den > 0, as rational.parse_ratio reads it from config text,
+and every moment is returned as one such pair: no rational is formed.
+Discrete moments are read off integer power tables, one per coordinate, as
+one integer sum and one gcd per moment; the x table keeps each power row
+multiplied by the weights, so a moment multiplies one row by a y row.
+RectDensity moments are one integer sum over the density's terms of the
+scaled bounds' power tables.  The tables are built on the first moment() call
+and grown on demand, so loading a config does no moment work.  No moment is
+cached: assemble_moments caches each block by its exponent pair, so it asks a
+measure for each (s, t) once.
 """
 
 from __future__ import annotations
 
 import re
-from math import lcm
+from math import gcd, lcm
 from operator import mul
 from typing import Mapping, Sequence
 
 from .errors import ConfigError
-from .rational import ZERO, as_rat, common_denominator, parse_rat, rat
+from .rational import over_lcm, parse_ratio
 from .stepline import pair_of
+
+
+def _reduced(num: int, den: int) -> tuple[int, int]:
+    g = gcd(num, den)
+    return num // g, den // g
 
 
 class PowerTable:
     """Powers of a list of rationals, scaled to integers by the lcm den of their
     denominators and multiplied by an integer row w (all ones by default):
-    row(e)[a] / den**e is w[a] times value a to the e-th power."""
+    row(e)[a] / den**e is w[a] times value a to the e-th power.
+
+    Rows are cached by exponent.  A row whose predecessor is cached takes one
+    multiplication per value, any other one pow per value, O(log e)
+    multiplications: a far exponent, such as a far density position's, builds
+    no row below it."""
 
     def __init__(self, values, weights=None):
-        self.den, self._nums = common_denominator(values)
-        self._rows = [weights or [1] * len(self._nums)]
+        self.den, self._nums = over_lcm(values)
+        self._rows = {0: weights or [1] * len(self._nums)}
 
     def row(self, e: int) -> list[int]:
         rows = self._rows
-        while len(rows) <= e:
-            rows.append(list(map(mul, rows[-1], self._nums)))
-        return rows[e]
+        got = rows.get(e)
+        if got is None:
+            prev = rows.get(e - 1)
+            got = rows[e] = (list(map(mul, prev, self._nums)) if prev is not None
+                             else [w * pow(v, e) for w, v in zip(rows[0], self._nums)])
+        return got
 
 
 class Discrete:
-    """Finite list of weighted atoms; weights may be negative."""
+    """Finite list of weighted atoms (x, y, w); weights may be negative."""
 
     def __init__(self, atoms: Sequence[tuple]):
-        self.atoms = [(as_rat(x), as_rat(y), as_rat(w)) for x, y, w in atoms]
+        self.atoms = [(x, y, w) for x, y, w in atoms]
         self._scaled = None
 
-    def moment(self, s: int, t: int):
+    def moment(self, s: int, t: int) -> tuple[int, int]:
         if self._scaled is None:
-            w_den, w_nums = common_denominator(w for _, _, w in self.atoms)
+            w_den, w_nums = over_lcm(w for _, _, w in self.atoms)
             self._scaled = (w_den, PowerTable([x for x, _, _ in self.atoms], w_nums),
                             PowerTable([y for _, y, _ in self.atoms]))
         w_den, wxs, ys = self._scaled
         total = sum(map(mul, wxs.row(s), ys.row(t)))
-        return rat(total, w_den * wxs.den ** s * ys.den ** t)
+        return _reduced(total, w_den * wxs.den ** s * ys.den ** t)
 
 
 class RectDensity:
     """Polynomial density on a rectangle [x1_lo, x1_hi] x [x2_lo, x2_hi].
 
-    density maps monomial position K to its coefficient; it is stored with
-    every value made an exact rational and zero coefficients dropped.
+    density maps monomial position K to its coefficient; zero coefficients
+    are dropped.
     """
 
-    def __init__(self, x1_lo, x1_hi, x2_lo, x2_hi, density: Mapping[int, object]):
-        self.x1_lo, self.x1_hi = as_rat(x1_lo), as_rat(x1_hi)
-        self.x2_lo, self.x2_hi = as_rat(x2_lo), as_rat(x2_hi)
-        if not (self.x1_lo < self.x1_hi and self.x2_lo < self.x2_hi):
+    def __init__(self, x1_lo, x1_hi, x2_lo, x2_hi, density: Mapping[int, tuple[int, int]]):
+        self.x1_lo, self.x1_hi, self.x2_lo, self.x2_hi = x1_lo, x1_hi, x2_lo, x2_hi
+        if not all(lo[0] * hi[1] < hi[0] * lo[1] for lo, hi in ((x1_lo, x1_hi), (x2_lo, x2_hi))):
             raise ConfigError("rectangle bounds must satisfy lo < hi in both variables")
-        self.density = {int(K): v for K, c in density.items() if (v := as_rat(c)) != 0}
+        self.density = {int(K): c for K, c in density.items() if c[0]}
         self._tables = None
 
-    def moment(self, s: int, t: int):
+    def moment(self, s: int, t: int) -> tuple[int, int]:
         if self._tables is None:
-            den, nums = common_denominator(self.density.values())
+            den, nums = over_lcm(self.density.values())
             pairs = map(pair_of, self.density)
             self._tables = (den, [(i - j + 1, j + 1, c) for (i, j, _), c in zip(pairs, nums)],
                             PowerTable([self.x1_lo, self.x1_hi]),
@@ -100,28 +116,28 @@ class RectDensity:
         L = lcm(*(a * b for a, b, _ in live))
         total = sum(n * xs.den ** (A - a) * ys.den ** (B - b) * (L // (a * b))
                     for a, b, n in live)
-        return rat(total, den * xs.den ** A * ys.den ** B * L)
+        return _reduced(total, den * xs.den ** A * ys.den ** B * L)
 
 
 class MomentTable:
     """Explicit moments up to a declared total degree; absent keys are zero."""
 
-    def __init__(self, max_total_deg: int, moments: Mapping[tuple[int, int], object]):
+    def __init__(self, max_total_deg: int, moments: Mapping[tuple[int, int], tuple[int, int]]):
         if max_total_deg < 0:
             raise ConfigError("max_total_deg must be nonnegative")
         self.max_total_deg = deg = int(max_total_deg)
-        self.moments = {(int(s), int(t)): as_rat(v) for (s, t), v in moments.items()
+        self.moments = {(int(s), int(t)): v for (s, t), v in moments.items()
                         if s >= 0 and t >= 0 and s + t <= deg}
         if len(self.moments) < len(moments):
             s, t = next((s, t) for s, t in moments if s < 0 or t < 0 or s + t > deg)
             raise ConfigError(f"moment key ({s},{t}) outside declared degree bound")
 
-    def moment(self, s: int, t: int):
+    def moment(self, s: int, t: int) -> tuple[int, int]:
         if s + t > self.max_total_deg:
             raise ConfigError(
                 f"moment ({s},{t}) exceeds declared max_total_deg={self.max_total_deg}"
             )
-        return self.moments.get((s, t), ZERO)
+        return self.moments.get((s, t), (0, 1))
 
 
 MeasureSpec = (Discrete, RectDensity, MomentTable)
@@ -148,9 +164,9 @@ def _exponent_pair(key: str) -> tuple[int, int]:
 
 
 def _read_keyed(entries: Mapping, read_key, what: str, entry: str) -> dict:
-    """{read_key(key): rational value}; two keys that read alike, such as "0" and
+    """{read_key(key): (num, den) value}; two keys that read alike, such as "0" and
     "00", are an error, never one silently dropped."""
-    out = {read_key(key): parse_rat(v) for key, v in entries.items()}
+    out = {read_key(key): parse_ratio(v) for key, v in entries.items()}
     if len(out) < len(entries):
         first = {}
         for key in entries:
@@ -168,7 +184,7 @@ def measure_from_json(obj: Mapping) -> object:
     try:
         if kind == "discrete":
             atoms = [
-                (parse_rat(a["x"]), parse_rat(a["y"]), parse_rat(a["w"]))
+                (parse_ratio(a["x"]), parse_ratio(a["y"]), parse_ratio(a["w"]))
                 for a in obj["atoms"]
             ]
             return Discrete(atoms)
@@ -179,7 +195,7 @@ def measure_from_json(obj: Mapping) -> object:
             if not isinstance(box, list):  # a string or an object has a len() too
                 raise ConfigError(f"rect box must be a list of four rationals, not {box!r}")
             density = _read_keyed(obj["density"], _position, "density", "position")
-            return RectDensity(*(parse_rat(v) for v in box), density)
+            return RectDensity(*(parse_ratio(v) for v in box), density)
         if kind == "table":
             moments = _read_keyed(obj["moments"], _exponent_pair, "moment", "moment")
             deg = obj["max_total_deg"]
@@ -207,16 +223,9 @@ class MeasureMatrix:
         self.p = p
         self.entries = [list(row) for row in entries]
 
-    def moment_block(self, I: int, K: int) -> list[list]:
-        """q x p block of moments with exponents combined from positions I and K."""
-        i, j, _ = pair_of(I)
-        kk, ll, _ = pair_of(K)
-        s = (i - j) + (kk - ll)
-        t = j + ll
-        return [
-            [self.entries[b][a].moment(s, t) for a in range(self.p)]
-            for b in range(self.q)
-        ]
+    def moment_block(self, s: int, t: int) -> list[list[tuple[int, int]]]:
+        """q x p block of the measures' moments m(s, t), each a pair (num, den)."""
+        return [[m.moment(s, t) for m in row] for row in self.entries]
 
     @staticmethod
     def from_json(obj: Mapping) -> "MeasureMatrix":

@@ -10,39 +10,43 @@ the Hankel symmetry Lambda_{[q];k} M = M Lambda^T_{[p];k} is read off that.
 
 from __future__ import annotations
 
+from math import gcd
+from operator import floordiv
+
 from .errors import DepthError
 from .measures import MeasureMatrix
-from .rational import common_denominator
+from .rational import over_lcm, ratio_text
 from .report import CheckReport, Violation
 from .stepline import n_plus, pair_of
 
 
 class MomentTruncation:
-    """Dense D x D leading corner of the scalar-indexed moment matrix.
+    """Dense D x D leading corner of the scalar-indexed moment matrix, each row
+    scaled to integers: entry (m, n) is ints[m][n] / scale[m], scale[m] the lcm
+    of row m's reduced denominators.  Every reader of the moments reads these;
+    a reader that eliminates works on its own copy.  The transpose is built
+    once, on first call."""
 
-    Each row m is scaled to integers once, when the truncation is built:
-    scale[m] is the lcm of row m's denominators, data[m][n] = ints[m][n] /
-    scale[m].  Every reader of integer moments reads these; a reader that
-    eliminates works on its own copy.  The transpose is built once, on first call.
-    """
+    __slots__ = ("depth", "q", "p", "scale", "ints", "_transposed")
 
-    __slots__ = ("depth", "q", "p", "data", "scale", "ints", "_transposed")
-
-    def __init__(self, depth: int, q: int, p: int, data: list[list]):
+    def __init__(self, depth: int, q: int, p: int, scale: list[int], ints: list[list[int]]):
         self.depth = depth
         self.q = q
         self.p = p
-        self.data = data
-        scaled = [common_denominator(row) for row in data]
-        self.scale = [r for r, _ in scaled]
-        self.ints = [nums for _, nums in scaled]
+        self.scale = scale
+        self.ints = ints
         self._transposed = None
 
     def transpose(self) -> "MomentTruncation":
-        """The truncation of the transposed measure matrix, p x q blocks."""
+        """The truncation of the transposed measure matrix, p x q blocks: column n
+        of ints over scale, each entry reduced by one gcd, scaled as a row."""
         if self._transposed is None:
+            rows = []
+            for col in zip(*self.ints):
+                gs = list(map(gcd, col, self.scale))
+                rows.append(over_lcm(zip(map(floordiv, col, gs), map(floordiv, self.scale, gs))))
             self._transposed = MomentTruncation(self.depth, self.p, self.q,
-                                                [list(col) for col in zip(*self.data)])
+                                                [r for r, _ in rows], [nums for _, nums in rows])
         return self._transposed
 
 
@@ -51,7 +55,8 @@ def assemble_moments(mm: MeasureMatrix, depth: int) -> MomentTruncation:
 
     Block (I, K) depends only on the exponents (s, t) that positions I and K
     combine to, so blocks are cached by (s, t): a Hankel truncation reads each
-    block many times and computes it once, through mm.moment_block.
+    block many times and computes it once, through mm.moment_block(s, t).  Each
+    row of (num, den) moments is scaled once, by over_lcm.
     """
     if depth < 1:
         raise DepthError(f"depth must be >= 1, got {depth}", required=1)
@@ -62,18 +67,20 @@ def assemble_moments(mm: MeasureMatrix, depth: int) -> MomentTruncation:
 
     row_exps, col_exps = exponents((depth - 1) // q + 1), exponents((depth - 1) // p + 1)
     blocks: dict[tuple[int, int], list[list]] = {}
-    data = []
+    scale, ints = [], []
     for m in range(depth):
         I, b = divmod(m, q)
         s0, t0 = row_exps[I]
         row = []
-        for K, (s1, t1) in enumerate(col_exps):
+        for s1, t1 in col_exps:
             blk = blocks.get((s0 + s1, t0 + t1))
             if blk is None:
-                blk = blocks[s0 + s1, t0 + t1] = mm.moment_block(I, K)
+                blk = blocks[s0 + s1, t0 + t1] = mm.moment_block(s0 + s1, t0 + t1)
             row += blk[b]
-        data.append(row[:depth])
-    return MomentTruncation(depth, q, p, data)
+        r, nums = over_lcm(row[:depth])
+        scale.append(r)
+        ints.append(nums)
+    return MomentTruncation(depth, q, p, scale, ints)
 
 
 def hankel_window(depth: int, q: int, p: int, k: int) -> tuple[int, int]:
@@ -87,14 +94,14 @@ def hankel_window(depth: int, q: int, p: int, k: int) -> tuple[int, int]:
     return m_count, n_count
 
 
-def hankel_mismatches(M: MomentTruncation, k: int) -> list[tuple[int, int, object, object]]:
+def hankel_mismatches(M: MomentTruncation, k: int) -> list[tuple[int, int, str, str]]:
     """Entries where Lambda_{[q];k} M != M Lambda^T_{[p];k} on the determined window.
 
     Row m of the left product is row n_plus(m, q, k) of M; column n of the
     right product is column n_plus(n, p, k) of M, so the window is exactly the
     set of (m, n) with both shifted indices inside the truncation.  The sides
-    are compared cross-multiplied over M's row scales, and M.data is read only
-    for a mismatch's entries.
+    are compared cross-multiplied over M's row scales; a mismatch's two entries
+    are written with ratio_text.
     """
     m_count, n_count = hankel_window(M.depth, M.q, M.p, k)
     if m_count == 0 or n_count == 0:
@@ -108,7 +115,7 @@ def hankel_mismatches(M: MomentTruncation, k: int) -> list[tuple[int, int, objec
         ms = n_plus(m, M.q, k)
         for n, ns in enumerate(shifted):
             if ints[ms][n] * scale[m] != ints[m][ns] * scale[ms]:
-                bad.append((m, n, M.data[ms][n], M.data[m][ns]))
+                bad.append((m, n, ratio_text(ints[ms][n], scale[ms]), ratio_text(ints[m][ns], scale[m])))
     return bad
 
 

@@ -3,10 +3,11 @@
 Uses gmpy2.mpq when available, fractions.Fraction otherwise; BACKEND names the
 one in use, "gmpy2" or "fractions".  Both expose the same arithmetic and the
 same str() form ("n" or "n/d" in lowest terms), which the serialization layer
-relies on.  parse_rat and format_rat read and write that form at any size: past
-the interpreter's limit on int/str conversion digits they go through
-decimal.Decimal, which that limit does not bind.  ratio_text writes the same
-form of a ratio of two integers, forming no rational.
+relies on.  parse_ratio reads that form into an integer pair (num, den) in
+lowest terms, den > 0, forming no rational; format_rat writes a rational and
+ratio_text a ratio of two integers in it.  All three work at any size: past the
+interpreter's limit on int/str conversion digits they go through
+decimal.Decimal, which that limit does not bind.
 """
 
 from __future__ import annotations
@@ -48,16 +49,19 @@ def _int(text: str) -> int:
         return int(decimal.Decimal(text))
 
 
-def parse_rat(text: str):
-    """Parse a rational written as "num" or "num/den"."""
+def parse_ratio(text: str) -> tuple[int, int]:
+    """The rational written as "num" or "num/den", as (num, den) in lowest terms, den > 0."""
     literal = _RAT_RE.fullmatch(text) if isinstance(text, str) else None
     if literal is None:
         raise ValueError(f"not a rational literal: {text!r}")
     num, den = literal.groups()
-    d = _int(den) if den else 1
-    if d == 0:
+    if den is None:
+        return _int(num), 1
+    num, den = _int(num), _int(den)
+    if den == 0:
         raise ValueError(f"zero denominator: {text!r}")
-    return rat(_int(num), d)
+    g = gcd(num, den)
+    return num // g, den // g
 
 
 def format_rat(value) -> str:
@@ -81,11 +85,12 @@ def ratio_text(num, den) -> str:
         return num if den == "1" else f"{num}/{den}"
 
 
-def common_denominator(values) -> tuple[int, list[int]]:
-    """(d, nums) with value i equal to nums[i] / d, where d is the lcm of the denominators."""
-    values = list(values)
-    d = lcm(*(v.denominator for v in values))
-    return d, [v.numerator * (d // v.denominator) for v in values]
+def over_lcm(pairs) -> tuple[int, list[int]]:
+    """(d, nums) with the i-th pair (num, den), den > 0, equal to nums[i] / d: d is
+    the lcm of the denominators, the least such d when the pairs are in lowest terms."""
+    pairs = list(pairs)
+    d = lcm(*[den for _, den in pairs])
+    return d, [num * (d // den) for num, den in pairs]
 
 
 def as_rat(value):
@@ -93,7 +98,7 @@ def as_rat(value):
     if isinstance(value, QType):
         return value
     if isinstance(value, str):
-        return parse_rat(value)
+        return rat(*parse_ratio(value))
     if isinstance(value, (int, Fraction)):
         return rat(value)
     if isinstance(value, numbers.Rational):

@@ -30,7 +30,7 @@ from steppoly.families import Family, moment_rows, monomial_ints
 from steppoly.gaussborel import Factorization, IntegerSide, eliminate
 from steppoly.measures import Discrete, MeasureMatrix, MomentTable, RectDensity
 from steppoly.moments import MomentTruncation
-from steppoly.rational import ONE, ZERO, as_rat, common_denominator, format_rat, parse_rat
+from steppoly.rational import ONE, ZERO, as_rat, format_rat, over_lcm, parse_ratio, ratio_text
 from steppoly.recurrence import RecurrenceTruncation
 from steppoly.report import CheckReport, Violation
 from steppoly.stepline import in_complement_J, n_plus, pair_of
@@ -48,6 +48,55 @@ SPOT_PAIRS = [
 ]
 
 
+def common_denominator(values) -> tuple[int, list[int]]:
+    """(d, nums) with rational i equal to nums[i] / d, d the lcm of the denominators."""
+    return over_lcm((v.numerator, v.denominator) for v in map(as_rat, values))
+
+
+def parse_rat(text: str):
+    """The rational a config literal stands for, in the backend type."""
+    return rat(*parse_ratio(text))
+
+
+def pair(value) -> tuple[int, int]:
+    """An int or rational as the integer pair (num, den) in lowest terms a measure holds."""
+    value = as_rat(value)
+    return int(value.numerator), int(value.denominator)
+
+
+def discrete(atoms) -> Discrete:
+    """Discrete of atoms (x, y, w) given as ints or rationals."""
+    return Discrete([tuple(map(pair, atom)) for atom in atoms])
+
+
+def rect(x1_lo, x1_hi, x2_lo, x2_hi, density: dict) -> RectDensity:
+    """RectDensity of bounds and {position: coefficient} given as ints or rationals."""
+    return RectDensity(*map(pair, (x1_lo, x1_hi, x2_lo, x2_hi)),
+                       {K: pair(c) for K, c in density.items()})
+
+
+def table(max_total_deg: int, moments: dict) -> MomentTable:
+    """MomentTable of {(s, t): moment} given as ints or rationals."""
+    return MomentTable(max_total_deg, {st: pair(v) for st, v in moments.items()})
+
+
+def moment(measure, s: int, t: int):
+    """measure.moment(s, t), the pair (num, den), as a rational."""
+    return rat(*measure.moment(s, t))
+
+
+def moment_data(M: MomentTruncation) -> list[list]:
+    """The truncation's entries as rationals: row m is M.ints[m] over M.scale[m]."""
+    return [[rat(v, r) for v in row] for row, r in zip(M.ints, M.scale)]
+
+
+def rational_truncation(depth: int, q: int, p: int, data: list[list]) -> MomentTruncation:
+    """The truncation whose entries are the rationals data, each row scaled over
+    the lcm of its denominators, as assemble_moments scales its rows."""
+    scaled = [common_denominator(row) for row in data]
+    return MomentTruncation(depth, q, p, [r for r, _ in scaled], [nums for _, nums in scaled])
+
+
 def rand_density(rng: random.Random, positive: bool = False) -> dict:
     """Degree <= 2 polynomial density as a {monomial position: rational} map; the
     positive variant stays above zero on the box."""
@@ -61,7 +110,7 @@ def rand_density(rng: random.Random, positive: bool = False) -> dict:
 
 
 def rand_rect(rng: random.Random) -> RectDensity:
-    return RectDensity(-1, 1, -1, 1, rand_density(rng, positive=True))
+    return rect(-1, 1, -1, 1, rand_density(rng, positive=True))
 
 
 def rand_discrete(rng: random.Random, n_atoms: int = 40) -> Discrete:
@@ -74,7 +123,7 @@ def rand_discrete(rng: random.Random, n_atoms: int = 40) -> Discrete:
                 rat(rng.randint(-5, 5) or 1, rng.randint(1, 3)),
             )
         )
-    return Discrete(atoms)
+    return discrete(atoms)
 
 
 def rand_table(rng: random.Random, max_deg: int) -> MomentTable:
@@ -82,7 +131,7 @@ def rand_table(rng: random.Random, max_deg: int) -> MomentTable:
     for s in range(max_deg + 1):
         for t in range(max_deg + 1 - s):
             moments[(s, t)] = rat(rng.randint(-30, 30) or 1, rng.randint(1, 12))
-    return MomentTable(max_deg, moments)
+    return table(max_deg, moments)
 
 
 def config_json(spec) -> dict:
@@ -94,14 +143,14 @@ def config_json(spec) -> dict:
                 "measures": [[config_json(m) for m in row] for row in spec.entries]}
     if isinstance(spec, Discrete):
         return {"type": "discrete",
-                "atoms": [{"x": format_rat(x), "y": format_rat(y), "w": format_rat(w)}
+                "atoms": [{"x": ratio_text(*x), "y": ratio_text(*y), "w": ratio_text(*w)}
                           for x, y, w in spec.atoms]}
     if isinstance(spec, RectDensity):
         return {"type": "rect",
-                "box": [format_rat(v) for v in (spec.x1_lo, spec.x1_hi, spec.x2_lo, spec.x2_hi)],
-                "density": {str(K): format_rat(spec.density[K]) for K in sorted(spec.density)}}
+                "box": [ratio_text(*v) for v in (spec.x1_lo, spec.x1_hi, spec.x2_lo, spec.x2_hi)],
+                "density": {str(K): ratio_text(*spec.density[K]) for K in sorted(spec.density)}}
     return {"type": "table", "max_total_deg": spec.max_total_deg,
-            "moments": {f"{s},{t}": format_rat(spec.moments[(s, t)]) for s, t in sorted(spec.moments)}}
+            "moments": {f"{s},{t}": ratio_text(*spec.moments[(s, t)]) for s, t in sorted(spec.moments)}}
 
 
 def transpose_measures(mm: MeasureMatrix) -> MeasureMatrix:
@@ -287,7 +336,7 @@ def truncation_corner(M: MomentTruncation, d: int) -> MomentTruncation:
     """The leading d x d corner of M as a truncation of its own, its rows scaled afresh."""
     if d > M.depth:
         raise DepthError(f"corner {d} exceeds depth {M.depth}", required=d)
-    return MomentTruncation(d, M.q, M.p, corner(M.data, d))
+    return rational_truncation(d, M.q, M.p, corner(moment_data(M), d))
 
 
 def grid_values(count: int) -> list:
@@ -365,7 +414,7 @@ def rational_entries(ws) -> dict[str, list[list[str]]]:
                 for m, row in enumerate(T.acc)]
 
     mats = {"H": [ws.F.H], "S": unit_lower(ws.F.S_int), "Sbar": unit_lower(ws.F.Sbar_int),
-            "T1": recurrence(ws.T[1]), "T2": recurrence(ws.T[2]), "moments": ws.M.data}
+            "T1": recurrence(ws.T[1]), "T2": recurrence(ws.T[2]), "moments": moment_data(ws.M)}
     return {what: [[rational_text(v) for v in row[:D]] for row in mat[:D]] for what, mat in mats.items()}
 
 
@@ -469,7 +518,7 @@ def abc_oracle(M: MomentTruncation, n: int, x: tuple, y: tuple) -> list[list]:
             out[m % r][m] = monomial_value(m // r, *pt)
         return out
 
-    inv = gauss_jordan_inverse(corner(M.data, n + 1))
+    inv = gauss_jordan_inverse(corner(moment_data(M), n + 1))
     return matmul(matmul(monomials_t(M.p, x), inv), transpose(monomials_t(M.q, y)))
 
 
@@ -889,7 +938,7 @@ def integrate_pair(mm: MeasureMatrix, left: BiPoly, b_idx: int, a_idx: int, righ
         i1, j1, _ = pair_of(K1)
         for K2, c2 in right.coeffs.items():
             i2, j2, _ = pair_of(K2)
-            total += c1 * c2 * measure.moment((i1 - j1) + (i2 - j2), j1 + j2)
+            total += c1 * c2 * moment(measure, (i1 - j1) + (i2 - j2), j1 + j2)
     return total
 
 
@@ -899,8 +948,8 @@ def naive_moment(measure, s: int, t: int) -> Fraction:
     Atoms are summed as w x^s y^t; a density term c x^(i-j) y^j integrates to
     c times one power-rule integral per axis.  Nothing is scaled or cached.
     """
-    def F(v) -> Fraction:
-        return Fraction(int(v.numerator), int(v.denominator))
+    def F(v: tuple[int, int]) -> Fraction:
+        return Fraction(*v)
 
     if isinstance(measure, Discrete):
         return sum((F(w) * F(x) ** s * F(y) ** t for x, y, w in measure.atoms), Fraction(0))

@@ -25,7 +25,7 @@ sys.path.insert(0, str(HERE.parents[1] / "src"))  # runs from a checkout, instal
 
 from _support import config_json, table_mm  # noqa: E402
 
-from steppoly import rat, required_depth  # noqa: E402
+from steppoly import required_depth  # noqa: E402
 from steppoly.cli import main  # noqa: E402
 from steppoly.measures import MeasureMatrix, MomentTable  # noqa: E402
 
@@ -50,7 +50,7 @@ def build_config() -> Path:
 def build_huge_config() -> Path:
     table = table_mm(random.Random(7), 1, 1, required_depth(2, 1, 1)).entries[0][0]
     moments = dict(table.moments)
-    moments[(1, 0)] = rat(10**5000)
+    moments[(1, 0)] = (10**5000, 1)
     mm = MeasureMatrix(1, 1, [[MomentTable(table.max_total_deg, moments)]])
     return write_config(mm, 2, HUGE / "config.json")
 

@@ -350,6 +350,27 @@ MUTANTS = [
          "tests/test_cli.py::TestVerify::test_all_checks_pass",
          "tests/test_cli.py::TestBuiltOnFirstRead::test_verify_forms_each_moment_product_once[golden]")),
     Mutant(
+        "the row scale taken from unreduced denominators", "measures.py",
+        "    return num // g, den // g", "    return num, den",
+        ("tests/test_moments.py::TestIntegersFromText::test_scale_and_ints_match_the_fraction_oracle",
+         "tests/test_measures.py::TestIntegerRectOracle::test_deep_exponents",
+         "tests/test_moments.py::TestAssembly::test_rows_scaled_once_when_built[mixed]")),
+    Mutant(
+        "the parser reduces the numerator only", "rational.py",
+        "    return num // g, den // g", "    return num // g, den",
+        ("tests/test_moments.py::TestIntegersFromText::test_scale_and_ints_match_the_fraction_oracle",
+         "tests/test_measures.py::TestRationalParsing::test_normalization")),
+    Mutant(
+        "the transpose is scaled with the row scales", "moments.py",
+        "gs = list(map(gcd, col, self.scale))", "gs = [1] * len(col)",
+        ("tests/test_moments.py::TestIntegersFromText::test_scale_and_ints_match_the_fraction_oracle",
+         "tests/test_moments.py::TestAssembly::test_rows_scaled_once_when_built[mixed]",
+         "tests/test_families.py::TestProductRoute::test_products_match_pair_integrals")),
+    Mutant(
+        "RectDensity's far power drops pow's sign for a negative bound", "measures.py",
+        "[w * pow(v, e) for w, v", "[w * pow(abs(v), e) for w, v",
+        ("tests/test_cli.py::TestFarDensityPosition::test_moments_match_the_closed_form",)),
+    Mutant(
         "main lets a MemoryError escape", "cli.py",
         "    except MemoryError:", "    except ArithmeticError:",
         ("tests/test_cli.py::TestConfigErrors::test_depth_beyond_memory_exits_three[compute]",

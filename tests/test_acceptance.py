@@ -35,7 +35,7 @@ from steppoly.families import (
     degree_bound,
     validate_degree_structure,
 )
-from steppoly.measures import MeasureMatrix, MomentTable
+from steppoly.measures import MeasureMatrix
 from steppoly.moments import hankel_mismatches
 from steppoly.recurrence import (
     check_dual_form,
@@ -58,6 +58,7 @@ from _support import (
     inverts_its_factor,
     members,
     mixed_mm,
+    moment_data,
     moment_products,
     point_pairs,
     pointwise_abc,
@@ -70,6 +71,7 @@ from _support import (
     same_factor,
     solve_a_col,
     solve_b_row,
+    table,
     truncation_corner,
 )
 
@@ -162,7 +164,7 @@ def test_criterion_2_factorization_suite():
 
     # a constructed vanishing second minor must break down deterministically
     degenerate = MeasureMatrix(
-        1, 1, [[MomentTable(6, {(0, 0): rat(1), (1, 0): rat(1), (2, 0): rat(1)})]]
+        1, 1, [[table(6, {(0, 0): rat(1), (1, 0): rat(1), (2, 0): rat(1)})]]
     )
     with pytest.raises(Breakdown) as exc:
         factorize(assemble_moments(degenerate, 3))
@@ -182,10 +184,10 @@ def test_criterion_3_orthogonality_and_oracle():
     for q, p in SHAPES:
         system = build_system(q, p, 12, seed=302)
         for n in range(12):
-            assert [w.coeffs for w in solve_b_row(system.M.data, n, q)] == [
+            assert [w.coeffs for w in solve_b_row(moment_data(system.M), n, q)] == [
                 poly(system.B, n, b).coeffs for b in range(q)
             ], (q, p, n)
-            assert [w.coeffs for w in solve_a_col(system.M.data, n, p)] == [
+            assert [w.coeffs for w in solve_a_col(moment_data(system.M), n, p)] == [
                 poly(system.A, n, a).coeffs for a in range(p)
             ], (q, p, n)
 

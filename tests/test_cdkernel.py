@@ -18,7 +18,6 @@ from steppoly.cdkernel import (
 from steppoly.cli import Workspace, load_config, run_checks
 from steppoly.errors import Breakdown, DepthError
 from steppoly.families import Family
-from steppoly.moments import MomentTruncation
 from steppoly.recurrence import check_recurrence_matrix, recurrence_n_max
 from steppoly.stepline import n_minus_big, n_plus
 
@@ -33,6 +32,7 @@ from _support import (
     kernel_rationals,
     kernel_sum,
     members,
+    moment_data,
     moment_products,
     planted,
     planted_entry,
@@ -43,6 +43,7 @@ from _support import (
     poly,
     pos_of,
     rational_T,
+    rational_truncation,
     solve,
     truncation_corner,
 )
@@ -77,7 +78,7 @@ class TestSharedRows:
         for q, p in SHAPES:
             system = build_system(q, p, 10, seed=97, kind=kind)
             # a fresh truncation, so a reader that did write would not reach the cached system
-            M = MomentTruncation(system.M.depth, q, p, [row[:] for row in system.M.data])
+            M = rational_truncation(system.M.depth, q, p, moment_data(system.M))
             ints, scale = [row[:] for row in M.ints], M.scale[:]
             pair_tables = tables(system, [(X, Y)], M.depth)
             factorize(M)
@@ -359,9 +360,9 @@ class TestABC:
         for q, p in SHAPES:
             system = build_system(q, p, 10, seed=91)
             pair_tables = tables(system, pairs, 7)
-            moved = [row[:] for row in system.M.data]
+            moved = moment_data(system.M)
             moved[1][2] += rat(1, 3)
-            for M in (system.M, MomentTruncation(system.M.depth, q, p, moved)):
+            for M in (system.M, rational_truncation(system.M.depth, q, p, moved)):
                 for n in range(7):
                     rep = pointwise_abc(M, n, pair_tables)
                     want = [abc_oracle(M, n, x, y) != table_kernel(t, n)
@@ -377,9 +378,9 @@ class TestABC:
             system = build_system(q, p, 10, seed=91)
             pair_tables = tables(system, pairs, 8)
             for i, j in ((0, 0), (2, 5), (6, 3)):
-                data = [row[:] for row in system.M.data]
+                data = moment_data(system.M)
                 data[i][j] += 1
-                M = MomentTruncation(system.M.depth, q, p, data)
+                M = rational_truncation(system.M.depth, q, p, data)
                 for n in range(8):
                     rep = pointwise_abc(M, n, pair_tables)
                     assert rep.checked == len(pairs)
@@ -387,9 +388,9 @@ class TestABC:
 
     def test_singular_corner_breaks_down(self):
         system = build_system(1, 2, 8, seed=91)
-        data = [row[:] for row in system.M.data]
+        data = moment_data(system.M)
         data[2] = [2 * v for v in data[1]]  # rows 1 and 2 of every corner from 3 on are dependent
-        M = MomentTruncation(system.M.depth, 1, 2, data)
+        M = rational_truncation(system.M.depth, 1, 2, data)
         assert pointwise_abc(M, 1, tables(system, [(X, Y)], 2)).checked == 1
         with pytest.raises(Breakdown) as want:
             factorize(truncation_corner(M, 4))
@@ -401,7 +402,7 @@ class TestABC:
         # the corner [[0, 1], [1, 0]] is nonsingular, but its first leading minor
         # vanishes, so check_abc stops where factorize does, without pivoting
         system = build_system(1, 1, 8, seed=91)
-        M = MomentTruncation(2, 1, 1, [[rat(0), rat(1)], [rat(1), rat(0)]])
+        M = rational_truncation(2, 1, 1, [[rat(0), rat(1)], [rat(1), rat(0)]])
         for run in (factorize, lambda T: pointwise_abc(T, 1, tables(system, [(X, Y)], 2))):
             with pytest.raises(Breakdown) as exc:
                 run(M)
@@ -427,9 +428,9 @@ class TestABCCoefficients:
         for q, p in SHAPES:
             system = build_system(q, p, 10, seed=91)
             for i, j in ((0, 0), (2, 5), (6, 3)):
-                data = [row[:] for row in system.M.data]
+                data = moment_data(system.M)
                 data[i][j] += 1
-                M = MomentTruncation(system.M.depth, q, p, data)
+                M = rational_truncation(system.M.depth, q, p, data)
                 for n in range(8):
                     rep = check_abc(M, system.A, system.B, n)
                     assert rep.checked == 1
@@ -457,9 +458,9 @@ class TestABCCoefficients:
 
     def test_breaks_down_where_factorize_does(self):
         system = build_system(1, 2, 8, seed=91)
-        data = [row[:] for row in system.M.data]
+        data = moment_data(system.M)
         data[2] = [2 * v for v in data[1]]  # rows 1 and 2 of every corner from 3 on are dependent
-        M = MomentTruncation(system.M.depth, 1, 2, data)
+        M = rational_truncation(system.M.depth, 1, 2, data)
         assert check_abc(M, system.A, system.B, 1).ok
         with pytest.raises(Breakdown) as want:
             factorize(truncation_corner(M, 4))
@@ -467,7 +468,7 @@ class TestABCCoefficients:
             check_abc(M, system.A, system.B, 3)
         assert exc.value.index == want.value.index == 2
         # a zero leading moment stops it at 0, as it stops factorize
-        M = MomentTruncation(2, 1, 1, [[rat(0), rat(1)], [rat(1), rat(0)]])
+        M = rational_truncation(2, 1, 1, [[rat(0), rat(1)], [rat(1), rat(0)]])
         one = build_system(1, 1, 8, seed=91)
         with pytest.raises(Breakdown) as exc:
             check_abc(M, one.A, one.B, 1)
@@ -486,9 +487,9 @@ class TestABCCoefficients:
         # moment (2, 5) of the golden config + 1: n = 5, 6 and 7 fail, each at its
         # first mismatch in row-major order
         ws = Workspace(load_config(GOLDEN_CONFIG))
-        data = [row[:] for row in ws.M.data]
+        data = moment_data(ws.M)
         data[2][5] += 1
-        ws.M = MomentTruncation(ws.M.depth, ws.M.q, ws.M.p, data)
+        ws.M = rational_truncation(ws.M.depth, ws.M.q, ws.M.p, data)
         assert run_checks(ws, ["abc"]) == [{
             "name": "abc", "status": "fail",
             "details": "3 violation(s); first at (5, 0, 0): sum a_i b_i^T != M^-1"}]

@@ -24,14 +24,15 @@ from steppoly.errors import Breakdown, ConfigError
 from steppoly.families import Family
 from steppoly.gaussborel import _factor_row, unit_lower
 from steppoly.measures import measure_from_json
-from steppoly.rational import BACKEND, common_denominator, parse_rat, ratio_text
+from steppoly.rational import BACKEND, over_lcm, ratio_text
 from steppoly.recurrence import RecurrenceTruncation, check_recurrence_matrix
 from steppoly.report import CheckReport, Violation
 from steppoly.stepline import in_complement_J, n_minus_big, n_plus
 
 from _support import (EXPORT_KINDS, SHAPES, BiPoly, build_system, config_json, corner,
-                      csv_writer_text, invert_unitriangular, kernel_sum, mixed_mm, poly,
-                      rational_T, rational_entries, rational_exports, stored_inverses, table_mm)
+                      csv_writer_text, invert_unitriangular, kernel_sum, mixed_mm, moment_data,
+                      parse_rat, poly, rational_T, rational_entries, rational_exports,
+                      stored_inverses, table_mm)
 
 DEPTH = 6
 GOLDEN_CONFIG = Path(__file__).resolve().parent / "golden" / "config.json"
@@ -372,6 +373,58 @@ class TestConfigErrors:
         assert main(["--help"]) == 0
 
 
+# the uniform density on [-1, 1]^2 plus x^(i-j) y^j at the position 10^20 - 1,
+# (i, j) = (14142135623, 3266133123): its moments read powers of the bounds
+# with exponents past 10^10
+FAR_POSITION = 10**20 - 1
+FAR_I, FAR_J = 14142135623, 3266133123
+FAR_CELL = {"type": "rect", "box": ["-1", "1", "-1", "1"],
+            "density": {"0": "1", str(FAR_POSITION): "1"}}
+
+
+def run_limited(args: list[str], limit: int) -> subprocess.CompletedProcess:
+    """python args in a child process under an address-space limit of limit bytes
+    on the child alone, and a 60 s timeout."""
+    resource = pytest.importorskip("resource")
+    return subprocess.run(
+        [sys.executable, *args], capture_output=True, text=True, env=checkout_env(), timeout=60,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)))
+
+
+class TestFarDensityPosition:
+    """A density term at a far position reads each bound's power with pow, in
+    O(log a) multiplications, instead of a table of every power up to a: each
+    command exits 0 at once under a 1 GB address-space limit, where growing the
+    table ran past any timeout, or out of memory."""
+
+    @pytest.mark.parametrize("flags", [
+        ["verify"], ["compute", "--out", "OUT"], ["kernel", "--n", "2", "--x", "0,0", "--y", "1,1"],
+    ], ids=["verify", "compute", "kernel"])
+    def test_each_command_exits_zero(self, tmp_path, flags):
+        cfg = write_config(tmp_path, "far.json", 1, 1, 3, FAR_CELL)
+        flags = [str(tmp_path / "out") if f == "OUT" else f for f in flags]
+        proc = run_limited(["-m", "steppoly.cli", *flags, "--config", str(cfg)], 2**30)
+        assert proc.returncode == 0, proc.stderr
+
+    def test_moments_match_the_closed_form(self, tmp_path):
+        # the integral of x^e over [-1, 1] is 0 for odd e and 2/(e + 1) for even e
+        assert FAR_I * (FAR_I + 1) // 2 + FAR_J == FAR_POSITION and 0 <= FAR_J <= FAR_I
+        cfg = write_config(tmp_path, "far.json", 1, 1, 3, FAR_CELL)
+        code = ("import json, sys; from steppoly.cli import load_config; "
+                "cell = load_config(sys.argv[1]).measures.entries[0][0]; "
+                "print(json.dumps([cell.moment(s, t) for s in range(4) for t in range(4)]))")
+        proc = run_limited(["-c", code, str(cfg)], 2**30)
+        assert proc.returncode == 0, proc.stderr
+
+        def integral(e: int) -> Fraction:
+            return Fraction(0) if e % 2 else Fraction(2, e + 1)
+
+        want = [integral(s) * integral(t) + integral(s + FAR_I - FAR_J) * integral(t + FAR_J)
+                for s in range(4) for t in range(4)]
+        assert json.loads(proc.stdout) == [[v.numerator, v.denominator] for v in want]
+        assert want[1] == Fraction(4, (FAR_I - FAR_J + 1) * (FAR_J + 2))  # (s, t) = (0, 1)
+
+
 class TestCompute:
     def test_exports_written_and_deterministic(self, tmp_path, capsys):
         cfg = good_config(tmp_path)
@@ -423,7 +476,7 @@ class TestCompute:
             rows = list(csv.reader(fh))
         assert len(rows) == DEPTH and len(rows[0]) == DEPTH
         assert [[parse_rat(v) for v in row] for row in rows] == [
-            r[:DEPTH] for r in M.data[:DEPTH]
+            r[:DEPTH] for r in moment_data(M)[:DEPTH]
         ]
 
         # S and Sbar against the inverses of the stored L_inv, not the src builder
@@ -648,26 +701,36 @@ class TestRationalFactors:
 
     @pytest.mark.parametrize("shape", ["golden", (2, 3)])
     def test_no_rational_formed(self, tmp_path, monkeypatch, shape):
+        # the config parses to integer pairs, the measures return integer moments,
         # every check compares the elimination's integers and every output is
         # written with ratio_text: a passing verify of every check, a compute and
-        # a kernel call neither module's rat; reading H and one member's values
-        # afterwards shows that the counter sees the calls it should
+        # a kernel call rat only at the CLI's edges, for projection's seeded
+        # matrix polynomials and the kernel's two points.  rat is counted in
+        # every module that binds it and in measures and moments, which bind
+        # none; reading H and one member's values afterwards shows that the
+        # counter sees the calls it should
         cfg = GOLDEN_CONFIG if shape == "golden" else good_config(tmp_path, *shape)
         calls = []
 
         def counting(*args):
-            calls.append(args)
+            caller = sys._getframe(1)
+            calls.append((caller.f_globals["__name__"], caller.f_code.co_name))
             return rat(*args)
 
-        monkeypatch.setattr("steppoly.families.rat", counting)
-        monkeypatch.setattr("steppoly.gaussborel.rat", counting)
+        for module in ("rational", "measures", "moments", "families", "gaussborel", "cli"):
+            monkeypatch.setattr(f"steppoly.{module}.rat", counting, raising=False)
         assert main(["verify", "--config", str(cfg), "--checks", ",".join(CHECK_NAMES),
                      "--out", str(tmp_path / "v")]) == 0
+        assert set(calls) == {("steppoly.cli", "small"), ("steppoly.cli", "seeded_monic_matrix")}
+        calls.clear()
         assert main(["compute", "--config", str(cfg), "--out", str(tmp_path / "c")]) == 0
+        assert calls == []
         assert main(["kernel", "--config", str(cfg), "--n", "4",
                      "--x", "1/2,-1/3", "--y", "2/7,1/5", "--out", str(tmp_path / "k")]) == 0
-        assert calls == []
+        assert calls == [("steppoly.cli", "<genexpr>")] * 4
+        calls.clear()
         ws = Workspace(load_config(cfg))
+        assert calls == []
         ws.F.H, ws.A.eval(0, rat(1, 2), rat(-1, 3))
         assert len(calls) == ws.extended_depth + ws.config.p
 
@@ -707,9 +770,9 @@ class TestRowsBuiltOnRead:
 
 
 class TestMomentRowsScaledOnce:
-    """Each truncation's rows are scaled when it is built: verify scales M's rows
-    once and M^T's at most once, whichever checks read them; kernel scales its
-    one truncation once."""
+    """Each truncation's rows are scaled when it is built, one over_lcm of its
+    (num, den) moments per row: verify scales M's rows once and M^T's at most
+    once, whichever checks read them; kernel scales its one truncation once."""
 
     @pytest.mark.parametrize("shape", ["golden", (2, 3)])
     def test_each_row_scaled_once(self, tmp_path, monkeypatch, shape):
@@ -717,12 +780,12 @@ class TestMomentRowsScaledOnce:
         extended = extended_depth(load_config(cfg))
         widths = []
 
-        def counting(values):
-            values = list(values)
-            widths.append(len(values))
-            return common_denominator(values)
+        def counting(pairs):
+            pairs = list(pairs)
+            widths.append(len(pairs))
+            return over_lcm(pairs)
 
-        monkeypatch.setattr("steppoly.moments.common_denominator", counting)
+        monkeypatch.setattr("steppoly.moments.over_lcm", counting)
         assert main(["verify", "--config", str(cfg), "--checks", ",".join(CHECK_NAMES),
                      "--out", str(tmp_path / "v")]) == 0
         assert widths == [extended] * (2 * extended)

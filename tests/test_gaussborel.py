@@ -12,7 +12,6 @@ from steppoly import assemble_moments, extract_families, factorize, rat
 from steppoly.cdkernel import check_abc, kernel_eval
 from steppoly.errors import Breakdown
 from steppoly.measures import Discrete, MeasureMatrix
-from steppoly.moments import MomentTruncation
 from steppoly.rational import QType
 from steppoly.recurrence import build_recurrence, required_depth
 
@@ -32,8 +31,10 @@ from _support import (
     mat_eq,
     matmul,
     mixed_mm,
+    moment_data,
     one_step_eliminate,
     pointwise_abc,
+    rational_truncation,
     reconstruct,
     side_rationals,
     solve,
@@ -77,7 +78,7 @@ def assemble(L, H, U):
 
 def truncation(rows):
     """Square rows as a truncation with 1 x 1 blocks, the form factorize takes."""
-    return MomentTruncation(len(rows), 1, 1, rows)
+    return rational_truncation(len(rows), 1, 1, rows)
 
 
 class TestInvertUnitriangular:
@@ -257,7 +258,7 @@ class TestFactorize:
         A, B = extract_families(factorize(truncation(assemble(L, H, U))), q, p)
         tables = [KernelTable(A, B, x, y, len(H))]
         H[k] = rat(0)
-        M = MomentTruncation(len(H), q, p, assemble(L, H, U))
+        M = rational_truncation(len(H), q, p, assemble(L, H, U))
         for n in range(len(H)):
             part = truncation_corner(M, n + 1)
             if n < k:
@@ -297,7 +298,7 @@ class TestFactorize:
             for q, p in SHAPES:
                 system = build_system(q, p, 16, seed=35, kind=kind)
                 F = system.F
-                assert (F.minors, F.S_int, F.Sbar_int) == bordered_numerators(system.M.data), (kind, q, p)
+                assert (F.minors, F.S_int, F.Sbar_int) == bordered_numerators(moment_data(system.M)), (kind, q, p)
 
     def test_factor_types_and_stored_inverses(self):
         F = build_system(2, 3, 20, seed=34).F
@@ -327,7 +328,7 @@ class TestFactorize:
         system = build_system(2, 2, 14, seed=31)
         F = system.F
         for d in range(1, 15):
-            Fd = factorize(truncation(corner(system.M.data, d)))
+            Fd = factorize(truncation(corner(moment_data(system.M), d)))
             assert Fd.S == corner(F.S, d)
             assert Fd.Sbar == corner(F.Sbar, d)
             assert Fd.H == F.H[:d]
@@ -338,7 +339,7 @@ class TestFactorize:
     def test_reconstruction_on_random_systems(self):
         for q, p in SHAPES:
             system = build_system(q, p, 12, seed=32)
-            assert mat_eq(reconstruct(system.F), system.M.data), (q, p)
+            assert mat_eq(reconstruct(system.F), moment_data(system.M)), (q, p)
 
     def test_transpose_is_factorization_of_transpose(self):
         # M^T = Sbar^-1 H S^-T, so the dual recurrence may read F.transpose().
@@ -346,7 +347,7 @@ class TestFactorize:
         # integers differ; the factors they stand for must not.
         for q, p in SHAPES:
             system = build_system(q, p, 12, seed=32)
-            F, Ft = system.F.transpose(), factorize(truncation(transpose(system.M.data)))
+            F, Ft = system.F.transpose(), factorize(truncation(transpose(moment_data(system.M))))
             assert (Ft.depth, Ft.S, Ft.Sbar, Ft.H, stored_inverses(Ft)) == (
                 F.depth, F.S, F.Sbar, F.H, stored_inverses(F)), (q, p)
             # the two integer sides swap by reference
@@ -443,7 +444,7 @@ class TestWindow:
         # count atoms in general position: the moment matrix has rank count, so
         # Delta_{count+1} is the first zero minor of the 9 x 9 truncation, at
         # each offset of a group of three in turn (count = 3 .. 8)
-        atoms = [(rat(x), rat(y), rat(w)) for x, y, w in (
+        atoms = [((x, 1), (y, 1), (w, 1)) for x, y, w in (
             (1, 2, 1), (-1, 1, 2), (3, -2, 1), (2, 5, 3), (-2, -3, 1), (4, 3, 2),
             (5, -1, 1), (-3, 4, 3))][:count]
         M = assemble_moments(MeasureMatrix(1, 1, [[Discrete(atoms)]]), 9)
@@ -460,7 +461,7 @@ class TestFactorRows:
     def test_rows_are_the_bordered_numerators(self):
         for kind in ("table", "mixed"):
             for q, p in SHAPES:
-                data = build_system(q, p, 16, seed=35, kind=kind).M.data
+                data = moment_data(build_system(q, p, 16, seed=35, kind=kind).M)
                 _, *want = bordered_numerators(data)
                 for width in (None, 9):
                     F = factorize(truncation(data), width)

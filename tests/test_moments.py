@@ -1,15 +1,17 @@
 """Moment truncations, shift operators, and the Hankel symmetry window."""
 
+import decimal
 import random
+from fractions import Fraction
 from math import lcm
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from steppoly import assemble_moments, rat
 from steppoly.errors import DepthError
-from steppoly.measures import MeasureMatrix, MomentTable
+from steppoly.measures import Discrete, MeasureMatrix, RectDensity
 from steppoly.moments import check_hankel, hankel_mismatches, hankel_window
 from steppoly.stepline import n_plus, pair_of
 
@@ -17,30 +19,37 @@ from _support import (
     SHAPES,
     apply_shift_to_monomials,
     build_system,
+    max_deg_needed,
     mixed_mm,
+    moment_data,
     monomial_value,
+    naive_moment,
+    rational_truncation,
     shift_ones_in_complement,
     shift_operator,
+    table,
     table_mm,
     truncation_corner,
 )
 
 
-def tagged_table(b: int, a: int, max_deg: int) -> MomentTable:
+def tagged_table(b: int, a: int, max_deg: int):
     """Moments that encode (cell, s, t) injectively, so entry placement is visible."""
     moments = {}
     for s in range(max_deg + 1):
         for t in range(max_deg + 1 - s):
             moments[(s, t)] = rat(1000000 * (3 * b + a + 1) + 1000 * s + t)
-    return MomentTable(max_deg, moments)
+    return table(max_deg, moments)
 
 
 def assert_scaled(M) -> None:
     """Row m of M is ints[m] over scale[m], the lcm of its denominators."""
-    assert len(M.scale) == len(M.ints) == len(M.data) == M.depth
-    for m, (row, r, nums) in enumerate(zip(M.data, M.scale, M.ints)):
+    data = moment_data(M)
+    assert len(M.scale) == len(M.ints) == len(data) == M.depth
+    for m, (row, r, nums) in enumerate(zip(data, M.scale, M.ints)):
         assert r == lcm(*(v.denominator for v in row)), m
         assert nums == [v * r for v in row] and all(type(v) is int for v in nums), m
+        assert type(r) is int, m
 
 
 class TestAssembly:
@@ -57,7 +66,7 @@ class TestAssembly:
                     kk, ll, _ = pair_of(n // p)
                     s, t = (i - j) + (kk - ll), j + ll
                     want = rat(1000000 * (3 * (m % q) + (n % p) + 1) + 1000 * s + t)
-                    assert M.data[m][n] == want, (q, p, m, n)
+                    assert moment_data(M)[m][n] == want, (q, p, m, n)
 
     def test_assembly_nesting(self):
         rng = random.Random(11)
@@ -65,9 +74,9 @@ class TestAssembly:
         big = assemble_moments(mm, 12)
         for d in (1, 5, 12):
             small = assemble_moments(mm, d)
-            assert small.data == [row[:d] for row in big.data[:d]]
+            assert moment_data(small) == [row[:d] for row in moment_data(big)[:d]]
             part = truncation_corner(big, d)
-            assert part.data == small.data
+            assert moment_data(part) == moment_data(small)
             assert part.ints == small.ints and part.scale == small.scale
 
     @pytest.mark.parametrize("kind", ["mixed", "table"])
@@ -120,6 +129,106 @@ class TestAssembly:
             assemble_moments(mixed_mm(rng, 1, 1), 0)
 
 
+def text_fraction(text: str) -> Fraction:
+    """A config literal as a plain Fraction, each part read by decimal.Decimal,
+    which no int/str digit limit binds: a reading independent of parse_ratio."""
+    num, _, den = text.strip().partition("/")
+    return Fraction(int(decimal.Decimal(num)), int(decimal.Decimal(den or "1")))
+
+
+@st.composite
+def literals(draw) -> str:
+    """Config text of a small rational: unreduced by a common factor k, with a
+    leading "+" on some positive numerators and "-" on some zeros, and an
+    integer written bare or over 1."""
+    num, den, k = draw(st.integers(-20, 20)), draw(st.integers(1, 9)), draw(st.integers(1, 3))
+    sign = draw(st.sampled_from(["", "+"])) if num > 0 else draw(st.sampled_from(["", "-"])) if num == 0 else ""
+    if den * k == 1 and draw(st.booleans()):
+        return f"{sign}{num}"
+    return f"{sign}{num * k}/{den * k}"
+
+
+@st.composite
+def cells(draw, max_deg: int) -> dict:
+    """One config cell of each kind, with negative weights, zero density
+    coefficients and absent table moments among the draws."""
+    kind = draw(st.sampled_from(["discrete", "rect", "table"]))
+    if kind == "discrete":
+        atom = st.fixed_dictionaries({"x": literals(), "y": literals(), "w": literals()})
+        return {"type": "discrete", "atoms": draw(st.lists(atom, max_size=5))}
+    if kind == "rect":
+        bound = st.lists(literals(), min_size=2, max_size=2).filter(
+            lambda ab: text_fraction(ab[0]) != text_fraction(ab[1]))
+        box = [v for ab in (draw(bound), draw(bound)) for v in sorted(ab, key=text_fraction)]
+        density = draw(st.dictionaries(st.integers(0, 5).map(str), literals(), max_size=6))
+        return {"type": "rect", "box": box, "density": density}
+    keys = [f"{s},{t}" for s in range(max_deg + 1) for t in range(max_deg + 1 - s)]
+    moments = draw(st.dictionaries(st.sampled_from(keys), literals(), max_size=len(keys)))
+    return {"type": "table", "max_total_deg": max_deg, "moments": moments}
+
+
+@st.composite
+def grids(draw) -> dict:
+    """A config's q x p grid of cells of every kind, and a depth up to 8."""
+    (q, p), depth = draw(st.sampled_from(SHAPES)), draw(st.integers(1, 8))
+    max_deg = max_deg_needed(depth, q, p)
+    return {"q": q, "p": p, "depth": depth,
+            "measures": [[draw(cells(max_deg)) for _ in range(p)] for _ in range(q)]}
+
+
+# more than the 4,300 digits Python's int() reads from text
+HUGE = "-" + "3" * 4400 + "/" + "6" * 10
+HUGE_GRID = {"q": 1, "p": 3, "depth": 4, "measures": [[
+    {"type": "discrete", "atoms": [{"x": "1/2", "y": "-1", "w": HUGE}, {"x": "4/6", "y": "+3", "w": "1"}]},
+    {"type": "rect", "box": ["-1", "1/2", "0", "2"], "density": {"0": "1", "2": HUGE, "4": "-0/5"}},
+    {"type": "table", "max_total_deg": 3, "moments": {"0,0": HUGE, "1,0": "4/6", "0,1": "+3"}},
+]]}
+
+
+def oracle_moment(cell: dict, s: int, t: int) -> Fraction:
+    """The moment of a config cell in plain Fractions: naive_moment's term-by-term
+    sums over measures built from text_fraction's readings, or the table's value."""
+    if cell["type"] == "table":
+        return text_fraction(cell["moments"].get(f"{s},{t}", "0"))
+
+    def pair(text: str) -> tuple[int, int]:
+        v = text_fraction(text)
+        return v.numerator, v.denominator
+
+    if cell["type"] == "discrete":
+        measure = Discrete([tuple(pair(a[c]) for c in "xyw") for a in cell["atoms"]])
+    else:
+        measure = RectDensity(*map(pair, cell["box"]),
+                              {int(K): pair(c) for K, c in cell["density"].items()})
+    return naive_moment(measure, s, t)
+
+
+def row_scaled(rows: list[list[Fraction]]) -> tuple[list[int], list[list[int]]]:
+    """Each row over the lcm of its denominators: (scales, integer rows)."""
+    scale = [lcm(*(v.denominator for v in row)) for row in rows]
+    return scale, [[int(v * r) for v in row] for row, r in zip(rows, scale)]
+
+
+class TestIntegersFromText:
+    """assemble_moments writes the row-lcm scaling of the exact moments: the
+    integers of plain-Fraction moments, read from the config text apart from
+    parse_ratio and the measures' integer sums, for M and for M^T."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(grids())
+    @example(HUGE_GRID)
+    def test_scale_and_ints_match_the_fraction_oracle(self, grid):
+        q, p, depth = grid["q"], grid["p"], grid["depth"]
+        M = assemble_moments(MeasureMatrix.from_json(grid), depth)
+        exps = [(i - j, j) for i, j, _ in map(pair_of, range(depth))]
+        want = [[oracle_moment(grid["measures"][m % q][n % p],
+                               exps[m // q][0] + exps[n // p][0], exps[m // q][1] + exps[n // p][1])
+                 for n in range(depth)] for m in range(depth)]
+        assert (M.scale, M.ints) == row_scaled(want)
+        Mt = M.transpose()
+        assert (Mt.scale, Mt.ints) == row_scaled([list(col) for col in zip(*want)])
+
+
 class TestShiftOperator:
     @given(st.sampled_from((1, 2, 3)), st.sampled_from((1, 2)))
     def test_single_one_per_row(self, r, k):
@@ -164,19 +273,20 @@ class TestHankelSymmetry:
 
     def test_corruption_detected_and_located(self):
         system = build_system(1, 2, 16, seed=22)
-        data = [row[:] for row in system.M.data]
+        data = moment_data(system.M)
         # corrupt an entry both sides of the window can see: (m, n) = (0, 0)
         target_row = n_plus(0, 1, 1)
         data[target_row][0] += 1
-        from steppoly.moments import MomentTruncation
-
-        corrupted = MomentTruncation(16, 1, 2, data)
+        corrupted = rational_truncation(16, 1, 2, data)
         bad = hankel_mismatches(corrupted, 1)
         assert bad, "corruption must be detected"
         assert any(b[0] == 0 and b[1] == 0 for b in bad)
         rep = check_hankel(corrupted, 1)
         assert rep.violations[0].where[:3] == (1, bad[0][0], bad[0][1])
         assert len(rep.violations) == len(bad) and rep.checked > len(bad)
+        # each text is str() of the rational entry, as the rational entries once wrote it
+        for (m, n, _, _), v in zip(bad, rep.violations):
+            assert v.detail == f"{data[n_plus(m, 1, 1)][n]} != {data[m][n_plus(n, 2, 1)]}", (m, n)
 
     def test_window_shrinks_with_depth(self):
         m_count, n_count = hankel_window(16, 1, 2, 1)

@@ -10,7 +10,7 @@ from steppoly.cli import Workspace, load_config, run_checks
 from steppoly.families import Family, check_orthogonality
 from steppoly.errors import DepthError
 from steppoly.gaussborel import Factorization, IntegerSide
-from steppoly.measures import MeasureMatrix, RectDensity
+from steppoly.measures import MeasureMatrix
 from steppoly.rational import QType, format_rat
 from steppoly.recurrence import (
     RecurrenceTruncation,
@@ -31,13 +31,14 @@ from _support import (
     planted_entry,
     rational_T,
     recurrence_oracle,
+    rect,
     transpose,
     truncation_corner,
 )
 
 
 def lebesgue_T(size: int, k: int):
-    leb = RectDensity(-1, 1, -1, 1, {0: rat(1)})
+    leb = rect(-1, 1, -1, 1, {0: rat(1)})
     mm = MeasureMatrix(1, 1, [[leb]])
     M = assemble_moments(mm, required_depth(size, 1, 1))
     F = factorize(M)
