@@ -63,7 +63,8 @@ from .stepline import n_minus_big, n_plus
 
 def kernel_eval(M: MomentTruncation, x: tuple, y: tuple) -> tuple[int, list[list[int]]]:
     """K^[D-1](x, y) = X_[p](x)^T M^-1 X_[q](y) for a depth-D truncation M, exactly,
-    as (den, corner): entry (a, b) of the kernel is corner[a][b] / den.
+    as (den, corner): entry (a, b) of the kernel is corner[a][b] / den.  Each
+    point is two integer pairs (num, den), den > 0, as monomial_ints reads it.
 
     Row m of M's integers, M.ints[m] = r_m M[m] with r_m = M.scale[m], is
     copied and bordered by q columns and p rows: with integer monomial
@@ -219,11 +220,12 @@ def check_reproduction(A: Family, B: Family, gram: list[list], n: int) -> CheckR
 def is_monic_of_grlex_degree(P: list[list[dict]], I: int) -> bool:
     """Leading term of the matrix polynomial is monomial_I times the identity.
 
-    P is a grid of {monomial position: rational} maps that store no zeros.
+    P is a grid of {monomial position: (num, den)} maps in lowest terms that
+    store no zeros.
     """
     if any(len(row) != len(P) for row in P):
         return False
-    return all(max(e, default=-1) == I and e.get(I) == 1 if r == c else max(e, default=-1) < I
+    return all(max(e, default=-1) == I and e.get(I) == (1, 1) if r == c else max(e, default=-1) < I
                for r, row in enumerate(P) for c, e in enumerate(row))
 
 
@@ -231,7 +233,7 @@ def check_projection(A: Family, BM: list, n: int, P: list[list[dict]]) -> CheckR
     """Integral of K^[n](x, .) against dmu P recovers P(x), above the threshold.
 
     P is a p x p matrix polynomial, p = A.r, a grid of {monomial position:
-    rational} maps that store no zeros; it must be monic of grlex-degree I with
+    (num, den)} maps that store no zeros; it must be monic of grlex-degree I with
     n >= I*p + p - 1.  Calls below the threshold are precondition errors, not
     identity failures.  The columns of P form one Family: the inner integrals
     of B_i against them are the product (C_B M) C_P, read off rows 0 .. n of

@@ -40,7 +40,7 @@ from .families import (
 from .gaussborel import factorize, unit_lower
 from .measures import MeasureMatrix
 from .moments import assemble_moments, check_hankel
-from .rational import BACKEND, _int, format_rat, parse_ratio, rat, ratio_text
+from .rational import _int, parse_ratio, ratio_text
 from .recurrence import (
     RecurrenceTruncation,
     build_recurrence,
@@ -116,14 +116,17 @@ def load_config(path: str | Path) -> RunConfig:
 
 def seeded_monic_matrix(rng: random.Random, size: int, I: int) -> list[list[dict]]:
     """Monic size x size matrix polynomial of grlex-degree I with random lower part,
-    as a grid of {monomial position: rational} maps, drawn entry by entry in row order."""
+    as a grid of {monomial position: (num, den)} maps in lowest terms, drawn entry
+    by entry in row order, each coefficient num / den with num and den drawn in turn."""
     def small():
-        return rat(rng.randint(-6, 6), rng.randint(1, 4))
+        num, den = rng.randint(-6, 6), rng.randint(1, 4)
+        g = math.gcd(num, den)
+        return num // g, den // g
 
-    grid = [[{K: v for K in range(I) if (v := small()) != 0} for _ in range(size)]
+    grid = [[{K: v for K in range(I) if (v := small())[0]} for _ in range(size)]
             for _ in range(size)]
     for r in range(size):
-        grid[r][r][I] = rat(1)
+        grid[r][r][I] = (1, 1)
     return grid
 
 
@@ -378,7 +381,7 @@ def _cmd_compute(args) -> int:
     out_dir = Path(args.out or config.output or ".")
     written = write_exports(ws, out_dir, args.render_decimal)
     print(f"wrote {len(written)} files to {out_dir}", file=sys.stderr)
-    print(f"elapsed {time.perf_counter() - t0:.3f}s (backend {BACKEND})", file=sys.stderr)
+    print(f"elapsed {time.perf_counter() - t0:.3f}s", file=sys.stderr)
     return 0
 
 
@@ -403,7 +406,7 @@ def _cmd_verify(args) -> int:
     out_dir = args.out or config.output
     if out_dir:
         write_files(Path(out_dir), {"report.json": json.dumps(report, indent=2, sort_keys=True) + "\n"})
-    print(f"elapsed {time.perf_counter() - t0:.3f}s (backend {BACKEND})", file=sys.stderr)
+    print(f"elapsed {time.perf_counter() - t0:.3f}s", file=sys.stderr)
     if report["status"] == "breakdown":
         return 2
     return 1 if report["summary"]["fail"] else 0
@@ -415,8 +418,8 @@ def _cmd_kernel(args) -> int:
     if n < 0:
         raise ConfigError("--n must be >= 0")
     try:
-        x = tuple(rat(*parse_ratio(v)) for v in args.x.split(","))
-        y = tuple(rat(*parse_ratio(v)) for v in args.y.split(","))
+        x = [parse_ratio(v) for v in args.x.split(",")]
+        y = [parse_ratio(v) for v in args.y.split(",")]
     except ValueError as exc:
         raise ConfigError(f"bad point: {exc}") from exc
     if len(x) != 2 or len(y) != 2:
@@ -427,8 +430,8 @@ def _cmd_kernel(args) -> int:
         "schema_version": SCHEMA_VERSION,
         "kind": "kernel",
         "n": n,
-        "x": [format_rat(v) for v in x],
-        "y": [format_rat(v) for v in y],
+        "x": [ratio_text(*v) for v in x],
+        "y": [ratio_text(*v) for v in y],
         "matrix": [[ratio_text(v, den) for v in row] for row in corner],
     }
     text = json.dumps(obj, indent=2, sort_keys=True) + "\n"

@@ -33,12 +33,13 @@ with mismatches, which cross-multiplies them key by key.
 
 from __future__ import annotations
 
+from fractions import Fraction
 from math import lcm
 
 from .errors import DepthError
 from .gaussborel import Factorization
 from .moments import MomentTruncation
-from .rational import as_rat, over_lcm, rat, ratio_text
+from .rational import over_lcm, ratio_text
 from .report import CheckReport, Violation
 from .stepline import pair_of
 
@@ -60,11 +61,11 @@ class Family:
     @staticmethod
     def from_members(r: int, members) -> "Family":
         """The family whose member n has the r components members[n], each a
-        {monomial position: rational} map that stores no zeros."""
+        {monomial position: (num, den)} map that stores no zeros, den > 0."""
         rows = []
         for comps in members:
             row = {K * r + i: c for i, comp in enumerate(comps) for K, c in comp.items()}
-            d, nums = over_lcm((c.numerator, c.denominator) for c in row.values())
+            d, nums = over_lcm(row.values())
             rows.append((d, dict(zip(row, nums))))
         return Family(r, rows)
 
@@ -80,21 +81,22 @@ class Family:
         return Family(self.r, [self.rows[n]]).values(x1, x2, 1)[0]
 
     def values(self, x1, x2, count: int) -> list[list]:
-        """Members 0 .. count-1 at one point, all read from one monomial table.
+        """Members 0 .. count-1 at the point (x1, x2) of two ints or Fractions, all
+        read from one monomial table, as Fractions.
 
         The table is scaled to integers, so each value is one integer sum of
-        coefficient times monomial and one rat().
+        coefficient times monomial and one Fraction.
         """
         r, rows = self.r, self.rows[:count]
         top = max((max(row) for _, row in rows if row), default=-1)
-        den, mono = monomial_ints((x1, x2), top // r + 1)
+        den, mono = monomial_ints([(v.numerator, v.denominator) for v in (x1, x2)], top // r + 1)
         out = []
         for d, row in rows:
             sums = [0] * r
             for c, v in row.items():
                 K, i = divmod(c, r)
                 sums[i] += v * mono[K]
-            out.append([rat(s, d * den) for s in sums])
+            out.append([Fraction(s, d * den) for s in sums])
         return out
 
 
@@ -119,10 +121,11 @@ def mismatches(x: tuple[int, dict], y: tuple[int, dict]) -> set:
     return {key for key in mx.keys() | my.keys() if mx.get(key, 0) * dy != my.get(key, 0) * dx}
 
 
-def monomial_ints(x: tuple, count: int) -> tuple[int, list[int]]:
-    """(d, ints): the monomials at positions 0 .. count-1 at x = (a/b, c/e) are ints / d,
-    position (i, j) being (a e)^(i-j) (c b)^j (b e)^(top-i) over d = (b e)^top."""
-    (a, b), (c, e) = ((v.numerator, v.denominator) for v in map(as_rat, x))
+def monomial_ints(x, count: int) -> tuple[int, list[int]]:
+    """(d, ints): the monomials at positions 0 .. count-1 at the point x = (a/b, c/e),
+    given as the pairs ((a, b), (c, e)), b, e > 0, are ints / d, position (i, j)
+    being (a e)^(i-j) (c b)^j (b e)^(top-i) over d = (b e)^top."""
+    (a, b), (c, e) = x
     top = pair_of(count - 1).i if count else 0
     ints = [(a * e) ** (i - j) * (c * b) ** j * (b * e) ** (top - i)
             for i in range(top + 1) for j in range(i + 1)]

@@ -128,12 +128,12 @@ is the unpacked one's.
 
 from __future__ import annotations
 
+from fractions import Fraction
 from operator import mul
 from typing import NamedTuple
 
 from .errors import Breakdown
 from .moments import MomentTruncation
-from .rational import ONE, ZERO, rat
 
 CERT_PRIME = 2**31 - 1  # the modulus of factorize's certificate, a prime
 
@@ -175,15 +175,15 @@ class Factorization:
 
     @property
     def H(self) -> list:
-        return self.diagonal(len(self.S_int.L), rat)
+        return self.diagonal(len(self.S_int.L), Fraction)
 
     @property
     def S(self) -> list[list]:
-        return unit_lower(self.minors, self.S_int, len(self.S_int.L), rat, ONE, ZERO)
+        return unit_lower(self.minors, self.S_int, len(self.S_int.L), Fraction, Fraction(1), Fraction(0))
 
     @property
     def Sbar(self) -> list[list]:
-        return unit_lower(self.minors, self.Sbar_int, len(self.Sbar_int.L), rat, ONE, ZERO)
+        return unit_lower(self.minors, self.Sbar_int, len(self.Sbar_int.L), Fraction, Fraction(1), Fraction(0))
 
     def transpose(self) -> "Factorization":
         """The factorization M^T = Sbar^-1 H S^-T: the same factors, roles swapped."""

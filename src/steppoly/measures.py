@@ -49,16 +49,16 @@ class PowerTable:
     no row below it."""
 
     def __init__(self, values, weights=None):
-        self.den, self._nums = over_lcm(values)
-        self._rows = {0: weights or [1] * len(self._nums)}
+        self.den, self.nums = over_lcm(values)
+        self._rows = {0: weights or [1] * len(self.nums)}
 
     def row(self, e: int) -> list[int]:
         rows = self._rows
         got = rows.get(e)
         if got is None:
             prev = rows.get(e - 1)
-            got = rows[e] = (list(map(mul, prev, self._nums)) if prev is not None
-                             else [w * pow(v, e) for w, v in zip(rows[0], self._nums)])
+            got = rows[e] = (list(map(mul, prev, self.nums)) if prev is not None
+                             else [w * pow(v, e) for w, v in zip(rows[0], self.nums)])
         return got
 
 
@@ -79,11 +79,22 @@ class Discrete:
         return _reduced(total, w_den * wxs.den ** s * ys.den ** t)
 
 
+# The most bits a density term's moments may need, by RectDensity's estimate
+# (2 MB a number).  A depth-3 verify on [0, 2] x [-1, 1] took 22 s at 2^18
+# bits and ran past 300 s at 2^20 (Python 3.11, one x86-64 core): by that
+# growth, a config this refuses would run for many hours.
+MAX_MOMENT_BITS = 2**24
+
+
 class RectDensity:
     """Polynomial density on a rectangle [x1_lo, x1_hi] x [x2_lo, x2_hi].
 
     density maps monomial position K to its coefficient; zero coefficients
-    are dropped.
+    are dropped.  The term at K = (i, j) integrates to powers of the scaled
+    bounds, at least i - j + 1 of the x1 ones and j + 1 of the x2 ones, so its
+    moments need at least about (i - j + 1) bx + (j + 1) by bits, bx and by the
+    ceil(log2) of the largest scaled bound or denominator on each axis: 0 for
+    bounds of magnitude 1 over 1.  Above MAX_MOMENT_BITS that is a ConfigError.
     """
 
     def __init__(self, x1_lo, x1_hi, x2_lo, x2_hi, density: Mapping[int, tuple[int, int]]):
@@ -91,16 +102,21 @@ class RectDensity:
         if not all(lo[0] * hi[1] < hi[0] * lo[1] for lo, hi in ((x1_lo, x1_hi), (x2_lo, x2_hi))):
             raise ConfigError("rectangle bounds must satisfy lo < hi in both variables")
         self.density = {int(K): c for K, c in density.items() if c[0]}
+        self._axes = PowerTable([x1_lo, x1_hi]), PowerTable([x2_lo, x2_hi])
+        bx, by = ((max(t.den, *map(abs, t.nums)) - 1).bit_length() for t in self._axes)
+        for K in self.density:
+            i, j, _ = pair_of(K)
+            if (bits := (i - j + 1) * bx + (j + 1) * by) > MAX_MOMENT_BITS:
+                raise ConfigError(f"density position {K} needs moments of about {bits} bits, "
+                                  f"above the limit of {MAX_MOMENT_BITS}")
         self._tables = None
 
     def moment(self, s: int, t: int) -> tuple[int, int]:
         if self._tables is None:
             den, nums = over_lcm(self.density.values())
             pairs = map(pair_of, self.density)
-            self._tables = (den, [(i - j + 1, j + 1, c) for (i, j, _), c in zip(pairs, nums)],
-                            PowerTable([self.x1_lo, self.x1_hi]),
-                            PowerTable([self.x2_lo, self.x2_hi]))
-        den, terms, xs, ys = self._tables
+            self._tables = den, [(i - j + 1, j + 1, c) for (i, j, _), c in zip(pairs, nums)]
+        (den, terms), (xs, ys) = self._tables, self._axes
         # the term (c/den) x^(i-j) y^j integrates to (c/den) (hi^a - lo^a)/a (hi^b - lo^b)/b,
         # a = s + i - j + 1 and b = t + j + 1: over the scaled axis rows that is
         # n / (den xs.den^a ys.den^b a b) for an integer n.  Terms with n = 0 are

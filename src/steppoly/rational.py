@@ -1,42 +1,29 @@
-"""Exact rational scalar backend.
+"""Rational text, integer pairs and the library's one rational type.
 
-Uses gmpy2.mpq when available, fractions.Fraction otherwise; BACKEND names the
-one in use, "gmpy2" or "fractions".  Both expose the same arithmetic and the
-same str() form ("n" or "n/d" in lowest terms), which the serialization layer
-relies on.  parse_ratio reads that form into an integer pair (num, den) in
-lowest terms, den > 0, forming no rational; format_rat writes a rational and
-ratio_text a ratio of two integers in it.  All three work at any size: past the
+The package computes in integers.  parse_ratio reads the text "num" or
+"num/den" into an integer pair (num, den) in lowest terms, den > 0, and
+ratio_text writes a ratio of two integers back in that form, as str() writes
+the fractions.Fraction it stands for.  Both work at any size: past the
 interpreter's limit on int/str conversion digits they go through
-decimal.Decimal, which that limit does not bind.
+decimal.Decimal, which that limit does not bind.  The few rational results of
+the library's API (steppoly.rat, Family.values, Factorization.H, .S and
+.Sbar) are plain Fractions; QType names that type.
 """
 
 from __future__ import annotations
 
 import decimal
-import numbers
 import re
 from fractions import Fraction
 from math import gcd, lcm
 
-try:
-    from gmpy2 import mpq as _mpq
-
-    QType = type(_mpq(1, 2))
-    BACKEND = "gmpy2"
-
-    def rat(num=0, den=1):
-        return _mpq(num, den)
-
-except ImportError:
-    QType = Fraction
-    BACKEND = "fractions"
-
-    def rat(num=0, den=1):
-        return Fraction(num, den)
+QType = Fraction
 
 
-ZERO = rat(0)
-ONE = rat(1)
+def rat(num=0, den=1) -> Fraction:
+    """The Fraction num / den of two integers or rationals; a float is a TypeError."""
+    return Fraction(num, den)
+
 
 # ASCII digits only, not \d; \s matches exactly the characters str.strip removes
 _RAT_RE = re.compile(r"\s*([+-]?[0-9]+)(?:/([0-9]+))?\s*")
@@ -64,18 +51,8 @@ def parse_ratio(text: str) -> tuple[int, int]:
     return num // g, den // g
 
 
-def format_rat(value) -> str:
-    """Canonical "num/den" (or "num") string in lowest terms."""
-    if type(value) is not QType:
-        value = rat(value)
-    try:
-        return str(value)
-    except ValueError:  # more digits than str() converts
-        return ratio_text(value.numerator, value.denominator)
-
-
 def ratio_text(num, den) -> str:
-    """format_rat(rat(num, den)) for integers num and den != 0, by one gcd."""
+    """str(Fraction(num, den)) for integers num and den != 0, by one gcd, at any size."""
     g = gcd(num, den) if den > 0 else -gcd(num, den)
     num, den = num // g, den // g
     try:
@@ -91,16 +68,3 @@ def over_lcm(pairs) -> tuple[int, list[int]]:
     pairs = list(pairs)
     d = lcm(*[den for _, den in pairs])
     return d, [num * (d // den) for num, den in pairs]
-
-
-def as_rat(value):
-    """Coerce an int, Fraction, mpq or rational string to the backend type."""
-    if isinstance(value, QType):
-        return value
-    if isinstance(value, str):
-        return rat(*parse_ratio(value))
-    if isinstance(value, (int, Fraction)):
-        return rat(value)
-    if isinstance(value, numbers.Rational):
-        return rat(value.numerator, value.denominator)
-    raise TypeError(f"cannot interpret {type(value).__name__} as an exact rational")

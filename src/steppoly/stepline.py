@@ -7,15 +7,13 @@ provides the F family of floor maps, the shift targets n_plus, the exception
 sets J_{r;k} and the band-start map n_minus_big that together describe where
 the recurrence matrices are allowed to be nonzero.
 
-Everything here is exact integer/rational arithmetic; no floating point.
+Everything here is exact integer arithmetic; no floating point.
 """
 
 from __future__ import annotations
 
 from math import isqrt
 from typing import NamedTuple
-
-from .rational import as_rat
 
 
 class GradedIndex(NamedTuple):
@@ -24,21 +22,16 @@ class GradedIndex(NamedTuple):
     position: int
 
 
-def floor_f(x) -> int:
-    """Largest integer i with i(i+1)/2 <= x, for an integer or rational x >= 0.
+def floor_f(m: int) -> int:
+    """Largest integer i with i(i+1)/2 <= m, for an integer m >= 0.
 
-    Every i(i+1)/2 is an integer, so F(x) = F(floor(x)), and for an integer
-    m >= 0 the answer is exactly (isqrt(8m + 1) - 1) // 2: the integer
-    square root hits the triangular boundaries exactly, with no fixup and no
-    float.
+    The answer is exactly (isqrt(8m + 1) - 1) // 2: the integer square root
+    hits the triangular boundaries exactly, with no fixup and no float.  Every
+    i(i+1)/2 is an integer, so F(x) of a rational x >= 0 is F(floor(x)); the
+    callers pass such floors, as n_plus passes n // r for F(n/r).
     """
-    if type(x) is int:
-        m = x
-    else:
-        q = as_rat(x)
-        m = q.numerator // q.denominator
     if m < 0:
-        raise ValueError(f"negative argument: {x}")
+        raise ValueError(f"negative argument: {m}")
     return (isqrt(8 * m + 1) - 1) // 2
 
 

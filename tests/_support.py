@@ -30,7 +30,7 @@ from steppoly.families import Family, moment_rows, monomial_ints
 from steppoly.gaussborel import Factorization, IntegerSide, eliminate
 from steppoly.measures import Discrete, MeasureMatrix, MomentTable, RectDensity
 from steppoly.moments import MomentTruncation
-from steppoly.rational import ONE, ZERO, as_rat, format_rat, over_lcm, parse_ratio, ratio_text
+from steppoly.rational import over_lcm, parse_ratio, ratio_text
 from steppoly.recurrence import RecurrenceTruncation
 from steppoly.report import CheckReport, Violation
 from steppoly.stepline import in_complement_J, n_plus, pair_of
@@ -50,17 +50,17 @@ SPOT_PAIRS = [
 
 def common_denominator(values) -> tuple[int, list[int]]:
     """(d, nums) with rational i equal to nums[i] / d, d the lcm of the denominators."""
-    return over_lcm((v.numerator, v.denominator) for v in map(as_rat, values))
+    return over_lcm((v.numerator, v.denominator) for v in map(Fraction, values))
 
 
 def parse_rat(text: str):
-    """The rational a config literal stands for, in the backend type."""
+    """The rational a config literal stands for, as a Fraction."""
     return rat(*parse_ratio(text))
 
 
 def pair(value) -> tuple[int, int]:
     """An int or rational as the integer pair (num, den) in lowest terms a measure holds."""
-    value = as_rat(value)
+    value = Fraction(value)
     return int(value.numerator), int(value.denominator)
 
 
@@ -233,21 +233,21 @@ class BiPoly:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs: dict | None = None):
-        self.coeffs = {int(K): v for K, c in (coeffs or {}).items() if (v := as_rat(c)) != 0}
+        self.coeffs = {int(K): v for K, c in (coeffs or {}).items() if (v := Fraction(c)) != 0}
 
     @property
     def grlex_pos(self) -> int:
         return max(self.coeffs, default=-1)
 
     def leading_coeff(self):
-        return self.coeffs[self.grlex_pos] if self.coeffs else ZERO
+        return self.coeffs[self.grlex_pos] if self.coeffs else Fraction(0)
 
     def coeff(self, K: int):
-        return self.coeffs.get(K, ZERO)
+        return self.coeffs.get(K, Fraction(0))
 
     def eval(self, x1, x2):
         """Exact value at a rational point, summed term by term."""
-        a, b = as_rat(x1), as_rat(x2)
+        a, b = Fraction(x1), Fraction(x2)
         total = rat(0)
         for K, c in self.coeffs.items():
             i, j, _ = pair_of(K)
@@ -255,7 +255,7 @@ class BiPoly:
         return total
 
     def to_json(self) -> dict[str, str]:
-        return {str(K): format_rat(self.coeffs[K]) for K in sorted(self.coeffs)}
+        return {str(K): str(self.coeffs[K]) for K in sorted(self.coeffs)}
 
     @staticmethod
     def from_json(obj: dict[str, str]) -> "BiPoly":
@@ -278,7 +278,8 @@ def planted(fam: Family, n: int, idx: int, K: int, delta) -> Family:
     comps = members(fam)
     pol = comps[n][idx]
     comps[n][idx] = BiPoly({**pol.coeffs, K: pol.coeff(K) + delta})
-    return Family.from_members(fam.r, [[pol.coeffs for pol in row] for row in comps])
+    return Family.from_members(fam.r, [[{K: pair(c) for K, c in pol.coeffs.items()} for pol in row]
+                                       for row in comps])
 
 
 def deg_x1(pol: BiPoly) -> int:
@@ -390,7 +391,7 @@ def csv_writer_text(entries: list[list[str]], render_decimal: bool = False) -> s
 
 def rational_text(value) -> str:
     """str() of a rational, and past the interpreter's int/str digit limit the
-    digits decimal.Decimal writes: format_rat as earlier versions wrote it."""
+    digits decimal.Decimal writes, as earlier versions wrote a rational."""
     try:
         return str(value)
     except ValueError:
@@ -406,7 +407,7 @@ def rational_entries(ws) -> dict[str, list[list[str]]]:
 
     def unit_lower(side: IntegerSide) -> list[list]:
         s, L, _ = side
-        return [[rat(L[n][c] * s[c], minors[n] * s[n]) for c in range(n)] + [ONE] + [ZERO] * (D - 1 - n)
+        return [[rat(L[n][c] * s[c], minors[n] * s[n]) for c in range(n)] + [Fraction(1)] + [Fraction(0)] * (D - 1 - n)
                 for n in range(D)]
 
     def recurrence(T: RecurrenceTruncation) -> list[list]:
@@ -457,7 +458,7 @@ def matmul(a: list[list], b: list[list]) -> list[list]:
     if a and b and len(a[0]) != len(b):
         raise ValueError(f"inner dimensions differ: {len(a[0])} vs {len(b)}")
     bt = transpose(b)
-    return [[sum((x * y for x, y in zip(row, col)), ZERO) for col in bt] for row in a]
+    return [[sum((x * y for x, y in zip(row, col)), Fraction(0)) for col in bt] for row in a]
 
 
 def gauss_jordan_inverse(a: list[list]) -> list[list]:
@@ -465,7 +466,7 @@ def gauss_jordan_inverse(a: list[list]) -> list[list]:
     n = len(a)
     if any(len(row) != n for row in a):
         raise ValueError("inverse needs a square matrix")
-    work = [[as_rat(x) for x in row] + [rat(1) if i == j else rat(0) for j in range(n)]
+    work = [[Fraction(x) for x in row] + [rat(1) if i == j else rat(0) for j in range(n)]
             for i, row in enumerate(a)]
     for col in range(n):
         pivot_row = next((r for r in range(col, n) if work[r][col] != 0), None)
@@ -488,13 +489,13 @@ def kernel_sum(A: Family, B: Family, n: int, x: tuple, y: tuple) -> list[list]:
     if n >= min(len(A), len(B)):
         raise DepthError(f"kernel index {n} outside family range", required=n + 1)
     a, b = A.values(*x, n + 1), B.values(*y, n + 1)
-    return [[sum((a_i[i] * b_i[j] for a_i, b_i in zip(a, b)), ZERO) for j in range(B.r)]
+    return [[sum((a_i[i] * b_i[j] for a_i, b_i in zip(a, b)), Fraction(0)) for j in range(B.r)]
             for i in range(A.r)]
 
 
 def kernel_rationals(M: MomentTruncation, x: tuple, y: tuple) -> list[list]:
     """cdkernel.kernel_eval's kernel, (den, corner), as reduced rationals."""
-    den, corner = kernel_eval(M, x, y)
+    den, corner = kernel_eval(M, list(map(pair, x)), list(map(pair, y)))
     return [[rat(v, den) for v in row] for row in corner]
 
 
@@ -611,8 +612,8 @@ def pointwise_abc(M: MomentTruncation, n: int, tables: list[KernelTable]) -> Che
     rep = CheckReport("abc")
     for table in tables:
         x, y = table.x, table.y
-        d_x, X = monomial_ints(x, n // p + 1)
-        d_y, Y = monomial_ints(y, n // q + 1)
+        d_x, X = monomial_ints(list(map(pair, x)), n // p + 1)
+        d_y, Y = monomial_ints(list(map(pair, y)), n // q + 1)
         y_col = [Y[m // q] for m in range(n + 1)]
         wy = [[sum(map(mul, row[j::q], y_col[j::q])) for j in range(q)] for row in weighted]
         g = [[sum(X[m // p] * wy[m][j] for m in range(i, n + 1, p)) for j in range(q)]
@@ -636,7 +637,7 @@ def pos_of(i: int, j: int) -> int:
 def monomial_value(pos: int, x1, x2):
     """Value of the monomial at a step-line position."""
     i, j, _ = pair_of(pos)
-    return as_rat(x1) ** (i - j) * as_rat(x2) ** j
+    return Fraction(x1) ** (i - j) * Fraction(x2) ** j
 
 
 def identity(n: int) -> list[list]:
@@ -668,9 +669,9 @@ def side_rationals(minors: list[int], side: IntegerSide) -> tuple[list[list], li
     """
     s, L, L_inv = side
     D = len(s)
-    factor = [[rat(L[n][c] * s[c], minors[n] * s[n]) if c <= n else ZERO for c in range(D)]
+    factor = [[rat(L[n][c] * s[c], minors[n] * s[n]) if c <= n else Fraction(0) for c in range(D)]
               for n in range(D)]
-    inverse = [[rat(L_inv[i][k] * s[k], minors[k + 1] * s[i]) if k <= i else ZERO
+    inverse = [[rat(L_inv[i][k] * s[k], minors[k + 1] * s[i]) if k <= i else Fraction(0)
                 for k in range(D)] for i in range(D)]
     return factor, inverse
 
@@ -771,7 +772,7 @@ def bordered_numerators(data: list[list]) -> tuple[list[int], IntegerSide, Integ
     this is the oracle for them.
     """
     D = len(data)
-    scaled = [common_denominator(as_rat(v) for v in row) for row in data]
+    scaled = [common_denominator(Fraction(v) for v in row) for row in data]
     r = [r_n for r_n, _ in scaled]
     Mi = [row for _, row in scaled]
     E = [[0] * n for n in range(D)]
@@ -804,7 +805,7 @@ def reconstruct(F: Factorization) -> list[list]:
     """
     S_inv, Sbar_inv = stored_inverses(F)
     h_sbar = [[h * v for h, v in zip(F.H, row)] for row in Sbar_inv]  # row n: H_c Sbar^-1[n][c]
-    return [[sum((a * b for a, b in zip(s_row[:min(m, n) + 1], row)), ZERO)
+    return [[sum((a * b for a, b in zip(s_row[:min(m, n) + 1], row)), Fraction(0))
              for n, row in enumerate(h_sbar)] for m, s_row in enumerate(S_inv)]
 
 
@@ -857,7 +858,7 @@ def recurrence_oracle(S: list[list], S_inv: list[list], q: int, k: int, size: in
 
 def rational_T(T: RecurrenceTruncation) -> list[list]:
     """The rational T_k, read off its integers (recurrence module docstring)."""
-    return T.entries(rat, ZERO)
+    return T.entries(rat, Fraction(0))
 
 
 def conjugate(T: RecurrenceTruncation) -> list[list]:
@@ -874,7 +875,7 @@ def planted_entry(T: RecurrenceTruncation, m: int, n: int, value) -> RecurrenceT
     makes value's acc an integer; every other entry keeps its value.
     """
     minors, r = T.F.minors, T.F.S_int.scale
-    a = as_rat(value) * minors[m] * r[m] * minors[n + 1] * T.L / r[n]
+    a = Fraction(value) * minors[m] * r[m] * minors[n + 1] * T.L / r[n]
     s = int(a.denominator)
     acc = [[s * v for v in row] for row in T.acc]
     acc[m][n] = int(a.numerator)
@@ -913,7 +914,7 @@ def pointwise_cd(T: RecurrenceTruncation, n: int, tables: list[KernelTable]) -> 
     rep = CheckReport(f"cd_T{k}")
     for table in tables:
         x, y = table.x, table.y
-        xk, yk = as_rat(x[k - 1]), as_rat(y[k - 1])
+        xk, yk = Fraction(x[k - 1]), Fraction(y[k - 1])
         a, b = table.a_int, table.b_int
         rbs = [(a[m], [sum(e * b[c][j] for c, e in terms) for j in range(q)])
                for m, terms in rows if terms]
@@ -976,7 +977,7 @@ def mat_eq(a: list[list], b: list[list]) -> bool:
 def solve(a: list[list], rhs: list) -> list:
     """Exact solve of a square system via the Gauss-Jordan inverse."""
     inv = gauss_jordan_inverse(a)
-    return [sum((x * y for x, y in zip(row, rhs)), ZERO) for row in inv]
+    return [sum((x * y for x, y in zip(row, rhs)), Fraction(0)) for row in inv]
 
 
 class ShiftTruncation:
@@ -1014,7 +1015,7 @@ def apply_shift_to_monomials(r: int, k: int, x1, x2, count: int) -> list:
     identity blocks make the scalar check sufficient), so the shifted row n is
     the monomial at position n_plus(n, r, k) // r.
     """
-    a, b = as_rat(x1), as_rat(x2)
+    a, b = Fraction(x1), Fraction(x2)
 
     def mono(pos: int):
         i, j, _ = pair_of(pos)

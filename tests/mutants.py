@@ -375,4 +375,16 @@ MUTANTS = [
         "    except MemoryError:", "    except ArithmeticError:",
         ("tests/test_cli.py::TestConfigErrors::test_depth_beyond_memory_exits_three[compute]",
          "tests/test_cli.py::TestConfigErrors::test_depth_beyond_memory_exits_three[kernel]")),
+    Mutant(
+        "kernel writes each point coordinate as its literal", "cli.py",
+        '"x": [ratio_text(*v) for v in x],', '"x": [t.strip() for t in args.x.split(",")],',
+        ("tests/test_cli.py::TestKernel::test_point_text[reduced]",
+         "tests/test_cli.py::TestKernel::test_point_text[signed]")),
+    Mutant(
+        "RectDensity skips the bound on its moments' bits", "measures.py",
+        "        for K in self.density:\n            i, j, _ = pair_of(K)",
+        "        for K in ():\n            i, j, _ = pair_of(K)",
+        ("tests/test_cli.py::TestFarDensityBound::test_refused_at_once_under_a_memory_limit",
+         "tests/test_cli.py::TestFarDensityBound::test_estimate_at_the_ceiling[x1-bound]",
+         "tests/test_cli.py::TestFarDensityBound::test_estimate_at_the_ceiling[denominator]")),
 ]

@@ -1,6 +1,7 @@
 """Kernel block formula, the moment-inverse identity, and the reproducing laws."""
 
 import random
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -34,6 +35,7 @@ from _support import (
     members,
     moment_data,
     moment_products,
+    pair,
     planted,
     planted_entry,
     point_pairs,
@@ -82,7 +84,7 @@ class TestSharedRows:
             ints, scale = [row[:] for row in M.ints], M.scale[:]
             pair_tables = tables(system, [(X, Y)], M.depth)
             factorize(M)
-            kernel_eval(M, X, Y)
+            kernel_eval(M, list(map(pair, X)), list(map(pair, Y)))
             for n in range(M.depth):
                 assert pointwise_abc(M, n, pair_tables).ok, (kind, q, p, n)
             assert (M.ints, M.scale) == (ints, scale), (kind, q, p)
@@ -577,7 +579,8 @@ class TestReproduction:
 
 
 def monic_matrix(dim: int, lead_pos: int) -> list[list[dict]]:
-    return [[{0: rat(r - c, 3)} if r != c else {lead_pos: rat(1), 0: rat(1, 2)}
+    """A grid of {monomial position: (num, den)} maps in lowest terms."""
+    return [[{0: pair(Fraction(r - c, 3))} if r != c else {lead_pos: (1, 1), 0: (1, 2)}
              for c in range(dim)] for r in range(dim)]
 
 
@@ -627,7 +630,7 @@ class TestProjection:
         BM, AMt = moment_products(system.A, system.B, system.M)
         with pytest.raises(ValueError):
             check_projection(system.A, BM, 7, monic_matrix(1, 2))
-        bad = [[{2: rat(3)}]]  # leading coefficient not 1
+        bad = [[{2: (3, 1)}]]  # leading coefficient not 1
         with pytest.raises(ValueError):
             check_projection(system.B, AMt, 7, bad)
 
@@ -657,9 +660,9 @@ class TestMonicPredicate:
         assert is_monic_of_grlex_degree(monic_matrix(2, 3), 3)
 
     def test_rejects_off_diagonal_leader(self):
-        m = [[{3: rat(1)}, {3: rat(1)}], [{}, {3: rat(1)}]]
+        m = [[{3: (1, 1)}, {3: (1, 1)}], [{}, {3: (1, 1)}]]
         assert not is_monic_of_grlex_degree(m, 3)
 
     def test_rejects_non_square(self):
-        m = [[{0: rat(1)}, {0: rat(1)}]]
+        m = [[{0: (1, 1)}, {0: (1, 1)}]]
         assert not is_monic_of_grlex_degree(m, 0)

@@ -8,6 +8,7 @@ import re
 import shutil
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -23,8 +24,8 @@ from steppoly.cli import (CHECK_NAMES, CHECKS, RunConfig, Workspace, _decimal_te
 from steppoly.errors import Breakdown, ConfigError
 from steppoly.families import Family
 from steppoly.gaussborel import _factor_row, unit_lower
-from steppoly.measures import measure_from_json
-from steppoly.rational import BACKEND, over_lcm, ratio_text
+from steppoly.measures import MAX_MOMENT_BITS, measure_from_json
+from steppoly.rational import over_lcm, ratio_text
 from steppoly.recurrence import RecurrenceTruncation, check_recurrence_matrix
 from steppoly.report import CheckReport, Violation
 from steppoly.stepline import in_complement_J, n_minus_big, n_plus
@@ -32,7 +33,7 @@ from steppoly.stepline import in_complement_J, n_minus_big, n_plus
 from _support import (EXPORT_KINDS, SHAPES, BiPoly, build_system, config_json, corner,
                       csv_writer_text, invert_unitriangular, kernel_sum, mixed_mm, moment_data,
                       parse_rat, poly, rational_T, rational_entries, rational_exports,
-                      stored_inverses, table_mm)
+                      pos_of, stored_inverses, table_mm)
 
 DEPTH = 6
 GOLDEN_CONFIG = Path(__file__).resolve().parent / "golden" / "config.json"
@@ -425,15 +426,50 @@ class TestFarDensityPosition:
         assert want[1] == Fraction(4, (FAR_I - FAR_J + 1) * (FAR_J + 2))  # (s, t) = (0, 1)
 
 
+class TestFarDensityBound:
+    """A density term whose moments need more than MAX_MOMENT_BITS bits, by
+    RectDensity's estimate, is refused when the config is loaded: exit 3 at
+    once, naming the position and the estimate, where the moments used to be
+    allocated for seconds until the memory ran out."""
+
+    def test_refused_at_once_under_a_memory_limit(self, tmp_path):
+        # on [0, 2] x [-1, 1] the term x^(i-j) y^j integrates to powers 2^(i-j+1),
+        # so the estimate is i - j + 1 bits, about 1.1e10 at the far position
+        cfg = write_config(tmp_path, "far.json", 1, 1, 3, {**FAR_CELL, "box": ["0", "2", "-1", "1"]})
+        start = time.perf_counter()
+        proc = run_limited(["-m", "steppoly.cli", "verify", "--config", str(cfg)], 2**30)
+        assert time.perf_counter() - start < 1
+        assert (proc.returncode, proc.stdout) == (3, "")
+        assert proc.stderr == (f"config error: density position {FAR_POSITION} needs moments of about "
+                               f"{FAR_I - FAR_J + 1} bits, above the limit of {MAX_MOMENT_BITS}\n")
+
+    @pytest.mark.parametrize("box, last, first", [
+        (["0", "2", "-1", "1"], (MAX_MOMENT_BITS - 1, 0), (MAX_MOMENT_BITS, 0)),
+        (["-1", "1", "0", "2"], (MAX_MOMENT_BITS - 1,) * 2, (MAX_MOMENT_BITS,) * 2),
+        (["-1/3", "1/3", "-1", "1"], (MAX_MOMENT_BITS // 2 - 1, 0), (MAX_MOMENT_BITS // 2, 0)),
+    ], ids=["x1-bound", "x2-bound", "denominator"])
+    def test_estimate_at_the_ceiling(self, box, last, first):
+        # the term at (i, j) needs (i - j + 1) bx + (j + 1) by bits, bx = by = 0
+        # for bounds of magnitude 1 over 1, 1 for 2 and 2 for thirds: the last
+        # pair (i, j) is accepted, the first past the ceiling refused
+        def load(i, j):
+            return measure_from_json({"type": "rect", "box": box, "density": {str(pos_of(i, j)): "1"}})
+
+        load(*last)
+        with pytest.raises(ConfigError, match=rf"position {pos_of(*first)} needs moments of about "
+                                              rf"{MAX_MOMENT_BITS + 1 + (box[0] == '-1/3')} bits"):
+            load(*first)
+        measure_from_json({"type": "rect", "box": ["-1", "1", "-1", "1"], "density": {str(FAR_POSITION): "1"}})
+
+
 class TestCompute:
     def test_exports_written_and_deterministic(self, tmp_path, capsys):
         cfg = good_config(tmp_path)
         for name in ("x", "y"):
             assert main(["compute", "--config", str(cfg), "--out", str(tmp_path / name)]) == 0
-            # the last stderr line names the time and the rational backend, stdout stays empty
+            # the last stderr line names the time, stdout stays empty
             out, err = capsys.readouterr()
-            assert out == "" and re.fullmatch(rf"elapsed \d+\.\d{{3}}s \(backend {BACKEND}\)",
-                                              err.splitlines()[-1])
+            assert out == "" and re.fullmatch(r"elapsed \d+\.\d{3}s", err.splitlines()[-1])
         names = sorted(f.name for f in (tmp_path / "x").iterdir())
         assert names == [
             "H.csv", "H.json", "S.csv", "S.json", "Sbar.csv", "Sbar.json",
@@ -453,11 +489,10 @@ class TestCompute:
         # rebuild the same system directly: good_config draws from seed 909
         mm_direct = table_mm(random.Random(909), 1, 2, required_depth(DEPTH, 1, 2))
         from steppoly import assemble_moments, extract_families, factorize
-        from steppoly.rational import format_rat
 
         M = assemble_moments(mm_direct, required_depth(DEPTH, 1, 2))
         F = factorize(M)
-        assert h["values"] == [format_rat(v) for v in F.H[:DEPTH]]
+        assert h["values"] == [str(v) for v in F.H[:DEPTH]]
 
         t1 = json.loads((out / "T1.json").read_text())
         T = build_recurrence(F, 1, 2, 1, DEPTH)
@@ -640,6 +675,28 @@ class TestKernel:
         assert main(["kernel", "--config", str(cfg), "--n", "-1",
                      "--x", "0,0", "--y", "0,0"]) == 3
 
+    @pytest.mark.parametrize("point, text", [
+        (" 2/4,-0", ["1/2", "0"]), ("+6/3,-3/9", ["2", "-1/3"]),
+        ("1" + "0" * 5000 + ",1/3", ["1" + "0" * 5000, "1/3"]),
+    ], ids=["reduced", "signed", "5001-digits"])
+    def test_point_text(self, tmp_path, capsys, point, text):
+        # each coordinate is written reduced, in the form the config literals
+        # take, and the matrix is the one the reduced point gives
+        cfg = good_config(tmp_path)
+        assert main(["kernel", "--config", str(cfg), "--n", "2", "--x", point, "--y", "1/5,-2"]) == 0
+        obj = json.loads(capsys.readouterr().out)
+        assert obj["x"] == text and obj["y"] == ["1/5", "-2"]
+        system = build_system(1, 2, required_depth(DEPTH, 1, 2), seed=909)
+        want = kernel_sum(system.A, system.B, 2, [parse_rat(v) for v in text], (rat(1, 5), rat(-2)))
+        assert [[parse_rat(v) for v in row] for row in obj["matrix"]] == want
+
+    @pytest.mark.parametrize("point", ["1/-2,0", "1/0,0"], ids=["negative-denominator", "zero-denominator"])
+    def test_point_text_rejected(self, tmp_path, capsys, point):
+        cfg = good_config(tmp_path)
+        assert main(["kernel", "--config", str(cfg), "--n", "2", "--x", point, "--y", "0,0"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("config error: bad point: ")
+
 
 class TestRationalFactors:
     """verify reads only the integers of factorize and kernel factorizes nothing;
@@ -672,7 +729,8 @@ class TestRationalFactors:
     def test_compute_reduces_each_nonzero_entry_once(self, tmp_path, monkeypatch, shape):
         # one ratio_text per nonzero entry of every export, the unit diagonals
         # and A (which reuses the Sbar text) excepted; verify calls one per entry
-        # of the report's H, and kernel one per entry of its p x q matrix
+        # of the report's H, and kernel one per entry of its p x q matrix and
+        # one per coordinate of its two points
         cfg = shape_config(tmp_path, shape)
         ws = Workspace(load_config(cfg))
         entries = rational_entries(ws)
@@ -692,9 +750,9 @@ class TestRationalFactors:
         calls.clear()
         assert main(["kernel", "--config", str(cfg), "--n", "4",
                      "--x", "1/2,-1/3", "--y", "2/7,1/5", "--out", str(tmp_path / "k")]) == 0
-        matrix = json.loads((tmp_path / "k" / "kernel.json").read_text())["matrix"]
-        assert len(calls) == ws.config.p * ws.config.q
-        assert [ratio_text(*c) for c in calls] == [t for row in matrix for t in row]
+        obj = json.loads((tmp_path / "k" / "kernel.json").read_text())
+        assert len(calls) == ws.config.p * ws.config.q + 4
+        assert [ratio_text(*c) for c in calls] == obj["x"] + obj["y"] + [t for row in obj["matrix"] for t in row]
         calls.clear()
         assert main(["compute", "--config", str(cfg), "--out", str(tmp_path / "c")]) == 0
         assert len(calls) == nonzero and all(num for num, _ in calls)
@@ -702,37 +760,35 @@ class TestRationalFactors:
     @pytest.mark.parametrize("shape", ["golden", (2, 3)])
     def test_no_rational_formed(self, tmp_path, monkeypatch, shape):
         # the config parses to integer pairs, the measures return integer moments,
-        # every check compares the elimination's integers and every output is
-        # written with ratio_text: a passing verify of every check, a compute and
-        # a kernel call rat only at the CLI's edges, for projection's seeded
-        # matrix polynomials and the kernel's two points.  rat is counted in
-        # every module that binds it and in measures and moments, which bind
-        # none; reading H and one member's values afterwards shows that the
-        # counter sees the calls it should
+        # every check compares the elimination's integers, projection's seeded
+        # matrix polynomials and the kernel's points stay integer pairs, and every
+        # output is written with ratio_text: a passing verify of every check, a
+        # compute with and without --render-decimal and a kernel form no Fraction.
+        # Fraction.__new__ is counted whoever calls it; reading H and one member's
+        # values afterwards shows that the counter sees the Fractions the library
+        # edge forms
         cfg = GOLDEN_CONFIG if shape == "golden" else good_config(tmp_path, *shape)
-        calls = []
+        x = (Fraction(1, 2), Fraction(-1, 3))
+        new, formed = Fraction.__new__, []
 
-        def counting(*args):
-            caller = sys._getframe(1)
-            calls.append((caller.f_globals["__name__"], caller.f_code.co_name))
-            return rat(*args)
+        def counting(cls, *args, **kwargs):
+            formed.append(sys._getframe(1).f_globals["__name__"])
+            return new(cls, *args, **kwargs)
 
-        for module in ("rational", "measures", "moments", "families", "gaussborel", "cli"):
-            monkeypatch.setattr(f"steppoly.{module}.rat", counting, raising=False)
+        monkeypatch.setattr(Fraction, "__new__", staticmethod(counting))
         assert main(["verify", "--config", str(cfg), "--checks", ",".join(CHECK_NAMES),
                      "--out", str(tmp_path / "v")]) == 0
-        assert set(calls) == {("steppoly.cli", "small"), ("steppoly.cli", "seeded_monic_matrix")}
-        calls.clear()
-        assert main(["compute", "--config", str(cfg), "--out", str(tmp_path / "c")]) == 0
-        assert calls == []
+        assert formed == []
+        for flags in ([], ["--render-decimal"]):
+            assert main(["compute", "--config", str(cfg), "--out", str(tmp_path / "c"), *flags]) == 0
+        assert formed == []
         assert main(["kernel", "--config", str(cfg), "--n", "4",
                      "--x", "1/2,-1/3", "--y", "2/7,1/5", "--out", str(tmp_path / "k")]) == 0
-        assert calls == [("steppoly.cli", "<genexpr>")] * 4
-        calls.clear()
+        assert formed == []
         ws = Workspace(load_config(cfg))
-        assert calls == []
-        ws.F.H, ws.A.eval(0, rat(1, 2), rat(-1, 3))
-        assert len(calls) == ws.extended_depth + ws.config.p
+        assert formed == []
+        ws.F.H, ws.A.eval(0, *x)
+        assert formed == ["steppoly.gaussborel"] * ws.extended_depth + ["steppoly.families"] * ws.config.p
 
 
 class TestRowsBuiltOnRead:
@@ -1259,9 +1315,8 @@ class TestConsoleScript:
         )
         assert proc.returncode == 0
         assert proc.stdout.strip() == "degree: PASS"
-        # timing and the rational backend go to stderr so files and stdout stay reproducible
-        assert "elapsed" in proc.stderr
-        assert f"s (backend {BACKEND})\n" in proc.stderr
+        # timing goes to stderr so files and stdout stay reproducible
+        assert re.search(r"^elapsed \d+\.\d{3}s$", proc.stderr, re.MULTILINE)
 
     @pytest.mark.skipif(
         shutil.which("steppoly") is None, reason="steppoly command is not on PATH"

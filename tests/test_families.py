@@ -34,6 +34,7 @@ from _support import (
     moment_data,
     moment_products,
     monomial_value,
+    pair,
     pair_rationals,
     planted,
     poly,
@@ -181,7 +182,7 @@ class TestProductRoute:
                 assert rationals(moment_rows(A, M.transpose(), D)) == want, where
                 # projection's inner integrals: B_i against the columns of P
                 P = seeded_monic_matrix(random.Random(53), p, 1)
-                columns = [[BiPoly(e) for e in col] for col in zip(*P)]
+                columns = [[BiPoly({K: rat(*v) for K, v in e.items()}) for e in col] for col in zip(*P)]
                 assert (pair_rationals(pairings(moment_rows(B, M, D), Family.from_members(p, zip(*P))))
                         == pair_oracle(mm, comps_b, columns)), where
 
@@ -262,9 +263,9 @@ class TestMonomialTable:
         for _ in range(60):
             x = (rat(rng.randint(-9, 9), rng.randint(1, 9)), rat(rng.randint(-9, 9), rng.randint(1, 9)))
             count = rng.randint(0, 30)
-            d, ints = monomial_ints(x, count)
+            d, ints = monomial_ints(list(map(pair, x)), count)
             assert [rat(v, d) for v in ints] == [monomial_value(K, *x) for K in range(count)], (x, count)
-        d, ints = monomial_ints((2, -3), 4)  # plain integer coordinates
+        d, ints = monomial_ints(((2, 1), (-3, 1)), 4)  # integer coordinates
         assert (d, ints) == (1, [1, 2, -3, 4])
 
 

@@ -2,6 +2,7 @@
 
 import copy
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given
@@ -12,7 +13,6 @@ from steppoly import assemble_moments, extract_families, factorize, rat
 from steppoly.cdkernel import check_abc, kernel_eval
 from steppoly.errors import Breakdown
 from steppoly.measures import Discrete, MeasureMatrix
-from steppoly.rational import QType
 from steppoly.recurrence import build_recurrence, required_depth
 
 from _support import (
@@ -33,6 +33,7 @@ from _support import (
     mixed_mm,
     moment_data,
     one_step_eliminate,
+    pair,
     pointwise_abc,
     rational_truncation,
     reconstruct,
@@ -65,9 +66,9 @@ def planted_factors(draw):
 
 
 def all_rational(F):
-    """Every entry of every factor is a backend rational, never a raw int."""
+    """Every entry of every factor is a Fraction, never a raw int."""
     mats = (F.S, F.Sbar, *stored_inverses(F), [F.H])
-    return all(type(v) is QType for m in mats for row in m for v in row)
+    return all(type(v) is Fraction for m in mats for row in m for v in row)
 
 
 def assemble(L, H, U):
@@ -268,7 +269,7 @@ class TestFactorize:
                 assert rep.ok and rep.checked == 1
                 assert check_abc(part, A, B, n).ok
                 continue
-            for run in (factorize, lambda T: kernel_eval(T, x, y),
+            for run in (factorize, lambda T: kernel_eval(T, list(map(pair, x)), list(map(pair, y))),
                         lambda T: pointwise_abc(T, n, tables), lambda T: check_abc(T, A, B, n)):
                 with pytest.raises(Breakdown) as exc:
                     run(part)
