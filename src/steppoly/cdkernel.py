@@ -125,7 +125,7 @@ def check_cd_formula(T: RecurrenceTruncation, relations: CheckReport) -> CheckRe
         raise ValueError(f"relations do not cover every n below {n_max}")
     for v in relations.violations:
         _, label, n, idx = v.where
-        rep.violations.append(Violation("cd", (k, n, label, idx), "recurrence relation fails"))
+        rep.violations.append(Violation((k, n, label, idx), "recurrence relation fails"))
     # each nonzero entry, with whether its column's band and its row's band hold it
     cols = [T.col_band(c) for c in range(T.size)]
     nonzero = [(m, c, lo <= m <= hi, first <= c <= last)
@@ -139,7 +139,7 @@ def check_cd_formula(T: RecurrenceTruncation, relations: CheckReport) -> CheckRe
                  - (m in blocks.src_rows and c in blocks.src_cols))
             if u_v != w:
                 rep.violations.append(
-                    Violation("cd", (k, n, m, c), f"weight {u_v} in the recurrences, {w} in the blocks"))
+                    Violation((k, n, m, c), f"weight {u_v} in the recurrences, {w} in the blocks"))
         rep.checked += 1
     rep.violations.sort(key=lambda v: v.where[1])
     return rep
@@ -182,7 +182,7 @@ def check_abc(M: MomentTruncation, A: Family, B: Family, n: int) -> CheckReport:
     rep = CheckReport("abc")
     bad = mismatches(got, (det, want))
     if bad:
-        rep.violations.append(Violation("abc", (n, *min(bad)), "sum a_i b_i^T != M^-1"))
+        rep.violations.append(Violation((n, *min(bad)), "sum a_i b_i^T != M^-1"))
     rep.checked += 1
     return rep
 
@@ -212,61 +212,50 @@ def check_reproduction(A: Family, B: Family, gram: list[list], n: int) -> CheckR
     rep = CheckReport("reproduction")
     bad = mismatches(combine(terms), (1, {}))
     if bad:
-        rep.violations.append(Violation("reproduction", (n, *min(bad)), "kernel not reproduced"))
+        rep.violations.append(Violation((n, *min(bad)), "kernel not reproduced"))
     rep.checked += 1
     return rep
 
 
-def is_monic_of_grlex_degree(P: list[list[dict]], I: int) -> bool:
-    """Leading term of the matrix polynomial is monomial_I times the identity.
-
-    P is a grid of {monomial position: (num, den)} maps in lowest terms that
-    store no zeros.
-    """
-    if any(len(row) != len(P) for row in P):
-        return False
-    return all(max(e, default=-1) == I and e.get(I) == (1, 1) if r == c else max(e, default=-1) < I
-               for r, row in enumerate(P) for c, e in enumerate(row))
-
-
-def check_projection(A: Family, BM: list, n: int, P: list[list[dict]]) -> CheckReport:
+def check_projection(A: Family, BM: list, n: int, P: Family) -> CheckReport:
     """Integral of K^[n](x, .) against dmu P recovers P(x), above the threshold.
 
-    P is a p x p matrix polynomial, p = A.r, a grid of {monomial position:
-    (num, den)} maps that store no zeros; it must be monic of grlex-degree I with
-    n >= I*p + p - 1.  Calls below the threshold are precondition errors, not
-    identity failures.  The columns of P form one Family: the inner integrals
-    of B_i against them are the product (C_B M) C_P, read off rows 0 .. n of
-    BM, the rows (d, nums) of C_B M (families.moment_rows), which reach column
-    n.  For each column a1 the polynomial sum_{i <= n} inner[i][a1] A_i must
-    equal column a1 of P coefficient by coefficient, the identity at every x;
-    one relation is checked per (a0, a1), p^2 per call.  The dual direction,
-    the integral of P dmu K^[n](., y) recovering P(y), is this check on the
-    transposed problem, with the rows AMt of C_A M^T:
-    check_projection(B, AMt, n, list(zip(*P))).
+    P is a p x p matrix polynomial, p = A.r, given by its columns: member a1
+    of the Family P is column a1, whose component a0 is entry (a0, a1).  It
+    must be monic of grlex-degree I with n >= I*p + p - 1: member a1 stores
+    column I*p + a1, its diagonal entry at position I, with value 1, and every
+    other column it stores is below position I.  Calls below the threshold
+    are precondition errors, not identity failures.  The inner integrals of
+    B_i against the columns of P are the product (C_B M) C_P, read off rows 0
+    .. n of BM, the rows (d, nums) of C_B M (families.moment_rows), which
+    reach column n.  For each column a1 the polynomial sum_{i <= n}
+    inner[i][a1] A_i must equal column a1 of P coefficient by coefficient,
+    the identity at every x; one relation is checked per (a0, a1), p^2 per
+    call.  The dual direction, the integral of P dmu K^[n](., y) recovering
+    P(y), is this check on the transposed problem, with the rows AMt of C_A
+    M^T and the q x q matrix polynomial P^T: check_projection(B, AMt, n, P^T).
     """
     p = A.r
-    if len(P) != p or any(len(row) != p for row in P):
+    if P.r != p or len(P) != p:
         raise ValueError(f"projection needs a {p} x {p} matrix polynomial")
-    I = max(max(e, default=-1) for row in P for e in row)
-    if not is_monic_of_grlex_degree(P, I):
-        raise ValueError("P is not monic of a definite grlex degree")
+    I = max((c for _, row in P.rows for c in row), default=0) // p
+    for a1, (d, row) in enumerate(P.rows):
+        lead = I * p + a1
+        if row.get(lead) != d or any(c >= I * p for c in row if c != lead):
+            raise ValueError("P is not monic of a definite grlex degree")
     if n < I * p + p - 1:
         raise ValueError(f"n={n} below projection threshold {I * p + p - 1} for I={I}")
     if n >= min(len(A), len(BM)):
         raise DepthError(f"projection index {n} outside family range", required=n + 1)
-    columns = Family.from_members(p, zip(*P))  # member a1 is column a1 of P
     # inner[i][a1] = (w, e): w / e is the integral of B_i dmu column a1 of P
-    inner = pairings(BM[:n + 1], columns)
+    inner = pairings(BM[:n + 1], P)
     rep = CheckReport("projection")
-    for a1, want in enumerate(columns.rows):
+    for a1, want in enumerate(P.rows):
         # sum_i inner[i][a1] A_i against column a1 of P
         got = combine((w, e * d, row) for (d, row), (w, e) in zip(A.rows, [g[a1] for g in inner]) if w)
         bad = {c % p for c in mismatches(got, want)}
         for a0 in range(p):
             if a0 in bad:
-                rep.violations.append(
-                    Violation("projection", (n, a0, a1), "coefficient mismatch with P")
-                )
+                rep.violations.append(Violation((n, a0, a1), "coefficient mismatch with P"))
             rep.checked += 1
     return rep

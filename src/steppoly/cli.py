@@ -40,7 +40,7 @@ from .families import (
 from .gaussborel import factorize, unit_lower
 from .measures import MeasureMatrix
 from .moments import assemble_moments, check_hankel
-from .rational import _int, parse_ratio, ratio_text
+from .rational import _int, over_lcm, parse_ratio, ratio_text
 from .recurrence import (
     RecurrenceTruncation,
     build_recurrence,
@@ -114,20 +114,19 @@ def load_config(path: str | Path) -> RunConfig:
     return RunConfig.from_json(obj)
 
 
-def seeded_monic_matrix(rng: random.Random, size: int, I: int) -> list[list[dict]]:
-    """Monic size x size matrix polynomial of grlex-degree I with random lower part,
-    as a grid of {monomial position: (num, den)} maps in lowest terms, drawn entry
-    by entry in row order, each coefficient num / den with num and den drawn in turn."""
-    def small():
-        num, den = rng.randint(-6, 6), rng.randint(1, 4)
-        g = math.gcd(num, den)
-        return num // g, den // g
-
-    grid = [[{K: v for K in range(I) if (v := small())[0]} for _ in range(size)]
-            for _ in range(size)]
-    for r in range(size):
-        grid[r][r][I] = (1, 1)
-    return grid
+def seeded_monic_columns(rng: random.Random, size: int, I: int) -> Family:
+    """The columns of a monic size x size matrix polynomial of grlex-degree I with
+    random lower part, as a Family: member c is column c, component r entry
+    (r, c).  Member by member, each coefficient below position I is num / den,
+    num and den drawn in turn, and the diagonal entry has 1 at position I."""
+    rows = []
+    for c in range(size):
+        coeffs = {K * size + r: v for K in range(I) for r in range(size)
+                  if (v := (rng.randint(-6, 6), rng.randint(1, 4)))[0]}
+        coeffs[I * size + c] = (1, 1)
+        d, nums = over_lcm(coeffs.values())
+        rows.append((d, dict(zip(coeffs, nums))))
+    return Family(size, rows)
 
 
 def extended_depth(config: RunConfig) -> int:
@@ -179,35 +178,34 @@ class Workspace:
         return {k: check_recurrence_matrix(self.T[k], self.A, self.B) for k in (1, 2)}
 
 
-# Each check maps the workspace and the run's seeded generator (see run_checks),
-# which only projection reads, to its CheckReports.  The checks are called
+# Each check maps the workspace to its CheckReports.  The checks are called
 # through this module's names, so rebinding a name here reaches them.
 
 
-def _projection(ws: Workspace, rng: random.Random) -> list[CheckReport]:
+def _projection(ws: Workspace) -> list[CheckReport]:
     q, p, D = ws.config.q, ws.config.p, ws.depth
     I, I_dual = min(3, D // p - 1), min(3, D // q - 1)
     if I < 0 or I_dual < 0:
         return [CheckReport("projection", skipped=["depth below projection threshold"])]
-    P = seeded_monic_matrix(rng, p, I)
-    P_dual = seeded_monic_matrix(rng, q, I_dual)
-    # the dual direction is the same identity with the families' roles swapped
-    return [check_projection(ws.A, ws.products[0], D - 1, P),
-            check_projection(ws.B, ws.products[1], D - 1, list(zip(*P_dual)))]
+    rng = random.Random(ws.config.seed)
+    # the dual direction is the same identity with the families' roles swapped,
+    # on P^T, which is as random a monic matrix polynomial as P: it gets its own draw
+    return [check_projection(ws.A, ws.products[0], D - 1, seeded_monic_columns(rng, p, I)),
+            check_projection(ws.B, ws.products[1], D - 1, seeded_monic_columns(rng, q, I_dual))]
 
 
 CHECKS = {
-    "hankel": lambda ws, _: [check_hankel(ws.M, k) for k in (1, 2)],
-    "degree": lambda ws, _: [validate_degree_structure(ws.A, ws.B, ws.config.q, ws.config.p)],
-    "orthogonality": lambda ws, _: [check_orthogonality(*ws.products, ws.config.q, ws.config.p)],
-    "biorthogonality": lambda ws, _: [check_biorthogonality(ws.gram)],
-    "dual": lambda ws, _: [check_dual_form(ws.T[k], ws.F) for k in (1, 2)],
-    "band": lambda ws, _: [validate_band(ws.T[k]) for k in (1, 2)],
-    "recurrence": lambda ws, _: list(ws.relations.values()),
-    "reproduction": lambda ws, _: [check_reproduction(ws.A, ws.B, ws.gram, ws.depth - 1)],
+    "hankel": lambda ws: [check_hankel(ws.M, k) for k in (1, 2)],
+    "degree": lambda ws: [validate_degree_structure(ws.A, ws.B, ws.config.q, ws.config.p)],
+    "orthogonality": lambda ws: [check_orthogonality(*ws.products, ws.config.q, ws.config.p)],
+    "biorthogonality": lambda ws: [check_biorthogonality(ws.gram)],
+    "dual": lambda ws: [check_dual_form(ws.T[k], ws.F) for k in (1, 2)],
+    "band": lambda ws: [validate_band(ws.T[k]) for k in (1, 2)],
+    "recurrence": lambda ws: list(ws.relations.values()),
+    "reproduction": lambda ws: [check_reproduction(ws.A, ws.B, ws.gram, ws.depth - 1)],
     "projection": _projection,
-    "cd": lambda ws, _: [check_cd_formula(ws.T[k], ws.relations[k]) for k in (1, 2)],
-    "abc": lambda ws, _: [check_abc(ws.M, ws.A, ws.B, n) for n in range(min(ws.depth, 8))],
+    "cd": lambda ws: [check_cd_formula(ws.T[k], ws.relations[k]) for k in (1, 2)],
+    "abc": lambda ws: [check_abc(ws.M, ws.A, ws.B, n) for n in range(min(ws.depth, 8))],
 }
 
 CHECK_NAMES = list(CHECKS)
@@ -232,15 +230,9 @@ def _violation_summary(violations: list) -> str:
 def run_checks(ws: Workspace, checks: list[str]) -> list[dict]:
     """One report.json entry per named check: fail on any violation, skipped when
     nothing was checked."""
-    rng = random.Random(ws.config.seed)
-    # the draws of 18 point pairs of earlier versions, 72 rationals read by no
-    # check, come first in each seed's stream, so a seed gives projection the
-    # matrix polynomials, taken from rng when its turn comes, of their reports
-    for _ in range(72):
-        rng.randint(-24, 24), rng.randint(1, 16)
     out = []
     for name in checks:
-        reps = CHECKS[name](ws, rng)
+        reps = CHECKS[name](ws)
         violations = [v for rep in reps for v in rep.violations]
         status, details = "pass", ""
         if violations:

@@ -39,7 +39,7 @@ from math import lcm
 from .errors import DepthError
 from .gaussborel import Factorization
 from .moments import MomentTruncation
-from .rational import over_lcm, ratio_text
+from .rational import ratio_text
 from .report import CheckReport, Violation
 from .stepline import pair_of
 
@@ -57,17 +57,6 @@ class Family:
     def __init__(self, r: int, rows: list[tuple[int, dict]]):
         self.r = r
         self.rows = rows
-
-    @staticmethod
-    def from_members(r: int, members) -> "Family":
-        """The family whose member n has the r components members[n], each a
-        {monomial position: (num, den)} map that stores no zeros, den > 0."""
-        rows = []
-        for comps in members:
-            row = {K * r + i: c for i, comp in enumerate(comps) for K, c in comp.items()}
-            d, nums = over_lcm(row.values())
-            rows.append((d, dict(zip(row, nums))))
-        return Family(r, rows)
 
     def __len__(self) -> int:
         return len(self.rows)
@@ -171,13 +160,12 @@ def validate_degree_structure(A: Family, B: Family, q: int, p: int) -> CheckRepo
             for idx, pos in enumerate(top):
                 bound = degree_bound(n, idx, r)
                 if pos > bound:
-                    rep.violations.append(Violation(
-                        "degree", (label, n, idx), f"grlex_pos {pos} > bound {bound}"))
+                    rep.violations.append(Violation((label, n, idx), f"grlex_pos {pos} > bound {bound}"))
                 if n % r == idx:
                     lead = row[pos * r + idx] if pos >= 0 else 0
                     if pos != bound or lead == 0 or monic and lead != d:
                         text = f"diagonal leading coefficient {ratio_text(lead, d)} at bound {bound}"
-                        rep.violations.append(Violation("degree", (label, n, idx), text))
+                        rep.violations.append(Violation((label, n, idx), text))
                 rep.checked += 1
     return rep
 
@@ -235,7 +223,7 @@ def check_orthogonality(BM: list, AMt: list, q: int, p: int) -> CheckReport:
                     resid = nums[K * r + a_idx]
                     if resid != 0:
                         rep.violations.append(Violation(
-                            "orthogonality", (label, n, a_idx, K), f"residual {ratio_text(resid, d)}"))
+                            (label, n, a_idx, K), f"residual {ratio_text(resid, d)}"))
                     rep.checked += 1
                     K += 1
     return rep
@@ -253,7 +241,6 @@ def check_biorthogonality(gram: list[list[tuple[int, int]]]) -> CheckReport:
     for m, row in enumerate(gram):
         for n, (num, den) in enumerate(row):
             if num != (den if m == n else 0):
-                rep.violations.append(Violation(
-                    "biorthogonality", (m, n), f"pairing {ratio_text(num, den)} != {int(m == n)}"))
+                rep.violations.append(Violation((m, n), f"pairing {ratio_text(num, den)} != {int(m == n)}"))
             rep.checked += 1
     return rep

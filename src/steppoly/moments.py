@@ -17,7 +17,7 @@ from .errors import DepthError
 from .measures import MeasureMatrix
 from .rational import over_lcm, ratio_text
 from .report import CheckReport, Violation
-from .stepline import n_plus, pair_of
+from .stepline import n_plus, pair_of, shift_count
 
 
 class MomentTruncation:
@@ -83,19 +83,8 @@ def assemble_moments(mm: MeasureMatrix, depth: int) -> MomentTruncation:
     return MomentTruncation(depth, q, p, scale, ints)
 
 
-def hankel_window(depth: int, q: int, p: int, k: int) -> tuple[int, int]:
-    """Largest (m_count, n_count) where both sides of the Hankel identity are determined."""
-    m_count = 0
-    while m_count < depth and n_plus(m_count, q, k) < depth:
-        m_count += 1
-    n_count = 0
-    while n_count < depth and n_plus(n_count, p, k) < depth:
-        n_count += 1
-    return m_count, n_count
-
-
-def hankel_mismatches(M: MomentTruncation, k: int) -> list[tuple[int, int, str, str]]:
-    """Entries where Lambda_{[q];k} M != M Lambda^T_{[p];k} on the determined window.
+def check_hankel(M: MomentTruncation, k: int) -> CheckReport:
+    """Lambda_{[q];k} M = M Lambda^T_{[p];k} on the determined window; skipped when it is empty.
 
     Row m of the left product is row n_plus(m, q, k) of M; column n of the
     right product is column n_plus(n, p, k) of M, so the window is exactly the
@@ -103,31 +92,16 @@ def hankel_mismatches(M: MomentTruncation, k: int) -> list[tuple[int, int, str, 
     are compared cross-multiplied over M's row scales; a mismatch's two entries
     are written with ratio_text.
     """
-    m_count, n_count = hankel_window(M.depth, M.q, M.p, k)
-    if m_count == 0 or n_count == 0:
-        raise DepthError(
-            f"depth {M.depth} leaves no checkable Hankel window for k={k}",
-            required=max(n_plus(0, M.q, k), n_plus(0, M.p, k)) + 1,
-        )
-    scale, ints, bad = M.scale, M.ints, []
+    m_count, n_count = shift_count(M.depth, M.q, k), shift_count(M.depth, M.p, k)
+    rep = CheckReport(f"hankel_k{k}", checked=m_count * n_count)
+    if not rep.checked:
+        rep.skipped.append(f"depth {M.depth} leaves no checkable Hankel window for k={k}")
+    scale, ints = M.scale, M.ints
     shifted = [n_plus(n, M.p, k) for n in range(n_count)]
     for m in range(m_count):
         ms = n_plus(m, M.q, k)
         for n, ns in enumerate(shifted):
             if ints[ms][n] * scale[m] != ints[m][ns] * scale[ms]:
-                bad.append((m, n, ratio_text(ints[ms][n], scale[ms]), ratio_text(ints[m][ns], scale[m])))
-    return bad
-
-
-def check_hankel(M: MomentTruncation, k: int) -> CheckReport:
-    """Hankel symmetry for x_k on the determined window; skipped when the window is empty."""
-    rep = CheckReport(f"hankel_k{k}")
-    try:
-        bad = hankel_mismatches(M, k)
-    except DepthError as exc:
-        rep.skipped.append(str(exc))
-        return rep
-    m_count, n_count = hankel_window(M.depth, M.q, M.p, k)
-    rep.checked = m_count * n_count
-    rep.violations = [Violation("hankel", (k, m, n), f"{lhs} != {rhs}") for m, n, lhs, rhs in bad]
+                text = f"{ratio_text(ints[ms][n], scale[ms])} != {ratio_text(ints[m][ns], scale[m])}"
+                rep.violations.append(Violation((k, m, n), text))
     return rep

@@ -47,7 +47,7 @@ from .families import Family, combine, mismatches
 from .gaussborel import Factorization
 from .rational import ratio_text
 from .report import CheckReport, Violation
-from .stepline import in_complement_J, n_minus_big, n_plus
+from .stepline import in_complement_J, n_minus_big, n_plus, shift_count
 
 
 def required_depth(D: int, q: int, p: int) -> int:
@@ -154,9 +154,7 @@ def check_dual_form(T: RecurrenceTruncation, F: Factorization) -> CheckReport:
         for n, (a, b) in enumerate(zip(row, col)):
             if a != T.L * b:
                 want = ratio_text(b * r[n], minors[m] * r[m] * minors[n + 1])
-                rep.violations.append(
-                    Violation("dual", (T.k, m, n), f"primal {T.text(m, n)} != dual {want}")
-                )
+                rep.violations.append(Violation((T.k, m, n), f"primal {T.text(m, n)} != dual {want}"))
         rep.checked += T.size
     return rep
 
@@ -182,32 +180,25 @@ def validate_band(T: RecurrenceTruncation) -> CheckReport:
         outside = [*range(first), *range(last + 1, D)]
         for c in outside:
             if row[c]:
-                rep.violations.append(Violation("band", (k, n, c), f"outside band: {T.text(n, c)}"))
+                rep.violations.append(Violation((k, n, c), f"outside band: {T.text(n, c)}"))
         rep.checked += len(outside)
         if last < D:
             if row[last] * r[last] != minors[n] * r[n] * minors[last + 1] * L:
-                rep.violations.append(
-                    Violation("band", (k, n, last), f"trailing entry {T.text(n, last)} != 1")
-                )
+                rep.violations.append(Violation((k, n, last), f"trailing entry {T.text(n, last)} != 1"))
             rep.checked += 1
         if in_complement_J(n, p, k):
             # first = n - p*F_k^-(n/p) here; boxed value H_n / H_first.
             if row[first] * sbar[n] != L * minors[n + 1] * minors[first] * sbar[first]:
                 want = ratio_text(minors[n + 1] * minors[first] * r[first] * sbar[first],
                                   minors[n] * r[n] * sbar[n] * minors[first + 1])
-                rep.violations.append(
-                    Violation("band", (k, n, first), f"{T.text(n, first)} != H ratio {want}")
-                )
+                rep.violations.append(Violation((k, n, first), f"{T.text(n, first)} != H ratio {want}"))
             rep.checked += 1
     return rep
 
 
 def recurrence_n_max(T: RecurrenceTruncation, a_count: int, b_count: int) -> int:
     """Largest n (exclusive) for which both entrywise relations are determined."""
-    n = 0
-    while n_plus(n, T.q, T.k) < min(b_count, T.size) and n_plus(n, T.p, T.k) < min(a_count, T.size):
-        n += 1
-    return n
+    return min(shift_count(min(b_count, T.size), T.q, T.k), shift_count(min(a_count, T.size), T.p, T.k))
 
 
 def check_recurrence_matrix(T: RecurrenceTruncation, A: Family, B: Family) -> CheckReport:
@@ -245,8 +236,6 @@ def check_recurrence_matrix(T: RecurrenceTruncation, A: Family, B: Family) -> Ch
             bad = {c % r for c in mismatches(want, got)}
             for idx in range(r):
                 if idx in bad:
-                    rep.violations.append(
-                        Violation("recurrence_matrix", (k, label, n, idx), "coefficient mismatch")
-                    )
+                    rep.violations.append(Violation((k, label, n, idx), "coefficient mismatch"))
                 rep.checked += 1
     return rep

@@ -6,7 +6,6 @@ from typing import NamedTuple
 
 
 class Violation(NamedTuple):
-    check: str
     where: tuple
     detail: str
 

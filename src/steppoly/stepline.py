@@ -12,6 +12,7 @@ Everything here is exact integer arithmetic; no floating point.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from math import isqrt
 from typing import NamedTuple
 
@@ -70,6 +71,12 @@ def n_plus(n: int, r: int, k: int) -> int:
     if n < 0:
         raise ValueError(f"negative n: {n}")
     return n + r * floor_f(n // r) + k * r
+
+
+def shift_count(limit: int, r: int, k: int) -> int:
+    """The number of n >= 0 with n_plus(n, r, k) < limit; as n_plus is increasing,
+    they are the n below the count, and as n_plus(n, r, k) > n, all are below limit."""
+    return bisect_left(range(limit), limit, key=lambda n: n_plus(n, r, k))
 
 
 def in_complement_J(n: int, r: int, k: int) -> bool:

@@ -273,13 +273,24 @@ def members(fam: Family) -> list[list[BiPoly]]:
     return [[poly(fam, n, i) for i in range(fam.r)] for n in range(len(fam))]
 
 
+def from_members(r: int, members) -> Family:
+    """The family whose member n has the r components members[n], each a
+    {monomial position: (num, den)} map that stores no zeros, den > 0."""
+    rows = []
+    for comps in members:
+        row = {K * r + i: c for i, comp in enumerate(comps) for K, c in comp.items()}
+        d, nums = over_lcm(row.values())
+        rows.append((d, dict(zip(row, nums))))
+    return Family(r, rows)
+
+
 def planted(fam: Family, n: int, idx: int, K: int, delta) -> Family:
     """fam with delta added to component idx of member n at monomial position K."""
     comps = members(fam)
     pol = comps[n][idx]
     comps[n][idx] = BiPoly({**pol.coeffs, K: pol.coeff(K) + delta})
-    return Family.from_members(fam.r, [[{K: pair(c) for K, c in pol.coeffs.items()} for pol in row]
-                                       for row in comps])
+    return from_members(fam.r, [[{K: pair(c) for K, c in pol.coeffs.items()} for pol in row]
+                                for row in comps])
 
 
 def deg_x1(pol: BiPoly) -> int:
@@ -354,8 +365,7 @@ def grid_values(count: int) -> list:
 
 def point_pairs(rng: random.Random, count: int) -> list:
     """count pairs (x, y) of small random rational points, x1, x2, y1, y2 drawn in
-    that order, each as rat(randint(-24, 24), randint(1, 16)): the draws that
-    run_checks discards before projection's, 18 pairs of them."""
+    that order, each as rat(randint(-24, 24), randint(1, 16)), for the pointwise oracles."""
     def draw():
         return rat(rng.randint(-24, 24), rng.randint(1, 16))
 
@@ -560,7 +570,7 @@ def pointwise_reproduction(A: Family, B: Family, gram: list[list], n: int,
                    for b_idx in range(q)] for a_idx in range(p)]
         if out != kernel:
             rep.violations.append(Violation(
-                "reproduction", (n, f"({x[0]}, {x[1]})", f"({y[0]}, {y[1]})"), "kernel not reproduced"))
+                (n, f"({x[0]}, {x[1]})", f"({y[0]}, {y[1]})"), "kernel not reproduced"))
         rep.checked += 1
     return rep
 
@@ -622,7 +632,7 @@ def pointwise_abc(M: MomentTruncation, n: int, tables: list[KernelTable]) -> Che
         if any(kv * scale != table.den * gv for k_row, g_row in zip(table.kernels_int[n], g)
                for kv, gv in zip(k_row, g_row)):
             rep.violations.append(Violation(
-                "abc", (n, f"({x[0]}, {x[1]})", f"({y[0]}, {y[1]})"), "K^[n] != X^T M^-1 X"))
+                (n, f"({x[0]}, {x[1]})", f"({y[0]}, {y[1]})"), "K^[n] != X^T M^-1 X"))
         rep.checked += 1
     return rep
 
@@ -924,7 +934,7 @@ def pointwise_cd(T: RecurrenceTruncation, n: int, tables: list[KernelTable]) -> 
         if any(u * kv != v * sv for k_row, s_row in zip(table.kernels_int[n], s)
                for kv, sv in zip(k_row, s_row)):
             rep.violations.append(Violation(
-                "cd", (k, n, f"({x[0]}, {x[1]})", f"({y[0]}, {y[1]})"),
+                (k, n, f"({x[0]}, {x[1]})", f"({y[0]}, {y[1]})"),
                 "(x_k - y_k) K^[n] != block sum"))
         rep.checked += 1
     return rep

@@ -68,6 +68,19 @@ MUTANTS = [
         "!= ints[m][ns] * scale[ms]", "!= ints[ms][n] * scale[m]",
         ("tests/test_moments.py::TestHankelSymmetry::test_corruption_detected_and_located",)),
     Mutant(
+        "check_hankel counts relations on an empty window", "moments.py",
+        "checked=m_count * n_count)", "checked=m_count + n_count)",
+        ("tests/test_moments.py::TestHankelSymmetry::test_empty_window_is_skipped",
+         "tests/test_moments.py::TestHankelSymmetry::test_window_shrinks_with_depth",
+         "tests/test_cli.py::TestCheckScope::test_names_and_counts[golden]")),
+    Mutant(
+        "shift_count counts one too many", "stepline.py",
+        "return bisect_left(range(limit), limit,", "return 1 + bisect_left(range(limit), limit,",
+        ("tests/test_stepline.py::TestShiftCount::test_matches_the_counting_loop",
+         "tests/test_stepline.py::TestShiftCount::test_boundaries",
+         "tests/test_recurrence.py::TestRelations::test_n_max_respects_window",
+         "tests/test_cli.py::TestCheckScope::test_names_and_counts[golden]")),
+    Mutant(
         "degree bound one position loose", "families.py",
         "if pos > bound:", "if pos > bound + 1:",
         ("tests/test_families.py::TestDegreeStructure::test_planted_coefficient_above_its_bound_located",)),
@@ -106,6 +119,17 @@ MUTANTS = [
         ("tests/test_cdkernel.py::TestProjection::test_detects_a_term_that_vanishes_on_five_lines",
          "tests/test_cdkernel.py::TestProjection::test_detects_foreign_families",
          "tests/test_cdkernel.py::TestProjection::test_dual_detects_foreign_families")),
+    Mutant(
+        "projection's precondition accepts a non-unit leading coefficient", "cdkernel.py",
+        "row.get(lead) != d", "lead not in row",
+        ("tests/test_cdkernel.py::TestMonicPredicate::test_rejects_non_unit_leader",
+         "tests/test_cdkernel.py::TestProjection::test_shape_and_monicity_guards")),
+    Mutant(
+        "_projection draws both directions' polynomials at size p", "cli.py",
+        "seeded_monic_columns(rng, q, I_dual)", "seeded_monic_columns(rng, p, I_dual)",
+        ("tests/test_cli.py::TestCheckScope::test_names_and_counts[golden]",
+         "tests/test_cli.py::TestCheckScope::test_names_and_counts[shape5]",
+         "tests/test_cli.py::TestVerify::test_seed_reaches_no_output[shape1]")),
     Mutant(
         "Family.values doubles the constant term", "families.py",
         "sums[i] += v * mono[K]", "sums[i] += v * mono[K] * (1 + (K == 0))",

@@ -13,7 +13,6 @@ from steppoly.cdkernel import (
     check_cd_formula,
     check_projection,
     check_reproduction,
-    is_monic_of_grlex_degree,
     kernel_eval,
 )
 from steppoly.cli import Workspace, load_config, run_checks
@@ -29,6 +28,7 @@ from _support import (
     abc_oracle,
     build_system,
     cd_block_values,
+    from_members,
     grid_values,
     kernel_rationals,
     kernel_sum,
@@ -497,13 +497,11 @@ class TestABCCoefficients:
             "details": "3 violation(s); first at (5, 0, 0): sum a_i b_i^T != M^-1"}]
 
     def test_detects_a_term_that_vanishes_at_the_abc_points(self):
-        # A_0 gains the product of (b x1 - a) over the first coordinates a/b of the
-        # ten x points run_checks draws for abc on the golden seed: the pointwise
-        # oracle at those pairs sees the same values and passes, check_abc fails
+        # A_0 gains the product of (b x1 - a) over the first coordinates a/b of
+        # ten x points: the pointwise oracle at those pairs sees the same values
+        # and passes, check_abc fails
         ws = Workspace(load_config(GOLDEN_CONFIG))
-        rng = random.Random(ws.config.seed)
-        point_pairs(rng, 5)  # cd's pairs come first
-        pairs = point_pairs(rng, 10)
+        pairs = point_pairs(random.Random(ws.config.seed), 15)[5:]
         poly_x1 = [1]  # coefficients of x1^0, x1^1, ...
         for a in {x[0] for x, _ in pairs}:
             # times (den x1 - num): x1^e gains den times the old x1^(e-1)
@@ -578,10 +576,13 @@ class TestReproduction:
             check_reproduction(system.A, system.B, gram, 6)
 
 
-def monic_matrix(dim: int, lead_pos: int) -> list[list[dict]]:
-    """A grid of {monomial position: (num, den)} maps in lowest terms."""
-    return [[{0: pair(Fraction(r - c, 3))} if r != c else {lead_pos: (1, 1), 0: (1, 2)}
+def monic_matrix(dim: int, lead_pos: int, transpose: bool = False) -> Family:
+    """The columns of a monic dim x dim matrix polynomial of grlex-degree
+    lead_pos, or of its transpose, as a Family: entry (r, c) is (r - c)/3 off
+    the diagonal and 1/2 + monomial_lead_pos on it."""
+    grid = [[{0: pair(Fraction(r - c, 3))} if r != c else {lead_pos: (1, 1), 0: (1, 2)}
              for c in range(dim)] for r in range(dim)]
+    return from_members(dim, grid if transpose else zip(*grid))
 
 
 class TestProjection:
@@ -592,7 +593,7 @@ class TestProjection:
             I = 2
             rep = check_projection(system.A, BM, I * p + p - 1, monic_matrix(p, I))
             assert rep.ok and rep.checked == p * p
-            rep = check_projection(system.B, AMt, I * q + q - 1, list(zip(*monic_matrix(q, I))))
+            rep = check_projection(system.B, AMt, I * q + q - 1, monic_matrix(q, I, transpose=True))
             assert rep.ok and rep.checked == q * q
 
     def test_detects_a_term_that_vanishes_on_five_lines(self):
@@ -630,7 +631,7 @@ class TestProjection:
         BM, AMt = moment_products(system.A, system.B, system.M)
         with pytest.raises(ValueError):
             check_projection(system.A, BM, 7, monic_matrix(1, 2))
-        bad = [[{2: (3, 1)}]]  # leading coefficient not 1
+        bad = Family(1, [(1, {2: 3})])  # leading coefficient 3, not 1
         with pytest.raises(ValueError):
             check_projection(system.B, AMt, 7, bad)
 
@@ -649,20 +650,34 @@ class TestProjection:
     def test_dual_detects_foreign_families(self):
         system = build_system(1, 2, 14, seed=103)
         other = build_system(1, 2, 14, seed=104)
-        P = list(zip(*monic_matrix(1, 2)))
+        P = monic_matrix(1, 2, transpose=True)
         assert check_projection(system.B, moment_products(system.A, system.B, system.M)[1], 7, P).ok
         rep = check_projection(other.B, moment_products(other.A, other.B, system.M)[1], 7, P)
         assert not rep.ok and rep.checked > 0
 
 
 class TestMonicPredicate:
+    """check_projection's precondition, read off P.rows: member a1 stores column
+    I*p + a1 with value d, every other column below position I, and P is p x p."""
+
+    def setup_method(self):
+        system = build_system(1, 2, 10, seed=99)
+        self.A, self.BM = system.A, moment_products(system.A, system.B, system.M)[0]
+
     def test_accepts_diagonal_leader(self):
-        assert is_monic_of_grlex_degree(monic_matrix(2, 3), 3)
+        assert check_projection(self.A, self.BM, 7, monic_matrix(2, 3)).ok
 
     def test_rejects_off_diagonal_leader(self):
         m = [[{3: (1, 1)}, {3: (1, 1)}], [{}, {3: (1, 1)}]]
-        assert not is_monic_of_grlex_degree(m, 3)
+        with pytest.raises(ValueError, match="not monic"):
+            check_projection(self.A, self.BM, 7, from_members(2, zip(*m)))
+
+    def test_rejects_non_unit_leader(self):
+        m = [[{3: (2, 1)}, {0: (1, 1)}], [{}, {3: (1, 1)}]]  # leading coefficient 2 in column 0
+        with pytest.raises(ValueError, match="not monic"):
+            check_projection(self.A, self.BM, 7, from_members(2, zip(*m)))
 
     def test_rejects_non_square(self):
-        m = [[{0: (1, 1)}, {0: (1, 1)}]]
-        assert not is_monic_of_grlex_degree(m, 0)
+        m = [[{0: (1, 1)}, {0: (1, 1)}]]  # one column of two entries
+        with pytest.raises(ValueError, match="2 x 2"):
+            check_projection(self.A, self.BM, 7, from_members(2, m))

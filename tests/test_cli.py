@@ -126,6 +126,21 @@ class TestVerify:
         assert ra["seed"] != rb["seed"]
         assert ra["checks"] == rb["checks"]
 
+    @pytest.mark.parametrize("shape", ["golden", (2, 3)])
+    def test_seed_reaches_no_output(self, tmp_path, shape):
+        # the seed draws projection's monic matrix polynomials only, and the
+        # projection identity holds for every one of them: report.json writes
+        # the seed and is otherwise the same for every seed
+        cfg = GOLDEN_CONFIG if shape == "golden" else good_config(tmp_path, *shape)
+        reports = []
+        for seed in (0, 1, 7, 12345):
+            out = tmp_path / f"seed{seed}"
+            assert main(["verify", "--config", str(cfg), "--seed", str(seed), "--out", str(out)]) == 0
+            report = json.loads((out / "report.json").read_text())
+            assert report.pop("seed") == seed
+            reports.append(report)
+        assert reports[0]["checks"] and all(report == reports[0] for report in reports[1:])
+
     def test_explicit_eval_points_accepted(self, tmp_path):
         cfg = good_config(tmp_path, eval_points=[["1/2", "-1/3"], ["0", "2"]])
         assert main(["verify", "--config", str(cfg)]) == 0
@@ -136,7 +151,7 @@ class TestVerify:
         cfg = good_config(tmp_path)
         monkeypatch.setattr(
             cli_mod, "check_reproduction",
-            lambda *a, **k: CheckReport("reproduction", [Violation("reproduction", (5,), "forced")], 1),
+            lambda *a, **k: CheckReport("reproduction", [Violation((5,), "forced")], 1),
         )
         assert main(["verify", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
         report = json.loads((tmp_path / "o" / "report.json").read_text())
@@ -185,8 +200,8 @@ class TestVerify:
 
         monkeypatch.setattr(
             cli_mod, "check_reproduction",
-            lambda *a, **k: CheckReport("reproduction", [Violation("reproduction", (5, "x"), "forced"),
-                                                         Violation("reproduction", (6,), "again")], 2),
+            lambda *a, **k: CheckReport("reproduction", [Violation((5, "x"), "forced"),
+                                                         Violation((6,), "again")], 2),
         )
         assert main(["verify", "--config", str(GOLDEN_CONFIG), "--checks", "degree,reproduction",
                      "--out", str(tmp_path / "f")]) == 1
@@ -896,7 +911,7 @@ class TestCheckScope:
         q, p, D, E = ws.config.q, ws.config.p, ws.depth, ws.extended_depth
 
         def summary(name):
-            return [(rep.name, rep.checked) for rep in CHECKS[name](ws, random.Random(0))]
+            return [(rep.name, rep.checked) for rep in CHECKS[name](ws)]
 
         # hankel: every (m, n) whose shifted row n_plus(m, q, k) and column
         # n_plus(n, p, k) both lie inside the extended truncation
@@ -939,10 +954,10 @@ class TestCheckScope:
 
         def spying(rng, size, I):
             drawn.append((size, I))
-            return seeded_monic_matrix(rng, size, I)
+            return seeded_monic_columns(rng, size, I)
 
-        seeded_monic_matrix = steppoly.cli.seeded_monic_matrix
-        monkeypatch.setattr("steppoly.cli.seeded_monic_matrix", spying)
+        seeded_monic_columns = steppoly.cli.seeded_monic_columns
+        monkeypatch.setattr("steppoly.cli.seeded_monic_columns", spying)
         # every config here is deep enough for degree 3 on both sides; each
         # direction checks one relation per pair of components
         assert summary("projection") == [("projection", p * p), ("projection", q * q)]

@@ -10,7 +10,7 @@ from steppoly import (
     pairing_matrix,
     rat,
 )
-from steppoly.cli import seeded_monic_matrix
+from steppoly.cli import seeded_monic_columns
 from steppoly.families import (
     Family,
     check_orthogonality,
@@ -181,10 +181,9 @@ class TestProductRoute:
                 want = [list(row) for row in zip(*pair_oracle(mm, slots_b, comps_a))]
                 assert rationals(moment_rows(A, M.transpose(), D)) == want, where
                 # projection's inner integrals: B_i against the columns of P
-                P = seeded_monic_matrix(random.Random(53), p, 1)
-                columns = [[BiPoly({K: rat(*v) for K, v in e.items()}) for e in col] for col in zip(*P)]
-                assert (pair_rationals(pairings(moment_rows(B, M, D), Family.from_members(p, zip(*P))))
-                        == pair_oracle(mm, comps_b, columns)), where
+                P = seeded_monic_columns(random.Random(53), p, 1)
+                assert (pair_rationals(pairings(moment_rows(B, M, D), P))
+                        == pair_oracle(mm, comps_b, members(P))), where
 
 
 class TestLazyRows:

@@ -1,11 +1,14 @@
-"""Every name a steppoly module imports is read in that module."""
+"""Every name a steppoly module imports is read in that module, and every public
+name src/ defines has a reader."""
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "steppoly"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "steppoly"
 
 
 def unread_imports(source: str) -> list[str]:
@@ -49,3 +52,48 @@ def test_flags_an_unread_import():
               "__all__ = ['gcd']\n"
               "print(lcm(2, 3))\n")
     assert unread_imports(source) == ["os"]
+
+
+def unread_definitions(sources: list[str], texts: list[str]) -> list[str]:
+    """The public top-level functions and classes of the sources, and the public
+    methods of those classes, that have no reader: no Name, Attribute or
+    imported name in any of the sources reads them, and no text holds the name
+    as a word.  A method is named Class.method."""
+    trees = [ast.parse(source) for source in sources]
+    read = set()
+    for node in (node for tree in trees for node in ast.walk(tree)):
+        if isinstance(node, ast.Name):
+            read.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            read.add(node.attr)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            read |= {alias.name.rpartition(".")[2] for alias in node.names}
+    defs = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+    defined = []
+    for top in (node for tree in trees for node in tree.body if isinstance(node, defs)):
+        defined.append((top.name, top.name))
+        if isinstance(top, ast.ClassDef):
+            defined += [(node.name, f"{top.name}.{node.name}") for node in top.body
+                        if isinstance(node, defs[:2])]
+    text = "\n".join(texts)
+    return [label for name, label in defined if not name.startswith("_") and name not in read
+            and not re.search(rf"\b{re.escape(name)}\b", text)]
+
+
+def test_every_public_name_has_a_reader():
+    # item 4's done-when: src/ does each job once, so a definition nothing reads goes
+    sources = [path.read_text() for path in sorted(SRC.glob("*.py"))]
+    texts = [(ROOT / "README.md").read_text()]
+    texts += [path.read_text() for path in sorted((ROOT / "bench").glob("*.py"))]
+    assert unread_definitions(sources, texts) == []
+
+
+def test_flags_an_unread_definition():
+    source = ("class Shape:\n"
+              "    def area(self): return 0\n"
+              "    def grow(self): return self.area()\n"
+              "    def _hidden(self): return 1\n"
+              "def draw(): return Shape()\n"
+              "def erase(): return None\n"
+              "def documented(): return None\n")
+    assert unread_definitions([source], ["call documented() first"]) == ["Shape.grow", "draw", "erase"]

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from steppoly import assemble_moments, rat
 from steppoly.errors import DepthError
 from steppoly.measures import Discrete, MeasureMatrix, RectDensity
-from steppoly.moments import check_hankel, hankel_mismatches, hankel_window
+from steppoly.moments import check_hankel
 from steppoly.stepline import n_plus, pair_of
 
 from _support import (
@@ -263,13 +263,14 @@ class TestHankelSymmetry:
         for q, p in SHAPES:
             system = build_system(q, p, 16, seed=21)
             for k in (1, 2):
-                assert not hankel_mismatches(system.M, k), (q, p, k)
+                rep = check_hankel(system.M, k)
+                assert rep.ok and rep.checked, (q, p, k)
 
     def test_holds_for_integral_backends(self):
         rng = random.Random(14)
         M = assemble_moments(mixed_mm(rng, 2, 2), 14)
-        assert not hankel_mismatches(M, 1)
-        assert not hankel_mismatches(M, 2)
+        assert check_hankel(M, 1).ok
+        assert check_hankel(M, 2).ok
 
     def test_corruption_detected_and_located(self):
         system = build_system(1, 2, 16, seed=22)
@@ -278,28 +279,41 @@ class TestHankelSymmetry:
         target_row = n_plus(0, 1, 1)
         data[target_row][0] += 1
         corrupted = rational_truncation(16, 1, 2, data)
-        bad = hankel_mismatches(corrupted, 1)
-        assert bad, "corruption must be detected"
-        assert any(b[0] == 0 and b[1] == 0 for b in bad)
         rep = check_hankel(corrupted, 1)
-        assert rep.violations[0].where[:3] == (1, bad[0][0], bad[0][1])
-        assert len(rep.violations) == len(bad) and rep.checked > len(bad)
+        rows = [m for m in range(16) if n_plus(m, 1, 1) < 16]
+        cols = [n for n in range(16) if n_plus(n, 2, 1) < 16]
+        want = [(1, m, n) for m in rows for n in cols
+                if data[n_plus(m, 1, 1)][n] != data[m][n_plus(n, 2, 1)]]
+        assert (1, 0, 0) in want, "corruption must be detected"
+        assert [v.where for v in rep.violations] == want
+        assert rep.checked == len(rows) * len(cols) > len(want)
         # each text is str() of the rational entry, as the rational entries once wrote it
-        for (m, n, _, _), v in zip(bad, rep.violations):
+        for v in rep.violations:
+            _, m, n = v.where
             assert v.detail == f"{data[n_plus(m, 1, 1)][n]} != {data[m][n_plus(n, 2, 1)]}", (m, n)
 
     def test_window_shrinks_with_depth(self):
-        m_count, n_count = hankel_window(16, 1, 2, 1)
-        assert m_count > 0 and n_count > 0
-        for m in range(m_count):
-            assert n_plus(m, 1, 1) < 16
-        assert n_plus(m_count, 1, 1) >= 16
+        system = build_system(1, 2, 16, seed=21)
+        counts = []
+        for depth in range(1, 17):
+            rep = check_hankel(truncation_corner(system.M, depth), 1)
+            rows = sum(n_plus(m, 1, 1) < depth for m in range(depth))
+            cols = sum(n_plus(n, 2, 1) < depth for n in range(depth))
+            assert rep.ok and rep.checked == rows * cols, depth
+            assert bool(rep.skipped) == (rows * cols == 0), depth
+            counts.append(rep.checked)
+        assert counts == sorted(counts) and counts[0] == 0 < counts[-1]
 
-    def test_empty_window_raises(self):
+    def test_empty_window_is_skipped(self):
+        # n_plus(0, r, k) = k r, so depth k q leaves no row of the window
         system = build_system(1, 1, 16, seed=23)
-        with pytest.raises(DepthError):
-            hankel_mismatches(truncation_corner(system.M, 1), 1)
-        with pytest.raises(DepthError):
-            hankel_mismatches(truncation_corner(system.M, 2), 2)
-        rep = check_hankel(truncation_corner(system.M, 1), 1)
-        assert rep.checked == 0 and rep.ok and rep.skipped
+        for k in (1, 2):
+            rep = check_hankel(truncation_corner(system.M, k), k)
+            assert (rep.checked, rep.violations) == (0, []), k
+            assert rep.skipped == [f"depth {k} leaves no checkable Hankel window for k={k}"], k
+        # q = 1, p = 2 at depth 2: row 0 shifts to 1 < 2, but column 0 shifts to 2,
+        # so one row and no column: the window is still empty
+        system = build_system(1, 2, 16, seed=23)
+        rep = check_hankel(truncation_corner(system.M, 2), 1)
+        assert (rep.checked, rep.violations) == (0, [])
+        assert rep.skipped == ["depth 2 leaves no checkable Hankel window for k=1"]

@@ -14,6 +14,7 @@ from steppoly.stepline import (
     n_minus_big,
     n_plus,
     pair_of,
+    shift_count,
 )
 
 from _support import monomial_value, pos_of
@@ -185,6 +186,29 @@ class TestShiftTargets:
         assert in_complement_J(2, 1, 1) is False
         assert in_complement_J(3, 1, 1) is True
         assert in_complement_J(4, 2, 1) is False
+
+
+def counted_shifts(limit: int, r: int, k: int) -> int:
+    """The n >= 0 with n_plus(n, r, k) < limit, counted one at a time: the
+    window loop of the Hankel check and recurrence_n_max of earlier versions."""
+    n = 0
+    while n < limit and n_plus(n, r, k) < limit:
+        n += 1
+    return n
+
+
+class TestShiftCount:
+    def test_matches_the_counting_loop(self):
+        for limit in range(61):
+            for r in (1, 2, 3, 4):
+                for k in KS:
+                    assert shift_count(limit, r, k) == counted_shifts(limit, r, k), (limit, r, k)
+
+    def test_boundaries(self):
+        # n_plus(0, r, k) = k r, so no n counts below limit k r + 1
+        assert shift_count(0, 1, 1) == 0
+        assert shift_count(2, 2, 1) == 0 and shift_count(3, 2, 1) == 1
+        assert shift_count(4, 1, 2) == 1
 
 
 class TestExceptionSets:
