@@ -26,12 +26,13 @@ at every nonzero acc[m][c], for every n below recurrence_n_max.  By region:
 in the square m, c <= n, w = 0, and (b) says that both bands name the same
 nonzero entries, whose terms then cancel; this holds for any acc, as
 n_minus_big(c, r, k) <= m exactly when c <= n_plus(m, r, k), so the two bands
-are one set of pairs.  Below the square (m > n >= c), v = 0, and the nonzero
-entries in column bands must be the lower-left block's; above it (m <= n < c),
-u = 0, and those in row bands the upper-right block's.  Of the bands, (b)
-assumes only that they are what the relations sum over, inside T_k's window
-below recurrence_n_max.  An entry outside them has u = v = 0, so (b) keeps it
-out of the blocks; validate_band checks that it vanishes.
+are one set of pairs (by definition: n_minus_big(c, r, k) is the least m with
+n_plus(m, r, k) >= c).  Below the square (m > n >= c), v = 0, and the nonzero
+entries in column bands must be the lower-left block's; above it (m <= n <
+c), u = 0, and those in row bands the upper-right block's.  Of the bands,
+(b) assumes only that they are what the relations sum over, inside T_k's
+window below recurrence_n_max.  An entry outside them has u = v = 0, so (b)
+keeps it out of the blocks; validate_band checks that it vanishes.
 
 The ABC identity writes K^[n] through the inverse of the leading (n+1) x
 (n+1) moment truncation: sum over i <= n of a_i b_i^T is that inverse, where

@@ -17,7 +17,7 @@ from .errors import DepthError
 from .measures import MeasureMatrix
 from .rational import over_lcm, ratio_text
 from .report import CheckReport, Violation
-from .stepline import n_plus, pair_of, shift_count
+from .stepline import n_minus_big, n_plus, pair_of
 
 
 class MomentTruncation:
@@ -92,7 +92,7 @@ def check_hankel(M: MomentTruncation, k: int) -> CheckReport:
     are compared cross-multiplied over M's row scales; a mismatch's two entries
     are written with ratio_text.
     """
-    m_count, n_count = shift_count(M.depth, M.q, k), shift_count(M.depth, M.p, k)
+    m_count, n_count = n_minus_big(M.depth, M.q, k), n_minus_big(M.depth, M.p, k)
     rep = CheckReport(f"hankel_k{k}", checked=m_count * n_count)
     if not rep.checked:
         rep.skipped.append(f"depth {M.depth} leaves no checkable Hankel window for k={k}")

@@ -38,7 +38,6 @@ exports write entries(ratio_text, "0").  No rational T_k is formed.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from math import lcm
 from operator import mul
 
@@ -47,15 +46,12 @@ from .families import Family, combine, mismatches
 from .gaussborel import Factorization
 from .rational import ratio_text
 from .report import CheckReport, Violation
-from .stepline import in_complement_J, n_minus_big, n_plus, shift_count
+from .stepline import in_complement_J, n_minus_big, n_plus
 
 
 def required_depth(D: int, q: int, p: int) -> int:
     """Factorization depth that fully determines T_1 and T_2 on a D x D window."""
-    best = 0
-    for k in (1, 2):
-        best = max(best, n_plus(D - 1, q, k), n_plus(D - 1, p, k))
-    return best + 1
+    return max(n_plus(D - 1, q, 2), n_plus(D - 1, p, 2)) + 1  # n_plus grows with k
 
 
 class RecurrenceTruncation:
@@ -109,7 +105,8 @@ def build_recurrence(F: Factorization, q: int, p: int, k: int, target_size: int,
     Sbar^T H^-1, whose entry (m, n) sums Sbar^-T[m][i] Lambda^T[i][j]
     Sbar^T[j][n] over i >= m and j <= n (both Sbar factors are upper
     triangular) with i = n_plus(j, p, k) <= n_plus(n, p, k); so it vanishes
-    unless m <= n_plus(n, p, k), that is n >= n_minus_big(m, p, k).  Every
+    unless m <= n_plus(n, p, k), that is n >= n_minus_big(m, p, k), which is
+    by definition the least n with n_plus(n, p, k) >= m.  Every
     moment truncation is Hankel by construction (assemble_moments reads each
     block off its exponent pair), so the skipped sums are exact zeros
     whenever F exists.
@@ -127,7 +124,7 @@ def build_recurrence(F: Factorization, q: int, p: int, k: int, target_size: int,
     weight = [r[c] * (big_l // r[i]) for c, i in enumerate(shifted)]
     # S^-1 is lower triangular and shifted increasing: column n meets row
     # shifted[c] only from c = first[n] on; cols[n] holds Mi[shifted[c]][n] from there
-    first = [bisect_left(shifted, n) for n in range(target_size)]
+    first = [n_minus_big(n, q, k) for n in range(target_size)]
     cols = [[Mi[i][n] for i in shifted[f:]] for n, f in enumerate(first)]
     acc = []
     for m in range(target_size):
@@ -187,7 +184,7 @@ def validate_band(T: RecurrenceTruncation) -> CheckReport:
                 rep.violations.append(Violation((k, n, last), f"trailing entry {T.text(n, last)} != 1"))
             rep.checked += 1
         if in_complement_J(n, p, k):
-            # first = n - p*F_k^-(n/p) here; boxed value H_n / H_first.
+            # n_plus(first, p, k) = n here; boxed value H_n / H_first.
             if row[first] * sbar[n] != L * minors[n + 1] * minors[first] * sbar[first]:
                 want = ratio_text(minors[n + 1] * minors[first] * r[first] * sbar[first],
                                   minors[n] * r[n] * sbar[n] * minors[first + 1])
@@ -198,7 +195,7 @@ def validate_band(T: RecurrenceTruncation) -> CheckReport:
 
 def recurrence_n_max(T: RecurrenceTruncation, a_count: int, b_count: int) -> int:
     """Largest n (exclusive) for which both entrywise relations are determined."""
-    return min(shift_count(min(b_count, T.size), T.q, T.k), shift_count(min(a_count, T.size), T.p, T.k))
+    return min(n_minus_big(min(b_count, T.size), T.q, T.k), n_minus_big(min(a_count, T.size), T.p, T.k))
 
 
 def check_recurrence_matrix(T: RecurrenceTruncation, A: Family, B: Family) -> CheckReport:

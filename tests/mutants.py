@@ -74,12 +74,21 @@ MUTANTS = [
          "tests/test_moments.py::TestHankelSymmetry::test_window_shrinks_with_depth",
          "tests/test_cli.py::TestCheckScope::test_names_and_counts[golden]")),
     Mutant(
-        "shift_count counts one too many", "stepline.py",
-        "return bisect_left(range(limit), limit,", "return 1 + bisect_left(range(limit), limit,",
+        "n_minus_big counts one too many", "stepline.py",
+        "return bisect_left(range(n), n,", "return 1 + bisect_left(range(n), n,",
         ("tests/test_stepline.py::TestShiftCount::test_matches_the_counting_loop",
          "tests/test_stepline.py::TestShiftCount::test_boundaries",
          "tests/test_recurrence.py::TestRelations::test_n_max_respects_window",
          "tests/test_cli.py::TestCheckScope::test_names_and_counts[golden]")),
+    Mutant(
+        "in_complement_J accepts the next image point", "stepline.py",
+        "r, k), r, k) == n", "r, k), r, k) >= n",
+        ("tests/test_stepline.py::TestShiftTargets::test_recorded_memberships",
+         "tests/test_stepline.py::TestExceptionSets::test_membership_against_enumeration",
+         "tests/test_stepline.py::TestPreimage::test_matches_the_closed_form",
+         "tests/test_acceptance.py::test_criterion_1_index_suite",
+         "tests/test_recurrence.py::TestBandStructure::test_validate_on_random_systems",
+         "tests/test_cli.py::TestVerify::test_all_checks_pass")),
     Mutant(
         "degree bound one position loose", "families.py",
         "if pos > bound:", "if pos > bound + 1:",

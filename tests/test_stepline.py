@@ -7,15 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from steppoly.stepline import (
-    f_minus,
-    floor_f,
-    in_complement_J,
-    n_minus_big,
-    n_plus,
-    pair_of,
-    shift_count,
-)
+from steppoly.stepline import floor_f, in_complement_J, n_minus_big, n_plus, pair_of
 
 from _support import monomial_value, pos_of
 
@@ -28,6 +20,31 @@ def brute_floor(x: Fraction) -> int:
     while Fraction((i + 1) * (i + 2), 2) <= x:
         i += 1
     return i
+
+
+def f_minus(x: int, k: int) -> int:
+    """The paper's F_k^- for k in {1, 2}: F_1^-(x) = F(x) and F_2^-(x) = F(x - 1) + 1 for x >= 1."""
+    if k == 1:
+        return floor_f(x)
+    if x < 1:
+        raise ValueError(f"F_2^- requires x >= 1, got {x}")
+    return floor_f(x - 1) + 1
+
+
+def closed_form_in_image(n: int, r: int, k: int) -> bool:
+    """n not in J_{r;k}, by the closed form: n = n_plus(m) for m = n - r F_k^-(n/r)."""
+    if n < k * r:
+        return False
+    m = n - r * f_minus(n // r, k)
+    return m >= 0 and n_plus(m, r, k) == n
+
+
+def closed_form_preimage(n: int, r: int, k: int) -> int:
+    """The paper's N^-_{r;k}: walk up to the next image point N >= n, then
+    undo n_plus there by the closed form N - r F_k^-(N/r)."""
+    while not closed_form_in_image(n, r, k):
+        n += 1
+    return n - r * f_minus(n // r, k)
 
 
 def image_set(r: int, k: int, limit: int) -> set:
@@ -187,6 +204,31 @@ class TestShiftTargets:
         assert in_complement_J(3, 1, 1) is True
         assert in_complement_J(4, 2, 1) is False
 
+    def test_negative_n_rejected(self):
+        for r in RS:
+            for k in KS:
+                for f in (n_plus, n_minus_big, in_complement_J):
+                    with pytest.raises(ValueError, match="negative n"):
+                        f(-1, r, k)
+
+
+class TestPreimage:
+    def test_matches_the_closed_form(self):
+        for r in range(1, 6):
+            for k in KS:
+                for n in range(300):
+                    assert n_minus_big(n, r, k) == closed_form_preimage(n, r, k), (n, r, k)
+                    assert in_complement_J(n, r, k) == closed_form_in_image(n, r, k), (n, r, k)
+
+    def test_galois_connection(self):
+        # n_minus_big(c) <= m exactly when c <= n_plus(m): the identity that
+        # makes cdkernel's row and column bands one set of pairs
+        for r in RS:
+            for k in KS:
+                for c in range(120):
+                    for m in range(120):
+                        assert (n_minus_big(c, r, k) <= m) == (c <= n_plus(m, r, k)), (c, m, r, k)
+
 
 def counted_shifts(limit: int, r: int, k: int) -> int:
     """The n >= 0 with n_plus(n, r, k) < limit, counted one at a time: the
@@ -198,17 +240,20 @@ def counted_shifts(limit: int, r: int, k: int) -> int:
 
 
 class TestShiftCount:
+    """n_minus_big(limit, r, k) counts the shifts below limit: the window of the
+    Hankel check and recurrence_n_max."""
+
     def test_matches_the_counting_loop(self):
         for limit in range(61):
             for r in (1, 2, 3, 4):
                 for k in KS:
-                    assert shift_count(limit, r, k) == counted_shifts(limit, r, k), (limit, r, k)
+                    assert n_minus_big(limit, r, k) == counted_shifts(limit, r, k), (limit, r, k)
 
     def test_boundaries(self):
         # n_plus(0, r, k) = k r, so no n counts below limit k r + 1
-        assert shift_count(0, 1, 1) == 0
-        assert shift_count(2, 2, 1) == 0 and shift_count(3, 2, 1) == 1
-        assert shift_count(4, 1, 2) == 1
+        assert n_minus_big(0, 1, 1) == 0
+        assert n_minus_big(2, 2, 1) == 0 and n_minus_big(3, 2, 1) == 1
+        assert n_minus_big(4, 1, 2) == 1
 
 
 class TestExceptionSets:
