@@ -1,9 +1,10 @@
 """Christoffel-Darboux kernels, their block formula, and the ABC identity.
 
 K^[n](x, y) is the p x q matrix sum of A_i(x) B_i(y) over i <= n.  The CD
-formula writes (x_k - y_k) K^[n] through two blocks of R_k = H^-1 T_k H
-(CDBlocks): the lower-left block (rows > n, columns <= n) with a plus sign,
-the upper-right block (rows <= n, columns > n) with a minus sign.
+formula writes (x_k - y_k) K^[n] through two blocks of R_k = H^-1 T_k H: with
+a plus sign the lower-left one, rows n+1 .. n_plus(n, p, k) by columns
+n_minus_big(n+1, p, k) .. n, and with a minus sign the upper-right one, rows
+n_minus_big(n+1, q, k) .. n by columns n+1 .. n_plus(n, q, k).
 
 check_cd_formula proves it from the recurrences by telescoping, as W. Van
 Assche does for multiple OPs (J. Approx. Theory 163, 2011).  With R = R_k,
@@ -22,17 +23,21 @@ A_m(x), summed over m <= n, gives, with E[m][c] = R[m][c] A_m(x) B_c(y),
 The CD formula is that sum with weight w = [(m, c) in the lower-left block] -
 [(m, c) in the upper-right block].  Only pairs with acc[m][c] != 0 count, so
 the formula holds at every point if (a) the relations hold and (b) u - v = w
-at every nonzero acc[m][c], for every n below recurrence_n_max.  By region:
-in the square m, c <= n, w = 0, and (b) says that both bands name the same
-nonzero entries, whose terms then cancel; this holds for any acc, as
-n_minus_big(c, r, k) <= m exactly when c <= n_plus(m, r, k), so the two bands
-are one set of pairs (by definition: n_minus_big(c, r, k) is the least m with
-n_plus(m, r, k) >= c).  Below the square (m > n >= c), v = 0, and the nonzero
-entries in column bands must be the lower-left block's; above it (m <= n <
-c), u = 0, and those in row bands the upper-right block's.  Of the bands,
-(b) assumes only that they are what the relations sum over, inside T_k's
-window below recurrence_n_max.  An entry outside them has u = v = 0, so (b)
-keeps it out of the blocks; validate_band checks that it vanishes.
+at every nonzero acc[m][c], for every n below recurrence_n_max.
+
+(b) needs no sweep over n.  As n_minus_big(c, r, k) is the least m with
+n_plus(m, r, k) >= c, it is <= m exactly when c <= n_plus(m, r, k).  So m is
+in col_band(c) exactly when c is in row_band(m), and (m, c) is in the
+lower-left block for max(c, n_minus_big(m, p, k)) <= n < min(m, n_plus(c, p,
+k)), in the upper-right one for max(m, n_minus_big(c, q, k)) <= n < min(c,
+n_plus(m, q, k)).  On the band, which holds the diagonal (n_minus_big(m, p, k)
+<= m < n_plus(m, q, k)), these are c <= n < m and m <= n < c, exactly where
+u - v = [c <= n] - [m <= n] is 1 and -1, so (b) holds there for any acc.  Off
+the band u = v = 0, and an entry below the diagonal (c < m) fails (b) for
+n_minus_big(m, p, k) <= n < n_plus(c, p, k), with w = 1, one above it (c > m)
+for n_minus_big(c, q, k) <= n < n_plus(m, q, k), with w = -1.  (b) assumes
+only that the bands are what the relations sum over, inside T_k's window below
+recurrence_n_max; validate_band checks that every entry off them vanishes.
 
 The ABC identity writes K^[n] through the inverse of the leading (n+1) x
 (n+1) moment truncation: sum over i <= n of a_i b_i^T is that inverse, where
@@ -52,6 +57,8 @@ denominator (families.combine), and the two are cross-multiplied
 """
 
 from __future__ import annotations
+
+from itertools import chain
 
 from .errors import DepthError
 from .families import Family, combine, mismatches, monomial_ints, pairings
@@ -88,60 +95,29 @@ def kernel_eval(M: MomentTruncation, x: tuple, y: tuple) -> tuple[int, list[list
     return den, [row[D:] for row in rows[D:]]
 
 
-class CDBlocks:
-    """The four index ranges of the CD formula at (n, k).
-
-    tgt_rows x tgt_cols is the lower-left block of T_k (rows n+1 ..
-    n_plus(n, p, k), columns n_minus_big(n+1, p, k) .. n); src_rows x src_cols
-    is the upper-right block (rows n_minus_big(n+1, q, k) .. n, columns n+1 ..
-    n_plus(n, q, k)).  The printed labels are T_k's entries over these ranges.
-    top is the largest family index the blocks reach.
-    """
-
-    __slots__ = ("tgt_rows", "tgt_cols", "src_rows", "src_cols", "top")
-
-    def __init__(self, T: RecurrenceTruncation, n: int):
-        k, q, p = T.k, T.q, T.p
-        self.tgt_rows = range(n + 1, n_plus(n, p, k) + 1)
-        self.tgt_cols = range(n_minus_big(n + 1, p, k), n + 1)
-        self.src_rows = range(n_minus_big(n + 1, q, k), n + 1)
-        self.src_cols = range(n + 1, n_plus(n, q, k) + 1)
-        self.top = max(self.tgt_rows[-1], self.src_cols[-1])
-        if self.top >= T.size:
-            raise DepthError(f"T_{k} window {T.size} too small for CD blocks at n={n}",
-                             required=self.top + 1)
-
-
 def check_cd_formula(T: RecurrenceTruncation, relations: CheckReport) -> CheckReport:
     """(a) and (b) of the module docstring for T_k, one CD formula per n below
     recurrence_n_max.  relations is check_recurrence_matrix(T, A, B) for families
     that reach T.size, as factorize's do.  A failed relation is reported at
-    (k, n, label, idx), an entry that breaks (b) at (k, n, m, c)."""
-    k = T.k
+    (k, n, label, idx), an entry that breaks (b) at (k, n, m, c), both by n."""
+    k, q, p = T.k, T.q, T.p
     rep = CheckReport(f"cd_T{k}")
     n_max = recurrence_n_max(T, T.size, T.size)
     if n_max == 0:
         rep.skipped.append(f"no relation to check at depth {T.size}")
-    if relations.checked != n_max * (T.p + T.q):
+    if relations.checked != n_max * (p + q):
         raise ValueError(f"relations do not cover every n below {n_max}")
-    for v in relations.violations:
-        _, label, n, idx = v.where
-        rep.violations.append(Violation((k, n, label, idx), "recurrence relation fails"))
-    # each nonzero entry, with whether its column's band and its row's band hold it
-    cols = [T.col_band(c) for c in range(T.size)]
-    nonzero = [(m, c, lo <= m <= hi, first <= c <= last)
-               for m, (row, (first, last)) in enumerate(zip(T.acc, map(T.row_band, range(T.size))))
-               for c, (a, (lo, hi)) in enumerate(zip(row, cols)) if a]
-    for n in range(n_max):
-        blocks = CDBlocks(T, n)
-        for m, c, in_col, in_row in nonzero:
-            u_v = (c <= n and in_col) - (m <= n and in_row)
-            w = ((m in blocks.tgt_rows and c in blocks.tgt_cols)
-                 - (m in blocks.src_rows and c in blocks.src_cols))
-            if u_v != w:
-                rep.violations.append(
-                    Violation((k, n, m, c), f"weight {u_v} in the recurrences, {w} in the blocks"))
-        rep.checked += 1
+    rep.violations = [Violation((k, n, label, idx), "recurrence relation fails")
+                      for _, label, n, idx in (v.where for v in relations.violations)]
+    # (b) off row m's band [n_minus_big(m, p, k), n_plus(m, q, k)], in closed form
+    for m, row in enumerate(T.acc):
+        first, last = T.row_band(m)
+        below = ((c, first, n_plus(c, p, k), 1) for c in range(first) if row[c])
+        above = ((c, n_minus_big(c, q, k), last, -1) for c in range(last + 1, T.size) if row[c])
+        for c, lo, hi, w in chain(below, above):
+            rep.violations += (Violation((k, n, m, c), f"weight 0 in the recurrences, {w} in the blocks")
+                               for n in range(lo, min(hi, n_max)))
+    rep.checked = n_max
     rep.violations.sort(key=lambda v: v.where[1])
     return rep
 
@@ -171,9 +147,9 @@ def check_abc(M: MomentTruncation, A: Family, B: Family, n: int) -> CheckReport:
     """
     D = n + 1
     if D > M.depth:
-        raise DepthError(f"corner {D} exceeds depth {M.depth}", required=D)
+        raise DepthError(f"corner {D} exceeds depth {M.depth}")
     if D > min(len(A), len(B)):
-        raise DepthError(f"kernel index {n} outside family range", required=D)
+        raise DepthError(f"kernel index {n} outside family range")
     rows = [M.ints[m][:D] + [int(m == j) for j in range(D)] for m in range(D)]
     rows += [[int(a == j) for j in range(D)] + [0] * D for a in range(D)]
     det = -eliminate(rows, D)[D]
@@ -205,7 +181,7 @@ def check_reproduction(A: Family, B: Family, gram: list[list], n: int) -> CheckR
     the first nonzero (m, c) in row-major order is reported at (n, m, c).
     """
     if n >= min(len(A), len(B), len(gram)):
-        raise DepthError(f"reproduction index {n} outside family range", required=n + 1)
+        raise DepthError(f"reproduction index {n} outside family range")
     a, b = A.rows, B.rows
     terms = ((e, den * a[i][0] * b[j][0], _outer(a[i][1], b[j][1]))
              for i in range(n + 1) for j, (num, den) in enumerate(gram[i][:n + 1])
@@ -247,7 +223,7 @@ def check_projection(A: Family, BM: list, n: int, P: Family) -> CheckReport:
     if n < I * p + p - 1:
         raise ValueError(f"n={n} below projection threshold {I * p + p - 1} for I={I}")
     if n >= min(len(A), len(BM)):
-        raise DepthError(f"projection index {n} outside family range", required=n + 1)
+        raise DepthError(f"projection index {n} outside family range")
     # inner[i][a1] = (w, e): w / e is the integral of B_i dmu column a1 of P
     inner = pairings(BM[:n + 1], P)
     rep = CheckReport("projection")

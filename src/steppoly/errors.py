@@ -17,10 +17,6 @@ class Breakdown(Exception):
 class DepthError(Exception):
     """A truncation is too shallow for the requested operation."""
 
-    def __init__(self, message: str, required: int | None = None):
-        self.required = required
-        super().__init__(message)
-
 
 class ConfigError(Exception):
     """Invalid run configuration or measure specification."""

@@ -189,7 +189,7 @@ def moment_rows(fam: Family, M: MomentTruncation, cols: int) -> list[tuple[int, 
     width = _width(fam)
     if max(width, cols) > M.depth:
         raise DepthError(f"pairing needs a moment truncation of depth {max(width, cols)}, "
-                         f"got {M.depth}", required=max(width, cols))
+                         f"got {M.depth}")
     scale, ints = M.scale, M.ints
     out = []
     for d, row in fam.rows:

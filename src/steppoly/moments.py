@@ -59,7 +59,7 @@ def assemble_moments(mm: MeasureMatrix, depth: int) -> MomentTruncation:
     row of (num, den) moments is scaled once, by over_lcm.
     """
     if depth < 1:
-        raise DepthError(f"depth must be >= 1, got {depth}", required=1)
+        raise DepthError(f"depth must be >= 1, got {depth}")
     q, p = mm.q, mm.p
 
     def exponents(count: int) -> list[tuple[int, int]]:

@@ -113,11 +113,8 @@ def build_recurrence(F: Factorization, q: int, p: int, k: int, target_size: int,
     """
     need = max(n_plus(target_size - 1, q, k), n_plus(target_size - 1, p, k)) + 1
     if F.depth < need:
-        raise DepthError(
-            f"factorization depth {F.depth} < {need} needed for T_{k} at size "
-            f"{target_size}; extend to required_depth = {required_depth(target_size, q, p)}",
-            required=required_depth(target_size, q, p),
-        )
+        raise DepthError(f"factorization depth {F.depth} < {need} needed for T_{k} at size "
+                         f"{target_size}; extend to required_depth = {required_depth(target_size, q, p)}")
     r, E, Mi = F.S_int
     big_l = lcm(*r)
     shifted = [n_plus(c, q, k) for c in range(target_size)]

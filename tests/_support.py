@@ -23,7 +23,7 @@ from itertools import accumulate
 from operator import mul
 
 from steppoly import assemble_moments, extract_families, factorize, rat
-from steppoly.cdkernel import CDBlocks, kernel_eval
+from steppoly.cdkernel import kernel_eval
 from steppoly.cli import _decimal_text
 from steppoly.errors import Breakdown, DepthError
 from steppoly.families import Family, moment_rows, monomial_ints
@@ -31,9 +31,9 @@ from steppoly.gaussborel import Factorization, IntegerSide, eliminate
 from steppoly.measures import Discrete, MeasureMatrix, MomentTable, RectDensity
 from steppoly.moments import MomentTruncation
 from steppoly.rational import over_lcm, parse_ratio, ratio_text
-from steppoly.recurrence import RecurrenceTruncation
+from steppoly.recurrence import RecurrenceTruncation, recurrence_n_max
 from steppoly.report import CheckReport, Violation
-from steppoly.stepline import in_complement_J, n_plus, pair_of
+from steppoly.stepline import in_complement_J, n_minus_big, n_plus, pair_of
 
 SHAPES = [(1, 1), (1, 2), (2, 1), (2, 2), (2, 3)]
 
@@ -347,7 +347,7 @@ def corner(a: list[list], n: int) -> list[list]:
 def truncation_corner(M: MomentTruncation, d: int) -> MomentTruncation:
     """The leading d x d corner of M as a truncation of its own, its rows scaled afresh."""
     if d > M.depth:
-        raise DepthError(f"corner {d} exceeds depth {M.depth}", required=d)
+        raise DepthError(f"corner {d} exceeds depth {M.depth}")
     return rational_truncation(d, M.q, M.p, corner(moment_data(M), d))
 
 
@@ -497,7 +497,7 @@ def kernel_sum(A: Family, B: Family, n: int, x: tuple, y: tuple) -> list[list]:
     """K^[n](x, y), the sum of A_i(x) B_i(y) over i <= n, in reduced rationals:
     the family-side oracle for cdkernel.kernel_eval."""
     if n >= min(len(A), len(B)):
-        raise DepthError(f"kernel index {n} outside family range", required=n + 1)
+        raise DepthError(f"kernel index {n} outside family range")
     a, b = A.values(*x, n + 1), B.values(*y, n + 1)
     return [[sum((a_i[i] * b_i[j] for a_i, b_i in zip(a, b)), Fraction(0)) for j in range(B.r)]
             for i in range(A.r)]
@@ -553,7 +553,7 @@ def pointwise_reproduction(A: Family, B: Family, gram: list[list], n: int,
     must equal d_G times the sum of the outer products a[i] b[i] over i <= n.
     """
     if n >= min(len(A), len(B), len(gram)):
-        raise DepthError(f"reproduction index {n} outside family range", required=n + 1)
+        raise DepthError(f"reproduction index {n} outside family range")
     p, q = A.r, B.r
     corner = [(i, j, num, den) for i in range(n + 1)
               for j, (num, den) in enumerate(gram[i][:n + 1]) if num]
@@ -587,7 +587,7 @@ class KernelTable:
 
     def __init__(self, A: Family, B: Family, x: tuple, y: tuple, count: int):
         if count > min(len(A), len(B)):
-            raise DepthError(f"kernel index {count - 1} outside family range", required=count)
+            raise DepthError(f"kernel index {count - 1} outside family range")
         self.x, self.y = x, y
         (d_a, self.a_int), (d_b, self.b_int) = map(
             integer_rows, (A.values(*x, count), B.values(*y, count)))
@@ -612,9 +612,9 @@ def pointwise_abc(M: MomentTruncation, n: int, tables: list[KernelTable]) -> Che
     """
     p, q, D = M.p, M.q, n + 1
     if D > M.depth:
-        raise DepthError(f"corner {D} exceeds depth {M.depth}", required=D)
+        raise DepthError(f"corner {D} exceeds depth {M.depth}")
     if any(len(table.kernels_int) < D for table in tables):
-        raise DepthError(f"point-pair tables end before family index {n}", required=D)
+        raise DepthError(f"point-pair tables end before family index {n}")
     rows = [M.ints[m][:D] + [int(m == j) for j in range(D)] for m in range(D)]
     rows += [[int(a == j) for j in range(D)] + [0] * D for a in range(D)]
     det = -eliminate(rows, D)[D]
@@ -892,6 +892,63 @@ def planted_entry(T: RecurrenceTruncation, m: int, n: int, value) -> RecurrenceT
     return RecurrenceTruncation(T.k, T.q, T.p, T.size, acc, s * T.L, T.F)
 
 
+class CDBlocks:
+    """The four index ranges of the CD formula at (n, k), as the paper defines them.
+
+    tgt_rows x tgt_cols is the lower-left block of T_k (rows n+1 ..
+    n_plus(n, p, k), columns n_minus_big(n+1, p, k) .. n); src_rows x src_cols
+    is the upper-right block (rows n_minus_big(n+1, q, k) .. n, columns n+1 ..
+    n_plus(n, q, k)).  The printed labels are T_k's entries over these ranges.
+    top is the largest family index the blocks reach.
+    """
+
+    __slots__ = ("tgt_rows", "tgt_cols", "src_rows", "src_cols", "top")
+
+    def __init__(self, T: RecurrenceTruncation, n: int):
+        k, q, p = T.k, T.q, T.p
+        self.tgt_rows = range(n + 1, n_plus(n, p, k) + 1)
+        self.tgt_cols = range(n_minus_big(n + 1, p, k), n + 1)
+        self.src_rows = range(n_minus_big(n + 1, q, k), n + 1)
+        self.src_cols = range(n + 1, n_plus(n, q, k) + 1)
+        self.top = max(self.tgt_rows[-1], self.src_cols[-1])
+        if self.top >= T.size:
+            raise DepthError(f"T_{k} window {T.size} too small for CD blocks at n={n}")
+
+
+def swept_cd(T: RecurrenceTruncation, relations: CheckReport) -> CheckReport:
+    """cdkernel.check_cd_formula's (b) by a sweep: u - v against w at every nonzero
+    acc[m][c] and every n below recurrence_n_max, with w read off CDBlocks.
+
+    The oracle for the closed-form ranges: it shares the bands and the relations
+    report with the check, but reads the blocks from their definition, entry by
+    entry, for every n, and reports in the check's format and order.
+    """
+    k = T.k
+    rep = CheckReport(f"cd_T{k}")
+    n_max = recurrence_n_max(T, T.size, T.size)
+    if n_max == 0:
+        rep.skipped.append(f"no relation to check at depth {T.size}")
+    for v in relations.violations:
+        _, label, n, idx = v.where
+        rep.violations.append(Violation((k, n, label, idx), "recurrence relation fails"))
+    cols = [T.col_band(c) for c in range(T.size)]
+    nonzero = [(m, c, lo <= m <= hi, first <= c <= last)
+               for m, (row, (first, last)) in enumerate(zip(T.acc, map(T.row_band, range(T.size))))
+               for c, (a, (lo, hi)) in enumerate(zip(row, cols)) if a]
+    for n in range(n_max):
+        blocks = CDBlocks(T, n)
+        for m, c, in_col, in_row in nonzero:
+            u_v = (c <= n and in_col) - (m <= n and in_row)
+            w = ((m in blocks.tgt_rows and c in blocks.tgt_cols)
+                 - (m in blocks.src_rows and c in blocks.src_cols))
+            if u_v != w:
+                rep.violations.append(
+                    Violation((k, n, m, c), f"weight {u_v} in the recurrences, {w} in the blocks"))
+        rep.checked += 1
+    rep.violations.sort(key=lambda v: v.where[1])
+    return rep
+
+
 def cd_block_values(T: RecurrenceTruncation, n: int) -> tuple[list[list], list[list]]:
     """R_k = H^-1 T_k H over the lower-left and upper-right CD blocks at n, read off
     T_k's integers: each entry acc[m][c] / (L Delta_c Delta_{m+1}) as one rational."""
@@ -913,8 +970,7 @@ def pointwise_cd(T: RecurrenceTruncation, n: int, tables: list[KernelTable]) -> 
     blocks = CDBlocks(T, n)
     k, p, q = T.k, T.p, T.q
     if any(len(table.kernels_int) <= blocks.top for table in tables):
-        raise DepthError(f"point-pair tables end before family index {blocks.top}",
-                         required=blocks.top + 1)
+        raise DepthError(f"point-pair tables end before family index {blocks.top}")
     d_r, nums = common_denominator(v for block in cd_block_values(T, n) for row in block for v in row)
     nums = iter(nums)  # block row m as (m, [(column, signed R entry)]), zeros dropped
     rows = [(m, [(c, sign * e) for c, e in zip(cols, nums) if e])

@@ -164,37 +164,44 @@ MUTANTS = [
          "tests/test_cli.py::TestKernel::test_value_matches_library",
          "tests/test_acceptance.py::test_criterion_8_cli_contract")),
     Mutant(
-        "CDBlocks.tgt_rows drops its last row", "cdkernel.py",
-        "self.tgt_rows = range(n + 1, n_plus(n, p, k) + 1)",
-        "self.tgt_rows = range(n + 1, n_plus(n, p, k))",
-        ("tests/test_cdkernel.py::TestCDBlocks::test_index_ranges",
-         "tests/test_cdkernel.py::TestCDFromRecurrences::test_planted_out_of_band_block_entry_fails_through_the_index_identity",
-         "tests/test_recurrence.py::TestFailureText::test_first_violation_details",
-         "tests/test_cli.py::TestVerify::test_all_checks_pass")),
+        "cd's range below the band starts one n late", "cdkernel.py",
+        "(c, first, n_plus(c, p, k), 1)", "(c, first + 1, n_plus(c, p, k), 1)",
+        ("tests/test_cdkernel.py::TestCDFromRecurrences::test_planted_out_of_band_block_entry_fails_through_the_index_identity",
+         "tests/test_cdkernel.py::TestCDFromRecurrences::test_planted_out_of_band_entry_flags_its_closed_form_range[below-past-n_max]",
+         "tests/test_cdkernel.py::TestCDFromRecurrences::test_matches_the_sweep_on_planted_corruptions[table]",
+         "tests/test_recurrence.py::TestFailureText::test_first_violation_details")),
     Mutant(
-        "CDBlocks.tgt_cols drops its first column", "cdkernel.py",
-        "self.tgt_cols = range(n_minus_big(n + 1, p, k), n + 1)",
-        "self.tgt_cols = range(n_minus_big(n + 1, p, k) + 1, n + 1)",
-        ("tests/test_cdkernel.py::TestCDBlocks::test_index_ranges",
-         "tests/test_cdkernel.py::TestCDFromRecurrences::test_planted_out_of_band_block_entry_fails_through_the_index_identity",
-         "tests/test_recurrence.py::TestFailureText::test_first_violation_details",
-         "tests/test_cli.py::TestVerify::test_all_checks_pass")),
+        "cd's range below the band ends one n early", "cdkernel.py",
+        "n_plus(c, p, k), 1)", "n_plus(c, p, k) - 1, 1)",
+        ("tests/test_cdkernel.py::TestCDFromRecurrences::test_planted_out_of_band_block_entry_fails_through_the_index_identity",
+         "tests/test_cdkernel.py::TestCDFromRecurrences::test_matches_the_sweep_on_planted_corruptions[mixed]",
+         "tests/test_recurrence.py::TestFailureText::test_first_violation_details")),
     Mutant(
-        "CDBlocks.src_rows drops its first row", "cdkernel.py",
-        "self.src_rows = range(n_minus_big(n + 1, q, k), n + 1)",
-        "self.src_rows = range(n_minus_big(n + 1, q, k) + 1, n + 1)",
-        ("tests/test_cdkernel.py::TestCDBlocks::test_index_ranges",
-         "tests/test_cdkernel.py::TestCDFromRecurrences::test_planted_out_of_band_block_entry_fails_through_the_index_identity",
-         "tests/test_recurrence.py::TestFailureText::test_first_violation_details",
-         "tests/test_cli.py::TestVerify::test_all_checks_pass")),
+        "cd's range above the band starts one n late", "cdkernel.py",
+        "(c, n_minus_big(c, q, k), last, -1)", "(c, n_minus_big(c, q, k) + 1, last, -1)",
+        ("tests/test_cdkernel.py::TestCDFromRecurrences::test_planted_out_of_band_entry_flags_its_closed_form_range[above]",
+         "tests/test_cdkernel.py::TestCDFromRecurrences::test_matches_the_sweep_on_planted_corruptions[table]")),
     Mutant(
-        "CDBlocks.src_cols drops its last column", "cdkernel.py",
-        "self.src_cols = range(n + 1, n_plus(n, q, k) + 1)",
-        "self.src_cols = range(n + 1, n_plus(n, q, k))",
-        ("tests/test_cdkernel.py::TestCDBlocks::test_index_ranges",
-         "tests/test_cdkernel.py::TestCDFromRecurrences::test_planted_out_of_band_block_entry_fails_through_the_index_identity",
-         "tests/test_recurrence.py::TestFailureText::test_first_violation_details",
-         "tests/test_cli.py::TestVerify::test_all_checks_pass")),
+        "cd's range above the band ends one n early", "cdkernel.py",
+        "n_minus_big(c, q, k), last, -1)", "n_minus_big(c, q, k), last - 1, -1)",
+        ("tests/test_cdkernel.py::TestCDFromRecurrences::test_planted_out_of_band_entry_flags_its_closed_form_range[above]",
+         "tests/test_cdkernel.py::TestCDFromRecurrences::test_matches_the_sweep_on_planted_corruptions[mixed]")),
+    Mutant(
+        "cd's weight below the band flips sign", "cdkernel.py",
+        "n_plus(c, p, k), 1)", "n_plus(c, p, k), -1)",
+        ("tests/test_cdkernel.py::TestCDFromRecurrences::test_planted_out_of_band_block_entry_fails_through_the_index_identity",
+         "tests/test_cdkernel.py::TestCDFromRecurrences::test_planted_out_of_band_entry_flags_its_closed_form_range[below-past-n_max]",
+         "tests/test_recurrence.py::TestFailureText::test_first_violation_details")),
+    Mutant(
+        "cd's weight above the band flips sign", "cdkernel.py",
+        "last, -1)", "last, 1)",
+        ("tests/test_cdkernel.py::TestCDFromRecurrences::test_planted_out_of_band_entry_flags_its_closed_form_range[above]",
+         "tests/test_cdkernel.py::TestCDFromRecurrences::test_matches_the_sweep_on_planted_corruptions[table]")),
+    Mutant(
+        "cd's ranges run past n_max", "cdkernel.py",
+        "for n in range(lo, min(hi, n_max))", "for n in range(lo, hi)",
+        ("tests/test_cdkernel.py::TestCDFromRecurrences::test_planted_out_of_band_entry_flags_its_closed_form_range[below-past-n_max]",
+         "tests/test_cdkernel.py::TestCDFromRecurrences::test_matches_the_sweep_on_planted_corruptions[table]")),
     Mutant(
         "H drops the row scale r_n", "gaussborel.py",
         "minors[n] * s[n] * sbar[n]", "minors[n] * sbar[n]",
@@ -342,8 +349,7 @@ MUTANTS = [
          "tests/test_cli.py::TestCheckScope::test_names_and_counts[shape2]")),
     Mutant(
         "cd checks one formula fewer", "cdkernel.py",
-        "    for n in range(n_max):\n        blocks = CDBlocks(T, n)",
-        "    for n in range(n_max - 1):\n        blocks = CDBlocks(T, n)",
+        "rep.checked = n_max", "rep.checked = n_max - 1",
         ("tests/test_cli.py::TestCheckScope::test_names_and_counts[golden]",
          "tests/test_cli.py::TestCheckScope::test_names_and_counts[shape3]")),
     Mutant(

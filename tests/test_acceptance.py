@@ -22,7 +22,6 @@ from steppoly import (
     required_depth,
 )
 from steppoly.cdkernel import (
-    CDBlocks,
     check_abc,
     check_cd_formula,
     check_projection,
@@ -49,6 +48,7 @@ from steppoly.stepline import in_complement_J, n_minus_big, n_plus, pair_of
 from _support import (
     SHAPES,
     SPOT_PAIRS,
+    CDBlocks,
     KernelTable,
     build_system,
     cd_block_values,

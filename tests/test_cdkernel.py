@@ -8,7 +8,6 @@ import pytest
 
 from steppoly import build_recurrence, factorize, pairing_matrix, rat, required_depth
 from steppoly.cdkernel import (
-    CDBlocks,
     check_abc,
     check_cd_formula,
     check_projection,
@@ -18,12 +17,13 @@ from steppoly.cdkernel import (
 from steppoly.cli import Workspace, load_config, run_checks
 from steppoly.errors import Breakdown, DepthError
 from steppoly.families import Family
-from steppoly.recurrence import check_recurrence_matrix, recurrence_n_max
+from steppoly.recurrence import RecurrenceTruncation, check_recurrence_matrix, recurrence_n_max
 from steppoly.stepline import n_minus_big, n_plus
 
 from _support import (
     SHAPES,
     SPOT_PAIRS,
+    CDBlocks,
     KernelTable,
     abc_oracle,
     build_system,
@@ -47,6 +47,7 @@ from _support import (
     rational_T,
     rational_truncation,
     solve,
+    swept_cd,
     truncation_corner,
 )
 
@@ -222,14 +223,14 @@ class TestCDFormula:
     def test_planted_entry_flags_exactly_its_blocks(self):
         # one entry of T_k + 1, planted into its integers: the (k, n)
         # whose blocks hold it fail at every pair, every other n passes, and
-        # each call still counts one relation per pair.  The second (1, 2)
-        # entry, row 7 column 2, lies in the n = 3 block but outside the band.
+        # each call still counts one relation per pair.  The last three (1, 2)
+        # entries lie outside the band: (7, 2) and (8, 3) below it, (2, 5) above.
         pairs = [(X, Y), (Y, X), ((rat(-3, 4), rat(2, 3)), (rat(1, 6), rat(-5, 4)))]
         for q, p in SHAPES:
             for k in (1, 2):
                 entries = [(n_plus(2, p, k), 2), (n_minus_big(3, q, k), n_plus(2, q, k))]
                 if (q, p, k) == (1, 2, 1):
-                    entries.append((7, 2))
+                    entries += [(7, 2), (8, 3), (2, 5)]
                 for m, c in entries:
                     system, T = system_with_T(q, p, 12, seed=87)
                     T = T[k]
@@ -311,6 +312,50 @@ class TestCDFromRecurrences:
         rep = cd_report(system, bad)
         assert [v.where for v in rep.violations] == [(k, n, m, c) for n in flagged]
         assert rep.violations[0].detail == "weight 0 in the recurrences, 1 in the blocks"
+
+    @pytest.mark.parametrize("m, c, flagged, w", [(2, 5, [3], -1), (8, 3, [4, 5], 1)],
+                             ids=["above", "below-past-n_max"])
+    def test_planted_out_of_band_entry_flags_its_closed_form_range(self, m, c, flagged, w):
+        # on (1, 2), k = 1, n_max = 6, and no relation reads either entry.  (2, 5)
+        # lies above the band, in the upper-right block of n_minus_big(5, 1, 1) = 3
+        # <= n < n_plus(2, 1, 1) = 4; (8, 3) lies below it, in the lower-left blocks
+        # of n_minus_big(8, 2, 1) = 4 <= n < n_plus(3, 2, 1) = 7, cut at n_max.  The
+        # pointwise oracle flags the same n.
+        q, p, k = 1, 2, 1
+        system, T = system_with_T(q, p, 12, seed=87)
+        bad = planted_entry(T[k], m, c, rational_T(T[k])[m][c] + 1)
+        assert check_recurrence_matrix(bad, system.A, system.B).ok
+        pair_tables = tables(system, self.PAIRS, 12)
+        n_max = recurrence_n_max(bad, len(system.A), len(system.B))
+        assert n_max == 6
+        assert [n for n in range(n_max) if not pointwise_cd(bad, n, pair_tables).ok] == flagged
+        rep = cd_report(system, bad)
+        assert [(v.where, v.detail) for v in rep.violations] == [
+            ((k, n, m, c), f"weight 0 in the recurrences, {w} in the blocks") for n in flagged]
+
+    @pytest.mark.parametrize("kind", ["table", "mixed"])
+    def test_matches_the_sweep_on_planted_corruptions(self, kind):
+        # one to four entries of acc + 1, set to 1 or zeroed: the closed-form ranges
+        # report what the sweep over every n and every nonzero entry reports, in
+        # where, detail and order, and the corruptions break (b) on both sides
+        rng = random.Random(131 + (kind == "mixed"))
+        weights = set()
+        for q, p in SHAPES:
+            system = build_system(q, p, required_depth(12, q, p), seed=87, kind=kind)
+            for k in (1, 2):
+                T = build_recurrence(system.F, q, p, k, 12)
+                for _ in range(12):
+                    acc = [row[:] for row in T.acc]
+                    for _ in range(rng.randint(1, 4)):
+                        m, c = rng.randrange(T.size), rng.randrange(T.size)
+                        acc[m][c] = rng.choice((acc[m][c] + 1, 1, 0))
+                    bad = RecurrenceTruncation(k, q, p, T.size, acc, T.L, T.F)
+                    relations = check_recurrence_matrix(bad, system.A, system.B)
+                    want, got = swept_cd(bad, relations), check_cd_formula(bad, relations)
+                    assert got.violations == want.violations, (q, p, k)
+                    assert (got.checked, got.skipped) == (want.checked, want.skipped)
+                    weights |= {v.detail for v in want.violations if "blocks" in v.detail}
+        assert weights == {f"weight 0 in the recurrences, {w} in the blocks" for w in (1, -1)}
 
     def test_planted_diagonal_entry_fails_the_relations_only(self):
         # no CD block holds a diagonal entry, so the pointwise formula cannot see it;
