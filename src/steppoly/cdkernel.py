@@ -101,7 +101,7 @@ def check_cd_formula(T: RecurrenceTruncation, relations: CheckReport) -> CheckRe
     that reach T.size, as factorize's do.  A failed relation is reported at
     (k, n, label, idx), an entry that breaks (b) at (k, n, m, c), both by n."""
     k, q, p = T.k, T.q, T.p
-    rep = CheckReport(f"cd_T{k}")
+    rep = CheckReport()
     n_max = recurrence_n_max(T, T.size, T.size)
     if n_max == 0:
         rep.skipped.append(f"no relation to check at depth {T.size}")
@@ -156,7 +156,7 @@ def check_abc(M: MomentTruncation, A: Family, B: Family, n: int) -> CheckReport:
     want = {(m, c): v * r for m, row in enumerate(rows[D:])
             for c, (v, r) in enumerate(zip(row[D:], M.scale)) if v}
     got = combine((1, d_a * d_b, _outer(a, b)) for (d_a, a), (d_b, b) in zip(A.rows[:D], B.rows[:D]))
-    rep = CheckReport("abc")
+    rep = CheckReport()
     bad = mismatches(got, (det, want))
     if bad:
         rep.violations.append(Violation((n, *min(bad)), "sum a_i b_i^T != M^-1"))
@@ -186,7 +186,7 @@ def check_reproduction(A: Family, B: Family, gram: list[list], n: int) -> CheckR
     terms = ((e, den * a[i][0] * b[j][0], _outer(a[i][1], b[j][1]))
              for i in range(n + 1) for j, (num, den) in enumerate(gram[i][:n + 1])
              if (e := num - den * (i == j)))
-    rep = CheckReport("reproduction")
+    rep = CheckReport()
     bad = mismatches(combine(terms), (1, {}))
     if bad:
         rep.violations.append(Violation((n, *min(bad)), "kernel not reproduced"))
@@ -210,7 +210,8 @@ def check_projection(A: Family, BM: list, n: int, P: Family) -> CheckReport:
     the identity at every x; one relation is checked per (a0, a1), p^2 per
     call.  The dual direction, the integral of P dmu K^[n](., y) recovering
     P(y), is this check on the transposed problem, with the rows AMt of C_A
-    M^T and the q x q matrix polynomial P^T: check_projection(B, AMt, n, P^T).
+    M^T (families.moment_cols, A's rows dotted with M's) and the q x q matrix
+    polynomial P^T: check_projection(B, AMt, n, P^T).
     """
     p = A.r
     if P.r != p or len(P) != p:
@@ -226,7 +227,7 @@ def check_projection(A: Family, BM: list, n: int, P: Family) -> CheckReport:
         raise DepthError(f"projection index {n} outside family range")
     # inner[i][a1] = (w, e): w / e is the integral of B_i dmu column a1 of P
     inner = pairings(BM[:n + 1], P)
-    rep = CheckReport("projection")
+    rep = CheckReport()
     for a1, want in enumerate(P.rows):
         # sum_i inner[i][a1] A_i against column a1 of P
         got = combine((w, e * d, row) for (d, row), (w, e) in zip(A.rows, [g[a1] for g in inner]) if w)

@@ -33,6 +33,7 @@ from .families import (
     check_biorthogonality,
     check_orthogonality,
     extract_families,
+    moment_cols,
     moment_rows,
     pairings,
     validate_degree_structure,
@@ -165,7 +166,7 @@ class Workspace:
     def products(self) -> tuple[list, list]:
         """C_B M and C_A M^T over D columns, the only moment products a run forms."""
         D, M = self.depth, self.M
-        return moment_rows(self.B.head(D), M, D), moment_rows(self.A.head(D), M.transpose(), D)
+        return moment_rows(self.B.head(D), M, D), moment_cols(self.A.head(D), M, D)
 
     @cached_property
     def gram(self) -> list[list]:
@@ -186,7 +187,7 @@ def _projection(ws: Workspace) -> list[CheckReport]:
     q, p, D = ws.config.q, ws.config.p, ws.depth
     I, I_dual = min(3, D // p - 1), min(3, D // q - 1)
     if I < 0 or I_dual < 0:
-        return [CheckReport("projection", skipped=["depth below projection threshold"])]
+        return [CheckReport(skipped=["depth below projection threshold"])]
     rng = random.Random(ws.config.seed)
     # the dual direction is the same identity with the families' roles swapped,
     # on P^T, which is as random a monic matrix polynomial as P: it gets its own draw
@@ -273,9 +274,9 @@ def export_entries(ws: Workspace) -> dict[str, list[list[str]]]:
     """The text of each export kind but families: its depth x depth corner, H one row."""
     F, M, D = ws.F, ws.M, ws.depth
     return {"H": [F.diagonal(D, ratio_text)],
-            "S": unit_lower(F.minors, F.S_int, D, ratio_text, "1", "0"),
-            "Sbar": unit_lower(F.minors, F.Sbar_int, D, ratio_text, "1", "0"),
-            "T1": ws.T[1].entries(ratio_text, "0"), "T2": ws.T[2].entries(ratio_text, "0"),
+            "S": unit_lower(F.minors, F.S_int, D, ratio_text),
+            "Sbar": unit_lower(F.minors, F.Sbar_int, D, ratio_text),
+            "T1": ws.T[1].entries(ratio_text), "T2": ws.T[2].entries(ratio_text),
             "moments": [[ratio_text(v, s) if v else "0" for v in row[:D]]
                         for row, s in zip(M.ints[:D], M.scale)]}
 

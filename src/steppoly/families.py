@@ -19,12 +19,13 @@ the paper's biorthogonality H^-1 S M Sbar^T = I is that Gram matrix being the
 identity.  The orthogonality residuals are the strictly lower parts of C_B M
 and of C_A M^T, whose entry (n, K*q + b) integrates A_n against the monomial
 at position K in slot b.  Every residual is a finite rational combination of
-moments and must be exactly zero.  cli.Workspace.products forms C_B M and
-C_A M^T once, from the rows extract_families returns, so it stays under test;
-orthogonality, pairings and projection read them.  The products run over M's
-integer rows (M.scale and M.ints, scaled once when M is built), so an entry is
-one integer inner sum over its denominator, and a check compares integers: no
-rational is formed, and a violation's value is written with ratio_text.
+moments and must be exactly zero.  cli.Workspace.products forms C_B M
+(moment_rows) and C_A M^T (moment_cols) once, from the rows extract_families
+returns, so it stays under test; orthogonality, pairings and projection read
+them.  Both run over M's own integer rows (M.scale and M.ints, scaled once
+when M is built), so an entry is one integer inner sum over its denominator,
+and a check compares integers: no rational is formed, and a violation's value
+is written with ratio_text.
 
 Every coefficient identity (recurrence, projection, ABC, reproduction) sums
 weighted rows over one denominator with combine and compares the two sides
@@ -150,7 +151,7 @@ def validate_degree_structure(A: Family, B: Family, q: int, p: int) -> CheckRepo
     grlex-pos of component i is the largest position K whose column K*r + i
     is stored in the member's row.
     """
-    rep = CheckReport("degree")
+    rep = CheckReport()
     for label, fam, r, monic in (("B", B, q, False), ("A", A, p, True)):
         for n, (d, row) in enumerate(fam.rows):
             top = [-1] * r
@@ -186,10 +187,8 @@ def moment_rows(fam: Family, M: MomentTruncation, cols: int) -> list[tuple[int, 
     denominator d_n times the lcm of the s_c it meets, so every entry is one
     integer sum.
     """
-    width = _width(fam)
-    if max(width, cols) > M.depth:
-        raise DepthError(f"pairing needs a moment truncation of depth {max(width, cols)}, "
-                         f"got {M.depth}")
+    if (need := max(_width(fam), cols)) > M.depth:
+        raise DepthError(f"pairing needs a moment truncation of depth {need}, got {M.depth}")
     scale, ints = M.scale, M.ints
     out = []
     for d, row in fam.rows:
@@ -197,6 +196,21 @@ def moment_rows(fam: Family, M: MomentTruncation, cols: int) -> list[tuple[int, 
         terms = [(v * (big // scale[c]), ints[c]) for c, v in row.items()]
         out.append((d * big, [sum(v * m_row[m] for v, m_row in terms) for m in range(cols)]))
     return out
+
+
+def moment_cols(fam: Family, M: MomentTruncation, cols: int) -> list[tuple[int, list[int]]]:
+    """C M^T on the first cols rows of M, C the coefficient matrix of fam (M.p
+    components), as rows (d, nums): entry (n, K*q + b) sums over a the integral
+    of component a of member n against measure (b, a) times the monomial at
+    position K.  It is row n of C, over d_n, dotted with row m = K*q + b of M,
+    M.ints[m] over s_m = M.scale[m], and row n is brought to the denominator
+    d_n times the lcm of s_0 .. s_{cols-1}, so every entry is one integer sum."""
+    if (need := max(_width(fam), cols)) > M.depth:
+        raise DepthError(f"pairing needs a moment truncation of depth {need}, got {M.depth}")
+    big = lcm(*M.scale[:cols])
+    rows = [(big // s, m_row) for s, m_row in zip(M.scale[:cols], M.ints)]
+    return [(d * big, [f * sum(v * m_row[c] for c, v in row.items()) for f, m_row in rows])
+            for d, row in fam.rows]
 
 
 def pairings(rows: list, right: Family) -> list[list[tuple[int, int]]]:
@@ -211,21 +225,20 @@ def check_orthogonality(BM: list, AMt: list, q: int, p: int) -> CheckReport:
 
     B side: entry (n, K*p + a) of BM = C_B M, the sum over b of the integral
     of B_n^(b) against (b, a) times monomial_K, vanishes whenever K p + a < n.
-    A side: entry (n, K*q + b) of AMt = C_A M^T vanishes whenever K q + b < n,
-    which is the B side of the transposed truncation.  Each has as many columns as rows.
+    A side: entry (n, K*q + b) of AMt = C_A M^T (moment_cols), A_n's row dotted
+    with row K*q + b of M, the sum over a of the integral of A_n^(a) against
+    (b, a) times monomial_K, vanishes whenever K q + b < n.  Each has as many
+    columns as rows.
     """
-    rep = CheckReport("orthogonality")
+    rep = CheckReport()
     for label, rows, r in (("A", AMt, q), ("B", BM, p)):
         for n, (d, nums) in enumerate(rows):
             for a_idx in range(r):
-                K = 0
-                while K * r + a_idx < n:
-                    resid = nums[K * r + a_idx]
-                    if resid != 0:
+                for K, c in enumerate(range(a_idx, n, r)):
+                    if nums[c] != 0:
                         rep.violations.append(Violation(
-                            (label, n, a_idx, K), f"residual {ratio_text(resid, d)}"))
+                            (label, n, a_idx, K), f"residual {ratio_text(nums[c], d)}"))
                     rep.checked += 1
-                    K += 1
     return rep
 
 
@@ -237,7 +250,7 @@ def pairing_matrix(A: Family, B: Family, M: MomentTruncation) -> list[list[tuple
 
 def check_biorthogonality(gram: list[list[tuple[int, int]]]) -> CheckReport:
     """The pairing matrix is exactly the identity: num == den on the diagonal, num == 0 off it."""
-    rep = CheckReport("biorthogonality")
+    rep = CheckReport()
     for m, row in enumerate(gram):
         for n, (num, den) in enumerate(row):
             if num != (den if m == n else 0):

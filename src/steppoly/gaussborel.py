@@ -16,9 +16,10 @@ of Mi, so the arithmetic stays in exact integers.
 eliminate is the one elimination loop: cdkernel.kernel_eval runs it on the
 same rows bordered by two points' monomials, and cdkernel.check_abc on the
 rows bordered by identity blocks, so all three raise the same Breakdown on a
-vanishing minor.  With Delta_n the n x n leading minor of Mi
-(Delta_0 = 1), and a the rows as steps 0 .. k-1 leave them, a[i][j] for
-i, j >= k is the (k+1)-minor on rows 0 .. k-1, i and columns 0 .. k-1, j.
+vanishing minor; factorize's certificate runs it on residue rows.  With
+Delta_n the n x n leading minor of Mi (Delta_0 = 1), and a the rows as steps
+0 .. k-1 leave them, a[i][j] for i, j >= k is the (k+1)-minor on rows
+0 .. k-1, i and columns 0 .. k-1, j.
 Sylvester's identity says an m x m determinant of such entries is
 Delta_k^(m-1) times the (k+m)-minor it borders.  Step k alone is its m = 2 case:
 
@@ -106,13 +107,16 @@ factorize(M, width) eliminates only the E x width panel of Mi's first width
 columns: it holds Delta_0 .. Delta_width, the multipliers of all E rows in
 columns < width and rows < width of both sides, all that compute reads of its
 depth-width window (T_1 and T_2 read rows of S^-1 up to n_plus(width-1, q, k)
-in columns < width).  Delta_{width+1} .. Delta_E are certified nonzero by
-Gaussian elimination modulo the prime P = CERT_PRIME on columns >= width,
-with the panel's multipliers: step k's for row i is panel[i][k] / Delta_{k+1}
-mod P.  The tail pivot j is then Delta_{j+1} / Delta_j mod P, so a nonzero
-residue at every pivot proves every Delta_{j+1} a nonzero integer.  On any
-zero residue, a Delta_{k+1} with no inverse mod P included, the full
-elimination decides: it raises the exact Breakdown, or completes after a
+in columns < width).  Delta_{width+1} .. Delta_E are certified nonzero modulo
+the prime P = CERT_PRIME: with the panel's multipliers, step k's for row i
+being panel[i][k] / Delta_{k+1} mod P, _schur_residues reduces the rows past
+width to R, the Schur complement of the leading width x width block modulo P,
+in [0, P).  R's leading j x j minor, a polynomial in its entries, is an
+integer congruent mod P to the Schur complement's, Delta_{width+j} /
+Delta_width, so the certificate runs eliminate on R's rows and passes exactly
+when P divides none of the minors it returns; a Breakdown there is a zero
+minor.  On any zero residue, a Delta_{k+1} with no inverse mod P included, the
+full elimination decides: it raises the exact Breakdown, or completes after a
 false alarm and the panel's factors stand.
 
 The reduction of the tail columns (_schur_residues) packs each reduced row
@@ -179,22 +183,23 @@ class Factorization:
 
     @property
     def S(self) -> list[list]:
-        return unit_lower(self.minors, self.S_int, len(self.S_int.L), Fraction, Fraction(1), Fraction(0))
+        return unit_lower(self.minors, self.S_int, len(self.S_int.L), Fraction)
 
     @property
     def Sbar(self) -> list[list]:
-        return unit_lower(self.minors, self.Sbar_int, len(self.Sbar_int.L), Fraction, Fraction(1), Fraction(0))
+        return unit_lower(self.minors, self.Sbar_int, len(self.Sbar_int.L), Fraction)
 
     def transpose(self) -> "Factorization":
         """The factorization M^T = Sbar^-1 H S^-T: the same factors, roles swapped."""
         return Factorization(self.depth, self.minors, self.Sbar_int, self.S_int)
 
 
-def unit_lower(minors: list[int], side: IntegerSide, rows: int, ratio, one, zero) -> list[list]:
+def unit_lower(minors: list[int], side: IntegerSide, rows: int, ratio) -> list[list]:
     """The leading rows x rows corner of the unit lower factor side stores: entry
-    (n, c < n) is ratio(L[n][c] s_c, Delta_n s_n), or zero where L[n][c] is 0;
-    the exports pass rational.ratio_text, "1" and "0".  Row 0 reads no row of L."""
+    (n, c < n) is ratio(L[n][c] s_c, Delta_n s_n), or ratio(0, 1) where L[n][c] is
+    0; the exports pass rational.ratio_text.  Row 0 reads no row of L."""
     s, L, _ = side
+    one, zero = ratio(1, 1), ratio(0, 1)
     out = [[one] + [zero] * (rows - 1)]
     for n in range(1, rows):
         den = minors[n] * s[n]
@@ -315,17 +320,13 @@ def _schur_residues(ints: list[list[int]], panel: list[list[int]],
 def _certified(ints: list[list[int]], panel: list[list[int]], minors: list[int]) -> bool:
     """Whether the minors of ints past the panel's width are nonzero, by the
     certificate of the module docstring: False on any zero residue."""
-    P, schur = CERT_PRIME, _schur_residues(ints, panel, minors)
+    schur = _schur_residues(ints, panel, minors)
     if schur is None:
         return False
-    for k, row_k in enumerate(schur):  # pivot k is Delta_{width+k+1} / Delta_{width+k}
-        if row_k[k] == 0:
-            return False
-        f = pow(row_k[k], -1, P)
-        for row_i in schur[k + 1:]:
-            if m := row_i[k] * f % P:
-                row_i[k + 1:] = [(x - m * y) % P for x, y in zip(row_i[k + 1:], row_k[k + 1:])]
-    return True
+    try:
+        return all(d % CERT_PRIME for d in eliminate(schur, len(schur)))
+    except Breakdown:
+        return False
 
 
 def factorize(M: MomentTruncation, width: int | None = None) -> Factorization:

@@ -10,9 +10,6 @@ the Hankel symmetry Lambda_{[q];k} M = M Lambda^T_{[p];k} is read off that.
 
 from __future__ import annotations
 
-from math import gcd
-from operator import floordiv
-
 from .errors import DepthError
 from .measures import MeasureMatrix
 from .rational import over_lcm, ratio_text
@@ -24,10 +21,9 @@ class MomentTruncation:
     """Dense D x D leading corner of the scalar-indexed moment matrix, each row
     scaled to integers: entry (m, n) is ints[m][n] / scale[m], scale[m] the lcm
     of row m's reduced denominators.  Every reader of the moments reads these;
-    a reader that eliminates works on its own copy.  The transpose is built
-    once, on first call."""
+    a reader that eliminates works on its own copy."""
 
-    __slots__ = ("depth", "q", "p", "scale", "ints", "_transposed")
+    __slots__ = ("depth", "q", "p", "scale", "ints")
 
     def __init__(self, depth: int, q: int, p: int, scale: list[int], ints: list[list[int]]):
         self.depth = depth
@@ -35,19 +31,6 @@ class MomentTruncation:
         self.p = p
         self.scale = scale
         self.ints = ints
-        self._transposed = None
-
-    def transpose(self) -> "MomentTruncation":
-        """The truncation of the transposed measure matrix, p x q blocks: column n
-        of ints over scale, each entry reduced by one gcd, scaled as a row."""
-        if self._transposed is None:
-            rows = []
-            for col in zip(*self.ints):
-                gs = list(map(gcd, col, self.scale))
-                rows.append(over_lcm(zip(map(floordiv, col, gs), map(floordiv, self.scale, gs))))
-            self._transposed = MomentTruncation(self.depth, self.p, self.q,
-                                                [r for r, _ in rows], [nums for _, nums in rows])
-        return self._transposed
 
 
 def assemble_moments(mm: MeasureMatrix, depth: int) -> MomentTruncation:
@@ -93,7 +76,7 @@ def check_hankel(M: MomentTruncation, k: int) -> CheckReport:
     are written with ratio_text.
     """
     m_count, n_count = n_minus_big(M.depth, M.q, k), n_minus_big(M.depth, M.p, k)
-    rep = CheckReport(f"hankel_k{k}", checked=m_count * n_count)
+    rep = CheckReport(checked=m_count * n_count)
     if not rep.checked:
         rep.skipped.append(f"depth {M.depth} leaves no checkable Hankel window for k={k}")
     scale, ints = M.scale, M.ints

@@ -65,9 +65,9 @@ class RecurrenceTruncation:
         self.k, self.q, self.p, self.size = k, q, p, size
         self.acc, self.L, self.F = acc, L, F
 
-    def entries(self, ratio, zero) -> list[list]:
-        """Entry (m, n) of T_k as ratio(acc[m][n] r_n, Delta_m r_m Delta_{n+1} L), or zero."""
-        minors, r = self.F.minors, self.F.S_int.scale
+    def entries(self, ratio) -> list[list]:
+        """Entry (m, n) of T_k as ratio(acc[m][n] r_n, Delta_m r_m Delta_{n+1} L), or ratio(0, 1)."""
+        minors, r, zero = self.F.minors, self.F.S_int.scale, ratio(0, 1)
         cols = list(zip(r, minors[1:]))
         return [[ratio(a * r_n, den_m * d_n) if a else zero for a, (r_n, d_n) in zip(row, cols)]
                 for row, den_m in zip(self.acc, (minors[m] * r[m] * self.L for m in range(self.size)))]
@@ -142,7 +142,7 @@ def check_dual_form(T: RecurrenceTruncation, F: Factorization) -> CheckReport:
     Delta_{n+1}), is written with T_k[m][n]'s in a violation's text.
     """
     dual = build_recurrence(F.transpose(), T.p, T.q, T.k, T.size)
-    rep = CheckReport(f"dual_T{T.k}")
+    rep = CheckReport()
     minors, r = F.minors, F.S_int.scale
     for m, (row, col) in enumerate(zip(T.acc, zip(*dual.acc))):
         for n, (a, b) in enumerate(zip(row, col)):
@@ -166,7 +166,7 @@ def validate_band(T: RecurrenceTruncation) -> CheckReport:
     sbar = r on a T_k built from F.transpose().  A text writes H_n / H_first
     as Delta_{n+1} Delta_first r_first sbar_first / (Delta_n r_n sbar_n Delta_{first+1}).
     """
-    rep = CheckReport(f"band_T{T.k}")
+    rep = CheckReport()
     k, p, D, L = T.k, T.p, T.size, T.L
     minors, r, sbar = T.F.minors, T.F.S_int.scale, T.F.Sbar_int.scale
     for n, row in enumerate(T.acc):
@@ -210,7 +210,7 @@ def check_recurrence_matrix(T: RecurrenceTruncation, A: Family, B: Family) -> Ch
     pointwise check is needed.
     """
     k, acc, L, minors = T.k, T.acc, T.L, T.F.minors
-    rep = CheckReport(f"recurrence_matrix_T{k}")
+    rep = CheckReport()
     n_max = recurrence_n_max(T, len(A), len(B))
     if n_max == 0:
         rep.skipped.append("window too small for any recurrence row")

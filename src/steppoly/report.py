@@ -13,17 +13,16 @@ class Violation(NamedTuple):
 class CheckReport:
     """How many relations a check verified, which failed, and why none were checked."""
 
-    __slots__ = ("name", "violations", "checked", "skipped")
+    __slots__ = ("violations", "checked", "skipped")
 
-    def __init__(self, name: str, violations: list[Violation] | None = None, checked: int = 0,
+    def __init__(self, violations: list[Violation] | None = None, checked: int = 0,
                  skipped: list[str] | None = None):
-        self.name = name
         self.violations = [] if violations is None else violations
         self.checked = checked
         self.skipped = [] if skipped is None else skipped
 
     def __repr__(self) -> str:
-        return f"CheckReport({self.name!r}, {self.violations!r}, {self.checked}, {self.skipped!r})"
+        return f"CheckReport({self.violations!r}, {self.checked}, {self.skipped!r})"
 
     @property
     def ok(self) -> bool:

@@ -26,7 +26,7 @@ from steppoly import assemble_moments, extract_families, factorize, rat
 from steppoly.cdkernel import kernel_eval
 from steppoly.cli import _decimal_text
 from steppoly.errors import Breakdown, DepthError
-from steppoly.families import Family, moment_rows, monomial_ints
+from steppoly.families import Family, moment_cols, moment_rows, monomial_ints
 from steppoly.gaussborel import Factorization, IntegerSide, eliminate
 from steppoly.measures import Discrete, MeasureMatrix, MomentTable, RectDensity
 from steppoly.moments import MomentTruncation
@@ -513,7 +513,7 @@ def moment_products(A: Family, B: Family, M: MomentTruncation) -> tuple[list, li
     """C_B M and C_A M^T, each over as many columns as its family has members: the
     rows check_orthogonality and check_projection read, as cli.Workspace.products
     forms them for its depth-D families."""
-    return moment_rows(B, M, len(B)), moment_rows(A, M.transpose(), len(A))
+    return moment_rows(B, M, len(B)), moment_cols(A, M, len(A))
 
 
 def pair_rationals(pairs: list[list[tuple[int, int]]]) -> list[list]:
@@ -559,7 +559,7 @@ def pointwise_reproduction(A: Family, B: Family, gram: list[list], n: int,
               for j, (num, den) in enumerate(gram[i][:n + 1]) if num]
     d_g = math.lcm(*(den for *_, den in corner))
     terms = [(i, j, num * (d_g // den)) for i, j, num, den in corner]
-    rep = CheckReport("reproduction")
+    rep = CheckReport()
     if not point_pairs:
         rep.skipped.append("no point pairs given")
     for x, y in point_pairs:
@@ -619,7 +619,7 @@ def pointwise_abc(M: MomentTruncation, n: int, tables: list[KernelTable]) -> Che
     rows += [[int(a == j) for j in range(D)] + [0] * D for a in range(D)]
     det = -eliminate(rows, D)[D]
     weighted = [[v * r for v, r in zip(row[D:], M.scale)] for row in rows[D:]]  # adj diag(r)
-    rep = CheckReport("abc")
+    rep = CheckReport()
     for table in tables:
         x, y = table.x, table.y
         d_x, X = monomial_ints(list(map(pair, x)), n // p + 1)
@@ -868,7 +868,7 @@ def recurrence_oracle(S: list[list], S_inv: list[list], q: int, k: int, size: in
 
 def rational_T(T: RecurrenceTruncation) -> list[list]:
     """The rational T_k, read off its integers (recurrence module docstring)."""
-    return T.entries(rat, Fraction(0))
+    return T.entries(rat)
 
 
 def conjugate(T: RecurrenceTruncation) -> list[list]:
@@ -924,7 +924,7 @@ def swept_cd(T: RecurrenceTruncation, relations: CheckReport) -> CheckReport:
     entry, for every n, and reports in the check's format and order.
     """
     k = T.k
-    rep = CheckReport(f"cd_T{k}")
+    rep = CheckReport()
     n_max = recurrence_n_max(T, T.size, T.size)
     if n_max == 0:
         rep.skipped.append(f"no relation to check at depth {T.size}")
@@ -977,7 +977,7 @@ def pointwise_cd(T: RecurrenceTruncation, n: int, tables: list[KernelTable]) -> 
             for row_range, cols, sign in ((blocks.tgt_rows, blocks.tgt_cols, 1),
                                           (blocks.src_rows, blocks.src_cols, -1))
             for m in row_range]
-    rep = CheckReport(f"cd_T{k}")
+    rep = CheckReport()
     for table in tables:
         x, y = table.x, table.y
         xk, yk = Fraction(x[k - 1]), Fraction(y[k - 1])

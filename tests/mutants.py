@@ -95,7 +95,7 @@ MUTANTS = [
         ("tests/test_families.py::TestDegreeStructure::test_planted_coefficient_above_its_bound_located",)),
     Mutant(
         "orthogonality skips the last residual of each slot", "families.py",
-        "while K * r + a_idx < n:", "while K * r + a_idx < n - 1:",
+        "enumerate(range(a_idx, n, r))", "enumerate(range(a_idx, n - 1, r))",
         ("tests/test_families.py::TestOrthogonality::test_condition_count",
          "tests/test_families.py::TestPlantedCoefficient::test_b_member",
          "tests/test_families.py::TestPlantedCoefficient::test_a_member")),
@@ -282,15 +282,19 @@ MUTANTS = [
          "tests/test_gaussborel.py::TestWindow::test_breakdown_past_the_window[8]")),
     Mutant(
         "the certificate always passes", "gaussborel.py",
-        "    P, schur = CERT_PRIME, _schur_residues(ints, panel, minors)", "    return True",
+        "    schur = _schur_residues(ints, panel, minors)", "    return True",
         ("tests/test_cli.py::TestBreakdownContract::test_breakdown_past_the_window_exits_two",
          "tests/test_gaussborel.py::TestWindow::test_certificate_passes_iff_the_prime_divides_no_minor",
          "tests/test_gaussborel.py::TestWindow::test_breakdown_past_the_window[6]")),
     Mutant(
         "the certificate always fails", "gaussborel.py",
-        "    P, schur = CERT_PRIME, _schur_residues(ints, panel, minors)", "    return False",
+        "    schur = _schur_residues(ints, panel, minors)", "    return False",
         ("tests/test_cli.py::TestBreakdownContract::test_generic_configs_take_no_fallback",
          "tests/test_gaussborel.py::TestWindow::test_certificate_passes_iff_the_prime_divides_no_minor")),
+    Mutant(
+        "the certificate accepts a minor the prime divides", "gaussborel.py",
+        "all(d % CERT_PRIME for d in", "all(d for d in",
+        ("tests/test_gaussborel.py::TestWindow::test_certificate_passes_iff_the_prime_divides_no_minor",)),
     Mutant(
         "the certificate's slots are one bit too narrow to hold width (P - 1)^2", "gaussborel.py",
         "bits = ((P - 1) ** 2 * width).bit_length()", "bits = ((P - 1) ** 2 * width).bit_length() - 1",
@@ -400,11 +404,11 @@ MUTANTS = [
         ("tests/test_moments.py::TestIntegersFromText::test_scale_and_ints_match_the_fraction_oracle",
          "tests/test_measures.py::TestRationalParsing::test_normalization")),
     Mutant(
-        "the transpose is scaled with the row scales", "moments.py",
-        "gs = list(map(gcd, col, self.scale))", "gs = [1] * len(col)",
-        ("tests/test_moments.py::TestIntegersFromText::test_scale_and_ints_match_the_fraction_oracle",
-         "tests/test_moments.py::TestAssembly::test_rows_scaled_once_when_built[mixed]",
-         "tests/test_families.py::TestProductRoute::test_products_match_pair_integrals")),
+        "moment_cols drops the lcm factor", "families.py",
+        "rows = [(big // s, m_row)", "rows = [(1, m_row)",
+        ("tests/test_families.py::TestProductRoute::test_products_match_pair_integrals",
+         "tests/test_cdkernel.py::TestProjection::test_exact_at_threshold",
+         "tests/test_cli.py::TestVerify::test_all_checks_pass")),
     Mutant(
         "RectDensity's far power drops pow's sign for a negative bound", "measures.py",
         "[w * pow(v, e) for w, v", "[w * pow(abs(v), e) for w, v",

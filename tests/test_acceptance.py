@@ -421,7 +421,7 @@ def test_criterion_8_cli_contract(tmp_path, monkeypatch):
 
     with monkeypatch.context() as mp:
         mp.setattr(cli_mod, "check_dual_form",
-                   lambda *a, **k: CheckReport("dual", [Violation((), "forced")], 1))
+                   lambda *a, **k: CheckReport([Violation((), "forced")], 1))
         assert main(["verify", "--config", str(cfg)]) == 1
 
     broken = tmp_path / "broken.json"

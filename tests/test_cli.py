@@ -25,6 +25,7 @@ from steppoly.errors import Breakdown, ConfigError
 from steppoly.families import Family
 from steppoly.gaussborel import _factor_row, unit_lower
 from steppoly.measures import MAX_MOMENT_BITS, measure_from_json
+from steppoly.moments import MomentTruncation
 from steppoly.rational import over_lcm, ratio_text
 from steppoly.recurrence import RecurrenceTruncation, check_recurrence_matrix
 from steppoly.report import CheckReport, Violation
@@ -151,7 +152,7 @@ class TestVerify:
         cfg = good_config(tmp_path)
         monkeypatch.setattr(
             cli_mod, "check_reproduction",
-            lambda *a, **k: CheckReport("reproduction", [Violation((5,), "forced")], 1),
+            lambda *a, **k: CheckReport([Violation((5,), "forced")], 1),
         )
         assert main(["verify", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
         report = json.loads((tmp_path / "o" / "report.json").read_text())
@@ -200,8 +201,7 @@ class TestVerify:
 
         monkeypatch.setattr(
             cli_mod, "check_reproduction",
-            lambda *a, **k: CheckReport("reproduction", [Violation((5, "x"), "forced"),
-                                                         Violation((6,), "again")], 2),
+            lambda *a, **k: CheckReport([Violation((5, "x"), "forced"), Violation((6,), "again")], 2),
         )
         assert main(["verify", "--config", str(GOLDEN_CONFIG), "--checks", "degree,reproduction",
                      "--out", str(tmp_path / "f")]) == 1
@@ -623,12 +623,17 @@ class TestBreakdownContract:
             assert (alarmed / name).read_bytes() == (plain / name).read_bytes(), name
 
     def test_generic_configs_take_no_fallback(self, tmp_path, monkeypatch):
+        # the panel's elimination and the certificate's, on the rows past the
+        # window, are the only ones: no full-depth elimination runs
         steps = counted_eliminate(monkeypatch)
         cases = ["golden"] + [(kind, shape) for shape in SHAPES for kind in ("table", "mixed")]
         for i, case in enumerate(cases, 1):
             cfg = GOLDEN_CONFIG if case == "golden" else shape_config(tmp_path, case[1], case[0])
+            config = load_config(cfg)
+            depth, extended = config.depth, extended_depth(config)
+            steps.clear()
             assert main(["compute", "--config", str(cfg), "--out", str(tmp_path / str(i))]) == 0
-            assert len(steps) == i, case
+            assert depth < extended and steps == [depth, extended - depth], case
 
 
 class TestKernel:
@@ -738,12 +743,13 @@ class TestRationalFactors:
                      "--x", "1/2,-1/3", "--y", "2/7,1/5", "--out", str(tmp_path / "k")]) == 0
         assert built == []
         assert main(["compute", "--config", str(cfg), "--out", str(tmp_path / "c")]) == 0
-        assert built == [(depth, ratio_text, "1", "0")] * 2
+        assert built == [(depth, ratio_text)] * 2
 
     @pytest.mark.parametrize("shape", ["golden", (2, 3)])
     def test_compute_reduces_each_nonzero_entry_once(self, tmp_path, monkeypatch, shape):
         # one ratio_text per nonzero entry of every export, the unit diagonals
-        # and A (which reuses the Sbar text) excepted; verify calls one per entry
+        # and A (which reuses the Sbar text) excepted, and one for each
+        # structural "1" and "0" of S, Sbar, T1 and T2; verify calls one per entry
         # of the report's H, and kernel one per entry of its p x q matrix and
         # one per coordinate of its two points
         cfg = shape_config(tmp_path, shape)
@@ -770,7 +776,7 @@ class TestRationalFactors:
         assert [ratio_text(*c) for c in calls] == obj["x"] + obj["y"] + [t for row in obj["matrix"] for t in row]
         calls.clear()
         assert main(["compute", "--config", str(cfg), "--out", str(tmp_path / "c")]) == 0
-        assert len(calls) == nonzero and all(num for num, _ in calls)
+        assert len(calls) == nonzero + 6 and [c for c in calls if not c[0]] == [(0, 1)] * 4
 
     @pytest.mark.parametrize("shape", ["golden", (2, 3)])
     def test_no_rational_formed(self, tmp_path, monkeypatch, shape):
@@ -842,8 +848,9 @@ class TestRowsBuiltOnRead:
 
 class TestMomentRowsScaledOnce:
     """Each truncation's rows are scaled when it is built, one over_lcm of its
-    (num, den) moments per row: verify scales M's rows once and M^T's at most
-    once, whichever checks read them; kernel scales its one truncation once."""
+    (num, den) moments per row: verify builds one truncation, M, and scales its
+    rows once, whichever checks read them; kernel scales its one truncation
+    once."""
 
     @pytest.mark.parametrize("shape", ["golden", (2, 3)])
     def test_each_row_scaled_once(self, tmp_path, monkeypatch, shape):
@@ -859,11 +866,27 @@ class TestMomentRowsScaledOnce:
         monkeypatch.setattr("steppoly.moments.over_lcm", counting)
         assert main(["verify", "--config", str(cfg), "--checks", ",".join(CHECK_NAMES),
                      "--out", str(tmp_path / "v")]) == 0
-        assert widths == [extended] * (2 * extended)
+        assert widths == [extended] * extended
         widths.clear()
         assert main(["kernel", "--config", str(cfg), "--n", "4",
                      "--x", "1/2,-1/3", "--y", "2/7,1/5", "--out", str(tmp_path / "k")]) == 0
         assert widths == [5] * 5
+
+    @pytest.mark.parametrize("shape", ["golden", (2, 3)])
+    def test_verify_builds_one_truncation(self, tmp_path, monkeypatch, shape):
+        # C_A M^T dots A's rows with M's own rows, so no check builds a
+        # transposed (or any other) truncation
+        cfg, built = shape_config(tmp_path, shape), []
+        config, init = load_config(cfg), MomentTruncation.__init__
+
+        def counting(self, depth, q, p, *rest):
+            built.append((depth, q, p))
+            init(self, depth, q, p, *rest)
+
+        monkeypatch.setattr(MomentTruncation, "__init__", counting)
+        assert main(["verify", "--config", str(cfg), "--checks", ",".join(CHECK_NAMES),
+                     "--out", str(tmp_path / "v")]) == 0
+        assert built == [(extended_depth(config), config.q, config.p)]
 
 
 class TestRecurrenceReportShared:
@@ -900,10 +923,12 @@ class TestRecurrenceReportShared:
 
 
 class TestCheckScope:
-    """The relations every check verifies, pinned on the golden config and one
-    table config per shape, each count derived from the check's definition: a
-    check narrowed to k = 1, to one family, to fewer members or corners, or a
-    projection drawn at a lower degree, fails here."""
+    """The relations every check verifies, report by report in the order the
+    check returns them (k = 1 before k = 2, the direct projection before the
+    dual), pinned on the golden config and one table config per shape, each
+    count derived from the check's definition: a check narrowed to k = 1, to
+    one family, to fewer members or corners, or a projection drawn at a lower
+    degree, fails here."""
 
     @pytest.mark.parametrize("shape", ["golden", *SHAPES])
     def test_names_and_counts(self, tmp_path, monkeypatch, shape):
@@ -911,34 +936,34 @@ class TestCheckScope:
         q, p, D, E = ws.config.q, ws.config.p, ws.depth, ws.extended_depth
 
         def summary(name):
-            return [(rep.name, rep.checked) for rep in CHECKS[name](ws)]
+            return [rep.checked for rep in CHECKS[name](ws)]
 
         # hankel: every (m, n) whose shifted row n_plus(m, q, k) and column
         # n_plus(n, p, k) both lie inside the extended truncation
         assert summary("hankel") == [
-            (f"hankel_k{k}", sum(n_plus(m, q, k) < E for m in range(E))
-             * sum(n_plus(n, p, k) < E for n in range(E))) for k in (1, 2)]
+            sum(n_plus(m, q, k) < E for m in range(E)) * sum(n_plus(n, p, k) < E for n in range(E))
+            for k in (1, 2)]
         # dual: every entry of the window
-        assert summary("dual") == [(f"dual_T{k}", D * D) for k in (1, 2)]
+        assert summary("dual") == [D * D] * 2
         # band: per row n, the zeros outside [first, last], the trailing 1 when
         # last is inside the window and the boxed H ratio when n avoids J_{p;k}
-        assert summary("band") == [(f"band_T{k}", sum(
+        assert summary("band") == [sum(
             n_minus_big(n, p, k) + max(D - 1 - n_plus(n, q, k), 0) + (n_plus(n, q, k) < D)
-            + in_complement_J(n, p, k) for n in range(D))) for k in (1, 2)]
+            + in_complement_J(n, p, k) for n in range(D)) for k in (1, 2)]
         # degree: one bound per component of each of the E members of both families
-        assert summary("degree") == [("degree", E * (p + q))]
+        assert summary("degree") == [E * (p + q)]
         # orthogonality: member n of each family against the n columns before it
-        assert summary("orthogonality") == [("orthogonality", D * (D - 1))]
+        assert summary("orthogonality") == [D * (D - 1)]
         # biorthogonality: every entry of the depth-D Gram matrix
-        assert summary("biorthogonality") == [("biorthogonality", D * D)]
+        assert summary("biorthogonality") == [D * D]
         # recurrence: one relation per component of B_n and of A_n, for each n
         # whose shifted indices n_plus(n, q, k) and n_plus(n, p, k) lie inside
         # the window; cd: one CD formula per such n
         n_max = {k: sum(n_plus(n, q, k) < D and n_plus(n, p, k) < D for n in range(D)) for k in (1, 2)}
-        assert summary("recurrence") == [(f"recurrence_matrix_T{k}", n_max[k] * (p + q)) for k in (1, 2)]
-        assert summary("cd") == [(f"cd_T{k}", n_max[k]) for k in (1, 2)]
+        assert summary("recurrence") == [n_max[k] * (p + q) for k in (1, 2)]
+        assert summary("cd") == [n_max[1], n_max[2]]
         # abc: one identity per corner n below min(D, 8)
-        assert summary("abc") == [("abc", 1)] * min(D, 8)
+        assert summary("abc") == [1] * min(D, 8)
         # reproduction: one identity, on the whole depth-D corner of the Gram matrix
         reached = []
 
@@ -948,7 +973,7 @@ class TestCheckScope:
 
         check_reproduction = steppoly.cli.check_reproduction
         monkeypatch.setattr("steppoly.cli.check_reproduction", spying_reproduction)
-        assert summary("reproduction") == [("reproduction", 1)]
+        assert summary("reproduction") == [1]
         assert reached == [(D, D - 1)]
         drawn = []
 
@@ -960,7 +985,7 @@ class TestCheckScope:
         monkeypatch.setattr("steppoly.cli.seeded_monic_columns", spying)
         # every config here is deep enough for degree 3 on both sides; each
         # direction checks one relation per pair of components
-        assert summary("projection") == [("projection", p * p), ("projection", q * q)]
+        assert summary("projection") == [p * p, q * q]
         assert drawn == [(p, 3), (q, 3)]
 
 
@@ -983,13 +1008,13 @@ class TestRecurrenceFormedOnRead:
             texts.append(args)
             return ratio_text(*args)
 
-        def counting_entries(T, ratio, zero):
+        def counting_entries(T, ratio):
             def counted(*args):
                 written.append(T.k)
                 return ratio(*args)
 
-            assert ratio is ratio_text and zero == "0"
-            return entries(T, counted, zero)
+            assert ratio is ratio_text
+            return entries(T, counted)
 
         monkeypatch.setattr("steppoly.recurrence.ratio_text", counting_text)
         monkeypatch.setattr(RecurrenceTruncation, "entries", counting_entries)
@@ -997,8 +1022,9 @@ class TestRecurrenceFormedOnRead:
                      "--out", str(tmp_path / "v")]) == 0
         assert texts == [] and written == []
         assert main(["compute", "--config", str(cfg), "--out", str(tmp_path / "c")]) == 0
-        # one ratio_text per nonzero entry of T_1 and T_2, the JSON and CSV exports together
-        assert texts == [] and len(written) == nonzero
+        # one ratio_text per nonzero entry of T_1 and T_2, the JSON and CSV exports
+        # together, and one for each table's "0"
+        assert texts == [] and len(written) == nonzero + 2
         assert sorted(set(written)) == [1, 2]
 
 
@@ -1032,29 +1058,29 @@ class TestBuiltOnFirstRead:
         counting("extract_families", steppoly.cli.extract_families)
         counting("build_recurrence", steppoly.cli.build_recurrence)
         counting("moment_rows", steppoly.cli.moment_rows)
+        counting("moment_cols", steppoly.cli.moment_cols)
         ws = Workspace(load_config(GOLDEN_CONFIG))
         assert calls == []
         assert ws.A is ws.A and ws.B is ws.B and ws.T is ws.T
         assert calls == ["extract_families", "build_recurrence", "build_recurrence"]
         assert ws.products is ws.products and ws.gram is ws.gram
-        assert calls[3:] == ["moment_rows", "moment_rows"]
+        assert calls[3:] == ["moment_rows", "moment_cols"]
 
     @pytest.mark.parametrize("shape", ["golden", (2, 3)])
     def test_verify_forms_each_moment_product_once(self, tmp_path, monkeypatch, shape):
         # orthogonality, the Gram matrix and projection read the two products
         # the Workspace forms; hankel reads no family, so it forms none
         cfg, calls = shape_config(tmp_path, shape), []
-        moment_rows = steppoly.families.moment_rows
+        for name in ("moment_rows", "moment_cols"):
+            def counting(*args, _name=name, _fn=getattr(steppoly.families, name)):
+                calls.append((_name, args[2]))
+                return _fn(*args)
 
-        def counting(*args):
-            calls.append(args[2])
-            return moment_rows(*args)
-
-        for where in ("steppoly.families", "steppoly.cli"):
-            monkeypatch.setattr(f"{where}.moment_rows", counting)
+            for where in ("steppoly.families", "steppoly.cli"):
+                monkeypatch.setattr(f"{where}.{name}", counting)
         depth = load_config(cfg).depth
         assert main(["verify", "--config", str(cfg), "--out", str(tmp_path / "v")]) == 0
-        assert len(CHECK_NAMES) == 11 and calls == [depth, depth]
+        assert len(CHECK_NAMES) == 11 and calls == [("moment_rows", depth), ("moment_cols", depth)]
         calls.clear()
         assert main(["verify", "--config", str(cfg), "--checks", "hankel", "--out", str(tmp_path / "h")]) == 0
         assert calls == []

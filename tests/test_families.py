@@ -2,6 +2,8 @@
 
 import random
 
+import pytest
+
 from steppoly import (
     assemble_moments,
     check_biorthogonality,
@@ -11,12 +13,14 @@ from steppoly import (
     rat,
 )
 from steppoly.cli import seeded_monic_columns
+from steppoly.errors import DepthError
 from steppoly.families import (
     Family,
     check_orthogonality,
     combine,
     degree_bound,
     mismatches,
+    moment_cols,
     moment_rows,
     monomial_ints,
     pairings,
@@ -167,8 +171,6 @@ class TestProductRoute:
                 system = build_system(q, p, 8, seed=52, kind=kind)
                 mm, M, A, B, D = system.mm, system.M, system.A, system.B, system.depth
                 where = (kind, q, p)
-                Mt, want = M.transpose(), assemble_moments(transpose_measures(mm), D)
-                assert (Mt.scale, Mt.ints) == (want.scale, want.ints), where
                 comps_a, comps_b = members(A), members(B)
                 assert pair_rationals(pairing_matrix(A, B, M)) == pair_oracle(mm, comps_b, comps_a), where
                 # the full products, not only the strictly lower parts orthogonality reads
@@ -178,12 +180,25 @@ class TestProductRoute:
                            for K, slot in (divmod(col, p) for col in range(D))]
                 want = pair_oracle(mm, comps_b, slots_a)
                 assert rationals(moment_rows(B, M, D)) == want, where
-                want = [list(row) for row in zip(*pair_oracle(mm, slots_b, comps_a))]
-                assert rationals(moment_rows(A, M.transpose(), D)) == want, where
+                AMt = rationals(moment_cols(A, M, D))
+                assert AMt == [list(row) for row in zip(*pair_oracle(mm, slots_b, comps_a))], where
+                # the route through the truncation of the transposed measures
+                assert AMt == rationals(moment_rows(A, assemble_moments(transpose_measures(mm), D), D)), where
                 # projection's inner integrals: B_i against the columns of P
                 P = seeded_monic_columns(random.Random(53), p, 1)
                 assert (pair_rationals(pairings(moment_rows(B, M, D), P))
                         == pair_oracle(mm, comps_b, members(P))), where
+
+    def test_products_need_the_depth_they_read(self):
+        # a family storing a column past M, or more columns than M holds, is a
+        # DepthError for both products, not a short row
+        system = build_system(2, 1, 8, seed=52)
+        M = assemble_moments(system.mm, 6)
+        for product, fam in ((moment_rows, system.B), (moment_cols, system.A)):
+            assert len(product(fam.head(6), M, 6)) == 6
+            for count, cols in ((6, 7), (7, 6)):
+                with pytest.raises(DepthError, match="depth 7, got 6"):
+                    product(fam.head(count), M, cols)
 
 
 class TestLazyRows:

@@ -81,17 +81,13 @@ class TestAssembly:
 
     @pytest.mark.parametrize("kind", ["mixed", "table"])
     def test_rows_scaled_once_when_built(self, kind):
-        # the scaling of a truncation, its corners and its transpose, each row over its own lcm
+        # the scaling of a truncation and its corners, each row over its own lcm
         for seed in (21, 22):
             for q, p in SHAPES:
                 rng = random.Random(seed)
                 mm = mixed_mm(rng, q, p) if kind == "mixed" else table_mm(rng, q, p, 14)
                 M = assemble_moments(mm, 14)
-                Mt = M.transpose()
-                assert Mt is M.transpose() and (Mt.q, Mt.p) == (p, q)
-                corners = (truncation_corner(M, 1), truncation_corner(M, rng.randint(2, 13)),
-                           truncation_corner(Mt, 6))
-                for T in (M, Mt) + corners:
+                for T in (M, truncation_corner(M, 1), truncation_corner(M, rng.randint(2, 13))):
                     assert_scaled(T)
 
     @pytest.mark.parametrize("kind", ["mixed", "table"])
@@ -212,7 +208,7 @@ def row_scaled(rows: list[list[Fraction]]) -> tuple[list[int], list[list[int]]]:
 class TestIntegersFromText:
     """assemble_moments writes the row-lcm scaling of the exact moments: the
     integers of plain-Fraction moments, read from the config text apart from
-    parse_ratio and the measures' integer sums, for M and for M^T."""
+    parse_ratio and the measures' integer sums."""
 
     @settings(max_examples=80, deadline=None)
     @given(grids())
@@ -225,8 +221,6 @@ class TestIntegersFromText:
                                exps[m // q][0] + exps[n // p][0], exps[m // q][1] + exps[n // p][1])
                  for n in range(depth)] for m in range(depth)]
         assert (M.scale, M.ints) == row_scaled(want)
-        Mt = M.transpose()
-        assert (Mt.scale, Mt.ints) == row_scaled([list(col) for col in zip(*want)])
 
 
 class TestShiftOperator:
