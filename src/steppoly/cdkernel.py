@@ -61,7 +61,7 @@ from __future__ import annotations
 from itertools import chain
 
 from .errors import DepthError
-from .families import Family, combine, mismatches, monomial_ints, pairings
+from .families import Family, combine, mismatches, monomial_ints
 from .gaussborel import eliminate
 from .moments import MomentTruncation
 from .recurrence import RecurrenceTruncation, recurrence_n_max
@@ -194,7 +194,7 @@ def check_reproduction(A: Family, B: Family, gram: list[list], n: int) -> CheckR
     return rep
 
 
-def check_projection(A: Family, BM: list, n: int, P: Family) -> CheckReport:
+def check_projection(A: Family, inner: list, n: int, P: Family) -> CheckReport:
     """Integral of K^[n](x, .) against dmu P recovers P(x), above the threshold.
 
     P is a p x p matrix polynomial, p = A.r, given by its columns: member a1
@@ -202,16 +202,15 @@ def check_projection(A: Family, BM: list, n: int, P: Family) -> CheckReport:
     must be monic of grlex-degree I with n >= I*p + p - 1: member a1 stores
     column I*p + a1, its diagonal entry at position I, with value 1, and every
     other column it stores is below position I.  Calls below the threshold
-    are precondition errors, not identity failures.  The inner integrals of
-    B_i against the columns of P are the product (C_B M) C_P, read off rows 0
-    .. n of BM, the rows (d, nums) of C_B M (families.moment_rows), which
-    reach column n.  For each column a1 the polynomial sum_{i <= n}
-    inner[i][a1] A_i must equal column a1 of P coefficient by coefficient,
-    the identity at every x; one relation is checked per (a0, a1), p^2 per
-    call.  The dual direction, the integral of P dmu K^[n](., y) recovering
-    P(y), is this check on the transposed problem, with the rows AMt of C_A
-    M^T (families.moment_cols, A's rows dotted with M's) and the q x q matrix
-    polynomial P^T: check_projection(B, AMt, n, P^T).
+    are precondition errors, not identity failures.  inner[i][a1] = (w, e),
+    i <= n, is the integral w / e of B_i against column a1 of P, entry (i, a1)
+    of (C_B M) C_P^T.  For each column a1 the polynomial sum_{i <= n}
+    inner[i][a1] A_i must equal column a1 of P coefficient by coefficient, the
+    identity at every x; one relation is checked per (a0, a1), p^2 per call.
+    The dual direction, the integral of P dmu K^[n](., y) recovering P(y), is
+    this check on the transposed problem, check_projection(B, inner, n, P^T)
+    for the q x q matrix polynomial P^T; its inner integrals (C_A M^T) C_{P^T}^T
+    are the transpose of P^T's own moment product paired with A, (C_{P^T} M) C_A^T.
     """
     p = A.r
     if P.r != p or len(P) != p:
@@ -223,13 +222,12 @@ def check_projection(A: Family, BM: list, n: int, P: Family) -> CheckReport:
             raise ValueError("P is not monic of a definite grlex degree")
     if n < I * p + p - 1:
         raise ValueError(f"n={n} below projection threshold {I * p + p - 1} for I={I}")
-    if n >= min(len(A), len(BM)):
+    if n >= min(len(A), len(inner)):
         raise DepthError(f"projection index {n} outside family range")
-    # inner[i][a1] = (w, e): w / e is the integral of B_i dmu column a1 of P
-    inner = pairings(BM[:n + 1], P)
+    inner = inner[:n + 1]
     rep = CheckReport()
     for a1, want in enumerate(P.rows):
-        # sum_i inner[i][a1] A_i against column a1 of P
+        # sum_{i <= n} inner[i][a1] A_i against column a1 of P
         got = combine((w, e * d, row) for (d, row), (w, e) in zip(A.rows, [g[a1] for g in inner]) if w)
         bad = {c % p for c in mismatches(got, want)}
         for a0 in range(p):

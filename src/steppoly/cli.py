@@ -18,6 +18,7 @@ import argparse
 import decimal
 import json
 import math
+import os
 import random
 import sys
 import time
@@ -33,7 +34,6 @@ from .families import (
     check_biorthogonality,
     check_orthogonality,
     extract_families,
-    moment_cols,
     moment_rows,
     pairings,
     validate_degree_structure,
@@ -163,15 +163,14 @@ class Workspace:
         return {k: build_recurrence(self.F, q, p, k, self.depth, band=band) for k in (1, 2)}
 
     @cached_property
-    def products(self) -> tuple[list, list]:
-        """C_B M and C_A M^T over D columns, the only moment products a run forms."""
-        D, M = self.depth, self.M
-        return moment_rows(self.B.head(D), M, D), moment_cols(self.A.head(D), M, D)
+    def products(self) -> list:
+        """C_B M over D columns, the one family-times-moments product a run forms."""
+        return moment_rows(self.B.head(self.depth), self.M, self.depth)
 
     @cached_property
     def gram(self) -> list[list]:
         """Pairing matrix of the depth-D families; biorthogonality and reproduction share it."""
-        return pairings(self.products[0], self.A.head(self.depth))
+        return pairings(self.products, self.A.head(self.depth))
 
     @cached_property
     def relations(self) -> dict[int, CheckReport]:
@@ -189,16 +188,18 @@ def _projection(ws: Workspace) -> list[CheckReport]:
     if I < 0 or I_dual < 0:
         return [CheckReport(skipped=["depth below projection threshold"])]
     rng = random.Random(ws.config.seed)
-    # the dual direction is the same identity with the families' roles swapped,
-    # on P^T, which is as random a monic matrix polynomial as P: it gets its own draw
-    return [check_projection(ws.A, ws.products[0], D - 1, seeded_monic_columns(rng, p, I)),
-            check_projection(ws.B, ws.products[1], D - 1, seeded_monic_columns(rng, q, I_dual))]
+    # the dual direction is the same identity with the families' roles swapped, on
+    # its own draw P^T; its inner integrals are P^T's own product paired with A, transposed
+    P, P_dual = seeded_monic_columns(rng, p, I), seeded_monic_columns(rng, q, I_dual)
+    inner = pairings(ws.products, P)
+    dual = list(zip(*pairings(moment_rows(P_dual, ws.M, D), ws.A.head(D))))
+    return [check_projection(ws.A, inner, D - 1, P), check_projection(ws.B, dual, D - 1, P_dual)]
 
 
 CHECKS = {
     "hankel": lambda ws: [check_hankel(ws.M, k) for k in (1, 2)],
     "degree": lambda ws: [validate_degree_structure(ws.A, ws.B, ws.config.q, ws.config.p)],
-    "orthogonality": lambda ws: [check_orthogonality(*ws.products, ws.config.q, ws.config.p)],
+    "orthogonality": lambda ws: [check_orthogonality(ws.A.head(ws.depth), ws.products, ws.M)],
     "biorthogonality": lambda ws: [check_biorthogonality(ws.gram)],
     "dual": lambda ws: [check_dual_form(ws.T[k], ws.F) for k in (1, 2)],
     "band": lambda ws: [validate_band(ws.T[k]) for k in (1, 2)],
@@ -223,11 +224,6 @@ def require_checks(names: list[str]) -> None:
             raise ConfigError(f"check {c!r} named more than once")
 
 
-def _violation_summary(violations: list) -> str:
-    first = violations[0]
-    return f"{len(violations)} violation(s); first at {first.where}: {first.detail}"
-
-
 def run_checks(ws: Workspace, checks: list[str]) -> list[dict]:
     """One report.json entry per named check: fail on any violation, skipped when
     nothing was checked."""
@@ -237,7 +233,8 @@ def run_checks(ws: Workspace, checks: list[str]) -> list[dict]:
         violations = [v for rep in reps for v in rep.violations]
         status, details = "pass", ""
         if violations:
-            status, details = "fail", _violation_summary(violations)
+            status, first = "fail", violations[0]
+            details = f"{len(violations)} violation(s); first at {first.where}: {first.detail}"
         elif not sum(rep.checked for rep in reps):
             reasons = [reason for rep in reps for reason in rep.skipped]
             status = "skipped"
@@ -389,16 +386,14 @@ def _cmd_verify(args) -> int:
     args.depth = config.depth
     t0 = time.perf_counter()
     report = run(config)
-    if report["status"] == "breakdown":
-        print(f"factorization breakdown at index {report['breakdown_index']}")
-    for c in report["checks"]:
-        line = f"{c['name']}: {c['status'].upper()}"
-        if c["details"]:
-            line += f" ({c['details']})"
-        print(line)
     out_dir = args.out or config.output
     if out_dir:
         write_files(Path(out_dir), {"report.json": json.dumps(report, indent=2, sort_keys=True) + "\n"})
+    if report["status"] == "breakdown":
+        _write_stdout(f"factorization breakdown at index {report['breakdown_index']}\n")
+    for c in report["checks"]:
+        details = f" ({c['details']})" if c["details"] else ""
+        _write_stdout(f"{c['name']}: {c['status'].upper()}{details}\n")
     print(f"elapsed {time.perf_counter() - t0:.3f}s", file=sys.stderr)
     if report["status"] == "breakdown":
         return 2
@@ -430,8 +425,17 @@ def _cmd_kernel(args) -> int:
     text = json.dumps(obj, indent=2, sort_keys=True) + "\n"
     if args.out:
         write_files(Path(args.out), {"kernel.json": text})
-    sys.stdout.write(text)
+    _write_stdout(text)
     return 0
+
+
+def _write_stdout(text: str) -> None:
+    """Write text to stdout; a reader that has gone away changes no exit code."""
+    try:
+        sys.stdout.write(text)
+        sys.stdout.flush()
+    except BrokenPipeError:  # on os.devnull, the interpreter's flush at exit cannot fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
 
 
 # Built on the first main() call and reused by every later one: importing the

@@ -20,12 +20,13 @@ identity.  The orthogonality residuals are the strictly lower parts of C_B M
 and of C_A M^T, whose entry (n, K*q + b) integrates A_n against the monomial
 at position K in slot b.  Every residual is a finite rational combination of
 moments and must be exactly zero.  cli.Workspace.products forms C_B M
-(moment_rows) and C_A M^T (moment_cols) once, from the rows extract_families
-returns, so it stays under test; orthogonality, pairings and projection read
-them.  Both run over M's own integer rows (M.scale and M.ints, scaled once
-when M is built), so an entry is one integer inner sum over its denominator,
-and a check compares integers: no rational is formed, and a violation's value
-is written with ratio_text.
+(moment_rows) once, from the rows extract_families returns, so it stays under
+test; orthogonality, pairings and projection read it.  check_orthogonality
+forms only the entries of C_A M^T it tests, A_n's row dotted with M's row c
+for c < n.  Each runs over M's own integer rows (M.scale and M.ints, scaled
+once when M is built), so an entry is one integer inner sum over its
+denominator, and a check compares integers: no rational is formed, and a
+violation's value is written with ratio_text.
 
 Every coefficient identity (recurrence, projection, ABC, reproduction) sums
 weighted rows over one denominator with combine and compares the two sides
@@ -198,21 +199,6 @@ def moment_rows(fam: Family, M: MomentTruncation, cols: int) -> list[tuple[int, 
     return out
 
 
-def moment_cols(fam: Family, M: MomentTruncation, cols: int) -> list[tuple[int, list[int]]]:
-    """C M^T on the first cols rows of M, C the coefficient matrix of fam (M.p
-    components), as rows (d, nums): entry (n, K*q + b) sums over a the integral
-    of component a of member n against measure (b, a) times the monomial at
-    position K.  It is row n of C, over d_n, dotted with row m = K*q + b of M,
-    M.ints[m] over s_m = M.scale[m], and row n is brought to the denominator
-    d_n times the lcm of s_0 .. s_{cols-1}, so every entry is one integer sum."""
-    if (need := max(_width(fam), cols)) > M.depth:
-        raise DepthError(f"pairing needs a moment truncation of depth {need}, got {M.depth}")
-    big = lcm(*M.scale[:cols])
-    rows = [(big // s, m_row) for s, m_row in zip(M.scale[:cols], M.ints)]
-    return [(d * big, [f * sum(v * m_row[c] for c, v in row.items()) for f, m_row in rows])
-            for d, row in fam.rows]
-
-
 def pairings(rows: list, right: Family) -> list[list[tuple[int, int]]]:
     """(C_left M) C_right^T as integer pairs (num, den) from the rows (d, nums) of C_left M,
     which reach every column right stores: entry (m, n) pairs member m of left with member n of right."""
@@ -220,24 +206,34 @@ def pairings(rows: list, right: Family) -> list[list[tuple[int, int]]]:
             for d, nums in rows]
 
 
-def check_orthogonality(BM: list, AMt: list, q: int, p: int) -> CheckReport:
-    """Both one-sided orthogonality systems, read off the rows (d, nums) of C_B M and C_A M^T.
+def check_orthogonality(A: Family, BM: list, M: MomentTruncation) -> CheckReport:
+    """Both one-sided orthogonality systems of the families A and B from M.
 
-    B side: entry (n, K*p + a) of BM = C_B M, the sum over b of the integral
-    of B_n^(b) against (b, a) times monomial_K, vanishes whenever K p + a < n.
-    A side: entry (n, K*q + b) of AMt = C_A M^T (moment_cols), A_n's row dotted
-    with row K*q + b of M, the sum over a of the integral of A_n^(a) against
-    (b, a) times monomial_K, vanishes whenever K q + b < n.  Each has as many
-    columns as rows.
+    B side: entry (n, K*p + a) of BM = C_B M (moment_rows), the sum over b of
+    the integral of B_n^(b) against (b, a) times monomial_K, vanishes whenever
+    K p + a < n; BM has as many columns as rows.  A side: entry (n, K*q + b)
+    of C_A M^T, the sum over a of the integral of A_n^(a) against (b, a) times
+    monomial_K, vanishes whenever c = K q + b < n.  Only those entries are
+    formed: A_n's row, over d_n, dotted with row c of M, M.ints[c] over s_c =
+    M.scale[c], is one integer sum over d_n s_c.
     """
+    if (need := max(_width(A), len(A))) > M.depth:
+        raise DepthError(f"pairing needs a moment truncation of depth {need}, got {M.depth}")
+
+    def a_side(n: int, c: int) -> tuple[int, int]:
+        d, row = A.rows[n]
+        return sum(v * M.ints[c][m] for m, v in row.items()), d * M.scale[c]
+
     rep = CheckReport()
-    for label, rows, r in (("A", AMt, q), ("B", BM, p)):
-        for n, (d, nums) in enumerate(rows):
+    for label, count, r, entry in (("A", len(A), M.q, a_side),
+                                   ("B", len(BM), M.p, lambda n, c: (BM[n][1][c], BM[n][0]))):
+        for n in range(count):
             for a_idx in range(r):
                 for K, c in enumerate(range(a_idx, n, r)):
-                    if nums[c] != 0:
+                    num, den = entry(n, c)
+                    if num != 0:
                         rep.violations.append(Violation(
-                            (label, n, a_idx, K), f"residual {ratio_text(nums[c], d)}"))
+                            (label, n, a_idx, K), f"residual {ratio_text(num, den)}"))
                     rep.checked += 1
     return rep
 

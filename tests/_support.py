@@ -26,7 +26,7 @@ from steppoly import assemble_moments, extract_families, factorize, rat
 from steppoly.cdkernel import kernel_eval
 from steppoly.cli import _decimal_text
 from steppoly.errors import Breakdown, DepthError
-from steppoly.families import Family, moment_cols, moment_rows, monomial_ints
+from steppoly.families import Family, moment_rows, monomial_ints, pairings
 from steppoly.gaussborel import Factorization, IntegerSide, eliminate
 from steppoly.measures import Discrete, MeasureMatrix, MomentTable, RectDensity
 from steppoly.moments import MomentTruncation
@@ -509,11 +509,18 @@ def kernel_rationals(M: MomentTruncation, x: tuple, y: tuple) -> list[list]:
     return [[rat(v, den) for v in row] for row in corner]
 
 
-def moment_products(A: Family, B: Family, M: MomentTruncation) -> tuple[list, list]:
-    """C_B M and C_A M^T, each over as many columns as its family has members: the
-    rows check_orthogonality and check_projection read, as cli.Workspace.products
-    forms them for its depth-D families."""
-    return moment_rows(B, M, len(B)), moment_cols(A, M, len(A))
+def inner_integrals(B: Family, M: MomentTruncation, P: Family) -> list:
+    """check_projection's inner integrals, B's members against the columns of P:
+    (C_B M) C_P^T, C_B M over as many columns as B has members, as cli._projection
+    pairs Workspace.products with P."""
+    return pairings(moment_rows(B, M, len(B)), P)
+
+
+def dual_inner_integrals(A: Family, M: MomentTruncation, P: Family) -> list:
+    """The dual direction's inner integrals, A's members against the columns of
+    the q x q P^T: (C_A M^T) C_P^T, the transpose of (C_P M) C_A^T, as
+    cli._projection forms them."""
+    return list(zip(*pairings(moment_rows(P, M, len(A)), A)))
 
 
 def pair_rationals(pairs: list[list[tuple[int, int]]]) -> list[list]:

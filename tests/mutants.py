@@ -100,6 +100,12 @@ MUTANTS = [
          "tests/test_families.py::TestPlantedCoefficient::test_b_member",
          "tests/test_families.py::TestPlantedCoefficient::test_a_member")),
     Mutant(
+        "orthogonality's A side dots row n of M instead of row c", "families.py",
+        "v * M.ints[c][m]", "v * M.ints[n][m]",
+        ("tests/test_families.py::TestOrthogonality::test_residuals_vanish_on_random_systems",
+         "tests/test_families.py::TestProductRoute::test_products_match_pair_integrals",
+         "tests/test_cli.py::TestVerify::test_all_checks_pass")),
+    Mutant(
         "biorthogonality ignores entries off the diagonal", "families.py",
         "if num != (den if m == n else 0):", "if num != (den if m == n else num):",
         ("tests/test_families.py::TestPlantedCoefficient::test_b_member",
@@ -133,6 +139,12 @@ MUTANTS = [
         "row.get(lead) != d", "lead not in row",
         ("tests/test_cdkernel.py::TestMonicPredicate::test_rejects_non_unit_leader",
          "tests/test_cdkernel.py::TestProjection::test_shape_and_monicity_guards")),
+    Mutant(
+        "the dual projection pairs A with P's product instead of P^T's", "cli.py",
+        "moment_rows(P_dual, ws.M, D)", "moment_rows(P, ws.M, D)",
+        ("tests/test_cli.py::TestVerify::test_all_checks_pass",
+         "tests/test_cli.py::TestVerify::test_reports_are_byte_identical",
+         "tests/test_cli.py::TestBuiltOnFirstRead::test_verify_forms_each_moment_product_once[golden]")),
     Mutant(
         "_projection draws both directions' polynomials at size p", "cli.py",
         "seeded_monic_columns(rng, q, I_dual)", "seeded_monic_columns(rng, p, I_dual)",
@@ -387,7 +399,8 @@ MUTANTS = [
         ("tests/test_cli.py::TestBuiltOnFirstRead::test_only_compute_sums_over_the_band[golden]",)),
     Mutant(
         "the shared B product stops one member short", "cli.py",
-        "moment_rows(self.B.head(D), M, D)", "moment_rows(self.B.head(D - 1), M, D)",
+        "moment_rows(self.B.head(self.depth), self.M, self.depth)",
+        "moment_rows(self.B.head(self.depth - 1), self.M, self.depth)",
         ("tests/test_cli.py::TestCheckScope::test_names_and_counts[golden]",
          "tests/test_cli.py::TestCheckScope::test_names_and_counts[shape5]",
          "tests/test_cli.py::TestVerify::test_all_checks_pass",
@@ -404,12 +417,6 @@ MUTANTS = [
         ("tests/test_moments.py::TestIntegersFromText::test_scale_and_ints_match_the_fraction_oracle",
          "tests/test_measures.py::TestRationalParsing::test_normalization")),
     Mutant(
-        "moment_cols drops the lcm factor", "families.py",
-        "rows = [(big // s, m_row)", "rows = [(1, m_row)",
-        ("tests/test_families.py::TestProductRoute::test_products_match_pair_integrals",
-         "tests/test_cdkernel.py::TestProjection::test_exact_at_threshold",
-         "tests/test_cli.py::TestVerify::test_all_checks_pass")),
-    Mutant(
         "RectDensity's far power drops pow's sign for a negative bound", "measures.py",
         "[w * pow(v, e) for w, v", "[w * pow(abs(v), e) for w, v",
         ("tests/test_cli.py::TestFarDensityPosition::test_moments_match_the_closed_form",)),
@@ -418,6 +425,12 @@ MUTANTS = [
         "    except MemoryError:", "    except ArithmeticError:",
         ("tests/test_cli.py::TestConfigErrors::test_depth_beyond_memory_exits_three[compute]",
          "tests/test_cli.py::TestConfigErrors::test_depth_beyond_memory_exits_three[kernel]")),
+    Mutant(
+        "a closed stdout escapes as a BrokenPipeError", "cli.py",
+        "    except BrokenPipeError:", "    except ConnectionResetError:",
+        ("tests/test_cli.py::TestClosedStdout::test_verify_writes_the_golden_report",
+         "tests/test_cli.py::TestClosedStdout::test_breakdown_keeps_exit_two",
+         "tests/test_cli.py::TestClosedStdout::test_kernel_exits_zero")),
     Mutant(
         "kernel writes each point coordinate as its literal", "cli.py",
         '"x": [ratio_text(*v) for v in x],', '"x": [t.strip() for t in args.x.split(",")],',

@@ -32,6 +32,7 @@ from steppoly.errors import Breakdown
 from steppoly.families import (
     check_orthogonality,
     degree_bound,
+    moment_rows,
     validate_degree_structure,
 )
 from steppoly.measures import MeasureMatrix
@@ -54,12 +55,13 @@ from _support import (
     cd_block_values,
     deg_x1,
     deg_x2,
+    dual_inner_integrals,
     grid_values,
+    inner_integrals,
     inverts_its_factor,
     members,
     mixed_mm,
     moment_data,
-    moment_products,
     point_pairs,
     pointwise_abc,
     pointwise_cd,
@@ -176,7 +178,7 @@ def test_criterion_2_factorization_suite():
 def test_criterion_3_orthogonality_and_oracle():
     for q, p in SHAPES:
         system = build_system(q, p, 20, seed=301)
-        rep = check_orthogonality(*moment_products(system.A, system.B, system.M), q, p)
+        rep = check_orthogonality(system.A, moment_rows(system.B, system.M, 20), system.M)
         assert rep.ok and rep.checked > 0, (q, p, rep.violations[:1])
         rep = check_biorthogonality(pairing_matrix(system.A, system.B, system.M))
         assert rep.ok and rep.checked == 400, (q, p, rep.violations[:1])
@@ -322,12 +324,12 @@ def test_criterion_6_cd_abc_reproduction_projection():
         # and the library check, which compares coefficients instead of points
         assert check_reproduction(system.A, system.B, gram, n_top).ok
 
-        BM, AMt = moment_products(system.A, system.B, system.M)
         for I in (1, 2, 3):
             P = seeded_monic_columns(rng, p, I)
-            assert check_projection(system.A, BM, I * p + p - 1, P).ok
+            assert check_projection(system.A, inner_integrals(system.B, system.M, P), I * p + p - 1, P).ok
             P_dual = seeded_monic_columns(rng, q, I)
-            assert check_projection(system.B, AMt, I * q + q - 1, P_dual).ok
+            inner = dual_inner_integrals(system.A, system.M, P_dual)
+            assert check_projection(system.B, inner, I * q + q - 1, P_dual).ok
 
     assert time.perf_counter() - start < 180.0
 

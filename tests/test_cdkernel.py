@@ -28,13 +28,14 @@ from _support import (
     abc_oracle,
     build_system,
     cd_block_values,
+    dual_inner_integrals,
     from_members,
     grid_values,
+    inner_integrals,
     kernel_rationals,
     kernel_sum,
     members,
     moment_data,
-    moment_products,
     pair,
     planted,
     planted_entry,
@@ -634,11 +635,12 @@ class TestProjection:
     def test_exact_at_threshold(self):
         for q, p in SHAPES:
             system = build_system(q, p, 14, seed=97)
-            BM, AMt = moment_products(system.A, system.B, system.M)
             I = 2
-            rep = check_projection(system.A, BM, I * p + p - 1, monic_matrix(p, I))
+            P, P_dual = monic_matrix(p, I), monic_matrix(q, I, transpose=True)
+            rep = check_projection(system.A, inner_integrals(system.B, system.M, P), I * p + p - 1, P)
             assert rep.ok and rep.checked == p * p
-            rep = check_projection(system.B, AMt, I * q + q - 1, monic_matrix(q, I, transpose=True))
+            inner = dual_inner_integrals(system.A, system.M, P_dual)
+            rep = check_projection(system.B, inner, I * q + q - 1, P_dual)
             assert rep.ok and rep.checked == q * q
 
     def test_detects_a_term_that_vanishes_on_five_lines(self):
@@ -658,46 +660,46 @@ class TestProjection:
                 bent = planted(bent, 0, 0, pos_of(m, 0), c)
             for x in points:
                 assert bent.values(*x, n + 1) == system.A.values(*x, n + 1)
-            BM = moment_products(system.A, system.B, system.M)[0]
-            rep = check_projection(bent, BM, n, monic_matrix(p, 2))
+            P = monic_matrix(p, 2)
+            rep = check_projection(bent, inner_integrals(system.B, system.M, P), n, P)
             # B_0 pairs to nonzero with every column of P here, so each column shows the change
             assert [v.where for v in rep.violations] == [(n, 0, a1) for a1 in range(p)], (q, p)
 
     def test_below_threshold_is_an_error_not_a_failure(self):
         system = build_system(1, 2, 14, seed=98)
-        BM, AMt = moment_products(system.A, system.B, system.M)
+        P, P_dual = monic_matrix(2, 2), monic_matrix(1, 2)
         with pytest.raises(ValueError):
-            check_projection(system.A, BM, 4, monic_matrix(2, 2))
+            check_projection(system.A, inner_integrals(system.B, system.M, P), 4, P)
         with pytest.raises(ValueError):
-            check_projection(system.B, AMt, 1, monic_matrix(1, 2))
+            check_projection(system.B, dual_inner_integrals(system.A, system.M, P_dual), 1, P_dual)
 
     def test_shape_and_monicity_guards(self):
         system = build_system(1, 2, 10, seed=99)
-        BM, AMt = moment_products(system.A, system.B, system.M)
+        P = monic_matrix(1, 2)
         with pytest.raises(ValueError):
-            check_projection(system.A, BM, 7, monic_matrix(1, 2))
+            check_projection(system.A, inner_integrals(system.B, system.M, P), 7, P)
         bad = Family(1, [(1, {2: 3})])  # leading coefficient 3, not 1
         with pytest.raises(ValueError):
-            check_projection(system.B, AMt, 7, bad)
+            check_projection(system.B, dual_inner_integrals(system.A, system.M, bad), 7, bad)
 
     def test_family_range_guard(self):
         system = build_system(1, 1, 6, seed=100)
-        BM = moment_products(system.A, system.B, system.M)[0]
+        P = monic_matrix(1, 1)
         with pytest.raises(DepthError):
-            check_projection(system.A, BM, 6, monic_matrix(1, 1))
+            check_projection(system.A, inner_integrals(system.B, system.M, P), 6, P)
 
     def test_detects_foreign_families(self):
         system = build_system(1, 1, 12, seed=101)
         other = build_system(1, 1, 12, seed=102)
-        assert not check_projection(other.A, moment_products(other.A, other.B, system.M)[0], 7,
-                                    monic_matrix(1, 2)).ok
+        P = monic_matrix(1, 2)
+        assert not check_projection(other.A, inner_integrals(other.B, system.M, P), 7, P).ok
 
     def test_dual_detects_foreign_families(self):
         system = build_system(1, 2, 14, seed=103)
         other = build_system(1, 2, 14, seed=104)
         P = monic_matrix(1, 2, transpose=True)
-        assert check_projection(system.B, moment_products(system.A, system.B, system.M)[1], 7, P).ok
-        rep = check_projection(other.B, moment_products(other.A, other.B, system.M)[1], 7, P)
+        assert check_projection(system.B, dual_inner_integrals(system.A, system.M, P), 7, P).ok
+        rep = check_projection(other.B, dual_inner_integrals(other.A, system.M, P), 7, P)
         assert not rep.ok and rep.checked > 0
 
 
@@ -707,22 +709,25 @@ class TestMonicPredicate:
 
     def setup_method(self):
         system = build_system(1, 2, 10, seed=99)
-        self.A, self.BM = system.A, moment_products(system.A, system.B, system.M)[0]
+        self.A, self.B, self.M = system.A, system.B, system.M
+
+    def check(self, P):
+        return check_projection(self.A, inner_integrals(self.B, self.M, P), 7, P)
 
     def test_accepts_diagonal_leader(self):
-        assert check_projection(self.A, self.BM, 7, monic_matrix(2, 3)).ok
+        assert self.check(monic_matrix(2, 3)).ok
 
     def test_rejects_off_diagonal_leader(self):
         m = [[{3: (1, 1)}, {3: (1, 1)}], [{}, {3: (1, 1)}]]
         with pytest.raises(ValueError, match="not monic"):
-            check_projection(self.A, self.BM, 7, from_members(2, zip(*m)))
+            self.check(from_members(2, zip(*m)))
 
     def test_rejects_non_unit_leader(self):
         m = [[{3: (2, 1)}, {0: (1, 1)}], [{}, {3: (1, 1)}]]  # leading coefficient 2 in column 0
         with pytest.raises(ValueError, match="not monic"):
-            check_projection(self.A, self.BM, 7, from_members(2, zip(*m)))
+            self.check(from_members(2, zip(*m)))
 
     def test_rejects_non_square(self):
         m = [[{0: (1, 1)}, {0: (1, 1)}]]  # one column of two entries
         with pytest.raises(ValueError, match="2 x 2"):
-            check_projection(self.A, self.BM, 7, from_members(2, m))
+            self.check(from_members(2, m))

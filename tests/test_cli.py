@@ -697,13 +697,20 @@ class TestKernel:
 
     @pytest.mark.parametrize("point, text", [
         (" 2/4,-0", ["1/2", "0"]), ("+6/3,-3/9", ["2", "-1/3"]),
-        ("1" + "0" * 5000 + ",1/3", ["1" + "0" * 5000, "1/3"]),
-    ], ids=["reduced", "signed", "5001-digits"])
+        ("1" + "0" * 5000 + ",1/3", ["1" + "0" * 5000, "1/3"]), ("-2/4,1/3", ["-1/2", "1/3"]),
+    ], ids=["reduced", "signed", "5001-digits", "negative-first"])
     def test_point_text(self, tmp_path, capsys, point, text):
         # each coordinate is written reduced, in the form the config literals
-        # take, and the matrix is the one the reduced point gives
+        # take, and the matrix is the one the reduced point gives; a point that
+        # starts with "-" is read as an option after a space, a usage error
+        # (exit 3), so it is given as --x=POINT
         cfg = good_config(tmp_path)
-        assert main(["kernel", "--config", str(cfg), "--n", "2", "--x", point, "--y", "1/5,-2"]) == 0
+        argv = ["kernel", "--config", str(cfg), "--n", "2", "--y", "1/5,-2"]
+        if point.startswith("-"):
+            assert main(argv + ["--x", point]) == 3
+            captured = capsys.readouterr()
+            assert captured.out == "" and "--x: expected one argument" in captured.err
+        assert main(argv + ([f"--x={point}"] if point.startswith("-") else ["--x", point])) == 0
         obj = json.loads(capsys.readouterr().out)
         assert obj["x"] == text and obj["y"] == ["1/5", "-2"]
         system = build_system(1, 2, required_depth(DEPTH, 1, 2), seed=909)
@@ -1030,8 +1037,8 @@ class TestRecurrenceFormedOnRead:
 
 class TestBuiltOnFirstRead:
     """A Workspace factorizes when it is made, so a breakdown comes before any
-    check; the families, T_1, T_2 and the moment products C_B M and C_A M^T are
-    built on their first read and kept.  compute sums T_1 and T_2 over their
+    check; the families, T_1, T_2 and the moment product C_B M are built on
+    their first read and kept.  compute sums T_1 and T_2 over their
     bands only, verify densely."""
 
     def test_hankel_builds_no_family_and_no_recurrence(self, tmp_path, monkeypatch):
@@ -1058,32 +1065,36 @@ class TestBuiltOnFirstRead:
         counting("extract_families", steppoly.cli.extract_families)
         counting("build_recurrence", steppoly.cli.build_recurrence)
         counting("moment_rows", steppoly.cli.moment_rows)
-        counting("moment_cols", steppoly.cli.moment_cols)
         ws = Workspace(load_config(GOLDEN_CONFIG))
         assert calls == []
         assert ws.A is ws.A and ws.B is ws.B and ws.T is ws.T
         assert calls == ["extract_families", "build_recurrence", "build_recurrence"]
         assert ws.products is ws.products and ws.gram is ws.gram
-        assert calls[3:] == ["moment_rows", "moment_cols"]
+        assert calls[3:] == ["moment_rows"]
 
     @pytest.mark.parametrize("shape", ["golden", (2, 3)])
     def test_verify_forms_each_moment_product_once(self, tmp_path, monkeypatch, shape):
-        # orthogonality, the Gram matrix and projection read the two products
-        # the Workspace forms; hankel reads no family, so it forms none
+        # orthogonality, the Gram matrix and projection read the one product
+        # C_B M the Workspace forms, over B's D members; projection's dual
+        # direction forms P^T's own, over its q members; hankel reads no
+        # family, so it forms none
         cfg, calls = shape_config(tmp_path, shape), []
-        for name in ("moment_rows", "moment_cols"):
-            def counting(*args, _name=name, _fn=getattr(steppoly.families, name)):
-                calls.append((_name, args[2]))
-                return _fn(*args)
 
-            for where in ("steppoly.families", "steppoly.cli"):
-                monkeypatch.setattr(f"{where}.{name}", counting)
-        depth = load_config(cfg).depth
-        assert main(["verify", "--config", str(cfg), "--out", str(tmp_path / "v")]) == 0
-        assert len(CHECK_NAMES) == 11 and calls == [("moment_rows", depth), ("moment_cols", depth)]
-        calls.clear()
-        assert main(["verify", "--config", str(cfg), "--checks", "hankel", "--out", str(tmp_path / "h")]) == 0
-        assert calls == []
+        def counting(fam, M, cols, _fn=steppoly.families.moment_rows):
+            calls.append((len(fam), fam.r, cols))
+            return _fn(fam, M, cols)
+
+        for where in ("steppoly.families", "steppoly.cli"):
+            monkeypatch.setattr(f"{where}.moment_rows", counting)
+        config = load_config(cfg)
+        D, q, out = config.depth, config.q, str(tmp_path / "v")
+        assert main(["verify", "--config", str(cfg), "--out", out]) == 0
+        assert len(CHECK_NAMES) == 11 and calls == [(D, q, D), (q, q, D)]
+        for checks, want in (("orthogonality,biorthogonality,reproduction", [(D, q, D)]),
+                             ("projection", [(D, q, D), (q, q, D)]), ("hankel", [])):
+            calls.clear()
+            assert main(["verify", "--config", str(cfg), "--checks", checks, "--out", out]) == 0
+            assert calls == want, checks
 
     @pytest.mark.parametrize("shape", ["golden", (2, 3)])
     def test_only_compute_sums_over_the_band(self, tmp_path, monkeypatch, shape):
@@ -1382,6 +1393,39 @@ class TestConsoleScript:
             env=checkout_env(),
         )
         assert proc.returncode == 2
+
+
+def run_into_closed_pipe(args: list[str]) -> subprocess.CompletedProcess:
+    """python -m steppoly.cli args in a child process whose stdout is a pipe with
+    its read end already closed, so that every write to stdout fails."""
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        return subprocess.run([sys.executable, "-m", "steppoly.cli", *args], stdout=write,
+                              stderr=subprocess.PIPE, text=True, env=checkout_env(), timeout=60)
+    finally:
+        os.close(write)
+
+
+class TestClosedStdout:
+    """A reader that has closed stdout changes neither a run's exit code nor the
+    files it writes, and no traceback reaches stderr."""
+
+    def test_verify_writes_the_golden_report(self, tmp_path):
+        proc = run_into_closed_pipe(["verify", "--config", str(GOLDEN_CONFIG), "--out", str(tmp_path)])
+        assert proc.returncode == 0 and re.fullmatch(r"elapsed \d+\.\d{3}s\n", proc.stderr)
+        assert (tmp_path / "report.json").read_bytes() == (GOLDEN_CONFIG.parent / "report.json").read_bytes()
+
+    def test_breakdown_keeps_exit_two(self, tmp_path):
+        out = tmp_path / "v"
+        proc = run_into_closed_pipe(["verify", "--config", str(breakdown_config(tmp_path)), "--out", str(out)])
+        assert proc.returncode == 2 and re.fullmatch(r"elapsed \d+\.\d{3}s\n", proc.stderr)
+        assert json.loads((out / "report.json").read_text())["breakdown_index"] == 1
+
+    def test_kernel_exits_zero(self):
+        proc = run_into_closed_pipe(["kernel", "--config", str(GOLDEN_CONFIG), "--n", "3",
+                                     "--x", "1/2,-1/3", "--y", "2/7,1/5"])
+        assert (proc.returncode, proc.stderr) == (0, "")
 
 
 # Counts every ArgumentParser built: after import and load_config, then after

@@ -20,7 +20,6 @@ from steppoly.families import (
     combine,
     degree_bound,
     mismatches,
-    moment_cols,
     moment_rows,
     monomial_ints,
     pairings,
@@ -33,10 +32,11 @@ from _support import (
     SHAPES,
     BiPoly,
     build_system,
+    dual_inner_integrals,
+    inner_integrals,
     integrate_pair,
     members,
     moment_data,
-    moment_products,
     monomial_value,
     pair,
     pair_rationals,
@@ -112,27 +112,27 @@ class TestOrthogonality:
     def test_residuals_vanish_on_random_systems(self):
         for q, p in SHAPES:
             system = build_system(q, p, 12, seed=43)
-            rep = check_orthogonality(*moment_products(system.A, system.B, system.M), q, p)
+            rep = check_orthogonality(system.A, moment_rows(system.B, system.M, 12), system.M)
             assert rep.ok, (q, p, rep.violations[:1])
             assert rep.checked > 0
 
     def test_condition_count(self):
         system = build_system(1, 2, 10, seed=44)
-        rep = check_orthogonality(*moment_products(system.A, system.B, system.M), 1, 2)
+        rep = check_orthogonality(system.A, moment_rows(system.B, system.M, 10), system.M)
         # for each family index n: n lower tests on each side of the pairing
         assert rep.checked == 2 * sum(n for n in range(10))
 
     def test_planted_perturbation_detected(self):
         system = build_system(2, 1, 10, seed=45)
         bad = planted(system.B, 6, 0, 0, rat(1, 7))
-        rep = check_orthogonality(*moment_products(system.A, bad, system.M), 2, 1)
+        rep = check_orthogonality(system.A, moment_rows(bad, system.M, 10), system.M)
         assert not rep.ok
         assert all(v.where[0] == "B" and v.where[1] == 6 for v in rep.violations)
 
     def test_planted_dual_perturbation_detected(self):
         system = build_system(2, 2, 10, seed=46)
         bad = planted(system.A, 5, 1, 1, rat(1, 3))
-        rep = check_orthogonality(*moment_products(bad, system.B, system.M), 2, 2)
+        rep = check_orthogonality(bad, moment_rows(system.B, system.M, 10), system.M)
         assert not rep.ok
 
 
@@ -173,32 +173,44 @@ class TestProductRoute:
                 where = (kind, q, p)
                 comps_a, comps_b = members(A), members(B)
                 assert pair_rationals(pairing_matrix(A, B, M)) == pair_oracle(mm, comps_b, comps_a), where
-                # the full products, not only the strictly lower parts orthogonality reads
+                # the full product C_B M, not only the strictly lower part orthogonality reads
                 slots_b = [[BiPoly({K: rat(1)}) if b == slot else BiPoly() for b in range(q)]
                            for K, slot in (divmod(col, q) for col in range(D))]
                 slots_a = [[BiPoly({K: rat(1)}) if a == slot else BiPoly() for a in range(p)]
                            for K, slot in (divmod(col, p) for col in range(D))]
-                want = pair_oracle(mm, comps_b, slots_a)
-                assert rationals(moment_rows(B, M, D)) == want, where
-                AMt = rationals(moment_cols(A, M, D))
-                assert AMt == [list(row) for row in zip(*pair_oracle(mm, slots_b, comps_a))], where
-                # the route through the truncation of the transposed measures
-                assert AMt == rationals(moment_rows(A, assemble_moments(transpose_measures(mm), D), D)), where
-                # projection's inner integrals: B_i against the columns of P
-                P = seeded_monic_columns(random.Random(53), p, 1)
-                assert (pair_rationals(pairings(moment_rows(B, M, D), P))
-                        == pair_oracle(mm, comps_b, members(P))), where
+                assert rationals(moment_rows(B, M, D)) == pair_oracle(mm, comps_b, slots_a), where
+                # orthogonality's A side forms entry (n, c) of C_A M^T for every
+                # c < n; another system's A leaves them nonzero, each a violation
+                foreign = build_system(q, p, D, seed=56, kind=kind).A
+                want = pair_oracle(mm, slots_b, members(foreign))
+                rep = check_orthogonality(foreign, moment_rows(B, M, D), M)
+                got = {(n, K * q + b): v.detail for v in rep.violations
+                       for label, n, b, K in [v.where] if label == "A"}
+                assert got and got == {(n, c): f"residual {want[c][n]}"
+                               for n in range(D) for c in range(n) if want[c][n]}, where
+                # projection's inner integrals: B_i against the columns of P, and
+                # the dual direction's, A_i against the columns of P^T
+                rng = random.Random(53)
+                P, P_dual = seeded_monic_columns(rng, p, 1), seeded_monic_columns(rng, q, 1)
+                assert pair_rationals(inner_integrals(B, M, P)) == pair_oracle(mm, comps_b, members(P)), where
+                dual = pair_rationals(dual_inner_integrals(A, M, P_dual))
+                assert dual == [list(r) for r in zip(*pair_oracle(mm, members(P_dual), comps_a))], where
+                # and through the truncation of the transposed measures, (C_A M^T) C_P^T
+                Mt = assemble_moments(transpose_measures(mm), D)
+                assert dual == pair_rationals(pairings(moment_rows(A, Mt, D), P_dual)), where
 
     def test_products_need_the_depth_they_read(self):
-        # a family storing a column past M, or more columns than M holds, is a
-        # DepthError for both products, not a short row
+        # a family storing a column past M, or more members than M has rows, is
+        # a DepthError for C_B M and for orthogonality's A side, not a short row
         system = build_system(2, 1, 8, seed=52)
         M = assemble_moments(system.mm, 6)
-        for product, fam in ((moment_rows, system.B), (moment_cols, system.A)):
-            assert len(product(fam.head(6), M, 6)) == 6
-            for count, cols in ((6, 7), (7, 6)):
-                with pytest.raises(DepthError, match="depth 7, got 6"):
-                    product(fam.head(count), M, cols)
+        BM = moment_rows(system.B.head(6), M, 6)
+        assert len(BM) == 6 and check_orthogonality(system.A.head(6), BM, M).ok
+        for count, cols in ((6, 7), (7, 6)):
+            with pytest.raises(DepthError, match="depth 7, got 6"):
+                moment_rows(system.B.head(count), M, cols)
+        with pytest.raises(DepthError, match="depth 7, got 6"):
+            check_orthogonality(system.A.head(7), BM, M)
 
 
 class TestLazyRows:
@@ -297,7 +309,7 @@ class TestPlantedCoefficient:
         r = K0 * q + b0  # column of the planted coefficient, below n0
         bad = planted(system.B, n0, b0, K0, self.delta)
 
-        rep = check_orthogonality(*moment_products(system.A, bad, M), q, p)
+        rep = check_orthogonality(system.A, moment_rows(bad, M, D), M)
         want = [("B", n0, a, K) for a in range(p) for K in range(D)
                 if K * p + a < n0 and data[r][K * p + a] != 0]
         assert want and [v.where for v in rep.violations] == want
@@ -316,7 +328,7 @@ class TestPlantedCoefficient:
         c = K0 * p + a0  # column of the planted coefficient, below n0
         bad = planted(system.A, n0, a0, K0, self.delta)
 
-        rep = check_orthogonality(*moment_products(bad, system.B, M), q, p)
+        rep = check_orthogonality(bad, moment_rows(system.B, M, D), M)
         want = [("A", n0, b, K) for b in range(q) for K in range(D)
                 if K * q + b < n0 and data[K * q + b][c] != 0]
         assert want and [v.where for v in rep.violations] == want

@@ -9,7 +9,7 @@ import pytest
 
 from steppoly import assemble_moments, build_recurrence, factorize, rat, required_depth
 from steppoly.cli import Workspace, load_config, run_checks
-from steppoly.families import Family, check_orthogonality
+from steppoly.families import Family, check_orthogonality, moment_rows
 from steppoly.errors import DepthError
 from steppoly.gaussborel import Factorization, IntegerSide
 from steppoly.measures import MeasureMatrix
@@ -28,7 +28,6 @@ from _support import (
     conjugate,
     invert_unitriangular,
     members,
-    moment_products,
     planted_entry,
     rational_T,
     recurrence_oracle,
@@ -480,7 +479,7 @@ class TestRelations:
             T = build_recurrence(system.F, q, p, k, D)
             rep = check_recurrence_matrix(T, bad, system.B)
             assert (k, "A", n0, idx) in [v.where for v in rep.violations], k
-        rep = check_orthogonality(*moment_products(bad, system.B, system.M), q, p)
+        rep = check_orthogonality(bad, moment_rows(system.B, system.M, len(system.B)), system.M)
         assert rep.violations and all(v.where[:2] == ("A", n0) for v in rep.violations)
 
     def test_n_max_respects_window(self):

@@ -19,15 +19,25 @@ coefficients of P_{i-j}(x_1) P_j(x_2), x_1^a x_2^b at the position of the pair
 that row over H_n.  The values come from these formulas in Fraction, never
 from moments or from steppoly: the oracle shares no code with the route it
 checks, and pins the band positions n_plus and n_minus_big place.
+
+Unit weights on the grid {0, ..., N-1}^2 are the product of two discrete
+Chebyshev measures, whose monic polynomials have norms h_0 = N and h_a =
+h_{a-1} a^2 (N^2 - a^2) / (4 (4a^2 - 1)) (Gautschi, as above).  So H at
+(i, j) is h_{i-j} h_j again, nonzero up to the pair (N-1, N-1), and h_N = 0:
+the first leading minor to vanish is the one ending at (N, 0), position
+B = N(N+1)/2, and every command that factorizes past B reports a breakdown
+at index B.
 """
 
 import json
 from fractions import Fraction
 from math import factorial
+from pathlib import Path
 
 import pytest
 
-from steppoly.cli import main
+from steppoly import assemble_moments, factorize
+from steppoly.cli import load_config, main
 
 from _support import pos_of
 
@@ -122,3 +132,42 @@ def test_families_are_the_legendre_products(exports):
         (a,), (b,) = families["A"][n], families["B"][n]
         assert {int(c): Fraction(v) for c, v in a.items()} == row, ("A", i, j)
         assert {int(c): Fraction(v) for c, v in b.items()} == {c: v / h for c, v in row.items()}, ("B", i, j)
+
+
+def grid_config(N: int, depth: int) -> dict:
+    """Unit weights on the grid {0, ..., N-1}^2, q = p = 1."""
+    atoms = [{"x": str(x), "y": str(y), "w": "1"} for x in range(N) for y in range(N)]
+    return {"schema_version": 1, "q": 1, "p": 1, "depth": depth, "seed": 0,
+            "measures": [[{"type": "discrete", "atoms": atoms}]]}
+
+
+def chebyshev_norm(N: int, a: int) -> Fraction:
+    """h_a of the monic discrete Chebyshev polynomials on {0, ..., N-1}."""
+    h = Fraction(N)
+    for b in range(1, a + 1):
+        h *= Fraction(b * b * (N * N - b * b), 4 * (4 * b * b - 1))
+    return h
+
+
+@pytest.mark.parametrize("N", (2, 3, 4, 5))
+def test_grid_breaks_down_at_the_first_vanishing_norm(tmp_path, capsys, N):
+    B = N * (N + 1) // 2
+
+    def run(command: str, depth: int) -> tuple[int, str, Path]:
+        cfg, out = tmp_path / f"{command}-{depth}.json", tmp_path / f"{command}-{depth}"
+        cfg.write_text(json.dumps(grid_config(N, depth)))
+        code = main([command, "--config", str(cfg), "--out", str(out)])
+        return code, capsys.readouterr().err, out
+
+    code, _, out = run("verify", B + 1)
+    report = json.loads((out / "report.json").read_text())
+    assert (code, report["status"], report["breakdown_index"]) == (2, "breakdown", B)
+    # at B - 1 the vanishing minor lies past the depth window, among the
+    # extended rows that only the certificate or the full fallback decides
+    for depth in (B + 1, B - 1):
+        assert run("compute", depth)[:2] == (2, f"factorization breakdown at index {B}\n"), depth
+    assert run("compute", 1)[0] == 0
+    # the B x B truncation, the largest that factorizes, has the product norms
+    (tmp_path / "grid.json").write_text(json.dumps(grid_config(N, B)))
+    F = factorize(assemble_moments(load_config(tmp_path / "grid.json").measures, B))
+    assert F.diagonal(B, Fraction) == [chebyshev_norm(N, i - j) * chebyshev_norm(N, j) for i, j in pairs(B)]
