@@ -1,9 +1,11 @@
 """Batch front-end: config in, exact artifacts and a verification report out.
 
 Subcommands:
-    compute --config c.json [--depth N] [--out DIR]   write H/S/Sbar/T1/T2/families/moments
-    verify  --config c.json [--checks a,b] [--seed S] run checks, write report.json
-    kernel  --config c.json --n N --x "x1,x2" --y "y1,y2"   print one kernel value
+    compute --config c.json [--depth N] [--out DIR] [--render-decimal]
+            write H/S/Sbar/T1/T2/families/moments
+    verify  --config c.json [--checks a,b] [--seed S] [--out DIR]   run checks, write report.json
+    kernel  --config c.json --n N --x "x1,x2" --y "y1,y2" [--out DIR]   print one kernel value
+            (a point with a negative first coordinate as --x=-1/2,1/3)
 
 Exit codes: 0 no requested check failed (a check that verified nothing is
 skipped, not failed), 1 check failure, 2 factorization breakdown, 3
@@ -56,8 +58,6 @@ SCHEMA_VERSION = 1
 
 
 class RunConfig(NamedTuple):
-    q: int
-    p: int
     measures: MeasureMatrix
     depth: int
     checks: list[str]
@@ -100,7 +100,7 @@ class RunConfig(NamedTuple):
         output = obj.get("output")
         if output is not None and not isinstance(output, str):
             raise ConfigError("output must be a path string")
-        return RunConfig(mm.q, mm.p, mm, depth, checks, seed, output)
+        return RunConfig(mm, depth, checks, seed, output)
 
 
 def load_config(path: str | Path) -> RunConfig:
@@ -132,7 +132,7 @@ def seeded_monic_columns(rng: random.Random, size: int, I: int) -> Family:
 
 def extended_depth(config: RunConfig) -> int:
     """Factorization depth of a run: deep enough for T_1 and T_2 on the depth window."""
-    return required_depth(config.depth, config.q, config.p)
+    return required_depth(config.depth, config.measures.q, config.measures.p)
 
 
 class Workspace:
@@ -152,15 +152,15 @@ class Workspace:
 
     @cached_property
     def families(self) -> tuple[Family, Family]:
-        return extract_families(self.F, self.config.q, self.config.p)
+        return extract_families(self.F)
 
     A = property(lambda self: self.families[0])
     B = property(lambda self: self.families[1])
 
     @cached_property
     def T(self) -> dict[int, RecurrenceTruncation]:
-        q, p, band = self.config.q, self.config.p, self.width is not None
-        return {k: build_recurrence(self.F, q, p, k, self.depth, band=band) for k in (1, 2)}
+        band = self.width is not None  # k by keyword: bench/spans.py tags each call by it
+        return {k: build_recurrence(self.F, k=k, size=self.depth, band=band) for k in (1, 2)}
 
     @cached_property
     def products(self) -> list:
@@ -183,7 +183,7 @@ class Workspace:
 
 
 def _projection(ws: Workspace) -> list[CheckReport]:
-    q, p, D = ws.config.q, ws.config.p, ws.depth
+    q, p, D = ws.M.q, ws.M.p, ws.depth
     I, I_dual = min(3, D // p - 1), min(3, D // q - 1)
     if I < 0 or I_dual < 0:
         return [CheckReport(skipped=["depth below projection threshold"])]
@@ -198,10 +198,10 @@ def _projection(ws: Workspace) -> list[CheckReport]:
 
 CHECKS = {
     "hankel": lambda ws: [check_hankel(ws.M, k) for k in (1, 2)],
-    "degree": lambda ws: [validate_degree_structure(ws.A, ws.B, ws.config.q, ws.config.p)],
+    "degree": lambda ws: [validate_degree_structure(ws.A, ws.B)],
     "orthogonality": lambda ws: [check_orthogonality(ws.A.head(ws.depth), ws.products, ws.M)],
     "biorthogonality": lambda ws: [check_biorthogonality(ws.gram)],
-    "dual": lambda ws: [check_dual_form(ws.T[k], ws.F) for k in (1, 2)],
+    "dual": lambda ws: [check_dual_form(ws.T[k]) for k in (1, 2)],
     "band": lambda ws: [validate_band(ws.T[k]) for k in (1, 2)],
     "recurrence": lambda ws: list(ws.relations.values()),
     "reproduction": lambda ws: [check_reproduction(ws.A, ws.B, ws.gram, ws.depth - 1)],
@@ -249,7 +249,7 @@ def run(config: RunConfig) -> dict:
     object; never writes files itself.  A breakdown reports its index, no H and
     no checks."""
     report = {"schema_version": SCHEMA_VERSION, "kind": "report", "status": "ok",
-              "q": config.q, "p": config.p, "depth": config.depth,
+              "q": config.measures.q, "p": config.measures.p, "depth": config.depth,
               "extended_depth": extended_depth(config), "seed": config.seed, "H": [], "checks": []}
     try:
         ws = Workspace(config)
@@ -331,11 +331,11 @@ def write_exports(ws: Workspace, out_dir: Path, render_decimal: bool = False) ->
                 else {"entries": rows, "rows": len(rows), "cols": len(rows[0])})
         files[f"{what}.json"] = _json_text({"schema_version": SCHEMA_VERSION, "kind": what, **body}) + "\n"
         files[f"{what}.csv"] = export_csv(rows, render_decimal)
-    fams = {"schema_version": SCHEMA_VERSION, "kind": "families", "q": ws.config.q, "p": ws.config.p}
+    fams = {"schema_version": SCHEMA_VERSION, "kind": "families", "q": ws.M.q, "p": ws.M.p}
     # member n of A is row n of Sbar, and A stores no zero coefficient
     A = [[(c, t) for c, t in enumerate(row) if t != "0"] for row in entries["Sbar"]]
     B = [[(c, ratio_text(v, d)) for c, v in row.items()] for d, row in ws.B.rows[:ws.depth]]
-    for label, r, rows in (("A", ws.config.p, A), ("B", ws.config.q, B)):
+    for label, r, rows in (("A", ws.M.p, A), ("B", ws.M.q, B)):
         # one pass per row: column K*r + i is component i at position K
         fams[label] = members = [[{} for _ in range(r)] for _ in rows]
         for comps, row in zip(members, rows):

@@ -123,8 +123,8 @@ def monomial_ints(x, count: int) -> tuple[int, list[int]]:
     return (b * e) ** top, ints[:count]
 
 
-def extract_families(F: Factorization, q: int, p: int) -> tuple[Family, Family]:
-    """Read both families off the integers of the factorization of a depth-D truncation.
+def extract_families(F: Factorization) -> tuple[Family, Family]:
+    """Both families, A with F.p components and B with F.q, read off F's integers.
 
     B row n is S[n][c] / H_n = L[n][c] r_c / Delta_{n+1}; A row n is
     Sbar[n][c] = Lbar[n][c] / Delta_n, the Sbar side's scale being all ones.
@@ -132,7 +132,7 @@ def extract_families(F: Factorization, q: int, p: int) -> tuple[Family, Family]:
     (r, L, _), (_, Lbar, _), minors = F.S_int, F.Sbar_int, F.minors
     B = [(minors[n + 1], {c: v * r[c] for c, v in enumerate(row) if v}) for n, row in enumerate(L)]
     A = [(minors[n], {c: v for c, v in enumerate(row) if v}) for n, row in enumerate(Lbar)]
-    return Family(p, A), Family(q, B)
+    return Family(F.p, A), Family(F.q, B)
 
 
 def degree_bound(n: int, comp_idx: int, r: int) -> int:
@@ -143,17 +143,17 @@ def degree_bound(n: int, comp_idx: int, r: int) -> int:
     return (n - comp_idx) // r if n >= comp_idx else -1
 
 
-def validate_degree_structure(A: Family, B: Family, q: int, p: int) -> CheckReport:
+def validate_degree_structure(A: Family, B: Family) -> CheckReport:
     """Degree bounds for every component, equality and monicity on the diagonal.
 
-    B_n^(b) has grlex-pos <= floor((n - b)/q) with equality and nonzero leading
-    coefficient when n = M q + b; A_n^(a) has grlex-pos <= floor((n - a)/p)
-    with equality and leading coefficient exactly 1 when n = M p + a.  The
-    grlex-pos of component i is the largest position K whose column K*r + i
-    is stored in the member's row.
+    With q = B.r and p = A.r, B_n^(b) has grlex-pos <= floor((n - b)/q) with
+    equality and nonzero leading coefficient when n = M q + b; A_n^(a) has
+    grlex-pos <= floor((n - a)/p) with equality and leading coefficient
+    exactly 1 when n = M p + a.  The grlex-pos of component i is the largest
+    position K whose column K*r + i is stored in the member's row.
     """
     rep = CheckReport()
-    for label, fam, r, monic in (("B", B, q, False), ("A", A, p, True)):
+    for label, fam, r, monic in (("B", B, B.r, False), ("A", A, A.r, True)):
         for n, (d, row) in enumerate(fam.rows):
             top = [-1] * r
             for c in row:

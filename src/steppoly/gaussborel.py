@@ -155,20 +155,19 @@ class IntegerSide(NamedTuple):
 
 
 class Factorization:
-    """Factors of one depth-depth truncation: the elimination's minors and one
-    IntegerSide each for S and Sbar.  The rational H, S and Sbar are built in
-    full from those integers on every read; nothing keeps them.  A
-    factorization of width w < depth holds the minors up to Delta_w, both
-    sides' L and Sbar's L_inv for w rows, and so H for w rows; S's L_inv keeps
-    all depth rows, each cut to w columns."""
+    """Factors of one depth-depth truncation of block shape q x p: the
+    elimination's minors and one IntegerSide each for S and Sbar.  The
+    rational H, S and Sbar are built in full from those integers on every
+    read; nothing keeps them.  A factorization of width w < depth holds the
+    minors up to Delta_w, both sides' L and Sbar's L_inv for w rows, and so H
+    for w rows; S's L_inv keeps all depth rows, each cut to w columns."""
 
-    __slots__ = ("depth", "minors", "S_int", "Sbar_int")
+    __slots__ = ("depth", "q", "p", "minors", "S_int", "Sbar_int")
 
-    def __init__(self, depth: int, minors: list[int], S_int: IntegerSide, Sbar_int: IntegerSide):
-        self.depth = depth
-        self.minors = minors
-        self.S_int = S_int
-        self.Sbar_int = Sbar_int
+    def __init__(self, depth: int, q: int, p: int, minors: list[int], S_int: IntegerSide,
+                 Sbar_int: IntegerSide):
+        self.depth, self.q, self.p = depth, q, p
+        self.minors, self.S_int, self.Sbar_int = minors, S_int, Sbar_int
 
     def diagonal(self, rows: int, ratio) -> list:
         """H_0 .. H_{rows-1}, H_n being ratio(Delta_{n+1}, Delta_n r_n); the report
@@ -190,8 +189,8 @@ class Factorization:
         return unit_lower(self.minors, self.Sbar_int, len(self.Sbar_int.L), Fraction)
 
     def transpose(self) -> "Factorization":
-        """The factorization M^T = Sbar^-1 H S^-T: the same factors, roles swapped."""
-        return Factorization(self.depth, self.minors, self.Sbar_int, self.S_int)
+        """M^T = Sbar^-1 H S^-T, of block shape p x q: the same factors, roles swapped."""
+        return Factorization(self.depth, self.p, self.q, self.minors, self.Sbar_int, self.S_int)
 
 
 def unit_lower(minors: list[int], side: IntegerSide, rows: int, ratio) -> list[list]:
@@ -330,11 +329,11 @@ def _certified(ints: list[list[int]], panel: list[list[int]], minors: list[int])
 
 
 def factorize(M: MomentTruncation, width: int | None = None) -> Factorization:
-    """Fraction-free unpivoted LU of M's integer rows; Breakdown(k) when the
-    leading minor of size k+1 vanishes.  With a width below M's depth only the
-    panel of M's first width columns is eliminated and the factors are kept for
-    width rows; the minors past width are certified modulo CERT_PRIME, and on a
-    zero residue the full elimination decides."""
+    """Fraction-free unpivoted LU of M's integer rows, of M's block shape q x p;
+    Breakdown(k) when the leading minor of size k+1 vanishes.  With a width
+    below M's depth only the panel of M's first width columns is eliminated and
+    the factors are kept for width rows; the minors past width are certified
+    modulo CERT_PRIME, and on a zero residue the full elimination decides."""
     D, r = M.depth, M.scale
     if len(M.ints) != D or any(len(row) != D for row in M.ints):
         raise ValueError("factorize needs a square truncation")
@@ -351,4 +350,4 @@ def factorize(M: MomentTruncation, width: int | None = None) -> Factorization:
                         [row[:i + 1] for i, row in enumerate(Mi)])
     Sbar_int = IntegerSide([1] * W, [_factor_row(minors, Sbar_cols, n) for n in range(W)],
                            [[Mi[k][i] for k in range(i + 1)] for i in range(W)])
-    return Factorization(D, minors, S_int, Sbar_int)
+    return Factorization(D, M.q, M.p, minors, S_int, Sbar_int)

@@ -86,9 +86,9 @@ class RecurrenceTruncation:
         return n_minus_big(n, self.q, self.k), n_plus(n, self.p, self.k)
 
 
-def build_recurrence(F: Factorization, q: int, p: int, k: int, target_size: int, *,
-                     band: bool = False) -> RecurrenceTruncation:
-    """T_k on a target_size window from the primal form S Lambda_{[q];k} S^-1.
+def build_recurrence(F: Factorization, k: int, size: int, *, band: bool = False) -> RecurrenceTruncation:
+    """T_k on a size x size window from the primal form S Lambda_{[q];k} S^-1,
+    with F's block shape q x p.
 
     Entry (m, n) = sum over c <= m of S[m][c] * S^-1[i][n] with i = n_plus(c, q, k);
     the factorization must be deep enough that every shifted index stays inside.
@@ -111,39 +111,39 @@ def build_recurrence(F: Factorization, q: int, p: int, k: int, target_size: int,
     block off its exponent pair), so the skipped sums are exact zeros
     whenever F exists.
     """
-    need = max(n_plus(target_size - 1, q, k), n_plus(target_size - 1, p, k)) + 1
+    q, p, (r, E, Mi) = F.q, F.p, F.S_int
+    need = max(n_plus(size - 1, q, k), n_plus(size - 1, p, k)) + 1
     if F.depth < need:
         raise DepthError(f"factorization depth {F.depth} < {need} needed for T_{k} at size "
-                         f"{target_size}; extend to required_depth = {required_depth(target_size, q, p)}")
-    r, E, Mi = F.S_int
+                         f"{size}; extend to required_depth = {required_depth(size, q, p)}")
     big_l = lcm(*r)
-    shifted = [n_plus(c, q, k) for c in range(target_size)]
+    shifted = [n_plus(c, q, k) for c in range(size)]
     weight = [r[c] * (big_l // r[i]) for c, i in enumerate(shifted)]
     # S^-1 is lower triangular and shifted increasing: column n meets row
     # shifted[c] only from c = first[n] on; cols[n] holds Mi[shifted[c]][n] from there
-    first = [n_minus_big(n, q, k) for n in range(target_size)]
+    first = [n_minus_big(n, q, k) for n in range(size)]
     cols = [[Mi[i][n] for i in shifted[f:]] for n, f in enumerate(first)]
     acc = []
-    for m in range(target_size):
+    for m in range(size):
         row_m = [e * w for e, w in zip(E[m], weight)]
         lo = n_minus_big(m, p, k) if band else 0
         acc.append([0] * lo + [sum(map(mul, row_m[f:m + 1], col))
                                for f, col in zip(first[lo:], cols[lo:])])
-    return RecurrenceTruncation(k, q, p, target_size, acc, big_l, F)
+    return RecurrenceTruncation(k, q, p, size, acc, big_l, F)
 
 
-def check_dual_form(T: RecurrenceTruncation, F: Factorization) -> CheckReport:
+def check_dual_form(T: RecurrenceTruncation) -> CheckReport:
     """T_k from the primal form agrees entrywise with the dual form.
 
-    With T' built from the transposed factorization, the dual entry (m, n) is
+    With T' built from the transpose of T's factorization F, the dual entry (m, n) is
     T'[n][m] * H_m / H_n, entry (n, m) of the conjugate R' of T' (the
     transposed factorization has the same H); it equals T_k[m][n] exactly when
     acc[m][n] = L acc'[n][m].  Its value, acc'[n][m] r_n / (Delta_m r_m
     Delta_{n+1}), is written with T_k[m][n]'s in a violation's text.
     """
-    dual = build_recurrence(F.transpose(), T.p, T.q, T.k, T.size)
+    dual = build_recurrence(T.F.transpose(), k=T.k, size=T.size)  # k by keyword: bench/spans.py tags by it
     rep = CheckReport()
-    minors, r = F.minors, F.S_int.scale
+    minors, r = T.F.minors, T.F.S_int.scale
     for m, (row, col) in enumerate(zip(T.acc, zip(*dual.acc))):
         for n, (a, b) in enumerate(zip(row, col)):
             if a != T.L * b:

@@ -215,7 +215,7 @@ def build_system(q: int, p: int, depth: int, seed: int, kind: str = "table") -> 
             tries += 1
             if tries >= 6:
                 raise
-    A, B = extract_families(F, q, p)
+    A, B = extract_families(F)
     system = System(mm, M, F, A, B, q, p, depth, seed)
     _CACHE[key] = system
     return system
@@ -443,7 +443,7 @@ def rational_exports(ws, render_decimal: bool = False) -> dict[str, str]:
             obj.update(entries=rows, rows=len(rows), cols=len(rows[0]))
         files[f"{what}.json"] = json.dumps(obj, indent=2, sort_keys=True) + "\n"
         files[f"{what}.csv"] = csv_writer_text(rows, render_decimal)
-    q, p = ws.config.q, ws.config.p
+    q, p = ws.M.q, ws.M.p
     obj = {"schema_version": 1, "kind": "families", "q": q, "p": p}
     A = [[(c, t) for c, t in enumerate(row) if t != "0"] for row in entries["Sbar"]]
     B = [[(c, rational_text(rat(v, d))) for c, v in row.items()] for d, row in ws.B.rows[:ws.depth]]
@@ -734,7 +734,7 @@ def corner_factorization(F: Factorization, d: int) -> Factorization:
     def cut(side: IntegerSide) -> IntegerSide:
         return IntegerSide(*(part[:d] for part in side))
 
-    return Factorization(d, F.minors[:d + 1], cut(F.S_int), cut(F.Sbar_int))
+    return Factorization(d, F.q, F.p, F.minors[:d + 1], cut(F.S_int), cut(F.Sbar_int))
 
 
 def one_step_eliminate(rows: list[list[int]], steps: int) -> list[int]:

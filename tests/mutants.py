@@ -230,7 +230,8 @@ MUTANTS = [
     Mutant(
         "Sbar export writes the S side", "cli.py",
         '"Sbar": unit_lower(F.minors, F.Sbar_int, D', '"Sbar": unit_lower(F.minors, F.S_int, D',
-        ("tests/test_cli.py::TestExportOracle::test_every_file_matches_the_rational_route[golden]",
+        ("tests/test_textbook.py::test_triangular_s_and_sbar_differ_on_the_odd_rows",
+         "tests/test_cli.py::TestExportOracle::test_every_file_matches_the_rational_route[golden]",
          "tests/test_cli.py::TestExportOracle::test_every_file_matches_the_rational_route[table-2-2]",
          "tests/test_cli.py::TestCompute::test_export_contents_match_library",
          "tests/test_acceptance.py::test_criterion_8_cli_contract")),
@@ -243,7 +244,7 @@ MUTANTS = [
          "tests/test_acceptance.py::test_criterion_8_cli_contract")),
     Mutant(
         "families export splits A by q and B by p", "cli.py",
-        '(("A", ws.config.p, A), ("B", ws.config.q, B))', '(("A", ws.config.q, A), ("B", ws.config.p, B))',
+        '(("A", ws.M.p, A), ("B", ws.M.q, B))', '(("A", ws.M.q, A), ("B", ws.M.p, B))',
         ("tests/test_cli.py::TestExportOracle::test_every_file_matches_the_rational_route[golden]",
          "tests/test_cli.py::TestExportOracle::test_every_file_matches_the_rational_route[mixed-2-3]",
          "tests/test_cli.py::TestCompute::test_export_contents_match_library",
@@ -334,7 +335,7 @@ MUTANTS = [
          "tests/test_cli.py::TestCheckScope::test_names_and_counts[shape3]")),
     Mutant(
         "dual checks k = 1 only", "cli.py",
-        "[check_dual_form(ws.T[k], ws.F) for k in (1, 2)]", "[check_dual_form(ws.T[k], ws.F) for k in (1,)]",
+        "[check_dual_form(ws.T[k]) for k in (1, 2)]", "[check_dual_form(ws.T[k]) for k in (1,)]",
         ("tests/test_cli.py::TestCheckScope::test_names_and_counts[golden]",
          "tests/test_cli.py::TestCheckScope::test_names_and_counts[shape5]")),
     Mutant(
@@ -349,7 +350,7 @@ MUTANTS = [
          "tests/test_cli.py::TestCheckScope::test_names_and_counts[shape5]")),
     Mutant(
         "degree skips family A", "families.py",
-        '(("B", B, q, False), ("A", A, p, True))', '(("B", B, q, False),)',
+        '(("B", B, B.r, False), ("A", A, A.r, True))', '(("B", B, B.r, False),)',
         ("tests/test_cli.py::TestCheckScope::test_names_and_counts[golden]",
          "tests/test_cli.py::TestCheckScope::test_names_and_counts[shape1]")),
     Mutant(
@@ -394,8 +395,8 @@ MUTANTS = [
          "tests/test_cli.py::TestExportOracle::test_every_file_matches_the_rational_route[golden]")),
     Mutant(
         "verify sums T_k over the bands only", "cli.py",
-        "self.config.q, self.config.p, self.width is not None",
-        "self.config.q, self.config.p, True",
+        "band = self.width is not None",
+        "band = True",
         ("tests/test_cli.py::TestBuiltOnFirstRead::test_only_compute_sums_over_the_band[golden]",)),
     Mutant(
         "the shared B product stops one member short", "cli.py",
@@ -405,6 +406,13 @@ MUTANTS = [
          "tests/test_cli.py::TestCheckScope::test_names_and_counts[shape5]",
          "tests/test_cli.py::TestVerify::test_all_checks_pass",
          "tests/test_cli.py::TestBuiltOnFirstRead::test_verify_forms_each_moment_product_once[golden]")),
+    Mutant(
+        "Factorization.transpose keeps q and p unswapped", "gaussborel.py",
+        "Factorization(self.depth, self.p, self.q,", "Factorization(self.depth, self.q, self.p,",
+        ("tests/test_gaussborel.py::TestBlockShape::test_factorization_owns_the_shape",
+         "tests/test_recurrence.py::TestDualForm::test_primal_equals_dual",
+         "tests/test_recurrence.py::TestIntegerRoute::test_matches_rational_sum",
+         "tests/test_cli.py::TestVerify::test_all_checks_pass")),
     Mutant(
         "the row scale taken from unreduced denominators", "measures.py",
         "    return num // g, den // g", "    return num, den",

@@ -197,7 +197,7 @@ def test_criterion_3_orthogonality_and_oracle():
 def test_criterion_4_degree_structure():
     for q, p in SHAPES:
         system = build_system(q, p, 20, seed=401)
-        rep = validate_degree_structure(system.A, system.B, q, p)
+        rep = validate_degree_structure(system.A, system.B)
         assert rep.ok, (q, p, rep.violations[:1])
         for n in range(20):
             for b in range(q):
@@ -221,8 +221,8 @@ def test_criterion_5_recurrence():
         for k in (1, 2):
             hankel = check_hankel(system.M, k)
             assert hankel.ok and hankel.checked, (q, p, k)
-            T = build_recurrence(system.F, q, p, k, window)
-            assert check_dual_form(T, system.F).ok, (q, p, k)
+            T = build_recurrence(system.F, k, window)
+            assert check_dual_form(T).ok, (q, p, k)
             band = validate_band(T)
             assert band.ok, (q, p, k, band.violations[:1])
             n_max = recurrence_n_max(T, len(system.A), len(system.B))
@@ -247,7 +247,7 @@ def test_criterion_6_cd_abc_reproduction_projection():
     for q, p in [(1, 2), (2, 2)]:
         window = 1 + max(max(n_plus(n_top, r, k) for k in (1, 2)) for r in (q, p))
         system = build_system(q, p, required_depth(window, q, p), seed=601)
-        T = {k: build_recurrence(system.F, q, p, k, window) for k in (1, 2)}
+        T = {k: build_recurrence(system.F, k, window) for k in (1, 2)}
 
         # per-variable degrees over every family member the identity can touch;
         # grids exceed the identity degree by one on each axis
@@ -339,7 +339,7 @@ def test_criterion_7_worked_example_window():
     window = 24  # covers the printed 17 x 14 region with every band complete
     system = build_system(q, p, required_depth(window, q, p), seed=701)
     for k in (1, 2):
-        T = build_recurrence(system.F, q, p, k, window)
+        T = build_recurrence(system.F, k, window)
         data = rational_T(T)
         for m in range(17):
             lo, hi = T.row_band(m)
@@ -359,7 +359,7 @@ def test_criterion_7_worked_example_window():
                 assert data[top][c] == 1, (k, c)
 
     # the block pair displayed for n = 3 in the first direction
-    T1 = build_recurrence(system.F, q, p, 1, window)
+    T1 = build_recurrence(system.F, 1, window)
     blocks = CDBlocks(T1, 3)
     assert list(blocks.tgt_rows) == [4, 5, 6, 7]
     assert list(blocks.tgt_cols) == [2, 3]

@@ -69,7 +69,7 @@ def table_kernel(table: KernelTable, n: int) -> list[list]:
 
 def system_with_T(q: int, p: int, window: int, seed: int):
     system = build_system(q, p, required_depth(window, q, p), seed=seed)
-    T = {k: build_recurrence(system.F, q, p, k, window) for k in (1, 2)}
+    T = {k: build_recurrence(system.F, k, window) for k in (1, 2)}
     return system, T
 
 
@@ -276,7 +276,7 @@ class TestCDFromRecurrences:
             system = build_system(q, p, required_depth(12, q, p), seed=87, kind=kind)
             pair_tables = tables(system, self.PAIRS, 12)
             for k in (1, 2):
-                T = build_recurrence(system.F, q, p, k, 12)
+                T = build_recurrence(system.F, k, 12)
                 n_max = recurrence_n_max(T, len(system.A), len(system.B))
                 assert n_max > 0
                 assert all(pointwise_cd(T, n, pair_tables).ok for n in range(n_max)), (q, p, k)
@@ -344,7 +344,7 @@ class TestCDFromRecurrences:
         for q, p in SHAPES:
             system = build_system(q, p, required_depth(12, q, p), seed=87, kind=kind)
             for k in (1, 2):
-                T = build_recurrence(system.F, q, p, k, 12)
+                T = build_recurrence(system.F, k, 12)
                 for _ in range(12):
                     acc = [row[:] for row in T.acc]
                     for _ in range(rng.randint(1, 4)):
@@ -554,7 +554,7 @@ class TestABCCoefficients:
             old = poly_x1 + [0]
             poly_x1 = [a.denominator * lower - a.numerator * same
                        for same, lower in zip(old, [0] + old)]
-        p = ws.config.p
+        p = ws.M.p
         d, row = ws.A.rows[0]
         row = dict(row)
         for e, c in enumerate(poly_x1):

@@ -510,13 +510,13 @@ class TestCompute:
         assert h["values"] == [str(v) for v in F.H[:DEPTH]]
 
         t1 = json.loads((out / "T1.json").read_text())
-        T = build_recurrence(F, 1, 2, 1, DEPTH)
+        T = build_recurrence(F, 1, DEPTH)
         assert t1["rows"] == DEPTH and t1["cols"] == DEPTH
         assert [[parse_rat(v) for v in row] for row in t1["entries"]] == rational_T(T)
 
         fams = json.loads((out / "families.json").read_text())
         assert fams["q"] == 1 and fams["p"] == 2
-        A, B = extract_families(F, 1, 2)
+        A, B = extract_families(F)
         for label, fam in (("A", A), ("B", B)):
             for n in range(DEPTH):
                 got = [BiPoly.from_json(obj).coeffs for obj in fams[label][n]]
@@ -779,7 +779,7 @@ class TestRationalFactors:
         assert main(["kernel", "--config", str(cfg), "--n", "4",
                      "--x", "1/2,-1/3", "--y", "2/7,1/5", "--out", str(tmp_path / "k")]) == 0
         obj = json.loads((tmp_path / "k" / "kernel.json").read_text())
-        assert len(calls) == ws.config.p * ws.config.q + 4
+        assert len(calls) == ws.M.p * ws.M.q + 4
         assert [ratio_text(*c) for c in calls] == obj["x"] + obj["y"] + [t for row in obj["matrix"] for t in row]
         calls.clear()
         assert main(["compute", "--config", str(cfg), "--out", str(tmp_path / "c")]) == 0
@@ -816,7 +816,7 @@ class TestRationalFactors:
         ws = Workspace(load_config(cfg))
         assert formed == []
         ws.F.H, ws.A.eval(0, *x)
-        assert formed == ["steppoly.gaussborel"] * ws.extended_depth + ["steppoly.families"] * ws.config.p
+        assert formed == ["steppoly.gaussborel"] * ws.extended_depth + ["steppoly.families"] * ws.M.p
 
 
 class TestRowsBuiltOnRead:
@@ -893,7 +893,7 @@ class TestMomentRowsScaledOnce:
         monkeypatch.setattr(MomentTruncation, "__init__", counting)
         assert main(["verify", "--config", str(cfg), "--checks", ",".join(CHECK_NAMES),
                      "--out", str(tmp_path / "v")]) == 0
-        assert built == [(extended_depth(config), config.q, config.p)]
+        assert built == [(extended_depth(config), config.measures.q, config.measures.p)]
 
 
 class TestRecurrenceReportShared:
@@ -940,7 +940,7 @@ class TestCheckScope:
     @pytest.mark.parametrize("shape", ["golden", *SHAPES])
     def test_names_and_counts(self, tmp_path, monkeypatch, shape):
         ws = Workspace(load_config(shape_config(tmp_path, shape)))
-        q, p, D, E = ws.config.q, ws.config.p, ws.depth, ws.extended_depth
+        q, p, D, E = ws.M.q, ws.M.p, ws.depth, ws.extended_depth
 
         def summary(name):
             return [rep.checked for rep in CHECKS[name](ws)]
@@ -1087,7 +1087,7 @@ class TestBuiltOnFirstRead:
         for where in ("steppoly.families", "steppoly.cli"):
             monkeypatch.setattr(f"{where}.moment_rows", counting)
         config = load_config(cfg)
-        D, q, out = config.depth, config.q, str(tmp_path / "v")
+        D, q, out = config.depth, config.measures.q, str(tmp_path / "v")
         assert main(["verify", "--config", str(cfg), "--out", out]) == 0
         assert len(CHECK_NAMES) == 11 and calls == [(D, q, D), (q, q, D)]
         for checks, want in (("orthogonality,biorthogonality,reproduction", [(D, q, D)]),
@@ -1100,9 +1100,9 @@ class TestBuiltOnFirstRead:
     def test_only_compute_sums_over_the_band(self, tmp_path, monkeypatch, shape):
         cfg, routes = shape_config(tmp_path, shape), []
 
-        def spying(*args, band=False):
+        def spying(*args, band=False, **kwargs):
             routes.append(band)
-            return build_recurrence(*args, band=band)
+            return build_recurrence(*args, band=band, **kwargs)
 
         monkeypatch.setattr("steppoly.cli.build_recurrence", spying)
         assert main(["compute", "--config", str(cfg), "--out", str(tmp_path / "c")]) == 0

@@ -55,7 +55,7 @@ def lebesgue_system(depth: int):
     mm = MeasureMatrix(1, 1, [[leb]])
     M = assemble_moments(mm, depth)
     F = factorize(M)
-    A, B = extract_families(F, 1, 1)
+    A, B = extract_families(F)
     return mm, M, F, A, B
 
 
@@ -220,7 +220,7 @@ class TestLazyRows:
         x = (rat(1, 2), rat(-1, 3))
         for q, p in SHAPES:
             M = build_system(q, p, 12, seed=49, kind="mixed").M
-            for fam in extract_families(factorize(M), q, p):
+            for fam in extract_families(factorize(M)):
                 want = [[poly(fam, n, i).eval(*x) for i in range(fam.r)] for n in range(5)]
                 assert fam.eval(3, *x) == want[3], (q, p)
                 assert fam.values(*x, 5) == want, (q, p)
@@ -243,7 +243,7 @@ class TestLazyRows:
             M = build_system(q, p, 12, seed=49, kind="mixed").M
             F = factorize(M)
             built.clear()
-            _, B = extract_families(F, q, p)
+            _, B = extract_families(F)
             got = B.eval(3, *x)
             assert built == [], (q, p)
             assert got == B.values(*x, 4)[3] == [poly(B, 3, i).eval(*x) for i in range(q)], (q, p)
@@ -344,7 +344,7 @@ class TestDegreeStructure:
     def test_bounds_and_equalities(self):
         for q, p in SHAPES:
             system = build_system(q, p, 14, seed=49)
-            rep = validate_degree_structure(system.A, system.B, q, p)
+            rep = validate_degree_structure(system.A, system.B)
             assert rep.ok, (q, p, rep.violations[:1])
 
     def test_explicit_equality_rows(self):
@@ -372,7 +372,7 @@ class TestDegreeStructure:
         system = build_system(2, 3, 14, seed=50)
         bad_B = planted(system.B, 5, 0, 3, rat(1, 5))  # bound (5 - 0) // 2 = 2
         bad_A = planted(system.A, 7, 2, 2, rat(-2, 3))  # bound (7 - 2) // 3 = 1
-        rep = validate_degree_structure(bad_A, bad_B, 2, 3)
+        rep = validate_degree_structure(bad_A, bad_B)
         assert [(v.where, v.detail) for v in rep.violations] == [
             (("B", 5, 0), "grlex_pos 3 > bound 2"), (("A", 7, 2), "grlex_pos 2 > bound 1")]
 

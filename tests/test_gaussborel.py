@@ -13,7 +13,8 @@ from steppoly import assemble_moments, extract_families, factorize, rat
 from steppoly.cdkernel import check_abc, kernel_eval
 from steppoly.errors import Breakdown
 from steppoly.measures import Discrete, MeasureMatrix
-from steppoly.recurrence import build_recurrence, required_depth
+from steppoly.families import validate_degree_structure
+from steppoly.recurrence import build_recurrence, check_dual_form, required_depth, validate_band
 
 from _support import (
     SHAPES,
@@ -256,7 +257,7 @@ class TestFactorize:
         k = data.draw(st.integers(0, len(H) - 1))
         q, p = data.draw(st.sampled_from(SHAPES))
         x, y = (rat(1, 2), rat(-1, 3)), (rat(0), rat(2, 7))
-        A, B = extract_families(factorize(truncation(assemble(L, H, U))), q, p)
+        A, B = extract_families(factorize(rational_truncation(len(H), q, p, assemble(L, H, U))))
         tables = [KernelTable(A, B, x, y, len(H))]
         H[k] = rat(0)
         M = rational_truncation(len(H), q, p, assemble(L, H, U))
@@ -360,6 +361,29 @@ class TestFactorize:
         assert system.F.S == system.F.Sbar
 
 
+class TestBlockShape:
+    """factorize records its truncation's block shape q x p and transpose swaps
+    it; the families, T_k and the degree and dual checks take it from there, so
+    a call that restates it is a TypeError rather than a silently swapped
+    object (the README's q = 1, p = 2 example)."""
+
+    def test_factorization_owns_the_shape(self):
+        q, p, D = 1, 2, 12
+        system = build_system(q, p, required_depth(D, q, p), seed=81)
+        F = system.F
+        assert [(G.q, G.p) for G in (F, F.transpose(), factorize(system.M, D))] == [(1, 2), (2, 1), (1, 2)]
+        A, B = extract_families(F)
+        assert (A.r, B.r) == (2, 1)
+        assert [fam.r for fam in extract_families(F.transpose())] == [1, 2]
+        assert validate_degree_structure(A, B).ok
+        T = build_recurrence(F, 1, D)
+        assert (T.q, T.p) == (1, 2) and validate_band(T).ok and check_dual_form(T).ok
+        for old_form in (lambda: extract_families(F, 1, 2), lambda: build_recurrence(F, 1, 2, 1, 12),
+                         lambda: validate_degree_structure(A, B, 1, 2), lambda: check_dual_form(T, F)):
+            with pytest.raises(TypeError):
+                old_form()
+
+
 def window(q: int, p: int, depth: int) -> int:
     """The largest window whose T_1 and T_2 a depth-depth truncation holds."""
     return max(w for w in range(1, depth + 1) if required_depth(w, q, p) <= depth)
@@ -379,11 +403,10 @@ class TestWindow:
                 assert Fw.S == corner(F.S, W) and Fw.Sbar == corner(F.Sbar, W)
                 assert Fw.S_int.L_inv == [row[:W] for row in F.S_int.L_inv]
                 assert Fw.Sbar_int.L_inv == F.Sbar_int.L_inv[:W]
-                A, B = extract_families(Fw, q, p)
+                A, B = extract_families(Fw)
                 assert A.rows == system.A.rows[:W] and B.rows == system.B.rows[:W]
                 for k in (1, 2):
-                    assert (build_recurrence(Fw, q, p, k, W).acc
-                            == build_recurrence(F, q, p, k, W).acc), (kind, q, p, k)
+                    assert build_recurrence(Fw, k, W).acc == build_recurrence(F, k, W).acc, (kind, q, p, k)
                 # a read past the window raises instead of giving a partial row
                 for rows in (Fw.S_int.L, Fw.Sbar_int.L, Fw.Sbar_int.L_inv, A.rows, B.rows):
                     with pytest.raises(IndexError):
@@ -491,8 +514,8 @@ class TestFactorRows:
         for width, W in ((None, M.depth), (D, D)):
             F = factorize(M, width)
             assert rows_per_side() == [list(range(W))] * 2, width
-            A, B = extract_families(F, q, p)
-            T = [build_recurrence(F, q, p, k, D) for k in (1, 2)]
+            A, B = extract_families(F)
+            T = [build_recurrence(F, k, D) for k in (1, 2)]
             Ft = F.transpose()
             assert Ft.S_int.L is F.Sbar_int.L and Ft.Sbar_int.L is F.S_int.L
             assert (len(A), len(B), len(F.S), len(Ft.Sbar)) == (W, W, W, W)

@@ -42,7 +42,7 @@ def lebesgue_T(size: int, k: int):
     mm = MeasureMatrix(1, 1, [[leb]])
     M = assemble_moments(mm, required_depth(size, 1, 1))
     F = factorize(M)
-    return F, build_recurrence(F, 1, 1, k, size)
+    return F, build_recurrence(F, k, size)
 
 
 class TestRequiredDepth:
@@ -66,10 +66,10 @@ class TestRequiredDepth:
         q, p = 1, 1
         need = required_depth(D, q, p)
         system = build_system(q, p, need, seed=61)
-        build_recurrence(system.F, q, p, 2, D)
+        build_recurrence(system.F, 2, D)
         shallow = factorize(truncation_corner(system.M, need - 1))
         with pytest.raises(DepthError) as exc:
-            build_recurrence(shallow, q, p, 2, D)
+            build_recurrence(shallow, 2, D)
         assert str(exc.value).endswith(f"extend to required_depth = {need}")
 
 
@@ -81,10 +81,10 @@ class TestIntegerRoute:
         for kind in ("table", "mixed"):
             for q, p in SHAPES:
                 system = build_system(q, p, required_depth(D, q, p), seed=71, kind=kind)
-                for F, a, b in ((system.F, q, p), (system.F.transpose(), p, q)):
+                for F, a in ((system.F, q), (system.F.transpose(), p)):
                     S_inv = invert_unitriangular(F.S)
                     for k in (1, 2):
-                        T = build_recurrence(F, a, b, k, D)
+                        T = build_recurrence(F, k, D)
                         data = rational_T(T)
                         assert data == recurrence_oracle(F.S, S_inv, a, k, D), (kind, q, p, k)
                         assert all(type(v) is Fraction for row in data for v in row)
@@ -93,16 +93,16 @@ class TestIntegerRoute:
         q, p, k, D = 2, 3, 1, 8
         system = build_system(q, p, required_depth(D, q, p), seed=72)
         F = system.F
-        T = build_recurrence(F, q, p, k, D)
+        T = build_recurrence(F, k, D)
         scale, L, L_inv = F.Sbar_int
         wrong = [row[:] for row in L_inv]
         wrong[n_plus(1, p, k)][1] += 1
-        bad = Factorization(F.depth, F.minors, F.S_int, IntegerSide(scale, L, wrong))
-        primal = build_recurrence(bad, q, p, k, D)
-        assert rational_T(primal) == rational_T(T)
+        bad = Factorization(F.depth, F.q, F.p, F.minors, F.S_int, IntegerSide(scale, L, wrong))
+        primal = build_recurrence(bad, k, D)
+        assert primal.acc == T.acc and rational_T(primal) == rational_T(T)
         assert validate_band(primal).ok
-        assert check_dual_form(T, F).ok
-        assert not check_dual_form(T, bad).ok
+        assert check_dual_form(T).ok
+        assert not check_dual_form(primal).ok
 
 
 class TestIntegerIdentities:
@@ -116,11 +116,11 @@ class TestIntegerIdentities:
             F = build_system(q, p, required_depth(D, q, p), seed=73, kind=kind).F
             minors, r, H = F.minors, F.S_int.scale, F.H
             for k in (1, 2):
-                T = build_recurrence(F, q, p, k, D)
+                T = build_recurrence(F, k, D)
                 acc, L = T.acc, T.L
                 assert conjugate(T) == [[rat(acc[m][n], L * minors[n] * minors[m + 1])
                                          for n in range(D)] for m in range(D)], (kind, q, p, k)
-                dual = build_recurrence(F.transpose(), p, q, k, D)
+                dual = build_recurrence(F.transpose(), k, D)
                 assert dual.L == 1
                 assert [[L * v for v in col] for col in zip(*dual.acc)] == acc, (kind, q, p, k)
                 boxed, data = 0, rational_T(T)
@@ -186,8 +186,7 @@ class TestFailureText:
         monkeypatch.setattr(Factorization, "diagonal", counting)
         bad = RecurrenceTruncation(T.k, T.q, T.p, T.size, [[3 * a + 1 for a in row] for row in T.acc],
                                    T.L, T.F)
-        for check, needle in ((lambda t: check_dual_form(t, ws.F), "dual"),
-                              (validate_band, "H ratio")):
+        for check, needle in ((check_dual_form, "dual"), (validate_band, "H ratio")):
             assert check(T).ok and reads == []
             rep = check(bad)
             assert sum(needle in v.detail for v in rep.violations) > 1 and reads == [], needle
@@ -265,7 +264,7 @@ class TestBandStructure:
         for q, p in SHAPES:
             system = build_system(q, p, required_depth(D, q, p), seed=62)
             for k in (1, 2):
-                T = build_recurrence(system.F, q, p, k, D)
+                T = build_recurrence(system.F, k, D)
                 entries, data = [], rational_T(T)
                 for n in range(D):
                     last = n_plus(n, p, k)
@@ -289,13 +288,13 @@ class TestBandStructure:
             D = 12
             system = build_system(q, p, required_depth(D, q, p), seed=62)
             for k in (1, 2):
-                T = build_recurrence(system.F, q, p, k, D)
+                T = build_recurrence(system.F, k, D)
                 rep = validate_band(T)
                 assert rep.ok, (q, p, k, rep.violations[:1])
 
     def test_zeros_outside_band(self):
         system = build_system(2, 1, required_depth(10, 2, 1), seed=63)
-        T = build_recurrence(system.F, 2, 1, 1, 10)
+        T = build_recurrence(system.F, 1, 10)
         data = rational_T(T)
         for m in range(10):
             lo, hi = T.row_band(m)
@@ -305,14 +304,14 @@ class TestBandStructure:
 
     def test_planted_band_violation_detected(self):
         system = build_system(1, 1, required_depth(8, 1, 1), seed=64)
-        T = build_recurrence(system.F, 1, 1, 1, 8)
+        T = build_recurrence(system.F, 1, 8)
         lo, _ = T.row_band(5)
         bad = planted_entry(T, 5, lo - 1, rat(1, 9))  # outside the band
         assert not validate_band(bad).ok
 
     def test_planted_trailing_one_violation_detected(self):
         system = build_system(1, 1, required_depth(8, 1, 1), seed=64)
-        T = build_recurrence(system.F, 1, 1, 1, 8)
+        T = build_recurrence(system.F, 1, 8)
         bad = planted_entry(T, 2, n_plus(2, 1, 1), rat(2))
         assert not validate_band(bad).ok
 
@@ -325,7 +324,7 @@ class TestBandStructure:
             F = build_system(q, p, required_depth(D, q, p), seed=62, kind="mixed").F
             H = F.H
             for k in (1, 2):
-                for T in (build_recurrence(F, q, p, k, D), build_recurrence(F.transpose(), p, q, k, D)):
+                for T in (build_recurrence(F, k, D), build_recurrence(F.transpose(), k, D)):
                     rep = validate_band(T)
                     assert rep.violations == [] and rep.checked, (q, p, k, T.q)
                     n = next(n for n in range(D) if in_complement_J(n, T.p, k))
@@ -339,7 +338,7 @@ class TestBandStructure:
 
     def test_column_h_ratios(self):
         system = build_system(1, 2, required_depth(12, 1, 2), seed=65)
-        T = build_recurrence(system.F, 1, 2, 1, 12)
+        T = build_recurrence(system.F, 1, 12)
         data, H = rational_T(T), T.F.H
         for n in range(12):
             _, hi = T.col_band(n)
@@ -360,8 +359,8 @@ class TestBandOnly:
                 system = build_system(q, p, required_depth(D, q, p), seed=35, kind=kind)
                 for F in (system.F, factorize(system.M, D)):
                     for k in (1, 2):
-                        dense = build_recurrence(system.F, q, p, k, D)
-                        band = build_recurrence(F, q, p, k, D, band=True)
+                        dense = build_recurrence(system.F, k, D)
+                        band = build_recurrence(F, k, D, band=True)
                         assert band.acc == dense.acc, (kind, q, p, D, k)
                         skipped = sum(n_minus_big(m, p, k) for m in range(D))
                         assert skipped or D < 12, (kind, q, p, D, k)
@@ -373,16 +372,16 @@ class TestDualForm:
             D = 10
             system = build_system(q, p, required_depth(D, q, p), seed=66)
             for k in (1, 2):
-                T = build_recurrence(system.F, q, p, k, D)
-                assert check_dual_form(T, system.F).ok, (q, p, k)
-                dual = build_recurrence(system.F.transpose(), p, q, k, D)
+                T = build_recurrence(system.F, k, D)
+                assert check_dual_form(T).ok, (q, p, k)
+                dual = build_recurrence(system.F.transpose(), k, D)
                 assert rational_T(dual) == transpose(conjugate(T)), (q, p, k)
 
     def test_planted_mismatch_located(self):
         system = build_system(2, 3, required_depth(8, 2, 3), seed=66)
-        T = build_recurrence(system.F, 2, 3, 2, 8)
+        T = build_recurrence(system.F, 2, 8)
         bad = planted_entry(T, 5, 3, rational_T(T)[5][3] + rat(1, 7))
-        rep = check_dual_form(bad, system.F)
+        rep = check_dual_form(bad)
         assert [v.where for v in rep.violations] == [(2, 5, 3)]
         assert rep.checked == 64
 
@@ -403,7 +402,7 @@ class TestRelations:
             D = 12
             system = build_system(q, p, required_depth(D, q, p), seed=67)
             for k in (1, 2):
-                T = build_recurrence(system.F, q, p, k, D)
+                T = build_recurrence(system.F, k, D)
                 n_max = recurrence_n_max(T, len(system.A), len(system.B))
                 assert n_max > 0, (q, p, k)
                 R = conjugate(T)
@@ -425,7 +424,7 @@ class TestRelations:
                 D = 12
                 system = build_system(q, p, required_depth(D, q, p), seed=seed)
                 for k in (1, 2):
-                    T = build_recurrence(system.F, q, p, k, D)
+                    T = build_recurrence(system.F, k, D)
                     rep = check_recurrence_matrix(T, system.A, system.B)
                     assert rep.ok, (seed, q, p, k, rep.violations[:1])
                     assert rep.checked > 0, (seed, q, p, k)
@@ -434,7 +433,7 @@ class TestRelations:
         q, p = 1, 2
         D = 10
         system = build_system(q, p, required_depth(D, q, p), seed=69)
-        T = build_recurrence(system.F, q, p, 1, D)
+        T = build_recurrence(system.F, 1, D)
         lo, hi = T.row_band(4)
         # inside the band, so only the relations can see it
         bad = planted_entry(T, 4, lo, rational_T(T)[4][lo] + rat(1, 11))
@@ -446,7 +445,7 @@ class TestRelations:
             D = 12
             system = build_system(q, p, required_depth(D, q, p), seed=67)
             for k in (1, 2):
-                T = build_recurrence(system.F, q, p, k, D)
+                T = build_recurrence(system.F, k, D)
                 n_max = recurrence_n_max(T, len(system.A), len(system.B))
                 assert n_max > 0, (q, p, k)
                 rep = check_recurrence_matrix(T, system.A, system.B)
@@ -459,7 +458,7 @@ class TestRelations:
         for q, p, k in [(1, 2, 1), (2, 3, 2), (2, 2, 1)]:
             D = 14
             system = build_system(q, p, required_depth(D, q, p), seed=69)
-            T = build_recurrence(system.F, q, p, k, D)
+            T = build_recurrence(system.F, k, D)
             lo, _ = T.row_band(4)
             bad = planted_entry(T, 4, lo, rational_T(T)[4][lo] + rat(1, 11))
             where = {v.where for v in check_recurrence_matrix(bad, system.A, system.B).violations}
@@ -476,7 +475,7 @@ class TestRelations:
         rows[n0] = (d, {**row, idx: row.get(idx, 0) + d})  # + 1 at monomial position 0
         bad = Family(p, rows)
         for k in (1, 2):
-            T = build_recurrence(system.F, q, p, k, D)
+            T = build_recurrence(system.F, k, D)
             rep = check_recurrence_matrix(T, bad, system.B)
             assert (k, "A", n0, idx) in [v.where for v in rep.violations], k
         rep = check_orthogonality(bad, moment_rows(system.B, system.M, len(system.B)), system.M)
@@ -484,7 +483,7 @@ class TestRelations:
 
     def test_n_max_respects_window(self):
         system = build_system(2, 2, required_depth(9, 2, 2), seed=70)
-        T = build_recurrence(system.F, 2, 2, 2, 9)
+        T = build_recurrence(system.F, 2, 9)
         n_max = recurrence_n_max(T, len(system.A), len(system.B))
         assert n_max > 0
         assert max(n_plus(n_max - 1, 2, 2), n_plus(n_max - 1, 2, 2)) < T.size
