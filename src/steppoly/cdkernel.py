@@ -66,7 +66,6 @@ from .gaussborel import eliminate
 from .moments import MomentTruncation
 from .recurrence import RecurrenceTruncation, recurrence_n_max
 from .report import CheckReport, Violation
-from .stepline import n_minus_big, n_plus
 
 
 def kernel_eval(M: MomentTruncation, x: tuple, y: tuple) -> tuple[int, list[list[int]]]:
@@ -109,11 +108,11 @@ def check_cd_formula(T: RecurrenceTruncation, relations: CheckReport) -> CheckRe
         raise ValueError(f"relations do not cover every n below {n_max}")
     rep.violations = [Violation((k, n, label, idx), "recurrence relation fails")
                       for _, label, n, idx in (v.where for v in relations.violations)]
-    # (b) off row m's band [n_minus_big(m, p, k), n_plus(m, q, k)], in closed form
+    # (b) off row m's band, in closed form: n's ranges read row_band(m) and col_band(c)
     for m, row in enumerate(T.acc):
         first, last = T.row_band(m)
-        below = ((c, first, n_plus(c, p, k), 1) for c in range(first) if row[c])
-        above = ((c, n_minus_big(c, q, k), last, -1) for c in range(last + 1, T.size) if row[c])
+        below = ((c, first, T.col_band(c)[1], 1) for c in range(first) if row[c])
+        above = ((c, T.col_band(c)[0], last, -1) for c in range(last + 1, T.size) if row[c])
         for c, lo, hi, w in chain(below, above):
             rep.violations += (Violation((k, n, m, c), f"weight 0 in the recurrences, {w} in the blocks")
                                for n in range(lo, min(hi, n_max)))

@@ -169,12 +169,15 @@ class Factorization:
         self.depth, self.q, self.p = depth, q, p
         self.minors, self.S_int, self.Sbar_int = minors, S_int, Sbar_int
 
-    def diagonal(self, rows: int, ratio) -> list:
-        """H_0 .. H_{rows-1}, H_n being ratio(Delta_{n+1}, Delta_n r_n); the report
-        and the exports pass rational.ratio_text.  r_n is the product of both
-        sides' scales, one of them all ones, so a transpose reads the same H."""
+    def h(self, n: int) -> tuple[int, int]:
+        """H_n as (Delta_{n+1}, Delta_n r_n), r_n the product of both sides' scales,
+        one of them all ones, so a transpose reads the same H."""
         minors, s, sbar = self.minors, self.S_int.scale, self.Sbar_int.scale
-        return [ratio(minors[n + 1], minors[n] * s[n] * sbar[n]) for n in range(rows)]
+        return minors[n + 1], minors[n] * s[n] * sbar[n]
+
+    def diagonal(self, rows: int, ratio) -> list:
+        """H_0 .. H_{rows-1} as ratio(*h(n)); the report and the exports pass ratio_text."""
+        return [ratio(*self.h(n)) for n in range(rows)]
 
     @property
     def H(self) -> list:

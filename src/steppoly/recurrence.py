@@ -23,17 +23,18 @@ with trailing 1s per row, does not intertwine either family; conjugating by H
 is what makes both relations exact.
 
 Each T_k is kept as one integer matrix acc, the inner sums of
-build_recurrence, with L = lcm(r).  With r the scale and Delta the minors of
-the factorization's S side (gaussborel), and H_n = Delta_{n+1} / (Delta_n r_n):
+build_recurrence, with L = lcm(r).  With r and Delta the scale and minors of
+the S side of its factorization F (gaussborel), T.entry and F.h are the formulas:
 
-    T_k[m][n] = acc[m][n] r_n / (Delta_m r_m Delta_{n+1} L)
-    R_k[m][n] = acc[m][n] / (L Delta_n Delta_{m+1})          (the r's cancel)
+    T_k[m][n] = acc[m][n] r_n / (Delta_m r_m Delta_{n+1} L)      (T.entry)
+    H_n = Delta_{n+1} / (Delta_n r_n)                            (F.h)
+    R_k[m][n] = acc[m][n] / (L Delta_n Delta_{m+1})              (the r's cancel)
     primal = dual at (m, n)  iff  acc[m][n] = L acc'[n][m]
 
-where acc' is the same sum on the transposed factorization, whose scale is
-all ones.  The checks read acc through these identities and write a
-violation's values with ratio_text from acc, the minors and r; the T1 and T2
-exports write entries(ratio_text, "0").  No rational T_k is formed.
+where acc' is the same sum on the transposed factorization, whose S-side scale
+is all ones, so the dual value is T.entry(m, n, L acc'[n][m]).  The checks
+compare integers, pairs crosswise, and write ratio_text of those pairs; the T1
+and T2 exports write entries(ratio_text).  No rational T_k is formed.
 """
 
 from __future__ import annotations
@@ -56,26 +57,28 @@ def required_depth(D: int, q: int, p: int) -> int:
 
 class RecurrenceTruncation:
     """D x D window of T_k as its integers acc and L over the factorization F,
-    with its band descriptors (see the module docstring)."""
+    whose block shape q x p it reads, and its bands (see the module docstring)."""
 
-    __slots__ = ("k", "q", "p", "size", "acc", "L", "F")
+    __slots__ = ("k", "size", "acc", "L", "F")
 
-    def __init__(self, k: int, q: int, p: int, size: int, acc: list[list[int]], L: int,
-                 F: Factorization | None):
-        self.k, self.q, self.p, self.size = k, q, p, size
-        self.acc, self.L, self.F = acc, L, F
+    def __init__(self, k: int, size: int, acc: list[list[int]], L: int, F: Factorization):
+        self.k, self.size, self.acc, self.L, self.F = k, size, acc, L, F
+
+    q = property(lambda self: self.F.q)
+    p = property(lambda self: self.F.p)
+
+    def entry(self, m: int, n: int, a: int | None = None) -> tuple[int, int]:
+        """T_k[m][n] as (a r_n, Delta_m r_m Delta_{n+1} L), a = acc[m][n] unless given."""
+        minors, r = self.F.minors, self.F.S_int.scale
+        return (self.acc[m][n] if a is None else a) * r[n], minors[m] * r[m] * minors[n + 1] * self.L
 
     def entries(self, ratio) -> list[list]:
-        """Entry (m, n) of T_k as ratio(acc[m][n] r_n, Delta_m r_m Delta_{n+1} L), or ratio(0, 1)."""
+        """Entry (m, n) of T_k as ratio(*entry(m, n)), or ratio(0, 1) where acc is
+        0: entry with its row and column products hoisted out of the loops."""
         minors, r, zero = self.F.minors, self.F.S_int.scale, ratio(0, 1)
         cols = list(zip(r, minors[1:]))
         return [[ratio(a * r_n, den_m * d_n) if a else zero for a, (r_n, d_n) in zip(row, cols)]
                 for row, den_m in zip(self.acc, (minors[m] * r[m] * self.L for m in range(self.size)))]
-
-    def text(self, m: int, n: int) -> str:
-        """Entry (m, n) of T_k as ratio_text, for a violation's text."""
-        minors, r = self.F.minors, self.F.S_int.scale
-        return ratio_text(self.acc[m][n] * r[n], minors[m] * r[m] * minors[n + 1] * self.L)
 
     def row_band(self, n: int) -> tuple[int, int]:
         """[first, last] columns that may be nonzero in row n."""
@@ -129,7 +132,7 @@ def build_recurrence(F: Factorization, k: int, size: int, *, band: bool = False)
         lo = n_minus_big(m, p, k) if band else 0
         acc.append([0] * lo + [sum(map(mul, row_m[f:m + 1], col))
                                for f, col in zip(first[lo:], cols[lo:])])
-    return RecurrenceTruncation(k, q, p, size, acc, big_l, F)
+    return RecurrenceTruncation(k, size, acc, big_l, F)
 
 
 def check_dual_form(T: RecurrenceTruncation) -> CheckReport:
@@ -138,17 +141,16 @@ def check_dual_form(T: RecurrenceTruncation) -> CheckReport:
     With T' built from the transpose of T's factorization F, the dual entry (m, n) is
     T'[n][m] * H_m / H_n, entry (n, m) of the conjugate R' of T' (the
     transposed factorization has the same H); it equals T_k[m][n] exactly when
-    acc[m][n] = L acc'[n][m].  Its value, acc'[n][m] r_n / (Delta_m r_m
-    Delta_{n+1}), is written with T_k[m][n]'s in a violation's text.
+    acc[m][n] = L acc'[n][m].  A violation's text writes T.entry(m, n) and the
+    dual value T.entry(m, n, L acc'[n][m]).
     """
     dual = build_recurrence(T.F.transpose(), k=T.k, size=T.size)  # k by keyword: bench/spans.py tags by it
     rep = CheckReport()
-    minors, r = T.F.minors, T.F.S_int.scale
     for m, (row, col) in enumerate(zip(T.acc, zip(*dual.acc))):
         for n, (a, b) in enumerate(zip(row, col)):
             if a != T.L * b:
-                want = ratio_text(b * r[n], minors[m] * r[m] * minors[n + 1])
-                rep.violations.append(Violation((T.k, m, n), f"primal {T.text(m, n)} != dual {want}"))
+                rep.violations.append(Violation((T.k, m, n), f"primal {ratio_text(*T.entry(m, n))} "
+                                                f"!= dual {ratio_text(*T.entry(m, n, T.L * b))}"))
         rep.checked += T.size
     return rep
 
@@ -158,34 +160,30 @@ def validate_band(T: RecurrenceTruncation) -> CheckReport:
 
     The column relations (zeros outside each column band, a leading 1 where n
     avoids J_{q;k}, a trailing H_{n_plus(n,p,k)} / H_n) land on the same
-    entries with the same values, so the rows check each relation once, on
-    acc: a zero is acc == 0, the trailing 1 acc[n][last] r_last = Delta_n r_n
-    Delta_{last+1} L, and H_n / H_first acc[n][first] sbar_n = L Delta_{n+1}
-    Delta_first sbar_first.  Here sbar is the Sbar side's scale: H_n =
-    Delta_{n+1} / (Delta_n r_n sbar_n), one of r and sbar all ones, and it is
-    sbar = r on a T_k built from F.transpose().  A text writes H_n / H_first
-    as Delta_{n+1} Delta_first r_first sbar_first / (Delta_n r_n sbar_n Delta_{first+1}).
+    entries with the same values, so the rows check each relation once: a
+    zero is acc == 0, and the trailing 1 and the boxed H_n / H_first compare
+    T.entry with 1 and with F.h's pairs by cross-multiplication.
     """
     rep = CheckReport()
-    k, p, D, L = T.k, T.p, T.size, T.L
-    minors, r, sbar = T.F.minors, T.F.S_int.scale, T.F.Sbar_int.scale
+    k, p, D, h = T.k, T.p, T.size, T.F.h
     for n, row in enumerate(T.acc):
         first, last = T.row_band(n)
         outside = [*range(first), *range(last + 1, D)]
         for c in outside:
             if row[c]:
-                rep.violations.append(Violation((k, n, c), f"outside band: {T.text(n, c)}"))
+                rep.violations.append(Violation((k, n, c), f"outside band: {ratio_text(*T.entry(n, c))}"))
         rep.checked += len(outside)
         if last < D:
-            if row[last] * r[last] != minors[n] * r[n] * minors[last + 1] * L:
-                rep.violations.append(Violation((k, n, last), f"trailing entry {T.text(n, last)} != 1"))
+            num, den = T.entry(n, last)
+            if num != den:
+                rep.violations.append(Violation((k, n, last), f"trailing entry {ratio_text(num, den)} != 1"))
             rep.checked += 1
         if in_complement_J(n, p, k):
             # n_plus(first, p, k) = n here; boxed value H_n / H_first.
-            if row[first] * sbar[n] != L * minors[n + 1] * minors[first] * sbar[first]:
-                want = ratio_text(minors[n + 1] * minors[first] * r[first] * sbar[first],
-                                  minors[n] * r[n] * sbar[n] * minors[first + 1])
-                rep.violations.append(Violation((k, n, first), f"{T.text(n, first)} != H ratio {want}"))
+            (num, den), (h_n, d_n), (h_f, d_f) = T.entry(n, first), h(n), h(first)
+            if num * d_n * h_f != den * h_n * d_f:
+                want = ratio_text(h_n * d_f, d_n * h_f)
+                rep.violations.append(Violation((k, n, first), f"{ratio_text(num, den)} != H ratio {want}"))
             rep.checked += 1
     return rep
 

@@ -896,7 +896,7 @@ def planted_entry(T: RecurrenceTruncation, m: int, n: int, value) -> RecurrenceT
     s = int(a.denominator)
     acc = [[s * v for v in row] for row in T.acc]
     acc[m][n] = int(a.numerator)
-    return RecurrenceTruncation(T.k, T.q, T.p, T.size, acc, s * T.L, T.F)
+    return RecurrenceTruncation(T.k, T.size, acc, s * T.L, T.F)
 
 
 class CDBlocks:

@@ -79,7 +79,8 @@ MUTANTS = [
         ("tests/test_stepline.py::TestShiftCount::test_matches_the_counting_loop",
          "tests/test_stepline.py::TestShiftCount::test_boundaries",
          "tests/test_recurrence.py::TestRelations::test_n_max_respects_window",
-         "tests/test_cli.py::TestCheckScope::test_names_and_counts[golden]")),
+         "tests/test_cli.py::TestCheckScope::test_names_and_counts[golden]",
+         "tests/test_metamorphic.py::TestTransposeDuality::test_recurrence_matrices_conjugated[1-mixed-1-2]")),
     Mutant(
         "in_complement_J accepts the next image point", "stepline.py",
         "r, k), r, k) == n", "r, k), r, k) >= n",
@@ -177,30 +178,30 @@ MUTANTS = [
          "tests/test_acceptance.py::test_criterion_8_cli_contract")),
     Mutant(
         "cd's range below the band starts one n late", "cdkernel.py",
-        "(c, first, n_plus(c, p, k), 1)", "(c, first + 1, n_plus(c, p, k), 1)",
+        "(c, first, T.col_band(c)[1], 1)", "(c, first + 1, T.col_band(c)[1], 1)",
         ("tests/test_cdkernel.py::TestCDFromRecurrences::test_planted_out_of_band_block_entry_fails_through_the_index_identity",
          "tests/test_cdkernel.py::TestCDFromRecurrences::test_planted_out_of_band_entry_flags_its_closed_form_range[below-past-n_max]",
          "tests/test_cdkernel.py::TestCDFromRecurrences::test_matches_the_sweep_on_planted_corruptions[table]",
          "tests/test_recurrence.py::TestFailureText::test_first_violation_details")),
     Mutant(
         "cd's range below the band ends one n early", "cdkernel.py",
-        "n_plus(c, p, k), 1)", "n_plus(c, p, k) - 1, 1)",
+        "T.col_band(c)[1], 1)", "T.col_band(c)[1] - 1, 1)",
         ("tests/test_cdkernel.py::TestCDFromRecurrences::test_planted_out_of_band_block_entry_fails_through_the_index_identity",
          "tests/test_cdkernel.py::TestCDFromRecurrences::test_matches_the_sweep_on_planted_corruptions[mixed]",
          "tests/test_recurrence.py::TestFailureText::test_first_violation_details")),
     Mutant(
         "cd's range above the band starts one n late", "cdkernel.py",
-        "(c, n_minus_big(c, q, k), last, -1)", "(c, n_minus_big(c, q, k) + 1, last, -1)",
+        "(c, T.col_band(c)[0], last, -1)", "(c, T.col_band(c)[0] + 1, last, -1)",
         ("tests/test_cdkernel.py::TestCDFromRecurrences::test_planted_out_of_band_entry_flags_its_closed_form_range[above]",
          "tests/test_cdkernel.py::TestCDFromRecurrences::test_matches_the_sweep_on_planted_corruptions[table]")),
     Mutant(
         "cd's range above the band ends one n early", "cdkernel.py",
-        "n_minus_big(c, q, k), last, -1)", "n_minus_big(c, q, k), last - 1, -1)",
+        "T.col_band(c)[0], last, -1)", "T.col_band(c)[0], last - 1, -1)",
         ("tests/test_cdkernel.py::TestCDFromRecurrences::test_planted_out_of_band_entry_flags_its_closed_form_range[above]",
          "tests/test_cdkernel.py::TestCDFromRecurrences::test_matches_the_sweep_on_planted_corruptions[mixed]")),
     Mutant(
         "cd's weight below the band flips sign", "cdkernel.py",
-        "n_plus(c, p, k), 1)", "n_plus(c, p, k), -1)",
+        "T.col_band(c)[1], 1)", "T.col_band(c)[1], -1)",
         ("tests/test_cdkernel.py::TestCDFromRecurrences::test_planted_out_of_band_block_entry_fails_through_the_index_identity",
          "tests/test_cdkernel.py::TestCDFromRecurrences::test_planted_out_of_band_entry_flags_its_closed_form_range[below-past-n_max]",
          "tests/test_recurrence.py::TestFailureText::test_first_violation_details")),
@@ -219,14 +220,16 @@ MUTANTS = [
         "minors[n] * s[n] * sbar[n]", "minors[n] * sbar[n]",
         ("tests/test_gaussborel.py::TestFactorize::test_recovers_planted_factors",
          "tests/test_cli.py::TestVerify::test_whole_reports",
-         "tests/test_acceptance.py::test_criterion_8_cli_contract")),
+         "tests/test_acceptance.py::test_criterion_8_cli_contract",
+         "tests/test_metamorphic.py::TestTransposeDuality::test_h_unchanged[mixed-1-2]")),
     Mutant(
         "S export drops the column scale s_c", "gaussborel.py",
         "ratio(v * s_c, den)", "ratio(v, den)",
         ("tests/test_cli.py::TestExportOracle::test_every_file_matches_the_rational_route[golden]",
          "tests/test_cli.py::TestExportOracle::test_every_file_matches_the_rational_route[mixed-1-1]",
          "tests/test_cli.py::TestCompute::test_export_contents_match_library",
-         "tests/test_acceptance.py::test_criterion_8_cli_contract")),
+         "tests/test_acceptance.py::test_criterion_8_cli_contract",
+         "tests/test_metamorphic.py::TestTransposeDuality::test_s_and_sbar_swapped[table-2-3]")),
     Mutant(
         "Sbar export writes the S side", "cli.py",
         '"Sbar": unit_lower(F.minors, F.Sbar_int, D', '"Sbar": unit_lower(F.minors, F.S_int, D',
@@ -234,28 +237,33 @@ MUTANTS = [
          "tests/test_cli.py::TestExportOracle::test_every_file_matches_the_rational_route[golden]",
          "tests/test_cli.py::TestExportOracle::test_every_file_matches_the_rational_route[table-2-2]",
          "tests/test_cli.py::TestCompute::test_export_contents_match_library",
-         "tests/test_acceptance.py::test_criterion_8_cli_contract")),
+         "tests/test_acceptance.py::test_criterion_8_cli_contract",
+         "tests/test_metamorphic.py::TestTransposeDuality::test_s_and_sbar_swapped[mixed-2-1]")),
     Mutant(
         "T_k export drops the column scale r_n", "recurrence.py",
         "ratio(a * r_n, den_m * d_n)", "ratio(a, den_m * d_n)",
         ("tests/test_cli.py::TestExportOracle::test_every_file_matches_the_rational_route[golden]",
          "tests/test_cli.py::TestExportOracle::test_every_file_matches_the_rational_route[table-1-2]",
          "tests/test_recurrence.py::TestIntegerRoute::test_matches_rational_sum",
-         "tests/test_acceptance.py::test_criterion_8_cli_contract")),
+         "tests/test_acceptance.py::test_criterion_8_cli_contract",
+         "tests/test_metamorphic.py::TestTransposeDuality::test_recurrence_matrices_conjugated[2-table-2-3]")),
     Mutant(
         "families export splits A by q and B by p", "cli.py",
         '(("A", ws.M.p, A), ("B", ws.M.q, B))', '(("A", ws.M.q, A), ("B", ws.M.p, B))',
         ("tests/test_cli.py::TestExportOracle::test_every_file_matches_the_rational_route[golden]",
          "tests/test_cli.py::TestExportOracle::test_every_file_matches_the_rational_route[mixed-2-3]",
          "tests/test_cli.py::TestCompute::test_export_contents_match_library",
-         "tests/test_acceptance.py::test_criterion_8_cli_contract")),
+         "tests/test_acceptance.py::test_criterion_8_cli_contract",
+         "tests/test_metamorphic.py::TestTransposeDuality::test_families_swap_sides[mixed-1-2]",
+         "tests/test_metamorphic.py::TestTransposeDuality::test_families_swap_sides[table-2-3]")),
     Mutant(
         "moments export reads the next row's scale", "cli.py",
         "zip(M.ints[:D], M.scale)", "zip(M.ints[:D], M.scale[1:] + M.scale[:1])",
         ("tests/test_cli.py::TestExportOracle::test_every_file_matches_the_rational_route[golden]",
          "tests/test_cli.py::TestExportOracle::test_every_file_matches_the_rational_route[mixed-2-1]",
          "tests/test_cli.py::TestCompute::test_export_contents_match_library",
-         "tests/test_acceptance.py::test_criterion_8_cli_contract")),
+         "tests/test_acceptance.py::test_criterion_8_cli_contract",
+         "tests/test_metamorphic.py::TestTransposeDuality::test_moments_transposed[table-2-1]")),
     Mutant(
         "any-size text writes an integer over 1", "rational.py",
         'return num if den == "1" else f"{num}/{den}"', 'return f"{num}/{den}"',
@@ -268,13 +276,15 @@ MUTANTS = [
         "- c2 * y2 + c1 * y1 - c0 * y0) // prev", "- c2 * y2 - c1 * y1 - c0 * y0) // prev",
         ("tests/test_gaussborel.py::TestEliminate::test_matches_one_step_oracle",
          "tests/test_gaussborel.py::TestEliminate::test_zero_multiplier_at_each_offset[0]",
-         "tests/test_gaussborel.py::TestEliminate::test_matches_one_step_oracle_on_extended_truncations[table]")),
+         "tests/test_gaussborel.py::TestEliminate::test_matches_one_step_oracle_on_extended_truncations[table]",
+         "tests/test_metamorphic.py::TestTransposeDuality::test_kernel_transposed[table-2-3]")),
     Mutant(
         "row k+2's pair update flips row k's sign", "gaussborel.py",
         "(w01_01 * x - w02_01 * y + w12_01 * z) // prev", "(w01_01 * x - w02_01 * y - w12_01 * z) // prev",
         ("tests/test_gaussborel.py::TestEliminate::test_matches_one_step_oracle",
          "tests/test_gaussborel.py::TestEliminate::test_zero_multiplier_at_each_offset[1]",
-         "tests/test_gaussborel.py::TestEliminate::test_matches_one_step_oracle_on_extended_truncations[mixed]")),
+         "tests/test_gaussborel.py::TestEliminate::test_matches_one_step_oracle_on_extended_truncations[mixed]",
+         "tests/test_metamorphic.py::TestTransposeDuality::test_s_and_sbar_swapped[table-2-1]")),
     Mutant(
         "a group's first Breakdown names the next step", "gaussborel.py",
         "if p00 == 0:\n            raise Breakdown(k)", "if p00 == 0:\n            raise Breakdown(k + 1)",
@@ -318,7 +328,8 @@ MUTANTS = [
         "_factor_row(minors, Sbar_cols, n) for n in range(W - 1)]",
         ("tests/test_gaussborel.py::TestFactorRows::test_each_row_built_once_in_factorize",
          "tests/test_gaussborel.py::TestFactorRows::test_rows_are_the_bordered_numerators",
-         "tests/test_cli.py::TestRowsBuiltOnRead::test_compute_builds_only_the_window[golden]")),
+         "tests/test_cli.py::TestRowsBuiltOnRead::test_compute_builds_only_the_window[golden]",
+         "tests/test_metamorphic.py::TestTransposeDuality::test_s_and_sbar_swapped[mixed-1-2]")),
     Mutant(
         "load_config lets a file that is not UTF-8 escape", "cli.py",
         "except ValueError as exc:  # a JSONDecodeError", "except json.JSONDecodeError as exc:  #",
@@ -375,24 +386,24 @@ MUTANTS = [
         ("tests/test_cli.py::TestCheckScope::test_names_and_counts[golden]",
          "tests/test_cli.py::TestCheckScope::test_names_and_counts[shape1]")),
     Mutant(
-        "dual text divides by Delta_n, not Delta_{n+1}", "recurrence.py",
-        "minors[m] * r[m] * minors[n + 1])", "minors[m] * r[m] * minors[n])",
+        "T_k entry divides by Delta_n, not Delta_{n+1}", "recurrence.py",
+        "minors[m] * r[m] * minors[n + 1] * self.L", "minors[m] * r[m] * minors[n] * self.L",
         ("tests/test_recurrence.py::TestFailureText::test_first_violation_details",)),
     Mutant(
-        "band text drops H_first's scale", "recurrence.py",
-        "minors[n + 1] * minors[first] * r[first] * sbar[first],", "minors[n + 1] * minors[first] * sbar[first],",
+        "band text drops H_first's denominator", "recurrence.py",
+        "want = ratio_text(h_n * d_f, d_n * h_f)", "want = ratio_text(h_n, d_n * h_f)",
         ("tests/test_recurrence.py::TestFailureText::test_first_violation_details",)),
     Mutant(
-        "band's boxed entry ignores the Sbar side's scale", "recurrence.py",
-        "if row[first] * sbar[n] != L * minors[n + 1] * minors[first] * sbar[first]:",
-        "if row[first] != L * minors[n + 1] * minors[first]:",
+        "H ignores the Sbar side's scale", "gaussborel.py",
+        "minors[n] * s[n] * sbar[n]", "minors[n] * s[n]",
         ("tests/test_recurrence.py::TestBandStructure::test_transposed_factorization_reads_both_scales",)),
     Mutant(
         "compute's band starts one column late", "recurrence.py",
         "lo = n_minus_big(m, p, k) if band else 0", "lo = n_minus_big(m, p, k) + 1 if band else 0",
         ("tests/test_recurrence.py::TestBandOnly::test_band_only_matches_dense[mixed]",
          "tests/test_recurrence.py::TestBandOnly::test_band_only_matches_dense[table]",
-         "tests/test_cli.py::TestExportOracle::test_every_file_matches_the_rational_route[golden]")),
+         "tests/test_cli.py::TestExportOracle::test_every_file_matches_the_rational_route[golden]",
+         "tests/test_metamorphic.py::TestTransposeDuality::test_recurrence_matrices_conjugated[1-table-2-1]")),
     Mutant(
         "verify sums T_k over the bands only", "cli.py",
         "band = self.width is not None",

@@ -350,7 +350,7 @@ class TestCDFromRecurrences:
                     for _ in range(rng.randint(1, 4)):
                         m, c = rng.randrange(T.size), rng.randrange(T.size)
                         acc[m][c] = rng.choice((acc[m][c] + 1, 1, 0))
-                    bad = RecurrenceTruncation(k, q, p, T.size, acc, T.L, T.F)
+                    bad = RecurrenceTruncation(k, T.size, acc, T.L, T.F)
                     relations = check_recurrence_matrix(bad, system.A, system.B)
                     want, got = swept_cd(bad, relations), check_cd_formula(bad, relations)
                     assert got.violations == want.violations, (q, p, k)

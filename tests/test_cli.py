@@ -103,6 +103,15 @@ class TestVerify:
         assert report["status"] == "ok"
         assert report["summary"] == {"pass": len(CHECK_NAMES), "fail": 0, "skipped": 0}
 
+    def test_projection_skipped_below_its_threshold(self, tmp_path, capsys):
+        # at depth 1 no monic matrix polynomial of either size fits: I = 1 // 2 - 1 < 0
+        cfg = good_config(tmp_path, q=1, p=2, depth=1)
+        out = tmp_path / "out"
+        assert main(["verify", "--config", str(cfg), "--checks", "projection", "--out", str(out)]) == 0
+        assert capsys.readouterr().out == "projection: SKIPPED (depth below projection threshold)\n"
+        assert json.loads((out / "report.json").read_text())["checks"] == [
+            {"name": "projection", "status": "skipped", "details": "depth below projection threshold"}]
+
     def test_subset_of_checks(self, tmp_path, capsys):
         cfg = good_config(tmp_path)
         assert main(["verify", "--config", str(cfg), "--checks", "degree,band"]) == 0
@@ -285,6 +294,13 @@ class TestConfigErrors:
         cfg = good_config(tmp_path, eval_points=[["1/2"]])
         assert main(["verify", "--config", str(cfg)]) == 3
 
+    def test_compute_depth_zero_exits_three(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert main(["compute", "--config", str(good_config(tmp_path)), "--depth", "0",
+                     "--out", str(out)]) == 3
+        assert capsys.readouterr().err == "config error: --depth must be >= 1\n"
+        assert not out.exists()
+
     def test_table_too_shallow_for_depth(self, tmp_path, capsys):
         cell = {"type": "table", "max_total_deg": 2,
                 "moments": {"0,0": "1", "1,0": "1/2", "0,1": "1/3", "2,0": "1", "0,2": "2"}}
@@ -348,6 +364,7 @@ class TestConfigErrors:
          "rect box must be a list of four rationals, not '0101'"),
         ({"schema_version": True}, "bad schema_version: True is not an integer"),
         ({"schema_version": 1.0}, "bad schema_version: 1.0 is not an integer"),
+        ({"eval_points": [["1/0", "1"]]}, "bad eval point ['1/0', '1']: zero denominator: '1/0'"),
     ])
     def test_malformed_values_exit_three(self, tmp_path, capsys, extra, message):
         obj = {"schema_version": 1, "q": 1, "p": 1, "depth": 2,

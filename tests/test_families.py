@@ -376,6 +376,15 @@ class TestDegreeStructure:
         assert [(v.where, v.detail) for v in rep.violations] == [
             (("B", 5, 0), "grlex_pos 3 > bound 2"), (("A", 7, 2), "grlex_pos 2 > bound 1")]
 
+    def test_planted_non_monic_leading_coefficient_located(self):
+        # component 1 of A_7 sits on the diagonal (7 % 3 == 1) at its bound
+        # (7 - 1) // 3 = 2, where A must be monic: 1 + 1/2 there is reported
+        system = build_system(2, 3, 14, seed=50)
+        bad_A = planted(system.A, 7, 1, 2, rat(1, 2))
+        rep = validate_degree_structure(bad_A, system.B)
+        assert [(v.where, v.detail) for v in rep.violations] == [
+            (("A", 7, 1), "diagonal leading coefficient 3/2 at bound 2")]
+
     def test_degree_bound_floor(self):
         assert degree_bound(7, 1, 2) == 3
         assert degree_bound(0, 1, 2) == -1

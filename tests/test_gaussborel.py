@@ -13,8 +13,10 @@ from steppoly import assemble_moments, extract_families, factorize, rat
 from steppoly.cdkernel import check_abc, kernel_eval
 from steppoly.errors import Breakdown
 from steppoly.measures import Discrete, MeasureMatrix
+from steppoly.moments import MomentTruncation
 from steppoly.families import validate_degree_structure
-from steppoly.recurrence import build_recurrence, check_dual_form, required_depth, validate_band
+from steppoly.recurrence import (RecurrenceTruncation, build_recurrence, check_dual_form, required_depth,
+                                 validate_band)
 
 from _support import (
     SHAPES,
@@ -223,6 +225,12 @@ class TestFactorize:
         assert F.Sbar == [[rat(1), rat(0)], [rat(-1, 2), rat(1)]]
         assert mat_eq(reconstruct(F), [[rat(2), rat(1)], [rat(1), rat(1)]])
 
+    @pytest.mark.parametrize("ints", [[[1, 0], [0, 1], [1, 1]], [[1, 0], [0]]], ids=["rows", "row-length"])
+    def test_rejects_a_non_square_truncation(self, ints):
+        with pytest.raises(ValueError) as exc:
+            factorize(MomentTruncation(2, 1, 1, [1] * len(ints), ints))
+        assert str(exc.value) == "factorize needs a square truncation"
+
     def test_breakdown_on_zero_leading_entry(self):
         with pytest.raises(Breakdown) as exc:
             factorize(truncation([[rat(0), rat(1)], [rat(1), rat(0)]]))
@@ -378,8 +386,11 @@ class TestBlockShape:
         assert validate_degree_structure(A, B).ok
         T = build_recurrence(F, 1, D)
         assert (T.q, T.p) == (1, 2) and validate_band(T).ok and check_dual_form(T).ok
+        T_dual = build_recurrence(F.transpose(), 1, D)
+        assert (T_dual.q, T_dual.p) == (2, 1)
         for old_form in (lambda: extract_families(F, 1, 2), lambda: build_recurrence(F, 1, 2, 1, 12),
-                         lambda: validate_degree_structure(A, B, 1, 2), lambda: check_dual_form(T, F)):
+                         lambda: validate_degree_structure(A, B, 1, 2), lambda: check_dual_form(T, F),
+                         lambda: RecurrenceTruncation(T.k, 1, 2, T.size, T.acc, T.L, F)):
             with pytest.raises(TypeError):
                 old_form()
 

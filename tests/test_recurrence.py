@@ -173,8 +173,8 @@ class TestFailureText:
                 {"name": check, "status": "fail", "details": details}], (check, m, n)
 
     def test_no_h_formed_by_a_failing_check(self, monkeypatch):
-        # dual and band write every H ratio of their texts from the minors and
-        # the scale, so neither forms the rational H, failing or passing
+        # dual and band read each H_n they compare or write as F.h's integer
+        # pair, so neither forms the diagonal H, failing or passing
         ws = Workspace(load_config(self.GOLDEN))
         T, reads = ws.T[1], []
         diagonal = Factorization.diagonal
@@ -184,8 +184,7 @@ class TestFailureText:
             return diagonal(F, rows, *args)
 
         monkeypatch.setattr(Factorization, "diagonal", counting)
-        bad = RecurrenceTruncation(T.k, T.q, T.p, T.size, [[3 * a + 1 for a in row] for row in T.acc],
-                                   T.L, T.F)
+        bad = RecurrenceTruncation(T.k, T.size, [[3 * a + 1 for a in row] for row in T.acc], T.L, T.F)
         for check, needle in ((check_dual_form, "dual"), (validate_band, "H ratio")):
             assert check(T).ok and reads == []
             rep = check(bad)
@@ -241,11 +240,14 @@ def col_relations(T: RecurrenceTruncation) -> Counter:
 class TestBandStructure:
     def test_column_relations_are_row_relations(self):
         # validate_band checks rows only; this is the index map that makes the
-        # column relations the same entries with the same expected values
+        # column relations the same entries with the same expected values; the
+        # bands read only the block shape of the factorization, so it holds no rows
+        empty = IntegerSide([], [], [])
         for q, p in SHAPES:
+            shape = Factorization(0, q, p, [1], empty, empty)
             for k in (1, 2):
                 for D in range(1, 31):
-                    T = RecurrenceTruncation(k, q, p, D, [], 1, None)
+                    T = RecurrenceTruncation(k, D, [], 1, shape)
                     outside_rows = {e for (e, want) in row_relations(T) if want == 0}
                     outside_cols = {e for (e, want) in col_relations(T) if want == 0}
                     assert outside_rows == outside_cols, (q, p, k, D)
@@ -331,7 +333,7 @@ class TestBandStructure:
                     first = T.row_band(n)[0]
                     acc = [row[:] for row in T.acc]
                     acc[n][first] += 1
-                    bad = RecurrenceTruncation(T.k, T.q, T.p, T.size, acc, T.L, T.F)
+                    bad = RecurrenceTruncation(T.k, T.size, acc, T.L, T.F)
                     [v] = validate_band(bad).violations
                     assert v.where == (k, n, first)
                     assert v.detail.endswith(f" != H ratio {H[n] / H[first]}"), (q, p, k)

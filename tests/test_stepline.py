@@ -157,6 +157,15 @@ class TestPositionBijection:
 
 
 class TestShiftTargets:
+    @pytest.mark.parametrize("r, k, message", [
+        (0, 1, "block width r must be positive, got 0"),
+        (1, 3, "direction k must be 1 or 2, got 3"),
+    ], ids=["width", "direction"])
+    def test_rejects_bad_width_or_direction(self, r, k, message):
+        with pytest.raises(ValueError) as exc:
+            n_plus(0, r, k)
+        assert str(exc.value) == message
+
     def test_recorded_shift_values(self):
         assert n_plus(0, 1, 1) == 1
         assert n_plus(1, 1, 1) == 3
