@@ -169,13 +169,15 @@ MUTANTS = [
         "(a * e) ** (i - j) * (c * b) ** j", "(a * e) ** j * (c * b) ** (i - j)",
         ("tests/test_families.py::TestMonomialTable::test_integers_over_one_denominator_are_the_monomials",
          "tests/test_cdkernel.py::TestKernelEval::test_table_matches_member_evaluation",
-         "tests/test_acceptance.py::test_criterion_8_cli_contract")),
+         "tests/test_acceptance.py::test_criterion_8_cli_contract",
+         "tests/test_metamorphic.py::TestX1Scaling::test_kernel_unchanged[mixed-1-2-c=3]")),
     Mutant(
         "kernel_eval border drops the r_m weight", "cdkernel.py",
         "border[m % q] = r_m * Y[m // q]", "border[m % q] = Y[m // q]",
         ("tests/test_cdkernel.py::TestKernelEval::test_inverse_moment_form_matches_both_oracles[table]",
          "tests/test_cli.py::TestKernel::test_value_matches_library",
-         "tests/test_acceptance.py::test_criterion_8_cli_contract")),
+         "tests/test_acceptance.py::test_criterion_8_cli_contract",
+         "tests/test_metamorphic.py::TestX1Scaling::test_kernel_unchanged[table-2-3-c=-0.5]")),
     Mutant(
         "cd's range below the band starts one n late", "cdkernel.py",
         "(c, first, T.col_band(c)[1], 1)", "(c, first + 1, T.col_band(c)[1], 1)",
@@ -221,7 +223,8 @@ MUTANTS = [
         ("tests/test_gaussborel.py::TestFactorize::test_recovers_planted_factors",
          "tests/test_cli.py::TestVerify::test_whole_reports",
          "tests/test_acceptance.py::test_criterion_8_cli_contract",
-         "tests/test_metamorphic.py::TestTransposeDuality::test_h_unchanged[mixed-1-2]")),
+         "tests/test_metamorphic.py::TestTransposeDuality::test_h_unchanged[mixed-1-2]",
+         "tests/test_metamorphic.py::TestX1Scaling::test_h_scaled[mixed-2-1-c=3]")),
     Mutant(
         "S export drops the column scale s_c", "gaussborel.py",
         "ratio(v * s_c, den)", "ratio(v, den)",
@@ -229,7 +232,8 @@ MUTANTS = [
          "tests/test_cli.py::TestExportOracle::test_every_file_matches_the_rational_route[mixed-1-1]",
          "tests/test_cli.py::TestCompute::test_export_contents_match_library",
          "tests/test_acceptance.py::test_criterion_8_cli_contract",
-         "tests/test_metamorphic.py::TestTransposeDuality::test_s_and_sbar_swapped[table-2-3]")),
+         "tests/test_metamorphic.py::TestTransposeDuality::test_s_and_sbar_swapped[table-2-3]",
+         "tests/test_metamorphic.py::TestX1Scaling::test_factor_scaled[S-table-2-3-c=-0.5]")),
     Mutant(
         "Sbar export writes the S side", "cli.py",
         '"Sbar": unit_lower(F.minors, F.Sbar_int, D', '"Sbar": unit_lower(F.minors, F.S_int, D',
@@ -238,7 +242,8 @@ MUTANTS = [
          "tests/test_cli.py::TestExportOracle::test_every_file_matches_the_rational_route[table-2-2]",
          "tests/test_cli.py::TestCompute::test_export_contents_match_library",
          "tests/test_acceptance.py::test_criterion_8_cli_contract",
-         "tests/test_metamorphic.py::TestTransposeDuality::test_s_and_sbar_swapped[mixed-2-1]")),
+         "tests/test_metamorphic.py::TestTransposeDuality::test_s_and_sbar_swapped[mixed-2-1]",
+         "tests/test_metamorphic.py::TestX1Scaling::test_factor_scaled[Sbar-mixed-1-2-c=3]")),
     Mutant(
         "T_k export drops the column scale r_n", "recurrence.py",
         "ratio(a * r_n, den_m * d_n)", "ratio(a, den_m * d_n)",
@@ -246,7 +251,8 @@ MUTANTS = [
          "tests/test_cli.py::TestExportOracle::test_every_file_matches_the_rational_route[table-1-2]",
          "tests/test_recurrence.py::TestIntegerRoute::test_matches_rational_sum",
          "tests/test_acceptance.py::test_criterion_8_cli_contract",
-         "tests/test_metamorphic.py::TestTransposeDuality::test_recurrence_matrices_conjugated[2-table-2-3]")),
+         "tests/test_metamorphic.py::TestTransposeDuality::test_recurrence_matrices_conjugated[2-table-2-3]",
+         "tests/test_metamorphic.py::TestX1Scaling::test_recurrence_matrices_scaled[1-discrete-1-2-c=-0.5]")),
     Mutant(
         "families export splits A by q and B by p", "cli.py",
         '(("A", ws.M.p, A), ("B", ws.M.q, B))', '(("A", ws.M.q, A), ("B", ws.M.p, B))',
@@ -263,7 +269,8 @@ MUTANTS = [
          "tests/test_cli.py::TestExportOracle::test_every_file_matches_the_rational_route[mixed-2-1]",
          "tests/test_cli.py::TestCompute::test_export_contents_match_library",
          "tests/test_acceptance.py::test_criterion_8_cli_contract",
-         "tests/test_metamorphic.py::TestTransposeDuality::test_moments_transposed[table-2-1]")),
+         "tests/test_metamorphic.py::TestTransposeDuality::test_moments_transposed[table-2-1]",
+         "tests/test_metamorphic.py::TestX1Scaling::test_moments_scaled[discrete-1-2-c=-0.5]")),
     Mutant(
         "any-size text writes an integer over 1", "rational.py",
         'return num if den == "1" else f"{num}/{den}"', 'return f"{num}/{den}"',
@@ -277,14 +284,16 @@ MUTANTS = [
         ("tests/test_gaussborel.py::TestEliminate::test_matches_one_step_oracle",
          "tests/test_gaussborel.py::TestEliminate::test_zero_multiplier_at_each_offset[0]",
          "tests/test_gaussborel.py::TestEliminate::test_matches_one_step_oracle_on_extended_truncations[table]",
-         "tests/test_metamorphic.py::TestTransposeDuality::test_kernel_transposed[table-2-3]")),
+         "tests/test_metamorphic.py::TestTransposeDuality::test_kernel_transposed[table-2-3]",
+         "tests/test_metamorphic.py::TestX1Scaling::test_h_scaled[table-2-3-c=-0.5]")),
     Mutant(
         "row k+2's pair update flips row k's sign", "gaussborel.py",
         "(w01_01 * x - w02_01 * y + w12_01 * z) // prev", "(w01_01 * x - w02_01 * y - w12_01 * z) // prev",
         ("tests/test_gaussborel.py::TestEliminate::test_matches_one_step_oracle",
          "tests/test_gaussborel.py::TestEliminate::test_zero_multiplier_at_each_offset[1]",
          "tests/test_gaussborel.py::TestEliminate::test_matches_one_step_oracle_on_extended_truncations[mixed]",
-         "tests/test_metamorphic.py::TestTransposeDuality::test_s_and_sbar_swapped[table-2-1]")),
+         "tests/test_metamorphic.py::TestTransposeDuality::test_s_and_sbar_swapped[table-2-1]",
+         "tests/test_metamorphic.py::TestX1Scaling::test_factor_scaled[Sbar-mixed-2-1-c=3]")),
     Mutant(
         "a group's first Breakdown names the next step", "gaussborel.py",
         "if p00 == 0:\n            raise Breakdown(k)", "if p00 == 0:\n            raise Breakdown(k + 1)",
@@ -329,7 +338,8 @@ MUTANTS = [
         ("tests/test_gaussborel.py::TestFactorRows::test_each_row_built_once_in_factorize",
          "tests/test_gaussborel.py::TestFactorRows::test_rows_are_the_bordered_numerators",
          "tests/test_cli.py::TestRowsBuiltOnRead::test_compute_builds_only_the_window[golden]",
-         "tests/test_metamorphic.py::TestTransposeDuality::test_s_and_sbar_swapped[mixed-1-2]")),
+         "tests/test_metamorphic.py::TestTransposeDuality::test_s_and_sbar_swapped[mixed-1-2]",
+         "tests/test_metamorphic.py::TestX1Scaling::test_factor_scaled[Sbar-discrete-1-2-c=-0.5]")),
     Mutant(
         "load_config lets a file that is not UTF-8 escape", "cli.py",
         "except ValueError as exc:  # a JSONDecodeError", "except json.JSONDecodeError as exc:  #",

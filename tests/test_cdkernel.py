@@ -663,7 +663,8 @@ class TestProjection:
             P = monic_matrix(p, 2)
             rep = check_projection(bent, inner_integrals(system.B, system.M, P), n, P)
             # B_0 pairs to nonzero with every column of P here, so each column shows the change
-            assert [v.where for v in rep.violations] == [(n, 0, a1) for a1 in range(p)], (q, p)
+            assert [(v.where, v.detail) for v in rep.violations] == [
+                ((n, 0, a1), "coefficient mismatch with P") for a1 in range(p)], (q, p)
 
     def test_below_threshold_is_an_error_not_a_failure(self):
         system = build_system(1, 2, 14, seed=98)

@@ -149,6 +149,17 @@ class TestBiorthogonality:
         doubled = Family(1, [(d, {c: 2 * v for c, v in row.items()}) for d, row in system.B.rows])
         rep = check_biorthogonality(pairing_matrix(system.A, doubled, system.M))
         assert not rep.ok
+        assert (rep.violations[0].where, rep.violations[0].detail) == ((0, 0), "pairing 2 != 1")
+
+    def test_detects_swapped_members(self):
+        # B_0 and B_1 swapped: each pairs to 1 with the other's A and to 0 with its own
+        system = build_system(1, 1, 8, seed=48)
+        rows = system.B.rows
+        swapped = Family(1, [rows[1], rows[0], *rows[2:]])
+        rep = check_biorthogonality(pairing_matrix(system.A, swapped, system.M))
+        assert [(v.where, v.detail) for v in rep.violations] == [
+            ((0, 0), "pairing 0 != 1"), ((0, 1), "pairing 1 != 0"),
+            ((1, 0), "pairing 1 != 0"), ((1, 1), "pairing 0 != 1")]
 
 
 def pair_oracle(mm, left: list, right: list) -> list[list]:

@@ -97,3 +97,40 @@ def test_flags_an_unread_definition():
               "def erase(): return None\n"
               "def documented(): return None\n")
     assert unread_definitions([source], ["call documented() first"]) == ["Shape.grow", "draw", "erase"]
+
+
+STEPPOLY_MODULE = re.compile(r"\bsteppoly(?:\.\w+)+")
+STEPPOLY_PACKAGE = re.compile(r"\bimport\s+steppoly\b(?!\.)")
+STEPPOLY_IMPORT = re.compile(r"\bfrom\s+(steppoly[\w.]*)\s+import\s+(.*)")
+
+
+def foreign_names(text: str) -> list[str]:
+    """Each steppoly name the text reaches past the command line: a dotted module
+    other than steppoly.cli, the bare package, or a from-import other than
+    `from steppoly.cli import main`.  Read as plain text, so a workflow needs
+    no YAML parser."""
+    found = [m[0] for m in STEPPOLY_MODULE.finditer(text) if m[0] != "steppoly.cli"]
+    found += [m[0] for m in STEPPOLY_PACKAGE.finditer(text)]
+    found += [f"{module}: {names.strip()}" for module, names in STEPPOLY_IMPORT.findall(text)
+              if (module, names.strip()) != ("steppoly.cli", "main")]
+    return found
+
+
+def test_ci_reads_steppoly_only_through_the_cli():
+    # a CI step that imports a src/ function breaks, or silently times something
+    # else, whenever that function changes; the command line is the stable surface
+    assert foreign_names((ROOT / ".github" / "workflows" / "tier1.yml").read_text()) == []
+
+
+def test_flags_a_name_past_the_cli():
+    text = ('python -X importtime -c "import steppoly.cli"\n'
+            "from steppoly.cli import main\n"
+            "from steppoly import assemble_moments, factorize\n"
+            "from steppoly.gaussborel import _certified, eliminate\n"
+            "from steppoly.cli import RunConfig, Workspace, write_exports\n"
+            "import steppoly.recurrence\n"
+            "import steppoly as sp\n")
+    assert foreign_names(text) == [
+        "steppoly.gaussborel", "steppoly.recurrence", "import steppoly",
+        "steppoly: assemble_moments, factorize", "steppoly.gaussborel: _certified, eliminate",
+        "steppoly.cli: RunConfig, Workspace, write_exports"]

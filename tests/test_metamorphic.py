@@ -1,4 +1,5 @@
-"""Metamorphic relations through the command line: the transpose duality.
+"""Metamorphic relations through the command line: the transpose duality and
+the scaling of x_1.
 
 Transposing a q x p config's measure grid gives a p x q config whose moment
 matrix is M^T = Sbar^-1 H S^-T, the dual form of M = S^-1 H Sbar^-T.  So
@@ -9,21 +10,32 @@ compute and kernel on the two configs must agree, in exact rationals, by
     B'_n = A_n / H_n,  A'_n = B_n H_n  (q and p swapped),
     K'(y, x) = K(x, y)^T.
 
-No closed form is needed, and no formula of the program is restated: the
-transposed config is built from the config JSON alone, and both runs go
+Scaling x_1 by c multiplies each moment m(s, t) by c^s, so the new moment
+matrix is D_q M D_p, D_r = diag(c^e(n // r)) with e(K) the x_1 exponent of
+step-line position K.  Then, with e_r(n) = e(n // r),
+
+    H'_n = c^(e_q(n) + e_p(n)) H_n,
+    S'[n][j] = c^(e_q(n) - e_q(j)) S[n][j],  Sbar' the same with p,
+    T'_1[m][n] = c^(1 + e_q(m) - e_q(n)) T_1[m][n],  T'_2 the same without the 1,
+    K'((c x_1, x_2), (c y_1, y_2)) = K(x, y).
+
+No closed form is needed, and no formula of the program is restated: each
+transformed config is built from the config JSON alone, and every run goes
 through steppoly.cli.main.
 """
 
 import json
 import random
 from fractions import Fraction
+from math import isqrt
 
 import pytest
 
 from steppoly import required_depth
 from steppoly.cli import main
+from steppoly.measures import MeasureMatrix
 
-from _support import config_json, mixed_mm, table_mm
+from _support import config_json, mixed_mm, rand_discrete, table_mm
 
 DEPTH = 12
 KERNEL_N = 9
@@ -32,14 +44,29 @@ X, Y = ("1/2", "-1/3"), ("-2/7", "1/5")
 # (kind, q, p): q < p and q > p, each for a mixed and a table grid
 CASES = [("mixed", 1, 2), ("mixed", 2, 1), ("table", 2, 3), ("table", 2, 1)]
 
+# (kind, q, p, c): c > 0 scales the rect cells of the mixed grids, c < 0 the
+# table and discrete grids, whose cells take any c
+SCALINGS = [("mixed", 1, 2, Fraction(3)), ("mixed", 2, 1, Fraction(3)),
+            ("table", 2, 3, Fraction(-1, 2)), ("discrete", 1, 2, Fraction(-1, 2))]
+
 
 def case_id(case) -> str:
     return "-".join(map(str, case))
 
 
+def scaling_id(scaling) -> str:
+    *case, c = scaling
+    return f"{case_id(case)}-c={float(c):g}"
+
+
 def original_config(kind: str, q: int, p: int) -> dict:
     rng = random.Random(5 + 10 * q + p)
-    mm = mixed_mm(rng, q, p) if kind == "mixed" else table_mm(rng, q, p, required_depth(DEPTH, q, p))
+    if kind == "mixed":
+        mm = mixed_mm(rng, q, p)
+    elif kind == "table":
+        mm = table_mm(rng, q, p, required_depth(DEPTH, q, p))
+    else:
+        mm = MeasureMatrix(q, p, [[rand_discrete(rng) for _ in range(p)] for _ in range(q)])
     return {**config_json(mm), "schema_version": 1, "depth": DEPTH}
 
 
@@ -48,11 +75,40 @@ def transposed_config(obj: dict) -> dict:
     return {**obj, "q": obj["p"], "p": obj["q"], "measures": [list(col) for col in zip(*obj["measures"])]}
 
 
-def run(tmp_path, name: str, obj: dict, x, y) -> dict:
+def x1_exponent(K: int) -> int:
+    """e(K): position K = i (i + 1) / 2 + j stands for x_1^(i - j) x_2^j."""
+    i = (isqrt(8 * K + 1) - 1) // 2
+    return i - (K - i * (i + 1) // 2)
+
+
+def scaled_config(obj: dict, c: Fraction) -> dict:
+    """The config with x_1 scaled by c, read off the JSON alone: table moment
+    (s, t) times c^s, atom x times c, and, for c > 0, rect x_1 bounds times c
+    and the density coefficient at position K divided by c^(e(K) + 1)."""
+    def cell(m: dict) -> dict:
+        if m["type"] == "table":
+            return {**m, "moments": {st: str(Fraction(v) * c ** int(st.split(",")[0]))
+                                     for st, v in m["moments"].items()}}
+        if m["type"] == "discrete":
+            return {**m, "atoms": [{**atom, "x": str(Fraction(atom["x"]) * c)} for atom in m["atoms"]]}
+        assert c > 0, "a rect cell scales only by c > 0"
+        lo, hi, *x2_bounds = m["box"]
+        return {**m, "box": [str(Fraction(lo) * c), str(Fraction(hi) * c), *x2_bounds],
+                "density": {K: str(Fraction(v) / c ** (x1_exponent(int(K)) + 1))
+                            for K, v in m["density"].items()}}
+
+    return {**obj, "measures": [[cell(m) for m in row] for row in obj["measures"]]}
+
+
+def scaled_point(point, c: Fraction) -> tuple[str, str]:
+    return str(Fraction(point[0]) * c), point[1]
+
+
+def run(tmp_path, obj: dict, x, y) -> dict:
     """compute's JSON exports, and kernel.json at (x, y), for one config, as parsed JSON."""
-    cfg = tmp_path / f"{name}.json"
+    cfg = tmp_path / "config.json"
     cfg.write_text(json.dumps(obj))
-    out = tmp_path / name
+    out = tmp_path / "out"
     assert main(["compute", "--config", str(cfg), "--out", str(out)]) == 0
     assert main(["kernel", "--config", str(cfg), "--n", str(KERNEL_N),
                  f"--x={','.join(x)}", f"--y={','.join(y)}", "--out", str(out)]) == 0
@@ -69,17 +125,37 @@ def members(family) -> list[list[dict]]:
 
 
 @pytest.fixture(scope="module")
-def runs(tmp_path_factory):
-    """(config, exports, transposed exports) per case, each run once per module."""
+def exports(tmp_path_factory):
+    """run's exports of a config at (x, y), each config and point pair run once per module."""
     cache = {}
 
+    def get(obj: dict, x, y) -> dict:
+        key = json.dumps(obj, sort_keys=True), x, y
+        if key not in cache:
+            cache[key] = run(tmp_path_factory.mktemp("run"), obj, x, y)
+        return cache[key]
+
+    return get
+
+
+@pytest.fixture(scope="module")
+def runs(exports):
+    """(config, exports, transposed exports) per case."""
     def get(case):
-        if case not in cache:
-            obj = original_config(*case)
-            tmp = tmp_path_factory.mktemp(case_id(case))
-            cache[case] = (obj, run(tmp, "original", obj, X, Y),
-                           run(tmp, "transposed", transposed_config(obj), Y, X))
-        return cache[case]
+        obj = original_config(*case)
+        return obj, exports(obj, X, Y), exports(transposed_config(obj), Y, X)
+
+    return get
+
+
+@pytest.fixture(scope="module")
+def scaled_runs(exports):
+    """(q, p, c, exports, exports with x_1 scaled by c) per scaling."""
+    def get(scaling):
+        *case, c = scaling
+        obj = original_config(*case)
+        return (obj["q"], obj["p"], c, exports(obj, X, Y),
+                exports(scaled_config(obj, c), scaled_point(X, c), scaled_point(Y, c)))
 
     return get
 
@@ -126,3 +202,44 @@ class TestTransposeDuality:
         K, K_dual = rationals(ex["kernel"]["matrix"]), rationals(tr["kernel"]["matrix"])
         assert (len(K), len(K[0])) == (obj["p"], obj["q"])
         assert K_dual == [list(col) for col in zip(*K)]
+
+
+
+@pytest.mark.parametrize("scaling", SCALINGS, ids=scaling_id)
+class TestX1Scaling:
+    def test_moments_scaled(self, scaled_runs, scaling):
+        q, p, c, ex, sc = scaled_runs(scaling)
+        e = x1_exponent
+        M = rationals(ex["moments"]["entries"])
+        assert rationals(sc["moments"]["entries"]) == [
+            [c ** (e(m // q) + e(n // p)) * v for n, v in enumerate(row)] for m, row in enumerate(M)]
+
+    def test_h_scaled(self, scaled_runs, scaling):
+        q, p, c, ex, sc = scaled_runs(scaling)
+        e = x1_exponent
+        H = [Fraction(v) for v in ex["H"]["values"]]
+        assert len(H) == DEPTH
+        assert [Fraction(v) for v in sc["H"]["values"]] == [c ** (e(n // q) + e(n // p)) * h for n, h in enumerate(H)]
+
+    @pytest.mark.parametrize("side", ["S", "Sbar"])
+    def test_factor_scaled(self, scaled_runs, scaling, side):
+        q, p, c, ex, sc = scaled_runs(scaling)
+        e, r = x1_exponent, q if side == "S" else p
+        S = rationals(ex[side]["entries"])
+        assert rationals(sc[side]["entries"]) == [
+            [c ** (e(n // r) - e(j // r)) * v for j, v in enumerate(row)] for n, row in enumerate(S)]
+
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_recurrence_matrices_scaled(self, scaled_runs, scaling, k):
+        q, p, c, ex, sc = scaled_runs(scaling)
+        e = x1_exponent
+        T = rationals(ex[f"T{k}"]["entries"])
+        assert len(T) == DEPTH
+        assert rationals(sc[f"T{k}"]["entries"]) == [
+            [c ** ((k == 1) + e(m // q) - e(n // q)) * v for n, v in enumerate(row)] for m, row in enumerate(T)]
+
+    def test_kernel_unchanged(self, scaled_runs, scaling):
+        q, p, c, ex, sc = scaled_runs(scaling)
+        K = rationals(ex["kernel"]["matrix"])
+        assert (len(K), len(K[0])) == (p, q)
+        assert rationals(sc["kernel"]["matrix"]) == K
