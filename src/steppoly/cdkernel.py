@@ -102,8 +102,6 @@ def check_cd_formula(T: RecurrenceTruncation, relations: CheckReport) -> CheckRe
     k, q, p = T.k, T.q, T.p
     rep = CheckReport()
     n_max = recurrence_n_max(T, T.size, T.size)
-    if n_max == 0:
-        rep.skipped.append(f"no relation to check at depth {T.size}")
     if relations.checked != n_max * (p + q):
         raise ValueError(f"relations do not cover every n below {n_max}")
     rep.violations = [Violation((k, n, label, idx), "recurrence relation fails")

@@ -264,7 +264,7 @@ def run(config: RunConfig) -> dict:
 
 
 # ---- exports: one ratio_text of the elimination's integers per nonzero entry,
-# "0" and "1" for structural zeros and the unit diagonal; no json encoder runs
+# "0" and "1" for structural zeros and the unit diagonal, laid out by _json_text
 
 
 def export_entries(ws: Workspace) -> dict[str, list[list[str]]]:
@@ -279,11 +279,12 @@ def export_entries(ws: Workspace) -> dict[str, list[list[str]]]:
 
 
 def _json_text(value, pad: str = "\n") -> str:
-    """json.dumps(value, indent=2, sort_keys=True) for the values the exports
-    write: dicts with string keys, lists, ints and strings that need no escape."""
+    """json.dumps(value, indent=2, sort_keys=True) for the values the exports,
+    report.json and kernel.json write: dicts with string keys, lists, ints and
+    strings, a list of strings being a row of ratio texts, which need no escape."""
     inner = pad + "  "
     if isinstance(value, (str, int)):
-        return f'"{value}"' if isinstance(value, str) else str(value)
+        return json.dumps(value)
     if not value:
         return "{}" if isinstance(value, dict) else "[]"
     if isinstance(value, dict):
@@ -388,7 +389,7 @@ def _cmd_verify(args) -> int:
     report = run(config)
     out_dir = args.out or config.output
     if out_dir:
-        write_files(Path(out_dir), {"report.json": json.dumps(report, indent=2, sort_keys=True) + "\n"})
+        write_files(Path(out_dir), {"report.json": _json_text(report) + "\n"})
     if report["status"] == "breakdown":
         _write_stdout(f"factorization breakdown at index {report['breakdown_index']}\n")
     for c in report["checks"]:
@@ -422,7 +423,7 @@ def _cmd_kernel(args) -> int:
         "y": [ratio_text(*v) for v in y],
         "matrix": [[ratio_text(v, den) for v in row] for row in corner],
     }
-    text = json.dumps(obj, indent=2, sort_keys=True) + "\n"
+    text = _json_text(obj) + "\n"
     if args.out:
         write_files(Path(args.out), {"kernel.json": text})
     _write_stdout(text)

@@ -5,11 +5,12 @@ a p-tuple), so the coefficient matrices H^-1 S and Sbar are the families.  A
 Family with r components stores its member n as row n of that matrix,
 (d, {column: integer}): component i's coefficient at monomial position K is
 the integer in column K*r + i over d.  extract_families reads both straight
-off the integers of the elimination (gaussborel): with Delta the minors, r_c
-the lcm that scales row c of the truncation to integers, and L, Lbar the
-numerators of S and Sbar,
+off the integers of the elimination (gaussborel): with Delta the minors, and
+s, L and sbar, Lbar the scales and numerators of S and Sbar,
 
-    B row n = L[n][c] r_c / Delta_{n+1},    A row n = Lbar[n][c] / Delta_n.
+    B row n = L[n][c] s_c sbar_n / Delta_{n+1},   A row n = Lbar[n][c] sbar_c / (Delta_n sbar_n);
+
+on a factorization of M, s holds M's row lcms and sbar is all ones.
 
 Component indices are 0-based throughout the code.
 
@@ -126,12 +127,12 @@ def monomial_ints(x, count: int) -> tuple[int, list[int]]:
 def extract_families(F: Factorization) -> tuple[Family, Family]:
     """Both families, A with F.p components and B with F.q, read off F's integers.
 
-    B row n is S[n][c] / H_n = L[n][c] r_c / Delta_{n+1}; A row n is
-    Sbar[n][c] = Lbar[n][c] / Delta_n, the Sbar side's scale being all ones.
+    B row n is S[n][c] / H_n and A row n is Sbar[n][c], each read with both
+    sides' scales (module docstring), so F.transpose() gives M^T's families.
     """
-    (r, L, _), (_, Lbar, _), minors = F.S_int, F.Sbar_int, F.minors
-    B = [(minors[n + 1], {c: v * r[c] for c, v in enumerate(row) if v}) for n, row in enumerate(L)]
-    A = [(minors[n], {c: v for c, v in enumerate(row) if v}) for n, row in enumerate(Lbar)]
+    (s, L, _), (sbar, Lbar, _), minors = F.S_int, F.Sbar_int, F.minors
+    B = [(minors[n + 1], {c: v * s[c] * sbar[n] for c, v in enumerate(row) if v}) for n, row in enumerate(L)]
+    A = [(minors[n] * sbar[n], {c: v * sbar[c] for c, v in enumerate(row) if v}) for n, row in enumerate(Lbar)]
     return Family(F.p, A), Family(F.q, B)
 
 

@@ -84,15 +84,16 @@ and Jeffrey (Front. Comput. Sci. China 2, 2008): the minors Delta, and per
 side an IntegerSide (scale, L, L_inv) with
 
     factor[n][c]    = L[n][c] scale_c / (Delta_n scale_n),
-    inverse[i][k]   = L_inv[i][k] scale_k / (Delta_{k+1} scale_i)
+    inverse[i][k]   = L_inv[k][i-k] scale_k / (Delta_{k+1} scale_i)
 
-for c <= n and k <= i.  On the S side the scale is r and L_inv the lower rows
-of Mi; on the Sbar side the scale is all ones and L_inv the upper part of Mi,
-read as rows.  L_inv[c][c] = Delta_{c+1} and L[n][n] = Delta_n.  Each row of
-L is recovered from L_inv by integer back-substitution: the scales cancel from
-row n of factor * inverse = I, which leaves
+for c <= n and k <= i: L by rows up to the diagonal, L_inv by columns from it
+down.  On the S side the scale is r and column k of L_inv is Mi[k..][k]; on the
+Sbar side the scale is all ones and it is Mi[k][k..], Mi's upper part read as
+columns.  L_inv[c][0] = Delta_{c+1} and L[n][n] = Delta_n.  Each row of L is
+recovered from L_inv by integer back-substitution: the scales cancel from row n
+of factor * inverse = I, which leaves
 
-    L[n][c] = -(sum_{j=c+1..n} L[n][j] L_inv[j][c]) / Delta_{c+1},  c < n,
+    L[n][c] = -(sum_{j=c+1..n} L[n][j] L_inv[c][j-c]) / Delta_{c+1},  c < n,
 
 an exact division (the quotient is the integer Delta_n r_n / r_c S[n][c] on
 the S side, Delta_n Sbar[n][c] on the Sbar side).  factorize back-substitutes
@@ -145,8 +146,8 @@ CERT_PRIME = 2**31 - 1  # the modulus of factorize's certificate, a prime
 class IntegerSide(NamedTuple):
     """Integer numerators of one unit lower factor and of its inverse.
 
-    Rows are stored up to and including the diagonal; see the module docstring
-    for how scale and the minors turn them into the rational entries.
+    L holds rows up to the diagonal, L_inv columns from the diagonal down; the
+    module docstring says how scale and the minors give the rational entries.
     """
 
     scale: list[int]
@@ -159,8 +160,8 @@ class Factorization:
     elimination's minors and one IntegerSide each for S and Sbar.  The
     rational H, S and Sbar are built in full from those integers on every
     read; nothing keeps them.  A factorization of width w < depth holds the
-    minors up to Delta_w, both sides' L and Sbar's L_inv for w rows, and so H
-    for w rows; S's L_inv keeps all depth rows, each cut to w columns."""
+    minors up to Delta_w, H and both sides' L for w rows, and both sides'
+    L_inv for w columns, S's running down all depth rows."""
 
     __slots__ = ("depth", "q", "p", "minors", "S_int", "Sbar_int")
 
@@ -210,16 +211,16 @@ def unit_lower(minors: list[int], side: IntegerSide, rows: int, ratio) -> list[l
     return out
 
 
-def _factor_row(minors: list[int], inv_cols: list[list[int]], n: int) -> list[int]:
+def _factor_row(minors: list[int], L_inv: list[list[int]], n: int) -> list[int]:
     """Row n of one IntegerSide's L by the back-substitution of the module docstring.
 
-    inv_cols[c] is column c of L_inv from the diagonal down.  The row is filled
+    L_inv[c] is column c of L_inv from the diagonal down.  The row is filled
     from the diagonal leftwards, one integer sum and one exact division per
     entry.
     """
     row = [0] * n + [minors[n]]
     for c in range(n - 1, -1, -1):
-        row[c] = -sum(map(mul, row[c + 1:], inv_cols[c][1:n - c + 1])) // minors[c + 1]
+        row[c] = -sum(map(mul, row[c + 1:], L_inv[c][1:n - c + 1])) // minors[c + 1]
     return row
 
 
@@ -345,12 +346,8 @@ def factorize(M: MomentTruncation, width: int | None = None) -> Factorization:
     minors = eliminate(Mi, W)
     if W < D and not _certified(M.ints, Mi, minors):
         eliminate([row[:] for row in M.ints], D)  # Breakdown at its index, or a false alarm
-    # Column c of each side's L_inv, from the diagonal down: the S side reads
-    # the columns of Mi's lower part, the Sbar side the rows of its upper part.
-    S_cols = [[row[c] for row in Mi[c:W]] for c in range(W)]
-    Sbar_cols = [row[c:] for c, row in enumerate(Mi[:W])]
-    S_int = IntegerSide(r, [_factor_row(minors, S_cols, n) for n in range(W)],
-                        [row[:i + 1] for i, row in enumerate(Mi)])
-    Sbar_int = IntegerSide([1] * W, [_factor_row(minors, Sbar_cols, n) for n in range(W)],
-                           [[Mi[k][i] for k in range(i + 1)] for i in range(W)])
+    S_inv = [[row[c] for row in Mi[c:]] for c in range(W)]  # the columns of Mi's lower part
+    Sbar_inv = [row[c:] for c, row in enumerate(Mi[:W])]  # the rows of its upper part
+    S_int = IntegerSide(r, [_factor_row(minors, S_inv, n) for n in range(W)], S_inv)
+    Sbar_int = IntegerSide([1] * W, [_factor_row(minors, Sbar_inv, n) for n in range(W)], Sbar_inv)
     return Factorization(D, M.q, M.p, minors, S_int, Sbar_int)

@@ -95,11 +95,12 @@ def build_recurrence(F: Factorization, k: int, size: int, *, band: bool = False)
 
     Entry (m, n) = sum over c <= m of S[m][c] * S^-1[i][n] with i = n_plus(c, q, k);
     the factorization must be deep enough that every shifted index stays inside.
-    The sum runs over the integers F.S_int = (r, E, Mi) and the minors Delta
+    The sum runs over the integers F.S_int = (r, E, inv) and the minors Delta
     (the fraction-free LU form of Nakos, Turner and Williams, ACM SIGSAM
     Bull. 31, 1997, and of Zhou and Jeffrey, Front. Comput. Sci. China 2,
-    2008).  With L = lcm(r), the denominators come out of each entry, leaving
-    the integer acc[m][n] = sum_c E[m][c] r_c (L / r_i) Mi[i][n].
+    2008), inv[n] being column n of S^-1's numerators from the diagonal down.
+    With L = lcm(r), the denominators come out of each entry, leaving the
+    integer acc[m][n] = sum_c E[m][c] r_c (L / r_i) inv[n][i - n].
 
     Past n_plus(m, q, k) every sum is empty.  With band=True, compute's route,
     row m is summed only from column n_minus_big(m, p, k) on and is 0 to its
@@ -114,7 +115,7 @@ def build_recurrence(F: Factorization, k: int, size: int, *, band: bool = False)
     block off its exponent pair), so the skipped sums are exact zeros
     whenever F exists.
     """
-    q, p, (r, E, Mi) = F.q, F.p, F.S_int
+    q, p, (r, E, inv) = F.q, F.p, F.S_int
     need = max(n_plus(size - 1, q, k), n_plus(size - 1, p, k)) + 1
     if F.depth < need:
         raise DepthError(f"factorization depth {F.depth} < {need} needed for T_{k} at size "
@@ -123,9 +124,9 @@ def build_recurrence(F: Factorization, k: int, size: int, *, band: bool = False)
     shifted = [n_plus(c, q, k) for c in range(size)]
     weight = [r[c] * (big_l // r[i]) for c, i in enumerate(shifted)]
     # S^-1 is lower triangular and shifted increasing: column n meets row
-    # shifted[c] only from c = first[n] on; cols[n] holds Mi[shifted[c]][n] from there
+    # shifted[c] only from c = first[n] on; cols[n] holds those entries of inv[n]
     first = [n_minus_big(n, q, k) for n in range(size)]
-    cols = [[Mi[i][n] for i in shifted[f:]] for n, f in enumerate(first)]
+    cols = [[inv[n][i - n] for i in shifted[f:]] for n, f in enumerate(first)]
     acc = []
     for m in range(size):
         row_m = [e * w for e, w in zip(E[m], weight)]

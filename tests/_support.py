@@ -682,13 +682,13 @@ def side_rationals(minors: list[int], side: IntegerSide) -> tuple[list[list], li
     """The unit lower factor and its inverse that one IntegerSide stores as integers.
 
     factor[n][c] = L[n][c] s_c / (Delta_n s_n) and inverse[i][k] =
-    L_inv[i][k] s_k / (Delta_{k+1} s_i), zero above the diagonal.
+    L_inv[k][i - k] s_k / (Delta_{k+1} s_i), zero above the diagonal.
     """
     s, L, L_inv = side
     D = len(s)
     factor = [[rat(L[n][c] * s[c], minors[n] * s[n]) if c <= n else Fraction(0) for c in range(D)]
               for n in range(D)]
-    inverse = [[rat(L_inv[i][k] * s[k], minors[k + 1] * s[i]) if k <= i else Fraction(0)
+    inverse = [[rat(L_inv[k][i - k] * s[k], minors[k + 1] * s[i]) if k <= i else Fraction(0)
                 for k in range(D)] for i in range(D)]
     return factor, inverse
 
@@ -697,16 +697,15 @@ def inverts_its_factor(minors: list[int], side: IntegerSide) -> bool:
     """Whether one IntegerSide's inverse times its unit lower factor is I, in integers.
 
     With factor[n][c] = L[n][c] s_c / (Delta_n s_n) and inverse[c][k] =
-    L_inv[c][k] s_k / (Delta_{k+1} s_c), the s_c cancel from entry (n, k) of
-    factor * inverse, which is s_k / (Delta_n s_n Delta_{k+1}) times the
-    integer sum of L[n][c] L_inv[c][k] over k <= c <= n.  So row n is row n of
-    I exactly when those sums are 0 for k < n and Delta_n Delta_{n+1} at k = n;
-    with L[n][n] = Delta_n, the factor's diagonal is 1.
+    L_inv[k][c - k] s_k / (Delta_{k+1} s_c), the s_c cancel from entry (n, k)
+    of factor * inverse, which is s_k / (Delta_n s_n Delta_{k+1}) times the
+    integer sum of L[n][c] L_inv[k][c - k] over k <= c <= n.  So row n is row n
+    of I exactly when those sums are 0 for k < n and Delta_n Delta_{n+1} at
+    k = n; with L[n][n] = Delta_n, the factor's diagonal is 1.
     """
     s, L, L_inv = side
-    cols = [[row[k] for row in L_inv[k:]] for k in range(len(L))]  # column k from the diagonal down
     for n, row in enumerate(L):
-        sums = [sum(map(mul, row[k:n + 1], col)) for k, col in enumerate(cols[:n + 1])]
+        sums = [sum(map(mul, row[k:n + 1], col)) for k, col in enumerate(L_inv[:n + 1])]
         if row[n] != minors[n] or sums != [0] * n + [minors[n] * minors[n + 1]]:
             return False
     return True
@@ -732,7 +731,8 @@ def stored_inverses(F: Factorization) -> tuple[list[list], list[list]]:
 def corner_factorization(F: Factorization, d: int) -> Factorization:
     """The factorization of the leading d x d corner, cut from F."""
     def cut(side: IntegerSide) -> IntegerSide:
-        return IntegerSide(*(part[:d] for part in side))
+        s, L, L_inv = side
+        return IntegerSide(s[:d], L[:d], [col[:d - k] for k, col in enumerate(L_inv[:d])])
 
     return Factorization(d, F.q, F.p, F.minors[:d + 1], cut(F.S_int), cut(F.Sbar_int))
 
@@ -786,7 +786,8 @@ def bordered_numerators(data: list[list]) -> tuple[list[int], IntegerSide, Integ
     [Mi ; I], with Mi the row-scaled truncation; row n of the right block ends
     as L[n] of the S side and column n of the lower block as L[n] of the Sbar
     side.  factorize gets the same integers by back-substitution instead, so
-    this is the oracle for them.
+    this is the oracle for them.  Each L_inv is stored by columns from the
+    diagonal down: Mi's lower part on the S side, its upper part on the Sbar side.
     """
     D = len(data)
     scaled = [common_denominator(Fraction(v) for v in row) for row in data]
@@ -810,8 +811,8 @@ def bordered_numerators(data: list[list]) -> tuple[list[int], IntegerSide, Integ
             E[i][:k + 1] = [(piv * x - a * y) // prev for x, y in zip(E[i], E[k])]
             F[i][:k + 1] = [(piv * x - b * y) // prev for x, y in zip(F[i], F[k])]
     return (minors,
-            IntegerSide(r, E, [row[:i + 1] for i, row in enumerate(Mi)]),
-            IntegerSide([1] * D, F, [[Mi[k][i] for k in range(i + 1)] for i in range(D)]))
+            IntegerSide(r, E, [[Mi[i][k] for i in range(k, D)] for k in range(D)]),
+            IntegerSide([1] * D, F, [Mi[k][k:] for k in range(D)]))
 
 
 def reconstruct(F: Factorization) -> list[list]:
@@ -830,7 +831,7 @@ def reconstructs(F: Factorization, M: MomentTruncation) -> bool:
     """Whether S^-1 diag(H) Sbar^-T is M, in integers, read off the stored inverses.
 
     r_m times entry (m, n) of the product is the sum over c <= min(m, n) of
-    t_c = L_inv[m][c] Lbar_inv[n][c] / (Delta_c Delta_{c+1}), the scales
+    t_c = L_inv[c][m-c] Lbar_inv[c][n-c] / (Delta_c Delta_{c+1}), the scales
     cancelling, and it must be M.ints[m][n].  With a_0 = M.ints[m][n] and
     a_{c+1} = (Delta_{c+1} a_c - Delta_c Delta_{c+1} t_c) / Delta_c, a_c is
     Delta_c times M.ints[m][n] less t_0 .. t_{c-1}; so, each division being
@@ -841,8 +842,8 @@ def reconstructs(F: Factorization, M: MomentTruncation) -> bool:
     for m, row in enumerate(M.ints):
         acc = row[:]  # acc[n - c] is a_c of entry (m, n) before step c
         for c in range(m + 1):
-            a, prev, piv = L_inv[m][c], minors[c], minors[c + 1]
-            steps = [divmod(piv * x - a * bar[c], prev) for x, bar in zip(acc, Lbar_inv[c:])]
+            a, prev, piv = L_inv[c][m - c], minors[c], minors[c + 1]
+            steps = [divmod(piv * x - a * bar, prev) for x, bar in zip(acc, Lbar_inv[c])]
             if any(rem for _, rem in steps) or steps[0][0]:
                 return False
             acc = [x for x, _ in steps[1:]]
@@ -933,8 +934,6 @@ def swept_cd(T: RecurrenceTruncation, relations: CheckReport) -> CheckReport:
     k = T.k
     rep = CheckReport()
     n_max = recurrence_n_max(T, T.size, T.size)
-    if n_max == 0:
-        rep.skipped.append(f"no relation to check at depth {T.size}")
     for v in relations.violations:
         _, label, n, idx = v.where
         rep.violations.append(Violation((k, n, label, idx), "recurrence relation fails"))

@@ -333,8 +333,8 @@ MUTANTS = [
         ("tests/test_gaussborel.py::TestWindow::test_packed_reduction_at_the_slot_bound[0]",)),
     Mutant(
         "factorize builds one Sbar row fewer", "gaussborel.py",
-        "_factor_row(minors, Sbar_cols, n) for n in range(W)]",
-        "_factor_row(minors, Sbar_cols, n) for n in range(W - 1)]",
+        "_factor_row(minors, Sbar_inv, n) for n in range(W)]",
+        "_factor_row(minors, Sbar_inv, n) for n in range(W - 1)]",
         ("tests/test_gaussborel.py::TestFactorRows::test_each_row_built_once_in_factorize",
          "tests/test_gaussborel.py::TestFactorRows::test_rows_are_the_bordered_numerators",
          "tests/test_cli.py::TestRowsBuiltOnRead::test_compute_builds_only_the_window[golden]",
@@ -407,6 +407,13 @@ MUTANTS = [
         "H ignores the Sbar side's scale", "gaussborel.py",
         "minors[n] * s[n] * sbar[n]", "minors[n] * s[n]",
         ("tests/test_recurrence.py::TestBandStructure::test_transposed_factorization_reads_both_scales",)),
+    Mutant(
+        "extract_families drops the Sbar side's scale", "families.py",
+        "v * s[c] * sbar[n] for c, v in enumerate(row) if v}) for n, row in enumerate(L)]\n"
+        "    A = [(minors[n] * sbar[n], {c: v * sbar[c] for",
+        "v * s[c] for c, v in enumerate(row) if v}) for n, row in enumerate(L)]\n"
+        "    A = [(minors[n], {c: v for",
+        ("tests/test_gaussborel.py::TestFactorize::test_transpose_is_factorization_of_transpose",)),
     Mutant(
         "compute's band starts one column late", "recurrence.py",
         "lo = n_minus_big(m, p, k) if band else 0", "lo = n_minus_big(m, p, k) + 1 if band else 0",

@@ -1,6 +1,7 @@
 """Triangular factorization: planted L, H, U factors are the ground truth."""
 
 import copy
+import itertools
 import random
 from fractions import Fraction
 
@@ -14,7 +15,7 @@ from steppoly.cdkernel import check_abc, kernel_eval
 from steppoly.errors import Breakdown
 from steppoly.measures import Discrete, MeasureMatrix
 from steppoly.moments import MomentTruncation
-from steppoly.families import validate_degree_structure
+from steppoly.families import check_biorthogonality, pairing_matrix, validate_degree_structure
 from steppoly.recurrence import (RecurrenceTruncation, build_recurrence, check_dual_form, required_depth,
                                  validate_band)
 
@@ -354,12 +355,20 @@ class TestFactorize:
     def test_transpose_is_factorization_of_transpose(self):
         # M^T = Sbar^-1 H S^-T, so the dual recurrence may read F.transpose().
         # factorize(M^T) scales its rows by the column lcms of M, so its
-        # integers differ; the factors they stand for must not.
-        for q, p in SHAPES:
-            system = build_system(q, p, 12, seed=32)
-            F, Ft = system.F.transpose(), factorize(truncation(transpose(moment_data(system.M))))
-            assert (Ft.depth, Ft.S, Ft.Sbar, Ft.H, stored_inverses(Ft)) == (
-                F.depth, F.S, F.Sbar, F.H, stored_inverses(F)), (q, p)
+        # integers differ; the factors they stand for, and the families read
+        # off both sides' scales, must not.
+        def rationals(fam):
+            return fam.r, [{c: Fraction(v, d) for c, v in row.items()} for d, row in fam.rows]
+
+        for kind, (q, p) in itertools.product(("table", "mixed"), SHAPES):
+            system = build_system(q, p, 12, seed=32, kind=kind)
+            MT = rational_truncation(12, p, q, transpose(moment_data(system.M)))
+            F, Ft = system.F.transpose(), factorize(MT)
+            assert (Ft.depth, Ft.q, Ft.p, Ft.S, Ft.Sbar, Ft.H, stored_inverses(Ft)) == (
+                F.depth, F.q, F.p, F.S, F.Sbar, F.H, stored_inverses(F)), (kind, q, p)
+            A, B = extract_families(F)
+            assert list(map(rationals, (A, B))) == list(map(rationals, extract_families(Ft))), (kind, q, p)
+            assert check_biorthogonality(pairing_matrix(A, B, MT)).ok, (kind, q, p)
             # the two integer sides swap by reference
             assert F.S_int is system.F.Sbar_int and F.Sbar_int is system.F.S_int
             assert F.minors is system.F.minors
@@ -412,8 +421,8 @@ class TestWindow:
                 Fw = factorize(system.M, W)
                 assert Fw.depth == 16 and Fw.minors == F.minors[:W + 1] and Fw.H == F.H[:W]
                 assert Fw.S == corner(F.S, W) and Fw.Sbar == corner(F.Sbar, W)
-                assert Fw.S_int.L_inv == [row[:W] for row in F.S_int.L_inv]
-                assert Fw.Sbar_int.L_inv == F.Sbar_int.L_inv[:W]
+                assert Fw.S_int.L_inv == F.S_int.L_inv[:W]
+                assert Fw.Sbar_int.L_inv == [col[:W - k] for k, col in enumerate(F.Sbar_int.L_inv[:W])]
                 A, B = extract_families(Fw)
                 assert A.rows == system.A.rows[:W] and B.rows == system.B.rows[:W]
                 for k in (1, 2):

@@ -96,7 +96,7 @@ class TestIntegerRoute:
         T = build_recurrence(F, k, D)
         scale, L, L_inv = F.Sbar_int
         wrong = [row[:] for row in L_inv]
-        wrong[n_plus(1, p, k)][1] += 1
+        wrong[1][n_plus(1, p, k) - 1] += 1  # column 1 of Sbar^-1, from the diagonal down
         bad = Factorization(F.depth, F.q, F.p, F.minors, F.S_int, IntegerSide(scale, L, wrong))
         primal = build_recurrence(bad, k, D)
         assert primal.acc == T.acc and rational_T(primal) == rational_T(T)
