@@ -43,12 +43,13 @@ The ABC identity writes K^[n] through the inverse of the leading (n+1) x
 (n+1) moment truncation: sum over i <= n of a_i b_i^T is that inverse, where
 a_i and b_i are the coefficient rows of A_i and B_i, so K^[n](x, y) =
 X_[p](x)^T M^-1 X_[q](y) at every point pair (B. Simon, "The
-Christoffel-Darboux kernel", Proc. Sympos. Pure Math. 79, 2008).  check_abc
-compares the two matrices coefficient by coefficient; the inverse comes from
-the moments alone, by gaussborel's elimination of the truncation bordered by
-identity blocks.  kernel_eval, behind the kernel command, borders it by the
-two points' monomials instead: the elimination, in Bareiss's three-step form,
-leaves the kernel as a Schur complement, and no factor or family is formed.
+Christoffel-Darboux kernel", Proc. Sympos. Pure Math. 79, 2008).
+inverse_form reads any form bottom M^-1 right off the moments alone: one
+gaussborel elimination of the truncation bordered by right and bottom leaves
+it as a Schur complement.  kernel_eval, behind the kernel command, borders by
+the two points' monomials, so no factor or family is formed; check_abc
+borders by identity blocks and compares the inverse with the families' sum
+coefficient by coefficient.
 
 Every identity here is compared fraction-free, as in gaussborel (E. H.
 Bareiss, Math. Comp. 22, 1968): each side is an integer sum over its own
@@ -68,30 +69,41 @@ from .recurrence import RecurrenceTruncation, recurrence_n_max
 from .report import CheckReport, Violation
 
 
+def inverse_form(M: MomentTruncation, D: int, right: list[list[int]],
+                 bottom: list[list[int]]) -> tuple[int, list[list[int]]]:
+    """bottom M_D^-1 right as (den, corner), entry (a, b) being corner[a][b] / den,
+    for M_D the leading D x D corner of M, right D integer rows and bottom
+    integer rows of length D.
+
+    Row m of M's integers on the corner, M.ints[m][:D] = r_m M[m] with r_m =
+    M.scale[m], is bordered by r_m right[m], and the bottom rows by zeros.  The
+    bordered matrix is [[diag(r) M_D, diag(r) right], [bottom, 0]], so D steps
+    of eliminate leave Delta_D times its Schur complement, -bottom M_D^-1 right,
+    in the corner, and den = -Delta_D.  A vanishing leading minor raises the
+    Breakdown factorize would.
+    """
+    rows = [nums[:D] + [r * v for v in border] for r, nums, border in zip(M.scale, M.ints, right)]
+    pad = [0] * len(right[0])
+    rows += [row + pad for row in bottom]
+    return -eliminate(rows, D)[D], [row[D:] for row in rows[D:]]
+
+
 def kernel_eval(M: MomentTruncation, x: tuple, y: tuple) -> tuple[int, list[list[int]]]:
     """K^[D-1](x, y) = X_[p](x)^T M^-1 X_[q](y) for a depth-D truncation M, exactly,
     as (den, corner): entry (a, b) of the kernel is corner[a][b] / den.  Each
     point is two integer pairs (num, den), den > 0, as monomial_ints reads it.
 
-    Row m of M's integers, M.ints[m] = r_m M[m] with r_m = M.scale[m], is
-    copied and bordered by q columns and p rows: with integer monomial
-    tables X / d_x and Y / d_y, column b holds r_m Y[m // q] in the rows with
-    m % q = b, and row a holds X[m // p] in the columns with m % p = a.  D
-    steps of eliminate leave Delta_D times the Schur complement
-    -X^T M^-1 Y in the p x q corner, so den = -Delta_D d_x d_y.  A
-    vanishing leading minor raises the Breakdown factorize would.
+    It is inverse_form with integer monomial tables X / d_x and Y / d_y: right
+    row m holds Y[m // q] in column m % q, and bottom row a holds X[m // p] in
+    the columns m with m % p = a, so den is inverse_form's times d_x d_y.
     """
     D, q, p = M.depth, M.q, M.p
     d_x, X = monomial_ints(x, (D - 1) // p + 1)
     d_y, Y = monomial_ints(y, (D - 1) // q + 1)
-    rows = []
-    for m, (r_m, nums) in enumerate(zip(M.scale, M.ints)):
-        border = [0] * q
-        border[m % q] = r_m * Y[m // q]
-        rows.append(nums + border)
-    rows += [[X[m // p] if m % p == a else 0 for m in range(D)] + [0] * q for a in range(p)]
-    den = -eliminate(rows, D)[D] * d_x * d_y
-    return den, [row[D:] for row in rows[D:]]
+    right = [[Y[m // q] if m % q == b else 0 for b in range(q)] for m in range(D)]
+    bottom = [[X[m // p] if m % p == a else 0 for m in range(D)] for a in range(p)]
+    den, corner = inverse_form(M, D, right, bottom)
+    return den * d_x * d_y, corner
 
 
 def check_cd_formula(T: RecurrenceTruncation, relations: CheckReport) -> CheckReport:
@@ -128,30 +140,22 @@ def check_abc(M: MomentTruncation, A: Family, B: Family, n: int) -> CheckReport:
     """Sum over i <= n of a_i b_i^T equals the inverse of the (n+1) corner of M,
     coefficient by coefficient, exactly.
 
-    The oracle reads only the moments, never the factorization.  The D = n+1
-    corner is sliced out of M's integers: Mi[m] is M.ints[m][:D], the corner's
-    row m times r_m = M.scale[m], so Mi = diag(r) M on the corner.  It is
-    bordered by identity blocks: rows Mi[m] + e_m for m < D, then e_a + [0]*D
-    for a < D.  D steps of eliminate leave Delta_D times the Schur complement
-    -Mi^-1 in the lower right block.  So with det = -Delta_D, M^-1[m][c] =
-    block[m][c] r_c / det.  A vanishing leading minor raises the Breakdown
-    factorize would.  On the family side, A.rows[i] = (d_a, a_i) and
-    B.rows[i] = (d_b, b_i), so the sum over i <= n is the combine of the
-    outer products a_i b_i^T over d_a d_b.  Both sides are maps over (m, c),
-    compared by mismatches over the union of their keys, so a coefficient
-    stored beyond column n is a mismatch.  The first mismatch in row-major
-    order is reported at (n, m, c).
+    The oracle reads only the moments, never the factorization: the inverse is
+    inverse_form(M, n + 1, I, I), (det, block) with M^-1[m][c] = block[m][c] /
+    det.  On the family side, A.rows[i] = (d_a, a_i) and B.rows[i] = (d_b,
+    b_i), so the sum over i <= n is the combine of the outer products a_i b_i^T
+    over d_a d_b.  Both sides are maps over (m, c), compared by mismatches over
+    the union of their keys, so a coefficient stored beyond column n is a
+    mismatch.  The first mismatch in row-major order is reported at (n, m, c).
     """
     D = n + 1
     if D > M.depth:
         raise DepthError(f"corner {D} exceeds depth {M.depth}")
     if D > min(len(A), len(B)):
         raise DepthError(f"kernel index {n} outside family range")
-    rows = [M.ints[m][:D] + [int(m == j) for j in range(D)] for m in range(D)]
-    rows += [[int(a == j) for j in range(D)] + [0] * D for a in range(D)]
-    det = -eliminate(rows, D)[D]
-    want = {(m, c): v * r for m, row in enumerate(rows[D:])
-            for c, (v, r) in enumerate(zip(row[D:], M.scale)) if v}
+    eye = [[int(m == j) for j in range(D)] for m in range(D)]
+    det, block = inverse_form(M, D, eye, eye)
+    want = {(m, c): v for m, row in enumerate(block) for c, v in enumerate(row) if v}
     got = combine((1, d_a * d_b, _outer(a, b)) for (d_a, a), (d_b, b) in zip(A.rows[:D], B.rows[:D]))
     rep = CheckReport()
     bad = mismatches(got, (det, want))

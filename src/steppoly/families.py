@@ -69,27 +69,20 @@ class Family:
         return Family(self.r, self.rows[:count])
 
     def eval(self, n: int, x1, x2) -> list:
-        """Member n's r components at one point; no other member is read."""
-        return Family(self.r, [self.rows[n]]).values(x1, x2, 1)[0]
+        """Member n's r components at the point (x1, x2) of two ints or Fractions, as
+        Fractions; no other member is read.
 
-    def values(self, x1, x2, count: int) -> list[list]:
-        """Members 0 .. count-1 at the point (x1, x2) of two ints or Fractions, all
-        read from one monomial table, as Fractions.
-
-        The table is scaled to integers, so each value is one integer sum of
-        coefficient times monomial and one Fraction.
+        The member's monomial table is scaled to integers, so each component is
+        one integer sum of coefficient times monomial and one Fraction.
         """
-        r, rows = self.r, self.rows[:count]
-        top = max((max(row) for _, row in rows if row), default=-1)
-        den, mono = monomial_ints([(v.numerator, v.denominator) for v in (x1, x2)], top // r + 1)
-        out = []
-        for d, row in rows:
-            sums = [0] * r
-            for c, v in row.items():
-                K, i = divmod(c, r)
-                sums[i] += v * mono[K]
-            out.append([Fraction(s, d * den) for s in sums])
-        return out
+        r, (d, row) = self.r, self.rows[n]
+        point = [(v.numerator, v.denominator) for v in (x1, x2)]
+        den, mono = monomial_ints(point, max(row, default=-1) // r + 1)
+        sums = [0] * r
+        for c, v in row.items():
+            K, i = divmod(c, r)
+            sums[i] += v * mono[K]
+        return [Fraction(s, d * den) for s in sums]
 
 
 def combine(terms) -> tuple[int, dict]:

@@ -13,9 +13,9 @@ M.ints, and one Bareiss elimination (eliminate) runs on a copy of the rows of
 Mi (E. H. Bareiss, "Sylvester's identity and multistep integer-preserving
 Gaussian elimination", Math. Comp. 22, 1968).  Every intermediate is a minor
 of Mi, so the arithmetic stays in exact integers.
-eliminate is the one elimination loop: cdkernel.kernel_eval runs it on the
-same rows bordered by two points' monomials, and cdkernel.check_abc on the
-rows bordered by identity blocks, so all three raise the same Breakdown on a
+eliminate is the one elimination loop: cdkernel.inverse_form, behind the
+kernel command and the abc check, runs it on the same rows bordered by the
+columns and rows of a bilinear form, so it raises the same Breakdown on a
 vanishing minor; factorize's certificate runs it on residue rows.  With
 Delta_n the n x n leading minor of Mi (Delta_0 = 1), and a the rows as steps
 0 .. k-1 leave them, a[i][j] for i, j >= k is the (k+1)-minor on rows

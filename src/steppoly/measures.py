@@ -105,7 +105,7 @@ class RectDensity:
         self._axes = PowerTable([x1_lo, x1_hi]), PowerTable([x2_lo, x2_hi])
         bx, by = ((max(t.den, *map(abs, t.nums)) - 1).bit_length() for t in self._axes)
         for K in self.density:
-            i, j, _ = pair_of(K)
+            i, j = pair_of(K)
             if (bits := (i - j + 1) * bx + (j + 1) * by) > MAX_MOMENT_BITS:
                 raise ConfigError(f"density position {K} needs moments of about {bits} bits, "
                                   f"above the limit of {MAX_MOMENT_BITS}")
@@ -115,7 +115,7 @@ class RectDensity:
         if self._tables is None:
             den, nums = over_lcm(self.density.values())
             pairs = map(pair_of, self.density)
-            self._tables = den, [(i - j + 1, j + 1, c) for (i, j, _), c in zip(pairs, nums)]
+            self._tables = den, [(i - j + 1, j + 1, c) for (i, j), c in zip(pairs, nums)]
         (den, terms), (xs, ys) = self._tables, self._axes
         # the term (c/den) x^(i-j) y^j integrates to (c/den) (hi^a - lo^a)/a (hi^b - lo^b)/b,
         # a = s + i - j + 1 and b = t + j + 1: over the scaled axis rows that is

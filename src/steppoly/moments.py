@@ -46,7 +46,7 @@ def assemble_moments(mm: MeasureMatrix, depth: int) -> MomentTruncation:
     q, p = mm.q, mm.p
 
     def exponents(count: int) -> list[tuple[int, int]]:
-        return [(i - j, j) for i, j, _ in map(pair_of, range(count))]
+        return [(i - j, j) for i, j in map(pair_of, range(count))]
 
     row_exps, col_exps = exponents((depth - 1) // q + 1), exponents((depth - 1) // p + 1)
     blocks: dict[tuple[int, int], list[list]] = {}

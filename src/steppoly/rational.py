@@ -6,7 +6,7 @@ ratio_text writes a ratio of two integers back in that form, as str() writes
 the fractions.Fraction it stands for.  Both work at any size: past the
 interpreter's limit on int/str conversion digits they go through
 decimal.Decimal, which that limit does not bind.  The few rational results of
-the library's API (steppoly.rat, Family.values, Factorization.H, .S and
+the library's API (steppoly.rat, Family.eval, Factorization.H, .S and
 .Sbar) are plain Fractions; QType names that type.
 """
 

@@ -20,7 +20,6 @@ from typing import NamedTuple
 class GradedIndex(NamedTuple):
     i: int
     j: int
-    position: int
 
 
 def floor_f(m: int) -> int:
@@ -41,8 +40,7 @@ def pair_of(position: int) -> GradedIndex:
     if position < 0:
         raise ValueError(f"negative position: {position}")
     i = floor_f(position)
-    j = position - i * (i + 1) // 2
-    return GradedIndex(i, j, position)
+    return GradedIndex(i, position - i * (i + 1) // 2)
 
 
 def _check_rk(r: int, k: int) -> None:

@@ -250,7 +250,7 @@ class BiPoly:
         a, b = Fraction(x1), Fraction(x2)
         total = rat(0)
         for K, c in self.coeffs.items():
-            i, j, _ = pair_of(K)
+            i, j = pair_of(K)
             total += c * a ** (i - j) * b ** j
         return total
 
@@ -493,12 +493,16 @@ def gauss_jordan_inverse(a: list[list]) -> list[list]:
     return [row[n:] for row in work]
 
 
+def values(fam: Family, x1, x2, count: int) -> list[list]:
+    return [fam.eval(n, x1, x2) for n in range(count)]
+
+
 def kernel_sum(A: Family, B: Family, n: int, x: tuple, y: tuple) -> list[list]:
     """K^[n](x, y), the sum of A_i(x) B_i(y) over i <= n, in reduced rationals:
     the family-side oracle for cdkernel.kernel_eval."""
     if n >= min(len(A), len(B)):
         raise DepthError(f"kernel index {n} outside family range")
-    a, b = A.values(*x, n + 1), B.values(*y, n + 1)
+    a, b = values(A, *x, n + 1), values(B, *y, n + 1)
     return [[sum((a_i[i] * b_i[j] for a_i, b_i in zip(a, b)), Fraction(0)) for j in range(B.r)]
             for i in range(A.r)]
 
@@ -555,7 +559,7 @@ def pointwise_reproduction(A: Family, B: Family, gram: list[list], n: int,
     The double integral of K^[n](x, .) dmu K^[n](., y), expanded through the
     leading (n+1) corner of gram, must equal K^[n](x, y).  Both sides are
     compared fraction-free: with A_i(x) = a[i] / d_a and B_i(y) = b[i] / d_b
-    (Family.values) and the corner's nonzero entries (num, den) brought to
+    (Family.eval) and the corner's nonzero entries (num, den) brought to
     G_int / d_G, d_G the lcm of their den, the sum of a[i] G_int[i][j] b[j]
     must equal d_G times the sum of the outer products a[i] b[i] over i <= n.
     """
@@ -570,7 +574,7 @@ def pointwise_reproduction(A: Family, B: Family, gram: list[list], n: int,
     if not point_pairs:
         rep.skipped.append("no point pairs given")
     for x, y in point_pairs:
-        (_, a), (_, b) = map(integer_rows, (A.values(*x, n + 1), B.values(*y, n + 1)))
+        (_, a), (_, b) = map(integer_rows, (values(A, *x, n + 1), values(B, *y, n + 1)))
         out = [[sum(a[i][a_idx] * g * b[j][b_idx] for i, j, g in terms) for b_idx in range(q)]
                for a_idx in range(p)]
         kernel = [[d_g * sum(a_i[a_idx] * b_i[b_idx] for a_i, b_i in zip(a, b))
@@ -585,7 +589,7 @@ def pointwise_reproduction(A: Family, B: Family, gram: list[list], n: int,
 class KernelTable:
     """Both families at one point pair, with K^[n](x, y) for every n < count.
 
-    A_i(x) = a_int[i] / d_a and B_i(y) = b_int[i] / d_b (Family.values);
+    A_i(x) = a_int[i] / d_a and B_i(y) = b_int[i] / d_b (Family.eval);
     kernels_int[n] sums the outer products a_int[i] b_int[i] over i <= n, so
     K^[n](x, y) = kernels_int[n] / den with den = d_a d_b.
     """
@@ -597,7 +601,7 @@ class KernelTable:
             raise DepthError(f"kernel index {count - 1} outside family range")
         self.x, self.y = x, y
         (d_a, self.a_int), (d_b, self.b_int) = map(
-            integer_rows, (A.values(*x, count), B.values(*y, count)))
+            integer_rows, (values(A, *x, count), values(B, *y, count)))
         self.den = d_a * d_b
         outer = ([[va * vb for vb in b_i] for va in a_i] for a_i, b_i in zip(self.a_int, self.b_int))
         self.kernels_int = list(accumulate(
@@ -653,7 +657,7 @@ def pos_of(i: int, j: int) -> int:
 
 def monomial_value(pos: int, x1, x2):
     """Value of the monomial at a step-line position."""
-    i, j, _ = pair_of(pos)
+    i, j = pair_of(pos)
     return Fraction(x1) ** (i - j) * Fraction(x2) ** j
 
 
@@ -1008,9 +1012,9 @@ def integrate_pair(mm: MeasureMatrix, left: BiPoly, b_idx: int, a_idx: int, righ
     measure = mm.entries[b_idx][a_idx]
     total = rat(0)
     for K1, c1 in left.coeffs.items():
-        i1, j1, _ = pair_of(K1)
+        i1, j1 = pair_of(K1)
         for K2, c2 in right.coeffs.items():
-            i2, j2, _ = pair_of(K2)
+            i2, j2 = pair_of(K2)
             total += c1 * c2 * moment(measure, (i1 - j1) + (i2 - j2), j1 + j2)
     return total
 
@@ -1090,7 +1094,7 @@ def apply_shift_to_monomials(r: int, k: int, x1, x2, count: int) -> list:
     a, b = Fraction(x1), Fraction(x2)
 
     def mono(pos: int):
-        i, j, _ = pair_of(pos)
+        i, j = pair_of(pos)
         return a ** (i - j) * b ** j
 
     return [mono(n_plus(n, r, k) // r) for n in range(count)]

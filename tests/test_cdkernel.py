@@ -50,6 +50,7 @@ from _support import (
     solve,
     swept_cd,
     truncation_corner,
+    values,
 )
 
 GOLDEN_CONFIG = Path(__file__).resolve().parent / "golden" / "config.json"
@@ -110,16 +111,14 @@ class TestKernelEval:
                 assert got[a_idx][b_idx] == want
 
     def test_table_matches_member_evaluation(self):
-        # the oracle evaluates each member term by term, apart from Family.values
+        # the oracle evaluates each member term by term, apart from Family.eval
         for q, p in SHAPES:
             system = build_system(q, p, 8, seed=81)
             table = KernelTable(system.A, system.B, X, Y, 8)
             want_a = [[c.eval(*X) for c in comps] for comps in members(system.A.head(8))]
             want_b = [[c.eval(*Y) for c in comps] for comps in members(system.B.head(8))]
-            assert system.A.values(*X, 8) == want_a, (q, p)
-            assert system.B.values(*Y, 8) == want_b, (q, p)
-            assert [system.A.eval(i, *X) for i in range(8)] == want_a, (q, p)
-            assert [system.B.eval(i, *Y) for i in range(8)] == want_b, (q, p)
+            assert values(system.A, *X, 8) == want_a, (q, p)
+            assert values(system.B, *Y, 8) == want_b, (q, p)
             for n in range(8):
                 want = [[sum((want_a[i][a] * want_b[i][b] for i in range(n + 1)), rat(0))
                          for b in range(q)] for a in range(p)]
@@ -604,7 +603,7 @@ class TestReproduction:
         cells = [(1, 2), (2, 1), (3, 0), (0, 3)]
         products = []
         for x, y in SPOT_PAIRS:
-            a, b = system.A.values(*x, 4), system.B.values(*y, 4)
+            a, b = values(system.A, *x, 4), values(system.B, *y, 4)
             products.append([a[i][0] * b[j][0] for i, j in cells])
         # the last entry of E is 1, and the first three solve products E = 0
         head = solve([row[:3] for row in products], [-row[3] for row in products])
@@ -660,7 +659,7 @@ class TestProjection:
             for m, c in enumerate(coeffs):
                 bent = planted(bent, 0, 0, pos_of(m, 0), c)
             for x in points:
-                assert bent.values(*x, n + 1) == system.A.values(*x, n + 1)
+                assert values(bent, *x, n + 1) == values(system.A, *x, n + 1)
             P = monic_matrix(p, 2)
             rep = check_projection(bent, inner_integrals(system.B, system.M, P), n, P)
             # B_0 pairs to nonzero with every column of P here, so each column shows the change

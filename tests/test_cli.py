@@ -918,24 +918,24 @@ class TestMomentRowsScaledOnce:
 class TestRecurrenceReportShared:
     """verify proves each recurrence relation once: the recurrence and cd checks
     read one check_recurrence_matrix report per k, whichever of them run, and
-    no check evaluates the families at a point (Family.values)."""
+    no check evaluates the families at a point (Family.eval)."""
 
     @pytest.mark.parametrize("shape", ["golden", (2, 3)])
     def test_relations_once_and_no_point_evaluated(self, tmp_path, monkeypatch, shape):
         cfg = shape_config(tmp_path, shape)
         relations, evaluations = [], []
-        values = Family.values
+        evaluate = Family.eval
 
         def counting_relations(T, A, B):
             relations.append(T.k)
             return check_recurrence_matrix(T, A, B)
 
-        def counting_values(fam, *args):
+        def counting_eval(fam, *args):
             evaluations.append(args)
-            return values(fam, *args)
+            return evaluate(fam, *args)
 
         monkeypatch.setattr("steppoly.cli.check_recurrence_matrix", counting_relations)
-        monkeypatch.setattr(Family, "values", counting_values)
+        monkeypatch.setattr(Family, "eval", counting_eval)
         assert main(["verify", "--config", str(cfg), "--checks", ",".join(CHECK_NAMES),
                      "--out", str(tmp_path / "v")]) == 0
         assert relations == [1, 2]

@@ -27,7 +27,7 @@ def sympy_rect_moment(density: dict, box, s: int, t: int) -> Fraction:
     x, y = sympy.symbols("x y")
     expr = sympy.Integer(0)
     for K, c in density.items():
-        i, j, _ = pair_of(K)
+        i, j = pair_of(K)
         expr += sympy.Rational(to_fraction(c)) * x ** (i - j) * y**j
     val = sympy.integrate(
         expr * x**s * y**t,

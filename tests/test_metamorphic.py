@@ -1,5 +1,5 @@
-"""Metamorphic relations through the command line: the transpose duality and
-the scaling of x_1.
+"""Metamorphic relations through the command line: the transpose duality, the
+scaling of x_1, one added atom (Uvarov) and the commutation of T_1 with T_2.
 
 Transposing a q x p config's measure grid gives a p x q config whose moment
 matrix is M^T = Sbar^-1 H S^-T, the dual form of M = S^-1 H Sbar^-T.  So
@@ -19,9 +19,31 @@ step-line position K.  Then, with e_r(n) = e(n // r),
     T'_1[m][n] = c^(1 + e_q(m) - e_q(n)) T_1[m][n],  T'_2 the same without the 1,
     K'((c x_1, x_2), (c y_1, y_2)) = K(x, y).
 
+Adding an atom of weight w at the point z to cell (b0, a0) adds w u v^T to
+the moment matrix, u[m] the monomial at position m // q at z when m % q = b0
+and 0 otherwise, v the same with p and a0.  The matrix determinant lemma on
+each leading (n+1) x (n+1) section, with the ABC form K^[n] = X_[p]^T M^-1
+X_[q], gives the determinant half of V. B. Uvarov's formula ("The connection
+between systems of polynomials orthogonal with respect to different
+distribution functions", USSR Comput. Math. Math. Phys. 9(6), 1969):
+
+    H'_0 ... H'_n / (H_0 ... H_n) = 1 + w K^[n](z, z)[a0][b0],
+
+which ties compute's factorization to kernel's elimination.
+
+Lambda_{[q];1} and Lambda_{[q];2} multiply one monomial vector by x_1 and by
+x_2, so they commute, and so do T_k = S Lambda_{[q];k} S^-1:
+
+    T_1 T_2 = T_2 T_1.
+
+Row m of either product is a finite sum inside the exported window when
+n_plus(m, q, 1) and n_plus(m, q, 2), the last columns row m of T_1 and T_2
+reach, are below its size.
+
 No closed form is needed, and no formula of the program is restated: each
-transformed config is built from the config JSON alone, and every run goes
-through steppoly.cli.main.
+transformed config is built from the config JSON alone, the step-line indices
+are derived here from the positions of monomials, and every run goes through
+steppoly.cli.main.
 """
 
 import json
@@ -43,6 +65,12 @@ X, Y = ("1/2", "-1/3"), ("-2/7", "1/5")
 
 # (kind, q, p): q < p and q > p, each for a mixed and a table grid
 CASES = [("mixed", 1, 2), ("mixed", 2, 1), ("table", 2, 3), ("table", 2, 1)]
+
+# the configs of the Uvarov and commutation relations: CASES and a discrete grid
+CONFIGS = CASES + [("discrete", 1, 2)]
+
+# the Uvarov atom: weight W at the point Z
+Z, W = ("1/2", "-1/3"), Fraction(2, 5)
 
 # (kind, q, p, c): c > 0 scales the rect cells of the mixed grids, c < 0 the
 # table and discrete grids, whose cells take any c
@@ -102,6 +130,45 @@ def scaled_config(obj: dict, c: Fraction) -> dict:
 
 def scaled_point(point, c: Fraction) -> tuple[str, str]:
     return str(Fraction(point[0]) * c), point[1]
+
+
+def with_atom(obj: dict) -> tuple[dict, int, int]:
+    """(config, b0, a0): the config with the atom (Z, W) added to its last cell
+    (b0, a0) that is not a rect, read off the JSON alone: a discrete cell gains
+    the atom, and a table cell's moment (s, t) gains W z_1^s z_2^t."""
+    b0, a0 = [(b, a) for b, row in enumerate(obj["measures"])
+              for a, m in enumerate(row) if m["type"] != "rect"][-1]
+    cell = obj["measures"][b0][a0]
+    if cell["type"] == "discrete":
+        cell = {**cell, "atoms": [*cell["atoms"], {"x": Z[0], "y": Z[1], "w": str(W)}]}
+    else:
+        z1, z2 = map(Fraction, Z)
+        moments = {}
+        for st, v in cell["moments"].items():
+            s, t = map(int, st.split(","))
+            moments[st] = str(Fraction(v) + W * z1 ** s * z2 ** t)
+        cell = {**cell, "moments": moments}
+    measures = [list(row) for row in obj["measures"]]
+    measures[b0][a0] = cell
+    return {**obj, "measures": measures}, b0, a0
+
+
+def n_plus(n: int, r: int, k: int) -> int:
+    """The last column row n of T_k reaches: slot n % r of the monomial at
+    position n // r = i (i + 1) / 2 + j, times x_k, sits at position
+    (i + 1)(i + 2) / 2 + j + k - 1, which is n // r + i + k."""
+    i = (isqrt(8 * (n // r) + 1) - 1) // 2
+    return n + r * (i + k)
+
+
+def kernel_at(tmp_path, obj: dict, n: int, x, y) -> list[list[Fraction]]:
+    """kernel.json's matrix K^[n](x, y) for one config."""
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps(obj))
+    out = tmp_path / f"kernel-{n}"
+    assert main(["kernel", "--config", str(cfg), "--n", str(n),
+                 f"--x={','.join(x)}", f"--y={','.join(y)}", "--out", str(out)]) == 0
+    return rationals(json.loads((out / "kernel.json").read_text())["matrix"])
 
 
 def run(tmp_path, obj: dict, x, y) -> dict:
@@ -243,3 +310,32 @@ class TestX1Scaling:
         K = rationals(ex["kernel"]["matrix"])
         assert (len(K), len(K[0])) == (p, q)
         assert rationals(sc["kernel"]["matrix"]) == K
+
+
+@pytest.mark.parametrize("case", CONFIGS, ids=case_id)
+class TestUvarov:
+    def test_h_products_ratio_is_one_plus_w_times_the_kernel(self, exports, tmp_path, case):
+        obj = original_config(*case)
+        atom_obj, b0, a0 = with_atom(obj)
+        H = [Fraction(v) for v in exports(obj, X, Y)["H"]["values"]]
+        H_atom = [Fraction(v) for v in exports(atom_obj, X, Y)["H"]["values"]]
+        assert len(H) == len(H_atom) == DEPTH
+        ratio = Fraction(1)
+        for n in range(DEPTH):
+            ratio *= H_atom[n] / H[n]
+            assert ratio == 1 + W * kernel_at(tmp_path, obj, n, Z, Z)[a0][b0], n
+
+
+@pytest.mark.parametrize("case", CONFIGS, ids=case_id)
+class TestCommutation:
+    def test_t1_t2_commute_on_the_rows_inside_the_window(self, exports, case):
+        obj = original_config(*case)
+        ex, q = exports(obj, X, Y), obj["q"]
+        T1, T2 = (rationals(ex[f"T{k}"]["entries"]) for k in (1, 2))
+        # n_plus(m, q, 1) is n_plus(m, q, 2) - q, so one bound covers both
+        rows = [m for m in range(DEPTH) if n_plus(m, q, 2) < DEPTH]
+        assert rows and len(T1) == len(T2) == DEPTH
+        for m in rows:
+            T12 = [sum(T1[m][j] * T2[j][n] for j in range(DEPTH)) for n in range(DEPTH)]
+            T21 = [sum(T2[m][j] * T1[j][n] for j in range(DEPTH)) for n in range(DEPTH)]
+            assert T12 == T21, m

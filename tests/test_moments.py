@@ -62,8 +62,8 @@ class TestAssembly:
             M = assemble_moments(mm, depth)
             for m in range(depth):
                 for n in range(depth):
-                    i, j, _ = pair_of(m // q)
-                    kk, ll, _ = pair_of(n // p)
+                    i, j = pair_of(m // q)
+                    kk, ll = pair_of(n // p)
                     s, t = (i - j) + (kk - ll), j + ll
                     want = rat(1000000 * (3 * (m % q) + (n % p) + 1) + 1000 * s + t)
                     assert moment_data(M)[m][n] == want, (q, p, m, n)
@@ -216,7 +216,7 @@ class TestIntegersFromText:
     def test_scale_and_ints_match_the_fraction_oracle(self, grid):
         q, p, depth = grid["q"], grid["p"], grid["depth"]
         M = assemble_moments(MeasureMatrix.from_json(grid), depth)
-        exps = [(i - j, j) for i, j, _ in map(pair_of, range(depth))]
+        exps = [(i - j, j) for i, j in map(pair_of, range(depth))]
         want = [[oracle_moment(grid["measures"][m % q][n % p],
                                exps[m // q][0] + exps[n // p][0], exps[m // q][1] + exps[n // p][1])
                  for n in range(depth)] for m in range(depth)]

@@ -399,7 +399,7 @@ class TestRelations:
     def test_pointwise_on_random_systems(self):
         # x_k B_n = sum_i R_k[n][i] B_i and x_k A_n = sum_i R_k[i][n] A_i,
         # evaluated member by member at each point with the tests' BiPoly.eval,
-        # apart from the coefficient check and from Family.values
+        # apart from the coefficient check and from Family.eval
         for q, p in SHAPES:
             D = 12
             system = build_system(q, p, required_depth(D, q, p), seed=67)
