@@ -49,7 +49,10 @@ gaussborel elimination of the truncation bordered by right and bottom leaves
 it as a Schur complement.  kernel_eval, behind the kernel command, borders by
 the two points' monomials, so no factor or family is formed; check_abc
 borders by identity blocks and compares the inverse with the families' sum
-coefficient by coefficient.
+coefficient by coefficient.  kernel_eval can also keep the Elimination its
+steps leave on the truncation's own block, and kernel_replay reads the
+kernel at any depth up to that block's off it, running the steps on the
+new borders only.
 
 Every identity here is compared fraction-free, as in gaussborel (E. H.
 Bareiss, Math. Comp. 22, 1968): each side is an integer sum over its own
@@ -60,6 +63,7 @@ denominator (families.combine), and the two are cross-multiplied
 from __future__ import annotations
 
 from itertools import chain
+from typing import NamedTuple
 
 from .errors import DepthError
 from .families import Family, combine, mismatches, monomial_ints
@@ -67,6 +71,35 @@ from .gaussborel import eliminate
 from .moments import MomentTruncation
 from .recurrence import RecurrenceTruncation, recurrence_n_max
 from .report import CheckReport, Violation
+
+
+class Elimination(NamedTuple):
+    """The integers D unpivoted Bareiss steps leave in the leading D x D block
+    of a truncation's rows diag(r) M_D, r = scale, of block shape q x p.
+
+    lower[k] holds step k's multipliers, column k from row k+1 down; upper[k]
+    holds pivot row k from column k+1 on, as steps 0 .. k-1 left it; minors
+    holds Delta_0 .. Delta_D, Delta_{k+1} being step k's pivot.
+    """
+
+    q: int
+    p: int
+    scale: list[int]
+    lower: list[list[int]]
+    upper: list[list[int]]
+    minors: list[int]
+
+    depth = property(lambda self: len(self.minors) - 1)
+
+
+def _bordered(M: MomentTruncation, D: int, right: list[list[int]],
+              bottom: list[list[int]]) -> tuple[list[int], list[list[int]]]:
+    """The minors and the rows D steps of eliminate leave on M_D bordered by
+    right and bottom, as inverse_form's docstring lays them out."""
+    rows = [nums[:D] + [r * v for v in border] for r, nums, border in zip(M.scale, M.ints, right)]
+    pad = [0] * len(right[0])
+    rows += [row + pad for row in bottom]
+    return eliminate(rows, D), rows
 
 
 def inverse_form(M: MomentTruncation, D: int, right: list[list[int]],
@@ -82,28 +115,78 @@ def inverse_form(M: MomentTruncation, D: int, right: list[list[int]],
     in the corner, and den = -Delta_D.  A vanishing leading minor raises the
     Breakdown factorize would.
     """
-    rows = [nums[:D] + [r * v for v in border] for r, nums, border in zip(M.scale, M.ints, right)]
-    pad = [0] * len(right[0])
-    rows += [row + pad for row in bottom]
-    return -eliminate(rows, D)[D], [row[D:] for row in rows[D:]]
+    minors, rows = _bordered(M, D, right, bottom)
+    return -minors[D], [row[D:] for row in rows[D:]]
 
 
-def kernel_eval(M: MomentTruncation, x: tuple, y: tuple) -> tuple[int, list[list[int]]]:
+def _kernel_borders(D: int, q: int, p: int, x: tuple,
+                    y: tuple) -> tuple[int, list[list[int]], list[list[int]]]:
+    """(d_x d_y, right, bottom): the two points' monomial borders of kernel_eval's
+    docstring for a depth-D truncation of block shape q x p."""
+    d_x, X = monomial_ints(x, (D - 1) // p + 1)
+    d_y, Y = monomial_ints(y, (D - 1) // q + 1)
+    right = [[Y[m // q] if m % q == b else 0 for b in range(q)] for m in range(D)]
+    bottom = [[X[m // p] if m % p == a else 0 for m in range(D)] for a in range(p)]
+    return d_x * d_y, right, bottom
+
+
+def kernel_eval(M: MomentTruncation, x: tuple, y: tuple, *, keep: bool = False
+                ) -> tuple[int, list[list[int]]] | tuple[int, list[list[int]], Elimination]:
     """K^[D-1](x, y) = X_[p](x)^T M^-1 X_[q](y) for a depth-D truncation M, exactly,
     as (den, corner): entry (a, b) of the kernel is corner[a][b] / den.  Each
     point is two integer pairs (num, den), den > 0, as monomial_ints reads it.
 
     It is inverse_form with integer monomial tables X / d_x and Y / d_y: right
     row m holds Y[m // q] in column m % q, and bottom row a holds X[m // p] in
-    the columns m with m % p = a, so den is inverse_form's times d_x d_y.
+    the columns m with m % p = a, so den is inverse_form's times d_x d_y.  With
+    keep, it returns (den, corner, Elimination): the integers its steps left
+    in the leading D x D block, which kernel_replay reads.
     """
     D, q, p = M.depth, M.q, M.p
-    d_x, X = monomial_ints(x, (D - 1) // p + 1)
-    d_y, Y = monomial_ints(y, (D - 1) // q + 1)
-    right = [[Y[m // q] if m % q == b else 0 for b in range(q)] for m in range(D)]
-    bottom = [[X[m // p] if m % p == a else 0 for m in range(D)] for a in range(p)]
-    den, corner = inverse_form(M, D, right, bottom)
-    return den * d_x * d_y, corner
+    d, right, bottom = _kernel_borders(D, q, p, x, y)
+    minors, rows = _bordered(M, D, right, bottom)
+    den, corner = -minors[D] * d, [row[D:] for row in rows[D:]]
+    if not keep:
+        return den, corner
+    lower = [[row[k] for row in rows[k + 1:D]] for k in range(D)]
+    upper = [row[k + 1:D] for k, row in enumerate(rows[:D])]
+    return den, corner, Elimination(q, p, M.scale[:D], lower, upper, minors)
+
+
+def kernel_replay(E: Elimination, D: int, x: tuple, y: tuple) -> tuple[int, list[list[int]]]:
+    """kernel_eval's (den, corner) for the depth-D truncation, D <= E.depth, read
+    off E by Bareiss's single steps on the two points' borders alone.
+
+    With r = E.scale, the border columns start as diag(r) right and the border
+    rows as bottom, and step k turns entry (i, j) of the bordered matrix into
+    (Delta_{k+1} a[i][j] - a[i][k] a[k][j]) / Delta_k.  The replay is exact:
+
+    - eliminate's groups leave every integer the single steps leave, so E holds
+      the single steps' multipliers, pivot rows and minors;
+    - step k's update of entry (i, j) reads only rows i and k and columns k and
+      j, so the leading D x D block of a depth-N elimination is the depth-D
+      elimination of diag(r) M_D, r being the depth-N row scales;
+    - r cancels from bottom (diag(r) M_D)^-1 diag(r) right = bottom M_D^-1 right;
+    - every division is one the bordered elimination of diag(r) M_D at depth D
+      performs, since its entries are E's and the borders' own.
+
+    The q border columns take about q D^2 / 2 entry updates and the p border
+    rows p D^2 / 2, where eliminating the truncation again takes about D^3 / 3.
+    """
+    d, right, bottom = _kernel_borders(D, E.q, E.p, x, y)
+    cols = [[r * row[b] for r, row in zip(E.scale, right)] for b in range(E.q)]
+    corner = [[0] * E.q for _ in range(E.p)]
+    for k in range(D):
+        piv, prev = E.minors[k + 1], E.minors[k]
+        for col in cols:  # zip stops at row D - 1 of E's longer column k and row k
+            c = col[k]
+            col[k + 1:] = [(piv * v - m * c) // prev for v, m in zip(col[k + 1:], E.lower[k])]
+        heads = [col[k] for col in cols]  # row k's border entries, final from step k on
+        for row, out in zip(bottom, corner):
+            a = row[k]
+            row[k + 1:] = [(piv * v - a * u) // prev for v, u in zip(row[k + 1:], E.upper[k])]
+            out[:] = [(piv * v - a * h) // prev for v, h in zip(out, heads)]
+    return -E.minors[D] * d, corner
 
 
 def check_cd_formula(T: RecurrenceTruncation, relations: CheckReport) -> CheckReport:

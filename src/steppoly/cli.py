@@ -11,25 +11,28 @@ Exit codes: 0 no requested check failed (a check that verified nothing is
 skipped, not failed), 1 check failure, 2 factorization breakdown, 3
 configuration error.  All emitted files are byte-identical across
 reruns with the same config and seed; rationals are serialized as "num/den"
-strings and timing never enters any file.
+strings and timing never enters any file.  A kernel query reuses, within one
+process, the elimination an earlier query on the same config bytes kept.
 """
 
 from __future__ import annotations
 
 import argparse
 import decimal
+import io
 import json
 import math
 import os
 import random
 import sys
 import time
+from collections import OrderedDict
 from functools import cache, cached_property
 from pathlib import Path
 from typing import NamedTuple
 
 from .cdkernel import (check_abc, check_cd_formula, check_projection, check_reproduction,
-                       kernel_eval)
+                       kernel_eval, kernel_replay)
 from .errors import Breakdown, ConfigError, DepthError
 from .families import (
     Family,
@@ -103,16 +106,27 @@ class RunConfig(NamedTuple):
         return RunConfig(mm, depth, checks, seed, output)
 
 
-def load_config(path: str | Path) -> RunConfig:
+def read_config(path: str | Path) -> bytes:
     try:
-        obj = json.loads(Path(path).read_text(encoding="utf-8"))
+        return Path(path).read_bytes()
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
+
+
+def parse_config(path: str | Path, data: bytes) -> RunConfig:
+    """The RunConfig in data, the bytes of the config file at path, decoded as
+    Path.read_text decodes them: UTF-8, with universal newlines."""
+    try:
+        obj = json.loads(io.TextIOWrapper(io.BytesIO(data), encoding="utf-8").read())
     except RecursionError as exc:
         raise ConfigError(f"config {path} nests deeper than the JSON parser's limit") from exc
     except ValueError as exc:  # a JSONDecodeError, or bytes that are not UTF-8
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
     return RunConfig.from_json(obj)
+
+
+def load_config(path: str | Path) -> RunConfig:
+    return parse_config(path, read_config(path))
 
 
 def seeded_monic_columns(rng: random.Random, size: int, I: int) -> Family:
@@ -401,8 +415,16 @@ def _cmd_verify(args) -> int:
     return 1 if report["summary"]["fail"] else 0
 
 
+# kernel keeps, per config file's bytes, the parsed config and the Elimination
+# of its deepest query so far, for the later main() calls of the same process;
+# the least recently used of more than KERNEL_CACHE_SIZE configs is dropped.
+KERNEL_CACHE_SIZE = 8
+_kernel_cache: OrderedDict = OrderedDict()
+
+
 def _cmd_kernel(args) -> int:
-    config = load_config(args.config)
+    data = read_config(args.config)
+    config, kept = _kernel_cache.get(data) or (parse_config(args.config, data), None)
     n = args.n
     if n < 0:
         raise ConfigError("--n must be >= 0")
@@ -414,7 +436,14 @@ def _cmd_kernel(args) -> int:
     if len(x) != 2 or len(y) != 2:
         raise ConfigError("points need exactly two coordinates")
     args.depth = n + 1
-    den, corner = kernel_eval(assemble_moments(config.measures, n + 1), x, y)
+    if kept and n < kept.depth:  # the kept elimination's leading n + 1 block
+        den, corner = kernel_replay(kept, n + 1, x, y)
+    else:  # eliminated at depth n + 1, as a query on an empty cache is
+        den, corner, kept = kernel_eval(assemble_moments(config.measures, n + 1), x, y, keep=True)
+        _kernel_cache[data] = config, kept
+    _kernel_cache.move_to_end(data)
+    if len(_kernel_cache) > KERNEL_CACHE_SIZE:
+        _kernel_cache.popitem(last=False)
     obj = {
         "schema_version": SCHEMA_VERSION,
         "kind": "kernel",

@@ -16,7 +16,9 @@ of Mi, so the arithmetic stays in exact integers.
 eliminate is the one elimination loop: cdkernel.inverse_form, behind the
 kernel command and the abc check, runs it on the same rows bordered by the
 columns and rows of a bilinear form, so it raises the same Breakdown on a
-vanishing minor; factorize's certificate runs it on residue rows.  With
+vanishing minor, and cdkernel.kernel_replay replays its single steps on new
+borders from the integers it left; factorize's certificate runs it on
+residue rows.  With
 Delta_n the n x n leading minor of Mi (Delta_0 = 1), and a the rows as steps
 0 .. k-1 leave them, a[i][j] for i, j >= k is the (k+1)-minor on rows
 0 .. k-1, i and columns 0 .. k-1, j.

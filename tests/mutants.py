@@ -177,6 +177,22 @@ MUTANTS = [
          "tests/test_cli.py::TestVerify::test_all_checks_pass",
          "tests/test_metamorphic.py::TestUvarov::test_h_products_ratio_is_one_plus_w_times_the_kernel[table-2-3]")),
     Mutant(
+        "kernel replay swaps the pivot and the previous minor", "cdkernel.py",
+        "(piv * v - m * c) // prev", "(prev * v - m * c) // piv",
+        ("tests/test_cli.py::TestKernelReuse::test_each_query_matches_an_empty_cache[golden]",
+         "tests/test_cli.py::TestKernelReuse::test_each_query_matches_an_empty_cache[shape3]",
+         "tests/test_cli.py::TestKernelReuse::test_breakdown_past_the_kept_depth")),
+    Mutant(
+        "kernel replay reads pivot row k from column k", "cdkernel.py",
+        "zip(row[k + 1:], E.upper[k])", "zip(row[k + 1:], E.lower[k])",
+        ("tests/test_cli.py::TestKernelReuse::test_each_query_matches_an_empty_cache[golden]",
+         "tests/test_cli.py::TestKernelReuse::test_each_query_matches_an_empty_cache[shape5]")),
+    Mutant(
+        "kernel serves a query one row deeper than the kept depth", "cli.py",
+        "if kept and n < kept.depth:", "if kept and n <= kept.depth:",
+        ("tests/test_cli.py::TestKernelReuse::test_each_query_matches_an_empty_cache[golden]",
+         "tests/test_cli.py::TestKernelReuse::test_each_query_matches_an_empty_cache[shape1]")),
+    Mutant(
         "cd's range below the band starts one n late", "cdkernel.py",
         "(c, first, T.col_band(c)[1], 1)", "(c, first + 1, T.col_band(c)[1], 1)",
         ("tests/test_cdkernel.py::TestCDFromRecurrences::test_planted_out_of_band_block_entry_fails_through_the_index_identity",

@@ -18,7 +18,8 @@ from hypothesis import strategies as st
 
 import steppoly
 import steppoly.gaussborel as gaussborel
-from steppoly import assemble_moments, build_recurrence, factorize, rat, required_depth
+from steppoly import (assemble_moments, build_recurrence, extract_families, factorize, rat,
+                      required_depth)
 from steppoly.cli import (CHECK_NAMES, CHECKS, RunConfig, Workspace, _decimal_text,
                           extended_depth, load_config, main)
 from steppoly.errors import Breakdown, ConfigError
@@ -607,6 +608,18 @@ def counted_eliminate(monkeypatch) -> list[int]:
     return steps
 
 
+def counted_kernel_eliminate(monkeypatch) -> list[int]:
+    """The steps argument of each eliminate call kernel_eval makes from now on, in order."""
+    steps, eliminate = [], steppoly.cdkernel.eliminate
+
+    def counted(rows, n):
+        steps.append(n)
+        return eliminate(rows, n)
+
+    monkeypatch.setattr(steppoly.cdkernel, "eliminate", counted)
+    return steps
+
+
 class TestBreakdownContract:
     """compute decides breakdown up to the extended depth, past the depth
     window it writes: a vanishing minor there exits 2 with factorize's index,
@@ -744,6 +757,96 @@ class TestKernel:
         assert captured.out == "" and captured.err.startswith("config error: bad point: ")
 
 
+def kernel_argv(cfg, n: int, x: str, y: str) -> list[str]:
+    return ["kernel", "--config", str(cfg), "--n", str(n), f"--x={x}", f"--y={y}"]
+
+
+def cold_output(argv: list[str], capsys) -> tuple[int, str, str]:
+    """main(argv)'s exit code, stdout and stderr on an emptied kernel cache; the
+    cache is put back as it was."""
+    kept = dict(steppoly.cli._kernel_cache)
+    steppoly.cli._kernel_cache.clear()
+    code = main(argv)
+    captured = capsys.readouterr()
+    steppoly.cli._kernel_cache.clear()
+    steppoly.cli._kernel_cache.update(kept)
+    return code, captured.out, captured.err
+
+
+class TestKernelReuse:
+    """A kernel query on config bytes an earlier main() call of the process
+    queried as deep reads that call's elimination; a deeper one eliminates
+    anew.  Either way it prints what a query on an empty cache prints."""
+
+    # n = 7 and 8 sit on either side of the first query's depth 8; 9 goes deeper
+    SEQUENCE = [(7, "1/2,-1/3", "2/7,1/5"), (2, "3,-1", "1/4,2"), (0, "-2/3,5", "7,-1/6"),
+                (7, "1,1", "-1,0"), (8, "-5/2,3/4", "1/3,1/9"), (9, "0,2", "-4/5,3"),
+                (3, "5/6,-2", "3,3/7")]
+
+    @pytest.mark.parametrize("shape", ["golden"] + SHAPES)
+    def test_each_query_matches_an_empty_cache(self, tmp_path, monkeypatch, capsys, shape):
+        cfg = shape_config(tmp_path, shape)
+        A, B = extract_families(factorize(assemble_moments(load_config(cfg).measures, 10)))
+        steps = counted_kernel_eliminate(monkeypatch)
+        eliminated = []
+        for n, x, y in self.SEQUENCE:
+            steps.clear()
+            argv = kernel_argv(cfg, n, x, y)
+            assert main(argv) == 0
+            out = capsys.readouterr().out
+            eliminated.append(steps[:])
+            assert cold_output(argv, capsys) == (0, out, ""), (n, x, y)
+            want = kernel_sum(A, B, n, [parse_rat(v) for v in x.split(",")],
+                              [parse_rat(v) for v in y.split(",")])
+            assert [[parse_rat(v) for v in row] for row in json.loads(out)["matrix"]] == want
+        assert eliminated == [[8], [], [], [], [9], [10], []]
+
+    def test_rewritten_file_is_read_again(self, tmp_path, capsys):
+        cfg = good_config(tmp_path)
+        argv = kernel_argv(cfg, 3, "1/2,-1/3", "2/7,1/5")
+        assert main(argv) == 0
+        before = capsys.readouterr().out
+        obj = json.loads(cfg.read_text())
+        obj["measures"][0][0]["moments"]["0,0"] = "7/3"  # same path, other bytes
+        cfg.write_text(json.dumps(obj))
+        assert main(argv) == 0
+        after = capsys.readouterr().out
+        assert after != before
+        assert cold_output(argv, capsys) == (0, after, "")
+
+    def test_breakdown_past_the_kept_depth(self, tmp_path, monkeypatch, capsys):
+        # Delta_7 of the six atoms' truncation vanishes: n = 3 is kept, n = 7 breaks down
+        cfg = write_config(tmp_path, "atoms.json", 1, 1, 4, {"type": "discrete", "atoms": SIX_ATOMS})
+        assert main(kernel_argv(cfg, 3, "1/2,1/3", "2,-1")) == 0
+        capsys.readouterr()
+        deep = kernel_argv(cfg, 7, "1/2,1/3", "2,-1")
+        assert main(deep) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == "factorization breakdown at index 6\n"
+        assert cold_output(deep, capsys) == (2, "", captured.err)
+        steps = counted_kernel_eliminate(monkeypatch)
+        for n in (3, 2):
+            argv = kernel_argv(cfg, n, "-1,4", "1/5,1/2")
+            assert main(argv) == 0
+            out = capsys.readouterr().out
+            assert cold_output(argv, capsys) == (0, out, "")
+        assert steps == [4, 3]  # each cold run eliminates, neither kept query does
+
+    def test_least_recently_used_config_dropped(self, tmp_path, monkeypatch, capsys):
+        cfgs = []
+        for i in range(steppoly.cli.KERNEL_CACHE_SIZE + 1):
+            (tmp_path / str(i)).mkdir()
+            cfgs.append(good_config(tmp_path / str(i), seed=i))
+            assert main(kernel_argv(cfgs[-1], 2, "1,2", "3,4")) == 0
+        capsys.readouterr()
+        steps, eliminated = counted_kernel_eliminate(monkeypatch), []
+        for i in (1, 0, 2, 1):  # 0 was dropped; bringing it back drops 2, read longest ago
+            steps.clear()
+            assert main(kernel_argv(cfgs[i], 2, "1,2", "3,4")) == 0
+            eliminated.append(steps[:])
+        assert eliminated == [[], [3], [3], []]
+
+
 class TestRationalFactors:
     """verify reads only the integers of factorize and kernel factorizes nothing;
     compute forms no rational S or Sbar either: it writes each of them once,
@@ -876,7 +979,7 @@ class TestMomentRowsScaledOnce:
     """Each truncation's rows are scaled when it is built, one over_lcm of its
     (num, den) moments per row: verify builds one truncation, M, and scales its
     rows once, whichever checks read them; kernel scales its one truncation
-    once."""
+    once, and a later query on the same bytes no deeper builds none."""
 
     @pytest.mark.parametrize("shape", ["golden", (2, 3)])
     def test_each_row_scaled_once(self, tmp_path, monkeypatch, shape):
@@ -897,6 +1000,11 @@ class TestMomentRowsScaledOnce:
         assert main(["kernel", "--config", str(cfg), "--n", "4",
                      "--x", "1/2,-1/3", "--y", "2/7,1/5", "--out", str(tmp_path / "k")]) == 0
         assert widths == [5] * 5
+        widths.clear()
+        steps = counted_kernel_eliminate(monkeypatch)
+        for n in ("4", "0"):
+            assert main(["kernel", "--config", str(cfg), "--n", n, "--x", "3,1/4", "--y", "2,-1"]) == 0
+        assert widths == [] and steps == []
 
     @pytest.mark.parametrize("shape", ["golden", (2, 3)])
     def test_verify_builds_one_truncation(self, tmp_path, monkeypatch, shape):
