@@ -49,7 +49,7 @@ gaussborel elimination of the truncation bordered by right and bottom leaves
 it as a Schur complement.  kernel_eval, behind the kernel command, borders by
 the two points' monomials, so no factor or family is formed; check_abc
 borders by identity blocks and compares the inverse with the families' sum
-coefficient by coefficient.  kernel_eval can also keep the Elimination its
+coefficient by coefficient.  kernel_eval also returns the Elimination its
 steps leave on the truncation's own block, and kernel_replay reads the
 kernel at any depth up to that block's off it, running the steps on the
 new borders only.
@@ -93,13 +93,17 @@ class Elimination(NamedTuple):
 
 
 def _bordered(M: MomentTruncation, D: int, right: list[list[int]],
-              bottom: list[list[int]]) -> tuple[list[int], list[list[int]]]:
-    """The minors and the rows D steps of eliminate leave on M_D bordered by
-    right and bottom, as inverse_form's docstring lays them out."""
+              bottom: list[list[int]]) -> tuple[int, list[list[int]], Elimination]:
+    """inverse_form's (den, corner), and the Elimination its D steps of
+    eliminate leave on the bordered matrix's leading D x D block."""
     rows = [nums[:D] + [r * v for v in border] for r, nums, border in zip(M.scale, M.ints, right)]
     pad = [0] * len(right[0])
     rows += [row + pad for row in bottom]
-    return eliminate(rows, D), rows
+    minors = eliminate(rows, D)
+    lower = [[row[k] for row in rows[k + 1:D]] for k in range(D)]
+    upper = [row[k + 1:D] for k, row in enumerate(rows[:D])]
+    return (-minors[D], [row[D:] for row in rows[D:]],
+            Elimination(M.q, M.p, M.scale[:D], lower, upper, minors))
 
 
 def inverse_form(M: MomentTruncation, D: int, right: list[list[int]],
@@ -115,8 +119,7 @@ def inverse_form(M: MomentTruncation, D: int, right: list[list[int]],
     in the corner, and den = -Delta_D.  A vanishing leading minor raises the
     Breakdown factorize would.
     """
-    minors, rows = _bordered(M, D, right, bottom)
-    return -minors[D], [row[D:] for row in rows[D:]]
+    return _bordered(M, D, right, bottom)[:2]
 
 
 def _kernel_borders(D: int, q: int, p: int, x: tuple,
@@ -130,27 +133,21 @@ def _kernel_borders(D: int, q: int, p: int, x: tuple,
     return d_x * d_y, right, bottom
 
 
-def kernel_eval(M: MomentTruncation, x: tuple, y: tuple, *, keep: bool = False
-                ) -> tuple[int, list[list[int]]] | tuple[int, list[list[int]], Elimination]:
+def kernel_eval(M: MomentTruncation, x: tuple, y: tuple
+                ) -> tuple[int, list[list[int]], Elimination]:
     """K^[D-1](x, y) = X_[p](x)^T M^-1 X_[q](y) for a depth-D truncation M, exactly,
     as (den, corner): entry (a, b) of the kernel is corner[a][b] / den.  Each
     point is two integer pairs (num, den), den > 0, as monomial_ints reads it.
 
     It is inverse_form with integer monomial tables X / d_x and Y / d_y: right
     row m holds Y[m // q] in column m % q, and bottom row a holds X[m // p] in
-    the columns m with m % p = a, so den is inverse_form's times d_x d_y.  With
-    keep, it returns (den, corner, Elimination): the integers its steps left
-    in the leading D x D block, which kernel_replay reads.
+    the columns m with m % p = a, so den is inverse_form's times d_x d_y.  The
+    third value is the Elimination its steps left in the leading D x D block,
+    which kernel_replay reads.
     """
-    D, q, p = M.depth, M.q, M.p
-    d, right, bottom = _kernel_borders(D, q, p, x, y)
-    minors, rows = _bordered(M, D, right, bottom)
-    den, corner = -minors[D] * d, [row[D:] for row in rows[D:]]
-    if not keep:
-        return den, corner
-    lower = [[row[k] for row in rows[k + 1:D]] for k in range(D)]
-    upper = [row[k + 1:D] for k, row in enumerate(rows[:D])]
-    return den, corner, Elimination(q, p, M.scale[:D], lower, upper, minors)
+    d, right, bottom = _kernel_borders(M.depth, M.q, M.p, x, y)
+    den, corner, E = _bordered(M, M.depth, right, bottom)
+    return den * d, corner, E
 
 
 def kernel_replay(E: Elimination, D: int, x: tuple, y: tuple) -> tuple[int, list[list[int]]]:

@@ -113,9 +113,12 @@ def read_config(path: str | Path) -> bytes:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
 
 
-def parse_config(path: str | Path, data: bytes) -> RunConfig:
-    """The RunConfig in data, the bytes of the config file at path, decoded as
-    Path.read_text decodes them: UTF-8, with universal newlines."""
+def load_config(path: str | Path, data: bytes | None = None) -> RunConfig:
+    """The RunConfig in the config file at path, or in data, its bytes if they
+    were already read, decoded as Path.read_text decodes them: UTF-8, with
+    universal newlines."""
+    if data is None:
+        data = read_config(path)
     try:
         obj = json.loads(io.TextIOWrapper(io.BytesIO(data), encoding="utf-8").read())
     except RecursionError as exc:
@@ -123,10 +126,6 @@ def parse_config(path: str | Path, data: bytes) -> RunConfig:
     except ValueError as exc:  # a JSONDecodeError, or bytes that are not UTF-8
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
     return RunConfig.from_json(obj)
-
-
-def load_config(path: str | Path) -> RunConfig:
-    return parse_config(path, read_config(path))
 
 
 def seeded_monic_columns(rng: random.Random, size: int, I: int) -> Family:
@@ -424,7 +423,7 @@ _kernel_cache: OrderedDict = OrderedDict()
 
 def _cmd_kernel(args) -> int:
     data = read_config(args.config)
-    config, kept = _kernel_cache.get(data) or (parse_config(args.config, data), None)
+    config, kept = _kernel_cache.get(data) or (load_config(args.config, data), None)
     n = args.n
     if n < 0:
         raise ConfigError("--n must be >= 0")
@@ -439,11 +438,7 @@ def _cmd_kernel(args) -> int:
     if kept and n < kept.depth:  # the kept elimination's leading n + 1 block
         den, corner = kernel_replay(kept, n + 1, x, y)
     else:  # eliminated at depth n + 1, as a query on an empty cache is
-        den, corner, kept = kernel_eval(assemble_moments(config.measures, n + 1), x, y, keep=True)
-        _kernel_cache[data] = config, kept
-    _kernel_cache.move_to_end(data)
-    if len(_kernel_cache) > KERNEL_CACHE_SIZE:
-        _kernel_cache.popitem(last=False)
+        den, corner, kept = kernel_eval(assemble_moments(config.measures, n + 1), x, y)
     obj = {
         "schema_version": SCHEMA_VERSION,
         "kind": "kernel",
@@ -455,6 +450,10 @@ def _cmd_kernel(args) -> int:
     text = _json_text(obj) + "\n"
     if args.out:
         write_files(Path(args.out), {"kernel.json": text})
+    _kernel_cache[data] = config, kept  # once the output is written: a failed query keeps nothing
+    _kernel_cache.move_to_end(data)
+    if len(_kernel_cache) > KERNEL_CACHE_SIZE:
+        _kernel_cache.popitem(last=False)
     _write_stdout(text)
     return 0
 

@@ -509,7 +509,7 @@ def kernel_sum(A: Family, B: Family, n: int, x: tuple, y: tuple) -> list[list]:
 
 def kernel_rationals(M: MomentTruncation, x: tuple, y: tuple) -> list[list]:
     """cdkernel.kernel_eval's kernel, (den, corner), as reduced rationals."""
-    den, corner = kernel_eval(M, list(map(pair, x)), list(map(pair, y)))
+    den, corner, _ = kernel_eval(M, list(map(pair, x)), list(map(pair, y)))
     return [[rat(v, den) for v in row] for row in corner]
 
 

@@ -832,6 +832,24 @@ class TestKernelReuse:
             assert cold_output(argv, capsys) == (0, out, "")
         assert steps == [4, 3]  # each cold run eliminates, neither kept query does
 
+    def test_unwritten_output_keeps_nothing(self, tmp_path, monkeypatch, capsys):
+        cfg = good_config(tmp_path)
+        (tmp_path / "taken").write_text("kept")
+        argv = kernel_argv(cfg, 3, "1/2,-1/3", "2/7,1/5")
+        assert main(argv + ["--out", str(tmp_path / "taken")]) == 3
+        assert not steppoly.cli._kernel_cache
+        steps = counted_kernel_eliminate(monkeypatch)
+        assert main(argv) == 0
+        assert steps == [4]
+
+    def test_only_a_first_query_loads_the_config(self, tmp_path, monkeypatch, capsys):
+        # bytes the cache does not hold are parsed by load_config; kept ones, deeper or not, are not
+        cfg, loaded, load = good_config(tmp_path), [], steppoly.cli.load_config
+        monkeypatch.setattr(steppoly.cli, "load_config", lambda *a: loaded.append(a) or load(*a))
+        for n in (3, 1, 5, 2):
+            assert main(kernel_argv(cfg, n, "1,2", "3,4")) == 0
+        assert loaded == [(str(cfg), cfg.read_bytes())]
+
     def test_least_recently_used_config_dropped(self, tmp_path, monkeypatch, capsys):
         cfgs = []
         for i in range(steppoly.cli.KERNEL_CACHE_SIZE + 1):
