@@ -50,9 +50,9 @@ it as a Schur complement.  kernel_eval, behind the kernel command, borders by
 the two points' monomials, so no factor or family is formed; check_abc
 borders by identity blocks and compares the inverse with the families' sum
 coefficient by coefficient.  kernel_eval also returns the Elimination its
-steps leave on the truncation's own block, and kernel_replay reads the
-kernel at any depth up to that block's off it, running the steps on the
-new borders only.
+steps leave on the truncation's own block, eliminate's record of its groups,
+and kernel_replay reads the kernel at any depth up to that block's off it,
+repeating those groups of three steps on the new borders only.
 
 Every identity here is compared fraction-free, as in gaussborel (E. H.
 Bareiss, Math. Comp. 22, 1968): each side is an integer sum over its own
@@ -77,17 +77,19 @@ class Elimination(NamedTuple):
     """The integers D unpivoted Bareiss steps leave in the leading D x D block
     of a truncation's rows diag(r) M_D, r = scale, of block shape q x p.
 
-    lower[k] holds step k's multipliers, column k from row k+1 down; upper[k]
-    holds pivot row k from column k+1 on, as steps 0 .. k-1 left it; minors
-    holds Delta_0 .. Delta_D, Delta_{k+1} being step k's pivot.
+    minors holds Delta_0 .. Delta_D, and groups the record gaussborel.eliminate
+    keeps of its groups, cut to the block: groups[k // 3] = (pivots, w, mults)
+    has pivot rows k, k+1, k+2 from column k to column D - 1, as steps 0 .. k-1
+    left them, the pivot block's minors w and the (c_0, c_1, c_2) of rows
+    k+3 .. D-1; the one or two steps left over at the end keep only their
+    pivot rows, from column k to column D - 1.
     """
 
     q: int
     p: int
     scale: list[int]
-    lower: list[list[int]]
-    upper: list[list[int]]
     minors: list[int]
+    groups: list[tuple]
 
     depth = property(lambda self: len(self.minors) - 1)
 
@@ -99,11 +101,11 @@ def _bordered(M: MomentTruncation, D: int, right: list[list[int]],
     rows = [nums[:D] + [r * v for v in border] for r, nums, border in zip(M.scale, M.ints, right)]
     pad = [0] * len(right[0])
     rows += [row + pad for row in bottom]
-    minors = eliminate(rows, D)
-    lower = [[row[k] for row in rows[k + 1:D]] for k in range(D)]
-    upper = [row[k + 1:D] for k, row in enumerate(rows[:D])]
+    minors, groups = eliminate(rows, D)
+    kept = [([row[:D - k] for row in pivots], w, mults[:D - k - 3])
+            for k, (pivots, w, mults) in zip(range(0, D, 3), groups)]
     return (-minors[D], [row[D:] for row in rows[D:]],
-            Elimination(M.q, M.p, M.scale[:D], lower, upper, minors))
+            Elimination(M.q, M.p, M.scale[:D], minors, kept))
 
 
 def inverse_form(M: MomentTruncation, D: int, right: list[list[int]],
@@ -152,38 +154,71 @@ def kernel_eval(M: MomentTruncation, x: tuple, y: tuple
 
 def kernel_replay(E: Elimination, D: int, x: tuple, y: tuple) -> tuple[int, list[list[int]]]:
     """kernel_eval's (den, corner) for the depth-D truncation, D <= E.depth, read
-    off E by Bareiss's single steps on the two points' borders alone.
+    off E by repeating eliminate's groups of three steps on the two points'
+    borders alone.
 
-    With r = E.scale, the border columns start as diag(r) right and the border
-    rows as bottom, and step k turns entry (i, j) of the bordered matrix into
-    (Delta_{k+1} a[i][j] - a[i][k] a[k][j]) / Delta_k.  The replay is exact:
+    The border columns start as diag(r) right, r = E.scale, each followed by
+    its column of the corner, all 0: the border rows are later rows, as in
+    eliminate.  Group k, k + 3 <= D, reads E.groups[k // 3] = (pivots, w,
+    mults) and runs eliminate's formulas with prev = Delta_k:
 
-    - eliminate's groups leave every integer the single steps leave, so E holds
-      the single steps' multipliers, pivot rows and minors;
-    - step k's update of entry (i, j) reads only rows i and k and columns k and
-      j, so the leading D x D block of a depth-N elimination is the depth-D
-      elimination of diag(r) M_D, r being the depth-N row scales;
-    - r cancels from bottom (diag(r) M_D)^-1 diag(r) right = bottom M_D^-1 right;
-    - every division is one the bordered elimination of diag(r) M_D at depth D
-      performs, since its entries are E's and the borders' own.
+    - a border row, a0, a1, a2 its entries in columns k .. k+2, forms its own
+      c_r = (a0 w[r][0] - a1 w[r][1] + a2 w[r][2]) / prev, and each entry v
+      from column k+3 on becomes (Delta_{k+3} v - c_2 y2 + c_1 y1 - c_0 y0) /
+      prev, y_r the entry of pivots[r] in v's column;
+    - a border column, t0, t1, t2 its entries in rows k .. k+2, takes
+      (Delta_{k+3} v - c_2 t2 + c_1 t1 - c_0 t0) / prev in each row from k+3
+      on, the c's being those of mults in rows below D and the border rows'
+      own in the corner.
 
-    The q border columns take about q D^2 / 2 entry updates and the p border
-    rows p D^2 / 2, where eliminating the truncation again takes about D^3 / 3.
+    Rows k+1 and k+2 of a border column, which eliminate finishes by its pair
+    and triple formulas, are left as they stood: no later group reads them.
+    The one or two steps left over are eliminate's single steps, with the
+    multipliers and pivot row entries inside the block read off pivots.
+
+    The result is exact, and each integer formed is one that eliminate forms
+    on the bordered depth-D matrix diag(r) M_D.  Step k's update of entry
+    (i, j) reads only rows i and k and columns k and j, so the leading D x D
+    block of the depth-N elimination, its record included, is the depth-D
+    elimination of diag(r) M_D, r the depth-N row scales.  r cancels from
+    bottom (diag(r) M_D)^-1 diag(r) right = bottom M_D^-1 right, and the corner
+    ends as -Delta_D times that form, so den = -Delta_D d_x d_y.
+
+    A group takes four products and one division per border entry, where three
+    single steps take six and three: about (p + q) D^2 / 2 entry updates in
+    all, against D^3 / 3 for a new elimination.
     """
     d, right, bottom = _kernel_borders(D, E.q, E.p, x, y)
-    cols = [[r * row[b] for r, row in zip(E.scale, right)] for b in range(E.q)]
-    corner = [[0] * E.q for _ in range(E.p)]
-    for k in range(D):
-        piv, prev = E.minors[k + 1], E.minors[k]
-        for col in cols:  # zip stops at row D - 1 of E's longer column k and row k
-            c = col[k]
-            col[k + 1:] = [(piv * v - m * c) // prev for v, m in zip(col[k + 1:], E.lower[k])]
-        heads = [col[k] for col in cols]  # row k's border entries, final from step k on
-        for row, out in zip(bottom, corner):
-            a = row[k]
-            row[k + 1:] = [(piv * v - a * u) // prev for v, u in zip(row[k + 1:], E.upper[k])]
-            out[:] = [(piv * v - a * h) // prev for v, h in zip(out, heads)]
-    return -E.minors[D] * d, corner
+    cols = [[r * row[b] for r, row in zip(E.scale, right)] + [0] * E.p for b in range(E.q)]
+    minors = E.minors
+    for k, (pivots, w, mults) in zip(range(0, D, 3), E.groups):
+        if k + 3 > D:  # the steps left over, single steps on the pivot block
+            for s in range(k, D):
+                piv, prev = minors[s + 1], minors[s]
+                lead = pivots[s - k][s - k + 1:]  # row s from column s+1; zips stop at D
+                down = [row[s - k] for row in pivots[s - k + 1:D - k]] + [row[s] for row in bottom]
+                for row in bottom:
+                    a = row[s]
+                    row[s + 1:] = [(piv * v - a * u) // prev for v, u in zip(row[s + 1:], lead)]
+                for col in cols:
+                    c = col[s]
+                    col[s + 1:] = [(piv * v - m * c) // prev for v, m in zip(col[s + 1:], down)]
+            break
+        prev, piv3 = minors[k], minors[k + 3]
+        tails = [row[3:] for row in pivots]
+        own = []  # the border rows' (c_0, c_1, c_2)
+        for row in bottom:
+            a0, a1, a2 = row[k:k + 3]
+            c0, c1, c2 = [(a0 * u0 - a1 * u1 + a2 * u2) // prev for u0, u1, u2 in w]
+            own.append((c0, c1, c2))
+            row[k + 3:] = [(piv3 * v - c2 * y2 + c1 * y1 - c0 * y0) // prev
+                           for v, y0, y1, y2 in zip(row[k + 3:], *tails)]
+        later = mults[:D - k - 3] + own
+        for col in cols:
+            t0, t1, t2 = col[k:k + 3]
+            col[k + 3:] = [(piv3 * v - c2 * t2 + c1 * t1 - c0 * t0) // prev
+                           for v, (c0, c1, c2) in zip(col[k + 3:], later)]
+    return -minors[D] * d, [[col[D + a] for col in cols] for a in range(E.p)]
 
 
 def check_cd_formula(T: RecurrenceTruncation, relations: CheckReport) -> CheckReport:

@@ -16,9 +16,9 @@ of Mi, so the arithmetic stays in exact integers.
 eliminate is the one elimination loop: cdkernel.inverse_form, behind the
 kernel command and the abc check, runs it on the same rows bordered by the
 columns and rows of a bilinear form, so it raises the same Breakdown on a
-vanishing minor, and cdkernel.kernel_replay replays its single steps on new
-borders from the integers it left; factorize's certificate runs it on
-residue rows.  With
+vanishing minor, and cdkernel.kernel_replay repeats its groups of three steps
+on new borders from the record eliminate keeps of them; factorize's
+certificate runs it on residue rows.  With
 Delta_n the n x n leading minor of Mi (Delta_0 = 1), and a the rows as steps
 0 .. k-1 leave them, a[i][j] for i, j >= k is the (k+1)-minor on rows
 0 .. k-1, i and columns 0 .. k-1, j.
@@ -226,8 +226,9 @@ def _factor_row(minors: list[int], L_inv: list[list[int]], n: int) -> list[int]:
     return row
 
 
-def eliminate(rows: list[list[int]], steps: int) -> list[int]:
-    """steps unpivoted Bareiss steps on integer rows, in place; returns Delta_0 .. Delta_steps.
+def eliminate(rows: list[list[int]], steps: int) -> tuple[list[int], list[tuple]]:
+    """steps unpivoted Bareiss steps on integer rows, in place; returns
+    (Delta_0 .. Delta_steps, groups).
 
     Step k leaves row k as it is and turns each later row i into
     (Delta_{k+1} row_i - row_i[k] row_k) / Delta_k from column k+1 on, each
@@ -243,8 +244,17 @@ def eliminate(rows: list[list[int]], steps: int) -> list[int]:
     and each later row i takes all three in one pass, keeping its multipliers
     of steps k+1 and k+2 in columns k+1 and k+2.  One or two steps left over at
     the end run as single steps, with piv = Delta_{k+1}.
+
+    groups[k // 3] records what repeating group k on new rows and columns
+    reads, as (pivots, w, mults): pivots are rows k, k+1, k+2 from column k
+    on, as steps 0 .. k-1 left them; w[r] = (w[..][12], w[..][02], w[..][01])
+    holds the pivot block's minors on the two rows other than r, so that
+    c_r = (a[i][k] w[r][0] - a[i][k+1] w[r][1] + a[i][k+2] w[r][2]) / Delta_k;
+    and mults holds (c_0, c_1, c_2) for each later row in order.  The one or
+    two steps left over record their pivot rows from column k on, as they
+    stood before the first of them, with w and mults empty.
     """
-    minors = [1]
+    minors, groups = [1], []
     for k in range(0, steps - 2, 3):
         row_k, row_k1, row_k2 = rows[k:k + 3]
         prev = minors[k]
@@ -270,23 +280,31 @@ def eliminate(rows: list[list[int]], steps: int) -> list[int]:
         w12_01 = (p10 * p21 - p20 * p11) // prev
         w12_02 = (p10 * p22 - p20 * p12) // prev
         w12_12 = (p11 * p22 - p21 * p12) // prev
-        # the pivot rows' tails as steps 0 .. k-1 left them
-        tail_k, tail_k1, tail_k2 = row_k[k + 3:], row_k1[k + 3:], row_k2[k + 3:]
+        # the pivot rows as steps 0 .. k-1 left them, and their tails
+        pivots = row_k[k:], row_k1[k:], row_k2[k:]
+        tail_k, tail_k1, tail_k2 = (row[3:] for row in pivots)
         row_k1[k + 1], row_k1[k + 2] = w01_01, w01_02
         row_k1[k + 3:] = [(p00 * x - p10 * y) // prev for x, y in zip(tail_k1, tail_k)]
         row_k2[k + 1], row_k2[k + 2] = w02_01, piv3
         row_k2[k + 3:] = [(w01_01 * x - w02_01 * y + w12_01 * z) // prev
                           for x, y, z in zip(tail_k2, tail_k1, tail_k)]
+        mults = []  # (c0, c1, c2) of each later row
         for row_i in rows[k + 3:]:
             a0, a1, a2 = row_i[k:k + 3]
             c0 = (a0 * w12_12 - a1 * w12_02 + a2 * w12_01) // prev
             c1 = (a0 * w02_12 - a1 * w02_02 + a2 * w02_01) // prev
             c2 = (a0 * w01_12 - a1 * w01_02 + a2 * w01_01) // prev
+            mults.append((c0, c1, c2))
             row_i[k + 1] = (p00 * a1 - a0 * p01) // prev
             row_i[k + 2] = c2
             row_i[k + 3:] = [(piv3 * x - c2 * y2 + c1 * y1 - c0 * y0) // prev
                              for x, y2, y1, y0 in zip(row_i[k + 3:], tail_k2, tail_k1, tail_k)]
-    for k in range(steps - steps % 3, steps):
+        groups.append((pivots, ((w12_12, w12_02, w12_01), (w02_12, w02_02, w02_01),
+                                (w01_12, w01_02, w01_01)), mults))
+    left = steps - steps % 3
+    if left < steps:
+        groups.append(([row[left:] for row in rows[left:steps]], (), ()))
+    for k in range(left, steps):
         row_k = rows[k]
         piv, prev = row_k[k], minors[k]
         if piv == 0:
@@ -296,7 +314,7 @@ def eliminate(rows: list[list[int]], steps: int) -> list[int]:
         for row_i in rows[k + 1:]:
             a = row_i[k]
             row_i[k + 1:] = [(piv * x - a * y) // prev for x, y in zip(row_i[k + 1:], tail_k)]
-    return minors
+    return minors, groups
 
 
 def _schur_residues(ints: list[list[int]], panel: list[list[int]],
@@ -329,7 +347,7 @@ def _certified(ints: list[list[int]], panel: list[list[int]], minors: list[int])
     if schur is None:
         return False
     try:
-        return all(d % CERT_PRIME for d in eliminate(schur, len(schur)))
+        return all(d % CERT_PRIME for d in eliminate(schur, len(schur))[0])
     except Breakdown:
         return False
 
@@ -345,7 +363,7 @@ def factorize(M: MomentTruncation, width: int | None = None) -> Factorization:
         raise ValueError("factorize needs a square truncation")
     W = D if width is None else min(width, D)
     Mi = [row[:W] for row in M.ints]  # eliminated in place; M's rows stay as built
-    minors = eliminate(Mi, W)
+    minors, _ = eliminate(Mi, W)
     if W < D and not _certified(M.ints, Mi, minors):
         eliminate([row[:] for row in M.ints], D)  # Breakdown at its index, or a false alarm
     S_inv = [[row[c] for row in Mi[c:]] for c in range(W)]  # the columns of Mi's lower part

@@ -23,7 +23,7 @@ from itertools import accumulate
 from operator import mul
 
 from steppoly import assemble_moments, extract_families, factorize, rat
-from steppoly.cdkernel import kernel_eval
+from steppoly.cdkernel import _kernel_borders, kernel_eval
 from steppoly.cli import _decimal_text
 from steppoly.errors import Breakdown, DepthError
 from steppoly.families import Family, moment_rows, monomial_ints, pairings
@@ -206,7 +206,10 @@ def build_system(q: int, p: int, depth: int, seed: int, kind: str = "table") -> 
     tries = 0
     while True:
         rng = random.Random(seed + 100000 * tries)
-        mm = table_mm(rng, q, p, depth) if kind == "table" else mixed_mm(rng, q, p)
+        if kind == "discrete":
+            mm = MeasureMatrix(q, p, [[rand_discrete(rng) for _ in range(p)] for _ in range(q)])
+        else:
+            mm = table_mm(rng, q, p, depth) if kind == "table" else mixed_mm(rng, q, p)
         M = assemble_moments(mm, depth)
         try:
             F = factorize(M)
@@ -628,7 +631,7 @@ def pointwise_abc(M: MomentTruncation, n: int, tables: list[KernelTable]) -> Che
         raise DepthError(f"point-pair tables end before family index {n}")
     rows = [M.ints[m][:D] + [int(m == j) for j in range(D)] for m in range(D)]
     rows += [[int(a == j) for j in range(D)] + [0] * D for a in range(D)]
-    det = -eliminate(rows, D)[D]
+    det = -eliminate(rows, D)[0][D]
     weighted = [[v * r for v, r in zip(row[D:], M.scale)] for row in rows[D:]]  # adj diag(r)
     rep = CheckReport()
     for table in tables:
@@ -760,6 +763,37 @@ def one_step_eliminate(rows: list[list[int]], steps: int) -> list[int]:
             a = row_i[k]
             row_i[k + 1:] = [(piv * x - a * y) // prev for x, y in zip(row_i[k + 1:], tail_k)]
     return minors
+
+
+def one_step_replay(M: MomentTruncation, D: int, x: tuple, y: tuple) -> tuple[int, list[list[int]]]:
+    """cdkernel.kernel_replay's (den, corner) for the depth-D truncation, D <= M.depth,
+    from the elimination kernel_eval keeps for M, by Bareiss's single steps: the
+    oracle for the grouped replay.
+
+    one_step_eliminate's M.depth steps on M's integer rows give each step k's
+    multipliers lower[k] (column k from row k+1 down) and pivot row upper[k]
+    (from column k+1 on, as steps 0 .. k-1 left it).  Step k then turns the
+    border columns, the border rows and the corner, (i, j) each, into
+    (Delta_{k+1} a[i][j] - a[i][k] a[k][j]) / Delta_k.
+    """
+    rows = [row[:] for row in M.ints]
+    minors = one_step_eliminate(rows, M.depth)
+    lower = [[row[k] for row in rows[k + 1:]] for k in range(M.depth)]
+    upper = [row[k + 1:] for k, row in enumerate(rows)]
+    d, right, bottom = _kernel_borders(D, M.q, M.p, x, y)
+    cols = [[r * row[b] for r, row in zip(M.scale, right)] for b in range(M.q)]
+    corner = [[0] * M.q for _ in range(M.p)]
+    for k in range(D):
+        piv, prev = minors[k + 1], minors[k]
+        for col in cols:  # zip stops at row D - 1 of the longer column k and row k
+            c = col[k]
+            col[k + 1:] = [(piv * v - m * c) // prev for v, m in zip(col[k + 1:], lower[k])]
+        heads = [col[k] for col in cols]  # row k's border entries, final from step k on
+        for row, out in zip(bottom, corner):
+            a = row[k]
+            row[k + 1:] = [(piv * v - a * u) // prev for v, u in zip(row[k + 1:], upper[k])]
+            out[:] = [(piv * v - a * h) // prev for v, h in zip(out, heads)]
+    return -minors[D] * d, corner
 
 
 def unpacked_schur_residues(ints: list[list[int]], panel: list[list[int]], minors: list[int],

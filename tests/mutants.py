@@ -177,15 +177,28 @@ MUTANTS = [
          "tests/test_cli.py::TestVerify::test_all_checks_pass",
          "tests/test_metamorphic.py::TestUvarov::test_h_products_ratio_is_one_plus_w_times_the_kernel[table-2-3]")),
     Mutant(
-        "kernel replay swaps the pivot and the previous minor", "cdkernel.py",
-        "(piv * v - m * c) // prev", "(prev * v - m * c) // piv",
-        ("tests/test_cli.py::TestKernelReuse::test_each_query_matches_an_empty_cache[golden]",
-         "tests/test_cli.py::TestKernelReuse::test_each_query_matches_an_empty_cache[shape3]",
-         "tests/test_cli.py::TestKernelReuse::test_breakdown_past_the_kept_depth")),
+        "kernel replay flips the sign of a border column's c_1 term", "cdkernel.py",
+        "(piv3 * v - c2 * t2 + c1 * t1 - c0 * t0) // prev", "(piv3 * v - c2 * t2 - c1 * t1 - c0 * t0) // prev",
+        ("tests/test_cdkernel.py::TestKernelReplay::test_matches_single_steps_and_kernel_eval[table-2-3]",
+         "tests/test_cdkernel.py::TestKernelReplay::test_matches_single_steps_and_kernel_eval[discrete-1-2]",
+         "tests/test_cli.py::TestKernelReuse::test_each_query_matches_an_empty_cache[golden]")),
     Mutant(
-        "kernel replay reads pivot row k from column k", "cdkernel.py",
-        "zip(row[k + 1:], E.upper[k])", "zip(row[k + 1:], E.lower[k])",
-        ("tests/test_cli.py::TestKernelReuse::test_each_query_matches_an_empty_cache[golden]",
+        "kernel replay's second left-over step divides by Delta_k", "cdkernel.py",
+        "piv, prev = minors[s + 1], minors[s]", "piv, prev = minors[s + 1], minors[k]",
+        ("tests/test_cdkernel.py::TestKernelReplay::test_matches_single_steps_and_kernel_eval[mixed-2-1]",
+         "tests/test_cdkernel.py::TestKernelReplay::test_matches_single_steps_and_kernel_eval[table-1-2]",
+         "tests/test_cli.py::TestKernelReuse::test_each_query_matches_an_empty_cache[shape3]")),
+    Mutant(
+        "kernel replay takes the last full group as left-over steps", "cdkernel.py",
+        "if k + 3 > D:", "if k + 3 >= D:",
+        ("tests/test_cdkernel.py::TestKernelReplay::test_matches_single_steps_and_kernel_eval[discrete-2-3]",
+         "tests/test_cdkernel.py::TestKernelReplay::test_matches_single_steps_and_kernel_eval[mixed-1-2]",
+         "tests/test_cli.py::TestKernelReuse::test_each_query_matches_an_empty_cache[golden]")),
+    Mutant(
+        "kernel replay's border columns read the next row's c's", "cdkernel.py",
+        "later = mults[:D - k - 3] + own", "later = mults[1:D - k - 2] + own",
+        ("tests/test_cdkernel.py::TestKernelReplay::test_matches_single_steps_and_kernel_eval[table-2-1]",
+         "tests/test_cdkernel.py::TestKernelReplay::test_matches_single_steps_and_kernel_eval[mixed-2-3]",
          "tests/test_cli.py::TestKernelReuse::test_each_query_matches_an_empty_cache[shape5]")),
     Mutant(
         "kernel serves a query one row deeper than the kept depth", "cli.py",

@@ -6,13 +6,14 @@ from pathlib import Path
 
 import pytest
 
-from steppoly import build_recurrence, factorize, pairing_matrix, rat, required_depth
+from steppoly import assemble_moments, build_recurrence, factorize, pairing_matrix, rat, required_depth
 from steppoly.cdkernel import (
     check_abc,
     check_cd_formula,
     check_projection,
     check_reproduction,
     kernel_eval,
+    kernel_replay,
 )
 from steppoly.cli import Workspace, load_config, run_checks
 from steppoly.errors import Breakdown, DepthError
@@ -36,6 +37,7 @@ from _support import (
     kernel_sum,
     members,
     moment_data,
+    one_step_replay,
     pair,
     planted,
     planted_entry,
@@ -143,6 +145,29 @@ class TestKernelEval:
                     got = kernel_rationals(M, x, y)
                     assert got == kernel_sum(system.A, system.B, n, x, y), (q, p, n, x, y)
                     assert got == abc_oracle(system.M, n, x, y), (q, p, n, x, y)
+
+
+class TestKernelReplay:
+    """kernel_replay on the Elimination kept at depth N, for every N in 1 .. 10
+    and every D <= N, so that N and D each take every residue mod 3: the
+    integers the single-step oracle leaves, and kernel_eval's kernel at depth D."""
+
+    POINTS = [((1, 2), (-1, 3)), ((-3, 2), (5, 4)), ((2, 1), (-1, 6))]
+
+    @pytest.mark.parametrize("q, p", [(1, 2), (2, 1), (2, 3)])
+    @pytest.mark.parametrize("kind", ["table", "discrete", "mixed"])
+    def test_matches_single_steps_and_kernel_eval(self, kind, q, p):
+        mm = build_system(q, p, 10, seed=53, kind=kind).mm
+        for N in range(1, 11):
+            M = assemble_moments(mm, N)
+            for x, y in zip(self.POINTS, self.POINTS[1:] + self.POINTS[:1]):
+                _, _, E = kernel_eval(M, x, y)
+                for D in range(1, N + 1):
+                    got = kernel_replay(E, D, x, y)
+                    assert got == one_step_replay(M, D, x, y), (N, D, x, y)
+                    den, corner, _ = kernel_eval(assemble_moments(mm, D), x, y)
+                    assert ([[Fraction(v, got[0]) for v in row] for row in got[1]]
+                            == [[Fraction(v, den) for v in row] for row in corner]), (N, D, x, y)
 
 
 class TestCDBlocks:

@@ -138,8 +138,38 @@ class TestEliminate:
         rows, steps = planted
         for s in range(steps + 1):
             got, want = copy.deepcopy(rows), copy.deepcopy(rows)
-            assert gaussborel.eliminate(got, s) == one_step_eliminate(want, s), s
+            assert gaussborel.eliminate(got, s)[0] == one_step_eliminate(want, s), s
             assert got == want, s
+
+    @given(planted_rows())
+    def test_records_each_group_as_the_single_steps_leave_it(self, planted):
+        # group k's pivot rows are rows k .. k+2 after k single steps, and c_r
+        # is the 3 x 3 determinant on row i and the two pivot rows other than
+        # r, columns k .. k+2, over Delta_k^2
+        rows, steps = planted
+        minors, groups = gaussborel.eliminate(copy.deepcopy(rows), steps)
+        assert len(groups) == (steps + 2) // 3
+        for g, (pivots, w, mults) in enumerate(groups):
+            k = 3 * g
+            before = copy.deepcopy(rows)
+            one_step_eliminate(before, k)
+            assert list(pivots) == [row[k:] for row in before[k:min(k + 3, steps)]], k
+            if k + 3 > steps:
+                assert (w, mults) == ((), ()), k
+                continue
+            assert len(mults) == len(rows) - k - 3, k
+            block = [row[k:k + 3] for row in before[k:k + 3]]
+            for r, cof in enumerate(w):
+                s, t = [block[j] for j in range(3) if j != r]
+                assert [v * minors[k] for v in cof] == [s[1] * t[2] - s[2] * t[1],
+                                                        s[0] * t[2] - s[2] * t[0],
+                                                        s[0] * t[1] - s[1] * t[0]], (k, r)
+            for row, cs in zip(before[k + 3:], mults):
+                for r, c in enumerate(cs):
+                    s, t = [block[j] for j in range(3) if j != r]
+                    det = (row[k] * (s[1] * t[2] - s[2] * t[1]) - row[k + 1] * (s[0] * t[2] - s[2] * t[0])
+                           + row[k + 2] * (s[0] * t[1] - s[1] * t[0]))
+                    assert c * minors[k] ** 2 == det, (k, r)
 
     @pytest.mark.parametrize("residue", [0, 1, 2])
     @given(data=st.data())
@@ -150,14 +180,14 @@ class TestEliminate:
         rows, _ = data.draw(planted_rows(steps, border=1))
         assert len(rows) > steps and len(rows[0]) > steps
         want = copy.deepcopy(rows)
-        assert gaussborel.eliminate(rows, steps) == one_step_eliminate(want, steps)
+        assert gaussborel.eliminate(rows, steps)[0] == one_step_eliminate(want, steps)
         assert rows == want
 
     def test_zero_multiplier_rows(self):
         # rows 2 and 3 keep a zero multiplier at step 0, and row 3 one at step 1 too
         rows = [[2, 1, 3, 1], [4, 5, 1, 0], [0, 3, 2, 2], [0, 0, 7, 1], [1, 2, 3, 4]]
         want = copy.deepcopy(rows)
-        assert gaussborel.eliminate(rows, 3) == one_step_eliminate(want, 3) == [1, 2, 6, 42]
+        assert gaussborel.eliminate(rows, 3)[0] == one_step_eliminate(want, 3) == [1, 2, 6, 42]
         assert rows == want and rows[2][0] == rows[3][0] == rows[3][1] == 0
 
     @pytest.mark.parametrize("offset", [0, 1, 2])
@@ -176,7 +206,7 @@ class TestEliminate:
             L[i][t] = 0
         rows = [[sum(L[i][j] * U[j][c] for j in range(R)) for c in range(C)] for i in range(R)]
         want = copy.deepcopy(rows)
-        assert gaussborel.eliminate(rows, steps) == one_step_eliminate(want, steps)
+        assert gaussborel.eliminate(rows, steps)[0] == one_step_eliminate(want, steps)
         assert rows == want and all(rows[i][t] == 0 for i, t in zeros)
 
     @pytest.mark.parametrize("kind", ["mixed", "table"])
@@ -197,7 +227,7 @@ class TestEliminate:
                     gaussborel.eliminate(got, E)
                 assert broke.value.index == exc.index, (q, p)
                 continue
-            assert gaussborel.eliminate(got, E) == minors, (q, p)
+            assert gaussborel.eliminate(got, E)[0] == minors, (q, p)
             assert got == want, (q, p)
 
     @pytest.mark.parametrize("where", [0, 1, 2, "last"])
@@ -444,7 +474,7 @@ class TestWindow:
                 want = all(d % P for d in system.F.minors[1:])
                 for W in (0, 1, 5, 9, 11):
                     panel = [row[:W] for row in system.M.ints]
-                    minors = gaussborel.eliminate(panel, W)
+                    minors, _ = gaussborel.eliminate(panel, W)
                     assert gaussborel._certified(system.M.ints, panel, minors) == want, (P, q, p, W)
                     assert (gaussborel._schur_residues(system.M.ints, panel, minors)
                             == unpacked_schur_residues(system.M.ints, panel, minors, P)), (P, q, p, W)
